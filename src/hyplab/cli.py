@@ -443,7 +443,7 @@ def _run_report(ctx):
                          % (summary.get("violations"), summary.get("seeds"),
                             summary.get("rejects")))
         elif exp == "flow":
-            flow_csv = os.path.join(sub, "flow.csv")
+            flow_csv = os.path.join(out, name, "flow.csv")
             if os.path.exists(flow_csv):
                 lines.append(f"flow trajectories: {name}/flow.csv")
         lines.append("")

@@ -69,11 +69,8 @@ def a_k_eval(params, nu_k, r, j=0):
     lognu = math.log(nu_k)
     u = r + 2.0 * S - lognu
 
-    def chi_d(m):
-        return profile_eval("chi", r / R, m) / R**m
-
-    def xi_d(m):
-        return profile_eval("xi", (r - lognu) / S, m) / S**m
+    chi_d = [profile_eval("chi", r / R, m) / R**m for m in range(j + 1)]
+    xi_d = [profile_eval("xi", (r - lognu) / S, m) / S**m for m in range(j + 1)]
 
     out = np.zeros_like(r)
     # Leibniz over the product u * X * Z; u has only derivatives 0 and 1.
@@ -88,8 +85,8 @@ def a_k_eval(params, nu_k, r, j=0):
                 coeff_u
                 * comb(rest, jx, exact=True)
                 * u_fac
-                * chi_d(jx)
-                * xi_d(rest - jx)
+                * chi_d[jx]
+                * xi_d[rest - jx]
             )
     return out[0] if scal else out
 

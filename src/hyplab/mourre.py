@@ -449,6 +449,8 @@ def hs_calculus(f_derivs, op, tol=1e-6, u_range=None, v_max=None,
     if not np.any(np.abs(f_derivs(np.linspace(u_lo, u_hi, 257), 0)) > 0.0):
         return np.zeros((n, n), dtype=complex)
 
+    # Each entry holds f_derivs itself, so the id in its key cannot be handed
+    # to another function while the entry lives.
     cache_key = (id(f_derivs), u_lo, u_hi, v_max, round(probe_lo, 6),
                  round(probe_hi, 6), tol)
     cached = _HS_CERT_CACHE.get(cache_key)
@@ -463,11 +465,11 @@ def hs_calculus(f_derivs, op, tol=1e-6, u_range=None, v_max=None,
             keep = np.abs(cv) / abs(v) > coeff_floor
             z_parts.append(u_nodes[keep] + 1j * v)
             c_parts.append(cv[keep])
-        cached = (np.concatenate(z_parts), np.concatenate(c_parts))
+        cached = (f_derivs, np.concatenate(z_parts), np.concatenate(c_parts))
         _HS_CERT_CACHE[cache_key] = cached
         if len(_HS_CERT_CACHE) > 32:
             _HS_CERT_CACHE.pop(next(iter(_HS_CERT_CACHE)))
-    z_nodes, coeffs = cached
+    _, z_nodes, coeffs = cached
 
     if is_discrete:
         bands = _tridiag_bands(op_banded=op)

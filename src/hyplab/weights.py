@@ -2,9 +2,10 @@
 
 The building block is the canonical smooth step
 
-    q(x) = e^{-1/x} / (e^{-1/x} + e^{-1/(1-x)})   on (0,1),
+    q(x) = e^{-1/x} / (e^{-1/x} + e^{-1/(1-x)}) = sigma(g(x))   on (0,1),
 
-extended by 0 below and 1 above.  From q we derive
+with sigma(t) = 1/(1 + e^{-t}) and g(x) = 1/(1-x) - 1/x, extended by 0 below
+and 1 above.  From q we derive
 
 * the weight function  w(x) = 1 for x <= 0, x for x >= 1, blended as
   1 + q(x)(x-1) on (0,1);
@@ -13,7 +14,10 @@ extended by 0 below and 1 above.  From q we derive
 * the spectral bump    f(E) = q(3-|E|)  (1 on [-2,2], 0 outside [-3,3]).
 
 chi and xi are squares so that their square roots are themselves smooth.
-Analytic derivatives up to order 6 are generated symbolically once and cached.
+Derivatives up to order 7 are evaluated in closed form: sigma^{(k)} is a
+polynomial P_k in sigma, the derivatives of g are explicit, and Faa di Bruno's
+formula combines the two.  The other profiles follow from q by the product
+and chain rules.
 
 On top of the profiles this module provides the mode-shifted weight vectors
 w^{-s}(r - log nu_k), the symbol weights w^s(r - log<eta>), the temperate
@@ -28,101 +32,114 @@ import dataclasses
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from hyplab.errors import ConfigError
 
-# Analytic derivatives are advertised to order 6; one extra order is kept
-# internally for the almost-analytic extension of the functional calculus.
+# Derivatives are advertised to order 6; one extra order is kept internally
+# for the almost-analytic extension of the functional calculus.
 MAX_DERIVATIVE = 7
 
 _PROFILE_NAMES = ("q", "w", "chi", "xi", "f")
 
-# Lazily built table: name -> list of callables, one per derivative order,
-# valid on the open transition interval of that profile.
-_blend_tables: dict[str, list] = {}
+
+def _sigma_polys(n):
+    """Coefficients (ascending powers of s) of P_0..P_n, where
+    sigma^{(k)}(t) = P_k(sigma(t)): P_0(s) = s and, from sigma' = sigma(1 -
+    sigma), P_{k+1}(s) = P_k'(s) s(1 - s)."""
+    polys = [np.array([0.0, 1.0])]
+    for _ in range(n):
+        polys.append(npoly.polymul(npoly.polyder(polys[-1]), [0.0, 1.0, -1.0]))
+    return polys
 
 
-def _build_blend_tables():
-    """Build derivative tables for the transition blends.
+def _faa_di_bruno_terms(n):
+    """Faa di Bruno's formula for (sigma o g)^{(n)} as a list of (k, c, parts).
 
-    Only the step q is differentiated symbolically; w = 1 + q(x)(x-1),
-    chi = q(x-1)^2 and xi = q(2(x+1))^2 are assembled from the q table with
-    the product and chain rules, which keeps the one-time symbolic cost small.
+    There is one entry per partition of n into k parts, and
+    (sigma o g)^{(n)} = sum c P_k(sigma) prod_{i in parts} g^{(i)}/i!, with
+    c = n! / prod_i m_i! over the multiplicities m_i of the parts.
     """
-    import sympy as sp
+    terms = []
 
-    x = sp.symbols("x")
-    q = sp.exp(-1 / x) / (sp.exp(-1 / x) + sp.exp(-1 / (1 - x)))
-    qfns = []
-    cur = q
-    for _ in range(MAX_DERIVATIVE + 1):
-        qfns.append(sp.lambdify(x, cur, "numpy"))
-        cur = sp.diff(cur, x)
+    def walk(rest, largest, parts):
+        if rest == 0:
+            c = math.factorial(n)
+            for i in set(parts):
+                c //= math.factorial(parts.count(i))
+            terms.append((len(parts), float(c), tuple(parts)))
+            return
+        for i in range(min(rest, largest), 0, -1):
+            walk(rest - i, i, parts + [i])
 
-    def w_fn(j):
-        # (1 + q(x)(x-1))^{(j)} = q^{(j)}(x)(x-1) + j q^{(j-1)}(x), plus 1 at j=0
-        def fn(t):
-            out = qfns[j](t) * (t - 1.0)
-            if j >= 1:
-                out = out + j * qfns[j - 1](t)
-            else:
-                out = out + 1.0
-            return out
-
-        return fn
-
-    def square_fn(j, shift, scale):
-        # d^j/dx^j [q(scale (x - shift))^2] by the Leibniz rule on q * q
-        def fn(t):
-            u = scale * (np.asarray(t, dtype=float) - shift)
-            g = [qfns[i](u) for i in range(j + 1)]
-            out = sum(math.comb(j, i) * g[i] * g[j - i] for i in range(j + 1))
-            return out * scale**j
-
-        return fn
-
-    orders = range(MAX_DERIVATIVE + 1)
-    _blend_tables["q"] = [qfns, 0.0, 1.0]
-    _blend_tables["w"] = [[w_fn(j) for j in orders], 0.0, 1.0]
-    _blend_tables["chi"] = [[square_fn(j, 1.0, 1.0) for j in orders], 1.0, 2.0]
-    _blend_tables["xi"] = [[square_fn(j, -1.0, 2.0) for j in orders], -1.0, -0.5]
+    walk(n, n, [])
+    return terms
 
 
-def _blend(name, x, j):
-    """Evaluate the j-th derivative of a transition blend on its open interval."""
-    if not _blend_tables:
-        _build_blend_tables()
-    fns, _, _ = _blend_tables[name]
-    with np.errstate(all="ignore"):
-        out = np.asarray(fns[j](x), dtype=float)
-    # exp underflow at the interval ends produces harmless 0/0 -> nan;
-    # the true limit of every derivative there is 0 (or the plateau value).
-    if j == 0 and name == "w":
-        out = np.where(np.isfinite(out), out, 1.0)
-    else:
-        out = np.where(np.isfinite(out), out, 0.0)
-    return out
+_SIGMA_POLYS = _sigma_polys(MAX_DERIVATIVE)
+_FDB_TERMS = [_faa_di_bruno_terms(n) for n in range(MAX_DERIVATIVE + 1)]
+
+# Within this distance of a plateau, q and every derivative to order 7 are
+# below 1e-260 (sigma < e^{-699}); they are set to their exact plateau values
+# there.  The closed forms are therefore never evaluated where 1/x could
+# overflow, so 0 * inf and inf - inf cannot arise, nor where exp would take
+# its slow subnormal path.
+_PLATEAU_GAP = 1.0 / 700.0
 
 
-def _piecewise_eval(name, x, j, lo, hi, left_vals, right_vals):
-    """Assemble plateau + blend evaluation for one profile derivative."""
+def _step_derivs(x, orders):
+    """[q^{(j)}(x) for j in orders], for x anywhere on the real line.
+
+    The closed forms are evaluated at y = min(x, 1-x) <= 1/2 only, where
+    sigma(g(y)) <= 1/2, and reflected by q(x) = 1 - q(1-x), that is
+    q^{(j)}(x) = (-1)^{j+1} q^{(j)}(1-x) for j >= 1.  Near x = 1 the direct
+    evaluation would lose every digit at orders 6 and 7.  On the plateaus,
+    and within _PLATEAU_GAP of them, the values are the exact plateau ones.
+    """
     x = np.asarray(x, dtype=float)
-    scal = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    left = x <= lo
-    right = x >= hi
-    mid = ~(left | right)
-    out[left] = left_vals[j] if j < len(left_vals) else 0.0
-    if name == "w" and j == 0:
-        out[right] = x[right]
-    elif name == "w" and j == 1:
-        out[right] = 1.0
-    else:
-        out[right] = right_vals[j] if j < len(right_vals) else 0.0
-    if mid.any():
-        out[mid] = _blend(name, x[mid], j)
-    return out[0] if scal else out
+    y = np.minimum(x, 1.0 - x)
+    flip = x > 0.5
+    out = [np.array(flip, dtype=float) if j == 0 else np.zeros(x.shape)
+           for j in orders]
+    live = y > _PLATEAU_GAP
+    if not live.any():
+        return out
+    y, flip = y[live], flip[live]
+    a = 1.0 / (1.0 - y)
+    b = 1.0 / y
+    e = np.exp(a - b)
+    s = e / (1.0 + e)  # sigma(g(y))
+    top = max(orders)
+    if top >= 1:
+        p = s * (1.0 - s)  # P_1(s)
+        g1 = a * a + b * b  # g'(y)
+    if top >= 3:
+        # h[i] = g^{(i)}(y)/i! = a^{i+1} + (-b)^{i+1}
+        apow, bpow = [a * a], [b * b]
+        for _ in range(top - 1):
+            apow.append(apow[-1] * a)
+            bpow.append(bpow[-1] * -b)
+        h = [None] + [u + v for u, v in zip(apow, bpow)]
+        sig = [s, p] + [npoly.polyval(s, _SIGMA_POLYS[k])
+                        for k in range(2, top + 1)]
+    # Orders 1 and 2 are written out: most calls stop there (the flow ODE,
+    # the cutoffs), many of them on a handful of points.
+    for j, dest in zip(orders, out):
+        if j == 0:
+            v = np.where(flip, 1.0 - s, s)
+        elif j == 1:
+            v = p * g1
+        elif j == 2:
+            v = p * ((1.0 - 2.0 * s) * g1 * g1 + 2.0 * (a * a * a - b * b * b))
+        else:
+            v = 0.0
+            for k, c, parts in _FDB_TERMS[j]:
+                term = c * sig[k]
+                for i in parts:
+                    term = term * h[i]
+                v = v + term
+        dest[live] = np.where(flip, -v, v) if j and j % 2 == 0 else v
+    return out
 
 
 def profile_eval(which, x, j=0, extended=False):
@@ -143,26 +160,33 @@ def profile_eval(which, x, j=0, extended=False):
     limit = MAX_DERIVATIVE if extended else MAX_DERIVATIVE - 1
     if not (0 <= j <= limit):
         raise ConfigError(f"derivative order {j} outside [0, {limit}]")
-    if which == "q":
-        return _piecewise_eval("q", x, j, 0.0, 1.0, (0.0,), (1.0,))
-    if which == "w":
-        return _piecewise_eval("w", x, j, 0.0, 1.0, (1.0,), ())
-    if which == "chi":
-        return _piecewise_eval("chi", x, j, 1.0, 2.0, (0.0,), (1.0,))
-    if which == "xi":
-        return _piecewise_eval("xi", x, j, -1.0, -0.5, (0.0,), (1.0,))
-    # f(E) = q(3-|E|): plateau 1 on [-2,2], support [-3,3].  Smooth because
-    # the |E| kink sits inside the plateau of q.
     x = np.asarray(x, dtype=float)
-    scal = x.ndim == 0
-    x = np.atleast_1d(x)
-    inner = profile_eval("q", 3.0 - np.abs(x), j, extended=True)
-    if j % 2 == 1:
-        sign = np.where(x >= 0, -1.0, 1.0)
+    if which == "q":
+        (out,) = _step_derivs(x, (j,))
+    elif which == "w":
+        # w^{(j)} = q^{(j)}(x)(x-1) + j q^{(j-1)}(x) (+1 at j = 0); x - 1 is
+        # clipped to [-1, 0], where it only meets plateau values of q, so the
+        # plateaus come out exact and finite.
+        t = np.clip(x, 0.0, 1.0) - 1.0
+        if j == 0:
+            (qx,) = _step_derivs(x, (0,))
+            out = np.where(x >= 1.0, x, 1.0 + qx * t)
+        else:
+            qj, qprev = _step_derivs(x, (j, j - 1))
+            out = qj * t + j * qprev
+    elif which in ("chi", "xi"):
+        # chi = q(x-1)^2 and xi = q(2(x+1))^2, by the Leibniz rule on q * q
+        shift, scale = (1.0, 1.0) if which == "chi" else (-1.0, 2.0)
+        g = _step_derivs(scale * (x - shift), range(j + 1))
+        out = sum(math.comb(j, i) * g[i] * g[j - i] for i in range(j + 1))
+        out = out * scale**j
     else:
-        sign = 1.0
-    out = inner * sign
-    return out[0] if scal else out
+        # f(E) = q(3-|E|): plateau 1 on [-2,2], support [-3,3].  Smooth
+        # because the |E| kink sits inside the plateau of q.
+        (out,) = _step_derivs(3.0 - np.abs(x), (j,))
+        if j % 2 == 1:
+            out = out * np.where(x >= 0, -1.0, 1.0)
+    return np.asarray(out)[()]
 
 
 def chi_sqrt_eval(x, j=0):

@@ -1,4 +1,4 @@
-"""Shared fixtures: profile-table warmup and common builders."""
+"""Shared fixtures and common builders."""
 
 import numpy as np
 import pytest
@@ -17,16 +17,6 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_profiles():
-    """Build the symbolic derivative tables once so no timed test pays the
-    one-time cost."""
-    weights.profile_eval("w", 0.5)
-    weights.profile_eval("f", 0.0)
-    weights.chi_sqrt_eval(1.5)
-    weights.xi_sqrt_eval(-0.75)
 
 
 @pytest.fixture(scope="session")

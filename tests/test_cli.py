@@ -186,6 +186,17 @@ def test_report_collects_runs_and_lists_absent_sections(tmp_path):
         assert f"section absent: no {absent} run" in report
 
 
+def test_report_links_flow_trajectories(tmp_path):
+    # "spec" sorts after "flow", so the flow section must not borrow the
+    # directory of the last run listed.
+    assert run(["flow", "--out", str(tmp_path / "flow"),
+                "--set", "t_values=[0.25]", "--set", "n_points=50"]) == 0
+    assert run(["spectrum", "--out", str(tmp_path / "spec"),
+                "--set", "K_max=3"]) == 0
+    assert run(["report", "--out", str(tmp_path)]) == 0
+    assert "flow trajectories: flow/flow.csv" in _read(tmp_path / "report.md")
+
+
 def test_report_on_empty_directory_exits_one(tmp_path):
     out = tmp_path / "empty"
     out.mkdir()

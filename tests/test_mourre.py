@@ -266,6 +266,43 @@ def test_hs_matches_spectral_calculus_mode_operator():
     assert np.linalg.norm(out - ref, 2) <= 1e-6
 
 
+_POLY_BUMP_DERIVS = [
+    (np.polynomial.Polynomial([1.0, 0.0, -1.0 / 9.0]) ** 8).deriv(j)
+    for j in range(8)
+]
+
+
+class _PolyBump:
+    """c (1 - E^2/9)^8 on [-3, 3], 0 outside: one support, a different
+    function for each c, and cheap to certify (small seventh derivative)."""
+
+    __slots__ = ("c",)
+    support = (-3.0, 3.0)
+
+    def __init__(self, c):
+        self.c = c
+
+    def __call__(self, E, j=0):
+        E = np.asarray(E, dtype=float)
+        return np.where(np.abs(E) < 3.0, self.c * _POLY_BUMP_DERIVS[j](E), 0.0)
+
+
+def test_hs_cache_survives_a_reused_id():
+    # The certified nodes are cached under id(f_derivs).  CPython gives a new
+    # object the address, and so the id, of a freed one once its memory pool
+    # comes round again; among a thousand new bumps, take the one that got
+    # the first bump's id if there is one.  Its f(H) must still be its own.
+    H = np.diag([-2.0, -0.5, 0.0, 1.0, 2.5])
+    first = _PolyBump(1.0)
+    stale_id = id(first)
+    hs_calculus(first, H, u_range=first.support)
+    del first
+    fresh = [_PolyBump(0.5) for _ in range(1000)]
+    second = next((f for f in fresh if id(f) == stale_id), fresh[0])
+    out = hs_calculus(second, H, u_range=second.support)
+    assert np.linalg.norm(out - spectral_calculus(second, H), 2) <= 1e-6
+
+
 # ----------------------------------------------------------------------------
 # Positivity check preconditions
 # ----------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,7 +86,7 @@ def test_derivative_order_limits():
                                          ("chi", 1.0, 2.0),
                                          ("xi", -1.0, -0.5)])
 def test_derivatives_consistent_with_finite_differences(which, lo, hi):
-    # independent oracle for the analytic derivative tables
+    # independent oracle for the closed-form derivatives
     x = np.linspace(lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo), 41)
     d = 1e-6 * (hi - lo)
     for j in range(6):
@@ -106,6 +107,44 @@ def test_derivatives_vanish_at_plateau_junctions(which, lo, hi):
             1.0 if (which == "w" and j == 1) else 0.0)
         # just inside the transition the derivatives are tiny (smooth glue)
         assert abs(profile_eval(which, lo + 1e-4 * (hi - lo), j)) < 1e-3
+
+
+def _q_oracle(x, j):
+    """q^{(j)}(x) from mpmath at 50 digits, independent of the closed forms."""
+    with mp.workdps(50):
+        return float(mp.diff(lambda t: 1 / (1 + mp.exp(1 / t - 1 / (1 - t))),
+                             mp.mpf(float(x)), j))
+
+
+def test_step_derivatives_match_high_precision_oracle():
+    x = np.concatenate([[1e-3, 3e-3, 0.01], np.linspace(0.025, 0.975, 39),
+                        [0.99, 0.997, 1.0 - 1e-3]])
+    for j in range(weights.MAX_DERIVATIVE + 1):
+        ref = np.array([_q_oracle(t, j) for t in x])
+        got = profile_eval("q", x, j, extended=True)
+        # measured: at most 5e-14 (order 6).  The largest sampled value
+        # stands in for max|q^{(j)}|; it can only be smaller.
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("which,lo,hi", [("q", 0.0, 1.0), ("w", 0.0, 1.0),
+                                         ("chi", 1.0, 2.0),
+                                         ("xi", -1.0, -0.5)])
+def test_transition_ends_give_exact_plateau_values(which, lo, hi):
+    gaps = np.array([5e-324, 1e-300, 1e-12])
+    left_x, right_x = lo + gaps, hi - gaps
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for j in range(weights.MAX_DERIVATIVE + 1):
+            left = profile_eval(which, left_x, j, extended=True)
+            right = profile_eval(which, right_x, j, extended=True)
+            if which == "w":
+                left_limit = 1.0 if j == 0 else 0.0
+                right_limit = right_x if j == 0 else float(j == 1)
+            else:
+                left_limit, right_limit = 0.0, float(j == 0)
+            assert np.all(np.isfinite(left)) and np.all(np.isfinite(right))
+            assert np.array_equal(left, np.broadcast_to(left_limit, 3))
+            assert np.array_equal(right, np.broadcast_to(right_limit, 3))
 
 
 # ----------------------------------------------------------------------------
