@@ -40,9 +40,7 @@ _KNOWN_KEYS = {
     "mourre": {"lambda", "s0", "K_max", "C", "n_points", "r0",
                "auto_calibrate", "cross_section", "n"},
     "sweep": {"lambdas", "s", "s0", "K_max", "r0", "n_points", "weight_kind",
-              "cross_section", "n", "eps_start_factor", "eps_ratio",
-              "eps_floor_scale", "cap_exponent", "cap_fraction", "rel_tol",
-              "norm_tol"},
+              "cross_section", "n", "norm_tol"},
     "testbed": {"n_seeds", "dim", "window_count", "alpha_factor", "s",
                 "slack"},
     "weights": {"s", "sigma_values", "temperate_samples", "temperate_C",
@@ -64,9 +62,7 @@ _DEFAULTS = {
               "s0": 1.0, "K_max": 24, "r0": 0.25, "n_points": None,
               "weight_kind": "mode",
               "cross_section": {"kind": "circle", "radius": 1.0}, "n": 2,
-              "eps_start_factor": 0.1, "eps_ratio": 0.5,
-              "eps_floor_scale": 1e-4, "cap_exponent": 2,
-              "cap_fraction": 0.25, "rel_tol": 0.01, "norm_tol": 1e-6},
+              "norm_tol": 1e-6},
     "testbed": {"n_seeds": 100, "dim": 20, "window_count": 5,
                 "alpha_factor": 2.0, "s": 0.75, "slack": 0.2},
     "weights": {"s": 1.0, "sigma_values": [0.0, 2.0],
@@ -271,30 +267,26 @@ def _run_sweep(ctx):
     sweep_cfg = SweepConfig(
         lambdas=tuple(float(l) for l in cfg["lambdas"]),
         s=cfg["s"], s0=cfg["s0"], K_max=cfg["K_max"], r0=cfg["r0"],
-        n_points=cfg["n_points"], eps_start_factor=cfg["eps_start_factor"],
-        eps_ratio=cfg["eps_ratio"], eps_floor_scale=cfg["eps_floor_scale"],
-        cap_exponent=cfg["cap_exponent"], cap_fraction=cfg["cap_fraction"],
-        weight_kind=cfg["weight_kind"], rel_tol=cfg["rel_tol"],
+        n_points=cfg["n_points"], weight_kind=cfg["weight_kind"],
         norm_tol=cfg["norm_tol"], cross_section=cfg["cross_section"],
         n=cfg["n"],
     )
     t0 = time.time()
     result = lambda_sweep(sweep_cfg, workers=ctx.workers)
     ctx.task("lambda_sweep", "ok", time.time() - t0)
-    rows = [(r["lambda"], r["k"], r["mu"], r["eps"], r["norm"],
-             r["converged"]) for r in result.rows]
-    write_csv(ctx.path("sweep.csv"),
-              ["lambda", "k", "mu", "eps", "norm", "converged"], rows)
+    rows = [(r["lambda"], r["k"], r["mu"], r["norm"]) for r in result.rows]
+    write_csv(ctx.path("sweep.csv"), ["lambda", "k", "mu", "norm"], rows)
     write_csv(ctx.path("N_of_lambda.csv"), ["lambda", "N"],
               sorted(result.N_of_lambda.items()))
+    diag = result.diagnostics
     summary = {"schema": _SCHEMA, "experiment": "sweep",
                "N_of_lambda": {(_fmt(l)): v
                                for l, v in sorted(result.N_of_lambda.items())},
-               "failures": result.diagnostics["failures"],
-               "cap_sensitivity": max(
-                   (v for v in result.diagnostics["cap_deltas"].values()
-                    if v is not None), default=None)}
-    ok = not result.diagnostics["failures"]
+               "argmax_k": {_fmt(l): k
+                            for l, k in sorted(diag["argmax_k"].items())},
+               "sup_at_K_max": diag["sup_at_K_max"],
+               "failures": diag["failures"]}
+    ok = not diag["failures"]
     if len(result.lambdas()) >= 4 and max(result.lambdas()) >= 100.0 * min(
             result.lambdas()):
         fit = fit_scaling(result)
@@ -415,15 +407,21 @@ def _run_report(ctx):
         exp = manifest.get("experiment", "?")
         seen.add(exp)
         lines.append(f"## {name} ({exp}, status {manifest.get('status')})")
-        if exp == "sweep" and "fit" in summary:
-            fit = summary["fit"]
-            lines.append(
-                "fitted decay: p = %.4f, q = %.4f, C = %.4g, residual %.3g"
-                % (fit["p"], fit["q"], fit["C"], fit["residual"]))
-            bc = summary.get("bound_check", {})
-            lines.append(
-                "bound N(lambda) <= C' (log lambda)^{2s0+2s} rho(lambda): "
-                f"C' = {bc.get('Cprime'):.4g}, pass = {bc.get('pass')}")
+        if exp == "sweep" and "argmax_k" in summary:
+            if "fit" in summary:
+                fit = summary["fit"]
+                lines.append(
+                    "fitted decay: p = %.4f, q = %.4f, C = %.4g, residual %.3g"
+                    % (fit["p"], fit["q"], fit["C"], fit["residual"]))
+                bc = summary.get("bound_check", {})
+                lines.append(
+                    "bound N(lambda) <= C' (log lambda)^{2s0+2s} rho(lambda): "
+                    f"C' = {bc.get('Cprime'):.4g}, pass = {bc.get('pass')}")
+            lines.append("maximizing mode k per lambda: " + ", ".join(
+                f"{float(l):.6g}: {k}" for l, k in sorted(
+                    summary["argmax_k"].items(), key=lambda e: float(e[0]))))
+            lines.append("sup at the last mode K_max (truncated sup): "
+                         f"{summary['sup_at_K_max']}")
             plot_rows = sorted(
                 (float(k), v) for k, v in summary["N_of_lambda"].items())
             write_csv(os.path.join(out, "plot_N_of_lambda.dat"),
@@ -503,8 +501,10 @@ def run(argv=None):
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
-    ctx = RunContext(experiment, config, args.out, max(args.workers, 1),
-                     args.seed)
+    from hyplab.laplab import effective_workers
+
+    ctx = RunContext(experiment, config, args.out,
+                     effective_workers(args.workers), args.seed)
     try:
         summary, ok = _RUNNERS[experiment](ctx)
     except ConfigError as exc:

@@ -2,36 +2,32 @@
 
 This module measures the weighted resolvent norms
 
-    N_k(lam) = || W (H_k - lam - i eps)^{-1} W ||,   eps -> 0+,
+    N_k(lam) = || W (H_k - lam - i0)^{-1} W ||
 
-along a decreasing geometric schedule of imaginary offsets, extrapolates
-them to the real axis, takes the sup over cross-section modes, and fits the
-decay of N(lam) = sup_k N_k(lam) in the energy lam against the model
+of the boundary values of the resolvent on the real axis, takes the sup over
+cross-section modes, and fits the decay of N(lam) = sup_k N_k(lam) in the
+energy lam against the model
 
     log N(lam) = p log lam + q log log lam + log C.
 
-A complex absorbing layer near the grid boundary stands in for the outgoing
-condition, so the truncated resolvent stays bounded as eps crosses the
-discrete level spacing.
+Each mode operator is closed at the end of the box by the discrete outgoing
+wave at energy lam (see linops.discretize), so R(lam + i0) is a single solve
+at real lam: no imaginary offset is taken to zero and no absorbing layer
+stands in for the outgoing condition.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from hyplab.conjugate import ConjugateParams, a_k_eval
 from hyplab.errors import ConfigError, NumericalFailure
-from hyplab.linops import (
-    CapProfile,
-    RadialGrid,
-    ShiftedSolver,
-    eps_floor_min,
-    weighted_operator_norm,
-)
+from hyplab.linops import RadialGrid, ShiftedSolver, weighted_operator_norm
 from hyplab.model import ModelConfig, mode_operator_spec
 from hyplab.weights import (
     mode_weight_vector,
@@ -41,111 +37,29 @@ from hyplab.weights import (
 
 
 # ----------------------------------------------------------------------------
-# Epsilon schedules
+# Boundary value of the resolvent for a single operator
 # ----------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class EpsSchedule:
-    """Geometric schedule eps_0, eps_0 * ratio, ... down to the floor."""
+def limiting_absorption(op, lam, w_left, w_right, norm_tol=1e-6):
+    """Weighted norm ||W_l (op - lam - i0)^{-1} W_r|| from one factorization.
 
-    start: float
-    ratio: float = 0.5
-    floor: float = 1e-3
-
-    def __post_init__(self):
-        if self.start <= 0 or self.floor <= 0:
-            raise ConfigError("schedule endpoints must be positive")
-        if not 0.0 < self.ratio < 1.0:
-            raise ConfigError("schedule ratio must lie in (0, 1)")
-        if self.start <= self.floor:
-            raise ConfigError("schedule must decrease: start > floor")
-
-    def values(self):
-        out = []
-        eps = self.start
-        while eps >= self.floor * (1.0 - 1e-12):
-            out.append(eps)
-            eps *= self.ratio
-        return out
-
-
-def default_schedule(lam, start_factor=0.1, ratio=0.5, floor_scale=1e-4):
-    """Schedule from start_factor * sqrt(lam) down to floor_scale * sqrt(lam).
-
-    With an absorbing layer present the truncated resolvent stays bounded as
-    eps crosses the discrete level spacing, so the floor is set by solver
-    conditioning (see linops.eps_floor_min), not by the spacing."""
-    start = start_factor * math.sqrt(lam)
-    floor = floor_scale * math.sqrt(lam)
-    return EpsSchedule(start=start, ratio=ratio, floor=floor)
-
-
-# ----------------------------------------------------------------------------
-# Limiting absorption for a single operator
-# ----------------------------------------------------------------------------
-
-
-def limiting_absorption(op, lam, w_left, w_right, schedule, rel_tol=0.01,
-                        cap_double_op=None, norm_tol=1e-6):
-    """Weighted resolvent norms along the schedule, extrapolated to eps -> 0+.
-
-    Convergence is declared when two successive norms differ by less than
-    rel_tol relatively; the extrapolated value is the last one computed
-    (the eps-dependence near the absorbing floor is not polynomial, so
-    higher-order extrapolation is unjustified).  If ``cap_double_op`` (the
-    same operator with the absorber twice as strong) is given, the last
-    norm is recomputed with it and the relative delta reported.
-
-    Returns (norm0, diagnostics).
+    ``op`` must carry the outgoing closure at lam (linops.discretize with
+    outgoing=lam); the boundary value R(lam + i0) is then the inverse of
+    op - lam itself.  Returns (norm, diagnostics); diagnostics["eps"] lists
+    the imaginary offsets used, which is none.
     """
-    if op.cap is None:
-        raise ConfigError("limiting absorption requires an absorbing layer")
-    if schedule.floor < eps_floor_min(op):
+    if op.outgoing_energy != lam:
         raise ConfigError(
-            "schedule floor is below the solver conditioning limit"
+            "limiting absorption needs the outgoing closure at the energy"
         )
-    eps_values = schedule.values()
-    if len(eps_values) < 2:
-        raise ConfigError("schedule must contain at least two offsets")
-    norms = []
-    used = []
-    tail = math.inf
-    converged = False
-    for eps in eps_values:
-        z = lam + 1j * eps
-        norms.append(weighted_operator_norm(op, z, w_left, w_right,
-                                            tol=norm_tol))
-        used.append(eps)
-        if len(norms) >= 2:
-            tail = abs(norms[-1] - norms[-2]) / max(abs(norms[-1]), 1e-300)
-            if tail < rel_tol:
-                converged = True
-                break
-    norm0 = norms[-1]
-    diagnostics = {
-        "eps": used,
-        "norms": norms,
-        "cauchy_tail": tail,
-        "converged": converged,
-        "truncation_limited": not converged,
-    }
-    if cap_double_op is not None:
-        z = lam + 1j * used[-1]
-        doubled = weighted_operator_norm(cap_double_op, z, w_left, w_right,
-                                         tol=norm_tol)
-        diagnostics["cap_delta"] = abs(doubled - norm0) / max(norm0, 1e-300)
-    return norm0, diagnostics
+    norm = weighted_operator_norm(op, lam, w_left, w_right, tol=norm_tol)
+    return norm, {"eps": []}
 
 
 # ----------------------------------------------------------------------------
 # Sweep configuration and result
 # ----------------------------------------------------------------------------
-
-
-def default_cap_strength(lam):
-    """Absorber strength scaled to the local wavenumber sqrt(lam)."""
-    return max(5.0, 0.6 * math.sqrt(lam))
 
 
 def sweep_grid(lam, r0=0.25, n_points=None, refine=1.0):
@@ -175,13 +89,7 @@ class SweepConfig:
     K_max: int = 24
     r0: float = 0.25
     n_points: int | None = None
-    eps_start_factor: float = 0.1
-    eps_ratio: float = 0.5
-    eps_floor_scale: float = 1e-4
-    cap_exponent: int = 2
-    cap_fraction: float = 0.25
     weight_kind: str = "mode"
-    rel_tol: float = 0.01
     norm_tol: float = 1e-6
     cross_section: dict | None = None
     n: int = 2
@@ -208,7 +116,7 @@ class SweepConfig:
 
 @dataclasses.dataclass
 class SweepResult:
-    """Rows, per-mode extrapolated norms, and per-lambda suprema."""
+    """Rows, per-mode norms, and per-lambda suprema."""
 
     config: SweepConfig
     rows: list
@@ -226,57 +134,54 @@ def _weight_vector(kind, r, nu_k, s):
     return polynomial_weight_vector(r, s)
 
 
-def _mode_task(args):
-    """Limiting absorption for one (lambda, k) cell; top-level for pickling.
-
-    Returns (lam, k, mu, rows, norm0_or_None, diagnostics).
-    """
-    (cfg, lam, k, refine, cap_factor) = args
+def mode_norm(cfg, lam, k, grid):
+    """||W (H_k - lam - i0)^{-1} W|| for mode k of the sweep config on the
+    given grid; returns (norm, diagnostics)."""
     from hyplab.linops import discretize
 
     model = cfg.model()
     spectrum = model.spectrum(cfg.K_max)
     spec_k = mode_operator_spec(model, k, spectrum=spectrum)
+    op = discretize(spec_k, grid, outgoing=lam)
+    w = _weight_vector(cfg.weight_kind, grid.points(), spectrum.nu(k), cfg.s)
+    return limiting_absorption(op, lam, w, w, norm_tol=cfg.norm_tol)
+
+
+def _mode_task(args):
+    """Norm of one (lambda, k) cell; top-level for pickling.
+
+    Returns (lam, k, norm_or_None, diagnostics).
+    """
+    (cfg, lam, k, refine) = args
     grid = sweep_grid(lam, r0=cfg.r0, n_points=cfg.n_points, refine=refine)
-    r_abs = grid.r_max - cfg.cap_fraction * (grid.r_max - grid.r0)
-    cap = CapProfile(r_abs=r_abs,
-                     strength=cap_factor * default_cap_strength(lam),
-                     exponent=cfg.cap_exponent)
-    op = discretize(spec_k, grid, cap=cap)
-    op2 = discretize(spec_k, grid, cap=cap.scaled(2.0))
-    r = grid.points()
-    w = _weight_vector(cfg.weight_kind, r, spectrum.nu(k), cfg.s)
-    schedule = default_schedule(lam, start_factor=cfg.eps_start_factor,
-                                ratio=cfg.eps_ratio,
-                                floor_scale=cfg.eps_floor_scale)
     try:
-        norm0, diag = limiting_absorption(op, lam, w, w, schedule,
-                                          rel_tol=cfg.rel_tol,
-                                          cap_double_op=op2,
-                                          norm_tol=cfg.norm_tol)
+        norm, diag = mode_norm(cfg, lam, k, grid)
     except NumericalFailure as exc:
-        return (lam, k, spectrum.mu(k), [], None, {"error": str(exc)})
-    rows = [
-        {"lambda": lam, "k": k, "mu": spectrum.mu(k), "eps": eps,
-         "norm": n, "converged": diag["converged"]}
-        for eps, n in zip(diag["eps"], diag["norms"])
-    ]
-    return (lam, k, spectrum.mu(k), rows, norm0, diag)
+        return (lam, k, None, {"error": str(exc)})
+    return (lam, k, norm, diag)
 
 
-def lambda_sweep(config, workers=1, refine=1.0, cap_factor=1.0):
-    """Sup over cross-section modes of the limiting-absorption norm, per
-    energy.  The sup runs over distinct mode eigenvalues; multiplicity is
-    metadata (block-diagonal norms do not see it).
+def effective_workers(workers):
+    """Worker count clamped to the CPUs this process may run on: processes
+    beyond the core count only oversubscribe the cores."""
+    return max(1, min(int(workers), len(os.sched_getaffinity(0))))
+
+
+def lambda_sweep(config, workers=1, refine=1.0):
+    """Sup over cross-section modes of the boundary-value norm, per energy.
+    The sup runs over distinct mode eigenvalues; multiplicity is metadata
+    (block-diagonal norms do not see it).
 
     The sweep is a deterministic map over sorted (lambda, k) tasks followed
-    by pure reductions, so any worker count yields identical results.
+    by pure reductions, so any worker count yields identical results.  The
+    worker count is clamped by effective_workers.
     """
     model = config.model()
     spectrum = model.spectrum(config.K_max)
-    tasks = [(config, float(lam), k, refine, cap_factor)
+    tasks = [(config, float(lam), k, refine)
              for lam in sorted(config.lambdas)
              for k in range(len(spectrum))]
+    workers = effective_workers(workers)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_mode_task, tasks, chunksize=1))
@@ -286,25 +191,25 @@ def lambda_sweep(config, workers=1, refine=1.0, cap_factor=1.0):
     rows = []
     mode_norms = {}
     failures = []
-    cap_deltas = {}
-    tails = {}
-    for lam, k, mu, mode_rows, norm0, diag in outcomes:
-        rows.extend(mode_rows)
-        if norm0 is None:
+    for lam, k, norm, diag in outcomes:
+        if norm is None:
             failures.append({"lambda": lam, "k": k, "error": diag["error"]})
             continue
-        mode_norms[(lam, k)] = norm0
-        cap_deltas[(lam, k)] = diag.get("cap_delta")
-        tails[(lam, k)] = diag["cauchy_tail"]
+        rows.append({"lambda": lam, "k": k, "mu": spectrum.mu(k),
+                     "norm": norm})
+        mode_norms[(lam, k)] = norm
     N_of_lambda = {}
-    for (lam, _k), norm0 in mode_norms.items():
-        N_of_lambda[lam] = max(N_of_lambda.get(lam, 0.0), norm0)
+    argmax_k = {}
+    for (lam, k), norm in mode_norms.items():
+        if norm > N_of_lambda.get(lam, -math.inf):
+            N_of_lambda[lam] = norm
+            argmax_k[lam] = k
+    last = len(spectrum) - 1
     diagnostics = {
         "failures": failures,
-        "cap_deltas": cap_deltas,
-        "cauchy_tails": tails,
+        "argmax_k": argmax_k,
+        "sup_at_K_max": any(k == last for k in argmax_k.values()),
         "refine": refine,
-        "cap_factor": cap_factor,
     }
     return SweepResult(config=config, rows=rows, mode_norms=mode_norms,
                        N_of_lambda=N_of_lambda, diagnostics=diagnostics)
@@ -328,10 +233,21 @@ class ScalingFit:
         return dataclasses.asdict(self)
 
 
+def log_fit(lams, norms):
+    """Least squares of log N(lam) against p log lam + q log log lam + log C;
+    returns (p, q, C, rms residual)."""
+    ll = np.log(np.asarray(lams, dtype=float))
+    design = np.column_stack([ll, np.log(ll), np.ones_like(ll)])
+    coef, res, _rank, _sv = np.linalg.lstsq(
+        design, np.log(np.asarray(norms, dtype=float)), rcond=None)
+    p, q, logC = (float(c) for c in coef)
+    residual = float(np.sqrt(res[0] / len(ll))) if res.size else 0.0
+    return p, q, math.exp(logC), residual
+
+
 def fit_scaling(result):
-    """Least squares of log N(lam) against p log lam + q log log lam + log C,
-    plus the smallest constant C' with N(lam) <= C' (log lam)^{2 s0 + 2 s}
-    rho(lam) across the sweep."""
+    """log_fit of the sweep's N(lam), plus the smallest constant C' with
+    N(lam) <= C' (log lam)^{2 s0 + 2 s} rho(lam) across the sweep."""
     lams = result.lambdas()
     if len(lams) < 4:
         raise ConfigError("scaling fit needs at least 4 energies")
@@ -340,31 +256,15 @@ def fit_scaling(result):
     N = np.array([result.N_of_lambda[l] for l in lams])
     if np.any(N <= 0):
         raise NumericalFailure("nonpositive sweep norm; cannot fit logs")
-    ll = np.log(np.array(lams))
-    design = np.column_stack([ll, np.log(ll), np.ones_like(ll)])
-    coef, res, _rank, _sv = np.linalg.lstsq(design, np.log(N), rcond=None)
-    p, q, logC = (float(c) for c in coef)
-    residual = float(np.sqrt(res[0] / len(lams))) if res.size else 0.0
+    p, q, C, residual = log_fit(lams, N)
     cfg = result.config
     envelope = np.array([
         (math.log(l)) ** (2.0 * cfg.s0 + 2.0 * cfg.s) * cfg.rho(l)
         for l in lams
     ])
     C_prime = float(np.max(N / envelope))
-    return ScalingFit(p=p, q=q, C=math.exp(logC), residual=residual,
+    return ScalingFit(p=p, q=q, C=C, residual=residual,
                       C_prime=C_prime, bound_pass=math.isfinite(C_prime))
-
-
-def fit_from_table(lams, norms):
-    """Scaling fit for a synthetic table (no bound check)."""
-    lams = [float(l) for l in lams]
-    N = np.asarray(norms, dtype=float)
-    ll = np.log(np.array(lams))
-    design = np.column_stack([ll, np.log(ll), np.ones_like(ll)])
-    coef, res, _rank, _sv = np.linalg.lstsq(design, np.log(N), rcond=None)
-    p, q, logC = (float(c) for c in coef)
-    residual = float(np.sqrt(res[0] / len(lams))) if res.size else 0.0
-    return p, q, math.exp(logC), residual
 
 
 # ----------------------------------------------------------------------------

@@ -2,8 +2,14 @@
 
 Radial mode operators D_r^2 + V(r) are realized as banded complex matrices
 on a uniform grid over (r0, r_max) with Dirichlet or Neumann conditions at
-r0 and an optional complex absorbing potential (CAP) near r_max standing in
-for the outgoing condition of the half-line problem.
+r0.  At r_max the box is either closed by a Dirichlet wall (a Hermitian
+truncation) or, for solves at a real energy lam, by the discrete outgoing
+wave u_{N+1} = beta u_N: past r_max the potential is the constant
+(n-1)^2/4, the discrete free equation has the solutions beta^i, and the
+outgoing (above threshold) or decaying (below threshold) root closes the
+half-line problem exactly with one diagonal entry.  This is the discrete
+transparent boundary condition of Arnold and of Ehrhardt and Arnold; with it
+(H - lam - i0)^{-1} is a single solve on the real axis.
 
 The kernels provided here are shifted banded solves with iterative
 refinement, matrix-free weighted operator norms by power iteration on the
@@ -24,6 +30,7 @@ from hyplab.errors import ConfigError, NumericalFailure
 
 _SOLVE_RESID_TOL = 1e-10
 _DENSE_SVD_MAX_N = 1500
+_TAIL_TOL = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,47 +62,20 @@ class RadialGrid:
         return dataclasses.replace(self, N=factor * (self.N + 1) - 1)
 
 
-@dataclasses.dataclass(frozen=True)
-class CapProfile:
-    """Polynomial complex absorbing layer on [r_abs, r_max]."""
-
-    r_abs: float
-    strength: float = 5.0
-    exponent: int = 2
-
-    def __post_init__(self):
-        if self.strength <= 0:
-            raise ConfigError("CAP strength must be positive")
-        if self.exponent < 2:
-            raise ConfigError("CAP exponent must be >= 2")
-
-    @staticmethod
-    def default_for(grid):
-        return CapProfile(r_abs=grid.r_max - 0.25 * (grid.r_max - grid.r0))
-
-    def scaled(self, factor):
-        return dataclasses.replace(self, strength=factor * self.strength)
-
-    def values(self, grid):
-        if not (grid.r0 < self.r_abs < grid.r_max):
-            raise ConfigError("CAP start must lie inside the grid")
-        r = grid.points()
-        ramp = np.clip((r - self.r_abs) / (grid.r_max - self.r_abs), 0.0, None)
-        return -1j * self.strength * ramp**self.exponent
-
-
 class DiscreteOperator:
     """Banded matrix acting on radial grid vectors.
 
     Stored as a dict of diagonals {offset: values}; offsets are symmetric for
     the operators built here.  Immutable by convention (no mutating API).
+    ``outgoing_energy`` is the energy of the outgoing closure at r_max, or
+    None for a box closed by a Dirichlet wall.
     """
 
-    def __init__(self, grid, diagonals, bc="dirichlet", cap=None):
+    def __init__(self, grid, diagonals, bc="dirichlet", outgoing_energy=None):
         self.grid = grid
         self.diagonals = {int(k): np.asarray(v) for k, v in diagonals.items()}
         self.bc = bc
-        self.cap = cap
+        self.outgoing_energy = outgoing_energy
         n = grid.N
         for off, vals in self.diagonals.items():
             if len(vals) != n - abs(off):
@@ -147,7 +127,7 @@ class DiscreteOperator:
         """Return scale*op + shift (shift acts on the main diagonal)."""
         diags = {o: scale * v for o, v in self.diagonals.items()}
         diags[0] = diags[0] + shift
-        return DiscreteOperator(self.grid, diags, bc=self.bc, cap=self.cap)
+        return DiscreteOperator(self.grid, diags, bc=self.bc)
 
 
 def _d2_diagonals(grid):
@@ -189,15 +169,31 @@ def d2_operator(grid, bc="dirichlet"):
     return DiscreteOperator(grid, diags, bc=bc)
 
 
-def discretize(spec, grid, cap=None):
-    """Banded matrix for a radial mode operator D_r^2 + V_k(r) (+ CAP).
+def outgoing_root(lam, shift, h):
+    """Root beta = x + i (1 - x^2)^{1/2}, x = 1 - h^2 (lam - shift) / 2, of the
+    discrete free equation: e^{i theta} (outgoing) above the threshold shift,
+    the decaying real root in (0, 1) below it."""
+    x = 1.0 - h**2 * (lam - shift) / 2.0
+    if x < -1.0:
+        raise ConfigError(
+            f"grid step {h:.4g} does not resolve the wavelength at energy {lam}"
+        )
+    return x + 1j * np.sqrt(complex(1.0 - x * x))
+
+
+def discretize(spec, grid, outgoing=None):
+    """Banded matrix for a radial mode operator D_r^2 + V_k(r).
 
     Parameters
     ----------
     spec : RadialOperatorSpec
         Carries the potential handle and boundary condition at r0.
     grid : RadialGrid
-    cap : CapProfile or None
+    outgoing : float or None
+        Energy lam of the outgoing closure u_{N+1} = beta u_N at r_max
+        (order-2 stencil); None closes the box by a Dirichlet wall.  The
+        closure is exact only where the potential has reached its constant
+        tail, so a tail above _TAIL_TOL at r_max is rejected.
     """
     if abs(spec.r0 - grid.r0) > 1e-12:
         raise ConfigError("spec and grid disagree on r0")
@@ -205,10 +201,19 @@ def discretize(spec, grid, cap=None):
     diags = dict(op.diagonals)
     diag = diags[0].astype(complex).copy()
     diag += spec.potential(grid.points())
-    if cap is not None:
-        diag += cap.values(grid)
+    if outgoing is not None:
+        if grid.stencil_order != 2:
+            raise ConfigError("the outgoing closure needs the order-2 stencil")
+        tail = abs(float(spec.potential(grid.r_max)) - spec.shift)
+        if tail > _TAIL_TOL:
+            raise ConfigError(
+                f"potential tail {tail:.3g} at r_max exceeds {_TAIL_TOL:g}; "
+                "the outgoing closure needs a longer box"
+            )
+        diag[-1] -= outgoing_root(outgoing, spec.shift, grid.h) / grid.h**2
     diags[0] = diag
-    return DiscreteOperator(grid, diags, bc=spec.boundary_condition, cap=cap)
+    return DiscreteOperator(grid, diags, bc=spec.boundary_condition,
+                            outgoing_energy=outgoing)
 
 
 class ShiftedSolver:
@@ -309,33 +314,6 @@ def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, max_iter=5000,
     )
 
 
-def operator_norm_iterative(fwd, adj, n, tol=1e-6, max_iter=5000):
-    """Largest singular value of a general linear map given forward/adjoint
-    callables, by power iteration on the Gram map with a deterministic start."""
-    v = _power_start(n)
-    theta = 0.0
-    history = []
-    for _ in range(max_iter):
-        u = adj(fwd(v))
-        theta_new = float(np.real(np.vdot(v, u)))
-        nu = np.linalg.norm(u)
-        history.append(theta_new)
-        if nu == 0.0:
-            return 0.0
-        resid = np.linalg.norm(u - theta_new * v)
-        if (
-            abs(theta_new - theta) <= 0.25 * tol * abs(theta_new)
-            and resid <= math.sqrt(tol) * abs(theta_new)
-        ):
-            return math.sqrt(theta_new)
-        theta = theta_new
-        v = u / nu
-    raise NumericalFailure(
-        f"power iteration did not converge in {max_iter} iterations",
-        history=history[-50:],
-    )
-
-
 def weighted_operator_norm_dense(op, z, w_left, w_right):
     """Dense SVD cross-check path for moderate problem sizes."""
     if op.n > _DENSE_SVD_MAX_N:
@@ -349,14 +327,12 @@ def weighted_operator_norm_dense(op, z, w_left, w_right):
 
 
 def hermitian_eig(op, select_range=None):
-    """Eigendecomposition of a Hermitian DiscreteOperator (no CAP).
+    """Eigendecomposition of a Hermitian DiscreteOperator.
 
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
     With ``select_range=(lo, hi)`` only the eigenpairs in (lo, hi] are
     computed (tridiagonal path only).
     """
-    if op.cap is not None:
-        raise ConfigError("hermitian_eig rejects operators with a CAP")
     if not op.is_hermitian():
         raise ConfigError("operator is not Hermitian")
     if op.bandwidth == 1 and all(
@@ -400,24 +376,3 @@ def dirichlet_laplacian_eigenvalues(grid):
     L = grid.r_max - grid.r0
     j = np.arange(1, grid.N + 1)
     return (4.0 / h**2) * np.sin(j * np.pi * h / (2.0 * L)) ** 2
-
-
-def eps_floor_min(op):
-    """Smallest trustworthy imaginary offset for shifted solves: below this
-    scale the factorization residual tolerance cannot distinguish
-    (op - lam - i eps) from (op - lam)."""
-    scale = max(float(np.max(np.abs(op.diagonals[0]))), 4.0 / op.grid.h**2)
-    return 1e4 * float(np.finfo(float).eps) * scale
-
-
-def level_spacing_estimate(spec, grid, lam):
-    """Weyl-law estimate of the local eigenvalue spacing of the Hermitian
-    truncation near energy lam: spacing = 2 pi / integral (lam - V)_+^{-1/2} dr."""
-    r = grid.points()
-    v = np.real(spec.potential(r))
-    allowed = lam - v
-    mask = allowed > 0
-    if not mask.any():
-        return math.inf
-    dos = np.sum(1.0 / np.sqrt(allowed[mask])) * grid.h / (2.0 * np.pi)
-    return 1.0 / max(dos, 1e-300)

@@ -79,7 +79,7 @@ def _midpoints(grid):
     return grid.r0 + grid.h * (np.arange(grid.N + 1) + 0.5)
 
 
-def commutator_matrix(params, nu_k, grid, shift_unused=None):
+def commutator_matrix(params, nu_k, grid):
     """Hermitian matrix of i[H_k, A_k] in divergence form.
 
     The mode enters through nu_k (mu_k = nu_k^2 - 1); the constant spectral
@@ -418,7 +418,7 @@ def hs_calculus(f_derivs, op, tol=1e-6, u_range=None, v_max=None,
 
     is_discrete = hasattr(op, "diagonals")
     if is_discrete:
-        if op.cap is not None or not op.is_hermitian():
+        if not op.is_hermitian():
             raise ConfigError("hs_calculus requires a Hermitian operator")
         n = op.n
         dense = None
@@ -721,7 +721,7 @@ def _positivity_pass(lam, delta, params, grid, spectrum, config, C,
     inv_bracket_r = 1.0 / np.sqrt(1.0 + r**2)
     for k in range(len(spectrum)):
         spec_k = mode_operator_spec(config, k, spectrum=spectrum)
-        op = discretize(spec_k, grid, cap=None)
+        op = discretize(spec_k, grid)
         evals, evecs = hermitian_eig(op, select_range=(lo, hi))
         fvals = cutoff.values(evals)
         keep = fvals >= window_floor

@@ -28,7 +28,6 @@ weight is strictly weaker than the polynomial one.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -240,23 +239,6 @@ def symbol_weight(r, eta, s, sigma=0.0):
     base = profile_eval("w", r - 0.5 * np.log1p(eta**2))
     expo = s + (1j * sigma if sigma else 0.0)
     return base**expo
-
-
-@dataclasses.dataclass(frozen=True)
-class WeightSpec:
-    """Selects a weight family and exponent for resolvent experiments."""
-
-    kind: str  # "mode_shifted" | "polynomial"
-    s: float
-
-    def __post_init__(self):
-        if self.kind not in ("mode_shifted", "polynomial"):
-            raise ConfigError(f"unknown weight kind {self.kind!r}")
-
-    def vector(self, r, nu_k=1.0):
-        if self.kind == "mode_shifted":
-            return mode_weight_vector(r, nu_k, self.s)
-        return polynomial_weight_vector(r, self.s)
 
 
 def temperate_check(sample_count, C, M, seed=0, box=50.0):

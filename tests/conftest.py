@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hyplab import weights
-from hyplab.linops import CapProfile, RadialGrid, discretize
+from hyplab.linops import discretize
 from hyplab.model import ModelConfig, mode_operator_spec
 
 # One verdict line per acceptance criterion, echoed after the run so the
@@ -25,13 +25,9 @@ def circle_config():
                        cross_section={"kind": "circle", "radius": 1.0})
 
 
-def make_mode_operator(config, k, grid, cap_fraction=0.25, cap=None):
-    """Discretized H_k with a default absorbing layer."""
-    spec = mode_operator_spec(config, k)
-    if cap is None:
-        r_abs = grid.r_max - cap_fraction * (grid.r_max - grid.r0)
-        cap = CapProfile(r_abs=r_abs)
-    return discretize(spec, grid, cap)
+def make_mode_operator(config, k, grid, lam=4.0):
+    """Discretized H_k closed by the outgoing wave at energy lam."""
+    return discretize(mode_operator_spec(config, k), grid, outgoing=lam)
 
 
 class WideBump:

@@ -32,7 +32,8 @@ from hyplab.conjugate import (
     flow_integrate,
     unitary_apply,
 )
-from hyplab.laplab import SweepConfig, fit_scaling, lambda_sweep
+from hyplab.laplab import (SweepConfig, fit_scaling, lambda_sweep, mode_norm,
+                           sweep_grid)
 from hyplab.linops import RadialGrid, discretize, hermitian_eig
 from hyplab.model import ModelConfig, build_spectrum, mode_operator_spec
 from hyplab.mourre import (
@@ -280,14 +281,22 @@ _SWEEP = SweepConfig(lambdas=(1e2, 10**2.5, 1e3, 10**3.5, 1e4), s=1.0)
 
 def test_criterion_10_scaling_sweep():
     with criterion(10, "energy scaling sweep", 1200.0):
-        fit = fit_scaling(lambda_sweep(_SWEEP, workers=8))
+        base = lambda_sweep(_SWEEP, workers=8)
+        fit = fit_scaling(base)
         assert -0.6 <= fit.p <= -0.4
         assert fit.bound_pass
-        refined = fit_scaling(lambda_sweep(_SWEEP, workers=8, refine=2.0))
-        strong = fit_scaling(lambda_sweep(_SWEEP, workers=8, cap_factor=2.0))
-        for other in (refined, strong):
-            ratio = other.C_prime / fit.C_prime
-            assert 0.5 <= ratio <= 1.5
+        # Grid refinement moves every N(lambda) by at most 3 %.
+        refined = lambda_sweep(_SWEEP, workers=8, refine=2.0)
+        for lam, N in base.N_of_lambda.items():
+            assert abs(refined.N_of_lambda[lam] / N - 1.0) <= 0.03
+        # Doubling r_max at the same step moves the norm of each energy's
+        # maximizing mode by at most 3 %.
+        for lam, k in base.diagnostics["argmax_k"].items():
+            g = sweep_grid(lam)
+            n_long = int(round((2.0 * g.r_max - g.r0) / g.h)) - 1
+            longer = RadialGrid(r0=g.r0, r_max=2.0 * g.r_max, N=n_long)
+            norm, _ = mode_norm(_SWEEP, lam, k, longer)
+            assert abs(norm / base.mode_norms[(lam, k)] - 1.0) <= 0.03
 
 
 def test_criterion_11_weight_facts():

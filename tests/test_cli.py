@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import pytest
 
@@ -77,6 +78,10 @@ def test_invalid_config_exits_one(tmp_path):
     assert run(["sweep", "--out", out, "--set", "lambdas=[]"]) == 1
     assert run(["sweep", "--out", out, "--set", "bogus=1"]) == 1
     assert run(["sweep", "--out", out, "--set", "no-equals-sign"]) == 1
+    # The keys of the former absorbing layer and eps ladder are unknown.
+    for key in ("eps_start_factor", "eps_ratio", "eps_floor_scale",
+                "cap_exponent", "cap_fraction", "rel_tol"):
+        assert run(["sweep", "--out", out, "--set", f"{key}=1"]) == 1
 
 
 def test_non_object_config_file_exits_one(tmp_path):
@@ -168,6 +173,35 @@ def test_sweep_outputs_are_worker_count_invariant(tmp_path):
     assert set(summary["N_of_lambda"]) == {"50", "100"}
     assert all(math.isfinite(v) and v > 0
                for v in summary["N_of_lambda"].values())
+
+
+def test_sweep_reports_the_maximizing_mode(tmp_path):
+    out = tmp_path / "sweep"
+    cores = len(os.sched_getaffinity(0))
+    assert run(["sweep", "--out", str(out), "--workers", str(cores + 1),
+                *_SWEEP_ARGS]) == 0
+    # The pool never gets more workers than the process has cores.
+    assert _manifest(out)["workers"] == cores
+    lines = _read(out / "sweep.csv").strip().splitlines()
+    assert lines[0] == "lambda,k,mu,norm"
+    cells = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+    assert [(lam, k) for lam, k, _, _ in cells] == [
+        (50.0, 0.0), (50.0, 1.0), (100.0, 0.0), (100.0, 1.0)]
+    summary = json.loads(_read(out / "summary.json"))
+    assert "cap_sensitivity" not in summary
+    for key, N in summary["N_of_lambda"].items():
+        lam = float(key)
+        norms = {int(k): n for l, k, _, n in cells if l == lam}
+        k_max = summary["argmax_k"][key]
+        assert norms[k_max] == N == max(norms.values())
+    assert summary["sup_at_K_max"] == any(
+        k == 1 for k in summary["argmax_k"].values())
+    assert run(["report", "--out", str(tmp_path)]) == 0
+    report = _read(tmp_path / "report.md")
+    assert "maximizing mode k per lambda: 50: " in report
+    assert ", 100: " in report
+    assert ("sup at the last mode K_max (truncated sup): "
+            f"{summary['sup_at_K_max']}") in report
 
 
 # ---------------------------------------------------------------------------

@@ -1,127 +1,98 @@
-"""Tests for the limiting-absorption sweep and scaling-fit machinery."""
+"""Tests for the boundary-value sweep and scaling-fit machinery."""
 
-import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
 from hyplab.errors import ConfigError
 from hyplab.laplab import (
-    EpsSchedule,
     SweepConfig,
     SweepResult,
     conjugate_weight_sup,
-    default_cap_strength,
-    default_schedule,
-    fit_from_table,
+    effective_workers,
     fit_scaling,
     lambda_sweep,
     limiting_absorption,
+    log_fit,
+    mode_norm,
     resolvent_expansion_check,
     sweep_grid,
     weight_comparison,
 )
-from hyplab.linops import (
-    CapProfile,
-    RadialGrid,
-    discretize,
-    eps_floor_min,
-    weighted_operator_norm,
-)
+from hyplab.linops import RadialGrid, discretize, shifted_solve
 from hyplab.model import ModelConfig, mode_operator_spec
 from hyplab.weights import polynomial_weight_vector
 
 
 # ---------------------------------------------------------------------------
-# Epsilon schedules
+# Boundary value of the resolvent for a single mode operator
 # ---------------------------------------------------------------------------
 
 
-def test_schedule_values_geometric_down_to_floor():
-    sch = EpsSchedule(start=1.0, ratio=0.5, floor=0.1)
-    vals = sch.values()
-    assert vals == [1.0, 0.5, 0.25, 0.125]
-    assert all(v >= sch.floor for v in vals)
+_FREE = ModelConfig(n=2, r0=0.25,
+                    cross_section={"kind": "custom", "mu": [0.0]})
 
 
-def test_schedule_validation():
-    with pytest.raises(ConfigError):
-        EpsSchedule(start=0.0, ratio=0.5, floor=0.1)
-    with pytest.raises(ConfigError):
-        EpsSchedule(start=1.0, ratio=1.5, floor=0.1)
-    with pytest.raises(ConfigError):
-        EpsSchedule(start=0.05, ratio=0.5, floor=0.1)
-
-
-def test_default_schedule_scales_with_sqrt_energy():
-    sch = default_schedule(100.0)
-    assert sch.start == pytest.approx(1.0)
-    assert sch.floor == pytest.approx(1e-3)
-
-
-# ---------------------------------------------------------------------------
-# Limiting absorption for a single mode operator
-# ---------------------------------------------------------------------------
-
-
-def _free_mode_setup(r_max=25.0, N=500):
-    """Mode operator with zero cross-section eigenvalue: H = D*D + 1/4."""
-    model = ModelConfig(n=2, r0=0.25,
-                       cross_section={"kind": "custom", "mu": [0.0]})
-    spec = mode_operator_spec(model, 0)
+def _free_mode_setup(lam=4.0, r_max=25.0, N=500):
+    """Mode operator with zero cross-section eigenvalue, H = D*D + 1/4,
+    closed by the outgoing wave at energy lam."""
     grid = RadialGrid(r0=0.25, r_max=r_max, N=N)
-    cap = CapProfile.default_for(grid)
-    op = discretize(spec, grid, cap=cap)
-    op2 = discretize(spec, grid, cap=cap.scaled(2.0))
-    return grid, op, op2
+    return grid, discretize(mode_operator_spec(_FREE, 0), grid, outgoing=lam)
 
 
-def test_limiting_absorption_converges_and_cap_insensitive():
-    grid, op, op2 = _free_mode_setup()
-    w = polynomial_weight_vector(grid.points(), 1.0)
-    norm0, diag = limiting_absorption(op, 4.0, w, w, default_schedule(4.0),
-                                      cap_double_op=op2)
-    assert diag["converged"]
-    assert not diag["truncation_limited"]
-    assert norm0 > 0
-    # The extrapolated norm should not depend on the absorber strength.
-    assert diag["cap_delta"] < 0.05
-    # Norms and offsets line up, and the tail is below the tolerance.
-    assert len(diag["eps"]) == len(diag["norms"])
-    assert diag["cauchy_tail"] < 0.01
+def test_limiting_absorption_box_insensitive():
+    grid, op = _free_mode_setup()
+    # Same step, twice the box: N + 1 -> 2 (N + 1).
+    longer, op_long = _free_mode_setup(
+        r_max=grid.r0 + 2.0 * (grid.r_max - grid.r0), N=2 * grid.N + 1)
+    assert longer.h == pytest.approx(grid.h, rel=1e-14)
+    # Past r_max the free discrete problem is solved exactly by the outgoing
+    # wave, so the longer box reproduces the shorter box's solution.
+    r = grid.points()
+    rhs = np.exp(-((r - 8.0) ** 2)).astype(complex)
+    short = shifted_solve(op, 4.0, rhs)
+    padded = np.concatenate([rhs, np.zeros(longer.N - grid.N)])
+    long_ = shifted_solve(op_long, 4.0, padded)[: grid.N]
+    assert np.max(np.abs(long_ - short)) <= 1e-9 * np.max(np.abs(short))
+    # The weighted norm only gains the weight's tail: 1.6 % at s = 1.
+    for s, tol in ((1.0, 0.03), (2.0, 1e-3)):
+        norms = []
+        for g, o in ((grid, op), (longer, op_long)):
+            w = polynomial_weight_vector(g.points(), s)
+            norm, diag = limiting_absorption(o, 4.0, w, w)
+            assert diag["eps"] == []
+            norms.append(norm)
+        assert norms[0] > 0
+        assert abs(norms[1] / norms[0] - 1.0) <= tol
 
 
 def test_limiting_absorption_requires_absorber():
-    grid, op, _ = _free_mode_setup()
-    bare = discretize(mode_operator_spec(
-        ModelConfig(n=2, r0=0.25,
-                    cross_section={"kind": "custom", "mu": [0.0]}), 0), grid)
+    # Without the outgoing closure at the requested energy the box would
+    # reflect the wave, so the operator is refused.
+    grid, op = _free_mode_setup()
+    bare = discretize(mode_operator_spec(_FREE, 0), grid)
     w = np.ones(grid.N)
     with pytest.raises(ConfigError):
-        limiting_absorption(bare, 4.0, w, w, default_schedule(4.0))
-
-
-def test_limiting_absorption_rejects_floor_below_conditioning_limit():
-    grid, op, _ = _free_mode_setup()
-    w = np.ones(grid.N)
-    tiny = EpsSchedule(start=1.0, ratio=0.5, floor=0.25 * eps_floor_min(op))
+        limiting_absorption(bare, 4.0, w, w)
     with pytest.raises(ConfigError):
-        limiting_absorption(op, 4.0, w, w, tiny)
+        limiting_absorption(op, 5.0, w, w)
 
 
 def test_below_threshold_resolvent_is_spectrally_bounded():
     # At energy 0.1 the distance to the essential spectrum [1/4, inf) is
-    # 0.15; the absorber only adds dissipation, so the numerical range
-    # stays at least that far from the energy.
-    grid, op, _ = _free_mode_setup()
+    # 0.15; the decaying root closes the box with a Hermitian operator whose
+    # spectrum stays in [1/4, inf), so the resolvent norm is at most 1/0.15.
+    grid, op = _free_mode_setup(lam=0.1)
+    assert op.is_hermitian()
     ones = np.ones(grid.N)
-    norm = weighted_operator_norm(op, 0.1 + 1e-6j, ones, ones)
+    norm, _ = limiting_absorption(op, 0.1, ones, ones)
     assert norm <= 1.0 / 0.15 * 1.01
 
 
 def test_resolvent_expansion_identity():
-    _, op, _ = _free_mode_setup()
+    _, op = _free_mode_setup()
     err = resolvent_expansion_check(op, 4.0 + 0.5j, 4.0 + 2.0j)
     assert err <= 1e-8
 
@@ -151,9 +122,12 @@ def test_sweep_grid_resolves_local_wavelength():
     assert doubled.N == 2 * sweep_grid(100.0).N
 
 
-def test_default_cap_strength_tracks_wavenumber():
-    assert default_cap_strength(4.0) == 5.0
-    assert default_cap_strength(10000.0) == pytest.approx(60.0)
+def test_effective_workers_clamps_to_affinity():
+    cores = len(os.sched_getaffinity(0))
+    assert effective_workers(1) == 1
+    assert effective_workers(0) == 1
+    assert effective_workers(cores) == cores
+    assert effective_workers(cores + 7) == cores
 
 
 def test_single_mode_sweep_sup_equals_mode_norm():
@@ -164,7 +138,11 @@ def test_single_mode_sweep_sup_equals_mode_norm():
     assert res.N_of_lambda[50.0] == res.mode_norms[(50.0, 0)]
     assert res.lambdas() == [50.0]
     assert not res.diagnostics["failures"]
-    assert all(row["lambda"] == 50.0 for row in res.rows)
+    assert res.rows == [{"lambda": 50.0, "k": 0, "mu": 1.0,
+                         "norm": res.mode_norms[(50.0, 0)]}]
+    # The only mode is the last one, so the sup sits at K_max.
+    assert res.diagnostics["argmax_k"] == {50.0: 0}
+    assert res.diagnostics["sup_at_K_max"]
 
 
 def test_sweep_sup_over_modes():
@@ -173,6 +151,12 @@ def test_sweep_sup_over_modes():
     res = lambda_sweep(cfg)
     per_mode = [res.mode_norms[(50.0, k)] for k in range(3)]
     assert res.N_of_lambda[50.0] == pytest.approx(max(per_mode))
+    k_max = res.diagnostics["argmax_k"][50.0]
+    assert per_mode[k_max] == max(per_mode)
+    assert res.diagnostics["sup_at_K_max"] == (k_max == 2)
+    # The sweep's cell is the same computation as mode_norm on its grid.
+    norm, _ = mode_norm(cfg, 50.0, 1, sweep_grid(50.0))
+    assert norm == res.mode_norms[(50.0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +168,7 @@ _LAMS = tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0))
 
 
 def test_fit_from_table_recovers_pure_power():
-    p, q, C, resid = fit_from_table(_LAMS, [l ** -0.5 for l in _LAMS])
+    p, q, C, resid = log_fit(_LAMS, [l ** -0.5 for l in _LAMS])
     assert p == pytest.approx(-0.5, abs=1e-10)
     assert q == pytest.approx(0.0, abs=1e-10)
     assert C == pytest.approx(1.0, rel=1e-10)
@@ -193,7 +177,7 @@ def test_fit_from_table_recovers_pure_power():
 
 def test_fit_from_table_recovers_log_correction():
     norms = [3.0 * math.log(l) ** 4 * l ** -0.5 for l in _LAMS]
-    p, q, C, resid = fit_from_table(_LAMS, norms)
+    p, q, C, resid = log_fit(_LAMS, norms)
     assert p == pytest.approx(-0.5, abs=1e-10)
     assert q == pytest.approx(4.0, abs=1e-10)
     assert C == pytest.approx(3.0, rel=1e-10)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from hyplab.errors import ConfigError
-from hyplab.linops import (CapProfile, DiscreteOperator, RadialGrid,
-                           d2_operator, dirichlet_laplacian_eigenvalues,
-                           discretize, eps_floor_min, hermitian_eig,
-                           schur_bound, shifted_solve, weighted_operator_norm,
+from hyplab.linops import (DiscreteOperator, RadialGrid, d2_operator,
+                           dirichlet_laplacian_eigenvalues, discretize,
+                           hermitian_eig, outgoing_root, schur_bound,
+                           shifted_solve, weighted_operator_norm,
                            weighted_operator_norm_dense)
 from hyplab.model import ModelConfig, mode_operator_spec
 
@@ -68,6 +68,52 @@ def test_discretize_r0_mismatch_rejected():
         discretize(mode_operator_spec(cfg, 0), g)
 
 
+def test_outgoing_root_branches():
+    h = 0.1
+    # Above threshold: the outgoing root e^{i theta}, cos theta = 1 - h^2 E/2.
+    beta = outgoing_root(4.0, 0.25, h)
+    assert abs(beta) == pytest.approx(1.0, abs=1e-14)
+    assert beta.imag > 0.0
+    assert beta.real == pytest.approx(1.0 - h**2 * 3.75 / 2.0, abs=1e-15)
+    # Below threshold: the decaying real root of beta + 1/beta = 2x.
+    beta = outgoing_root(0.1, 0.25, h)
+    x = 1.0 + h**2 * 0.15 / 2.0
+    assert beta.imag == 0.0
+    assert 0.0 < beta.real < 1.0
+    assert beta.real + 1.0 / beta.real == pytest.approx(2.0 * x, rel=1e-14)
+    # A step that does not resolve the wavelength has no outgoing root.
+    with pytest.raises(ConfigError):
+        outgoing_root(4.0 / h**2 + 1.0, 0.25, h)
+
+
+def test_outgoing_closure_is_one_diagonal_entry():
+    cfg = _circle_config()
+    g = RadialGrid(r0=0.25, r_max=30.0, N=400)
+    bare = discretize(mode_operator_spec(cfg, 1), g)
+    closed = discretize(mode_operator_spec(cfg, 1), g, outgoing=4.0)
+    assert closed.outgoing_energy == 4.0 and bare.outgoing_energy is None
+    delta = closed.diagonals[0] - bare.diagonals[0]
+    assert np.all(delta[:-1] == 0.0)
+    assert delta[-1] == pytest.approx(-outgoing_root(4.0, 0.25, g.h) / g.h**2)
+    for off in (1, -1):
+        assert np.array_equal(closed.diagonals[off], bare.diagonals[off])
+
+
+def test_outgoing_closure_rejects_unmet_assumptions():
+    cfg = _circle_config()
+    # mu_k e^{-2 r_max} = 9 e^{-10} is far above the 1e-9 tail tolerance.
+    short = RadialGrid(r0=0.25, r_max=5.0, N=200)
+    with pytest.raises(ConfigError):
+        discretize(mode_operator_spec(cfg, 3), short, outgoing=4.0)
+    # h = 0.5 cannot carry a wave at energy 100.
+    coarse = RadialGrid(r0=0.25, r_max=30.0, N=59)
+    with pytest.raises(ConfigError):
+        discretize(mode_operator_spec(cfg, 0), coarse, outgoing=100.0)
+    fourth = RadialGrid(r0=0.25, r_max=30.0, N=400, stencil_order=4)
+    with pytest.raises(ConfigError):
+        discretize(mode_operator_spec(cfg, 0), fourth, outgoing=4.0)
+
+
 def test_mode_operator_spectrum_above_threshold():
     cfg = _circle_config()
     g = RadialGrid(r0=0.25, r_max=40.0, N=600)
@@ -113,7 +159,7 @@ def test_shifted_solve_residual_certificate():
     op = make_mode_operator(cfg, 1, g)
     rng = np.random.default_rng(7)
     rhs = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
-    z = 4.0 + 1e-3j
+    z = 4.0
     x = shifted_solve(op, z, rhs)
     residual = op.matvec(x) - z * x - rhs
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
@@ -151,6 +197,40 @@ def test_shifted_solve_matches_greens_function_at_order_two():
     assert rate == pytest.approx(2.0, abs=0.3)
 
 
+def _free_outgoing_solution(grid, lam, rhs):
+    """Outgoing solution of (D_r^2 + 1/4 - lam - i0) u = rhs on [r0, inf),
+    Dirichlet at r0: the kernel sin(k(r_< - r0)) e^{ik(r_> - r0)} / k with
+    k = (lam - 1/4)^{1/2}, summed on the grid in O(N) by cumulative sums."""
+    k = np.sqrt(lam - 0.25)
+    rho = grid.points() - grid.r0
+    below = np.cumsum(np.sin(k * rho) * rhs)
+    above = np.cumsum((np.exp(1j * k * rho) * rhs)[::-1])[::-1]
+    above = np.append(above[1:], 0.0)
+    return grid.h * (np.exp(1j * k * rho) * below
+                     + np.sin(k * rho) * above) / k
+
+
+def test_outgoing_closure_matches_free_kernel_at_order_two():
+    # The box ends at 15.25, where the wave is still large: a wrong closure
+    # reflects it back over the whole box.
+    cfg = ModelConfig(n=2, r0=0.25, cross_section={"kind": "custom", "mu": [0.0]})
+    lam = 4.0
+    errors = []
+    hs = []
+    for N in (1499, 2999, 5999):
+        g = RadialGrid(r0=0.25, r_max=15.25, N=N)
+        op = discretize(mode_operator_spec(cfg, 0), g, outgoing=lam)
+        r = g.points()
+        rhs = np.exp(-((r - 8.0) ** 2))
+        x = shifted_solve(op, lam, rhs.astype(complex))
+        u = _free_outgoing_solution(g, lam, rhs)
+        errors.append(np.max(np.abs(x - u)) / np.max(np.abs(u)))
+        hs.append(g.h)
+    assert errors[0] <= 5e-4
+    rate = np.polyfit(np.log(hs), np.log(errors), 1)[0]
+    assert rate == pytest.approx(2.0, abs=0.2)
+
+
 # ----------------------------------------------------------------------------
 # Norms
 # ----------------------------------------------------------------------------
@@ -176,31 +256,22 @@ def test_weighted_norm_matches_dense_svd():
     op = make_mode_operator(cfg, 0, g)
     r = g.points()
     w = (1.0 + r**2) ** -0.5
-    z = 4.0 + 1e-3j
+    z = 4.0
     iterative = weighted_operator_norm(op, z, w, w)
     dense = weighted_operator_norm_dense(op, z, w, w)
     assert iterative == pytest.approx(dense, rel=1e-6)
 
 
-def test_cap_passivity_resolvent_bound():
+def test_outgoing_closure_passivity_resolvent_bound():
+    # Im beta >= 0 makes the closed operator dissipative, so its resolvent
+    # obeys ||(H - z)^{-1}|| <= 1 / Im z in the upper half plane.
     cfg = _circle_config()
     g = RadialGrid(r0=0.25, r_max=30.0, N=400)
     op = make_mode_operator(cfg, 1, g)
     w = np.ones(g.N)
-    for eps in (0.5, 0.1):
+    for eps in (0.5, 0.1, 0.01):
         norm = weighted_operator_norm(op, 4.0 + 1j * eps, w, w)
         assert norm <= (1.0 + 1e-6) / eps
-
-
-def test_eps_floor_min_scales_with_grid():
-    cfg = _circle_config()
-    g = RadialGrid(r0=0.25, r_max=30.0, N=400)
-    op = make_mode_operator(cfg, 0, g)
-    floor = eps_floor_min(op)
-    assert 0.0 < floor < 1e-6
-    g2 = g.refined(2)
-    op2 = make_mode_operator(cfg, 0, g2)
-    assert eps_floor_min(op2) > floor
 
 
 # ----------------------------------------------------------------------------
@@ -232,11 +303,16 @@ def test_hermitian_eig_residuals_and_orthonormality():
 
 
 def test_hermitian_eig_rejects_cap():
+    # A complex absorbing potential and the outgoing closure both make the
+    # operator non-Hermitian.
     cfg = _circle_config()
     g = RadialGrid(r0=0.25, r_max=30.0, N=100)
-    op = make_mode_operator(cfg, 0, g)
-    with pytest.raises(ConfigError):
-        hermitian_eig(op)
+    bare = discretize(mode_operator_spec(cfg, 0), g)
+    ramp = np.clip((g.points() - 22.0) / 8.0, 0.0, None) ** 2
+    for op in (bare.scaled_shifted(shift=-5j * ramp),
+               make_mode_operator(cfg, 0, g)):
+        with pytest.raises(ConfigError):
+            hermitian_eig(op)
 
 
 # ----------------------------------------------------------------------------
