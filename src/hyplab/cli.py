@@ -10,6 +10,7 @@ failure, 3 acceptance-check failure under --check.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import hashlib
 import json
@@ -32,21 +33,6 @@ _SCHEMA = 1
 # ----------------------------------------------------------------------------
 # Config plumbing
 # ----------------------------------------------------------------------------
-
-_KNOWN_KEYS = {
-    "spectrum": {"cross_section", "K_max"},
-    "flow": {"lambda", "k", "cross_section", "t_values", "r0", "r_max",
-             "n_points"},
-    "mourre": {"lambda", "s0", "K_max", "C", "n_points", "r0",
-               "auto_calibrate", "cross_section", "n"},
-    "sweep": {"lambdas", "s", "s0", "K_max", "r0", "n_points", "weight_kind",
-              "cross_section", "n", "norm_tol"},
-    "testbed": {"n_seeds", "dim", "window_count", "alpha_factor", "s",
-                "slack"},
-    "weights": {"s", "sigma_values", "temperate_samples", "temperate_C",
-                "temperate_M", "nu_ladder"},
-    "report": set(),
-}
 
 _DEFAULTS = {
     "spectrum": {"cross_section": {"kind": "circle", "radius": 1.0},
@@ -94,7 +80,7 @@ def _apply_override(config, key, value):
 
 
 def load_config(experiment, path, overrides):
-    config = dict(_DEFAULTS[experiment])
+    config = copy.deepcopy(_DEFAULTS[experiment])
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
@@ -104,7 +90,7 @@ def load_config(experiment, path, overrides):
     for text in overrides or ():
         key, value = _parse_override(text)
         _apply_override(config, key, value)
-    unknown = set(config) - _KNOWN_KEYS[experiment]
+    unknown = set(config) - set(_DEFAULTS[experiment])
     if unknown:
         raise ConfigError(
             f"unknown config keys for {experiment}: {sorted(unknown)}"

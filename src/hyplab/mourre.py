@@ -32,7 +32,6 @@ from hyplab.errors import ConfigError, NumericalFailure, RegimeError
 from hyplab.linops import (
     DiscreteOperator,
     RadialGrid,
-    ShiftedSolver,
     hermitian_eig,
     weighted_operator_norm,
 )
@@ -306,37 +305,30 @@ def _hs_node_set(u_lo, u_hi, v_max, depth, gl_u=12, gl_v=6, n_u_base=16,
 
 _HS_CONST = 1.0 / (2.0 * math.pi)
 
-
-def _hs_scalar_error(f_derivs, groups, v_max, probe):
-    """sup over probe energies of |quadrature applied to 1/(E - z) - f(E)|."""
-    acc = np.zeros(len(probe), dtype=complex)
-    for v, vw, u_nodes, u_w in groups:
-        c = _dbar_values(f_derivs, u_nodes, v, v_max) * u_w * vw
-        acc += c @ (1.0 / (probe[None, :] - (u_nodes[:, None] + 1j * v)))
-    return float(np.max(np.abs(_HS_CONST * acc - f_derivs(probe, 0))))
+# nodes per chunk of a quadrature sum: the chunk's matrix of 1/(E - z) takes
+# 2 KiB per energy, 8 MiB on the fine certification probe
+_HS_CHUNK = 128
 
 
-def _tridiag_bands(op_dense=None, op_banded=None):
-    """(ab band storage, bandwidth) for scipy solve_banded."""
-    if op_banded is not None:
-        bw = op_banded.bandwidth
-        n = op_banded.n
-        ab = np.zeros((2 * bw + 1, n), dtype=complex)
-        for off, vals in op_banded.diagonals.items():
-            if off >= 0:
-                ab[bw - off, off:] = vals
-            else:
-                ab[bw - off, : n + off] = vals
-        return ab, bw
-    import scipy.linalg as sla
+def _hs_nodes(f_derivs, groups, v_max):
+    """Flattened quadrature nodes z = u + iv and coefficients
+    c = dbar F~(z) du dv of the node groups."""
+    z = np.concatenate([u_nodes + 1j * v for v, _, u_nodes, _ in groups])
+    c = np.concatenate([
+        _dbar_values(f_derivs, u_nodes, v, v_max) * u_w * vw
+        for v, vw, u_nodes, u_w in groups
+    ])
+    return z, c
 
-    n = op_dense.shape[0]
-    T, Q = sla.hessenberg(op_dense, calc_q=True)
-    ab = np.zeros((3, n), dtype=complex)
-    ab[1] = np.diag(T)
-    ab[0, 1:] = np.diag(T, 1)
-    ab[2, :-1] = np.diag(T, -1)
-    return ab, 1, Q
+
+def _resolvent_quadrature(z, c, E):
+    """Q(E) = (2 pi)^{-1} sum_z c_z / (E - z): the quadrature applied to the
+    scalar resolvent at the real energies E."""
+    acc = np.zeros(len(E), dtype=complex)
+    for start in range(0, len(z), _HS_CHUNK):
+        chunk = slice(start, start + _HS_CHUNK)
+        acc += c[chunk] @ (1.0 / (E[None, :] - z[chunk, None]))
+    return _HS_CONST * acc
 
 
 _HS_CERT_CACHE = {}
@@ -345,11 +337,11 @@ _HS_LADDER = [(4, 16), (5, 24), (5, 32), (5, 48), (5, 64), (5, 80), (5, 96),
               (6, 128), (6, 192), (7, 256), (7, 384), (8, 512)]
 
 
-def _hs_certify(f_derivs, u_lo, u_hi, v_max, probe_lo, probe_hi, tol,
-                max_depth):
+def _hs_certify(f_derivs, u_lo, u_hi, v_max, probe_lo, probe_hi, tol):
     """Refine the node set until the scalar quadrature reproduces f on a
-    probe grid; the starting resolution is guessed from the seventh
-    derivative's size (the almost-analytic residual term)."""
+    probe grid, and return its nodes and coefficients; the starting
+    resolution is guessed from the seventh derivative's size (the
+    almost-analytic residual term)."""
     width = u_hi - u_lo
     sup7 = float(
         np.max(np.abs(f_derivs(np.linspace(u_lo, u_hi, 2001), _AA_ORDER + 1)))
@@ -372,23 +364,23 @@ def _hs_certify(f_derivs, u_lo, u_hi, v_max, probe_lo, probe_hi, tol,
     ]))
     err = math.inf
     for depth, base in _HS_LADDER[start:]:
-        if depth > max_depth:
-            break
         groups = _hs_node_set(u_lo, u_hi, v_max, depth, n_u_base=base)
-        err = _hs_scalar_error(f_derivs, groups, v_max, coarse)
-        if err > 0.5 * tol:
-            continue
-        err = _hs_scalar_error(f_derivs, groups, v_max, fine)
-        if err <= 0.5 * tol:
-            return groups
+        z, c = _hs_nodes(f_derivs, groups, v_max)
+        # the coarse probe screens a rung before the fine one is paid for
+        for probe in (coarse, fine):
+            err = float(np.max(np.abs(
+                _resolvent_quadrature(z, c, probe) - f_derivs(probe, 0))))
+            if err > 0.5 * tol:
+                break
+        else:
+            return z, c
     raise NumericalFailure(
         f"Helffer-Sjostrand quadrature did not converge "
         f"(scalar residual {err:.3e})"
     )
 
 
-def hs_calculus(f_derivs, op, tol=1e-6, u_range=None, v_max=None,
-                max_depth=9, spectral_bound=None):
+def hs_calculus(f_derivs, op, tol=1e-6, u_range=None):
     """f(op) by Helffer-Sjostrand quadrature against the resolvent.
 
     Parameters
@@ -403,51 +395,41 @@ def hs_calculus(f_derivs, op, tol=1e-6, u_range=None, v_max=None,
 
     The node set is certified on a scalar probe grid first: for a Hermitian
     operator the operator-norm quadrature error equals the sup over the
-    spectrum of the scalar error, so the probe covers the Gershgorin
-    interval.  The certified node set is then applied once to the operator
-    (tridiagonal solves after a Hessenberg reduction for dense input,
-    banded solves for discrete operators).
+    spectrum of the scalar error, so the probe covers the spectrum, widened
+    to a power-of-two multiple of the support width so that operators of
+    similar extent share one cached node set.  The nodes are applied in the
+    eigenbasis, where the resolvent is diagonal: (op - z)^{-1} =
+    V (E - z)^{-1} V*, so the quadrature gives V diag(Q(E)) V* with
+    Q(E) = (2 pi)^{-1} sum_z c_z / (E - z).  The result is certified at the
+    spectrum itself, where max_i |Q(E_i) - f(E_i)| is exactly the
+    operator-norm error: NumericalFailure if it exceeds tol.
     """
-    import scipy.linalg as sla
-
     if u_range is None:
         u_range = f_derivs.support  # type: ignore[attr-defined]
     u_lo, u_hi = float(u_range[0]), float(u_range[1])
-    if v_max is None:
-        v_max = 0.25 * (u_hi - u_lo)
+    width = u_hi - u_lo
+    v_max = 0.25 * width
 
-    is_discrete = hasattr(op, "diagonals")
-    if is_discrete:
+    if hasattr(op, "diagonals"):
         if not op.is_hermitian():
             raise ConfigError("hs_calculus requires a Hermitian operator")
-        n = op.n
-        dense = None
-        diag = np.real(op.diagonals[0])
-        radius = sum(
-            np.max(np.abs(v)) for o, v in op.diagonals.items() if o != 0
-        )
-        e_lo, e_hi = float(diag.min() - radius), float(diag.max() + radius)
+        evals, evecs = hermitian_eig(op)
     else:
-        dense = np.asarray(op, dtype=complex)
+        dense = np.asarray(op)
         if np.max(np.abs(dense - np.conj(dense.T))) > 1e-10 * max(
             np.max(np.abs(dense)), 1e-300
         ):
             raise ConfigError("hs_calculus requires a Hermitian operator")
-        n = dense.shape[0]
-        radius = np.sum(np.abs(dense), axis=1) - np.abs(np.diag(dense))
-        e_lo = float(np.min(np.real(np.diag(dense)) - radius))
-        e_hi = float(np.max(np.real(np.diag(dense)) + radius))
-    if spectral_bound is not None:
-        e_lo, e_hi = spectral_bound
-
-    # snap the probe interval to power-of-two multiples of the support width
-    # so matrices with similar spectral extent share one certified node set
-    width = u_hi - u_lo
-    pad = max(u_lo - e_lo, e_hi - u_hi, width)
-    pad = width * 2.0 ** max(3, math.ceil(math.log2(pad / width)))
-    probe_lo, probe_hi = u_lo - pad, u_hi + pad
+        evals, evecs = np.linalg.eigh(dense)
+    n = len(evals)
     if not np.any(np.abs(f_derivs(np.linspace(u_lo, u_hi, 257), 0)) > 0.0):
         return np.zeros((n, n), dtype=complex)
+
+    # snap the probe interval to power-of-two multiples of the support width
+    # so operators with similar spectral extent share one certified node set
+    pad = max(u_lo - evals[0], evals[-1] - u_hi, width)
+    pad = width * 2.0 ** max(3, math.ceil(math.log2(pad / width)))
+    probe_lo, probe_hi = u_lo - pad, u_hi + pad
 
     # Each entry holds f_derivs itself, so the id in its key cannot be handed
     # to another function while the entry lives.
@@ -455,144 +437,24 @@ def hs_calculus(f_derivs, op, tol=1e-6, u_range=None, v_max=None,
                  round(probe_hi, 6), tol)
     cached = _HS_CERT_CACHE.get(cache_key)
     if cached is None:
-        groups = _hs_certify(f_derivs, u_lo, u_hi, v_max, probe_lo, probe_hi,
-                             tol, max_depth)
-        node_count = sum(len(u) for _, _, u, _ in groups)
-        coeff_floor = tol * 1e-4 / max(node_count, 1)
-        z_parts, c_parts = [], []
-        for v, vw, u_nodes, u_w in groups:
-            cv = _dbar_values(f_derivs, u_nodes, v, v_max) * u_w * vw
-            keep = np.abs(cv) / abs(v) > coeff_floor
-            z_parts.append(u_nodes[keep] + 1j * v)
-            c_parts.append(cv[keep])
-        cached = (f_derivs, np.concatenate(z_parts), np.concatenate(c_parts))
+        z, c = _hs_certify(f_derivs, u_lo, u_hi, v_max, probe_lo, probe_hi,
+                           tol)
+        # drop the nodes whose term stays negligible at every energy
+        keep = np.abs(c) / np.abs(z.imag) > tol * 1e-4 / len(z)
+        cached = (f_derivs, z[keep], c[keep])
         _HS_CERT_CACHE[cache_key] = cached
         if len(_HS_CERT_CACHE) > 32:
             _HS_CERT_CACHE.pop(next(iter(_HS_CERT_CACHE)))
     _, z_nodes, coeffs = cached
 
-    if is_discrete:
-        bands = _tridiag_bands(op_banded=op)
-        ab0, bw = bands[0], bands[1]
-        Q = None
-    else:
-        ab0, bw, Q = _tridiag_bands(op_dense=dense)
-
-    if bw == 1:
-        acc = _tridiag_resolvent_sum(ab0, z_nodes, coeffs)
-    else:
-        eye = np.eye(n, dtype=complex)
-        acc = np.zeros((n, n), dtype=complex)
-        for z, c in zip(z_nodes, coeffs):
-            ab = ab0.copy()
-            ab[bw] -= z
-            acc += c * sla.solve_banded((bw, bw), ab, eye)
-    result = _HS_CONST * acc
-    if Q is not None:
-        result = Q @ result @ np.conj(Q.T)
-    return result
-
-
-def _fast_recip(x):
-    """Componentwise 1/x; cheaper than complex division, overflow surfaces
-    as inf and is caught by the caller's finiteness check."""
-    return np.conj(x) / (x.real**2 + x.imag**2)
-
-
-def _tridiag_resolvent_sum(ab, z_nodes, coeffs, chunk_floats=4_000_000):
-    """sum_z c_z (T - z)^{-1} for tridiagonal T via the semiseparable form.
-
-    The inverse of a tridiagonal matrix is rank-one above and below the
-    diagonal: (T-z)^{-1}_{ij} = u_i w_j for i <= j, built from Thomas pivot
-    ratios.  The shift sum then collapses to two GEMMs per chunk.  Chunks
-    whose pivot-product dynamic range nears the float64 limit fall back to
-    explicit Thomas elimination.
-    """
-    n = ab.shape[1]
-    d0 = ab[1]
-    sup = ab[0, 1:]
-    sub = ab[2, : n - 1]
-    acc = np.zeros((n, n), dtype=complex)
-    nc = max(1, min(len(z_nodes), chunk_floats // max(n, 1)))
-    for start in range(0, len(z_nodes), nc):
-        z = z_nodes[start:start + nc]
-        c = coeffs[start:start + nc]
-        m = len(z)
-        es = sup * sub
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            p = np.empty((n, m), dtype=complex)
-            rp = np.empty((n, m), dtype=complex)
-            p[0] = d0[0] - z
-            rp[0] = _fast_recip(p[0])
-            for i in range(1, n):
-                p[i] = (d0[i] - z) - es[i - 1] * rp[i - 1]
-                rp[i] = _fast_recip(p[i])
-            rq = np.empty((n, m), dtype=complex)
-            rq[n - 1] = _fast_recip(d0[n - 1] - z)
-            for j in range(n - 2, -1, -1):
-                rq[j] = _fast_recip((d0[j] - z) - es[j] * rq[j + 1])
-            F = np.empty((n, m), dtype=complex)
-            Ft = np.empty((n, m), dtype=complex)
-            F[0] = Ft[0] = 1.0
-            if n > 1:
-                F[1:] = np.cumprod(-sup[:, None] * rp[:-1], axis=0)
-                Ft[1:] = np.cumprod(-sub[:, None] * rp[:-1], axis=0)
-            H = np.empty((n, m), dtype=complex)
-            H[n - 1] = 1.0
-            if n > 1:
-                # H[j] = prod_{k>j} q_k/p_k; q_k/p_k = (p_k rq_k)^{-1} avoided
-                # by cumprod of p*rq reciprocals
-                H[: n - 1] = np.cumprod(
-                    _fast_recip(p[:0:-1] * rq[:0:-1]), axis=0)[::-1]
-            u = _fast_recip(F) * c
-            w = F * H * rp
-            ut = _fast_recip(Ft)
-            wt = (Ft * H * rp) * c
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(w))
-                and np.all(np.isfinite(ut)) and np.all(np.isfinite(wt))):
-            acc += _tridiag_resolvent_sum_thomas(ab, z, c)
-            continue
-        g_upper = u @ w.T
-        g_lower = wt @ ut.T
-        acc += np.triu(g_upper) + np.tril(g_lower, -1)
-    return acc
-
-
-def _tridiag_resolvent_sum_thomas(ab, z_nodes, coeffs, chunk_floats=16_000_000):
-    """sum_z c_z (T - z)^{-1} for a tridiagonal T in band storage.
-
-    Thomas elimination without pivoting, vectorized across a chunk of shifts.
-    The leading minors of T - z are characteristic polynomials of Hermitian
-    sections evaluated off the real axis, hence nonzero, so the factorization
-    exists; growth is bounded by the inverse distance to the spectrum.
-    """
-    n = ab.shape[1]
-    diag = ab[1].copy()
-    sup = ab[0, 1:].copy()
-    sub = ab[2, : n - 1].copy()
-    acc = np.zeros((n, n), dtype=complex)
-    nc = max(1, min(len(z_nodes), chunk_floats // max(n * n, 1)))
-    for start in range(0, len(z_nodes), nc):
-        z = z_nodes[start:start + nc]
-        c = coeffs[start:start + nc]
-        m = len(z)
-        d = np.broadcast_to(diag, (m, n)).copy().T - z[None, :]  # (n, m)
-        w = np.empty((n - 1, m), dtype=complex)
-        for i in range(1, n):
-            w[i - 1] = sub[i - 1] / d[i - 1]
-            d[i] -= w[i - 1] * sup[i - 1]
-        # rows first for contiguous per-step slices; L^{-1} I is lower
-        # triangular, so the forward sweep only touches columns < i
-        x = np.zeros((n, m, n), dtype=complex)
-        x[np.arange(n), :, np.arange(n)] = 1.0
-        for i in range(1, n):
-            x[i, :, :i] -= w[i - 1, :, None] * x[i - 1, :, :i]
-        x[n - 1] /= d[n - 1, :, None]
-        for i in range(n - 2, -1, -1):
-            x[i] -= sup[i] * x[i + 1]
-            x[i] /= d[i, :, None]
-        acc += np.tensordot(x, c, axes=([1], [0]))
-    return acc
+    q = _resolvent_quadrature(z_nodes, coeffs, evals)
+    err = float(np.max(np.abs(q - f_derivs(evals, 0))))
+    if err > tol:
+        raise NumericalFailure(
+            f"Helffer-Sjostrand quadrature misses f at the spectrum by "
+            f"{err:.3e} (tolerance {tol:.1e})"
+        )
+    return (evecs * q) @ np.conj(evecs.T)
 
 
 def spectral_calculus(f_derivs, op):
@@ -666,10 +528,12 @@ def mourre_positivity_check(lam, s0, rho_model, grid, K_max, config=None,
     rho_model: callable lam -> resolvent-weight scale (non-trapping:
     lam^{-1/2}).
 
-    cap_fraction (the relative width of the absorbing layer used to flag
-    boundary-reflection states) must stay below exclusion_mass: a fully
-    delocalized standing wave carries roughly cap_fraction of its mass in
-    the layer, and must not be misclassified as a reflection artifact.
+    cap_fraction (the relative width of the band next to the Dirichlet wall
+    at r_max; window states with more than exclusion_mass of their mass in
+    it are flagged as boundary reflections) must stay below exclusion_mass:
+    a fully delocalized standing wave carries roughly cap_fraction of its
+    mass in the band, and must not be misclassified as a reflection
+    artifact.
     """
     if cap_fraction >= exclusion_mass:
         raise ConfigError(

@@ -68,6 +68,13 @@ def test_manifest_records_config_and_outputs(tmp_path):
     assert manifest["wall_time"] >= 0
 
 
+def test_dotted_override_leaves_the_defaults_alone():
+    changed = load_config("spectrum", None, ["cross_section.radius=2.0"])
+    assert changed["cross_section"] == {"kind": "circle", "radius": 2.0}
+    default = load_config("spectrum", None, [])
+    assert default["cross_section"] == {"kind": "circle", "radius": 1.0}
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 # ---------------------------------------------------------------------------

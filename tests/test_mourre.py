@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from hyplab import mourre
 from hyplab.conjugate import ConjugateParams, a_k_eval, generator_matrix
-from hyplab.errors import ConfigError, RegimeError
+from hyplab.errors import ConfigError, NumericalFailure, RegimeError
 from hyplab.linops import RadialGrid, discretize, hermitian_eig
 from hyplab.model import ModelConfig, mode_operator_spec
 from hyplab.mourre import (SpectralCutoff, commutator_matrix,
@@ -222,8 +223,6 @@ def test_semiclassical_regime_errors():
 
 def test_hs_diagonal_two_by_two():
     f = WIDE_BUMP
-    op = np.diag([0.0, 1.5]).astype(float)
-    # pad to avoid trivial edge cases in the Hessenberg path
     op = np.diag([0.0, 1.5, -1.2, 0.4])
     out = hs_calculus(f, op, u_range=f.support)
     expected = np.diag(f(np.array([0.0, 1.5, -1.2, 0.4])))
@@ -264,6 +263,18 @@ def test_hs_matches_spectral_calculus_mode_operator():
                       u_range=f.support)
     ref = spectral_calculus(f, op.scaled_shifted(scale=scale))
     assert np.linalg.norm(out - ref, 2) <= 1e-6
+
+
+def test_hs_matches_spectral_calculus_order_four_stencil():
+    # the order-4 stencil gives a pentadiagonal operator (bandwidth 2)
+    f = WIDE_BUMP
+    g = RadialGrid(r0=0.25, r_max=12.0, N=120, stencil_order=4)
+    op = discretize(mode_operator_spec(CONFIG, 1), g)
+    assert op.bandwidth == 2
+    evals, _ = hermitian_eig(op)
+    op = op.scaled_shifted(scale=2.5 / float(np.max(np.abs(evals))))
+    out = hs_calculus(f, op, u_range=f.support)
+    assert np.linalg.norm(out - spectral_calculus(f, op), 2) <= 1e-6
 
 
 _POLY_BUMP_DERIVS = [
@@ -322,3 +333,18 @@ def test_positivity_cap_fraction_vs_exclusion():
         mourre_positivity_check(100.0, 1.0, lambda l: l**-0.5, g, 4,
                                 config=CONFIG, cap_fraction=0.3,
                                 exclusion_mass=0.2)
+
+
+def test_hs_certifies_the_result_at_the_spectrum():
+    # Coefficients 0.1 % off leave f(H) about 1e-3 off where f = 1; the
+    # check at the eigenvalues must refuse them, not return the wrong f(H).
+    H = np.diag([-2.0, -0.5, 0.0, 1.0, 2.5])
+    bump = _PolyBump(1.0)
+    good = hs_calculus(bump, H, u_range=bump.support)
+    assert np.linalg.norm(good - spectral_calculus(bump, H), 2) <= 1e-6
+    key = next(k for k, entry in mourre._HS_CERT_CACHE.items()
+               if entry[0] is bump)
+    _, z, c = mourre._HS_CERT_CACHE[key]
+    mourre._HS_CERT_CACHE[key] = (bump, z, c * (1.0 + 1e-3))
+    with pytest.raises(NumericalFailure):
+        hs_calculus(bump, H, u_range=bump.support)
