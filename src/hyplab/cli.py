@@ -22,6 +22,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import scipy
 
 import hyplab
 from hyplab.errors import ConfigError, HyplabError
@@ -174,6 +175,16 @@ class RunContext:
             "tasks": self.tasks,
             "outputs": sorted(set(self.outputs)),
             "wall_time": time.time() - self.started,
+            # library versions, the CPUs this process may run on, and the
+            # thread settings that BLAS and OpenMP read from the environment
+            "environment": {
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "cpus": len(os.sched_getaffinity(0)),
+                "thread_env": {k: v for k, v in sorted(os.environ.items())
+                               if k.endswith("_NUM_THREADS")
+                               or k.startswith("OPENBLAS")},
+            },
         }
         _atomic_json(os.path.join(self.out_dir, "manifest.json"), manifest)
 
@@ -277,7 +288,8 @@ def _run_sweep(ctx):
             result.lambdas()):
         fit = fit_scaling(result)
         summary["fit"] = {"p": fit.p, "q": fit.q, "C": fit.C,
-                          "residual": fit.residual}
+                          "residual": fit.residual, "p_err": fit.p_err,
+                          "q_err": fit.q_err, "cond": fit.cond}
         summary["bound_check"] = {"Cprime": fit.C_prime,
                                   "pass": fit.bound_pass}
         ok = ok and -0.6 <= fit.p <= -0.4 and fit.bound_pass

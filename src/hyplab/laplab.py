@@ -226,6 +226,9 @@ class ScalingFit:
     q: float
     C: float
     residual: float
+    p_err: float
+    q_err: float
+    cond: float
     C_prime: float
     bound_pass: bool
 
@@ -234,15 +237,23 @@ class ScalingFit:
 
 
 def log_fit(lams, norms):
-    """Least squares of log N(lam) against p log lam + q log log lam + log C;
-    returns (p, q, C, rms residual)."""
+    """Least squares of log N(lam) against p log lam + q log log lam + log C.
+
+    Returns (p, q, C, rms residual, p_err, q_err, cond): the standard errors
+    of p and q come from s^2 (X^T X)^{-1}, s^2 = RSS/(n - 3) (NaN for
+    n <= 3), and cond is the 2-norm condition number of the design
+    X = [log lam, log log lam, 1].
+    """
     ll = np.log(np.asarray(lams, dtype=float))
     design = np.column_stack([ll, np.log(ll), np.ones_like(ll)])
-    coef, res, _rank, _sv = np.linalg.lstsq(
-        design, np.log(np.asarray(norms, dtype=float)), rcond=None)
+    y = np.log(np.asarray(norms, dtype=float))
+    coef, _, _, sv = np.linalg.lstsq(design, y, rcond=None)
     p, q, logC = (float(c) for c in coef)
-    residual = float(np.sqrt(res[0] / len(ll))) if res.size else 0.0
-    return p, q, math.exp(logC), residual
+    rss = float(np.sum((design @ coef - y) ** 2))
+    dof = len(ll) - 3
+    cov = np.linalg.pinv(design.T @ design) * (rss / dof if dof else math.nan)
+    return (p, q, math.exp(logC), math.sqrt(rss / len(ll)),
+            math.sqrt(cov[0, 0]), math.sqrt(cov[1, 1]), float(sv[0] / sv[-1]))
 
 
 def fit_scaling(result):
@@ -256,15 +267,14 @@ def fit_scaling(result):
     N = np.array([result.N_of_lambda[l] for l in lams])
     if np.any(N <= 0):
         raise NumericalFailure("nonpositive sweep norm; cannot fit logs")
-    p, q, C, residual = log_fit(lams, N)
+    fit = log_fit(lams, N)
     cfg = result.config
     envelope = np.array([
         (math.log(l)) ** (2.0 * cfg.s0 + 2.0 * cfg.s) * cfg.rho(l)
         for l in lams
     ])
     C_prime = float(np.max(N / envelope))
-    return ScalingFit(p=p, q=q, C=C, residual=residual,
-                      C_prime=C_prime, bound_pass=math.isfinite(C_prime))
+    return ScalingFit(*fit, C_prime=C_prime, bound_pass=math.isfinite(C_prime))
 
 
 # ----------------------------------------------------------------------------

@@ -306,7 +306,7 @@ def _hs_node_set(u_lo, u_hi, v_max, depth, gl_u=12, gl_v=6, n_u_base=16,
 _HS_CONST = 1.0 / (2.0 * math.pi)
 
 # nodes per chunk of a quadrature sum: the chunk's matrix of 1/(E - z) takes
-# 2 KiB per energy, 8 MiB on the fine certification probe
+# 2 KiB per energy
 _HS_CHUNK = 128
 
 
@@ -331,16 +331,16 @@ def _resolvent_quadrature(z, c, E):
     return _HS_CONST * acc
 
 
-_HS_CERT_CACHE = {}
+# (f_derivs, u_lo, u_hi, tol) -> (rung, z, c); the key holds the function
+# itself, so an entry can never be reached by another function
+_HS_CACHE = {}
 
 _HS_LADDER = [(4, 16), (5, 24), (5, 32), (5, 48), (5, 64), (5, 80), (5, 96),
               (6, 128), (6, 192), (7, 256), (7, 384), (8, 512)]
 
 
-def _hs_certify(f_derivs, u_lo, u_hi, v_max, probe_lo, probe_hi, tol):
-    """Refine the node set until the scalar quadrature reproduces f on a
-    probe grid, and return its nodes and coefficients; the starting
-    resolution is guessed from the seventh derivative's size (the
+def _hs_start_rung(f_derivs, u_lo, u_hi):
+    """Ladder rung guessed from the seventh derivative's size (the
     almost-analytic residual term)."""
     width = u_hi - u_lo
     sup7 = float(
@@ -349,35 +349,21 @@ def _hs_certify(f_derivs, u_lo, u_hi, v_max, probe_lo, probe_hi, tol):
     # empirical resolution heuristic: needed panels scale like the residual
     # amplitude to the 1/7 (one power per quadrature-relevant derivative)
     guess = 9.0 * (max(sup7, 1.0) * (width / 6.0) ** 7) ** (1.0 / 7.0)
-    start = 0
-    while start < len(_HS_LADDER) - 1 and _HS_LADDER[start][1] < guess:
-        start += 1
-    # fine sampling near the support (error features live on the finest
-    # resolvent scale there); the error is smooth at distance >= width/2
-    coarse = np.unique(np.concatenate([
-        np.linspace(u_lo - 0.5 * width, u_hi + 0.5 * width, 801),
-        np.linspace(probe_lo, probe_hi, 401),
-    ]))
-    fine = np.unique(np.concatenate([
-        np.linspace(u_lo - 0.5 * width, u_hi + 0.5 * width, 2501),
-        np.linspace(probe_lo, probe_hi, 1501),
-    ]))
-    err = math.inf
-    for depth, base in _HS_LADDER[start:]:
-        groups = _hs_node_set(u_lo, u_hi, v_max, depth, n_u_base=base)
-        z, c = _hs_nodes(f_derivs, groups, v_max)
-        # the coarse probe screens a rung before the fine one is paid for
-        for probe in (coarse, fine):
-            err = float(np.max(np.abs(
-                _resolvent_quadrature(z, c, probe) - f_derivs(probe, 0))))
-            if err > 0.5 * tol:
-                break
-        else:
-            return z, c
-    raise NumericalFailure(
-        f"Helffer-Sjostrand quadrature did not converge "
-        f"(scalar residual {err:.3e})"
-    )
+    rung = 0
+    while rung < len(_HS_LADDER) - 1 and _HS_LADDER[rung][1] < guess:
+        rung += 1
+    return rung
+
+
+def _hs_rung(f_derivs, u_lo, u_hi, rung, tol):
+    """(rung, z, c): the nodes and coefficients of one ladder rung, without
+    the nodes whose term stays negligible at every energy."""
+    depth, base = _HS_LADDER[rung]
+    v_max = 0.25 * (u_hi - u_lo)
+    groups = _hs_node_set(u_lo, u_hi, v_max, depth, n_u_base=base)
+    z, c = _hs_nodes(f_derivs, groups, v_max)
+    keep = np.abs(c) / np.abs(z.imag) > tol * 1e-4 / len(z)
+    return rung, z[keep], c[keep]
 
 
 def hs_calculus(f_derivs, op, tol=1e-6, u_range=None):
@@ -387,28 +373,26 @@ def hs_calculus(f_derivs, op, tol=1e-6, u_range=None):
     ----------
     f_derivs : callable
         (E, j) -> j-th derivative of the target function, j <= 7; f smooth
-        and compactly supported.
+        and compactly supported.  It must be hashable: the certified nodes
+        are cached per function.
     op : DiscreteOperator or Hermitian ndarray
     u_range : (lo, hi)
         Interval containing supp f (taken from ``f_derivs.support`` if
         absent).
 
-    The node set is certified on a scalar probe grid first: for a Hermitian
-    operator the operator-norm quadrature error equals the sup over the
-    spectrum of the scalar error, so the probe covers the spectrum, widened
-    to a power-of-two multiple of the support width so that operators of
-    similar extent share one cached node set.  The nodes are applied in the
-    eigenbasis, where the resolvent is diagonal: (op - z)^{-1} =
-    V (E - z)^{-1} V*, so the quadrature gives V diag(Q(E)) V* with
-    Q(E) = (2 pi)^{-1} sum_z c_z / (E - z).  The result is certified at the
-    spectrum itself, where max_i |Q(E_i) - f(E_i)| is exactly the
-    operator-norm error: NumericalFailure if it exceeds tol.
+    The nodes are applied in the eigenbasis, where the resolvent is
+    diagonal: (op - z)^{-1} = V (E - z)^{-1} V*, so the quadrature gives
+    V diag(Q(E)) V* with Q(E) = (2 pi)^{-1} sum_z c_z / (E - z).  For a
+    Hermitian operator max_i |Q(E_i) - f(E_i)| over the spectrum is exactly
+    the operator-norm error, and every result passes that check at tol.
+    The node ladder is climbed against the spectrum itself: from the cached
+    rung of this function (or a rung guessed from its seventh derivative)
+    up to the first rung that passes, which then becomes the cached one.
+    NumericalFailure if no rung passes.
     """
     if u_range is None:
         u_range = f_derivs.support  # type: ignore[attr-defined]
     u_lo, u_hi = float(u_range[0]), float(u_range[1])
-    width = u_hi - u_lo
-    v_max = 0.25 * width
 
     if hasattr(op, "diagonals"):
         if not op.is_hermitian():
@@ -425,35 +409,25 @@ def hs_calculus(f_derivs, op, tol=1e-6, u_range=None):
     if not np.any(np.abs(f_derivs(np.linspace(u_lo, u_hi, 257), 0)) > 0.0):
         return np.zeros((n, n), dtype=complex)
 
-    # snap the probe interval to power-of-two multiples of the support width
-    # so operators with similar spectral extent share one certified node set
-    pad = max(u_lo - evals[0], evals[-1] - u_hi, width)
-    pad = width * 2.0 ** max(3, math.ceil(math.log2(pad / width)))
-    probe_lo, probe_hi = u_lo - pad, u_hi + pad
-
-    # Each entry holds f_derivs itself, so the id in its key cannot be handed
-    # to another function while the entry lives.
-    cache_key = (id(f_derivs), u_lo, u_hi, v_max, round(probe_lo, 6),
-                 round(probe_hi, 6), tol)
-    cached = _HS_CERT_CACHE.get(cache_key)
-    if cached is None:
-        z, c = _hs_certify(f_derivs, u_lo, u_hi, v_max, probe_lo, probe_hi,
-                           tol)
-        # drop the nodes whose term stays negligible at every energy
-        keep = np.abs(c) / np.abs(z.imag) > tol * 1e-4 / len(z)
-        cached = (f_derivs, z[keep], c[keep])
-        _HS_CERT_CACHE[cache_key] = cached
-        if len(_HS_CERT_CACHE) > 32:
-            _HS_CERT_CACHE.pop(next(iter(_HS_CERT_CACHE)))
-    _, z_nodes, coeffs = cached
-
-    q = _resolvent_quadrature(z_nodes, coeffs, evals)
-    err = float(np.max(np.abs(q - f_derivs(evals, 0))))
-    if err > tol:
-        raise NumericalFailure(
-            f"Helffer-Sjostrand quadrature misses f at the spectrum by "
-            f"{err:.3e} (tolerance {tol:.1e})"
-        )
+    key = (f_derivs, u_lo, u_hi, tol)
+    entry = _HS_CACHE.get(key) or _hs_rung(
+        f_derivs, u_lo, u_hi, _hs_start_rung(f_derivs, u_lo, u_hi), tol)
+    f_vals = f_derivs(evals, 0)
+    while True:
+        rung, z, c = entry
+        q = _resolvent_quadrature(z, c, evals)
+        err = float(np.max(np.abs(q - f_vals)))
+        if err <= tol:
+            break
+        if rung + 1 == len(_HS_LADDER):
+            raise NumericalFailure(
+                f"Helffer-Sjostrand quadrature misses f at the spectrum by "
+                f"{err:.3e} on its finest nodes (tolerance {tol:.1e})"
+            )
+        entry = _hs_rung(f_derivs, u_lo, u_hi, rung + 1, tol)
+    _HS_CACHE[key] = entry
+    if len(_HS_CACHE) > 32:
+        _HS_CACHE.pop(next(iter(_HS_CACHE)))
     return (evecs * q) @ np.conj(evecs.T)
 
 

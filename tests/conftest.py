@@ -48,6 +48,4 @@ class WideBump:
         return vals * np.where(E >= 0.0, -0.5, 0.5) ** j
 
 
-# Shared instance: the functional-calculus quadrature certifies its node set
-# once per profile object, so every test must use the same one.
 WIDE_BUMP = WideBump()

@@ -4,9 +4,12 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
+import scipy
 
 from hyplab.cli import _fmt, config_hash, load_config, run
+from hyplab.laplab import log_fit
 
 
 def _read(path):
@@ -50,7 +53,10 @@ def test_spectrum_run_writes_closed_form_table(tmp_path):
     assert summary["modes"] == 4
 
 
-def test_manifest_records_config_and_outputs(tmp_path):
+def test_manifest_records_config_and_outputs(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.setenv("OPENBLAS_VERBOSE", "0")
     out = tmp_path / "spec"
     rc = run(["spectrum", "--out", str(out), "--set", "K_max=3",
               "--seed", "7"])
@@ -66,6 +72,15 @@ def test_manifest_records_config_and_outputs(tmp_path):
     assert manifest["config_hash"] == config_hash(resolved)
     assert manifest["resolved_config"] == resolved
     assert manifest["wall_time"] >= 0
+    env = manifest["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["scipy"] == scipy.__version__
+    assert env["cpus"] == len(os.sched_getaffinity(0))
+    threads = env["thread_env"]
+    assert threads["OPENBLAS_NUM_THREADS"] == "1"
+    assert threads["OMP_NUM_THREADS"] == "2"
+    assert threads["OPENBLAS_VERBOSE"] == "0"
+    assert "PATH" not in threads
 
 
 def test_dotted_override_leaves_the_defaults_alone():
@@ -209,6 +224,19 @@ def test_sweep_reports_the_maximizing_mode(tmp_path):
     assert ", 100: " in report
     assert ("sup at the last mode K_max (truncated sup): "
             f"{summary['sup_at_K_max']}") in report
+
+
+def test_sweep_fit_reports_its_uncertainties(tmp_path):
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--out", str(out), "--set",
+                "lambdas=[50.0,200.0,1000.0,5000.0]", *_SWEEP_ARGS[2:]]) == 0
+    summary = json.loads(_read(out / "summary.json"))
+    lams = sorted(summary["N_of_lambda"], key=float)
+    expected = dict(zip(
+        ("p", "q", "C", "residual", "p_err", "q_err", "cond"),
+        log_fit([float(l) for l in lams],
+                [summary["N_of_lambda"][l] for l in lams])))
+    assert summary["fit"] == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,13 @@ def test_sweep_sup_over_modes():
 _LAMS = tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0))
 
 
+def _design(lams):
+    ll = np.log(np.asarray(lams, dtype=float))
+    return np.column_stack([ll, np.log(ll), np.ones_like(ll)])
+
+
 def test_fit_from_table_recovers_pure_power():
-    p, q, C, resid = log_fit(_LAMS, [l ** -0.5 for l in _LAMS])
+    p, q, C, resid, *_ = log_fit(_LAMS, [l ** -0.5 for l in _LAMS])
     assert p == pytest.approx(-0.5, abs=1e-10)
     assert q == pytest.approx(0.0, abs=1e-10)
     assert C == pytest.approx(1.0, rel=1e-10)
@@ -177,10 +182,33 @@ def test_fit_from_table_recovers_pure_power():
 
 def test_fit_from_table_recovers_log_correction():
     norms = [3.0 * math.log(l) ** 4 * l ** -0.5 for l in _LAMS]
-    p, q, C, resid = log_fit(_LAMS, norms)
+    p, q, C, resid, *_ = log_fit(_LAMS, norms)
     assert p == pytest.approx(-0.5, abs=1e-10)
     assert q == pytest.approx(4.0, abs=1e-10)
     assert C == pytest.approx(3.0, rel=1e-10)
+
+
+def test_fit_uncertainties_match_the_textbook_formula():
+    # Perturbed data: se_j = sqrt(s^2 [(X^T X)^{-1}]_jj), s^2 = RSS/(n - 3),
+    # evaluated here through the QR factors, X^T X = R^T R.
+    lams = tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0))
+    wiggle = np.array([0.03, -0.02, 0.01, 0.04, -0.03, 0.02, -0.01])
+    norms = [math.log(l) ** 0.5 * l ** -0.5 * math.exp(d)
+             for l, d in zip(lams, wiggle)]
+    p, q, _, _, p_err, q_err, cond = log_fit(lams, norms)
+    X = _design(lams)
+    y = np.log(norms)
+    Q, R = np.linalg.qr(X)
+    beta = np.linalg.solve(R, Q.T @ y)
+    s2 = float(np.sum((y - X @ beta) ** 2)) / (len(lams) - 3)
+    R_inv = np.linalg.inv(R)
+    se = np.sqrt(s2 * np.sum(R_inv ** 2, axis=1))
+    assert p == pytest.approx(beta[0], rel=1e-9)
+    assert q == pytest.approx(beta[1], rel=1e-9)
+    assert p_err == pytest.approx(se[0], rel=1e-8)
+    assert q_err == pytest.approx(se[1], rel=1e-8)
+    assert p_err > 0.0 and q_err > 0.0
+    assert cond == pytest.approx(np.linalg.cond(X), rel=1e-12)
 
 
 def _synthetic_result(lams, norms, s=1.0, s0=1.0):
@@ -198,8 +226,11 @@ def test_fit_scaling_envelope_constant():
     expected = max(n / (math.log(l) ** 4 * l ** -0.5)
                    for l, n in zip(_LAMS, norms))
     assert fit.C_prime == pytest.approx(expected, rel=1e-12)
-    assert set(fit.to_dict()) == {"p", "q", "C", "residual", "C_prime",
-                                  "bound_pass"}
+    assert set(fit.to_dict()) == {"p", "q", "C", "residual", "p_err",
+                                  "q_err", "cond", "C_prime", "bound_pass"}
+    assert fit.p_err <= 1e-10 and fit.q_err <= 1e-10
+    assert fit.cond == pytest.approx(np.linalg.cond(_design(_LAMS)),
+                                     rel=1e-12)
 
 
 def test_fit_scaling_requires_enough_energies_and_range():

@@ -19,7 +19,7 @@ from hyplab.mourre import (SpectralCutoff, commutator_matrix,
                            xi_profile_constant)
 from hyplab.weights import chi_sqrt_eval
 
-from conftest import WIDE_BUMP
+from conftest import WIDE_BUMP, WideBump
 
 
 PARAMS = ConjugateParams.from_lambda(100.0)
@@ -299,10 +299,10 @@ class _PolyBump:
 
 
 def test_hs_cache_survives_a_reused_id():
-    # The certified nodes are cached under id(f_derivs).  CPython gives a new
-    # object the address, and so the id, of a freed one once its memory pool
-    # comes round again; among a thousand new bumps, take the one that got
-    # the first bump's id if there is one.  Its f(H) must still be its own.
+    # CPython gives a new object the address, and so the id, of a freed one
+    # once its memory pool comes round again; among a thousand new bumps,
+    # take the one that got the first bump's id if there is one.  Its f(H)
+    # must still be its own.
     H = np.diag([-2.0, -0.5, 0.0, 1.0, 2.5])
     first = _PolyBump(1.0)
     stale_id = id(first)
@@ -312,6 +312,34 @@ def test_hs_cache_survives_a_reused_id():
     second = next((f for f in fresh if id(f) == stale_id), fresh[0])
     out = hs_calculus(second, H, u_range=second.support)
     assert np.linalg.norm(out - spectral_calculus(second, H), 2) <= 1e-6
+
+
+def test_hs_repeat_calls_reuse_one_cache_entry(monkeypatch):
+    # After the first call, the matrices of acceptance criterion 8 are each
+    # one cache hit plus one check at the spectrum: no rung is built again.
+    builds = []
+    build = mourre._hs_rung
+
+    def counted(*args):
+        builds.append(args[3])
+        return build(*args)
+
+    monkeypatch.setattr(mourre, "_hs_rung", counted)
+    f = WideBump()
+    rng = np.random.default_rng(2024)
+    matrices = []
+    for _ in range(20):
+        raw = rng.standard_normal((30, 30))
+        matrices.append((raw + raw.T) / math.sqrt(2 * 30))
+    hs_calculus(f, matrices[0], u_range=f.support)
+    key = (f, -3.0, 3.0, 1e-6)
+    _, z, c = mourre._HS_CACHE[key]
+    for H in matrices:
+        out = hs_calculus(f, H, u_range=f.support)
+        assert np.linalg.norm(out - spectral_calculus(f, H), 2) <= 1e-6
+        _, z_now, c_now = mourre._HS_CACHE[key]
+        assert z_now is z and c_now is c
+    assert len(builds) == 1
 
 
 # ----------------------------------------------------------------------------
@@ -337,14 +365,24 @@ def test_positivity_cap_fraction_vs_exclusion():
 
 def test_hs_certifies_the_result_at_the_spectrum():
     # Coefficients 0.1 % off leave f(H) about 1e-3 off where f = 1; the
-    # check at the eigenvalues must refuse them, not return the wrong f(H).
+    # check at the eigenvalues must refuse them and climb to a rung that
+    # passes, never return the wrong f(H).
     H = np.diag([-2.0, -0.5, 0.0, 1.0, 2.5])
     bump = _PolyBump(1.0)
     good = hs_calculus(bump, H, u_range=bump.support)
     assert np.linalg.norm(good - spectral_calculus(bump, H), 2) <= 1e-6
-    key = next(k for k, entry in mourre._HS_CERT_CACHE.items()
-               if entry[0] is bump)
-    _, z, c = mourre._HS_CERT_CACHE[key]
-    mourre._HS_CERT_CACHE[key] = (bump, z, c * (1.0 + 1e-3))
+    key = (bump, -3.0, 3.0, 1e-6)
+    rung, z, c = mourre._HS_CACHE[key]
+    mourre._HS_CACHE[key] = (rung, z, c * (1.0 + 1e-3))
+    out = hs_calculus(bump, H, u_range=bump.support)
+    assert np.linalg.norm(out - spectral_calculus(bump, H), 2) <= 1e-6
+    assert mourre._HS_CACHE[key][0] > rung
+
+
+def test_hs_ladder_that_cannot_meet_tol_raises(monkeypatch):
+    # The rung (5, 64) misses this bump at these eigenvalues by 1.7e-6.
+    monkeypatch.setattr(mourre, "_HS_LADDER", [(5, 64)])
+    f = WideBump()
+    H = np.diag([-2.0, -0.5, 0.0, 1.0, 2.5])
     with pytest.raises(NumericalFailure):
-        hs_calculus(bump, H, u_range=bump.support)
+        hs_calculus(f, H, u_range=f.support)
