@@ -30,6 +30,7 @@ import math
 import numpy as np
 
 from hyplab.errors import ConfigError, NumericalFailure, RegimeError
+from hyplab.linops import RadialGrid, d2_operator
 from hyplab.mourre import SpectralCutoff
 from hyplab.weights import profile_eval
 
@@ -159,9 +160,6 @@ class TestbedInstance:
     def weight_of_A(self, w):
         ae, av = np.linalg.eigh(self.A)
         return (av * w(ae)) @ av.conj().T
-
-    def raw_commutator(self):
-        return 1j * (self.H @ self.A - self.A @ self.H)
 
     def constants_input(self):
         """Measured constants of the instance, feeding constants_eval."""
@@ -603,13 +601,9 @@ def easytrick_check(seed=0, n=400, J=(0.5, 1.5), eps_min=None, n_lam=25,
     O(eps) when supp f stays away from the endpoints of J.
     """
     rng = np.random.default_rng(seed)
-    h = math.pi / (n + 1)
-    x = h * np.arange(1, n + 1)
-    main = 2.0 / h**2 * np.ones(n)
-    off = -1.0 / h**2 * np.ones(n - 1)
-    evals, evecs = np.linalg.eigh(
-        np.diag(main) + np.diag(off, 1) + np.diag(off, -1) * 1.0
-    )
+    grid = RadialGrid(0.0, math.pi, n)
+    x = grid.points()
+    evals, evecs = np.linalg.eigh(d2_operator(grid).dense().real)
     # rescale so that J sits inside a dense part of the spectrum
     scale = evals[n // 2]
     evals = evals / scale

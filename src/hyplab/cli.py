@@ -19,7 +19,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import scipy
@@ -322,16 +321,14 @@ def _testbed_seed_report(args):
 
 
 def _run_testbed(ctx):
+    from hyplab.laplab import parallel_map
+
     cfg = ctx.config
     seeds = [ctx.seed + i for i in range(cfg["n_seeds"])]
     args = [(s, cfg["dim"], cfg["window_count"], cfg["alpha_factor"],
              cfg["s"], cfg["slack"]) for s in sorted(seeds)]
     t0 = time.time()
-    if ctx.workers > 1:
-        with ProcessPoolExecutor(max_workers=ctx.workers) as pool:
-            reports = list(pool.map(_testbed_seed_report, args, chunksize=1))
-    else:
-        reports = [_testbed_seed_report(a) for a in args]
+    reports = parallel_map(_testbed_seed_report, args, ctx.workers)
     ctx.task("testbed", "ok", time.time() - t0)
     write_csv(ctx.path("testbed.csv"),
               ["seed", "rejects", "max_residual", "violations"],

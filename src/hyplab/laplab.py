@@ -167,6 +167,16 @@ def effective_workers(workers):
     return max(1, min(int(workers), len(os.sched_getaffinity(0))))
 
 
+def parallel_map(fn, tasks, workers):
+    """[fn(t) for t in tasks], over a process pool of effective_workers(workers)
+    processes; in this process when that count is 1."""
+    workers = effective_workers(workers)
+    if workers == 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=1))
+
+
 def lambda_sweep(config, workers=1, refine=1.0):
     """Sup over cross-section modes of the boundary-value norm, per energy.
     The sup runs over distinct mode eigenvalues; multiplicity is metadata
@@ -174,19 +184,14 @@ def lambda_sweep(config, workers=1, refine=1.0):
 
     The sweep is a deterministic map over sorted (lambda, k) tasks followed
     by pure reductions, so any worker count yields identical results.  The
-    worker count is clamped by effective_workers.
+    tasks run through parallel_map.
     """
     model = config.model()
     spectrum = model.spectrum(config.K_max)
     tasks = [(config, float(lam), k, refine)
              for lam in sorted(config.lambdas)
              for k in range(len(spectrum))]
-    workers = effective_workers(workers)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_mode_task, tasks, chunksize=1))
-    else:
-        outcomes = [_mode_task(t) for t in tasks]
+    outcomes = parallel_map(_mode_task, tasks, workers)
 
     rows = []
     mode_norms = {}

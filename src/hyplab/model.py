@@ -164,11 +164,6 @@ class DiagonalPotential:
             return base
         return base * (1.0 + mu_k * np.exp(-2.0 * np.asarray(r, dtype=float)))
 
-    def decay_constant(self, r, mu_k=0.0):
-        """max over the grid of <r>^2 |V_k(r)| (reported, finite)."""
-        r = np.asarray(r, dtype=float)
-        return float(np.max((1.0 + r**2) * np.abs(self.values(r, mu_k))))
-
 
 @dataclasses.dataclass(frozen=True)
 class ModelConfig:

@@ -32,10 +32,11 @@ from hyplab.errors import ConfigError, NumericalFailure, RegimeError
 from hyplab.linops import (
     DiscreteOperator,
     RadialGrid,
+    discretize,
     hermitian_eig,
     weighted_operator_norm,
 )
-from hyplab.model import ModelConfig, mode_operator_spec
+from hyplab.model import ModelConfig, RadialOperatorSpec, mode_operator_spec
 from hyplab.weights import chi_sqrt_eval, profile_eval, xi_sqrt_eval
 
 
@@ -216,18 +217,14 @@ def semiclassical_bound_check(lam, z, nu_list, grid, tau=None, params=None,
     if gap <= 0.0:
         raise RegimeError(f"gap {gap:.3e} not positive; bound not evaluable")
     c_profile = xi_profile_constant()
-    r = grid.points()
     lhs = 0.0
-    for nu in nu_list:
+    for k, nu in enumerate(nu_list):
         xi_op, _, _, _ = xi_build(params, nu, grid)
         if not np.any(xi_op > 0.0):
             continue
-        mu = nu**2 - 1.0
-        pot = mu * np.exp(-2.0 * r) + shift
-        h2 = grid.h**2
-        diag = tau * (2.0 / h2 + pot - lam)
-        off = np.full(grid.N - 1, -tau / h2)
-        op = DiscreteOperator(grid, {0: diag, 1: off, -1: off})
+        spec = RadialOperatorSpec(k=k, mu_k=nu**2 - 1.0, shift=shift,
+                                  r0=grid.r0, boundary_condition="dirichlet")
+        op = discretize(spec, grid).scaled_shifted(scale=tau, shift=-tau * lam)
         val = weighted_operator_norm(op, z, xi_op, np.ones(grid.N), tol=tol)
         lhs = max(lhs, val)
     rhs = (
@@ -543,8 +540,6 @@ def mourre_positivity_check(lam, s0, rho_model, grid, K_max, config=None,
 
 def _positivity_pass(lam, delta, params, grid, spectrum, config, C,
                      window_floor, r_abs, exclusion_mass):
-    from hyplab.linops import discretize
-
     cutoff = SpectralCutoff(lam=lam, delta=delta)
     r = grid.points()
     lo, hi = lam - cutoff.support_halfwidth, lam + cutoff.support_halfwidth

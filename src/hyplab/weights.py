@@ -21,7 +21,7 @@ and chain rules.
 
 On top of the profiles this module provides the mode-shifted weight vectors
 w^{-s}(r - log nu_k), the symbol weights w^s(r - log<eta>), the temperate
-weight inequality sampler, a desk-scale boundedness check for the weighted
+weight inequality sampler, an exact boundedness check for the weighted
 quantization factorization, and the demonstration that the mode-shifted
 weight is strictly weaker than the polynomial one.
 """
@@ -275,68 +275,9 @@ def _angular_modes(n_theta):
     return np.fft.fftfreq(n_theta, d=1.0 / n_theta).astype(int)
 
 
-class _CircleQuantization:
-    """Left quantization in theta of a symbol a(r, theta, m) on a product grid.
-
-    The operator acts on arrays phi[r, theta] by
-
-        (Op(a) phi)(r, theta) = sum_m a(r, theta, m) phihat_m(r) e^{im theta} / n,
-
-    i.e. multiply in mode space when a is theta-independent, with the usual
-    left-quantized mixing otherwise.
-    """
-
-    def __init__(self, symbol_values):
-        # symbol_values: array (n_r, n_theta, n_modes)
-        self.a = symbol_values
-
-    def apply(self, phi):
-        phihat = np.fft.fft(phi, axis=1)  # (n_r, n_modes)
-        return self._apply(phihat, phi.shape[1])
-
-    def _apply(self, phihat, n_theta):
-        phases = np.exp(
-            1j
-            * np.outer(
-                2.0 * np.pi * np.arange(n_theta) / n_theta, _angular_modes(n_theta)
-            )
-        )  # (theta, m)
-        integrand = self.a * phihat[:, None, :]  # (r, theta, m)
-        return np.einsum("rtm,tm->rt", integrand, phases) / n_theta
-
-    def apply_adjoint(self, psi):
-        n_theta = psi.shape[1]
-        phases = np.exp(
-            -1j
-            * np.outer(
-                2.0 * np.pi * np.arange(n_theta) / n_theta, _angular_modes(n_theta)
-            )
-        )
-        tmp = np.einsum("rtm,rt,tm->rm", np.conj(self.a), psi, phases) / n_theta
-        return np.fft.ifft(tmp, axis=1) * n_theta
-
-
-def _mode_multiplier_apply(values, phi):
-    """Apply a (r, mode)-diagonal multiplier via FFT in theta."""
-    phihat = np.fft.fft(phi, axis=1)
-    return np.fft.ifft(values * phihat, axis=1)
-
-
-_B_CHOICES = ("one", "angular", "eta_phase")
-
-
-def _b_values(choice, r, theta, modes):
-    """Bounded comparison symbols b(r, theta, eta) in the zeroth weight class."""
-    n_r, n_t, n_m = len(r), len(theta), len(modes)
-    if choice == "one":
-        return np.ones((n_r, n_t, n_m))
-    if choice == "angular":
-        vals = (1.0 + 0.5 * np.cos(theta))[None, :, None]
-        return np.broadcast_to(vals, (n_r, n_t, n_m)).copy()
-    if choice == "eta_phase":
-        vals = (modes / np.sqrt(1.0 + modes**2))[None, None, :] + 0j
-        return np.broadcast_to(vals, (n_r, n_t, n_m)).copy()
-    raise ConfigError(f"unknown symbol choice {choice!r}; choose from {_B_CHOICES}")
+def _mode_multiply(values, block):
+    """F* diag(values) F @ block, with F the unitary DFT in theta."""
+    return np.fft.ifft(values[:, None] * np.fft.fft(block, axis=0), axis=0)
 
 
 def _plateau_cutoff(x, lo, hi):
@@ -345,17 +286,19 @@ def _plateau_cutoff(x, lo, hi):
     return profile_eval("q", x - lo) * profile_eval("q", hi - x)
 
 
-def quantize_and_factor_check(s, sigma, levels=3, b_choice="one",
+def quantize_and_factor_check(s, sigma, levels=3,
                               n_r0=48, n_theta0=32, r_max0=12.0):
     """Boundedness ladder for the weighted quantization factorization.
 
     For the circle cross-section, quantizes a = w^{-s+i sigma}(r - log<eta>)
-    times a bounded symbol b and measures
+    and measures the exact norm
 
         ||W_s  kappa Op(a) kappa~||
 
-    by power iteration across a ladder of grids that doubles both resolutions
-    and extends the radial box.  Returns the list of norms (one per level).
+    across a ladder of grids that doubles both resolutions and extends the
+    radial box.  No factor mixes radii, so the operator is block-diagonal in
+    r and its norm is the largest spectral norm of the n_theta x n_theta
+    blocks, one radius at a time.  Returns the list of norms (one per level).
     The composition is expected to stay bounded for s >= 0 and to grow along
     the ladder when the weight sign is wrong (s < 0 composes to ~ w^{2|s|}).
     """
@@ -368,49 +311,22 @@ def quantize_and_factor_check(s, sigma, levels=3, b_choice="one",
         r_max = r_max0 * 1.5**lev
         r = np.linspace(0.0, r_max, n_r)
         theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
-        modes = _angular_modes(n_theta).astype(float)
-        shift = 0.5 * np.log1p(modes**2)
-        wbase = profile_eval("w", r[:, None] - shift[None, :])
-        a_weight = wbase ** complex(-s, sigma)
-        a_vals = a_weight[:, None, :] * _b_values(b_choice, r, theta, modes)
-        op = _CircleQuantization(a_vals)
+        modes = _angular_modes(n_theta)
+        a = symbol_weight(r[:, None], modes[None, :], -s, sigma)
         # Left factor: always the positive-exponent weight, so the wrong-sign
         # symbol (s < 0) composes to ~ w^{2|s|} instead of cancelling.
-        w_s = wbase ** abs(s)
+        w_s = symbol_weight(r[:, None], modes[None, :], abs(s))
         kappa_r = _plateau_cutoff(r, 1.0, r_max - 1.0)
         kappa_t = _plateau_cutoff(theta, 0.5, 2 * np.pi - 0.5)
-        kappa = kappa_r[:, None] * kappa_t[None, :]
         # kappa~ = 1 on a neighborhood of supp kappa
         kt_r = _plateau_cutoff(r, 0.5, r_max - 0.5)
         kt_t = _plateau_cutoff(theta, 0.25, 2 * np.pi - 0.25)
-        kappa_tilde = kt_r[:, None] * kt_t[None, :]
-
-        def fwd(phi):
-            return _mode_multiplier_apply(w_s, kappa * op.apply(kappa_tilde * phi))
-
-        def adj(psi):
-            return kappa_tilde * op.apply_adjoint(
-                kappa * _mode_multiplier_apply(w_s, psi)
-            )
-
-        rng = np.random.default_rng(7)
-        v = rng.standard_normal((n_r, n_theta)) + 1j * rng.standard_normal(
-            (n_r, n_theta)
-        )
-        v /= np.linalg.norm(v)
-        val = 0.0
-        for _ in range(60):
-            u = adj(fwd(v))
-            nv = np.linalg.norm(u)
-            if nv == 0:
-                break
-            u /= nv
-            if abs(nv - val) <= 1e-4 * max(nv, 1e-30):
-                val = nv
-                break
-            val = nv
-            v = u
-        norms.append(math.sqrt(val))
+        best = 0.0
+        for i in range(n_r):
+            block = _mode_multiply(a[i], np.diag(kt_r[i] * kt_t))
+            block = _mode_multiply(w_s[i], (kappa_r[i] * kappa_t)[:, None] * block)
+            best = max(best, float(np.linalg.norm(block, 2)))
+        norms.append(best)
     return norms
 
 

@@ -269,10 +269,50 @@ def test_temperate_negative_control():
 
 
 def test_quantize_identity_symbol_flat():
+    # s = sigma = 0: the operator is multiplication by kappa kappa~, whose
+    # sup is 1 on the plateau.
     table = quantize_and_factor_check(0.0, 0.0)
     assert len(table) >= 3
-    assert max(table) <= 1.0 + 1e-6
-    assert max(table) / min(table) <= 1.05
+    assert all(abs(v - 1.0) <= 1e-12 for v in table)
+
+
+def _dense_quantization_norm(s, sigma, n_r=48, n_theta=32, r_max=12.0):
+    """||W_s kappa Op(a) kappa~|| as one dense matrix on the whole grid, each
+    factor applied to every unit vector through the explicit mode sum
+    (Op(b) phi)(r, theta) = sum_m b(r, m) phihat_m(r) e^{i m theta} / n_theta."""
+    r = np.linspace(0.0, r_max, n_r)
+    theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
+    m = np.fft.fftfreq(n_theta, d=1.0 / n_theta)
+    phase = np.exp(1j * np.outer(theta, m))  # (theta, m)
+    base = profile_eval("w", r[:, None] - np.log(np.sqrt(1.0 + m**2))[None, :])
+    a = base ** complex(-s, sigma)
+    w_s = base ** abs(s)
+
+    def plateau(x, lo, hi):
+        return profile_eval("q", x - lo) * profile_eval("q", hi - x)
+
+    kappa = np.outer(plateau(r, 1.0, r_max - 1.0),
+                     plateau(theta, 0.5, 2 * np.pi - 0.5))
+    kappa_tilde = np.outer(plateau(r, 0.5, r_max - 0.5),
+                           plateau(theta, 0.25, 2 * np.pi - 0.25))
+
+    def quantize(b, phi):
+        phihat = np.einsum("tm,rtk->rmk", phase.conj(), phi, optimize=True)
+        return np.einsum("tm,rm,rmk->rtk", phase, b, phihat,
+                         optimize=True) / n_theta
+
+    n = n_r * n_theta
+    unit = np.eye(n).reshape(n_r, n_theta, n)
+    out = quantize(w_s, kappa[:, :, None]
+                   * quantize(a, kappa_tilde[:, :, None] * unit))
+    return float(np.linalg.norm(out.reshape(n, n), 2))
+
+
+@pytest.mark.parametrize("s, sigma", [(1.0, 2.0), (-1.0, 0.0)])
+def test_quantize_level_zero_matches_dense_oracle(s, sigma):
+    level0 = quantize_and_factor_check(s, sigma)[0]
+    assert level0 == pytest.approx(_dense_quantization_norm(s, sigma),
+                                   rel=1e-9)
 
 
 def test_quantize_bounded_ladder():
