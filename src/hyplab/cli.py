@@ -206,19 +206,20 @@ def _run_spectrum(ctx):
 
 
 def _run_flow(ctx):
-    from hyplab.conjugate import ConjugateParams, a_k_fn, flow_integrate
+    from hyplab.conjugate import ConjugateParams, a_k_field, flow_integrate
 
     cfg = ctx.config
     lam = float(cfg["lambda"])
     params = ConjugateParams.from_lambda(lam)
     spectrum = build_spectrum(cfg["cross_section"], max(cfg["k"], 0))
     nu = spectrum.nu(cfg["k"])
-    a = a_k_fn(params, nu)
-    a_prime = a_k_fn(params, nu, 1)
+    field = a_k_field(params, nu)
     r = np.linspace(cfg["r0"], cfg["r_max"], cfg["n_points"])
     rows = []
     for t in cfg["t_values"]:
-        flow = flow_integrate(a, float(t), r, a_prime=a_prime)
+        t0 = time.time()
+        flow = flow_integrate(field, float(t), r)
+        ctx.task(f"flow_integrate t={_fmt(float(t))}", "ok", time.time() - t0)
         rows.extend((float(t), ri, gi, di)
                     for ri, gi, di in zip(r, flow.gamma, flow.dgamma))
     write_csv(ctx.path("flow.csv"), ["t", "r", "gamma", "dgamma"], rows)
@@ -358,10 +359,15 @@ def _run_weights(ctx):
     ctx.task("temperate_check", "ok", time.time() - t0)
     ladders = {}
     for sigma in cfg["sigma_values"]:
+        t0 = time.time()
         vals = quantize_and_factor_check(cfg["s"], float(sigma))
+        ctx.task(f"quantize_and_factor_check sigma={_fmt(float(sigma))}",
+                 "ok", time.time() - t0)
         ladders[_fmt(float(sigma))] = {"values": vals,
                                        "spread": max(vals) / min(vals)}
+    t0 = time.time()
     ratios = unboundedness_demo(cfg["s"], cfg["nu_ladder"])
+    ctx.task("unboundedness_demo", "ok", time.time() - t0)
     summary = {
         "schema": _SCHEMA,
         "experiment": "weights",

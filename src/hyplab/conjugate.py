@@ -22,11 +22,10 @@ import math
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.special import comb
 
 from hyplab.errors import ConfigError, FlowExitsGrid, NumericalFailure
 from hyplab.linops import DiscreteOperator
-from hyplab.weights import profile_eval
+from hyplab.weights import cutoff_derivs, profile_eval
 
 A_MAX_DERIVATIVE = 5
 
@@ -54,46 +53,56 @@ class ConjugateParams:
             )
 
 
-def a_k_eval(params, nu_k, r, j=0):
-    """j-th derivative of a_k at r (analytic Leibniz over the profile factors).
+def a_k_derivs(params, nu_k, r, top):
+    """[a_k, a_k', ..., a_k^{(top)}] at r, by the Leibniz rule over the
+    factors of a_k, with one profile evaluation per cutoff factor.
 
     Derivatives are supported to order 5, one beyond the bound table, so that
     products a_k * a_k^{(j+1)} can be formed for j up to 4.
     """
-    if not (0 <= j <= A_MAX_DERIVATIVE):
-        raise ConfigError(f"derivative order {j} outside [0, {A_MAX_DERIVATIVE}]")
+    if not (0 <= top <= A_MAX_DERIVATIVE):
+        raise ConfigError(f"derivative order {top} outside [0, {A_MAX_DERIVATIVE}]")
     r = np.asarray(r, dtype=float)
     scal = r.ndim == 0
     r = np.atleast_1d(r)
     R, S = params.R, params.S
     lognu = math.log(nu_k)
     u = r + 2.0 * S - lognu
+    orders = range(top + 1)
+    chi_d = [c / R**m for m, c in enumerate(cutoff_derivs("chi", r / R, orders))]
+    xi_d = [c / S**m
+            for m, c in enumerate(cutoff_derivs("xi", (r - lognu) / S, orders))]
 
-    chi_d = [profile_eval("chi", r / R, m) / R**m for m in range(j + 1)]
-    xi_d = [profile_eval("xi", (r - lognu) / S, m) / S**m for m in range(j + 1)]
+    derivs = []
+    for j in orders:
+        out = np.zeros_like(r)
+        # Leibniz over the product u * chi * xi; u has only derivatives 0, 1.
+        for ju in (0, 1):
+            if ju > j:
+                continue
+            u_fac = u if ju == 0 else 1.0
+            rest = j - ju
+            coeff_u = math.comb(j, ju)
+            for jx in range(rest + 1):
+                out = out + (
+                    coeff_u
+                    * math.comb(rest, jx)
+                    * u_fac
+                    * chi_d[jx]
+                    * xi_d[rest - jx]
+                )
+        derivs.append(out[0] if scal else out)
+    return derivs
 
-    out = np.zeros_like(r)
-    # Leibniz over the product u * X * Z; u has only derivatives 0 and 1.
-    for ju in (0, 1):
-        if ju > j:
-            continue
-        u_fac = u if ju == 0 else 1.0
-        rest = j - ju
-        coeff_u = comb(j, ju, exact=True)
-        for jx in range(rest + 1):
-            out = out + (
-                coeff_u
-                * comb(rest, jx, exact=True)
-                * u_fac
-                * chi_d[jx]
-                * xi_d[rest - jx]
-            )
-    return out[0] if scal else out
+
+def a_k_eval(params, nu_k, r, j=0):
+    """j-th derivative of a_k at r (0 <= j <= 5); see a_k_derivs."""
+    return a_k_derivs(params, nu_k, r, j)[j]
 
 
-def a_k_fn(params, nu_k, j=0):
-    """Callable r -> a_k^{(j)}(r)."""
-    return lambda r: a_k_eval(params, nu_k, r, j)
+def a_k_field(params, nu_k):
+    """The field pair x -> (a_k(x), a_k'(x)) that drives the flow."""
+    return lambda x: tuple(a_k_derivs(params, nu_k, x, 1))
 
 
 @dataclasses.dataclass
@@ -112,30 +121,26 @@ class FlowResult:
         return float(np.max(self.dgamma)) <= bound * (1.0 + 1e-10)
 
 
-def flow_integrate(a, t, r, a_prime=None, rtol=1e-11, atol=1e-12):
+def flow_integrate(field, t, r, rtol=1e-11, atol=1e-12):
     """Integrate the flow and its variational equation jointly.
 
     Parameters
     ----------
-    a : callable
-        The vector field r -> a(r), vectorized.
+    field : callable
+        The vector field and its derivative, x -> (a(x), a'(x)), vectorized;
+        one call per right-hand-side evaluation.
     t : float
         Flow time (either sign).
     r : array_like
         Starting points (typically the radial grid).
-    a_prime : callable or None
-        Analytic derivative; required for the variational equation.  When
-        None it is built by central finite differences of ``a``.
     """
     r = np.asarray(r, dtype=float)
-    if a_prime is None:
-        def a_prime(x, _h=1e-6):
-            return (a(x + _h) - a(x - _h)) / (2.0 * _h)
     n = r.size
 
     def rhs(_, y):
         gam, dgam = y[:n], y[n:]
-        return np.concatenate([a(gam), a_prime(gam) * dgam])
+        a, a_prime = field(gam)
+        return np.concatenate([a, a_prime * dgam])
 
     y0 = np.concatenate([r, np.ones(n)])
     if t == 0.0:
@@ -153,7 +158,7 @@ def flow_integrate(a, t, r, a_prime=None, rtol=1e-11, atol=1e-12):
     return FlowResult(t, gamma, dgamma, sol.t.size - 1, sol.nfev)
 
 
-def unitary_apply(a, t, phi, r, a_prime=None, flow=None):
+def unitary_apply(field, t, phi, r, flow=None):
     """Transported function U_t phi = (d_r gamma_t)^{1/2} phi(gamma_t).
 
     phi is sampled at the points r; values of phi at gamma_t(r) are obtained
@@ -164,7 +169,7 @@ def unitary_apply(a, t, phi, r, a_prime=None, flow=None):
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi)
     if flow is None:
-        flow = flow_integrate(a, t, r, a_prime=a_prime)
+        flow = flow_integrate(field, t, r)
     gamma = flow.gamma
     out_of_range = (gamma < r[0]) | (gamma > r[-1])
     if np.any(out_of_range):
@@ -261,7 +266,7 @@ def theta_schur_constant():
     return val
 
 
-def j_eps_matrix(a, a_prime, eps, r, h):
+def j_eps_matrix(field, eps, r, h):
     """Grid kernel of the first-order commutator term:
 
         j(r, r') = (a'(r) + a'(r'))/2 theta_eps(r-r') + (a(r)-a(r')) theta_eps'(r-r')
@@ -270,16 +275,16 @@ def j_eps_matrix(a, a_prime, eps, r, h):
     the grid measure h.
     """
     rr = r[:, None] - r[None, :]
-    av, apv = a(r), a_prime(r)
+    av, apv = field(r)
     kern = 0.5 * (apv[:, None] + apv[None, :]) * theta_bump(rr / eps) / eps
     kern += (av[:, None] - av[None, :]) * theta_bump_prime(rr / eps) / eps**2
     return kern * h
 
 
-def transported_mollifier_matrix(a, t, eps, r, h, a_prime=None):
+def transported_mollifier_matrix(field, t, eps, r, h):
     """Matrix of U_t^* J_eps^0 U_t where J_eps^0 has kernel theta_eps(r-r'),
     i.e. kernel (d_r gamma(r) d_r gamma(r'))^{1/2} theta_eps(gamma(r)-gamma(r'))."""
-    flow = flow_integrate(a, t, r, a_prime=a_prime)
+    flow = flow_integrate(field, t, r)
     g, dg = flow.gamma, flow.dgamma
     kern = np.sqrt(dg[:, None] * dg[None, :]) * theta_bump(
         (g[:, None] - g[None, :]) / eps

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from hyplab.conjugate import ConjugateParams, a_k_eval
+from hyplab.conjugate import ConjugateParams, a_k_derivs
 from hyplab.errors import ConfigError, NumericalFailure, RegimeError
 from hyplab.linops import (
     DiscreteOperator,
@@ -79,6 +79,15 @@ def _midpoints(grid):
     return grid.r0 + grid.h * (np.arange(grid.N + 1) + 0.5)
 
 
+def _first_commutator(grid, mu, a, am):
+    """i[H_k, A_k] from the a_k tables a (grid, orders 0..3) and am
+    (midpoints, orders 0..1)."""
+    r = grid.points()
+    diag, off = _flux_form(grid, 2.0 * am[1])
+    diag = diag + 2.0 * a[0] * mu * np.exp(-2.0 * r) - 0.5 * a[3]
+    return DiscreteOperator(grid, {0: diag, 1: off, -1: off}, bc="dirichlet")
+
+
 def commutator_matrix(params, nu_k, grid):
     """Hermitian matrix of i[H_k, A_k] in divergence form.
 
@@ -87,14 +96,9 @@ def commutator_matrix(params, nu_k, grid):
     """
     if grid.h > params.S / 50.0:
         raise ConfigError("grid too coarse to resolve a_k (need h <= S/50)")
-    mu = nu_k**2 - 1.0
-    r = grid.points()
-    ap_mid = a_k_eval(params, nu_k, _midpoints(grid), 1)
-    diag, off = _flux_form(grid, 2.0 * ap_mid)
-    a0 = a_k_eval(params, nu_k, r)
-    a3 = a_k_eval(params, nu_k, r, 3)
-    diag = diag + 2.0 * a0 * mu * np.exp(-2.0 * r) - 0.5 * a3
-    return DiscreteOperator(grid, {0: diag, 1: off, -1: off}, bc="dirichlet")
+    a = a_k_derivs(params, nu_k, grid.points(), 3)
+    am = a_k_derivs(params, nu_k, _midpoints(grid), 1)
+    return _first_commutator(grid, nu_k**2 - 1.0, a, am)
 
 
 @dataclasses.dataclass
@@ -115,9 +119,8 @@ def double_commutator_matrix(params, nu_k, grid):
         raise ConfigError("grid too coarse to resolve a_k (need h <= S/50)")
     mu = nu_k**2 - 1.0
     r = grid.points()
-    a = [a_k_eval(params, nu_k, r, j) for j in range(5)]
-    mids = _midpoints(grid)
-    am = [a_k_eval(params, nu_k, mids, j) for j in range(3)]
+    a = a_k_derivs(params, nu_k, r, 4)
+    am = a_k_derivs(params, nu_k, _midpoints(grid), 2)
     b_mid = 2.0 * (am[0] * am[2] - 2.0 * am[1] ** 2)
     diag, off = _flux_form(grid, b_mid)
     d_div = (
@@ -136,7 +139,7 @@ def double_commutator_matrix(params, nu_k, grid):
         - 0.5 * (a[0] * a[4] - a[2] ** 2)
     )
     return CommutatorMatrices(
-        first=commutator_matrix(params, nu_k, grid),
+        first=_first_commutator(grid, mu, a, am),
         second=second,
         b_k=b_k,
         c_k=c_k,

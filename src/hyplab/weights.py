@@ -141,6 +141,19 @@ def _step_derivs(x, orders):
     return out
 
 
+def cutoff_derivs(which, x, orders):
+    """[c^{(j)}(x) for j in orders] for the cutoff c = ``"chi"`` or ``"xi"``,
+    from one evaluation of the step q and its derivatives to max(orders).
+
+    chi = q(x-1)^2 and xi = q(2(x+1))^2, by the Leibniz rule on q * q.
+    """
+    shift, scale = (1.0, 1.0) if which == "chi" else (-1.0, 2.0)
+    g = _step_derivs(scale * (np.asarray(x, dtype=float) - shift),
+                     range(max(orders) + 1))
+    return [sum(math.comb(j, i) * g[i] * g[j - i] for i in range(j + 1))
+            * scale**j for j in orders]
+
+
 def profile_eval(which, x, j=0, extended=False):
     """Evaluate a smooth profile or one of its derivatives.
 
@@ -174,11 +187,7 @@ def profile_eval(which, x, j=0, extended=False):
             qj, qprev = _step_derivs(x, (j, j - 1))
             out = qj * t + j * qprev
     elif which in ("chi", "xi"):
-        # chi = q(x-1)^2 and xi = q(2(x+1))^2, by the Leibniz rule on q * q
-        shift, scale = (1.0, 1.0) if which == "chi" else (-1.0, 2.0)
-        g = _step_derivs(scale * (x - shift), range(j + 1))
-        out = sum(math.comb(j, i) * g[i] * g[j - i] for i in range(j + 1))
-        out = out * scale**j
+        (out,) = cutoff_derivs(which, x, (j,))
     else:
         # f(E) = q(3-|E|): plateau 1 on [-2,2], support [-3,3].  Smooth
         # because the |E| kink sits inside the plateau of q.
@@ -298,7 +307,8 @@ def quantize_and_factor_check(s, sigma, levels=3,
     across a ladder of grids that doubles both resolutions and extends the
     radial box.  No factor mixes radii, so the operator is block-diagonal in
     r and its norm is the largest spectral norm of the n_theta x n_theta
-    blocks, one radius at a time.  Returns the list of norms (one per level).
+    blocks, one radius at a time, each the square root of the top eigenvalue
+    of the block's Gram matrix.  Returns the list of norms (one per level).
     The composition is expected to stay bounded for s >= 0 and to grow along
     the ladder when the weight sign is wrong (s < 0 composes to ~ w^{2|s|}).
     """
@@ -325,7 +335,10 @@ def quantize_and_factor_check(s, sigma, levels=3,
         for i in range(n_r):
             block = _mode_multiply(a[i], np.diag(kt_r[i] * kt_t))
             block = _mode_multiply(w_s[i], (kappa_r[i] * kappa_t)[:, None] * block)
-            best = max(best, float(np.linalg.norm(block, 2)))
+            # the top eigenvalue of the Gram matrix is the squared spectral
+            # norm; eigvalsh on it is cheaper than the SVD behind norm(., 2)
+            gram = block.conj().T @ block
+            best = max(best, math.sqrt(np.linalg.eigvalsh(gram)[-1]))
         norms.append(best)
     return norms
 

@@ -28,7 +28,7 @@ from hyplab.cli import run as cli_run
 from hyplab.conjugate import (
     ConjugateParams,
     a_k_eval,
-    a_k_fn,
+    a_k_field,
     flow_integrate,
     unitary_apply,
 )
@@ -124,22 +124,19 @@ def test_criterion_03_differential_inequality():
 
 
 def _bump_field(r):
-    return 0.5 * profile_eval("chi", r) * profile_eval("chi", 4.0 - r)
-
-
-def _bump_field_prime(r):
-    return 0.5 * (profile_eval("chi", r, 1) * profile_eval("chi", 4.0 - r)
-                  - profile_eval("chi", r) * profile_eval("chi", 4.0 - r, 1))
+    a = 0.5 * profile_eval("chi", r) * profile_eval("chi", 4.0 - r)
+    a_prime = 0.5 * (profile_eval("chi", r, 1) * profile_eval("chi", 4.0 - r)
+                     - profile_eval("chi", r) * profile_eval("chi", 4.0 - r, 1))
+    return a, a_prime
 
 
 def test_criterion_04_flow_and_group():
     with criterion(4, "flow and unitary group", 30.0):
         # Exact linear-region trajectory.
         c = 2.0 * PARAMS_100.S
-        a = a_k_fn(PARAMS_100, 1.0)
-        ap = a_k_fn(PARAMS_100, 1.0, 1)
+        field = a_k_field(PARAMS_100, 1.0)
         r = np.array([15.0, 15.5])
-        res = flow_integrate(a, 0.1, r, a_prime=ap)
+        res = flow_integrate(field, 0.1, r)
         assert res.gamma == pytest.approx((r + c) * math.exp(0.1) - c,
                                           abs=1e-8)
         # Unitarity defect decays at second order under refinement.
@@ -148,8 +145,7 @@ def test_criterion_04_flow_and_group():
             rr = np.linspace(0.0, 4.0, n + 1)
             h = rr[1] - rr[0]
             phi = np.exp(-((rr - 2.0) ** 2) * 4.0)
-            out = unitary_apply(_bump_field, 0.1, phi, rr,
-                                a_prime=_bump_field_prime)
+            out = unitary_apply(_bump_field, 0.1, phi, rr)
             defects.append(abs(np.linalg.norm(out) - np.linalg.norm(phi))
                            * math.sqrt(h))
             hs.append(h)
@@ -158,19 +154,15 @@ def test_criterion_04_flow_and_group():
         # Group law at h = 1e-3.
         rr = np.linspace(0.0, 4.0, 4001)
         phi = np.exp(-((rr - 2.0) ** 2) * 4.0)
-        one = unitary_apply(_bump_field, 0.1, phi, rr,
-                            a_prime=_bump_field_prime)
+        one = unitary_apply(_bump_field, 0.1, phi, rr)
         two = unitary_apply(_bump_field, 0.05,
-                            unitary_apply(_bump_field, 0.05, phi, rr,
-                                          a_prime=_bump_field_prime),
-                            rr, a_prime=_bump_field_prime)
+                            unitary_apply(_bump_field, 0.05, phi, rr), rr)
         assert np.linalg.norm(one - two) <= 1e-6 * np.linalg.norm(phi)
         # Gronwall bound on the flow derivative.
         grid = np.linspace(0.25, 40.0, 30001)
-        ap_sup = float(np.max(np.abs(ap(grid))))
+        ap_sup = float(np.max(np.abs(field(grid)[1])))
         for t in (0.05, 0.2, 0.5):
-            res = flow_integrate(a, t, np.linspace(0.25, 20.0, 101),
-                                 a_prime=ap)
+            res = flow_integrate(field, t, np.linspace(0.25, 20.0, 101))
             assert res.gronwall_ok(ap_sup)
 
 

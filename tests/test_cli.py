@@ -151,6 +151,17 @@ def test_flow_run_writes_trajectories(tmp_path):
     assert len(lines) == 51
 
 
+def test_flow_manifest_times_each_t_value(tmp_path):
+    out = tmp_path / "flow"
+    rc = run(["flow", "--out", str(out), "--set", "t_values=[0.25,0.5]",
+              "--set", "n_points=50"])
+    assert rc == 0
+    tasks = _manifest(out)["tasks"]
+    assert [t["name"] for t in tasks] == ["flow_integrate t=0.25",
+                                         "flow_integrate t=0.5"]
+    assert all(t["status"] == "ok" and t["wall_time"] >= 0 for t in tasks)
+
+
 def test_weights_check_passes_with_defaults(tmp_path):
     out = tmp_path / "weights"
     rc = run(["weights", "--out", str(out), "--check",
@@ -162,6 +173,11 @@ def test_weights_check_passes_with_defaults(tmp_path):
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
     for ladder in summary["quantization_ladders"].values():
         assert ladder["spread"] <= 2.0
+    tasks = _manifest(out)["tasks"]
+    assert [t["name"] for t in tasks] == [
+        "temperate_check", "quantize_and_factor_check sigma=0",
+        "quantize_and_factor_check sigma=2", "unboundedness_demo"]
+    assert all(t["status"] == "ok" and t["wall_time"] >= 0 for t in tasks)
 
 
 def test_mourre_check_reports_positivity(tmp_path):

@@ -3,16 +3,21 @@ mollifier commutator."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import quad_vec
 
-from hyplab.conjugate import (ConjugateParams, a_k_eval, a_k_fn,
-                              flow_integrate, g_rs_eval, generator_matrix,
-                              j_eps_matrix, t0_for_mollifier, theta_bump,
-                              theta_bump_prime, theta_schur_constant,
+from hyplab.cli import load_config
+from hyplab.conjugate import (A_MAX_DERIVATIVE, ConjugateParams, a_k_derivs,
+                              a_k_eval, a_k_field, flow_integrate, g_rs_eval,
+                              generator_matrix, j_eps_matrix, t0_for_mollifier,
+                              theta_bump, theta_bump_prime,
+                              theta_schur_constant,
                               transported_mollifier_matrix, unitary_apply)
 from hyplab.errors import ConfigError
 from hyplab.linops import RadialGrid, schur_bound
+from hyplab.model import build_spectrum
 
 
 PARAMS_100 = ConjugateParams.from_lambda(100.0)
@@ -66,6 +71,38 @@ def test_a_k_derivative_finite_difference_oracle():
         assert np.max(np.abs(fd - exact)) <= 1e-4 * scale
 
 
+def _a_k_oracle(params, nu, r, j):
+    """a_k^{(j)}(r) from mpmath at 50 digits, differentiating the closed form
+    (r + 2S - log nu) q(r/R - 1)^2 q(2((r - log nu)/S + 1))^2 directly."""
+    def q(x):
+        if x <= 0:
+            return mp.mpf(0)
+        if x >= 1:
+            return mp.mpf(1)
+        return 1 / (1 + mp.exp(1 / x - 1 / (1 - x)))
+
+    with mp.workdps(50):
+        R, S, lognu = mp.mpf(params.R), mp.mpf(params.S), mp.log(nu)
+        return float(mp.diff(
+            lambda x: ((x + 2 * S - lognu) * q(x / R - 1) ** 2
+                       * q(2 * ((x - lognu) / S + 1)) ** 2),
+            mp.mpf(float(r)), j))
+
+
+@pytest.mark.parametrize("nu", [2.0, math.exp(10.0)])
+def test_a_k_derivs_match_high_precision_oracle(nu):
+    # For nu = e^10 the xi transition (log nu - S, log nu - S/2) overlaps
+    # the chi transition (R, 2R); the points cross both.
+    lo = min(PARAMS_100.R, math.log(nu) - PARAMS_100.S)
+    r = np.linspace(lo + 0.05, 2.0 * PARAMS_100.R - 0.05, 23)
+    got = a_k_derivs(PARAMS_100, nu, r, A_MAX_DERIVATIVE)
+    for j in range(A_MAX_DERIVATIVE + 1):
+        ref = np.array([_a_k_oracle(PARAMS_100, nu, x, j) for x in r])
+        # measured: at most 9.2e-15 of the largest sampled value
+        assert np.max(np.abs(got[j] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(a_k_eval(PARAMS_100, nu, r, j), got[j])
+
+
 def test_a_k_derivative_bounds_scale_with_S():
     # sup |a_k^{(j)}| / S^{1-j} fitted constants stable across the lambda
     # ladder, j = 1..4, and sup |a_k a_k^{(j+1)}| bounded by the same shape
@@ -89,7 +126,8 @@ def test_a_k_derivative_bounds_scale_with_S():
 
 def test_flow_zero_field_identity():
     r = np.linspace(0.0, 5.0, 11)
-    res = flow_integrate(lambda x: np.zeros_like(x), 0.7, r)
+    res = flow_integrate(lambda x: (np.zeros_like(x), np.zeros_like(x)), 0.7,
+                         r)
     assert res.gamma == pytest.approx(r, abs=1e-12)
     assert res.dgamma == pytest.approx(np.ones_like(r), abs=1e-12)
 
@@ -97,33 +135,59 @@ def test_flow_zero_field_identity():
 def test_flow_linear_region_exact():
     # on the plateau a(r) = r + c with c = 2S, so gamma = (r+c)e^t - c
     c = 2.0 * PARAMS_100.S
-    a = a_k_fn(PARAMS_100, 1.0)
-    ap = a_k_fn(PARAMS_100, 1.0, 1)
+    field = a_k_field(PARAMS_100, 1.0)
     r = np.array([15.0, 15.5])
-    res = flow_integrate(a, 0.1, r, a_prime=ap)
+    res = flow_integrate(field, 0.1, r)
     expected = (r + c) * math.exp(0.1) - c
     assert res.gamma == pytest.approx(expected, abs=1e-8)
     assert res.dgamma == pytest.approx(np.full(2, math.exp(0.1)), rel=1e-8)
 
 
 def test_flow_gronwall_bound():
-    a = a_k_fn(PARAMS_100, 2.0)
-    ap = a_k_fn(PARAMS_100, 2.0, 1)
+    field = a_k_field(PARAMS_100, 2.0)
     rr = np.linspace(0.25, 40.0, 30001)
-    ap_sup = float(np.max(np.abs(ap(rr))))
+    ap_sup = float(np.max(np.abs(field(rr)[1])))
     r = np.linspace(0.25, 20.0, 101)
     for t in (0.05, 0.2, 0.5):
-        res = flow_integrate(a, t, r, a_prime=ap)
+        res = flow_integrate(field, t, r)
         assert res.gronwall_ok(ap_sup)
         assert np.all(res.dgamma > 0.0)
         assert np.max(res.dgamma) <= math.exp(ap_sup * t) * (1.0 + 1e-8)
 
 
 def test_flow_identity_where_field_vanishes():
-    a = a_k_fn(PARAMS_100, 1.0)
+    field = a_k_field(PARAMS_100, 1.0)
     r = np.linspace(0.25, 5.0, 41)  # entirely left of R
-    res = flow_integrate(a, 0.4, r)
+    res = flow_integrate(field, 0.4, r)
     assert res.gamma == pytest.approx(r, abs=1e-12)
+
+
+def test_flow_matches_quadrature_oracle_on_default_grid():
+    # gamma_t(r) solves int_r^{gamma_t(r)} dx / a_k(x) = t, and the
+    # variational equation gives d_r gamma_t(r) = a_k(gamma_t(r)) / a_k(r).
+    # On the chi transition (R, 2R), where a_k is not linear, both are
+    # checked against scipy's adaptive quadrature on the default
+    # `hyplab flow` grid, all starting points at once through the
+    # substitution x = r + u (gamma_t(r) - r), u in [0, 1].
+    cfg = load_config("flow", None, [])
+    params = ConjugateParams.from_lambda(cfg["lambda"])
+    nu = build_spectrum(cfg["cross_section"], cfg["k"]).nu(cfg["k"])
+    field = a_k_field(params, nu)
+    r = np.linspace(cfg["r0"], cfg["r_max"], cfg["n_points"])
+    a_r = a_k_eval(params, nu, r)
+    sel = (r > params.R) & (r < 2.0 * params.R) & (a_r > 1e-3)
+    assert sel.sum() >= 100
+    for t in cfg["t_values"]:
+        res = flow_integrate(field, float(t), r)
+        start, span = r[sel], res.gamma[sel] - r[sel]
+        elapsed, _ = quad_vec(
+            lambda u: span / a_k_eval(params, nu, start + u * span), 0.0, 1.0,
+            epsabs=1e-13, epsrel=1e-13, norm="max", limit=2000)
+        # measured: at most 2.3e-12
+        assert np.max(np.abs(elapsed - t)) <= 1e-9
+        expected = a_k_eval(params, nu, res.gamma[sel]) / a_r[sel]
+        # measured: at most 2.5e-10
+        assert res.dgamma[sel] == pytest.approx(expected, rel=1e-8)
 
 
 # ----------------------------------------------------------------------------
@@ -132,31 +196,28 @@ def test_flow_identity_where_field_vanishes():
 
 
 def _bump_field(r):
-    """Smooth compactly supported synthetic velocity field on (1, 3)."""
+    """Smooth compactly supported synthetic velocity field on (1, 3), with
+    its derivative."""
     from hyplab.weights import profile_eval
-    return 0.5 * profile_eval("chi", r) * profile_eval("chi", 4.0 - r)
-
-
-def _bump_field_prime(r):
-    from hyplab.weights import profile_eval
-    return 0.5 * (profile_eval("chi", r, 1) * profile_eval("chi", 4.0 - r)
-                  - profile_eval("chi", r) * profile_eval("chi", 4.0 - r, 1))
+    a = 0.5 * profile_eval("chi", r) * profile_eval("chi", 4.0 - r)
+    a_prime = 0.5 * (profile_eval("chi", r, 1) * profile_eval("chi", 4.0 - r)
+                     - profile_eval("chi", r) * profile_eval("chi", 4.0 - r, 1))
+    return a, a_prime
 
 
 def test_unitary_t_zero_identity():
     r = np.linspace(0.0, 4.0, 2001)
     phi = np.exp(-((r - 2.0) ** 2) * 4.0)
-    out = unitary_apply(_bump_field, 0.0, phi, r, a_prime=_bump_field_prime)
+    out = unitary_apply(_bump_field, 0.0, phi, r)
     assert out == pytest.approx(phi, abs=1e-10)
 
 
 def test_unitary_identity_left_of_support():
-    a = a_k_fn(PARAMS_100, 1.0)
-    ap = a_k_fn(PARAMS_100, 1.0, 1)
+    field = a_k_field(PARAMS_100, 1.0)
     r = np.linspace(0.25, 12.0, 4001)
     phi = np.exp(-((r - 3.0) ** 2) * 2.0)  # supported left of R ~ 6.2
     phi = np.where(r < PARAMS_100.R - 1.0, phi, 0.0)
-    out = unitary_apply(a, 0.3, phi, r, a_prime=ap)
+    out = unitary_apply(field, 0.3, phi, r)
     assert out == pytest.approx(phi, abs=1e-9)
 
 
@@ -167,8 +228,7 @@ def test_unitary_norm_preservation_order_two():
         r = np.linspace(0.0, 4.0, n + 1)
         h = r[1] - r[0]
         phi = np.exp(-((r - 2.0) ** 2) * 4.0)
-        out = unitary_apply(_bump_field, 0.1, phi, r,
-                            a_prime=_bump_field_prime)
+        out = unitary_apply(_bump_field, 0.1, phi, r)
         defects.append(abs(np.linalg.norm(out) * math.sqrt(h)
                            - np.linalg.norm(phi) * math.sqrt(h)))
         hs.append(h)
@@ -180,12 +240,9 @@ def test_unitary_group_law():
     r = np.linspace(0.0, 4.0, 4001)  # h = 1e-3
     phi = np.exp(-((r - 2.0) ** 2) * 4.0)
     t = s = 0.05
-    one = unitary_apply(_bump_field, t + s, phi, r,
-                        a_prime=_bump_field_prime)
+    one = unitary_apply(_bump_field, t + s, phi, r)
     two = unitary_apply(_bump_field, t,
-                        unitary_apply(_bump_field, s, phi, r,
-                                      a_prime=_bump_field_prime),
-                        r, a_prime=_bump_field_prime)
+                        unitary_apply(_bump_field, s, phi, r), r)
     assert np.linalg.norm(one - two) <= 1e-6 * np.linalg.norm(phi)
 
 
@@ -223,13 +280,12 @@ def test_generator_consistency_with_unitary_group():
     # (U_t phi - phi)/(it) -> A phi as t -> 0, up to O(t) + O(h^2)
     g = RadialGrid(r0=0.25, r_max=18.0, N=6000)
     r = g.points()
-    a = a_k_fn(PARAMS_100, 1.0)
-    ap = a_k_fn(PARAMS_100, 1.0, 1)
+    field = a_k_field(PARAMS_100, 1.0)
     A = generator_matrix(PARAMS_100, 1.0, g)
     phi = np.exp(-((r - 14.0) ** 2) * 2.0)
     errs = []
     for t in (2e-3, 1e-3):
-        ut = unitary_apply(a, t, phi, r, a_prime=ap)
+        ut = unitary_apply(field, t, phi, r)
         approx = (ut - phi) / (1j * t)
         errs.append(np.max(np.abs(approx - A.matvec(phi.astype(complex)))))
     assert errs[1] <= 0.75 * errs[0] + 1e-6
@@ -315,27 +371,25 @@ def test_theta_bump_normalization():
 
 
 def test_t0_rule_matches_flow():
-    a = a_k_fn(PARAMS_100, 1.0)
-    ap = a_k_fn(PARAMS_100, 1.0, 1)
+    field = a_k_field(PARAMS_100, 1.0)
     rr = np.linspace(0.25, 40.0, 30001)
-    ap_sup = float(np.max(np.abs(ap(rr))))
+    ap_sup = float(np.max(np.abs(field(rr)[1])))
     t0 = t0_for_mollifier(ap_sup)
     r = np.linspace(0.25, 30.0, 301)
-    res = flow_integrate(a, t0, r, a_prime=ap)
+    res = flow_integrate(field, t0, r)
     assert np.max(np.abs(res.dgamma - 1.0)) <= 0.5 + 1e-6
 
 
 def test_mollifier_commutator_quadratic_in_t():
     g = RadialGrid(r0=5.0, r_max=16.0, N=1100)
     r = g.points()
-    a = a_k_fn(PARAMS_100, 1.0)
-    ap = a_k_fn(PARAMS_100, 1.0, 1)
+    field = a_k_field(PARAMS_100, 1.0)
     eps = 0.25
-    K0 = transported_mollifier_matrix(a, 0.0, eps, r, g.h, a_prime=ap)
-    J = j_eps_matrix(a, ap, eps, r, g.h)
+    K0 = transported_mollifier_matrix(field, 0.0, eps, r, g.h)
+    J = j_eps_matrix(field, eps, r, g.h)
     resids, ts = [], (0.04, 0.02, 0.01)
     for t in ts:
-        Kt = transported_mollifier_matrix(a, t, eps, r, g.h, a_prime=ap)
+        Kt = transported_mollifier_matrix(field, t, eps, r, g.h)
         resids.append(np.linalg.norm(Kt - K0 - t * J, 2))
     rate = np.polyfit(np.log(ts), np.log(resids), 1)[0]
     assert rate >= 1.7
@@ -344,12 +398,11 @@ def test_mollifier_commutator_quadratic_in_t():
 def test_j_eps_schur_bound():
     g = RadialGrid(r0=5.0, r_max=16.0, N=1100)
     r = g.points()
-    a = a_k_fn(PARAMS_100, 1.0)
-    ap = a_k_fn(PARAMS_100, 1.0, 1)
+    field = a_k_field(PARAMS_100, 1.0)
     rr = np.linspace(0.25, 40.0, 30001)
-    ap_sup = float(np.max(np.abs(ap(rr))))
+    ap_sup = float(np.max(np.abs(field(rr)[1])))
     for eps in (0.5, 0.25):
-        J = j_eps_matrix(a, ap, eps, r, g.h)
+        J = j_eps_matrix(field, eps, r, g.h)
         norm = np.linalg.norm(J, 2)
         assert norm <= ap_sup * theta_schur_constant() * (1.0 + 1e-6)
         assert schur_bound(J / g.h, np.full(r.size, g.h)) >= norm - 1e-9

@@ -201,6 +201,17 @@ def test_semiclassical_bound_frozen_value_and_formula():
     assert rhs == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("z", [1j, 2.0 + 1j, -2.0 + 0.5j])
+def test_semiclassical_bound_holds_where_xi_is_live(z):
+    # With log nu >= 9.2 the support of Xi_k, r - log nu <= -S/2 and r >= R,
+    # lies inside the grid, so lhs is a real resolvent norm and not the
+    # empty sup 0 (measured lhs 0.0040-0.0045 against rhs 0.64-1.10).
+    lhs, rhs, ok = semiclassical_bound_check(100.0, z, [1e4, 1e5, 1e6],
+                                             _grid())
+    assert lhs > 1e-3
+    assert ok and lhs <= rhs
+
+
 def test_semiclassical_gap_arithmetic():
     gap = semiclassical_gap(100.0, 2.0 + 1j, 0.01, PARAMS)
     assert gap == pytest.approx(400.0 - math.exp(-2.0 * PARAMS.R) - 300.0,

@@ -315,6 +315,18 @@ def test_quantize_level_zero_matches_dense_oracle(s, sigma):
                                    rel=1e-9)
 
 
+@pytest.mark.parametrize("s, sigma, frozen", [
+    (1.0, 0.0, [1.0705405339015663, 1.0709134474929451, 1.0710933105966591]),
+    (1.0, 2.0, [1.0292320129626598, 1.0275395858927494, 1.0273038983357226]),
+    (-1.0, 0.0, [97.96993013581039, 254.1850536206592, 620.579429881697]),
+])
+def test_quantize_ladder_frozen_values(s, sigma, frozen):
+    # Values of the whole ladder from the per-block SVD norm(B, 2); the
+    # Gram-eigenvalue norm must reproduce them.
+    assert quantize_and_factor_check(s, sigma) == pytest.approx(frozen,
+                                                                rel=1e-12)
+
+
 def test_quantize_bounded_ladder():
     table = quantize_and_factor_check(1.0, 0.0)
     assert max(table) / min(table) <= 2.0
