@@ -240,10 +240,12 @@ def _run_mourre(ctx):
                                    r0=cfg["r0"])
     model = ModelConfig(n=cfg["n"], r0=cfg["r0"],
                         cross_section=cfg["cross_section"])
+    t0 = time.time()
     report = mourre_positivity_check(
         lam, cfg["s0"], lambda l: l ** -0.5, grid, cfg["K_max"],
         config=model, C=cfg["C"], auto_calibrate=cfg["auto_calibrate"],
     )
+    ctx.task("mourre_positivity_check", "ok", time.time() - t0)
     payload = dict(report.to_dict())
     payload["schema"] = _SCHEMA
     payload["experiment"] = "mourre"

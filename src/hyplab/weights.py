@@ -279,14 +279,28 @@ def temperate_check(sample_count, C, M, seed=0, box=50.0):
 # ----------------------------------------------------------------------------
 
 
-def _angular_modes(n_theta):
-    """Integer Fourier mode numbers in FFT ordering."""
-    return np.fft.fftfreq(n_theta, d=1.0 / n_theta).astype(int)
+def _reflection_halves(n_theta):
+    """The unitary DFT on the two halves of C^{n_theta} that the reflection
+    J: j -> -j (mod n_theta) leaves invariant, as real orthogonal matrices.
 
-
-def _mode_multiply(values, block):
-    """F* diag(values) F @ block, with F the unitary DFT in theta."""
-    return np.fft.ifft(values[:, None] * np.fft.fft(block, axis=0), axis=0)
+    Returns [(idx, C), (idx, S)] for the J-even and the J-odd half.  idx
+    lists the representative indices, 0..n//2 and 1..(n-1)//2, which serve
+    both as grid points theta_j and as mode numbers m.  In the orthonormal
+    bases delta_0, (delta_j + delta_{-j})/sqrt2 (and delta_{n/2} for even n)
+    of the even half, the DFT is C[m, j] = c_m c_j cos(2 pi m j/n)/sqrt(n),
+    with c = 1 at 0 and n/2 and sqrt2 otherwise.  On the odd half, in the
+    bases (delta_j - delta_{-j})/sqrt2, it is -i S with
+    S[m, j] = 2 sin(2 pi m j/n)/sqrt(n).  Odd n has no Nyquist index.
+    """
+    n = n_theta
+    halves = []
+    for idx, trig in ((np.arange(n // 2 + 1), np.cos),
+                      (np.arange(1, (n + 1) // 2), np.sin)):
+        # reduce m j mod n in integers, so the phase stays in [0, 2 pi)
+        phase = 2.0 * np.pi * (np.outer(idx, idx) % n) / n
+        c = np.where((idx == 0) | (2 * idx == n), 1.0, math.sqrt(2.0))
+        halves.append((idx, c[:, None] * trig(phase) * c / math.sqrt(n)))
+    return halves
 
 
 def _plateau_cutoff(x, lo, hi):
@@ -307,10 +321,24 @@ def quantize_and_factor_check(s, sigma, levels=3,
     across a ladder of grids that doubles both resolutions and extends the
     radial box.  No factor mixes radii, so the operator is block-diagonal in
     r and its norm is the largest spectral norm of the n_theta x n_theta
-    blocks, one radius at a time, each the square root of the top eigenvalue
-    of the block's Gram matrix.  Returns the list of norms (one per level).
-    The composition is expected to stay bounded for s >= 0 and to grow along
-    the ladder when the weight sign is wrong (s < 0 composes to ~ w^{2|s|}).
+    blocks B_i = kappa(r_i) kappa~(r_i) Op(w_s) kappa_t Op(a) kappa~_t.
+    Blocks with kappa(r_i) = 0 are zero and are skipped.
+
+    Each block commutes with the reflection J: theta -> 2 pi - theta on the
+    grid theta_j = 2 pi j/n_theta: the theta-diagonals kappa_t and kappa~_t
+    are symmetric under it, and the mode diagonals a and w_s depend on |m|
+    only.  So ||B_i|| is the larger of its norms on the J-even and the J-odd
+    vectors, where the DFT is a real orthogonal matrix M
+    (:func:`_reflection_halves`), and on each half
+
+        ||B_i|| = kappa(r_i) kappa~(r_i) ||D_{w_s} K D_a R||,
+        K = M D_{kappa_t} M^T,  R = M D_{kappa~_t},
+
+    with every diagonal taken at the representative indices.  Each norm is
+    the square root of the top eigenvalue of the Gram matrix.  Returns the
+    list of norms (one per level).  The composition is expected to stay
+    bounded for s >= 0 and to grow along the ladder when the weight sign is
+    wrong (s < 0 composes to ~ w^{2|s|}).
     """
     if levels < 3:
         raise ConfigError("resolution ladder needs at least 3 levels")
@@ -321,24 +349,26 @@ def quantize_and_factor_check(s, sigma, levels=3,
         r_max = r_max0 * 1.5**lev
         r = np.linspace(0.0, r_max, n_r)
         theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
-        modes = _angular_modes(n_theta)
-        a = symbol_weight(r[:, None], modes[None, :], -s, sigma)
-        # Left factor: always the positive-exponent weight, so the wrong-sign
-        # symbol (s < 0) composes to ~ w^{2|s|} instead of cancelling.
-        w_s = symbol_weight(r[:, None], modes[None, :], abs(s))
         kappa_r = _plateau_cutoff(r, 1.0, r_max - 1.0)
         kappa_t = _plateau_cutoff(theta, 0.5, 2 * np.pi - 0.5)
         # kappa~ = 1 on a neighborhood of supp kappa
         kt_r = _plateau_cutoff(r, 0.5, r_max - 0.5)
         kt_t = _plateau_cutoff(theta, 0.25, 2 * np.pi - 0.25)
+        live = np.nonzero(kappa_r)[0]
+        scale = kappa_r[live] * kt_r[live]
         best = 0.0
-        for i in range(n_r):
-            block = _mode_multiply(a[i], np.diag(kt_r[i] * kt_t))
-            block = _mode_multiply(w_s[i], (kappa_r[i] * kappa_t)[:, None] * block)
-            # the top eigenvalue of the Gram matrix is the squared spectral
-            # norm; eigvalsh on it is cheaper than the SVD behind norm(., 2)
-            gram = block.conj().T @ block
-            best = max(best, math.sqrt(np.linalg.eigvalsh(gram)[-1]))
+        for idx, M in _reflection_halves(n_theta):
+            a = symbol_weight(r[live, None], idx[None, :], -s, sigma)
+            # Left factor: always the positive-exponent weight, so the
+            # wrong-sign symbol (s < 0) composes to ~ w^{2|s|} instead of
+            # cancelling.
+            w_s = symbol_weight(r[live, None], idx[None, :], abs(s))
+            K = (M * kappa_t[idx]) @ M.T
+            R = M * kt_t[idx]
+            for c, a_i, w_i in zip(scale, a, w_s):
+                X = (c * w_i)[:, None] * (K @ (a_i[:, None] * R))
+                gram = X.conj().T @ X
+                best = max(best, math.sqrt(np.linalg.eigvalsh(gram)[-1]))
         norms.append(best)
     return norms
 

@@ -230,6 +230,24 @@ def test_differential_inequality_holds_on_sample_seeds():
         assert out["endpoint"]["ok"]
 
 
+def test_differential_inequality_norms_match_per_eps_reference():
+    # F(eps) = ||<A>_eps^{-s} G_z(eps) <A>_eps^{-s}|| built one offset at a
+    # time from resolvent_g and weight_of_A
+    inst = _instance(1)
+    z = _probe_z(inst)
+    schedule = _schedule(inst)
+    ref = []
+    for eps in schedule:
+        wA = inst.weight_of_A(lambda a: eps_weight(a, eps, 0.75))
+        G = resolvent_g(inst, z, eps)
+        ref.append(float(np.linalg.norm(wA @ G @ wA, 2)))
+    out = diffineq_check(inst, 0.75, z, schedule)
+    assert [pt["eps"] for pt in out["points"]] == schedule[1:-1]
+    assert [pt["F"] for pt in out["points"]] == pytest.approx(ref[1:-1],
+                                                              rel=1e-13)
+    assert out["endpoint"]["F"] == pytest.approx(ref[-1], rel=1e-13)
+
+
 def test_differential_inequality_schedule_validation():
     inst = _instance(0)
     z = _probe_z(inst)

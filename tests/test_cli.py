@@ -194,6 +194,15 @@ def test_mourre_check_reports_positivity(tmp_path):
     assert len(lines) == 18
 
 
+def test_mourre_manifest_times_the_positivity_check(tmp_path):
+    out = tmp_path / "mourre"
+    rc = run(["mourre", "--out", str(out)])
+    assert rc == 0
+    tasks = _manifest(out)["tasks"]
+    assert [t["name"] for t in tasks] == ["mourre_positivity_check"]
+    assert all(t["status"] == "ok" and t["wall_time"] >= 0 for t in tasks)
+
+
 _SWEEP_ARGS = ["--set", "lambdas=[50.0,100.0]", "--set", "K_max=2",
                "--set", 'cross_section={"kind":"custom","mu":[0.0,1.0]}']
 

@@ -315,6 +315,78 @@ def test_quantize_level_zero_matches_dense_oracle(s, sigma):
                                    rel=1e-9)
 
 
+@pytest.mark.parametrize("s, sigma", [(1.0, 2.0), (-1.0, 0.0)])
+def test_quantize_odd_level_zero_matches_dense_oracle(s, sigma):
+    # odd n_theta: halves of sizes 8 and 7, no Nyquist index
+    level0 = quantize_and_factor_check(s, sigma, n_theta0=15)[0]
+    assert level0 == pytest.approx(
+        _dense_quantization_norm(s, sigma, n_theta=15), rel=1e-9)
+
+
+def _blockwise_quantization_norms(s, sigma, levels=3, n_r0=48, n_theta0=32,
+                                  r_max0=12.0):
+    """The ladder as the largest SVD norm of the full n_theta x n_theta
+    radial blocks, each factor an explicit mode sum; no symmetry assumed."""
+    def plateau(x, lo, hi):
+        return profile_eval("q", x - lo) * profile_eval("q", hi - x)
+
+    norms = []
+    for lev in range(levels):
+        n_r, n_theta = n_r0 * 2**lev, n_theta0 * 2**lev
+        r_max = r_max0 * 1.5**lev
+        r = np.linspace(0.0, r_max, n_r)
+        theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
+        m = np.fft.fftfreq(n_theta, d=1.0 / n_theta)
+        phase = np.exp(1j * np.outer(theta, m)) / math.sqrt(n_theta)
+        base = profile_eval("w", r[:, None]
+                            - np.log(np.sqrt(1.0 + m**2))[None, :])
+        a = base ** complex(-s, sigma)
+        w_s = base ** abs(s)
+        kappa_t = plateau(theta, 0.5, 2 * np.pi - 0.5)
+        kt_t = plateau(theta, 0.25, 2 * np.pi - 0.25)
+        scale = plateau(r, 1.0, r_max - 1.0) * plateau(r, 0.5, r_max - 0.5)
+        best = 0.0
+        for i in range(n_r):
+            op_w = (phase * w_s[i]) @ phase.conj().T
+            op_a = (phase * a[i]) @ phase.conj().T
+            block = scale[i] * op_w @ (kappa_t[:, None] * op_a * kt_t)
+            best = max(best, float(np.linalg.norm(block, 2)))
+        norms.append(best)
+    return norms
+
+
+def test_quantize_ladder_matches_blockwise_oracle_where_odd_half_wins():
+    # At (s, sigma) = (0.5, 10) the J-odd half carries the norm on levels 1
+    # and 2 (1.01210 and 1.01104 against 1.01067 and 1.01011 on the even
+    # half), so a ladder that dropped it would fail here.
+    assert quantize_and_factor_check(0.5, 10.0) == pytest.approx(
+        _blockwise_quantization_norms(0.5, 10.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_theta", [15, 16, 32])
+def test_reflection_halves_are_orthogonal(n_theta):
+    (even, C), (odd, S) = weights._reflection_halves(n_theta)
+    assert len(even) + len(odd) == n_theta
+    for M in (C, S):
+        assert np.abs(M @ M.T - np.eye(len(M))).max() <= 1e-13
+        assert np.abs(M.T @ M - np.eye(len(M))).max() <= 1e-13
+
+
+def test_reflection_halves_are_the_dft_on_each_half():
+    # the unitary DFT U maps (delta_j +- delta_{-j})/sqrt2 to C[:, j] resp.
+    # -i S[:, j] in the same bases of mode space
+    for n in (15, 16):
+        U = np.fft.fft(np.eye(n), axis=0) / math.sqrt(n)
+        (even, C), (odd, S) = weights._reflection_halves(n)
+        for idx, M, sign, factor in ((even, C, 1.0, 1.0),
+                                     (odd, S, -1.0, -1j)):
+            basis = np.zeros((n, len(idx)))
+            basis[idx, np.arange(len(idx))] += 1.0
+            basis[-idx % n, np.arange(len(idx))] += sign
+            basis /= np.linalg.norm(basis, axis=0)
+            assert np.abs(U @ basis - factor * basis @ M).max() <= 1e-13
+
+
 @pytest.mark.parametrize("s, sigma, frozen", [
     (1.0, 0.0, [1.0705405339015663, 1.0709134474929451, 1.0710933105966591]),
     (1.0, 2.0, [1.0292320129626598, 1.0275395858927494, 1.0273038983357226]),
