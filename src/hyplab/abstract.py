@@ -207,26 +207,29 @@ def algebre_identity_check(instance, z, eps, eps0, n_quadratic=10, seed=0):
     G0 = resolvent_g(instance, z, eps0)
     BB = instance.B @ instance.B
     diff = G - G0 - 1j * (eps - eps0) * (G @ BB @ G0)
-    scale = max(np.linalg.norm(G, 2), np.linalg.norm(G0, 2))
-    res_diff = float(np.linalg.norm(diff, 2) / scale)
     G_adj = resolvent_g(instance, np.conj(z), -eps)
-    res_adj = float(np.linalg.norm(G.conj().T - G_adj, 2) / scale)
-    norm_ok = np.linalg.norm(G, 2) <= (1.0 + 1e-12) / abs(complex(z).imag)
+    # spectral norms of a stack: the largest singular value of each matrix
+    norm_G, norm_G0, norm_diff, norm_adj = np.linalg.svd(
+        np.stack([G, G0, diff, G.conj().T - G_adj]), compute_uv=False)[:, 0]
+    scale = max(norm_G, norm_G0)
+    res_diff = float(norm_diff / scale)
+    res_adj = float(norm_adj / scale)
+    norm_ok = norm_G <= (1.0 + 1e-12) / abs(complex(z).imag)
     quad_violations = 0
     quad_margin = math.inf
     if complex(z).imag * eps > 0:
         rng = np.random.default_rng(seed)
-        for _ in range(n_quadratic):
-            Q = rng.standard_normal((instance.n, instance.n))
-            contraction = Q / max(np.linalg.norm(Q, 2), 1e-300)
-            Bp = contraction @ instance.B
-            Yc = rng.standard_normal((instance.n, instance.n))
-            C = (Yc + Yc.T) / 2.0
-            lhs = np.linalg.norm(Bp @ G @ C, 2)
-            rhs = abs(eps) ** -0.5 * np.linalg.norm(C @ G @ C, 2) ** 0.5
-            quad_margin = min(quad_margin, rhs - lhs)
-            if lhs > rhs * (1.0 + 1e-10):
-                quad_violations += 1
+        draws = rng.standard_normal((n_quadratic, 2, instance.n, instance.n))
+        Q, Yc = draws[:, 0], draws[:, 1]
+        q_norms = np.linalg.svd(Q, compute_uv=False)[:, 0]
+        Bp = (Q / np.maximum(q_norms, 1e-300)[:, None, None]) @ instance.B
+        C = (Yc + Yc.transpose(0, 2, 1)) / 2.0
+        norms = np.linalg.svd(np.concatenate([Bp @ G @ C, C @ G @ C]),
+                              compute_uv=False)[:, 0]
+        lhs = norms[:n_quadratic]
+        rhs = abs(eps) ** -0.5 * norms[n_quadratic:] ** 0.5
+        quad_margin = float(np.min(rhs - lhs, initial=math.inf))
+        quad_violations = int(np.count_nonzero(lhs > rhs * (1.0 + 1e-10)))
     return {
         "residual_difference": res_diff,
         "residual_adjoint": res_adj,
@@ -248,12 +251,13 @@ def commutator_identity_residuals(instance, z, Z):
     HA = instance.H @ instance.A - instance.A @ instance.H
     lhs1 = Rz @ instance.A - instance.A @ Rz
     rhs1 = -Rz @ HA @ Rz
-    r1 = np.linalg.norm(lhs1 - rhs1, 2) / max(np.linalg.norm(rhs1, 2), 1e-300)
     RZ = np.linalg.inv(instance.A - Z * np.eye(n))
     lhs2 = Rz @ RZ - RZ @ Rz
     rhs2 = RZ @ Rz @ HA @ Rz @ RZ
-    r2 = np.linalg.norm(lhs2 - rhs2, 2) / max(np.linalg.norm(rhs2, 2), 1e-300)
-    return float(r1), float(r2)
+    d1, n1, d2, n2 = np.linalg.svd(
+        np.stack([lhs1 - rhs1, rhs1, lhs2 - rhs2, rhs2]),
+        compute_uv=False)[:, 0]
+    return float(d1 / max(n1, 1e-300)), float(d2 / max(n2, 1e-300))
 
 
 def virial_approximation_decay(instance, Lambdas):

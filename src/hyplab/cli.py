@@ -10,6 +10,7 @@ failure, 3 acceptance-check failure under --check.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import hashlib
@@ -156,9 +157,18 @@ class RunContext:
         self.outputs.append(name)
         return full
 
-    def task(self, name, status, wall):
-        self.tasks.append({"name": name, "status": status,
-                           "wall_time": wall})
+    @contextlib.contextmanager
+    def stage(self, name):
+        """Time the enclosed stage as one manifest task; a stage that raises
+        is recorded with status "error" before the exception propagates."""
+        t0 = time.time()
+        status = "error"
+        try:
+            yield
+            status = "ok"
+        finally:
+            self.tasks.append({"name": name, "status": status,
+                               "wall_time": time.time() - t0})
 
     def finish(self, status="ok", diagnostic=None):
         manifest = {
@@ -215,16 +225,23 @@ def _run_flow(ctx):
     nu = spectrum.nu(cfg["k"])
     field = a_k_field(params, nu)
     r = np.linspace(cfg["r0"], cfg["r_max"], cfg["n_points"])
+    times = [float(t) for t in cfg["t_values"]]
+    # One chained pass per sign in order of increasing |t|: each time
+    # continues from the last one on its side of t = 0 (the group law).
+    flows, last = {}, None
+    for t in sorted(set(times), key=lambda t: (t < 0.0, abs(t))):
+        start = last if last is not None and last.t * t > 0.0 else None
+        with ctx.stage(f"flow_integrate t={_fmt(t)}"):
+            last = flows[t] = flow_integrate(field, t, r, start=start)
     rows = []
-    for t in cfg["t_values"]:
-        t0 = time.time()
-        flow = flow_integrate(field, float(t), r)
-        ctx.task(f"flow_integrate t={_fmt(float(t))}", "ok", time.time() - t0)
-        rows.extend((float(t), ri, gi, di)
-                    for ri, gi, di in zip(r, flow.gamma, flow.dgamma))
+    for t in times:
+        rows.extend((t, ri, gi, di) for ri, gi, di
+                    in zip(r, flows[t].gamma, flows[t].dgamma))
     write_csv(ctx.path("flow.csv"), ["t", "r", "gamma", "dgamma"], rows)
     summary = {"schema": _SCHEMA, "experiment": "flow", "lambda": lam,
-               "t_values": list(cfg["t_values"])}
+               "t_values": list(cfg["t_values"]),
+               "n_steps": [flows[t].n_steps for t in times],
+               "n_evals": [flows[t].n_evals for t in times]}
     _atomic_json(ctx.path("summary.json"), summary)
     return summary, True
 
@@ -240,12 +257,11 @@ def _run_mourre(ctx):
                                    r0=cfg["r0"])
     model = ModelConfig(n=cfg["n"], r0=cfg["r0"],
                         cross_section=cfg["cross_section"])
-    t0 = time.time()
-    report = mourre_positivity_check(
-        lam, cfg["s0"], lambda l: l ** -0.5, grid, cfg["K_max"],
-        config=model, C=cfg["C"], auto_calibrate=cfg["auto_calibrate"],
-    )
-    ctx.task("mourre_positivity_check", "ok", time.time() - t0)
+    with ctx.stage("mourre_positivity_check"):
+        report = mourre_positivity_check(
+            lam, cfg["s0"], lambda l: l ** -0.5, grid, cfg["K_max"],
+            config=model, C=cfg["C"], auto_calibrate=cfg["auto_calibrate"],
+        )
     payload = dict(report.to_dict())
     payload["schema"] = _SCHEMA
     payload["experiment"] = "mourre"
@@ -270,9 +286,8 @@ def _run_sweep(ctx):
         norm_tol=cfg["norm_tol"], cross_section=cfg["cross_section"],
         n=cfg["n"],
     )
-    t0 = time.time()
-    result = lambda_sweep(sweep_cfg, workers=ctx.workers)
-    ctx.task("lambda_sweep", "ok", time.time() - t0)
+    with ctx.stage("lambda_sweep"):
+        result = lambda_sweep(sweep_cfg, workers=ctx.workers)
     rows = [(r["lambda"], r["k"], r["mu"], r["norm"]) for r in result.rows]
     write_csv(ctx.path("sweep.csv"), ["lambda", "k", "mu", "norm"], rows)
     write_csv(ctx.path("N_of_lambda.csv"), ["lambda", "N"],
@@ -330,9 +345,8 @@ def _run_testbed(ctx):
     seeds = [ctx.seed + i for i in range(cfg["n_seeds"])]
     args = [(s, cfg["dim"], cfg["window_count"], cfg["alpha_factor"],
              cfg["s"], cfg["slack"]) for s in sorted(seeds)]
-    t0 = time.time()
-    reports = parallel_map(_testbed_seed_report, args, ctx.workers)
-    ctx.task("testbed", "ok", time.time() - t0)
+    with ctx.stage("testbed"):
+        reports = parallel_map(_testbed_seed_report, args, ctx.workers)
     write_csv(ctx.path("testbed.csv"),
               ["seed", "rejects", "max_residual", "violations"],
               [(r["seed"], r["rejects"], r["max_residual"], r["violations"])
@@ -354,22 +368,19 @@ def _run_weights(ctx):
                                 unboundedness_demo)
 
     cfg = ctx.config
-    t0 = time.time()
-    violations = temperate_check(cfg["temperate_samples"],
-                                 cfg["temperate_C"], cfg["temperate_M"],
-                                 seed=ctx.seed)
-    ctx.task("temperate_check", "ok", time.time() - t0)
+    with ctx.stage("temperate_check"):
+        violations = temperate_check(cfg["temperate_samples"],
+                                     cfg["temperate_C"], cfg["temperate_M"],
+                                     seed=ctx.seed)
     ladders = {}
     for sigma in cfg["sigma_values"]:
-        t0 = time.time()
-        vals = quantize_and_factor_check(cfg["s"], float(sigma))
-        ctx.task(f"quantize_and_factor_check sigma={_fmt(float(sigma))}",
-                 "ok", time.time() - t0)
+        with ctx.stage(
+                f"quantize_and_factor_check sigma={_fmt(float(sigma))}"):
+            vals = quantize_and_factor_check(cfg["s"], float(sigma))
         ladders[_fmt(float(sigma))] = {"values": vals,
                                        "spread": max(vals) / min(vals)}
-    t0 = time.time()
-    ratios = unboundedness_demo(cfg["s"], cfg["nu_ladder"])
-    ctx.task("unboundedness_demo", "ok", time.time() - t0)
+    with ctx.stage("unboundedness_demo"):
+        ratios = unboundedness_demo(cfg["s"], cfg["nu_ladder"])
     summary = {
         "schema": _SCHEMA,
         "experiment": "weights",

@@ -150,8 +150,13 @@ def cutoff_derivs(which, x, orders):
     shift, scale = (1.0, 1.0) if which == "chi" else (-1.0, 2.0)
     g = _step_derivs(scale * (np.asarray(x, dtype=float) - shift),
                      range(max(orders) + 1))
-    return [sum(math.comb(j, i) * g[i] * g[j - i] for i in range(j + 1))
-            * scale**j for j in orders]
+    out = []
+    for j in orders:
+        c = g[0] * g[j]
+        for i in range(1, j + 1):
+            c = c + math.comb(j, i) * g[i] * g[j - i]
+        out.append(c * scale**j)
+    return out
 
 
 def profile_eval(which, x, j=0, extended=False):

@@ -162,6 +162,45 @@ def test_flow_manifest_times_each_t_value(tmp_path):
     assert all(t["status"] == "ok" and t["wall_time"] >= 0 for t in tasks)
 
 
+def test_flow_chains_times_but_writes_them_in_config_order(tmp_path):
+    from hyplab.conjugate import ConjugateParams, a_k_field, flow_integrate
+
+    out = tmp_path / "flow"
+    times = [1.0, -0.5, 0.25, 0.0]
+    rc = run(["flow", "--out", str(out),
+              "--set", "t_values=[1.0,-0.5,0.25,0.0]"])
+    assert rc == 0
+    cfg = load_config("flow", None, [])
+    table = np.loadtxt(out / "flow.csv", delimiter=",", skiprows=1)
+    blocks = table.reshape(len(times), cfg["n_points"], 4)
+    field = a_k_field(ConjugateParams.from_lambda(cfg["lambda"]), 1.0)
+    r = np.linspace(cfg["r0"], cfg["r_max"], cfg["n_points"])
+    for t, block in zip(times, blocks):
+        direct = flow_integrate(field, t, r)
+        assert np.all(block[:, 0] == t)
+        assert np.array_equal(block[:, 1], r)
+        assert block[:, 2] == pytest.approx(direct.gamma, rel=1e-9)
+        assert block[:, 3] == pytest.approx(direct.dgamma, rel=1e-9)
+    tasks = _manifest(out)["tasks"]
+    assert sorted(t["name"] for t in tasks) == sorted(
+        f"flow_integrate t={_fmt(t)}" for t in times)
+    summary = json.loads(_read(out / "summary.json"))
+    # t = 0 takes no step; each later time continues from the one before
+    assert summary["n_steps"][3] == summary["n_evals"][3] == 0
+    assert all(n > 0 for n in summary["n_steps"][:3])
+
+
+def test_failed_stage_is_recorded_in_the_manifest(tmp_path):
+    out = tmp_path / "mourre"
+    rc = run(["mourre", "--out", str(out), "--set", "K_max=4"])
+    assert rc == 2
+    manifest = _manifest(out)
+    assert manifest["status"] == "numerical-failure"
+    tasks = manifest["tasks"]
+    assert [t["name"] for t in tasks] == ["mourre_positivity_check"]
+    assert tasks[0]["status"] == "error" and tasks[0]["wall_time"] >= 0
+
+
 def test_weights_check_passes_with_defaults(tmp_path):
     out = tmp_path / "weights"
     rc = run(["weights", "--out", str(out), "--check",

@@ -190,6 +190,58 @@ def test_flow_matches_quadrature_oracle_on_default_grid():
         assert res.dgamma[sel] == pytest.approx(expected, rel=1e-8)
 
 
+def _default_flow_grid():
+    cfg = load_config("flow", None, [])
+    params = ConjugateParams.from_lambda(cfg["lambda"])
+    nu = build_spectrum(cfg["cross_section"], cfg["k"]).nu(cfg["k"])
+    r = np.linspace(cfg["r0"], cfg["r_max"], cfg["n_points"])
+    return params, a_k_field(params, nu), r
+
+
+@pytest.mark.parametrize("t1, t2", [(0.25, 1.0), (-0.25, -1.0)])
+def test_flow_chained_matches_unchained(t1, t2):
+    # gamma_{t2} = gamma_{t2 - t1} o gamma_{t1}: continuing from the result
+    # at t1 must land where one solve from t = 0 lands.
+    _, field, r = _default_flow_grid()
+    chained = flow_integrate(field, t2, r, start=flow_integrate(field, t1, r))
+    direct = flow_integrate(field, t2, r)
+    assert chained.t == t2
+    assert chained.gamma == pytest.approx(direct.gamma, rel=1e-9)
+    assert chained.dgamma == pytest.approx(direct.dgamma, rel=1e-9)
+
+
+def test_flow_holds_the_zeros_of_a_k_exactly():
+    # a_k vanishes identically on r <= R, so those points never move and
+    # their d_r gamma stays exactly one, whether or not the solve is chained.
+    params, field, r = _default_flow_grid()
+    left = r <= params.R
+    assert left.sum() >= 100
+    first = flow_integrate(field, 0.5, r)
+    for res in (first, flow_integrate(field, -0.5, r),
+                flow_integrate(field, 1.0, r, start=first)):
+        assert np.array_equal(res.gamma[left], r[left])
+        assert np.all(res.dgamma[left] == 1.0)
+
+
+def test_flow_at_a_simple_zero_grows_like_exp_of_the_slope():
+    # a(x) = c sin(x - x0): x0 is a fixed point with a'(x0) = c, so
+    # d_r gamma_t(x0) = e^{c t}; elsewhere tan((gamma - x0)/2) grows like
+    # e^{c t} and d_r gamma_t(r) = a(gamma_t(r)) / a(r).
+    c, x0, t = 0.7, 1.5, 0.8
+    field = lambda x: (c * np.sin(x - x0), c * np.cos(x - x0))
+    r = np.linspace(x0 - 1.0, x0 + 1.0, 21)
+    res = flow_integrate(field, t, r)
+    at = np.flatnonzero(r == x0)
+    assert at.size == 1
+    assert res.gamma[at] == x0
+    assert res.dgamma[at] == pytest.approx(math.exp(c * t), rel=1e-12)
+    expected = x0 + 2.0 * np.arctan(np.tan((r - x0) / 2.0) * math.exp(c * t))
+    assert res.gamma == pytest.approx(expected, rel=1e-9, abs=1e-12)
+    moved = r != x0
+    assert res.dgamma[moved] == pytest.approx(
+        np.sin(res.gamma[moved] - x0) / np.sin(r[moved] - x0), rel=1e-8)
+
+
 # ----------------------------------------------------------------------------
 # Unitary group
 # ----------------------------------------------------------------------------
