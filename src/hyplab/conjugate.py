@@ -210,7 +210,7 @@ def generator_matrix(params, nu_k, grid, a_values=None):
     upper = -1j * (a[:-1] + a[1:]) / (4.0 * h)
     lower = 1j * (a[:-1] + a[1:]) / (4.0 * h)
     diags = {0: np.zeros(grid.N, dtype=complex), 1: upper, -1: lower}
-    return DiscreteOperator(grid, diags, bc="dirichlet")
+    return DiscreteOperator(grid, diags)
 
 
 def g_rs_eval(params, r, mu):

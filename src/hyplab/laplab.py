@@ -77,7 +77,6 @@ def sweep_grid(lam, r0=0.25, n_points=None, refine=1.0):
 class SweepConfig:
     """Parameters of the lambda sweep.
 
-    rho_model None means the non-trapping scale rho(lam) = lam^{-1/2}.
     weight_kind selects the mode-shifted weight w^{-s}(r - log nu_k)
     ("mode") or the polynomial weight <r>^{-s} ("polynomial").
     """
@@ -85,7 +84,6 @@ class SweepConfig:
     lambdas: tuple
     s: float = 1.0
     s0: float = 1.0
-    rho_model: object = None
     K_max: int = 24
     r0: float = 0.25
     n_points: int | None = None
@@ -103,11 +101,6 @@ class SweepConfig:
             raise ConfigError("lambda list is empty")
         if any(l <= 1.0 for l in self.lambdas):
             raise ConfigError("sweep energies must exceed 1")
-
-    def rho(self, lam):
-        if self.rho_model is None:
-            return lam ** -0.5
-        return self.rho_model(lam)
 
     def model(self):
         cs = self.cross_section or {"kind": "circle", "radius": 1.0}
@@ -263,7 +256,8 @@ def log_fit(lams, norms):
 
 def fit_scaling(result):
     """log_fit of the sweep's N(lam), plus the smallest constant C' with
-    N(lam) <= C' (log lam)^{2 s0 + 2 s} rho(lam) across the sweep."""
+    N(lam) <= C' (log lam)^{2 s0 + 2 s} rho(lam) across the sweep, at the
+    non-trapping scale rho(lam) = lam^{-1/2}."""
     lams = result.lambdas()
     if len(lams) < 4:
         raise ConfigError("scaling fit needs at least 4 energies")
@@ -275,7 +269,7 @@ def fit_scaling(result):
     fit = log_fit(lams, N)
     cfg = result.config
     envelope = np.array([
-        (math.log(l)) ** (2.0 * cfg.s0 + 2.0 * cfg.s) * cfg.rho(l)
+        (math.log(l)) ** (2.0 * cfg.s0 + 2.0 * cfg.s) * l ** -0.5
         for l in lams
     ])
     C_prime = float(np.max(N / envelope))
@@ -283,24 +277,8 @@ def fit_scaling(result):
 
 
 # ----------------------------------------------------------------------------
-# Weight comparison and auxiliary estimates
+# Auxiliary estimates
 # ----------------------------------------------------------------------------
-
-
-def weight_comparison(lam, s, base_config=None, K_max=8):
-    """Raw table comparing the mode-shifted and polynomial weighted norms at
-    one energy.  No pointwise ordering is asserted; the mode-shifted weight
-    is merely 'weaker' in the operator sense, which only the table records."""
-    base = base_config or SweepConfig(lambdas=(lam,), s=s, K_max=K_max)
-    rows = []
-    for kind in ("mode", "polynomial"):
-        cfg = dataclasses.replace(base, lambdas=(lam,), s=s,
-                                  weight_kind=kind, K_max=K_max)
-        res = lambda_sweep(cfg)
-        rows.append({"kind": kind, "N": res.N_of_lambda[lam],
-                     "mode_norms": dict(res.mode_norms)})
-    ratio = rows[0]["N"] / max(rows[1]["N"], 1e-300)
-    return {"lambda": lam, "s": s, "ratio": ratio, "rows": rows}
 
 
 def conjugate_weight_sup(lam, K_max=48, n_r=4000, r_span=4.0):

@@ -1,10 +1,10 @@
 """Banded discretizations of radial operators and linear-algebra kernels.
 
 Radial mode operators D_r^2 + V(r) are realized as banded complex matrices
-on a uniform grid over (r0, r_max) with Dirichlet or Neumann conditions at
-r0.  At r_max the box is either closed by a Dirichlet wall (a Hermitian
-truncation) or, for solves at a real energy lam, by the discrete outgoing
-wave u_{N+1} = beta u_N: past r_max the potential is the constant
+on a uniform grid over (r0, r_max) with the order-2 stencil and a Dirichlet
+wall at r0.  At r_max the box is either closed by a Dirichlet wall (a
+Hermitian truncation) or, for solves at a real energy lam, by the discrete
+outgoing wave u_{N+1} = beta u_N: past r_max the potential is the constant
 (n-1)^2/4, the discrete free equation has the solutions beta^i, and the
 outgoing (above threshold) or decaying (below threshold) root closes the
 half-line problem exactly with one diagonal entry.  This is the discrete
@@ -40,15 +40,12 @@ class RadialGrid:
     r0: float
     r_max: float
     N: int
-    stencil_order: int = 2
 
     def __post_init__(self):
         if self.r_max <= self.r0:
             raise ConfigError("r_max must exceed r0")
         if self.N < 8:
             raise ConfigError("grid needs at least 8 interior points")
-        if self.stencil_order not in (2, 4):
-            raise ConfigError(f"unsupported stencil order {self.stencil_order}")
 
     @property
     def h(self):
@@ -57,9 +54,9 @@ class RadialGrid:
     def points(self):
         return self.r0 + self.h * np.arange(1, self.N + 1)
 
-    def refined(self, factor=2):
-        """Same interval with factor-times-denser interior."""
-        return dataclasses.replace(self, N=factor * (self.N + 1) - 1)
+    def refined(self):
+        """Same interval with half the step."""
+        return dataclasses.replace(self, N=2 * (self.N + 1) - 1)
 
 
 class DiscreteOperator:
@@ -71,10 +68,9 @@ class DiscreteOperator:
     None for a box closed by a Dirichlet wall.
     """
 
-    def __init__(self, grid, diagonals, bc="dirichlet", outgoing_energy=None):
+    def __init__(self, grid, diagonals, outgoing_energy=None):
         self.grid = grid
         self.diagonals = {int(k): np.asarray(v) for k, v in diagonals.items()}
-        self.bc = bc
         self.outgoing_energy = outgoing_energy
         n = grid.N
         for off, vals in self.diagonals.items():
@@ -127,46 +123,17 @@ class DiscreteOperator:
         """Return scale*op + shift (shift acts on the main diagonal)."""
         diags = {o: scale * v for o, v in self.diagonals.items()}
         diags[0] = diags[0] + shift
-        return DiscreteOperator(self.grid, diags, bc=self.bc)
+        return DiscreteOperator(self.grid, diags)
 
 
-def _d2_diagonals(grid):
-    """Diagonals of -d^2/dr^2 for the requested stencil and Dirichlet bc."""
+def d2_operator(grid):
+    """The discrete -d^2/dr^2 with Dirichlet walls (order-2 stencil)."""
     n, h = grid.N, grid.h
-    if grid.stencil_order == 2:
-        return {
-            0: np.full(n, 2.0 / h**2),
-            1: np.full(n - 1, -1.0 / h**2),
-            -1: np.full(n - 1, -1.0 / h**2),
-        }
-    c = 1.0 / (12.0 * h**2)
-    diags = {
-        0: np.full(n, 30.0 * c),
-        1: np.full(n - 1, -16.0 * c),
-        -1: np.full(n - 1, -16.0 * c),
-        2: np.full(n - 2, c),
-        -2: np.full(n - 2, c),
-    }
-    # Odd-image closure: the 5-point stencil at i=1 (resp. i=N) references the
-    # ghost value u(r0 - h) = -u(r0 + h), since u and u'' vanish at the
-    # Dirichlet boundary for the solves certified here.
-    diags[0] = diags[0].copy()
-    diags[0][0] -= c
-    diags[0][-1] -= c
-    return diags
-
-
-def d2_operator(grid, bc="dirichlet"):
-    """The discrete -d^2/dr^2 alone (used by elliptic-bound diagnostics)."""
-    diags = _d2_diagonals(grid)
-    if bc == "neumann":
-        if grid.stencil_order != 2:
-            raise ConfigError("Neumann bc is implemented for the order-2 stencil")
-        diags[0] = diags[0].copy()
-        diags[0][0] -= 1.0 / grid.h**2
-    elif bc != "dirichlet":
-        raise ConfigError(f"unknown boundary condition {bc!r}")
-    return DiscreteOperator(grid, diags, bc=bc)
+    return DiscreteOperator(grid, {
+        0: np.full(n, 2.0 / h**2),
+        1: np.full(n - 1, -1.0 / h**2),
+        -1: np.full(n - 1, -1.0 / h**2),
+    })
 
 
 def outgoing_root(lam, shift, h):
@@ -187,23 +154,20 @@ def discretize(spec, grid, outgoing=None):
     Parameters
     ----------
     spec : RadialOperatorSpec
-        Carries the potential handle and boundary condition at r0.
+        Carries the potential handle and the Dirichlet wall r0.
     grid : RadialGrid
     outgoing : float or None
-        Energy lam of the outgoing closure u_{N+1} = beta u_N at r_max
-        (order-2 stencil); None closes the box by a Dirichlet wall.  The
-        closure is exact only where the potential has reached its constant
-        tail, so a tail above _TAIL_TOL at r_max is rejected.
+        Energy lam of the outgoing closure u_{N+1} = beta u_N at r_max;
+        None closes the box by a Dirichlet wall.  The closure is exact only
+        where the potential has reached its constant tail, so a tail above
+        _TAIL_TOL at r_max is rejected.
     """
     if abs(spec.r0 - grid.r0) > 1e-12:
         raise ConfigError("spec and grid disagree on r0")
-    op = d2_operator(grid, bc=spec.boundary_condition)
-    diags = dict(op.diagonals)
+    diags = dict(d2_operator(grid).diagonals)
     diag = diags[0].astype(complex).copy()
     diag += spec.potential(grid.points())
     if outgoing is not None:
-        if grid.stencil_order != 2:
-            raise ConfigError("the outgoing closure needs the order-2 stencil")
         tail = abs(float(spec.potential(grid.r_max)) - spec.shift)
         if tail > _TAIL_TOL:
             raise ConfigError(
@@ -212,8 +176,7 @@ def discretize(spec, grid, outgoing=None):
             )
         diag[-1] -= outgoing_root(outgoing, spec.shift, grid.h) / grid.h**2
     diags[0] = diag
-    return DiscreteOperator(grid, diags, bc=spec.boundary_condition,
-                            outgoing_energy=outgoing)
+    return DiscreteOperator(grid, diags, outgoing_energy=outgoing)
 
 
 class ShiftedSolver:
@@ -261,19 +224,13 @@ class ShiftedSolver:
         return self._refine(solve, self._mat_h, rhs, x)
 
 
-def shifted_solve(op, z, rhs):
-    """Solve (op - z) x = rhs with residual <= 1e-10 ||rhs||."""
-    return ShiftedSolver(op, z).solve(rhs)
-
-
 def _power_start(n):
     """Deterministic generic start vector for power iterations."""
     v = np.cos(0.7 * np.arange(n)) + 1.3 + 0.1j * np.sin(1.3 * np.arange(n) + 0.4)
     return v / np.linalg.norm(v)
 
 
-def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, max_iter=5000,
-                           solver=None):
+def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, max_iter=5000):
     """Largest singular value of W_l (op - z)^{-1} W_r, matrix-free.
 
     Power iteration on the Gram map x -> W_r (op-z)^{-*} W_l^2 (op-z)^{-1} W_r x
@@ -284,7 +241,7 @@ def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, max_iter=5000,
     w_right = np.asarray(w_right, dtype=float)
     if not np.any(w_left) or not np.any(w_right):
         return 0.0
-    s = solver if solver is not None else ShiftedSolver(op, z)
+    s = ShiftedSolver(op, z)
 
     def gram(x):
         y = s.solve(w_right * x)
@@ -331,7 +288,8 @@ def hermitian_eig(op, select_range=None):
 
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
     With ``select_range=(lo, hi)`` only the eigenpairs in (lo, hi] are
-    computed (tridiagonal path only).
+    returned; the tridiagonal path computes only those, the dense path
+    computes all and filters.
     """
     if not op.is_hermitian():
         raise ConfigError("operator is not Hermitian")
@@ -353,25 +311,22 @@ def hermitian_eig(op, select_range=None):
     return evals, evecs
 
 
-def schur_bound(kernel, row_measure, col_measure=None):
+def schur_bound(kernel, measure):
     """Schur bound max(sup row integral, sup column integral) of |kernel|.
 
     Guaranteed to dominate the operator norm of the integral operator with
-    this kernel under the given grid measures.
+    this kernel under the given grid measure.
     """
     kernel = np.abs(np.asarray(kernel))
-    row_measure = np.asarray(row_measure, dtype=float)
-    col_measure = row_measure if col_measure is None else np.asarray(col_measure)
-    row_sums = kernel @ col_measure
-    col_sums = row_measure @ kernel
+    measure = np.asarray(measure, dtype=float)
+    row_sums = kernel @ measure
+    col_sums = measure @ kernel
     return float(max(row_sums.max(), col_sums.max()))
 
 
 def dirichlet_laplacian_eigenvalues(grid):
     """Closed-form eigenvalues (4/h^2) sin^2(j h pi / (2(r_max-r0))) ... of the
     order-2 Dirichlet stencil for -d^2/dr^2; used as a frozen oracle."""
-    if grid.stencil_order != 2:
-        raise ConfigError("closed form applies to the order-2 stencil")
     h = grid.h
     L = grid.r_max - grid.r0
     j = np.arange(1, grid.N + 1)

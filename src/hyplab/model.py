@@ -5,12 +5,11 @@ dr^2 + e^{2r} h.  Separation of variables over an eigenbasis of the
 cross-section Laplacian turns the (shifted) Laplacian into the family of
 radial operators
 
-    H_k = D_r^2 + mu_k e^{-2r} + (n-1)^2/4 + V_k(r),
+    H_k = D_r^2 + mu_k e^{-2r} + (n-1)^2/4,
 
-indexed by the cross-section eigenvalues mu_k.  Only cross-sections with
-exactly known spectra are supported (circle, flat torus, custom list), and
-perturbations are restricted to mode-diagonal potentials V_k so the family
-stays block-diagonal.
+indexed by the cross-section eigenvalues mu_k, with a Dirichlet wall at r0.
+Only cross-sections with exactly known spectra are supported (circle, flat
+torus, custom list).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ class ModeSpectrum:
     """
 
     entries: tuple
-    cross_section_tag: str
 
     def __post_init__(self):
         mus = [e[0] for e in self.entries]
@@ -104,10 +102,8 @@ def build_spectrum(cross_section, K_max):
         if radius <= 0:
             raise ConfigError("circle radius must be positive")
         raw = _circle_entries(radius, K_max)
-        tag = f"circle(radius={radius})"
     elif kind == "torus":
         raw = _torus_entries(cross_section["radii"], K_max)
-        tag = f"torus(radii={list(cross_section['radii'])})"
     elif kind == "custom":
         mus = [float(m) for m in cross_section.get("mu", [])]
         if not mus:
@@ -115,75 +111,27 @@ def build_spectrum(cross_section, K_max):
         if any(m < 0 for m in mus):
             raise ConfigError("custom spectrum has negative entries")
         raw = [(m, 1) for m in sorted(mus)][: K_max + 1]
-        tag = "custom"
     else:
         raise ConfigError(f"unknown cross-section kind {kind!r}")
     entries = tuple(
         (float(mu), int(mult), float(nu_from_mu(mu))) for mu, mult in raw
     )
-    return ModeSpectrum(entries=entries, cross_section_tag=tag)
-
-
-_PROFILE_KINDS = ("gaussian", "sech2", "power_decay")
-
-
-@dataclasses.dataclass(frozen=True)
-class DiagonalPotential:
-    """Mode-diagonal perturbation V_k(r).
-
-    The radial profile is one of a few named families; ``coupling`` is either
-    "scalar" (V_k = V for every mode) or "mode_scaled"
-    (V_k(r) = V(r) (1 + mu_k e^{-2r})).
-    """
-
-    profile: str
-    amplitude: float
-    center: float
-    width: float
-    coupling: str = "scalar"
-
-    def __post_init__(self):
-        if self.profile not in _PROFILE_KINDS:
-            raise ConfigError(f"unknown potential profile {self.profile!r}")
-        if self.width <= 0:
-            raise ConfigError("potential width must be positive")
-        if self.coupling not in ("scalar", "mode_scaled"):
-            raise ConfigError(f"unknown coupling {self.coupling!r}")
-
-    def radial(self, r):
-        x = (np.asarray(r, dtype=float) - self.center) / self.width
-        if self.profile == "gaussian":
-            return self.amplitude * np.exp(-(x**2))
-        if self.profile == "sech2":
-            return self.amplitude / np.cosh(x) ** 2
-        return self.amplitude / (1.0 + x**2)
-
-    def values(self, r, mu_k):
-        base = self.radial(r)
-        if self.coupling == "scalar":
-            return base
-        return base * (1.0 + mu_k * np.exp(-2.0 * np.asarray(r, dtype=float)))
+    return ModeSpectrum(entries=entries)
 
 
 @dataclasses.dataclass(frozen=True)
 class ModelConfig:
-    """Full model description: dimension, boundary, cross-section, potential."""
+    """Full model description: dimension, Dirichlet wall r0, cross-section."""
 
     n: int
     r0: float
     cross_section: dict
-    potential: DiagonalPotential | None = None
-    boundary_condition: str = "dirichlet"
 
     def __post_init__(self):
         if self.n < 2:
             raise ConfigError("dimension n must be >= 2")
         if self.r0 <= 0:
             raise ConfigError("r0 must be positive")
-        if self.boundary_condition not in ("dirichlet", "neumann"):
-            raise ConfigError(
-                f"unknown boundary condition {self.boundary_condition!r}"
-            )
 
     @property
     def shift(self):
@@ -202,20 +150,15 @@ class RadialOperatorSpec:
     mu_k: float
     shift: float
     r0: float
-    boundary_condition: str
-    perturbation: DiagonalPotential | None = None
 
     @property
     def nu_k(self):
         return float(nu_from_mu(self.mu_k))
 
     def potential(self, r):
-        """Full diagonal potential mu_k e^{-2r} + shift + V_k(r)."""
+        """Diagonal potential mu_k e^{-2r} + shift."""
         r = np.asarray(r, dtype=float)
-        v = self.mu_k * np.exp(-2.0 * r) + self.shift
-        if self.perturbation is not None:
-            v = v + self.perturbation.values(r, self.mu_k)
-        return v
+        return self.mu_k * np.exp(-2.0 * r) + self.shift
 
 
 def mode_operator_spec(config, k, spectrum=None):
@@ -229,6 +172,4 @@ def mode_operator_spec(config, k, spectrum=None):
         mu_k=spectrum.mu(k),
         shift=config.shift,
         r0=config.r0,
-        boundary_condition=config.boundary_condition,
-        perturbation=config.potential,
     )

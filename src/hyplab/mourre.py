@@ -85,7 +85,7 @@ def _first_commutator(grid, mu, a, am):
     r = grid.points()
     diag, off = _flux_form(grid, 2.0 * am[1])
     diag = diag + 2.0 * a[0] * mu * np.exp(-2.0 * r) - 0.5 * a[3]
-    return DiscreteOperator(grid, {0: diag, 1: off, -1: off}, bc="dirichlet")
+    return DiscreteOperator(grid, {0: diag, 1: off, -1: off})
 
 
 def commutator_matrix(params, nu_k, grid):
@@ -130,7 +130,7 @@ def double_commutator_matrix(params, nu_k, grid):
         - 0.5 * a[0] * a[4]
     )
     diag = diag + d_div
-    second = DiscreteOperator(grid, {0: diag, 1: off, -1: off}, bc="dirichlet")
+    second = DiscreteOperator(grid, {0: diag, 1: off, -1: off})
     b_k = 2.0 * (a[0] * a[2] - 2.0 * a[1] ** 2)
     c_k = 1j * (5.0 * a[1] * a[2] - a[0] * a[3])
     d_k = (
@@ -145,20 +145,6 @@ def double_commutator_matrix(params, nu_k, grid):
         c_k=c_k,
         d_k=d_k,
     )
-
-
-def perturbation_commutator(a_matrix, potential_diag):
-    """[A, V] for diagonal V: entries A_ij (V_j - V_i), same band structure."""
-    diags = {}
-    v = np.asarray(potential_diag)
-    for off, vals in a_matrix.diagonals.items():
-        if off == 0:
-            diags[0] = np.zeros_like(vals)
-        elif off > 0:
-            diags[off] = vals * (v[off:] - v[: len(vals)])
-        else:
-            diags[off] = vals * (v[: len(vals)] - v[-off:])
-    return DiscreteOperator(a_matrix.grid, diags, bc=a_matrix.bc)
 
 
 def xi_build(params, nu_k, grid):
@@ -226,7 +212,7 @@ def semiclassical_bound_check(lam, z, nu_list, grid, tau=None, params=None,
         if not np.any(xi_op > 0.0):
             continue
         spec = RadialOperatorSpec(k=k, mu_k=nu**2 - 1.0, shift=shift,
-                                  r0=grid.r0, boundary_condition="dirichlet")
+                                  r0=grid.r0)
         op = discretize(spec, grid).scaled_shifted(scale=tau, shift=-tau * lam)
         val = weighted_operator_norm(op, z, xi_op, np.ones(grid.N), tol=tol)
         lhs = max(lhs, val)
@@ -488,10 +474,22 @@ def default_positivity_grid(lam, n_points=1200, r0=0.25):
     return RadialGrid(r0=r0, r_max=r_max, N=n_points)
 
 
+# auto-calibration accepts min-eig / lam >= -_RATIO_TOL
+_RATIO_TOL = 0.1
+# window eigenpairs with f_lam(E) below this floor do not contribute
+_WINDOW_FLOOR = 1e-3
+# The band next to the Dirichlet wall at r_max is the last _CAP_FRACTION of
+# the box; window states with more than _EXCLUSION_MASS of their mass in it
+# are flagged as boundary reflections.  _CAP_FRACTION must stay below
+# _EXCLUSION_MASS: a fully delocalized standing wave carries roughly
+# _CAP_FRACTION of its mass in the band, and must not be misclassified as a
+# reflection artifact.
+_CAP_FRACTION = 0.1
+_EXCLUSION_MASS = 0.2
+
+
 def mourre_positivity_check(lam, s0, rho_model, grid, K_max, config=None,
-                            C=10.0, auto_calibrate=True, ratio_tol=0.1,
-                            window_floor=1e-3, cap_fraction=0.1,
-                            exclusion_mass=0.2):
+                            C=10.0, auto_calibrate=True):
     """Verify the localized positive-commutator estimate at energy lam.
 
     Per mode k: windowed eigenpairs of the Hermitian truncation H_k, the
@@ -501,19 +499,7 @@ def mourre_positivity_check(lam, s0, rho_model, grid, K_max, config=None,
 
     rho_model: callable lam -> resolvent-weight scale (non-trapping:
     lam^{-1/2}).
-
-    cap_fraction (the relative width of the band next to the Dirichlet wall
-    at r_max; window states with more than exclusion_mass of their mass in
-    it are flagged as boundary reflections) must stay below exclusion_mass:
-    a fully delocalized standing wave carries roughly cap_fraction of its
-    mass in the band, and must not be misclassified as a reflection
-    artifact.
     """
-    if cap_fraction >= exclusion_mass:
-        raise ConfigError(
-            "cap_fraction must be smaller than exclusion_mass; delocalized "
-            "window states would otherwise be excluded wholesale"
-        )
     if config is None:
         config = ModelConfig(n=2, r0=grid.r0, cross_section={"kind": "circle"})
     params = ConjugateParams.from_lambda(lam)
@@ -521,7 +507,7 @@ def mourre_positivity_check(lam, s0, rho_model, grid, K_max, config=None,
     if grid.r_max < 2.0 * params.R + 5.0:
         raise ConfigError("grid must extend to at least 2R + 5")
     spectrum = config.spectrum(K_max)
-    r_abs = grid.r_max - cap_fraction * (grid.r_max - grid.r0)
+    r_abs = grid.r_max - _CAP_FRACTION * (grid.r_max - grid.r0)
     if math.log(spectrum.nu(len(spectrum) - 1)) > r_abs - 2.0:
         raise ConfigError("K_max too large for the grid (log nu exceeds r_abs - 2)")
     rho = rho_model(lam)
@@ -529,20 +515,19 @@ def mourre_positivity_check(lam, s0, rho_model, grid, K_max, config=None,
     while True:
         delta = (math.log(lam)) ** (-2.0 * s0) / (rho * C)
         report = _positivity_pass(
-            lam, delta, params, grid, spectrum, config, C,
-            window_floor, r_abs, exclusion_mass,
+            lam, delta, params, grid, spectrum, config, C, r_abs,
         )
         if not auto_calibrate:
             return report
-        if report.min_eig_ratio is not None and report.min_eig_ratio >= -ratio_tol:
+        ratio = report.min_eig_ratio
+        if ratio is not None and ratio >= -_RATIO_TOL:
             return report
         if C >= 10.0 * 2**8:
             return report
         C *= 2.0
 
 
-def _positivity_pass(lam, delta, params, grid, spectrum, config, C,
-                     window_floor, r_abs, exclusion_mass):
+def _positivity_pass(lam, delta, params, grid, spectrum, config, C, r_abs):
     cutoff = SpectralCutoff(lam=lam, delta=delta)
     r = grid.points()
     lo, hi = lam - cutoff.support_halfwidth, lam + cutoff.support_halfwidth
@@ -560,11 +545,11 @@ def _positivity_pass(lam, delta, params, grid, spectrum, config, C,
         op = discretize(spec_k, grid)
         evals, evecs = hermitian_eig(op, select_range=(lo, hi))
         fvals = cutoff.values(evals)
-        keep = fvals >= window_floor
+        keep = fvals >= _WINDOW_FLOOR
         excluded = 0
         if keep.any():
             mass = np.sum(np.abs(evecs[cap_region][:, keep]) ** 2, axis=0)
-            reflect = mass > exclusion_mass
+            reflect = mass > _EXCLUSION_MASS
             excluded = int(np.count_nonzero(reflect))
             kidx = np.nonzero(keep)[0][~reflect]
         else:

@@ -224,11 +224,15 @@ def test_criterion_07_semiclassical_bound():
         for lam in (1e2, 1e3, 1e4):
             R = math.log(5.0 * lam)
             grid = RadialGrid(r0=0.25, r_max=3.0 * R, N=1200)
+            # Xi_k vanishes on the grid for the circle modes (nu_k <= 8.1);
+            # the mode with log nu = R + S/2 + 2 has Xi_k > 0 on (R, R + 2)
+            params = ConjugateParams.from_lambda(lam)
+            live = math.exp(params.R + 0.5 * params.S + 2.0)
             for re in np.linspace(-2.0, 2.0, 9):
                 for im in (0.5, 1.0, 2.0):
                     lhs, rhs, ok = semiclassical_bound_check(
-                        lam, complex(re, im), nus, grid)
-                    assert ok and lhs <= rhs
+                        lam, complex(re, im), nus + [live], grid)
+                    assert ok and 0.0 < lhs <= rhs
 
 
 def test_criterion_08_functional_calculus():

@@ -19,9 +19,8 @@ from hyplab.laplab import (
     mode_norm,
     resolvent_expansion_check,
     sweep_grid,
-    weight_comparison,
 )
-from hyplab.linops import RadialGrid, discretize, shifted_solve
+from hyplab.linops import RadialGrid, ShiftedSolver, discretize
 from hyplab.model import ModelConfig, mode_operator_spec
 from hyplab.weights import polynomial_weight_vector
 
@@ -52,9 +51,9 @@ def test_limiting_absorption_box_insensitive():
     # wave, so the longer box reproduces the shorter box's solution.
     r = grid.points()
     rhs = np.exp(-((r - 8.0) ** 2)).astype(complex)
-    short = shifted_solve(op, 4.0, rhs)
+    short = ShiftedSolver(op, 4.0).solve(rhs)
     padded = np.concatenate([rhs, np.zeros(longer.N - grid.N)])
-    long_ = shifted_solve(op_long, 4.0, padded)[: grid.N]
+    long_ = ShiftedSolver(op_long, 4.0).solve(padded)[: grid.N]
     assert np.max(np.abs(long_ - short)) <= 1e-9 * np.max(np.abs(short))
     # The weighted norm only gains the weight's tail: 1.6 % at s = 1.
     for s, tol in ((1.0, 0.03), (2.0, 1e-3)):
@@ -243,20 +242,8 @@ def test_fit_scaling_requires_enough_energies_and_range():
 
 
 # ---------------------------------------------------------------------------
-# Weight comparison and the conjugate-weight supremum
+# The conjugate-weight supremum
 # ---------------------------------------------------------------------------
-
-
-def test_weight_comparison_reports_both_kinds():
-    out = weight_comparison(50.0, 1.0, K_max=2,
-                            base_config=SweepConfig(
-                                lambdas=(50.0,), s=1.0, K_max=2,
-                                cross_section={"kind": "custom",
-                                               "mu": [0.0, 1.0]}))
-    kinds = [row["kind"] for row in out["rows"]]
-    assert kinds == ["mode", "polynomial"]
-    assert out["ratio"] > 0
-    assert all(row["N"] > 0 for row in out["rows"])
 
 
 def test_conjugate_weight_sup_stays_bounded_in_energy():

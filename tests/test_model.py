@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from hyplab.errors import ConfigError
-from hyplab.model import (DiagonalPotential, ModelConfig, build_spectrum,
-                          mode_operator_spec)
+from hyplab.model import ModelConfig, build_spectrum, mode_operator_spec
 
 
 def test_circle_spectrum_fourier_modes():
@@ -103,21 +102,3 @@ def test_config_validation():
         ModelConfig(n=2, r0=-1.0,
                     cross_section={"kind": "circle", "radius": 1.0})
 
-
-def test_diagonal_potential_decay_reported():
-    pot = DiagonalPotential(profile="gaussian", amplitude=0.5, center=3.0,
-                            width=1.0)
-    cfg = ModelConfig(n=2, r0=0.25,
-                      cross_section={"kind": "circle", "radius": 1.0},
-                      potential=pot)
-    r = np.linspace(0.25, 40.0, 2000)
-    caps = []
-    for k in (0, 2, 5):
-        spec = mode_operator_spec(cfg, k)
-        base = mode_operator_spec(
-            ModelConfig(n=2, r0=0.25,
-                        cross_section={"kind": "circle", "radius": 1.0}), k)
-        vk = spec.potential(r) - base.potential(r)
-        caps.append(np.max((1.0 + r**2) * np.abs(vk)))
-    assert np.isfinite(caps).all()
-    assert max(caps) - min(caps) <= 1e-10 * max(caps)  # scalar coupling

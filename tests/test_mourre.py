@@ -9,14 +9,14 @@ import pytest
 from hyplab import mourre
 from hyplab.conjugate import ConjugateParams, a_k_eval, generator_matrix
 from hyplab.errors import ConfigError, NumericalFailure, RegimeError
-from hyplab.linops import RadialGrid, discretize, hermitian_eig
+from hyplab.linops import (DiscreteOperator, RadialGrid, discretize,
+                           hermitian_eig)
 from hyplab.model import ModelConfig, mode_operator_spec
 from hyplab.mourre import (SpectralCutoff, commutator_matrix,
                            default_positivity_grid, double_commutator_matrix,
                            hs_calculus, mourre_positivity_check,
-                           perturbation_commutator, semiclassical_bound_check,
-                           semiclassical_gap, spectral_calculus, xi_build,
-                           xi_profile_constant)
+                           semiclassical_bound_check, semiclassical_gap,
+                           spectral_calculus, xi_build, xi_profile_constant)
 from hyplab.weights import chi_sqrt_eval
 
 from conftest import WIDE_BUMP, WideBump
@@ -152,17 +152,6 @@ def test_double_commutator_matches_nested_commutator():
     assert rate >= 1.7
 
 
-def test_perturbation_commutator_matches_dense():
-    g = RadialGrid(r0=0.25, r_max=20.0, N=200)
-    A = generator_matrix(PARAMS, 1.0, g)
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal(g.N)
-    built = perturbation_commutator(A, v).dense()
-    dense = A.dense() @ np.diag(v) - np.diag(v) @ A.dense()
-    assert np.max(np.abs(built - dense)) <= 1e-12 * max(1.0,
-                                                        np.max(np.abs(dense)))
-
-
 # ----------------------------------------------------------------------------
 # Localization operators
 # ----------------------------------------------------------------------------
@@ -277,10 +266,18 @@ def test_hs_matches_spectral_calculus_mode_operator():
 
 
 def test_hs_matches_spectral_calculus_order_four_stencil():
-    # the order-4 stencil gives a pentadiagonal operator (bandwidth 2)
+    # D_r^2 + V on the five-point stencil, with the odd-image closure at both
+    # walls: a pentadiagonal Hermitian operator (bandwidth 2), which takes the
+    # dense branch of hermitian_eig
     f = WIDE_BUMP
-    g = RadialGrid(r0=0.25, r_max=12.0, N=120, stencil_order=4)
-    op = discretize(mode_operator_spec(CONFIG, 1), g)
+    g = RadialGrid(r0=0.25, r_max=12.0, N=120)
+    n, c = g.N, 1.0 / (12.0 * g.h**2)
+    diag = np.full(n, 30.0 * c) + mode_operator_spec(CONFIG, 1).potential(
+        g.points())
+    diag[[0, -1]] -= c
+    op = DiscreteOperator(g, {0: diag, 1: np.full(n - 1, -16.0 * c),
+                              -1: np.full(n - 1, -16.0 * c),
+                              2: np.full(n - 2, c), -2: np.full(n - 2, c)})
     assert op.bandwidth == 2
     evals, _ = hermitian_eig(op)
     op = op.scaled_shifted(scale=2.5 / float(np.max(np.abs(evals))))
@@ -364,14 +361,6 @@ def test_positivity_scale_ordering_enforced():
     with pytest.raises(ConfigError):
         mourre_positivity_check(0.8, 1.0, lambda l: l**-0.5, g, 4,
                                 config=CONFIG)
-
-
-def test_positivity_cap_fraction_vs_exclusion():
-    g = _grid(N=600)
-    with pytest.raises(ConfigError):
-        mourre_positivity_check(100.0, 1.0, lambda l: l**-0.5, g, 4,
-                                config=CONFIG, cap_fraction=0.3,
-                                exclusion_mass=0.2)
 
 
 def test_hs_certifies_the_result_at_the_spectrum():
