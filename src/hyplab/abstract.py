@@ -636,8 +636,12 @@ def easytrick_check(seed=0, n=400, J=(0.5, 1.5), eps_min=None, n_lam=25,
     for lam in np.linspace(a, b, n_lam):
         for eps in np.geomspace(eps_min, 1.0, n_eps):
             g = 1.0 / (evals - lam - 1j * eps)
-            KGK = (Kv.conj().T * g[None, :]) @ Kv
-            sup = max(sup, float(np.linalg.norm(KGK, 2)))
+            # Kv is real: two real products, since numpy multiplies a complex
+            # by a real matrix without BLAS
+            KGK = (Kv.T * g.real) @ Kv + 1j * ((Kv.T * g.imag) @ Kv)
+            # ||KGK|| as the square root of the top Gram eigenvalue
+            gram = KGK.conj().T @ KGK
+            sup = max(sup, math.sqrt(np.linalg.eigvalsh(gram)[-1]))
     rhs = math.sqrt((b - a) / math.pi) * float(np.max(np.abs(fvals))) * math.sqrt(sup)
     # spectral-identity convergence on a fixed probe vector
     phi = rng.standard_normal(n)

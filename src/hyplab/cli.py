@@ -271,8 +271,7 @@ def _run_mourre(ctx):
             for m in report.per_mode]
     write_csv(ctx.path("per_mode.csv"),
               ["k", "mu", "window_size", "excluded", "min_eig"], rows)
-    ok = report.min_eig_ratio is not None and report.min_eig_ratio >= -0.1
-    return payload, ok
+    return payload, report.passed
 
 
 def _run_sweep(ctx):

@@ -11,9 +11,13 @@ half-line problem exactly with one diagonal entry.  This is the discrete
 transparent boundary condition of Arnold and of Ehrhardt and Arnold; with it
 (H - lam - i0)^{-1} is a single solve on the real axis.
 
-The kernels provided here are shifted banded solves with iterative
-refinement, matrix-free weighted operator norms by power iteration on the
-Gram map, Hermitian eigendecompositions, and Schur kernel bounds.
+The kernels provided here are shifted tridiagonal solves with iterative
+refinement (LAPACK's tridiagonal LU), matrix-free weighted operator norms by
+power iteration on the Gram map, Hermitian eigendecompositions, and Schur
+kernel bounds.  The vector norms and inner products of the solves and of the
+power iteration are numpy ufunc reductions, not BLAS level-1 calls: on long
+vectors OpenBLAS runs those on its own threads, which oversubscribe the cores
+when the solves already run in a process pool.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ import math
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from hyplab.errors import ConfigError, NumericalFailure
 
@@ -96,18 +99,12 @@ class DiscreteOperator:
                 return False
         return True
 
-    def to_sparse(self, shift=0.0):
-        offsets = sorted(self.diagonals)
-        diags = []
-        for off in offsets:
-            v = self.diagonals[off].astype(complex)
-            if off == 0 and shift != 0.0:
-                v = v - shift
-            diags.append(v)
-        return sp.diags(diags, offsets, format="csc", dtype=complex)
-
     def dense(self, shift=0.0):
-        return self.to_sparse(shift).toarray()
+        out = np.zeros((self.n, self.n), dtype=complex)
+        for off, vals in self.diagonals.items():
+            out += np.diag(vals, off)
+        out[np.diag_indices(self.n)] -= shift
+        return out
 
     def matvec(self, x):
         x = np.asarray(x)
@@ -179,29 +176,56 @@ def discretize(spec, grid, outgoing=None):
     return DiscreteOperator(grid, diags, outgoing_energy=outgoing)
 
 
-class ShiftedSolver:
-    """LU factorization of (op - z) supporting repeated direct/adjoint solves.
+def _norm(x):
+    """Euclidean norm of a vector, by a ufunc reduction."""
+    return math.sqrt(np.add.reduce(x.real * x.real + x.imag * x.imag))
 
-    Banded LU with partial pivoting (SuperLU on the sparse band), with one
-    step of iterative refinement and a residual certificate per solve.
+
+def _tridiagonal_matvec(lower, diag, upper, x):
+    y = diag * x
+    y[:-1] += upper * x[1:]
+    y[1:] += lower * x[:-1]
+    return y
+
+
+class ShiftedSolver:
+    """LU factorization of the tridiagonal (op - z) supporting repeated
+    direct/adjoint solves.
+
+    Tridiagonal LU with partial pivoting (LAPACK zgttrf; zgttrs solves with
+    the factors, and with trans="C" solves the adjoint system), with one step
+    of iterative refinement and a residual certificate per solve.  The
+    residuals are formed from the three stored diagonals.
     """
 
     def __init__(self, op, z):
+        if op.bandwidth > 1:
+            raise ConfigError(
+                f"tridiagonal solver needs bandwidth <= 1, got {op.bandwidth}"
+            )
         self.op = op
         self.z = complex(z)
-        mat = op.to_sparse(shift=self.z)
-        try:
-            self.lu = spla.splu(mat)
-        except RuntimeError as exc:
-            raise NumericalFailure(f"singular factorization at z={z}: {exc}")
-        self._mat = mat
-        self._mat_h = mat.conj().T.tocsc()
+        absent = np.zeros(op.n - 1)
+        lower = np.asarray(op.diagonals.get(-1, absent), dtype=complex)
+        diag = np.asarray(op.diagonals[0], dtype=complex) - self.z
+        upper = np.asarray(op.diagonals.get(1, absent), dtype=complex)
+        *self._lu, info = zgttrf(lower, diag, upper)
+        if info != 0:
+            raise NumericalFailure(
+                f"singular factorization at z={z}: zgttrf info={info}"
+            )
+        self._diagonals = (lower, diag, upper)
+        self._diagonals_h = (upper.conj(), diag.conj(), lower.conj())
 
-    def _refine(self, solve, mat, rhs, x):
-        resid = rhs - mat @ x
-        x = x + solve(resid)
-        resid_norm = np.linalg.norm(rhs - mat @ x)
-        if resid_norm > _SOLVE_RESID_TOL * max(np.linalg.norm(rhs), 1e-300):
+    def _solve(self, rhs, trans, diagonals):
+        rhs = np.asarray(rhs, dtype=complex)
+        if not np.any(rhs):
+            return np.zeros_like(rhs)
+        x = zgttrs(*self._lu, rhs, trans=trans)[0]
+        resid = rhs - _tridiagonal_matvec(*diagonals, x)
+        x += zgttrs(*self._lu, resid, trans=trans, overwrite_b=1)[0]
+        resid_norm = _norm(rhs - _tridiagonal_matvec(*diagonals, x))
+        if resid_norm > _SOLVE_RESID_TOL * max(_norm(rhs), 1e-300):
             raise NumericalFailure(
                 f"solve residual {resid_norm:.3e} exceeds tolerance",
                 history=[resid_norm],
@@ -209,25 +233,16 @@ class ShiftedSolver:
         return x
 
     def solve(self, rhs):
-        rhs = np.asarray(rhs, dtype=complex)
-        if not np.any(rhs):
-            return np.zeros_like(rhs)
-        x = self.lu.solve(rhs)
-        return self._refine(self.lu.solve, self._mat, rhs, x)
+        return self._solve(rhs, "N", self._diagonals)
 
     def solve_adjoint(self, rhs):
-        rhs = np.asarray(rhs, dtype=complex)
-        if not np.any(rhs):
-            return np.zeros_like(rhs)
-        solve = lambda b: self.lu.solve(b, trans="H")
-        x = solve(rhs)
-        return self._refine(solve, self._mat_h, rhs, x)
+        return self._solve(rhs, "C", self._diagonals_h)
 
 
 def _power_start(n):
     """Deterministic generic start vector for power iterations."""
     v = np.cos(0.7 * np.arange(n)) + 1.3 + 0.1j * np.sin(1.3 * np.arange(n) + 0.4)
-    return v / np.linalg.norm(v)
+    return v / _norm(v)
 
 
 def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, max_iter=5000):
@@ -252,12 +267,12 @@ def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, max_iter=5000):
     history = []
     for _ in range(max_iter):
         u = gram(v)
-        theta_new = float(np.real(np.vdot(v, u)))
-        nu = np.linalg.norm(u)
+        theta_new = float(np.add.reduce(v.real * u.real + v.imag * u.imag))
+        nu = _norm(u)
         history.append(theta_new)
         if nu == 0.0:
             return 0.0
-        resid = np.linalg.norm(u - theta_new * v)
+        resid = _norm(u - theta_new * v)
         if (
             abs(theta_new - theta) <= 0.25 * tol * abs(theta_new)
             and resid <= math.sqrt(tol) * abs(theta_new)

@@ -464,6 +464,13 @@ class PositivityReport:
             "compact_core_modeled": False,
         }
 
+    @property
+    def passed(self):
+        """The acceptance policy of the check and of its auto-calibration:
+        min-eig / lam >= -_RATIO_TOL."""
+        ratio = self.min_eig_ratio
+        return ratio is not None and ratio >= -_RATIO_TOL
+
 
 def default_positivity_grid(lam, n_points=1200, r0=0.25):
     """Grid sized for the positivity check at energy lam: the box grows a bit
@@ -474,7 +481,7 @@ def default_positivity_grid(lam, n_points=1200, r0=0.25):
     return RadialGrid(r0=r0, r_max=r_max, N=n_points)
 
 
-# auto-calibration accepts min-eig / lam >= -_RATIO_TOL
+# PositivityReport.passed accepts min-eig / lam >= -_RATIO_TOL
 _RATIO_TOL = 0.1
 # window eigenpairs with f_lam(E) below this floor do not contribute
 _WINDOW_FLOOR = 1e-3
@@ -517,10 +524,7 @@ def mourre_positivity_check(lam, s0, rho_model, grid, K_max, config=None,
         report = _positivity_pass(
             lam, delta, params, grid, spectrum, config, C, r_abs,
         )
-        if not auto_calibrate:
-            return report
-        ratio = report.min_eig_ratio
-        if ratio is not None and ratio >= -_RATIO_TOL:
+        if not auto_calibrate or report.passed:
             return report
         if C >= 10.0 * 2**8:
             return report

@@ -233,6 +233,27 @@ def test_mourre_check_reports_positivity(tmp_path):
     assert len(lines) == 18
 
 
+def test_mourre_check_verdict_is_the_calibration_policy(tmp_path,
+                                                       monkeypatch):
+    # --check accepts exactly the reports that auto-calibration accepts:
+    # min-eig / lam >= -mourre._RATIO_TOL, whatever that constant is.
+    from hyplab import mourre
+
+    ratio = {}
+
+    def fake_check(lam, *args, **kwargs):
+        return mourre.PositivityReport(
+            lam=lam, C=10.0, delta_lambda=1.0, min_eig_ratio=ratio["value"],
+            per_mode=[], deficits={}, contributing_modes=1)
+
+    monkeypatch.setattr(mourre, "mourre_positivity_check", fake_check)
+    monkeypatch.setattr(mourre, "_RATIO_TOL", 0.3)
+    cases = ((-0.3, 0), (-0.2, 0), (-0.31, 3), (None, 3))
+    for i, (value, rc) in enumerate(cases):
+        ratio["value"] = value
+        assert run(["mourre", "--out", str(tmp_path / str(i)), "--check"]) == rc
+
+
 def test_mourre_manifest_times_the_positivity_check(tmp_path):
     out = tmp_path / "mourre"
     rc = run(["mourre", "--out", str(out)])

@@ -158,6 +158,17 @@ def test_sweep_sup_over_modes():
     assert norm == res.mode_norms[(50.0, 1)]
 
 
+def test_refined_sweep_is_worker_count_invariant():
+    # At refine=2 the vectors pass 10^4 entries, where BLAS level-1 calls
+    # would run on threads of their own inside each pool worker.
+    cfg = SweepConfig(lambdas=(1e2, 10**2.5, 1e3, 10**3.5, 1e4), s=1.0)
+    serial = lambda_sweep(cfg, workers=1, refine=2.0)
+    pooled = lambda_sweep(cfg, workers=2, refine=2.0)
+    assert max(sweep_grid(l, refine=2.0).N for l in cfg.lambdas) > 10**4
+    assert pooled.N_of_lambda == serial.N_of_lambda
+    assert pooled.mode_norms == serial.mode_norms
+
+
 # ---------------------------------------------------------------------------
 # Scaling fits
 # ---------------------------------------------------------------------------

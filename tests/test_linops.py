@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hyplab.errors import ConfigError
+from hyplab.errors import ConfigError, NumericalFailure
 from hyplab.linops import (DiscreteOperator, RadialGrid, ShiftedSolver,
                            d2_operator, dirichlet_laplacian_eigenvalues,
                            discretize, hermitian_eig, outgoing_root,
@@ -160,6 +160,38 @@ def test_shifted_solve_residual_certificate():
     x = ShiftedSolver(op, z).solve(rhs)
     residual = op.matvec(x) - z * x - rhs
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_shifted_solve_adjoint_matches_dense():
+    # The outgoing closure makes op - z complex symmetric, not Hermitian, so
+    # the adjoint solve differs from the direct and the transposed one.
+    cfg = _circle_config()
+    g = RadialGrid(r0=0.25, r_max=30.0, N=300)
+    op = make_mode_operator(cfg, 1, g)
+    z = 4.0
+    mat = op.dense(shift=z)
+    assert np.max(np.abs(mat - mat.conj().T)) > 1.0
+    rng = np.random.default_rng(3)
+    rhs = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
+    solver = ShiftedSolver(op, z)
+    for x, ref in ((solver.solve(rhs), np.linalg.solve(mat, rhs)),
+                   (solver.solve_adjoint(rhs),
+                    np.linalg.solve(mat.conj().T, rhs))):
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_shifted_solver_singular_pivot_raises():
+    op = _diag_operator([1.0, 2.0, 3.0])
+    with pytest.raises(NumericalFailure):
+        ShiftedSolver(op, 2.0)
+
+
+def test_shifted_solver_rejects_bandwidth_two():
+    g = RadialGrid(r0=0.0, r_max=1.0, N=9)
+    op = DiscreteOperator(g, {**d2_operator(g).diagonals,
+                              2: np.ones(7), -2: np.ones(7)})
+    with pytest.raises(ConfigError):
+        ShiftedSolver(op, 1j)
 
 
 def _greens_solution(grid, z, rhs):
