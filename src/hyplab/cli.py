@@ -27,6 +27,7 @@ import scipy
 import hyplab
 from hyplab.errors import ConfigError, HyplabError
 from hyplab.model import build_spectrum
+from hyplab.pool import effective_workers
 
 _SCHEMA = 1
 
@@ -338,7 +339,10 @@ def _testbed_seed_report(args):
 
 
 def _run_testbed(ctx):
-    from hyplab.laplab import parallel_map
+    # Imported before parallel_map starts its pool, so that forked workers
+    # inherit the module instead of each importing it (and SciPy) anew.
+    import hyplab.abstract  # noqa: F401
+    from hyplab.pool import parallel_map
 
     cfg = ctx.config
     seeds = [ctx.seed + i for i in range(cfg["n_seeds"])]
@@ -514,8 +518,6 @@ def run(argv=None):
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
-    from hyplab.laplab import effective_workers
-
     ctx = RunContext(experiment, config, args.out,
                      effective_workers(args.workers), args.seed)
     try:

@@ -18,10 +18,10 @@ with chi_R(r) = chi(r/R) and xi_S(x) = xi(x/S).  The associated objects are
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from hyplab.errors import ConfigError, FlowExitsGrid, NumericalFailure
 from hyplab.linops import DiscreteOperator
@@ -134,6 +134,11 @@ def flow_integrate(field, t, r, start=None, rtol=1e-11, atol=1e-12):
     the other points go to the solver.  Leaving out components that carry no
     error can only raise its RMS error norm, so step control is not loosened.
     """
+    # scipy.integrate (with scipy.optimize and scipy.special) is imported
+    # here, not with the module, so that callers that never integrate a
+    # flow do not pay for loading it.
+    from scipy.integrate import solve_ivp
+
     r = np.asarray(r, dtype=float)
     if start is None:
         t_start, gamma, dgamma = 0.0, r.copy(), np.ones(r.size)
@@ -251,23 +256,23 @@ def theta_bump_prime(x):
     return raw / _theta_norm()
 
 
-_theta_norm_cache = []
-
-
+@functools.cache
 def _theta_norm():
-    if not _theta_norm_cache:
-        val, _ = quad(
-            lambda x: profile_eval("q", 2.0 * (x + 1.0))
-            * profile_eval("q", 2.0 * (1.0 - x)),
-            -1.0,
-            1.0,
-        )
-        _theta_norm_cache.append(val)
-    return _theta_norm_cache[0]
+    from scipy.integrate import quad
+
+    val, _ = quad(
+        lambda x: profile_eval("q", 2.0 * (x + 1.0))
+        * profile_eval("q", 2.0 * (1.0 - x)),
+        -1.0,
+        1.0,
+    )
+    return val
 
 
 def theta_schur_constant():
     """integral of |x theta'(x)| + |theta(x)|, the Schur bound scale for J."""
+    from scipy.integrate import quad
+
     val, _ = quad(lambda x: abs(x * theta_bump_prime(x)) + abs(theta_bump(x)),
                   -1.0, 1.0, limit=200)
     return val

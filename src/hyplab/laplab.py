@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -29,6 +27,8 @@ from hyplab.conjugate import ConjugateParams, a_k_eval
 from hyplab.errors import ConfigError, NumericalFailure
 from hyplab.linops import RadialGrid, ShiftedSolver, weighted_operator_norm
 from hyplab.model import ModelConfig, mode_operator_spec
+# effective_workers is re-exported for callers that import it from laplab.
+from hyplab.pool import effective_workers, parallel_map  # noqa: F401
 from hyplab.weights import (
     mode_weight_vector,
     polynomial_weight_vector,
@@ -152,22 +152,6 @@ def _mode_task(args):
     except NumericalFailure as exc:
         return (lam, k, None, {"error": str(exc)})
     return (lam, k, norm, diag)
-
-
-def effective_workers(workers):
-    """Worker count clamped to the CPUs this process may run on: processes
-    beyond the core count only oversubscribe the cores."""
-    return max(1, min(int(workers), len(os.sched_getaffinity(0))))
-
-
-def parallel_map(fn, tasks, workers):
-    """[fn(t) for t in tasks], over a process pool of effective_workers(workers)
-    processes; in this process when that count is 1."""
-    workers = effective_workers(workers)
-    if workers == 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=1))
 
 
 def lambda_sweep(config, workers=1, refine=1.0):
