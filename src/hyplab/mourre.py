@@ -264,41 +264,39 @@ def _hs_node_set(u_lo, u_hi, v_max, depth, gl_u=12, gl_v=6, n_u_base=16,
                  n_v_pan=8):
     """Scale-adapted quadrature nodes on the strip around supp f.
 
-    v runs over geometric bands v_max 2^{-j-1}..v_max 2^{-j} (both signs),
-    j = 0..depth-1; at each v node the u-integral is done on Gauss panels of
-    width ~2|v|, which resolves the resolvent's analyticity scale.  Returns a
-    list of (v, v_weight, u_nodes, u_weights) groups.
+    v runs over geometric bands v_max 2^{-j-1}..v_max 2^{-j}, j = 0..depth-1,
+    in the upper half-plane only: for a real f the lower half-plane mirrors
+    it (see _resolvent_quadrature).  At each v node the u-integral is done on
+    Gauss panels of width ~2v, which resolves the resolvent's analyticity
+    scale.  Returns a list of (v, v_weight, u_nodes, u_weights) groups.
     """
     width = u_hi - u_lo
     groups = []
     for j in range(depth):
         hi, lo = v_max * 0.5**j, v_max * 0.5 ** (j + 1)
         # the cutoff's v-derivative lives only in the outermost band
-        # (|v| > v_max/2); that band gets v-refinement and the full u base
+        # (v > v_max/2); that band gets v-refinement and the full u base
         v_edges = np.linspace(lo, hi, (n_v_pan if j == 0 else 1) + 1)
         v_nodes, v_w = _gauss_panels(v_edges, order=gl_v)
-        for sign in (1.0, -1.0):
-            for v_abs, wv in zip(v_nodes, v_w):
-                v = sign * v_abs
-                # panels must resolve both the resolvent scale |v| and the
-                # profile's high derivatives (uniform n_u_base floor)
-                n_pan = max(n_u_base, math.ceil(width / (2.0 * abs(v))))
-                u_edges = np.linspace(u_lo, u_hi, n_pan + 1)
-                u_nodes, u_w = _gauss_panels(u_edges, order=gl_u)
-                groups.append((v, wv, u_nodes, u_w))
+        for v, wv in zip(v_nodes, v_w):
+            # panels must resolve both the resolvent scale v and the
+            # profile's high derivatives (uniform n_u_base floor)
+            n_pan = max(n_u_base, math.ceil(width / (2.0 * v)))
+            u_edges = np.linspace(u_lo, u_hi, n_pan + 1)
+            u_nodes, u_w = _gauss_panels(u_edges, order=gl_u)
+            groups.append((v, wv, u_nodes, u_w))
     return groups
 
 
-_HS_CONST = 1.0 / (2.0 * math.pi)
-
-# nodes per chunk of a quadrature sum: the chunk's matrix of 1/(E - z) takes
-# 2 KiB per energy
-_HS_CHUNK = 128
+# nodes per chunk of a quadrature sum: the chunk's two real (node x energy)
+# arrays take 8 KiB per energy
+_HS_CHUNK = 512
 
 
 def _hs_nodes(f_derivs, groups, v_max):
     """Flattened quadrature nodes z = u + iv and coefficients
-    c = dbar F~(z) du dv of the node groups."""
+    c = dbar F~(z) du dv of the node groups, all with v > 0.  The mirrored
+    node conj z would carry exactly conj c (f real), so it is never built."""
     z = np.concatenate([u_nodes + 1j * v for v, _, u_nodes, _ in groups])
     c = np.concatenate([
         _dbar_values(f_derivs, u_nodes, v, v_max) * u_w * vw
@@ -308,18 +306,34 @@ def _hs_nodes(f_derivs, groups, v_max):
 
 
 def _resolvent_quadrature(z, c, E):
-    """Q(E) = (2 pi)^{-1} sum_z c_z / (E - z): the quadrature applied to the
-    scalar resolvent at the real energies E."""
-    acc = np.zeros(len(E), dtype=complex)
+    """Q(E) = pi^{-1} Re sum_{Im z > 0} c_z / (E - z): the quadrature applied
+    to the scalar resolvent at the real energies E.
+
+    For a real f, F~(conj z) = conj F~(z), so the node conj z carries the
+    coefficient conj c_z and the pair adds c_z/(E - z) + its conjugate,
+    2 Re(c_z/(E - z)): the full sum (2 pi)^{-1} sum_z over both half-planes
+    is pi^{-1} times the real part of the upper half's sum.
+    """
+    acc = np.zeros(len(E))
     for start in range(0, len(z), _HS_CHUNK):
-        chunk = slice(start, start + _HS_CHUNK)
-        acc += c[chunk] @ (1.0 / (E[None, :] - z[chunk, None]))
-    return _HS_CONST * acc
+        zc, cc = z[start:start + _HS_CHUNK], c[start:start + _HS_CHUNK]
+        # with z = u + iv and d = u - E:
+        # Re c/(E - z) = -(Re c d + Im c v) / (d^2 + v^2), in real arithmetic
+        d = np.subtract.outer(zc.real, E)
+        w = d * d
+        w += (zc.imag**2)[:, None]
+        np.reciprocal(w, out=w)
+        d *= w
+        acc -= cc.real @ d + (cc.imag * zc.imag) @ w
+    return acc / math.pi
 
 
 # (f_derivs, u_lo, u_hi, tol) -> (rung, z, c); the key holds the function
-# itself, so an entry can never be reached by another function
+# itself, so an entry can never be reached by another function.  Kept in
+# least-recently-used order: a hit moves its entry to the end, and the front
+# entry goes once there are more than _HS_CACHE_CAP.
 _HS_CACHE = {}
+_HS_CACHE_CAP = 32
 
 _HS_LADDER = [(4, 16), (5, 24), (5, 32), (5, 48), (5, 64), (5, 80), (5, 96),
               (6, 128), (6, 192), (7, 256), (7, 384), (8, 512)]
@@ -348,7 +362,8 @@ def _hs_rung(f_derivs, u_lo, u_hi, rung, tol):
     v_max = 0.25 * (u_hi - u_lo)
     groups = _hs_node_set(u_lo, u_hi, v_max, depth, n_u_base=base)
     z, c = _hs_nodes(f_derivs, groups, v_max)
-    keep = np.abs(c) / np.abs(z.imag) > tol * 1e-4 / len(z)
+    # the threshold counts the mirrored lower-half nodes too: 2 len(z) terms
+    keep = np.abs(c) / z.imag > tol * 1e-4 / (2 * len(z))
     return rung, z[keep], c[keep]
 
 
@@ -358,9 +373,10 @@ def hs_calculus(f_derivs, op, tol=1e-6, u_range=None):
     Parameters
     ----------
     f_derivs : callable
-        (E, j) -> j-th derivative of the target function, j <= 7; f smooth
-        and compactly supported.  It must be hashable: the certified nodes
-        are cached per function.
+        (E, j) -> j-th derivative of the target function, j <= 7; f real,
+        smooth and compactly supported (ConfigError if f is complex at the
+        spectrum).  It must be hashable: the certified nodes are cached per
+        function.
     op : DiscreteOperator or Hermitian ndarray
     u_range : (lo, hi)
         Interval containing supp f (taken from ``f_derivs.support`` if
@@ -368,9 +384,12 @@ def hs_calculus(f_derivs, op, tol=1e-6, u_range=None):
 
     The nodes are applied in the eigenbasis, where the resolvent is
     diagonal: (op - z)^{-1} = V (E - z)^{-1} V*, so the quadrature gives
-    V diag(Q(E)) V* with Q(E) = (2 pi)^{-1} sum_z c_z / (E - z).  For a
-    Hermitian operator max_i |Q(E_i) - f(E_i)| over the spectrum is exactly
-    the operator-norm error, and every result passes that check at tol.
+    V diag(Q(E)) V* with Q(E) = (2 pi)^{-1} sum_z c_z / (E - z).  The nodes
+    of the lower half-plane are the conjugates of the upper ones, with
+    conjugate coefficients, so only the upper half is built and Q(E) =
+    pi^{-1} Re sum_{Im z > 0} c_z / (E - z).  For a Hermitian operator
+    max_i |Q(E_i) - f(E_i)| over the spectrum is exactly the operator-norm
+    error, and every result passes that check at tol.
     The node ladder is climbed against the spectrum itself: from the cached
     rung of this function (or a rung guessed from its seventh derivative)
     up to the first rung that passes, which then becomes the cached one.
@@ -395,10 +414,12 @@ def hs_calculus(f_derivs, op, tol=1e-6, u_range=None):
     if not np.any(np.abs(f_derivs(np.linspace(u_lo, u_hi, 257), 0)) > 0.0):
         return np.zeros((n, n), dtype=complex)
 
+    f_vals = f_derivs(evals, 0)
+    if np.any(np.imag(f_vals)):
+        raise ConfigError("hs_calculus requires a real-valued f")
     key = (f_derivs, u_lo, u_hi, tol)
     entry = _HS_CACHE.get(key) or _hs_rung(
         f_derivs, u_lo, u_hi, _hs_start_rung(f_derivs, u_lo, u_hi), tol)
-    f_vals = f_derivs(evals, 0)
     while True:
         rung, z, c = entry
         q = _resolvent_quadrature(z, c, evals)
@@ -411,10 +432,11 @@ def hs_calculus(f_derivs, op, tol=1e-6, u_range=None):
                 f"{err:.3e} on its finest nodes (tolerance {tol:.1e})"
             )
         entry = _hs_rung(f_derivs, u_lo, u_hi, rung + 1, tol)
+    _HS_CACHE.pop(key, None)
     _HS_CACHE[key] = entry
-    if len(_HS_CACHE) > 32:
+    if len(_HS_CACHE) > _HS_CACHE_CAP:
         _HS_CACHE.pop(next(iter(_HS_CACHE)))
-    return (evecs * q) @ np.conj(evecs.T)
+    return ((evecs * q) @ np.conj(evecs.T)).astype(complex, copy=False)
 
 
 def spectral_calculus(f_derivs, op):

@@ -255,6 +255,11 @@ def symbol_weight(r, eta, s, sigma=0.0):
     return base**expo
 
 
+# samples per chunk of temperate_check: the profile evaluations' temporaries
+# scale with the chunk, not with the sample count
+_TEMPERATE_CHUNK = 8192
+
+
 def temperate_check(sample_count, C, M, seed=0, box=50.0):
     """Sample the temperate-weight inequality for w(r - log<eta>).
 
@@ -268,15 +273,19 @@ def temperate_check(sample_count, C, M, seed=0, box=50.0):
     if C <= 0 or M < 0:
         raise ConfigError("C must be positive and M nonnegative")
     rng = np.random.default_rng(seed)
-    r, r1, eta, eta1 = rng.uniform(-box, box, size=(4, sample_count))
-    lhs = profile_eval("w", r - 0.5 * np.log1p(eta**2))
-    rhs = C * profile_eval("w", r1 - 0.5 * np.log1p(eta1**2)) * (
-        1.0 + np.abs(r - r1) + np.abs(eta - eta1)
-    ) ** M
-    bad = lhs > rhs
-    return [
-        (r[i], r1[i], eta[i], eta1[i], lhs[i], rhs[i]) for i in np.nonzero(bad)[0]
-    ]
+    samples = rng.uniform(-box, box, size=(4, sample_count))
+    violations = []
+    for start in range(0, sample_count, _TEMPERATE_CHUNK):
+        r, r1, eta, eta1 = samples[:, start:start + _TEMPERATE_CHUNK]
+        lhs = profile_eval("w", r - 0.5 * np.log1p(eta**2))
+        rhs = C * profile_eval("w", r1 - 0.5 * np.log1p(eta1**2)) * (
+            1.0 + np.abs(r - r1) + np.abs(eta - eta1)
+        ) ** M
+        violations.extend(
+            (r[i], r1[i], eta[i], eta1[i], lhs[i], rhs[i])
+            for i in np.nonzero(lhs > rhs)[0]
+        )
+    return violations
 
 
 # ----------------------------------------------------------------------------

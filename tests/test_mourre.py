@@ -350,6 +350,69 @@ def test_hs_repeat_calls_reuse_one_cache_entry(monkeypatch):
     assert len(builds) == 1
 
 
+def test_hs_cache_keeps_the_recently_used_function(monkeypatch):
+    # With room for two entries, A, B, A again, then C: the hit on A makes B
+    # the least recently used, so C evicts B and A stays certified.
+    builds = []
+    build = mourre._hs_rung
+
+    def counted(*args):
+        builds.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(mourre, "_hs_rung", counted)
+    monkeypatch.setattr(mourre, "_HS_CACHE", {})
+    monkeypatch.setattr(mourre, "_HS_CACHE_CAP", 2)
+    H = np.diag([-2.0, -0.5, 0.0, 1.0, 2.5])
+    a, b, c = _PolyBump(1.0), _PolyBump(0.5), _PolyBump(0.25)
+    for f in (a, b, a, c):
+        hs_calculus(f, H, u_range=f.support)
+    assert builds == [a, b, c]
+    assert (b, -3.0, 3.0, 1e-6) not in mourre._HS_CACHE
+    out = hs_calculus(a, H, u_range=a.support)
+    assert builds == [a, b, c]
+    assert np.linalg.norm(out - spectral_calculus(a, H), 2) <= 1e-6
+
+
+def test_hs_refuses_a_complex_function():
+    class ComplexBump(WideBump):
+        def __call__(self, E, j=0):
+            return (1.0 + 0.5j) * super().__call__(E, j)
+
+    f = ComplexBump()
+    with pytest.raises(ConfigError):
+        hs_calculus(f, np.diag([-1.0, 0.0, 1.0]), u_range=f.support)
+
+
+def test_hs_half_plane_sum_matches_both_half_planes():
+    # The cached nodes are the upper half of the both-sign set kept by the
+    # threshold tol 1e-4 / (both-sign node count).  The lower half, built
+    # here from dbar F~ at -v, completes the sum (2 pi)^{-1} sum_z c/(E - z)
+    # over both half-planes, which must equal the half-plane Q(E).
+    f = WideBump()
+    tol = 1e-6
+    hs_calculus(f, np.diag([-2.0, 0.0, 2.0]), u_range=f.support)
+    rung, z, c = mourre._HS_CACHE[(f, -3.0, 3.0, tol)]
+    assert np.all(z.imag > 0.0)
+    depth, base = mourre._HS_LADDER[rung]
+    v_max = 1.5
+    upper = mourre._hs_node_set(-3.0, 3.0, v_max, depth, n_u_base=base)
+    lower = [(-v, wv, u, uw) for v, wv, u, uw in upper]
+    z_all, c_all = mourre._hs_nodes(f, upper + lower, v_max)
+    keep = np.abs(c_all) / np.abs(z_all.imag) > tol * 1e-4 / len(z_all)
+    z_all, c_all = z_all[keep], c_all[keep]
+    assert len(z_all) == 2 * len(z)
+    assert np.array_equal(z_all[:len(z)], z)
+    assert np.array_equal(c_all[:len(z)], c)
+    E = np.linspace(-3.5, 3.5, 201)
+    full = np.concatenate([
+        c_all @ (1.0 / (E[start:start + 10, None] - z_all)).T
+        for start in range(0, len(E), 10)
+    ]) / (2.0 * math.pi)
+    q = mourre._resolvent_quadrature(z, c, E)
+    assert np.max(np.abs(full - q)) <= 1e-13 * np.max(np.abs(q))
+
+
 # ----------------------------------------------------------------------------
 # Positivity check preconditions
 # ----------------------------------------------------------------------------

@@ -263,6 +263,23 @@ def test_temperate_negative_control():
     assert len(temperate_check(20000, 0.01, 0.0, seed=0)) > 0
 
 
+def test_temperate_chunks_match_one_pass():
+    # 20,000 samples: two whole chunks and a part; C = 1, M = 0 violates at
+    # about a third of them.  The list must be the one-pass list, in order.
+    n, C, M = 20000, 1.0, 0.0
+    assert n % weights._TEMPERATE_CHUNK != 0
+    rng = np.random.default_rng(5)
+    r, r1, eta, eta1 = rng.uniform(-50.0, 50.0, size=(4, n))
+    lhs = profile_eval("w", r - 0.5 * np.log1p(eta**2))
+    rhs = C * profile_eval("w", r1 - 0.5 * np.log1p(eta1**2)) * (
+        1.0 + np.abs(r - r1) + np.abs(eta - eta1)) ** M
+    expected = [(r[i], r1[i], eta[i], eta1[i], lhs[i], rhs[i])
+                for i in np.nonzero(lhs > rhs)[0]]
+    got = temperate_check(n, C, M, seed=5)
+    assert len(expected) > n // 4
+    assert got == expected
+
+
 # ----------------------------------------------------------------------------
 # Quantization factorization and unboundedness
 # ----------------------------------------------------------------------------
