@@ -120,11 +120,20 @@ def _fmt(value):
     return str(value)
 
 
+# Python and numpy floats, which _fmt writes as "%.17g"
+_FLOAT_TYPES = frozenset((float, np.float64))
+
+
 def write_csv(path, header, rows):
+    """Rows of floats only are written with one "%.17g,...,%.17g" format;
+    the others value by value with _fmt.  Both give the same text."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            if _FLOAT_TYPES.issuperset(map(type, row)):
+                fh.write(",".join(["%.17g"] * len(row)) % tuple(row) + "\n")
+            else:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _atomic_json(path, payload):

@@ -18,7 +18,6 @@ with chi_R(r) = chi(r/R) and xi_S(x) = xi(x/S).  The associated objects are
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -111,6 +110,158 @@ class FlowResult:
         return float(np.max(self.dgamma)) <= bound * (1.0 + 1e-10)
 
 
+# ----------------------------------------------------------------------------
+# Dormand-Prince 8(5,3) stepper (Hairer-Norsett-Wanner, Solving ODEs I,
+# II.10), as scipy.integrate.solve_ivp(method="DOP853") runs it
+# ----------------------------------------------------------------------------
+
+# The 12 stepping stages of the tableau, from SciPy's
+# scipy/integrate/_ivp/dop853_coefficients.py.  The field is autonomous, so
+# the stage times (the c column) are never needed; there is no dense output.
+_DOP_A = np.zeros((12, 12))
+_DOP_A[1, 0] = 5.26001519587677318785587544488e-2
+_DOP_A[2, :2] = (1.97250569845378994544595329183e-2,
+                 5.91751709536136983633785987549e-2)
+_DOP_A[3, [0, 2]] = (2.95875854768068491816892993775e-2,
+                     8.87627564304205475450678981324e-2)
+_DOP_A[4, [0, 2, 3]] = (2.41365134159266685502369798665e-1,
+                        -8.84549479328286085344864962717e-1,
+                        9.24834003261792003115737966543e-1)
+_DOP_A[5, [0, 3, 4]] = (3.7037037037037037037037037037e-2,
+                        1.70828608729473871279604482173e-1,
+                        1.25467687566822425016691814123e-1)
+_DOP_A[6, [0, 3, 4, 5]] = (3.7109375e-2, 1.70252211019544039314978060272e-1,
+                           6.02165389804559606850219397283e-2, -1.7578125e-2)
+_DOP_A[7, [0, 3, 4, 5, 6]] = (3.70920001185047927108779319836e-2,
+                              1.70383925712239993810214054705e-1,
+                              1.07262030446373284651809199168e-1,
+                              -1.53194377486244017527936158236e-2,
+                              8.27378916381402288758473766002e-3)
+_DOP_A[8, [0, 3, 4, 5, 6, 7]] = (6.24110958716075717114429577812e-1,
+                                 -3.36089262944694129406857109825,
+                                 -8.68219346841726006818189891453e-1,
+                                 2.75920996994467083049415600797e1,
+                                 2.01540675504778934086186788979e1,
+                                 -4.34898841810699588477366255144e1)
+_DOP_A[9, [0, 3, 4, 5, 6, 7, 8]] = (4.77662536438264365890433908527e-1,
+                                    -2.48811461997166764192642586468,
+                                    -5.90290826836842996371446475743e-1,
+                                    2.12300514481811942347288949897e1,
+                                    1.52792336328824235832596922938e1,
+                                    -3.32882109689848629194453265587e1,
+                                    -2.03312017085086261358222928593e-2)
+_DOP_A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = (-9.3714243008598732571704021658e-1,
+                                        5.18637242884406370830023853209,
+                                        1.09143734899672957818500254654,
+                                        -8.14978701074692612513997267357,
+                                        -1.85200656599969598641566180701e1,
+                                        2.27394870993505042818970056734e1,
+                                        2.49360555267965238987089396762,
+                                        -3.0467644718982195003823669022)
+_DOP_A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = (
+    2.27331014751653820792359768449, -1.05344954667372501984066689879e1,
+    -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+    2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+    -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+    6.43392746015763530355970484046e-1)
+# the 8th-order weights, and the 5th- and 3rd-order error estimators over
+# the 12 stages plus the derivative at the new point
+_DOP_B = np.zeros(12)
+_DOP_B[[0, 5, 6, 7, 8, 9, 10, 11]] = (
+    5.42937341165687622380535766363e-2, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2)
+_DOP_E3 = np.zeros(13)
+_DOP_E3[:-1] = _DOP_B
+_DOP_E3[0] -= 0.244094488188976377952755905512
+_DOP_E3[8] -= 0.733846688281611857341361741547
+_DOP_E3[11] -= 0.220588235294117647058823529412e-1
+_DOP_E5 = np.zeros(13)
+_DOP_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = (
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1)
+
+# step control: h_new = h * SAFETY * err^(-1/8), the factor kept in
+# [MIN_FACTOR, MAX_FACTOR], and no growth on the step after a rejection
+_DOP_SAFETY, _DOP_MIN_FACTOR, _DOP_MAX_FACTOR = 0.9, 0.2, 10
+_DOP_EXPONENT = -1 / 8
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _dop853(fun, t0, y0, t1, rtol, atol):
+    """(y(t1), accepted steps, evaluations of fun) for y' = fun(y), y(t0) =
+    y0, with SciPy's DOP853 initial step, error norm and step control, so
+    that the result matches solve_ivp(method="DOP853") bit for bit.
+
+    Raises NumericalFailure when the step falls below ten spacings of the
+    floating-point numbers at t, as solve_ivp fails.
+    """
+    direction = np.sign(t1 - t0)
+    y, f = y0, fun(y0)
+    # initial step (HNW II.4): the Euler step's scale and the change of f
+    # along it, at error order 8
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t1 - t0))
+    d2 = _rms((fun(y + h0 * direction * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h0, h1, abs(t1 - t0))
+
+    K = np.empty((13, y.size))
+    t, n_steps, n_evals = t0, 0, 2  # fun(y0) and the initial-step probe
+    while direction * (t - t1) < 0:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise NumericalFailure(
+                    f"flow integration failed: the step fell below the "
+                    f"minimum {min_step:.3g} at t = {t:.17g}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, 12):
+                K[s] = fun(y + np.dot(K[:s].T, _DOP_A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _DOP_B)
+            K[-1] = f_new = fun(y_new)
+            n_evals += 12
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.linalg.norm(np.dot(K.T, _DOP_E5) / scale) ** 2
+            err3 = np.linalg.norm(np.dot(K.T, _DOP_E3) / scale) ** 2
+            if err5 == 0 and err3 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * err5 / np.sqrt(
+                    (err5 + 0.01 * err3) * scale.size)
+            if error_norm < 1:
+                break
+            h_abs *= max(_DOP_MIN_FACTOR,
+                         _DOP_SAFETY * error_norm ** _DOP_EXPONENT)
+            rejected = True
+        if error_norm == 0:
+            factor = _DOP_MAX_FACTOR
+        else:
+            factor = min(_DOP_MAX_FACTOR,
+                         _DOP_SAFETY * error_norm ** _DOP_EXPONENT)
+        h_abs *= min(1, factor) if rejected else factor
+        t, y, f = t_new, y_new, f_new
+        n_steps += 1
+    return y, n_steps, n_evals
+
+
 def flow_integrate(field, t, r, start=None, rtol=1e-11, atol=1e-12):
     """Integrate the flow and its variational equation jointly.
 
@@ -131,14 +282,10 @@ def flow_integrate(field, t, r, start=None, rtol=1e-11, atol=1e-12):
 
     Points where a(gamma) = 0 exactly are fixed points of the flow: gamma
     stays put and dgamma grows by e^{a'(gamma) (t - s)} in closed form.  Only
-    the other points go to the solver.  Leaving out components that carry no
-    error can only raise its RMS error norm, so step control is not loosened.
+    the other points go to the solver, Dormand-Prince 8(5,3) at rtol and
+    atol (_dop853).  Leaving out components that carry no error can only
+    raise its RMS error norm, so step control is not loosened.
     """
-    # scipy.integrate (with scipy.optimize and scipy.special) is imported
-    # here, not with the module, so that callers that never integrate a
-    # flow do not pay for loading it.
-    from scipy.integrate import solve_ivp
-
     r = np.asarray(r, dtype=float)
     if start is None:
         t_start, gamma, dgamma = 0.0, r.copy(), np.ones(r.size)
@@ -153,18 +300,15 @@ def flow_integrate(field, t, r, start=None, rtol=1e-11, atol=1e-12):
     n = int(np.count_nonzero(moving))
     n_steps, n_evals = 0, 1
     if n:
-        def rhs(_, y):
+        def rhs(y):
             a, a_prime = field(y[:n])
             return np.concatenate([a, a_prime * y[n:]])
 
-        sol = solve_ivp(
-            rhs, (t_start, t), np.concatenate([gamma[moving], dgamma[moving]]),
-            method="DOP853", rtol=rtol, atol=atol, dense_output=False,
-        )
-        if not sol.success:
-            raise NumericalFailure(f"flow integration failed: {sol.message}")
-        gamma[moving], dgamma[moving] = sol.y[:n, -1], sol.y[n:, -1]
-        n_steps, n_evals = sol.t.size - 1, sol.nfev + 1
+        y, n_steps, n_solver_evals = _dop853(
+            rhs, float(t_start), np.concatenate([gamma[moving], dgamma[moving]]),
+            float(t), rtol, atol)
+        gamma[moving], dgamma[moving] = y[:n], y[n:]
+        n_evals += n_solver_evals
     if np.any(dgamma <= 0.0):
         raise NumericalFailure("flow lost positivity of d_r gamma")
     return FlowResult(t, gamma, dgamma, n_steps, n_evals)
@@ -239,11 +383,17 @@ def g_rs_eval(params, r, mu):
 # ----------------------------------------------------------------------------
 
 
+# integral of q(2(x+1)) q(2(1-x)) over [-1, 1]: the plateau [-1/2, 1/2]
+# gives 1 and the two ramps int_0^1 q / 2 each, where int_0^1 q = 1/2
+# because q(y) + q(1-y) = 1.
+_THETA_NORM = 1.5
+
+
 def theta_bump(x):
     """Fixed smooth even bump supported in [-1, 1] with unit integral."""
     x = np.asarray(x, dtype=float)
     raw = profile_eval("q", 2.0 * (x + 1.0)) * profile_eval("q", 2.0 * (1.0 - x))
-    return raw / _theta_norm()
+    return raw / _THETA_NORM
 
 
 def theta_bump_prime(x):
@@ -253,29 +403,16 @@ def theta_bump_prime(x):
     ) - 2.0 * profile_eval("q", 2.0 * (x + 1.0)) * profile_eval(
         "q", 2.0 * (1.0 - x), 1
     )
-    return raw / _theta_norm()
-
-
-@functools.cache
-def _theta_norm():
-    from scipy.integrate import quad
-
-    val, _ = quad(
-        lambda x: profile_eval("q", 2.0 * (x + 1.0))
-        * profile_eval("q", 2.0 * (1.0 - x)),
-        -1.0,
-        1.0,
-    )
-    return val
+    return raw / _THETA_NORM
 
 
 def theta_schur_constant():
-    """integral of |x theta'(x)| + |theta(x)|, the Schur bound scale for J."""
-    from scipy.integrate import quad
+    """integral of |x theta'(x)| + |theta(x)|, the Schur bound scale for J.
 
-    val, _ = quad(lambda x: abs(x * theta_bump_prime(x)) + abs(theta_bump(x)),
-                  -1.0, 1.0, limit=200)
-    return val
+    It is exactly 2: theta >= 0 and, q being nondecreasing, x theta'(x) <= 0,
+    so by parts int |x theta'| = -int x theta' = int theta = 1.
+    """
+    return 2.0
 
 
 def j_eps_matrix(field, eps, r, h):

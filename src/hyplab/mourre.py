@@ -231,8 +231,9 @@ def semiclassical_bound_check(lam, z, nu_list, grid, tau=None, params=None,
 _AA_ORDER = 6
 
 
-def _dbar_values(f_derivs, u, v, v_max):
-    """dbar of the almost-analytic extension at the tensor grid (u, v).
+def _dbar_values(derivs, v, v_max):
+    """dbar of the almost-analytic extension at the points u + iv, from
+    derivs = [f(u), f'(u), ..., f^{(7)}(u)].
 
     F~(u+iv) = cutoff(v) sum_{j<=6} f^{(j)}(u) (iv)^j / j!, with a smooth
     cutoff equal to 1 for |v| <= v_max/2 and 0 beyond v_max.  The telescoped
@@ -242,9 +243,9 @@ def _dbar_values(f_derivs, u, v, v_max):
     cut = profile_eval("q", 2.0 - 2.0 * av / v_max)
     cutp = -(2.0 / v_max) * profile_eval("q", 2.0 - 2.0 * av / v_max, 1) * np.sign(v)
     iv = 1j * v
-    res = cut * f_derivs(u, _AA_ORDER + 1) * iv**_AA_ORDER / math.factorial(_AA_ORDER)
+    res = cut * derivs[_AA_ORDER + 1] * iv**_AA_ORDER / math.factorial(_AA_ORDER)
     series = sum(
-        f_derivs(u, j) * iv**j / math.factorial(j) for j in range(_AA_ORDER + 1)
+        derivs[j] * iv**j / math.factorial(j) for j in range(_AA_ORDER + 1)
     )
     return res + 1j * cutp * series
 
@@ -296,13 +297,19 @@ _HS_CHUNK = 512
 def _hs_nodes(f_derivs, groups, v_max):
     """Flattened quadrature nodes z = u + iv and coefficients
     c = dbar F~(z) du dv of the node groups, all with v > 0.  The mirrored
-    node conj z would carry exactly conj c (f real), so it is never built."""
+    node conj z would carry exactly conj c (f real), so it is never built.
+
+    Groups share their u nodes (most use the base panels), so f^{(j)} is
+    evaluated once per distinct u set, keyed on its values."""
+    derivs = {}
+    c = []
+    for v, vw, u_nodes, u_w in groups:
+        key = u_nodes.tobytes()
+        if key not in derivs:
+            derivs[key] = [f_derivs(u_nodes, j) for j in range(_AA_ORDER + 2)]
+        c.append(_dbar_values(derivs[key], v, v_max) * u_w * vw)
     z = np.concatenate([u_nodes + 1j * v for v, _, u_nodes, _ in groups])
-    c = np.concatenate([
-        _dbar_values(f_derivs, u_nodes, v, v_max) * u_w * vw
-        for v, vw, u_nodes, u_w in groups
-    ])
-    return z, c
+    return z, np.concatenate(c)
 
 
 def _resolvent_quadrature(z, c, E):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from hyplab.cli import _fmt, config_hash, load_config, run
+from hyplab.cli import _fmt, config_hash, load_config, run, write_csv
 from hyplab.laplab import log_fit
 
 
@@ -32,6 +32,26 @@ def test_fmt_round_trips_floats_and_marks_booleans():
     assert float(_fmt(0.1)) == 0.1
     assert _fmt(0.1) == "%.17g" % 0.1
     assert float(_fmt(1.0 / 3.0)) == 1.0 / 3.0
+
+
+def test_write_csv_rows_match_the_per_value_format(tmp_path):
+    # all-float rows take the one-format path, the others go value by
+    # value; every row must read as _fmt writes it
+    rows = [
+        (0.25, np.float64(1.0 / 3.0), -2.5e-300, 1e17),
+        (np.float64("nan"), 0.1, math.inf, -0.0),
+        (True, np.int64(7), np.float64(0.1), 2.0, "x", math.nan),
+        (False, 3, np.float32(0.1), np.int32(-4)),
+        (True, 0.5),
+        (1.0, np.int64(2)),
+        ("label", 1.0),
+        (),
+    ]
+    path = tmp_path / "rows.csv"
+    write_csv(path, ["a", "b"], rows)
+    expected = "a,b\n" + "".join(",".join(_fmt(v) for v in row) + "\n"
+                                 for row in rows)
+    assert path.read_bytes() == expected.encode()
 
 
 # ---------------------------------------------------------------------------

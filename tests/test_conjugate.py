@@ -6,8 +6,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import quad_vec
+from scipy.integrate import quad, quad_vec, solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
+from hyplab import conjugate
 from hyplab.cli import load_config
 from hyplab.conjugate import (A_MAX_DERIVATIVE, ConjugateParams, a_k_derivs,
                               a_k_eval, a_k_field, flow_integrate, g_rs_eval,
@@ -15,7 +17,7 @@ from hyplab.conjugate import (A_MAX_DERIVATIVE, ConjugateParams, a_k_derivs,
                               theta_bump, theta_bump_prime,
                               theta_schur_constant,
                               transported_mollifier_matrix, unitary_apply)
-from hyplab.errors import ConfigError
+from hyplab.errors import ConfigError, NumericalFailure
 from hyplab.linops import RadialGrid, schur_bound
 from hyplab.model import build_spectrum
 
@@ -242,6 +244,81 @@ def test_flow_at_a_simple_zero_grows_like_exp_of_the_slope():
         np.sin(res.gamma[moved] - x0) / np.sin(r[moved] - x0), rel=1e-8)
 
 
+def test_dop853_tableau_is_scipys():
+    # the 12 stepping stages, the 8th-order weights and both error
+    # estimators, equal as doubles to SciPy's DOP853 coefficients
+    d = dop853_coefficients
+    n = d.N_STAGES
+    assert np.array_equal(conjugate._DOP_A, d.A[:n, :n])
+    assert np.array_equal(conjugate._DOP_B, d.B)
+    assert np.array_equal(conjugate._DOP_E3, d.E3)
+    assert np.array_equal(conjugate._DOP_E5, d.E5)
+
+
+def _solve_ivp_oracle(field, t, r):
+    """The points of r where a != 0, integrated by SciPy's DOP853 at
+    flow_integrate's tolerances: (moving mask, final state, solution)."""
+    moving = field(r)[0] != 0.0
+    n = int(np.count_nonzero(moving))
+
+    def rhs(_, y):
+        a, a_prime = field(y[:n])
+        return np.concatenate([a, a_prime * y[n:]])
+
+    sol = solve_ivp(rhs, (0.0, t), np.concatenate([r[moving], np.ones(n)]),
+                    method="DOP853", rtol=1e-11, atol=1e-12)
+    assert sol.success
+    return moving, sol.y[:, -1], sol
+
+
+def _sine_field(x):
+    return 0.7 * np.sin(x - 1.5), 0.7 * np.cos(x - 1.5)
+
+
+@pytest.mark.parametrize("case, t", [("default", 0.25), ("default", -0.25),
+                                     ("default", 1.0), ("default", -1.0),
+                                     ("sine", 0.8), ("sine", 3.0),
+                                     ("slow", 1.0), ("still", 1.0)])
+def test_flow_stepper_matches_solve_ivp_dop853(case, t):
+    # the same steps, the same evaluations (plus the one that finds the
+    # zeros of a) and the same values as solve_ivp(method="DOP853").  The
+    # sine flow settles onto its fixed points by t = 3, where the step grows
+    # by the largest factor.  Scaled below the tolerances ("slow", 1e-18)
+    # and below 1e-15 of them ("still", 1e-30) it takes the initial-step
+    # rule's two small-derivative branches.
+    if case == "default":
+        _, field, r = _default_flow_grid()
+    else:
+        scale = {"sine": 1.0, "slow": 1e-18, "still": 1e-30}[case]
+        field = lambda x: tuple(scale * v for v in _sine_field(x))
+        r = np.linspace(0.5, 2.5, 21)
+    res = flow_integrate(field, t, r)
+    moving, y, sol = _solve_ivp_oracle(field, t, r)
+    n = int(np.count_nonzero(moving))
+    assert res.n_steps == sol.t.size - 1
+    assert res.n_evals == sol.nfev + 1
+    assert np.array_equal(res.gamma[~moving], r[~moving])
+    assert res.gamma[moving] == pytest.approx(y[:n], rel=1e-13)
+    assert res.dgamma[moving] == pytest.approx(y[n:], rel=1e-13)
+
+
+def test_flow_that_blows_up_raises():
+    # a(x) = x^2 sends x to infinity at t = 1/x, inside (0, 1] for x >= 1:
+    # the step shrinks to the minimum, where solve_ivp also gives up.
+    r = np.linspace(1.0, 2.0, 5)
+    field = lambda x: (x * x, 2.0 * x)
+    n = r.size
+    sol = solve_ivp(
+        lambda _, y: np.concatenate([y[:n] ** 2, 2.0 * y[:n] * y[n:]]),
+        (0.0, 1.0), np.concatenate([r, np.ones(n)]), method="DOP853",
+        rtol=1e-11, atol=1e-12)
+    assert sol.status == -1
+    # it stops at the same time as solve_ivp, just short of t = 1/2
+    with pytest.raises(NumericalFailure,
+                       match="minimum .* at t = %.17g$" % sol.t[-1]):
+        flow_integrate(field, 1.0, r)
+
+
 # ----------------------------------------------------------------------------
 # Unitary group
 # ----------------------------------------------------------------------------
@@ -458,3 +535,16 @@ def test_j_eps_schur_bound():
         norm = np.linalg.norm(J, 2)
         assert norm <= ap_sup * theta_schur_constant() * (1.0 + 1e-6)
         assert schur_bound(J / g.h, np.full(r.size, g.h)) >= norm - 1e-9
+
+
+def test_mollifier_constants_match_quadrature():
+    # int theta_raw = 3/2 and int |x theta'| + |theta| = 2 in closed form
+    from hyplab.weights import profile_eval
+    raw, _ = quad(lambda x: profile_eval("q", 2.0 * (x + 1.0))
+                  * profile_eval("q", 2.0 * (1.0 - x)), -1.0, 1.0)
+    assert abs(raw - conjugate._THETA_NORM) <= 1e-14
+    schur, _ = quad(lambda x: abs(x * theta_bump_prime(x)) + abs(theta_bump(x)),
+                    -1.0, 1.0, limit=200)
+    assert abs(schur - theta_schur_constant()) <= 1e-14
+    unit, _ = quad(theta_bump, -1.0, 1.0)
+    assert abs(unit - 1.0) <= 1e-14

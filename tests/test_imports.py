@@ -1,11 +1,15 @@
 """Import hygiene: which SciPy subpackages the library and each subcommand
-load.  scipy.integrate (with scipy.optimize and scipy.special) is needed only
-to integrate a flow, and scipy.linalg only by the numerical modules.
+load.  No module of hyplab imports scipy.integrate (with it scipy.optimize and
+scipy.special): the flow has its own DOP853 stepper, and the tests alone use
+scipy.integrate, as an oracle.  scipy.linalg is loaded only by the numerical
+modules.
 
-Each case runs one fresh interpreter, because a module imported once stays in
-sys.modules for the rest of the test session.
+Each subcommand case runs one fresh interpreter, because a module imported
+once stays in sys.modules for the rest of the test session.
 """
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -52,9 +56,9 @@ def _fresh_interpreter(imports, argv=None):
 
 
 def test_library_imports_leave_scipy_integrate_unloaded():
-    out = _fresh_interpreter(["hyplab.cli", "hyplab.laplab", "hyplab.mourre",
-                              "hyplab.abstract", "hyplab.weights",
-                              "hyplab.model"])
+    out = _fresh_interpreter(["hyplab.cli", "hyplab.conjugate", "hyplab.laplab",
+                              "hyplab.mourre", "hyplab.abstract",
+                              "hyplab.weights", "hyplab.model"])
     assert "scipy.integrate" not in out["before"]
 
 
@@ -70,13 +74,48 @@ def test_light_subcommands_load_no_scipy_linalg(tmp_path, experiment):
     assert out["after"] == []
 
 
-def test_flow_loads_scipy_integrate_itself_and_matches_in_process(tmp_path):
+def test_flow_leaves_scipy_integrate_unloaded_and_matches_in_process(tmp_path):
     argv = ["flow", "--set", "n_points=200"]
     assert run(argv + ["--out", str(tmp_path / "here")]) == 0
-    out = _fresh_interpreter(["hyplab.conjugate"],
-                             argv + ["--out", str(tmp_path / "fresh")])
-    assert "scipy.integrate" not in out["before"]
+    out = _fresh_interpreter([], argv + ["--out", str(tmp_path / "fresh")])
     assert out["rc"] == 0
-    assert "scipy.integrate" in out["after"]
+    assert "scipy.integrate" not in out["after"]
     assert ((tmp_path / "fresh" / "flow.csv").read_bytes()
             == (tmp_path / "here" / "flow.csv").read_bytes())
+
+
+@pytest.mark.parametrize("argv", [["mourre"], ["sweep"],
+                                  ["testbed", "--workers", "2"]],
+                         ids=["mourre", "sweep", "testbed"])
+def test_numerical_subcommands_leave_scipy_integrate_unloaded(tmp_path, argv):
+    out = _fresh_interpreter([], argv + ["--out", str(tmp_path / "run")])
+    assert out["rc"] == 0
+    assert "scipy.integrate" not in out["after"]
+
+
+def _imports_scipy_integrate(node):
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module] + [f"{node.module}.{alias.name}"
+                                 for alias in node.names]
+    else:
+        return False
+    return any(name == "scipy.integrate" or name.startswith("scipy.integrate.")
+               for name in names)
+
+
+def test_no_module_imports_scipy_integrate():
+    # every import statement, at module level or inside a function, of every
+    # module of the package
+    paths = sorted(glob.glob(os.path.join(_SRC, "hyplab", "**", "*.py"),
+                             recursive=True))
+    assert len(paths) >= 10
+    offenders = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        offenders += [f"{os.path.relpath(path, _SRC)}:{node.lineno}"
+                      for node in ast.walk(tree)
+                      if _imports_scipy_integrate(node)]
+    assert offenders == []

@@ -17,7 +17,7 @@ from hyplab.mourre import (SpectralCutoff, commutator_matrix,
                            hs_calculus, mourre_positivity_check,
                            semiclassical_bound_check, semiclassical_gap,
                            spectral_calculus, xi_build, xi_profile_constant)
-from hyplab.weights import chi_sqrt_eval
+from hyplab.weights import chi_sqrt_eval, profile_eval
 
 from conftest import WIDE_BUMP, WideBump
 
@@ -411,6 +411,58 @@ def test_hs_half_plane_sum_matches_both_half_planes():
     ]) / (2.0 * math.pi)
     q = mourre._resolvent_quadrature(z, c, E)
     assert np.max(np.abs(full - q)) <= 1e-13 * np.max(np.abs(q))
+
+
+def _per_group_dbar(f, u, v, v_max):
+    """dbar F~ at u + iv with f^{(j)} evaluated afresh for the group, written
+    out as the quadrature built it before groups shared their u nodes."""
+    av = abs(v)
+    cut = profile_eval("q", 2.0 - 2.0 * av / v_max)
+    cutp = -(2.0 / v_max) * profile_eval("q", 2.0 - 2.0 * av / v_max, 1) \
+        * np.sign(v)
+    iv = 1j * v
+    res = cut * f(u, 7) * iv**6 / math.factorial(6)
+    series = sum(f(u, j) * iv**j / math.factorial(j) for j in range(7))
+    return res + 1j * cutp * series
+
+
+def test_hs_cached_nodes_match_per_group_evaluation():
+    # sharing f^{(j)} between the groups of one u set changes no bit of the
+    # cached (z, c)
+    f = WideBump()
+    tol = 1e-6
+    hs_calculus(f, np.diag([-2.0, -0.5, 0.0, 1.0, 2.5]), u_range=f.support)
+    rung, z, c = mourre._HS_CACHE[(f, -3.0, 3.0, tol)]
+    depth, base = mourre._HS_LADDER[rung]
+    v_max = 1.5
+    groups = mourre._hs_node_set(-3.0, 3.0, v_max, depth, n_u_base=base)
+    z_ref = np.concatenate([u + 1j * v for v, _, u, _ in groups])
+    c_ref = np.concatenate([_per_group_dbar(f, u, v, v_max) * uw * wv
+                            for v, wv, u, uw in groups])
+    keep = np.abs(c_ref) / z_ref.imag > tol * 1e-4 / (2 * len(z_ref))
+    assert np.array_equal(z, z_ref[keep])
+    assert np.array_equal(c, c_ref[keep])
+
+
+@pytest.mark.parametrize("depth, base", [(4, 16), (5, 80)])
+def test_hs_nodes_evaluate_each_order_once_per_u_set(depth, base):
+    # (5, 80) is WideBump's rung: all 72 groups share one 960-point u set;
+    # (4, 16) refines u below the outer band, so its groups use several
+    calls = []
+
+    class Counted(WideBump):
+        def __call__(self, E, j=0):
+            calls.append((j, np.asarray(E).tobytes()))
+            return super().__call__(E, j)
+
+    groups = mourre._hs_node_set(-3.0, 3.0, 1.5, depth, n_u_base=base)
+    u_sets = {u.tobytes() for _, _, u, _ in groups}
+    if base == 80:
+        assert len(groups) == 72 and len(u_sets) == 1
+    else:
+        assert len(u_sets) > 1
+    mourre._hs_nodes(Counted(), groups, 1.5)
+    assert sorted(calls) == sorted((j, u) for j in range(8) for u in u_sets)
 
 
 # ----------------------------------------------------------------------------
