@@ -6,8 +6,8 @@ The conjugate operator for mode k is built from the radial vector field
 
 with chi_R(r) = chi(r/R) and xi_S(x) = xi(x/S).  The associated objects are
 
-* the flow gamma_t solving d/dt gamma = a(gamma) together with its spatial
-  derivative (variational equation);
+* the flow gamma_t solving d/dt gamma = a(gamma), with its spatial
+  derivative d_r gamma_t(r) = a(gamma_t(r)) / a(r) in closed form;
 * the induced unitary group U_t phi = (d_r gamma_t)^{1/2} phi(gamma_t);
 * the Hermitian generator A_k = a_k D_r - i a_k'/2, discretized in the
   symmetric form (a D + D a)/2;
@@ -188,16 +188,19 @@ _DOP_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = (
 # [MIN_FACTOR, MAX_FACTOR], and no growth on the step after a rejection
 _DOP_SAFETY, _DOP_MIN_FACTOR, _DOP_MAX_FACTOR = 0.9, 0.2, 10
 _DOP_EXPONENT = -1 / 8
+# the flow's relative and absolute tolerances
+_DOP_RTOL, _DOP_ATOL = 1e-11, 1e-12
 
 
 def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _dop853(fun, t0, y0, t1, rtol, atol):
-    """(y(t1), accepted steps, evaluations of fun) for y' = fun(y), y(t0) =
-    y0, with SciPy's DOP853 initial step, error norm and step control, so
-    that the result matches solve_ivp(method="DOP853") bit for bit.
+def _dop853(fun, t0, y0, t1):
+    """(y(t1), fun(y(t1)), accepted steps, evaluations of fun) for y' =
+    fun(y), y(t0) = y0, at _DOP_RTOL and _DOP_ATOL, with SciPy's DOP853
+    initial step, error norm and step control, so that the result matches
+    solve_ivp(method="DOP853") bit for bit.
 
     Raises NumericalFailure when the step falls below ten spacings of the
     floating-point numbers at t, as solve_ivp fails.
@@ -206,7 +209,7 @@ def _dop853(fun, t0, y0, t1, rtol, atol):
     y, f = y0, fun(y0)
     # initial step (HNW II.4): the Euler step's scale and the change of f
     # along it, at error order 8
-    scale = atol + np.abs(y) * rtol
+    scale = _DOP_ATOL + np.abs(y) * _DOP_RTOL
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t1 - t0))
     d2 = _rms((fun(y + h0 * direction * f) - f) / scale) / h0
@@ -238,7 +241,8 @@ def _dop853(fun, t0, y0, t1, rtol, atol):
             y_new = y + h * np.dot(K[:-1].T, _DOP_B)
             K[-1] = f_new = fun(y_new)
             n_evals += 12
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            scale = _DOP_ATOL + np.maximum(np.abs(y),
+                                           np.abs(y_new)) * _DOP_RTOL
             err5 = np.linalg.norm(np.dot(K.T, _DOP_E5) / scale) ** 2
             err3 = np.linalg.norm(np.dot(K.T, _DOP_E3) / scale) ** 2
             if err5 == 0 and err3 == 0:
@@ -259,11 +263,11 @@ def _dop853(fun, t0, y0, t1, rtol, atol):
         h_abs *= min(1, factor) if rejected else factor
         t, y, f = t_new, y_new, f_new
         n_steps += 1
-    return y, n_steps, n_evals
+    return y, f, n_steps, n_evals
 
 
-def flow_integrate(field, t, r, start=None, rtol=1e-11, atol=1e-12):
-    """Integrate the flow and its variational equation jointly.
+def flow_integrate(field, t, r, start=None):
+    """Integrate the flow gamma_t of the field a from the points r.
 
     Parameters
     ----------
@@ -276,45 +280,37 @@ def flow_integrate(field, t, r, start=None, rtol=1e-11, atol=1e-12):
         Starting points (typically the radial grid).
     start : FlowResult, optional
         An earlier result on the same r.  The solve then runs from
-        (start.t, start.gamma, start.dgamma) to t: by the group law
-        gamma_t = gamma_{t - s} o gamma_s, and the variational equation is
-        linear, so dgamma continues multiplicatively.
+        (start.t, start.gamma) to t, by the group law
+        gamma_t = gamma_{t - s} o gamma_s.
 
-    Points where a(gamma) = 0 exactly are fixed points of the flow: gamma
-    stays put and dgamma grows by e^{a'(gamma) (t - s)} in closed form.  Only
-    the other points go to the solver, Dormand-Prince 8(5,3) at rtol and
-    atol (_dop853).  Leaving out components that carry no error can only
-    raise its RMS error norm, so step control is not loosened.
+    Only the positions are integrated.  The flow is one-dimensional and
+    autonomous, so differentiating int_r^{gamma_t(r)} dx / a = t in r gives
+    d_r gamma_t(r) = a(gamma_t(r)) / a(r).  Points where a(r) = 0 are fixed
+    points: gamma stays put and d_r gamma_t = e^{a'(r) t}.  The other points
+    go to Dormand-Prince 8(5,3) (_dop853), whose last stage supplies
+    a(gamma_t).
     """
     r = np.asarray(r, dtype=float)
     if start is None:
-        t_start, gamma, dgamma = 0.0, r.copy(), np.ones(r.size)
-    else:
-        t_start = start.t
-        gamma, dgamma = start.gamma.copy(), start.dgamma.copy()
-    if t == t_start:
-        return FlowResult(t, gamma, dgamma, 0, 0)
-    a, a_prime = field(gamma)
+        start = FlowResult(0.0, r, np.ones(r.size), 0, 0)
+    gamma = start.gamma.copy()
+    if t == start.t:
+        return FlowResult(t, gamma, start.dgamma.copy(), 0, 0)
+    a, a_prime = field(r)
     moving = a != 0.0
-    dgamma[~moving] *= np.exp(a_prime[~moving] * (t - t_start))
-    n = int(np.count_nonzero(moving))
+    dgamma = np.exp(a_prime * t)
     n_steps, n_evals = 0, 1
-    if n:
-        def rhs(y):
-            a, a_prime = field(y[:n])
-            return np.concatenate([a, a_prime * y[n:]])
-
-        y, n_steps, n_solver_evals = _dop853(
-            rhs, float(t_start), np.concatenate([gamma[moving], dgamma[moving]]),
-            float(t), rtol, atol)
-        gamma[moving], dgamma[moving] = y[:n], y[n:]
+    if np.any(moving):
+        gamma[moving], a_t, n_steps, n_solver_evals = _dop853(
+            lambda y: field(y)[0], float(start.t), gamma[moving], float(t))
+        dgamma[moving] = a_t / a[moving]
         n_evals += n_solver_evals
     if np.any(dgamma <= 0.0):
         raise NumericalFailure("flow lost positivity of d_r gamma")
     return FlowResult(t, gamma, dgamma, n_steps, n_evals)
 
 
-def unitary_apply(field, t, phi, r, flow=None):
+def unitary_apply(field, t, phi, r):
     """Transported function U_t phi = (d_r gamma_t)^{1/2} phi(gamma_t).
 
     phi is sampled at the points r; values of phi at gamma_t(r) are obtained
@@ -324,8 +320,7 @@ def unitary_apply(field, t, phi, r, flow=None):
     """
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi)
-    if flow is None:
-        flow = flow_integrate(field, t, r)
+    flow = flow_integrate(field, t, r)
     gamma = flow.gamma
     out_of_range = (gamma < r[0]) | (gamma > r[-1])
     if np.any(out_of_range):

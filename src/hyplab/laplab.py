@@ -27,8 +27,7 @@ from hyplab.conjugate import ConjugateParams, a_k_eval
 from hyplab.errors import ConfigError, NumericalFailure
 from hyplab.linops import RadialGrid, ShiftedSolver, weighted_operator_norm
 from hyplab.model import ModelConfig, mode_operator_spec
-# effective_workers is re-exported for callers that import it from laplab.
-from hyplab.pool import effective_workers, parallel_map  # noqa: F401
+from hyplab.pool import parallel_map
 from hyplab.weights import (
     mode_weight_vector,
     polynomial_weight_vector,

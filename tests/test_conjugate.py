@@ -165,12 +165,13 @@ def test_flow_identity_where_field_vanishes():
 
 
 def test_flow_matches_quadrature_oracle_on_default_grid():
-    # gamma_t(r) solves int_r^{gamma_t(r)} dx / a_k(x) = t, and the
-    # variational equation gives d_r gamma_t(r) = a_k(gamma_t(r)) / a_k(r).
-    # On the chi transition (R, 2R), where a_k is not linear, both are
-    # checked against scipy's adaptive quadrature on the default
-    # `hyplab flow` grid, all starting points at once through the
-    # substitution x = r + u (gamma_t(r) - r), u in [0, 1].
+    # gamma_t(r) solves int_r^{gamma_t(r)} dx / a_k(x) = t.  On the chi
+    # transition (R, 2R), where a_k is not linear, it is checked against
+    # scipy's adaptive quadrature on the default `hyplab flow` grid, all
+    # starting points at once through the substitution
+    # x = r + u (gamma_t(r) - r), u in [0, 1].  d_r gamma_t = a_k(gamma_t)
+    # / a_k(r) holds by construction, so it is checked against the
+    # variational equation integrated jointly with the flow by SciPy.
     cfg = load_config("flow", None, [])
     params = ConjugateParams.from_lambda(cfg["lambda"])
     nu = build_spectrum(cfg["cross_section"], cfg["k"]).nu(cfg["k"])
@@ -187,9 +188,9 @@ def test_flow_matches_quadrature_oracle_on_default_grid():
             epsabs=1e-13, epsrel=1e-13, norm="max", limit=2000)
         # measured: at most 2.3e-12
         assert np.max(np.abs(elapsed - t)) <= 1e-9
-        expected = a_k_eval(params, nu, res.gamma[sel]) / a_r[sel]
+        _, joint = _joint_solve_ivp_oracle(field, float(t), r)
         # measured: at most 2.5e-10
-        assert res.dgamma[sel] == pytest.approx(expected, rel=1e-8)
+        assert res.dgamma[sel] == pytest.approx(joint[sel], rel=1e-8)
 
 
 def _default_flow_grid():
@@ -198,6 +199,23 @@ def _default_flow_grid():
     nu = build_spectrum(cfg["cross_section"], cfg["k"]).nu(cfg["k"])
     r = np.linspace(cfg["r0"], cfg["r_max"], cfg["n_points"])
     return params, a_k_field(params, nu), r
+
+
+def test_flow_is_as_accurate_as_the_joint_solve():
+    # Integrating the positions alone, with d_r gamma in closed form, must
+    # not cost accuracy: against the joint system at rtol 1e-13, atol 1e-15
+    # the worst relative error over gamma and d_r gamma stays below the
+    # 2.25e-10 that the joint solve at the flow's own tolerances reaches
+    # (in d_r gamma at t = 1).  Measured: 1.45e-10 (gamma at t = 1).
+    _, field, r = _default_flow_grid()
+    worst = 0.0
+    for t in (0.25, 0.5, 1.0, -0.25, -1.0):
+        res = flow_integrate(field, t, r)
+        gamma, dgamma = _joint_solve_ivp_oracle(field, t, r, rtol=1e-13,
+                                                atol=1e-15)
+        worst = max(worst, np.max(np.abs(res.gamma / gamma - 1.0)),
+                    np.max(np.abs(res.dgamma / dgamma - 1.0)))
+    assert worst <= 2e-10
 
 
 @pytest.mark.parametrize("t1, t2", [(0.25, 1.0), (-0.25, -1.0)])
@@ -257,8 +275,22 @@ def test_dop853_tableau_is_scipys():
 
 def _solve_ivp_oracle(field, t, r):
     """The points of r where a != 0, integrated by SciPy's DOP853 at
-    flow_integrate's tolerances: (moving mask, final state, solution)."""
+    flow_integrate's tolerances: (moving mask, solution)."""
     moving = field(r)[0] != 0.0
+    sol = solve_ivp(lambda _, y: field(y)[0], (0.0, t), r[moving],
+                    method="DOP853", rtol=conjugate._DOP_RTOL,
+                    atol=conjugate._DOP_ATOL)
+    assert sol.success
+    return moving, sol
+
+
+def _joint_solve_ivp_oracle(field, t, r, rtol=conjugate._DOP_RTOL,
+                            atol=conjugate._DOP_ATOL):
+    """gamma_t and d_r gamma_t on r from SciPy's DOP853 on the joint system
+    of the flow and its variational equation d/dt dgamma = a'(gamma) dgamma;
+    the points where a = 0 are held at r with dgamma = e^{a' t}."""
+    a, a_prime = field(r)
+    moving = a != 0.0
     n = int(np.count_nonzero(moving))
 
     def rhs(_, y):
@@ -266,9 +298,11 @@ def _solve_ivp_oracle(field, t, r):
         return np.concatenate([a, a_prime * y[n:]])
 
     sol = solve_ivp(rhs, (0.0, t), np.concatenate([r[moving], np.ones(n)]),
-                    method="DOP853", rtol=1e-11, atol=1e-12)
+                    method="DOP853", rtol=rtol, atol=atol)
     assert sol.success
-    return moving, sol.y[:, -1], sol
+    gamma, dgamma = r.copy(), np.exp(a_prime * t)
+    gamma[moving], dgamma[moving] = sol.y[:n, -1], sol.y[n:, -1]
+    return gamma, dgamma
 
 
 def _sine_field(x):
@@ -281,11 +315,11 @@ def _sine_field(x):
                                      ("slow", 1.0), ("still", 1.0)])
 def test_flow_stepper_matches_solve_ivp_dop853(case, t):
     # the same steps, the same evaluations (plus the one that finds the
-    # zeros of a) and the same values as solve_ivp(method="DOP853").  The
-    # sine flow settles onto its fixed points by t = 3, where the step grows
-    # by the largest factor.  Scaled below the tolerances ("slow", 1e-18)
-    # and below 1e-15 of them ("still", 1e-30) it takes the initial-step
-    # rule's two small-derivative branches.
+    # zeros of a) and the same positions as solve_ivp(method="DOP853") on
+    # the positions alone.  The sine flow settles onto its fixed points by
+    # t = 3, where the step grows by the largest factor.  Scaled below the
+    # tolerances ("slow", 1e-18) and below 1e-15 of them ("still", 1e-30)
+    # it takes the initial-step rule's two small-derivative branches.
     if case == "default":
         _, field, r = _default_flow_grid()
     else:
@@ -293,13 +327,15 @@ def test_flow_stepper_matches_solve_ivp_dop853(case, t):
         field = lambda x: tuple(scale * v for v in _sine_field(x))
         r = np.linspace(0.5, 2.5, 21)
     res = flow_integrate(field, t, r)
-    moving, y, sol = _solve_ivp_oracle(field, t, r)
-    n = int(np.count_nonzero(moving))
+    moving, sol = _solve_ivp_oracle(field, t, r)
     assert res.n_steps == sol.t.size - 1
     assert res.n_evals == sol.nfev + 1
     assert np.array_equal(res.gamma[~moving], r[~moving])
-    assert res.gamma[moving] == pytest.approx(y[:n], rel=1e-13)
-    assert res.dgamma[moving] == pytest.approx(y[n:], rel=1e-13)
+    assert res.gamma[moving] == pytest.approx(sol.y[:, -1], rel=1e-13)
+    # the closed form d_r gamma = a(gamma_t) / a(r) against the variational
+    # equation; measured: at most 2.5e-10 (default grid, t = 1)
+    _, joint = _joint_solve_ivp_oracle(field, t, r)
+    assert res.dgamma == pytest.approx(joint, rel=1e-9)
 
 
 def test_flow_that_blows_up_raises():
@@ -307,11 +343,8 @@ def test_flow_that_blows_up_raises():
     # the step shrinks to the minimum, where solve_ivp also gives up.
     r = np.linspace(1.0, 2.0, 5)
     field = lambda x: (x * x, 2.0 * x)
-    n = r.size
-    sol = solve_ivp(
-        lambda _, y: np.concatenate([y[:n] ** 2, 2.0 * y[:n] * y[n:]]),
-        (0.0, 1.0), np.concatenate([r, np.ones(n)]), method="DOP853",
-        rtol=1e-11, atol=1e-12)
+    sol = solve_ivp(lambda _, y: y ** 2, (0.0, 1.0), r, method="DOP853",
+                    rtol=conjugate._DOP_RTOL, atol=conjugate._DOP_ATOL)
     assert sol.status == -1
     # it stops at the same time as solve_ivp, just short of t = 1/2
     with pytest.raises(NumericalFailure,

@@ -11,7 +11,6 @@ from hyplab.laplab import (
     SweepConfig,
     SweepResult,
     conjugate_weight_sup,
-    effective_workers,
     fit_scaling,
     lambda_sweep,
     limiting_absorption,
@@ -22,6 +21,7 @@ from hyplab.laplab import (
 )
 from hyplab.linops import RadialGrid, ShiftedSolver, discretize
 from hyplab.model import ModelConfig, mode_operator_spec
+from hyplab.pool import effective_workers
 from hyplab.weights import polynomial_weight_vector
 
 

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import zgttrs
 
+from hyplab import linops
 from hyplab.errors import ConfigError, NumericalFailure
 from hyplab.linops import (DiscreteOperator, RadialGrid, ShiftedSolver,
                            d2_operator, dirichlet_laplacian_eigenvalues,
@@ -160,6 +162,55 @@ def test_shifted_solve_residual_certificate():
     x = ShiftedSolver(op, z).solve(rhs)
     residual = op.matvec(x) - z * x - rhs
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def _counting_zgttrs(monkeypatch):
+    """Route linops' zgttrs through a call log; returns the logged trans."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("trans", "N"))
+        return zgttrs(*args, **kwargs)
+
+    monkeypatch.setattr(linops, "zgttrs", counted)
+    return calls
+
+
+def _sweep_like_solver(N=500):
+    cfg = _circle_config()
+    g = RadialGrid(r0=0.25, r_max=30.0, N=N)
+    rng = np.random.default_rng(11)
+    rhs = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    op = make_mode_operator(cfg, 1, g)
+    return op, ShiftedSolver(op, 4.0), rhs
+
+
+def test_shifted_solve_skips_refinement_within_the_certificate(monkeypatch):
+    # LU with partial pivoting already meets the residual certificate, so
+    # each solve takes one zgttrs and no refinement step.
+    op, solver, rhs = _sweep_like_solver()
+    calls = _counting_zgttrs(monkeypatch)
+    x = solver.solve(rhs)
+    y = solver.solve_adjoint(rhs)
+    assert calls == ["N", "C"]
+    mat = op.dense(shift=4.0)
+    for sol, m in ((x, mat), (y, mat.conj().T)):
+        assert np.linalg.norm(m @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_shifted_solve_refines_when_the_first_solve_misses(monkeypatch):
+    # Perturbed multipliers (an inexact factorization) leave the first
+    # residual near 1e-8 of the right-hand side; one refinement step with
+    # the same factors brings it under the certificate.
+    op, solver, rhs = _sweep_like_solver()
+    solver._lu[0] *= 1.0 + 1e-8
+    mat = op.dense(shift=4.0)
+    unrefined = zgttrs(*solver._lu, rhs)[0]
+    assert np.linalg.norm(mat @ unrefined - rhs) > 1e-10 * np.linalg.norm(rhs)
+    calls = _counting_zgttrs(monkeypatch)
+    x = solver.solve(rhs)
+    assert calls == ["N", "N"]
+    assert np.linalg.norm(mat @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 def test_shifted_solve_adjoint_matches_dense():
