@@ -297,8 +297,10 @@ def _run_sweep(ctx):
     )
     with ctx.stage("lambda_sweep"):
         result = lambda_sweep(sweep_cfg, workers=ctx.workers)
-    rows = [(r["lambda"], r["k"], r["mu"], r["norm"]) for r in result.rows]
-    write_csv(ctx.path("sweep.csv"), ["lambda", "k", "mu", "norm"], rows)
+    rows = [(r["lambda"], r["k"], r["mu"], r["norm"], r["iterations"])
+            for r in result.rows]
+    write_csv(ctx.path("sweep.csv"),
+              ["lambda", "k", "mu", "norm", "iterations"], rows)
     write_csv(ctx.path("N_of_lambda.csv"), ["lambda", "N"],
               sorted(result.N_of_lambda.items()))
     diag = result.diagnostics

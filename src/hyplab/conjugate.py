@@ -89,9 +89,24 @@ def a_k_eval(params, nu_k, r, j=0):
     return a_k_derivs(params, nu_k, r, j)[j]
 
 
+@dataclasses.dataclass(frozen=True)
+class AkField:
+    """The field that drives the flow: x -> (a_k(x), a_k'(x)), and a_k(x)
+    alone through ``value``, for the stepper, which needs no a_k'."""
+
+    params: ConjugateParams
+    nu_k: float
+
+    def __call__(self, x):
+        return tuple(a_k_derivs(self.params, self.nu_k, x, 1))
+
+    def value(self, x):
+        return a_k_derivs(self.params, self.nu_k, x, 0)[0]
+
+
 def a_k_field(params, nu_k):
     """The field pair x -> (a_k(x), a_k'(x)) that drives the flow."""
-    return lambda x: tuple(a_k_derivs(params, nu_k, x, 1))
+    return AkField(params, nu_k)
 
 
 @dataclasses.dataclass
@@ -272,8 +287,10 @@ def flow_integrate(field, t, r, start=None):
     Parameters
     ----------
     field : callable
-        The vector field and its derivative, x -> (a(x), a'(x)), vectorized;
-        one call per right-hand-side evaluation.
+        The vector field and its derivative, x -> (a(x), a'(x)), vectorized.
+        It is called once at r; the stepper evaluates a alone, through
+        ``field.value`` where the field has one (a_k_field), else as
+        field(y)[0].
     t : float
         Flow time (either sign).
     r : array_like
@@ -301,8 +318,9 @@ def flow_integrate(field, t, r, start=None):
     dgamma = np.exp(a_prime * t)
     n_steps, n_evals = 0, 1
     if np.any(moving):
+        value = getattr(field, "value", lambda y: field(y)[0])
         gamma[moving], a_t, n_steps, n_solver_evals = _dop853(
-            lambda y: field(y)[0], float(start.t), gamma[moving], float(t))
+            value, float(start.t), gamma[moving], float(t))
         dgamma[moving] = a_t / a[moving]
         n_evals += n_solver_evals
     if np.any(dgamma <= 0.0):

@@ -40,20 +40,23 @@ from hyplab.weights import (
 # ----------------------------------------------------------------------------
 
 
-def limiting_absorption(op, lam, w_left, w_right, norm_tol=1e-6):
+def limiting_absorption(op, lam, w_left, w_right, norm_tol=1e-6, start=None):
     """Weighted norm ||W_l (op - lam - i0)^{-1} W_r|| from one factorization.
 
     ``op`` must carry the outgoing closure at lam (linops.discretize with
     outgoing=lam); the boundary value R(lam + i0) is then the inverse of
-    op - lam itself.  Returns (norm, diagnostics); diagnostics["eps"] lists
-    the imaginary offsets used, which is none.
+    op - lam itself.  ``start`` is passed to weighted_operator_norm.
+    Returns (norm, diagnostics); diagnostics["eps"] lists the imaginary
+    offsets used, which is none, "iterations" the Gram steps of the power
+    iteration and "vector" its last unit vector (None for a zero map).
     """
     if op.outgoing_energy != lam:
         raise ConfigError(
             "limiting absorption needs the outgoing closure at the energy"
         )
-    norm = weighted_operator_norm(op, lam, w_left, w_right, tol=norm_tol)
-    return norm, {"eps": []}
+    norm, vector, steps = weighted_operator_norm(op, lam, w_left, w_right,
+                                                 tol=norm_tol, start=start)
+    return norm, {"eps": [], "iterations": steps, "vector": vector}
 
 
 # ----------------------------------------------------------------------------
@@ -126,31 +129,53 @@ def _weight_vector(kind, r, nu_k, s):
     return polynomial_weight_vector(r, s)
 
 
-def mode_norm(cfg, lam, k, grid):
-    """||W (H_k - lam - i0)^{-1} W|| for mode k of the sweep config on the
-    given grid; returns (norm, diagnostics)."""
+def _cell(cfg, model, spectrum, lam, k, grid, r, start):
+    """limiting_absorption for mode k at lam on the grid with points r."""
     from hyplab.linops import discretize
 
-    model = cfg.model()
-    spectrum = model.spectrum(cfg.K_max)
     spec_k = mode_operator_spec(model, k, spectrum=spectrum)
     op = discretize(spec_k, grid, outgoing=lam)
-    w = _weight_vector(cfg.weight_kind, grid.points(), spectrum.nu(k), cfg.s)
-    return limiting_absorption(op, lam, w, w, norm_tol=cfg.norm_tol)
+    w = _weight_vector(cfg.weight_kind, r, spectrum.nu(k), cfg.s)
+    return limiting_absorption(op, lam, w, w, norm_tol=cfg.norm_tol,
+                               start=start)
 
 
-def _mode_task(args):
-    """Norm of one (lambda, k) cell; top-level for pickling.
+def mode_norm(cfg, lam, k, grid, start=None):
+    """||W (H_k - lam - i0)^{-1} W|| for mode k of the sweep config on the
+    given grid, its power iteration started from ``start`` (see
+    weighted_operator_norm); returns (norm, diagnostics)."""
+    model = cfg.model()
+    spectrum = model.spectrum(cfg.K_max)
+    return _cell(cfg, model, spectrum, lam, k, grid, grid.points(), start)
 
-    Returns (lam, k, norm_or_None, diagnostics).
+
+def _energy_task(args):
+    """Norms of every mode at one energy, as one chain; top-level for
+    pickling.
+
+    Model, spectrum and grid are built once.  Mode k's power iteration
+    starts from mode k-1's vector: the top singular vectors of neighbouring
+    modes differ little.  Mode 0, and a mode after a NumericalFailure,
+    start cold.  Returns [(lam, k, norm, Gram steps)], with (lam, k, None,
+    message) for a failed cell.
     """
-    (cfg, lam, k, refine) = args
+    (cfg, lam, refine) = args
+    model = cfg.model()
+    spectrum = model.spectrum(cfg.K_max)
     grid = sweep_grid(lam, r0=cfg.r0, n_points=cfg.n_points, refine=refine)
-    try:
-        norm, diag = mode_norm(cfg, lam, k, grid)
-    except NumericalFailure as exc:
-        return (lam, k, None, {"error": str(exc)})
-    return (lam, k, norm, diag)
+    r = grid.points()
+    cells = []
+    start = None
+    for k in range(len(spectrum)):
+        try:
+            norm, diag = _cell(cfg, model, spectrum, lam, k, grid, r, start)
+        except NumericalFailure as exc:
+            cells.append((lam, k, None, str(exc)))
+            start = None
+            continue
+        cells.append((lam, k, norm, diag["iterations"]))
+        start = diag["vector"]
+    return cells
 
 
 def lambda_sweep(config, workers=1, refine=1.0):
@@ -158,26 +183,31 @@ def lambda_sweep(config, workers=1, refine=1.0):
     The sup runs over distinct mode eigenvalues; multiplicity is metadata
     (block-diagonal norms do not see it).
 
-    The sweep is a deterministic map over sorted (lambda, k) tasks followed
-    by pure reductions, so any worker count yields identical results.  The
-    tasks run through parallel_map.
+    Each energy is one task (_energy_task): its modes run in order, each
+    power iteration started from the previous mode's vector.  The tasks go
+    through parallel_map largest grid, i.e. highest energy, first, and their
+    cells are sorted back to (lambda, k) order.  A chain depends on the
+    config alone, and the reductions are pure, so any worker count yields
+    identical results.  Each row carries the cell's Gram steps as
+    "iterations".
     """
     model = config.model()
     spectrum = model.spectrum(config.K_max)
-    tasks = [(config, float(lam), k, refine)
-             for lam in sorted(config.lambdas)
-             for k in range(len(spectrum))]
-    outcomes = parallel_map(_mode_task, tasks, workers)
+    tasks = [(config, float(lam), refine)
+             for lam in sorted(config.lambdas, reverse=True)]
+    chains = parallel_map(_energy_task, tasks, workers)
+    outcomes = sorted((cell for chain in chains for cell in chain),
+                      key=lambda cell: cell[:2])
 
     rows = []
     mode_norms = {}
     failures = []
-    for lam, k, norm, diag in outcomes:
+    for lam, k, norm, steps in outcomes:
         if norm is None:
-            failures.append({"lambda": lam, "k": k, "error": diag["error"]})
+            failures.append({"lambda": lam, "k": k, "error": steps})
             continue
         rows.append({"lambda": lam, "k": k, "mu": spectrum.mu(k),
-                     "norm": norm})
+                     "norm": norm, "iterations": steps})
         mode_norms[(lam, k)] = norm
     N_of_lambda = {}
     argmax_k = {}

@@ -249,41 +249,62 @@ def _power_start(n):
     return v / _norm(v)
 
 
-def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, max_iter=5000):
+# share of the generic start mixed into a warm start
+_COLD_SHARE = 1e-2
+
+
+def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, max_iter=5000,
+                           start=None):
     """Largest singular value of W_l (op - z)^{-1} W_r, matrix-free.
 
-    Power iteration on the Gram map x -> W_r (op-z)^{-*} W_l^2 (op-z)^{-1} W_r x
-    with a deterministic start vector; converged when the Rayleigh quotient is
-    stable to the relative tolerance and the eigen-residual certifies it.
+    Power iteration on the Gram map
+    G x = W_r (op-z)^{-*} W_l^2 (op-z)^{-1} W_r x.  It starts from
+    _power_start, or, given ``start`` (a guess at the top right singular
+    vector, such as the vector returned for a neighbouring operator), from
+    start plus a 1e-2 share of _power_start, so that a guess orthogonal to
+    the top direction still reaches it.  For a unit v the estimate
+    theta = ||G v|| lies between <v, G v> and sigma_1^2, so sqrt(theta) is a
+    lower bound on the norm.  Converged when successive estimates agree to
+    0.1 tol relative and the eigen-residual ||G v - <v, G v> v|| is at most
+    sqrt(tol) <v, G v>.
+
+    Returns (norm, vector, steps): the unit vector G v / ||G v|| of the last
+    step (None when the map is zero) and the number of Gram steps, each one
+    solve and one adjoint solve.
     """
     w_left = np.asarray(w_left, dtype=float)
     w_right = np.asarray(w_right, dtype=float)
     if not np.any(w_left) or not np.any(w_right):
-        return 0.0
+        return 0.0, None, 0
     s = ShiftedSolver(op, z)
+    w_left_sq = w_left**2
 
     def gram(x):
         y = s.solve(w_right * x)
-        return w_right * s.solve_adjoint(w_left**2 * y)
+        return w_right * s.solve_adjoint(w_left_sq * y)
 
     v = _power_start(op.n)
+    if start is not None:
+        start = np.asarray(start, dtype=complex)
+        v = start / _norm(start) + _COLD_SHARE * v
+        v /= _norm(v)
     theta = 0.0
     history = []
-    for _ in range(max_iter):
+    for step in range(1, max_iter + 1):
         u = gram(v)
-        theta_new = float(np.add.reduce(v.real * u.real + v.imag * u.imag))
-        nu = _norm(u)
+        theta_new = _norm(u)
         history.append(theta_new)
-        if nu == 0.0:
-            return 0.0
-        resid = _norm(u - theta_new * v)
+        if theta_new == 0.0:
+            return 0.0, None, step
+        rayleigh = float(np.add.reduce(v.real * u.real + v.imag * u.imag))
+        resid = _norm(u - rayleigh * v)
+        v = u / theta_new
         if (
-            abs(theta_new - theta) <= 0.25 * tol * abs(theta_new)
-            and resid <= math.sqrt(tol) * abs(theta_new)
+            abs(theta_new - theta) <= 0.1 * tol * theta_new
+            and resid <= math.sqrt(tol) * abs(rayleigh)
         ):
-            return math.sqrt(theta_new)
+            return math.sqrt(theta_new), v, step
         theta = theta_new
-        v = u / nu
     raise NumericalFailure(
         f"power iteration did not converge in {max_iter} iterations",
         history=history[-50:],

@@ -214,7 +214,8 @@ def semiclassical_bound_check(lam, z, nu_list, grid, tau=None, params=None,
         spec = RadialOperatorSpec(k=k, mu_k=nu**2 - 1.0, shift=shift,
                                   r0=grid.r0)
         op = discretize(spec, grid).scaled_shifted(scale=tau, shift=-tau * lam)
-        val = weighted_operator_norm(op, z, xi_op, np.ones(grid.N), tol=tol)
+        val, _, _ = weighted_operator_norm(op, z, xi_op, np.ones(grid.N),
+                                           tol=tol)
         lhs = max(lhs, val)
     rhs = (
         (1.0 / abs(z.imag))

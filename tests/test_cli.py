@@ -310,15 +310,17 @@ def test_sweep_reports_the_maximizing_mode(tmp_path):
     # The pool never gets more workers than the process has cores.
     assert _manifest(out)["workers"] == cores
     lines = _read(out / "sweep.csv").strip().splitlines()
-    assert lines[0] == "lambda,k,mu,norm"
+    assert lines[0] == "lambda,k,mu,norm,iterations"
     cells = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
-    assert [(lam, k) for lam, k, _, _ in cells] == [
+    assert [(lam, k) for lam, k, _, _, _ in cells] == [
         (50.0, 0.0), (50.0, 1.0), (100.0, 0.0), (100.0, 1.0)]
+    # Gram steps are whole numbers, at least one per cell.
+    assert all(n >= 1 and n == int(n) for *_, n in cells)
     summary = json.loads(_read(out / "summary.json"))
     assert "cap_sensitivity" not in summary
     for key, N in summary["N_of_lambda"].items():
         lam = float(key)
-        norms = {int(k): n for l, k, _, n in cells if l == lam}
+        norms = {int(k): n for l, k, _, n, _ in cells if l == lam}
         k_max = summary["argmax_k"][key]
         assert norms[k_max] == N == max(norms.values())
     assert summary["sup_at_K_max"] == any(

@@ -230,6 +230,29 @@ def test_flow_chained_matches_unchained(t1, t2):
     assert chained.dgamma == pytest.approx(direct.dgamma, rel=1e-9)
 
 
+def test_flow_steps_on_a_k_alone():
+    # The stepper evaluates a_k through AkField.value, never the (a, a')
+    # pair, and lands exactly where the pair's first component takes it.
+    _, field, r = _default_flow_grid()
+    calls = {"pair": 0, "value": 0}
+
+    class Counted:
+        def __call__(self, x):
+            calls["pair"] += 1
+            return field(x)
+
+        def value(self, x):
+            calls["value"] += 1
+            return field.value(x)
+
+    res = flow_integrate(Counted(), 1.0, r)
+    assert calls == {"pair": 1, "value": res.n_evals - 1}
+    generic = flow_integrate(lambda x: field(x), 1.0, r)
+    assert np.array_equal(res.gamma, generic.gamma)
+    assert np.array_equal(res.dgamma, generic.dgamma)
+    assert (res.n_steps, res.n_evals) == (generic.n_steps, generic.n_evals)
+
+
 def test_flow_holds_the_zeros_of_a_k_exactly():
     # a_k vanishes identically on r <= R, so those points never move and
     # their d_r gamma stays exactly one, whether or not the solve is chained.

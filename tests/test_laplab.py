@@ -1,5 +1,6 @@
 """Tests for the boundary-value sweep and scaling-fit machinery."""
 
+import dataclasses
 import math
 import os
 
@@ -137,8 +138,10 @@ def test_single_mode_sweep_sup_equals_mode_norm():
     assert res.N_of_lambda[50.0] == res.mode_norms[(50.0, 0)]
     assert res.lambdas() == [50.0]
     assert not res.diagnostics["failures"]
+    _, diag = mode_norm(cfg, 50.0, 0, sweep_grid(50.0))
     assert res.rows == [{"lambda": 50.0, "k": 0, "mu": 1.0,
-                         "norm": res.mode_norms[(50.0, 0)]}]
+                         "norm": res.mode_norms[(50.0, 0)],
+                         "iterations": diag["iterations"]}]
     # The only mode is the last one, so the sup sits at K_max.
     assert res.diagnostics["argmax_k"] == {50.0: 0}
     assert res.diagnostics["sup_at_K_max"]
@@ -153,9 +156,47 @@ def test_sweep_sup_over_modes():
     k_max = res.diagnostics["argmax_k"][50.0]
     assert per_mode[k_max] == max(per_mode)
     assert res.diagnostics["sup_at_K_max"] == (k_max == 2)
-    # The sweep's cell is the same computation as mode_norm on its grid.
-    norm, _ = mode_norm(cfg, 50.0, 1, sweep_grid(50.0))
-    assert norm == res.mode_norms[(50.0, 1)]
+    # Each cell is the same computation as mode_norm on the sweep's grid,
+    # started from the previous mode's vector (mode 0 cold).
+    steps = {(row["lambda"], row["k"]): row["iterations"] for row in res.rows}
+    start = None
+    for k in range(3):
+        norm, diag = mode_norm(cfg, 50.0, k, sweep_grid(50.0), start=start)
+        assert norm == res.mode_norms[(50.0, k)]
+        assert diag["iterations"] == steps[(50.0, k)]
+        start = diag["vector"]
+
+
+_DEFAULT_SWEEP = SweepConfig(lambdas=(1e2, 10**2.5, 1e3, 10**3.5, 1e4), s=1.0)
+
+
+def test_warm_started_cells_match_cold_and_tight_starts():
+    res = lambda_sweep(_DEFAULT_SWEEP)
+    tight = lambda_sweep(dataclasses.replace(_DEFAULT_SWEEP, norm_tol=1e-13))
+    worst = 0.0
+    for (lam, k), norm in res.mode_norms.items():
+        cold, _ = mode_norm(_DEFAULT_SWEEP, lam, k, sweep_grid(lam))
+        assert abs(norm / cold - 1.0) <= 1e-8
+        worst = max(worst, abs(norm / tight.mode_norms[(lam, k)] - 1.0))
+    # The cold-started sweep's worst cell was 7.3e-10 from tol = 1e-13.
+    assert worst <= 7.3e-10
+
+
+def test_default_sweep_gram_steps(monkeypatch):
+    # Timing-free guard on the warm starts: the cold-started sweep took 751
+    # Gram steps, each one solve and one adjoint solve.
+    solves = []
+    solve = ShiftedSolver.solve
+
+    def counted(self, rhs):
+        solves.append(1)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(ShiftedSolver, "solve", counted)
+    res = lambda_sweep(_DEFAULT_SWEEP)
+    steps = sum(row["iterations"] for row in res.rows)
+    assert steps == len(solves)
+    assert steps <= 650
 
 
 def test_refined_sweep_is_worker_count_invariant():

@@ -320,14 +320,14 @@ def test_weighted_norm_normal_matrix():
     op = _diag_operator([1.0, 2.0, 3.0])
     w = np.ones(op.n)
     eps = 1e-2
-    norm = weighted_operator_norm(op, 2.0 + 1j * eps, w, w)
+    norm, _, _ = weighted_operator_norm(op, 2.0 + 1j * eps, w, w)
     assert norm == pytest.approx(1.0 / eps, rel=1e-5)
 
 
 def test_weighted_norm_zero_weights():
     op = _diag_operator([1.0, 2.0, 3.0])
     zero = np.zeros(op.n)
-    assert weighted_operator_norm(op, 1j, zero, zero) == 0.0
+    assert weighted_operator_norm(op, 1j, zero, zero) == (0.0, None, 0)
 
 
 def test_weighted_norm_matches_dense_svd():
@@ -337,9 +337,33 @@ def test_weighted_norm_matches_dense_svd():
     r = g.points()
     w = (1.0 + r**2) ** -0.5
     z = 4.0
-    iterative = weighted_operator_norm(op, z, w, w)
+    iterative, _, _ = weighted_operator_norm(op, z, w, w)
     dense = weighted_operator_norm_dense(op, z, w, w)
     assert iterative == pytest.approx(dense, rel=1e-6)
+    # sqrt(||G v||) for a unit v is a lower bound on the norm.
+    assert iterative <= dense * (1.0 + 1e-10)
+
+
+def test_weighted_norm_warm_start():
+    cfg = _circle_config()
+    g = RadialGrid(r0=0.25, r_max=30.0, N=400)
+    op = make_mode_operator(cfg, 0, g)
+    r = g.points()
+    w = (1.0 + r**2) ** -0.5
+    z = 4.0
+    matrix = w[:, None] * np.linalg.inv(op.dense(shift=z)) * w[None, :]
+    _, sigma, vh = np.linalg.svd(matrix)
+    cold, vector, cold_steps = weighted_operator_norm(op, z, w, w)
+    assert np.linalg.norm(vector) == pytest.approx(1.0, rel=1e-14)
+    # The returned vector is the top right singular vector up to a phase.
+    assert abs(np.vdot(vh[0].conj(), vector)) == pytest.approx(1.0, abs=1e-6)
+    warm, _, warm_steps = weighted_operator_norm(op, z, w, w, start=vector)
+    assert warm == pytest.approx(sigma[0], rel=1e-6)
+    assert warm_steps < cold_steps
+    # A start orthogonal to the top direction still reaches it, through the
+    # share of the generic start mixed in.
+    lost, _, _ = weighted_operator_norm(op, z, w, w, start=vh[1].conj())
+    assert lost == pytest.approx(sigma[0], rel=1e-6)
 
 
 def test_outgoing_closure_passivity_resolvent_bound():
@@ -350,7 +374,7 @@ def test_outgoing_closure_passivity_resolvent_bound():
     op = make_mode_operator(cfg, 1, g)
     w = np.ones(g.N)
     for eps in (0.5, 0.1, 0.01):
-        norm = weighted_operator_norm(op, 4.0 + 1j * eps, w, w)
+        norm, _, _ = weighted_operator_norm(op, 4.0 + 1j * eps, w, w)
         assert norm <= (1.0 + 1e-6) / eps
 
 
