@@ -350,8 +350,10 @@ def _testbed_seed_report(args):
 
 
 def _run_testbed(ctx):
-    # Imported before parallel_map starts its pool, so that forked workers
-    # inherit the module instead of each importing it (and SciPy) anew.
+    # Imported before parallel_map first starts its pool, so that forked
+    # workers inherit the module instead of each importing it (and SciPy)
+    # anew; workers forked earlier, by a sweep in this process, import it
+    # once each.
     import hyplab.abstract  # noqa: F401
     from hyplab.pool import parallel_map
 

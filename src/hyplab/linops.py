@@ -1,15 +1,20 @@
 """Banded discretizations of radial operators and linear-algebra kernels.
 
 Radial mode operators D_r^2 + V(r) are realized as banded complex matrices
-on a uniform grid over (r0, r_max) with the order-2 stencil and a Dirichlet
-wall at r0.  At r_max the box is either closed by a Dirichlet wall (a
-Hermitian truncation) or, for solves at a real energy lam, by the discrete
-outgoing wave u_{N+1} = beta u_N: past r_max the potential is the constant
-(n-1)^2/4, the discrete free equation has the solutions beta^i, and the
-outgoing (above threshold) or decaying (below threshold) root closes the
-half-line problem exactly with one diagonal entry.  This is the discrete
-transparent boundary condition of Arnold and of Ehrhardt and Arnold; with it
-(H - lam - i0)^{-1} is a single solve on the real axis.
+on a uniform grid over (r0, r_max) with a Dirichlet wall at r0.  A box
+closed at r_max by a second Dirichlet wall (a Hermitian truncation, used by
+the eigensolves and the functional calculus) takes the order-2 stencil.  For
+solves at a real energy lam the box is instead closed by the discrete
+outgoing wave, and the operator is Numerov's pencil: (H - z) u = f becomes
+(A - z M) u = M f with the stiffness A = -delta^2/h^2 + M diag(V) and the
+mass M = tridiag(1, 10, 1)/12, which is fourth order at the cost of a
+tridiagonal solve.  Past r_max the potential is the constant (n-1)^2/4 and
+Numerov's free recurrence u_{i+1} + u_{i-1} = 2 xi u_i has the solutions
+beta^i; the outgoing (above threshold) or decaying (below threshold) root
+closes the half-line problem exactly with one diagonal entry.  This is the
+discrete transparent boundary condition of Arnold and of Ehrhardt and
+Arnold; with it (H - lam - i0)^{-1} = (A - lam M)^{-1} M is a single solve on
+the real axis.
 
 The kernels provided here are shifted tridiagonal solves with a residual
 certificate (LAPACK's tridiagonal LU), matrix-free weighted operator norms by
@@ -68,13 +73,17 @@ class DiscreteOperator:
     Stored as a dict of diagonals {offset: values}; offsets are symmetric for
     the operators built here.  Immutable by convention (no mutating API).
     ``outgoing_energy`` is the energy of the outgoing closure at r_max, or
-    None for a box closed by a Dirichlet wall.
+    None for a box closed by a Dirichlet wall.  ``mass`` holds the constant
+    (lower, main, upper) diagonals of the tridiagonal mass matrix M of a
+    pencil (the operator is then M^{-1} A, with A the stored diagonals, and
+    matvec applies A), or None for M = I.
     """
 
-    def __init__(self, grid, diagonals, outgoing_energy=None):
+    def __init__(self, grid, diagonals, outgoing_energy=None, mass=None):
         self.grid = grid
         self.diagonals = {int(k): np.asarray(v) for k, v in diagonals.items()}
         self.outgoing_energy = outgoing_energy
+        self.mass = mass
         n = grid.N
         for off, vals in self.diagonals.items():
             if len(vals) != n - abs(off):
@@ -100,11 +109,22 @@ class DiscreteOperator:
         return True
 
     def dense(self, shift=0.0):
+        """Dense A - shift M (M = I without a mass)."""
         out = np.zeros((self.n, self.n), dtype=complex)
         for off, vals in self.diagonals.items():
             out += np.diag(vals, off)
-        out[np.diag_indices(self.n)] -= shift
+        if self.mass is None:
+            out[np.diag_indices(self.n)] -= shift
+        else:
+            out -= shift * self.dense_mass()
         return out
+
+    def dense_mass(self):
+        """Dense mass matrix M of a pencil."""
+        lower, diag, upper = self.mass
+        n = self.n
+        return (diag * np.eye(n) + upper * np.eye(n, k=1)
+                + lower * np.eye(n, k=-1))
 
     def matvec(self, x):
         x = np.asarray(x)
@@ -133,16 +153,22 @@ def d2_operator(grid):
     })
 
 
+# Numerov's mass matrix M = tridiag(1, 10, 1)/12: (lower, main, upper)
+_NUMEROV_MASS = (1.0 / 12.0, 10.0 / 12.0, 1.0 / 12.0)
+
+
 def outgoing_root(lam, shift, h):
-    """Root beta = x + i (1 - x^2)^{1/2}, x = 1 - h^2 (lam - shift) / 2, of the
-    discrete free equation: e^{i theta} (outgoing) above the threshold shift,
+    """Root beta = xi + i (1 - xi^2)^{1/2} of Numerov's free recurrence
+    beta + 1/beta = 2 xi, xi = (1 - 5 h^2 kappa^2/12)/(1 + h^2 kappa^2/12),
+    kappa^2 = lam - shift: e^{i theta} (outgoing) above the threshold shift,
     the decaying real root in (0, 1) below it."""
-    x = 1.0 - h**2 * (lam - shift) / 2.0
-    if x < -1.0:
+    t = h**2 * (lam - shift) / 12.0
+    xi = (1.0 - 5.0 * t) / (1.0 + t) if t > -1.0 else -math.inf
+    if xi < -1.0:
         raise ConfigError(
             f"grid step {h:.4g} does not resolve the wavelength at energy {lam}"
         )
-    return x + 1j * np.sqrt(complex(1.0 - x * x))
+    return xi + 1j * np.sqrt(complex(1.0 - xi * xi))
 
 
 def discretize(spec, grid, outgoing=None):
@@ -154,26 +180,36 @@ def discretize(spec, grid, outgoing=None):
         Carries the potential handle and the Dirichlet wall r0.
     grid : RadialGrid
     outgoing : float or None
-        Energy lam of the outgoing closure u_{N+1} = beta u_N at r_max;
-        None closes the box by a Dirichlet wall.  The closure is exact only
-        where the potential has reached its constant tail, so a tail above
-        _TAIL_TOL at r_max is rejected.
+        None closes the box by a Dirichlet wall, with the order-2 stencil.
+        A real energy lam gives Numerov's pencil (stiffness A, mass M),
+        closed by the outgoing wave u_{N+1} = beta u_N at r_max, which adds
+        beta (-1/h^2 - kappa^2/12), kappa^2 = lam - shift, to A's last
+        diagonal entry.  The closure is exact only where the potential has
+        reached its constant tail, so a tail above _TAIL_TOL at r_max is
+        rejected.
     """
     if abs(spec.r0 - grid.r0) > 1e-12:
         raise ConfigError("spec and grid disagree on r0")
-    diags = dict(d2_operator(grid).diagonals)
-    diag = diags[0].astype(complex).copy()
-    diag += spec.potential(grid.points())
-    if outgoing is not None:
-        tail = abs(float(spec.potential(grid.r_max)) - spec.shift)
-        if tail > _TAIL_TOL:
-            raise ConfigError(
-                f"potential tail {tail:.3g} at r_max exceeds {_TAIL_TOL:g}; "
-                "the outgoing closure needs a longer box"
-            )
-        diag[-1] -= outgoing_root(outgoing, spec.shift, grid.h) / grid.h**2
-    diags[0] = diag
-    return DiscreteOperator(grid, diags, outgoing_energy=outgoing)
+    v = spec.potential(grid.points())
+    if outgoing is None:
+        diags = dict(d2_operator(grid).diagonals)
+        diags[0] = diags[0].astype(complex) + v
+        return DiscreteOperator(grid, diags)
+    tail = abs(float(spec.potential(grid.r_max)) - spec.shift)
+    if tail > _TAIL_TOL:
+        raise ConfigError(
+            f"potential tail {tail:.3g} at r_max exceeds {_TAIL_TOL:g}; "
+            "the outgoing closure needs a longer box"
+        )
+    h2 = grid.h**2
+    kappa_sq = outgoing - spec.shift
+    diag = (2.0 / h2 + (10.0 / 12.0) * v).astype(complex)
+    diag[-1] += outgoing_root(outgoing, spec.shift, grid.h) * (
+        -1.0 / h2 - kappa_sq / 12.0)
+    diags = {0: diag, 1: -1.0 / h2 + v[1:] / 12.0,
+             -1: -1.0 / h2 + v[:-1] / 12.0}
+    return DiscreteOperator(grid, diags, outgoing_energy=outgoing,
+                            mass=_NUMEROV_MASS)
 
 
 def _norm(x):
@@ -189,14 +225,15 @@ def _tridiagonal_matvec(lower, diag, upper, x):
 
 
 class ShiftedSolver:
-    """LU factorization of the tridiagonal (op - z) supporting repeated
-    direct/adjoint solves.
+    """LU factorization of the tridiagonal (op - z M) supporting repeated
+    direct/adjoint solves of the resolvent (op - z M)^{-1} M, M = op.mass
+    (the identity when op has none).
 
     Tridiagonal LU with partial pivoting (LAPACK zgttrf; zgttrs solves with
     the factors, and with trans="C" solves the adjoint system), with a
-    residual certificate per solve and one step of iterative refinement when
-    the first solve misses it.  The residuals are formed from the three
-    stored diagonals.
+    residual certificate per tridiagonal solve and one step of iterative
+    refinement when the first solve misses it.  The residuals are formed
+    from the three stored diagonals.
     """
 
     def __init__(self, op, z):
@@ -208,8 +245,16 @@ class ShiftedSolver:
         self.z = complex(z)
         absent = np.zeros(op.n - 1)
         lower = np.asarray(op.diagonals.get(-1, absent), dtype=complex)
-        diag = np.asarray(op.diagonals[0], dtype=complex) - self.z
+        diag = np.asarray(op.diagonals[0], dtype=complex)
         upper = np.asarray(op.diagonals.get(1, absent), dtype=complex)
+        self._mass = op.mass
+        if op.mass is None:
+            diag = diag - self.z
+        else:
+            m_lower, m_diag, m_upper = op.mass
+            lower = lower - self.z * m_lower
+            diag = diag - self.z * m_diag
+            upper = upper - self.z * m_upper
         *self._lu, info = zgttrf(lower, diag, upper)
         if info != 0:
             raise NumericalFailure(
@@ -237,10 +282,17 @@ class ShiftedSolver:
         return x
 
     def solve(self, rhs):
+        """(op - z M)^{-1} M rhs."""
+        if self._mass is not None:
+            rhs = _tridiagonal_matvec(*self._mass, np.asarray(rhs))
         return self._solve(rhs, "N", self._diagonals)
 
     def solve_adjoint(self, rhs):
-        return self._solve(rhs, "C", self._diagonals_h)
+        """M (op - z M)^{-H} rhs, the adjoint of solve."""
+        x = self._solve(rhs, "C", self._diagonals_h)
+        if self._mass is None:
+            return x
+        return _tridiagonal_matvec(*self._mass, x)
 
 
 def _power_start(n):
@@ -255,10 +307,10 @@ _COLD_SHARE = 1e-2
 
 def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, max_iter=5000,
                            start=None):
-    """Largest singular value of W_l (op - z)^{-1} W_r, matrix-free.
+    """Largest singular value of W_l R W_r, matrix-free, where
+    R = (op - z M)^{-1} M is the resolvent that ShiftedSolver applies.
 
-    Power iteration on the Gram map
-    G x = W_r (op-z)^{-*} W_l^2 (op-z)^{-1} W_r x.  It starts from
+    Power iteration on the Gram map G x = W_r R^* W_l^2 R W_r x.  It starts from
     _power_start, or, given ``start`` (a guess at the top right singular
     vector, such as the vector returned for a neighbouring operator), from
     start plus a 1e-2 share of _power_start, so that a guess orthogonal to
@@ -312,7 +364,8 @@ def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, max_iter=5000,
 
 
 def weighted_operator_norm_dense(op, z, w_left, w_right):
-    """Dense SVD cross-check path for moderate problem sizes."""
+    """Dense SVD cross-check path for moderate problem sizes: the norm of
+    W_l (op - z M)^{-1} M W_r."""
     if op.n > _DENSE_SVD_MAX_N:
         raise ConfigError(
             f"dense SVD path limited to N <= {_DENSE_SVD_MAX_N}, got {op.n}"
@@ -320,6 +373,8 @@ def weighted_operator_norm_dense(op, z, w_left, w_right):
     w_left = np.asarray(w_left, dtype=float)
     w_right = np.asarray(w_right, dtype=float)
     inv = np.linalg.inv(op.dense(shift=complex(z)))
+    if op.mass is not None:
+        inv = inv @ op.dense_mass()
     return float(np.linalg.norm(w_left[:, None] * inv * w_right[None, :], ord=2))
 
 

@@ -281,10 +281,13 @@ def test_criterion_10_scaling_sweep():
         fit = fit_scaling(base)
         assert -0.6 <= fit.p <= -0.4
         assert fit.bound_pass
-        # Grid refinement moves every N(lambda) by at most 3 %.
+        # Grid refinement moves every N(lambda) by at most 3 %, and by at
+        # most 1.5 % on Numerov's pencil (1.03e-2 measured; 2.40e-2 with the
+        # order-2 stencil at half the step).
         refined = lambda_sweep(_SWEEP, workers=8, refine=2.0)
         for lam, N in base.N_of_lambda.items():
             assert abs(refined.N_of_lambda[lam] / N - 1.0) <= 0.03
+            assert abs(refined.N_of_lambda[lam] / N - 1.0) <= 0.015
         # Doubling r_max at the same step moves the norm of each energy's
         # maximizing mode by at most 3 %.
         for lam, k in base.diagnostics["argmax_k"].items():

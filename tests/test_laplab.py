@@ -117,7 +117,7 @@ def test_sweep_grid_resolves_local_wavelength():
     for lam in (100.0, 10000.0):
         g = sweep_grid(lam)
         assert g.r_max == pytest.approx(2.0 * math.log(5.0 * lam) + 5.0)
-        assert g.h <= 0.5 / math.sqrt(lam) * 1.01
+        assert g.h <= 1.0 / math.sqrt(lam) * 1.01
     doubled = sweep_grid(100.0, refine=2.0)
     assert doubled.N == 2 * sweep_grid(100.0).N
 
@@ -200,14 +200,26 @@ def test_default_sweep_gram_steps(monkeypatch):
 
 
 def test_refined_sweep_is_worker_count_invariant():
-    # At refine=2 the vectors pass 10^4 entries, where BLAS level-1 calls
+    # At refine=4 the vectors pass 10^4 entries, where BLAS level-1 calls
     # would run on threads of their own inside each pool worker.
     cfg = SweepConfig(lambdas=(1e2, 10**2.5, 1e3, 10**3.5, 1e4), s=1.0)
-    serial = lambda_sweep(cfg, workers=1, refine=2.0)
-    pooled = lambda_sweep(cfg, workers=2, refine=2.0)
-    assert max(sweep_grid(l, refine=2.0).N for l in cfg.lambdas) > 10**4
+    serial = lambda_sweep(cfg, workers=1, refine=4.0)
+    pooled = lambda_sweep(cfg, workers=2, refine=4.0)
+    assert max(sweep_grid(l, refine=4.0).N for l in cfg.lambdas) > 10**4
     assert pooled.N_of_lambda == serial.N_of_lambda
     assert pooled.mode_norms == serial.mode_norms
+
+
+@pytest.mark.parametrize("kind", ["mode", "polynomial"])
+def test_default_cells_are_within_one_and_a_half_percent_of_refine_four(kind):
+    # Numerov's pencil at h = 1/sqrt(lam): the worst cell read 1.11e-2 from
+    # its refine=4 value; the order-2 stencil at half the step read 3.08e-2.
+    cfg = SweepConfig(lambdas=(1e2, 1e4), s=1.0, weight_kind=kind)
+    base = lambda_sweep(cfg, workers=2)
+    fine = lambda_sweep(cfg, workers=2, refine=4.0)
+    assert len(base.mode_norms) == 2 * (cfg.K_max + 1)
+    for cell, norm in base.mode_norms.items():
+        assert abs(norm / fine.mode_norms[cell] - 1.0) <= 1.5e-2
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.linalg.lapack import zgttrs
+from scipy.special import erf
 
 from hyplab import linops
 from hyplab.errors import ConfigError, NumericalFailure
@@ -70,35 +71,74 @@ def test_discretize_r0_mismatch_rejected():
         discretize(mode_operator_spec(cfg, 0), g)
 
 
+def _numerov_xi(lam, shift, h):
+    t = h**2 * (lam - shift) / 12.0
+    return (1.0 - 5.0 * t) / (1.0 + t)
+
+
 def test_outgoing_root_branches():
     h = 0.1
-    # Above threshold: the outgoing root e^{i theta}, cos theta = 1 - h^2 E/2.
+    # Above threshold: the outgoing root e^{i theta}, cos theta = xi, of
+    # Numerov's free recurrence beta + 1/beta = 2 xi.
     beta = outgoing_root(4.0, 0.25, h)
     assert abs(beta) == pytest.approx(1.0, abs=1e-14)
     assert beta.imag > 0.0
-    assert beta.real == pytest.approx(1.0 - h**2 * 3.75 / 2.0, abs=1e-15)
-    # Below threshold: the decaying real root of beta + 1/beta = 2x.
+    assert beta.real == pytest.approx(_numerov_xi(4.0, 0.25, h), abs=1e-15)
+    # Below threshold: the decaying real root of beta + 1/beta = 2 xi.
     beta = outgoing_root(0.1, 0.25, h)
-    x = 1.0 + h**2 * 0.15 / 2.0
+    xi = _numerov_xi(0.1, 0.25, h)
+    assert xi > 1.0
     assert beta.imag == 0.0
     assert 0.0 < beta.real < 1.0
-    assert beta.real + 1.0 / beta.real == pytest.approx(2.0 * x, rel=1e-14)
-    # A step that does not resolve the wavelength has no outgoing root.
-    with pytest.raises(ConfigError):
-        outgoing_root(4.0 / h**2 + 1.0, 0.25, h)
+    assert beta.real + 1.0 / beta.real == pytest.approx(2.0 * xi, rel=1e-14)
+    # h^2 kappa^2 = 5.4 is past the order-2 limit 4 but keeps xi >= -1.
+    beta = outgoing_root(5.4 / h**2 + 0.25, 0.25, h)
+    assert abs(beta) == pytest.approx(1.0, abs=1e-14) and beta.imag > 0.0
+    # A step that does not resolve the wavelength has xi < -1 and no
+    # outgoing root; neither has a step with h^2 kappa^2 <= -12.
+    for lam in (6.0 / h**2 + 1.0, 0.25 - 12.0 / h**2):
+        with pytest.raises(ConfigError):
+            outgoing_root(lam, 0.25, h)
+    assert _numerov_xi(6.0 / h**2 + 1.0, 0.25, h) < -1.0
+
+
+def _numerov_pencil(op, z):
+    """Dense A - z M and M of a Numerov operator, with the mass matrix
+    M = tridiag(1, 10, 1)/12 written out."""
+    n = op.n
+    mass = (10.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) / 12.0
+    return op.dense() - z * mass, mass
 
 
 def test_outgoing_closure_is_one_diagonal_entry():
     cfg = _circle_config()
     g = RadialGrid(r0=0.25, r_max=30.0, N=400)
-    bare = discretize(mode_operator_spec(cfg, 1), g)
-    closed = discretize(mode_operator_spec(cfg, 1), g, outgoing=4.0)
+    spec = mode_operator_spec(cfg, 1)
+    bare = discretize(spec, g)
+    closed = discretize(spec, g, outgoing=4.0)
     assert closed.outgoing_energy == 4.0 and bare.outgoing_energy is None
-    delta = closed.diagonals[0] - bare.diagonals[0]
-    assert np.all(delta[:-1] == 0.0)
-    assert delta[-1] == pytest.approx(-outgoing_root(4.0, 0.25, g.h) / g.h**2)
+    # The Dirichlet box keeps the order-2 stencil and no mass.
+    assert bare.mass is None
+    assert bare.diagonals[1] == pytest.approx(np.full(g.N - 1, -1.0 / g.h**2))
+    # The unclosed Numerov pencil: A = -delta^2/h^2 + M diag(V).
+    v = spec.potential(g.points())
+    h2 = g.h**2
+    unclosed = {0: 2.0 / h2 + 10.0 * v / 12.0,
+                1: -1.0 / h2 + v[1:] / 12.0,
+                -1: -1.0 / h2 + v[:-1] / 12.0}
+    assert closed.mass == (1.0 / 12.0, 10.0 / 12.0, 1.0 / 12.0)
     for off in (1, -1):
-        assert np.array_equal(closed.diagonals[off], bare.diagonals[off])
+        assert closed.diagonals[off] == pytest.approx(unclosed[off],
+                                                      rel=1e-15)
+    delta = closed.diagonals[0] - unclosed[0]
+    assert np.max(np.abs(delta[:-1])) <= 1e-15 * np.max(unclosed[0])
+    kappa_sq = 4.0 - 0.25
+    assert delta[-1] == pytest.approx(
+        outgoing_root(4.0, 0.25, g.h) * (-1.0 / h2 - kappa_sq / 12.0),
+        rel=1e-12)
+    # dense() applies the mass: A - z M.
+    pencil, _ = _numerov_pencil(closed, 4.0)
+    assert np.array_equal(closed.dense(shift=4.0), pencil)
 
 
 def test_outgoing_closure_rejects_unmet_assumptions():
@@ -160,8 +200,10 @@ def test_shifted_solve_residual_certificate():
     rhs = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
     z = 4.0
     x = ShiftedSolver(op, z).solve(rhs)
-    residual = op.matvec(x) - z * x - rhs
-    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
+    _, mass = _numerov_pencil(op, z)
+    # The solve is (A - z M)^{-1} M rhs, certified on A - z M.
+    residual = op.matvec(x) - z * (mass @ x) - mass @ rhs
+    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(mass @ rhs)
 
 
 def _counting_zgttrs(monkeypatch):
@@ -193,9 +235,11 @@ def test_shifted_solve_skips_refinement_within_the_certificate(monkeypatch):
     x = solver.solve(rhs)
     y = solver.solve_adjoint(rhs)
     assert calls == ["N", "C"]
-    mat = op.dense(shift=4.0)
-    for sol, m in ((x, mat), (y, mat.conj().T)):
-        assert np.linalg.norm(m @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    mat, mass = _numerov_pencil(op, 4.0)
+    # x = (A - z M)^{-1} M rhs and y = M (A - z M)^{-H} rhs.
+    for lhs, b in ((mat @ x, mass @ rhs),
+                   (mat.conj().T @ np.linalg.solve(mass, y), rhs)):
+        assert np.linalg.norm(lhs - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_shifted_solve_refines_when_the_first_solve_misses(monkeypatch):
@@ -204,31 +248,36 @@ def test_shifted_solve_refines_when_the_first_solve_misses(monkeypatch):
     # the same factors brings it under the certificate.
     op, solver, rhs = _sweep_like_solver()
     solver._lu[0] *= 1.0 + 1e-8
-    mat = op.dense(shift=4.0)
-    unrefined = zgttrs(*solver._lu, rhs)[0]
-    assert np.linalg.norm(mat @ unrefined - rhs) > 1e-10 * np.linalg.norm(rhs)
+    mat, mass = _numerov_pencil(op, 4.0)
+    b = mass @ rhs
+    unrefined = zgttrs(*solver._lu, b)[0]
+    assert np.linalg.norm(mat @ unrefined - b) > 1e-10 * np.linalg.norm(b)
     calls = _counting_zgttrs(monkeypatch)
     x = solver.solve(rhs)
     assert calls == ["N", "N"]
-    assert np.linalg.norm(mat @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    assert np.linalg.norm(mat @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_shifted_solve_adjoint_matches_dense():
-    # The outgoing closure makes op - z complex symmetric, not Hermitian, so
-    # the adjoint solve differs from the direct and the transposed one.
+    # The outgoing closure, and Numerov's M diag(V) for a varying potential,
+    # make A - z M non-Hermitian, so the adjoint solve differs from the
+    # direct and the transposed one.
     cfg = _circle_config()
     g = RadialGrid(r0=0.25, r_max=30.0, N=300)
     op = make_mode_operator(cfg, 1, g)
     z = 4.0
-    mat = op.dense(shift=z)
+    mat, mass = _numerov_pencil(op, z)
     assert np.max(np.abs(mat - mat.conj().T)) > 1.0
+    resolvent = np.linalg.inv(mat) @ mass
     rng = np.random.default_rng(3)
     rhs = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
+    other = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
     solver = ShiftedSolver(op, z)
-    for x, ref in ((solver.solve(rhs), np.linalg.solve(mat, rhs)),
-                   (solver.solve_adjoint(rhs),
-                    np.linalg.solve(mat.conj().T, rhs))):
-        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    x, y = solver.solve(rhs), solver.solve_adjoint(other)
+    for sol, ref in ((x, resolvent @ rhs), (y, resolvent.conj().T @ other)):
+        assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
+    # <R rhs, other> = <rhs, R^* other>.
+    assert np.vdot(other, x) == pytest.approx(np.vdot(y, rhs), rel=1e-10)
 
 
 def test_shifted_solver_singular_pivot_raises():
@@ -277,22 +326,30 @@ def test_shifted_solve_matches_greens_function_at_order_two():
     assert rate == pytest.approx(2.0, abs=0.3)
 
 
-def _free_outgoing_solution(grid, lam, rhs):
-    """Outgoing solution of (D_r^2 + 1/4 - lam - i0) u = rhs on [r0, inf),
-    Dirichlet at r0: the kernel sin(k(r_< - r0)) e^{ik(r_> - r0)} / k with
-    k = (lam - 1/4)^{1/2}, summed on the grid in O(N) by cumulative sums."""
+def _free_outgoing_solution(grid, lam, center):
+    """Outgoing solution of (D_r^2 + 1/4 - lam - i0) u = e^{-(r - center)^2}
+    on [r0, inf), Dirichlet at r0, in closed form at the grid points: the
+    kernel sin(k(r_< - r0)) e^{ik(r_> - r0)} / k, k = (lam - 1/4)^{1/2},
+    integrated against the Gaussian with the complex error function."""
     k = np.sqrt(lam - 0.25)
     rho = grid.points() - grid.r0
-    below = np.cumsum(np.sin(k * rho) * rhs)
-    above = np.cumsum((np.exp(1j * k * rho) * rhs)[::-1])[::-1]
-    above = np.append(above[1:], 0.0)
-    return grid.h * (np.exp(1j * k * rho) * below
-                     + np.sin(k * rho) * above) / k
+    a = center - grid.r0
+
+    def wave_integral(w, lo, hi):
+        # int_lo^hi e^{i w s} e^{-(s - a)^2} ds
+        c = a + 0.5j * w
+        return (np.exp(1j * w * a - 0.25 * w * w) * 0.5 * np.sqrt(np.pi)
+                * (erf(hi - c) - erf(lo - c)))
+
+    below = (wave_integral(k, 0.0, rho) - wave_integral(-k, 0.0, rho)) / 2j
+    above = wave_integral(k, rho, np.inf)
+    return (np.exp(1j * k * rho) * below + np.sin(k * rho) * above) / k
 
 
-def test_outgoing_closure_matches_free_kernel_at_order_two():
+def test_outgoing_closure_matches_free_kernel_at_order_four():
     # The box ends at 15.25, where the wave is still large: a wrong closure
-    # reflects it back over the whole box.
+    # reflects it back over the whole box.  The oracle is exact, so the
+    # rate is the scheme's own.
     cfg = ModelConfig(n=2, r0=0.25, cross_section={"kind": "custom", "mu": [0.0]})
     lam = 4.0
     errors = []
@@ -303,12 +360,12 @@ def test_outgoing_closure_matches_free_kernel_at_order_two():
         r = g.points()
         rhs = np.exp(-((r - 8.0) ** 2))
         x = ShiftedSolver(op, lam).solve(rhs.astype(complex))
-        u = _free_outgoing_solution(g, lam, rhs)
+        u = _free_outgoing_solution(g, lam, 8.0)
         errors.append(np.max(np.abs(x - u)) / np.max(np.abs(u)))
         hs.append(g.h)
     assert errors[0] <= 5e-4
     rate = np.polyfit(np.log(hs), np.log(errors), 1)[0]
-    assert rate == pytest.approx(2.0, abs=0.2)
+    assert rate == pytest.approx(4.0, abs=0.3)
 
 
 # ----------------------------------------------------------------------------
@@ -339,6 +396,9 @@ def test_weighted_norm_matches_dense_svd():
     z = 4.0
     iterative, _, _ = weighted_operator_norm(op, z, w, w)
     dense = weighted_operator_norm_dense(op, z, w, w)
+    mat, mass = _numerov_pencil(op, z)
+    matrix = w[:, None] * (np.linalg.inv(mat) @ mass) * w[None, :]
+    assert dense == pytest.approx(np.linalg.norm(matrix, 2), rel=1e-12)
     assert iterative == pytest.approx(dense, rel=1e-6)
     # sqrt(||G v||) for a unit v is a lower bound on the norm.
     assert iterative <= dense * (1.0 + 1e-10)
@@ -351,7 +411,8 @@ def test_weighted_norm_warm_start():
     r = g.points()
     w = (1.0 + r**2) ** -0.5
     z = 4.0
-    matrix = w[:, None] * np.linalg.inv(op.dense(shift=z)) * w[None, :]
+    mat, mass = _numerov_pencil(op, z)
+    matrix = w[:, None] * (np.linalg.inv(mat) @ mass) * w[None, :]
     _, sigma, vh = np.linalg.svd(matrix)
     cold, vector, cold_steps = weighted_operator_norm(op, z, w, w)
     assert np.linalg.norm(vector) == pytest.approx(1.0, rel=1e-14)
