@@ -50,11 +50,10 @@ def delta_f_constant(n_grid=2**16, box=256.0):
     if key not in _DELTA_F_CACHE:
         x = -box / 2.0 + box * np.arange(n_grid) / n_grid
         fx = profile_eval("f", x)
-        # continuous transform via FFT: fhat(t_k) = h * sum f(x_j) e^{-i x_j t_k}
+        # continuous transform via FFT, up to the phase e^{-i t x_0} that
+        # |fhat| does not see: fhat(t_k) = h sum f(x_j) e^{-i (x_j - x_0) t_k}
         t = 2.0 * np.pi * np.fft.fftfreq(n_grid, d=box / n_grid)
-        fhat = (box / n_grid) * np.fft.fft(fx * np.exp(1j * t[0] * 0))
-        phase = np.exp(-1j * t * x[0])
-        fhat = fhat * phase
+        fhat = (box / n_grid) * np.fft.fft(fx)
         dt = 2.0 * np.pi / box
         _DELTA_F_CACHE[key] = float(np.sum(np.abs(t * fhat)) * dt / (2.0 * np.pi))
     return _DELTA_F_CACHE[key]

@@ -269,7 +269,7 @@ def _run_mourre(ctx):
                         cross_section=cfg["cross_section"])
     with ctx.stage("mourre_positivity_check"):
         report = mourre_positivity_check(
-            lam, cfg["s0"], lambda l: l ** -0.5, grid, cfg["K_max"],
+            lam, cfg["s0"], grid, cfg["K_max"],
             config=model, C=cfg["C"], auto_calibrate=cfg["auto_calibrate"],
         )
     payload = dict(report.to_dict())

@@ -1,14 +1,14 @@
-"""Banded discretizations of radial operators and linear-algebra kernels.
+"""Tridiagonal discretizations of radial operators and linear-algebra kernels.
 
-Radial mode operators D_r^2 + V(r) are realized as banded complex matrices
-on a uniform grid over (r0, r_max) with a Dirichlet wall at r0.  A box
-closed at r_max by a second Dirichlet wall (a Hermitian truncation, used by
-the eigensolves and the functional calculus) takes the order-2 stencil.  For
-solves at a real energy lam the box is instead closed by the discrete
-outgoing wave, and the operator is Numerov's pencil: (H - z) u = f becomes
-(A - z M) u = M f with the stiffness A = -delta^2/h^2 + M diag(V) and the
-mass M = tridiag(1, 10, 1)/12, which is fourth order at the cost of a
-tridiagonal solve.  Past r_max the potential is the constant (n-1)^2/4 and
+Radial mode operators D_r^2 + V(r) are realized on a uniform grid over
+(r0, r_max) with a Dirichlet wall at r0, as a tridiagonal pencil (A, M)
+standing for M^{-1} A: (H - z) u = f becomes (A - z M) u = M f, with the
+stiffness A = -delta^2/h^2 + M diag(V).  A box closed at r_max by a second
+Dirichlet wall (a Hermitian truncation, used by the eigensolves and the
+functional calculus) takes M = I, the order-2 stencil.  For solves at a real
+energy lam the box is instead closed by the discrete outgoing wave, with
+Numerov's mass M = tridiag(1, 10, 1)/12, which is fourth order at the cost
+of a tridiagonal solve.  Past r_max the potential is the constant (n-1)^2/4 and
 Numerov's free recurrence u_{i+1} + u_{i-1} = 2 xi u_i has the solutions
 beta^i; the outgoing (above threshold) or decaying (below threshold) root
 closes the half-line problem exactly with one diagonal entry.  This is the
@@ -62,85 +62,88 @@ class RadialGrid:
     def points(self):
         return self.r0 + self.h * np.arange(1, self.N + 1)
 
-    def refined(self):
-        """Same interval with half the step."""
-        return dataclasses.replace(self, N=2 * (self.N + 1) - 1)
+
+# The mass M of a pencil, as constant (lower, main, upper) diagonals: the
+# identity, and Numerov's M = tridiag(1, 10, 1)/12.  Both are real symmetric.
+_IDENTITY_MASS = (0.0, 1.0, 0.0)
+_NUMEROV_MASS = (1.0 / 12.0, 10.0 / 12.0, 1.0 / 12.0)
+
+
+def _dense(n, lower, diag, upper):
+    """Dense complex n x n matrix with these diagonals, arrays or scalars."""
+    out = np.zeros((n, n), dtype=complex)
+    i = np.arange(n)
+    out[i, i] = diag
+    out[i[1:], i[:-1]] = lower
+    out[i[:-1], i[1:]] = upper
+    return out
 
 
 class DiscreteOperator:
-    """Banded matrix acting on radial grid vectors.
+    """Tridiagonal pencil (A, M) on radial grid vectors, standing for M^{-1} A.
 
-    Stored as a dict of diagonals {offset: values}; offsets are symmetric for
-    the operators built here.  Immutable by convention (no mutating API).
+    A is given as a dict of diagonals {offset: values} with offsets in
+    {-1, 0, 1}; an absent off-diagonal is zero, and ``diagonals`` returns
+    all three.  M is a constant (lower, main, upper) triple: the identity
+    by default, Numerov's mass for the outgoing closure.  matvec applies A.
     ``outgoing_energy`` is the energy of the outgoing closure at r_max, or
-    None for a box closed by a Dirichlet wall.  ``mass`` holds the constant
-    (lower, main, upper) diagonals of the tridiagonal mass matrix M of a
-    pencil (the operator is then M^{-1} A, with A the stored diagonals, and
-    matvec applies A), or None for M = I.
+    None for a box closed by a Dirichlet wall.  Immutable by convention (no
+    mutating API).
     """
 
-    def __init__(self, grid, diagonals, outgoing_energy=None, mass=None):
+    def __init__(self, grid, diagonals, outgoing_energy=None,
+                 mass=_IDENTITY_MASS):
+        if not set(diagonals) <= {-1, 0, 1}:
+            raise ConfigError(f"offset outside -1..1 in {sorted(diagonals)}")
+        n = grid.N
+        absent = np.zeros(n - 1) if len(diagonals) < 3 else None
         self.grid = grid
-        self.diagonals = {int(k): np.asarray(v) for k, v in diagonals.items()}
+        self.lower = np.asarray(diagonals.get(-1, absent))
+        self.main = np.asarray(diagonals[0])
+        self.upper = np.asarray(diagonals.get(1, absent))
         self.outgoing_energy = outgoing_energy
         self.mass = mass
-        n = grid.N
-        for off, vals in self.diagonals.items():
-            if len(vals) != n - abs(off):
-                raise ConfigError(f"diagonal {off} has wrong length")
+        if (len(self.main) != n
+                or {len(self.lower), len(self.upper)} != {n - 1}):
+            raise ConfigError("diagonal has wrong length")
 
     @property
     def n(self):
         return self.grid.N
 
     @property
-    def bandwidth(self):
-        return max(abs(o) for o in self.diagonals)
+    def diagonals(self):
+        return {-1: self.lower, 0: self.main, 1: self.upper}
+
+    def pencil(self, z=0.0):
+        """(lower, main, upper) diagonals of A - z M."""
+        m_lower, m_diag, m_upper = self.mass
+        return (self.lower - z * m_lower, self.main - z * m_diag,
+                self.upper - z * m_upper)
 
     def is_hermitian(self, tol=1e-12):
-        scale = max(np.max(np.abs(v)) for v in self.diagonals.values())
-        for off in self.diagonals:
-            upper = self.diagonals.get(off)
-            lower = self.diagonals.get(-off)
-            if lower is None:
-                return False
-            if np.max(np.abs(upper - np.conj(lower))) > tol * scale:
-                return False
-        return True
+        """Whether A (for a pencil A alone, not M^{-1} A) is Hermitian."""
+        bound = tol * max(np.max(np.abs(d))
+                          for d in (self.lower, self.main, self.upper))
+        return bool(np.max(np.abs(self.upper - np.conj(self.lower))) <= bound
+                    and np.max(np.abs(np.imag(self.main))) <= 0.5 * bound)
 
     def dense(self, shift=0.0):
-        """Dense A - shift M (M = I without a mass)."""
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for off, vals in self.diagonals.items():
-            out += np.diag(vals, off)
-        if self.mass is None:
-            out[np.diag_indices(self.n)] -= shift
-        else:
-            out -= shift * self.dense_mass()
-        return out
-
-    def dense_mass(self):
-        """Dense mass matrix M of a pencil."""
-        lower, diag, upper = self.mass
-        n = self.n
-        return (diag * np.eye(n) + upper * np.eye(n, k=1)
-                + lower * np.eye(n, k=-1))
+        """Dense A - shift M."""
+        return _dense(self.n, *self.pencil(shift))
 
     def matvec(self, x):
-        x = np.asarray(x)
-        out = np.zeros(self.n, dtype=np.result_type(x.dtype, complex))
-        for off, vals in self.diagonals.items():
-            if off >= 0:
-                out[: self.n - off] += vals * x[off:]
-            else:
-                out[-off:] += vals * x[: self.n + off]
-        return out
+        """A x, complex."""
+        return _tridiagonal_matvec(self.lower, self.main, self.upper,
+                                   np.asarray(x, dtype=complex))
 
     def scaled_shifted(self, scale=1.0, shift=0.0):
-        """Return scale*op + shift (shift acts on the main diagonal)."""
-        diags = {o: scale * v for o, v in self.diagonals.items()}
-        diags[0] = diags[0] + shift
-        return DiscreteOperator(self.grid, diags)
+        """scale*op + shift (on the main diagonal); M = I only."""
+        if self.mass != _IDENTITY_MASS:
+            raise ConfigError("scaled_shifted needs M = I")
+        return DiscreteOperator(self.grid, {-1: scale * self.lower,
+                                            0: scale * self.main + shift,
+                                            1: scale * self.upper})
 
 
 def d2_operator(grid):
@@ -151,10 +154,6 @@ def d2_operator(grid):
         1: np.full(n - 1, -1.0 / h**2),
         -1: np.full(n - 1, -1.0 / h**2),
     })
-
-
-# Numerov's mass matrix M = tridiag(1, 10, 1)/12: (lower, main, upper)
-_NUMEROV_MASS = (1.0 / 12.0, 10.0 / 12.0, 1.0 / 12.0)
 
 
 def outgoing_root(lam, shift, h):
@@ -172,7 +171,8 @@ def outgoing_root(lam, shift, h):
 
 
 def discretize(spec, grid, outgoing=None):
-    """Banded matrix for a radial mode operator D_r^2 + V_k(r).
+    """Tridiagonal pencil (A, M) for a radial mode operator D_r^2 + V_k(r),
+    with the stiffness A = -delta^2/h^2 + M diag(V).
 
     Parameters
     ----------
@@ -180,9 +180,9 @@ def discretize(spec, grid, outgoing=None):
         Carries the potential handle and the Dirichlet wall r0.
     grid : RadialGrid
     outgoing : float or None
-        None closes the box by a Dirichlet wall, with the order-2 stencil.
-        A real energy lam gives Numerov's pencil (stiffness A, mass M),
-        closed by the outgoing wave u_{N+1} = beta u_N at r_max, which adds
+        None closes the box by a Dirichlet wall, with M = I: the order-2
+        stencil.  A real energy lam gives Numerov's mass M, closed by the
+        outgoing wave u_{N+1} = beta u_N at r_max, which adds
         beta (-1/h^2 - kappa^2/12), kappa^2 = lam - shift, to A's last
         diagonal entry.  The closure is exact only where the potential has
         reached its constant tail, so a tail above _TAIL_TOL at r_max is
@@ -191,25 +191,24 @@ def discretize(spec, grid, outgoing=None):
     if abs(spec.r0 - grid.r0) > 1e-12:
         raise ConfigError("spec and grid disagree on r0")
     v = spec.potential(grid.points())
-    if outgoing is None:
-        diags = dict(d2_operator(grid).diagonals)
-        diags[0] = diags[0].astype(complex) + v
-        return DiscreteOperator(grid, diags)
-    tail = abs(float(spec.potential(grid.r_max)) - spec.shift)
-    if tail > _TAIL_TOL:
-        raise ConfigError(
-            f"potential tail {tail:.3g} at r_max exceeds {_TAIL_TOL:g}; "
-            "the outgoing closure needs a longer box"
-        )
     h2 = grid.h**2
-    kappa_sq = outgoing - spec.shift
-    diag = (2.0 / h2 + (10.0 / 12.0) * v).astype(complex)
-    diag[-1] += outgoing_root(outgoing, spec.shift, grid.h) * (
-        -1.0 / h2 - kappa_sq / 12.0)
-    diags = {0: diag, 1: -1.0 / h2 + v[1:] / 12.0,
-             -1: -1.0 / h2 + v[:-1] / 12.0}
-    return DiscreteOperator(grid, diags, outgoing_energy=outgoing,
-                            mass=_NUMEROV_MASS)
+    mass, closure = _IDENTITY_MASS, 0.0
+    if outgoing is not None:
+        tail = abs(float(spec.potential(grid.r_max)) - spec.shift)
+        if tail > _TAIL_TOL:
+            raise ConfigError(
+                f"potential tail {tail:.3g} at r_max exceeds {_TAIL_TOL:g}; "
+                "the outgoing closure needs a longer box"
+            )
+        mass = _NUMEROV_MASS
+        closure = outgoing_root(outgoing, spec.shift, grid.h) * (
+            -1.0 / h2 - (outgoing - spec.shift) / 12.0)
+    m_lower, m_diag, m_upper = mass
+    diag = (2.0 / h2 + m_diag * v).astype(complex)
+    diag[-1] += closure
+    diags = {0: diag, 1: -1.0 / h2 + m_upper * v[1:],
+             -1: -1.0 / h2 + m_lower * v[:-1]}
+    return DiscreteOperator(grid, diags, outgoing_energy=outgoing, mass=mass)
 
 
 def _norm(x):
@@ -225,36 +224,21 @@ def _tridiagonal_matvec(lower, diag, upper, x):
 
 
 class ShiftedSolver:
-    """LU factorization of the tridiagonal (op - z M) supporting repeated
-    direct/adjoint solves of the resolvent (op - z M)^{-1} M, M = op.mass
-    (the identity when op has none).
+    """LU factorization of the tridiagonal A - z M of a pencil op = (A, M)
+    supporting repeated direct/adjoint solves of the resolvent
+    (A - z M)^{-1} M, which is (M^{-1} A - z)^{-1}.
 
     Tridiagonal LU with partial pivoting (LAPACK zgttrf; zgttrs solves with
     the factors, and with trans="C" solves the adjoint system), with a
     residual certificate per tridiagonal solve and one step of iterative
     refinement when the first solve misses it.  The residuals are formed
-    from the three stored diagonals.
+    from the three diagonals of A - z M.
     """
 
     def __init__(self, op, z):
-        if op.bandwidth > 1:
-            raise ConfigError(
-                f"tridiagonal solver needs bandwidth <= 1, got {op.bandwidth}"
-            )
         self.op = op
         self.z = complex(z)
-        absent = np.zeros(op.n - 1)
-        lower = np.asarray(op.diagonals.get(-1, absent), dtype=complex)
-        diag = np.asarray(op.diagonals[0], dtype=complex)
-        upper = np.asarray(op.diagonals.get(1, absent), dtype=complex)
-        self._mass = op.mass
-        if op.mass is None:
-            diag = diag - self.z
-        else:
-            m_lower, m_diag, m_upper = op.mass
-            lower = lower - self.z * m_lower
-            diag = diag - self.z * m_diag
-            upper = upper - self.z * m_upper
+        lower, diag, upper = op.pencil(self.z)
         *self._lu, info = zgttrf(lower, diag, upper)
         if info != 0:
             raise NumericalFailure(
@@ -282,17 +266,14 @@ class ShiftedSolver:
         return x
 
     def solve(self, rhs):
-        """(op - z M)^{-1} M rhs."""
-        if self._mass is not None:
-            rhs = _tridiagonal_matvec(*self._mass, np.asarray(rhs))
+        """(A - z M)^{-1} M rhs."""
+        rhs = _tridiagonal_matvec(*self.op.mass, np.asarray(rhs))
         return self._solve(rhs, "N", self._diagonals)
 
     def solve_adjoint(self, rhs):
-        """M (op - z M)^{-H} rhs, the adjoint of solve."""
+        """M (A - z M)^{-H} rhs, the adjoint of solve (M is real symmetric)."""
         x = self._solve(rhs, "C", self._diagonals_h)
-        if self._mass is None:
-            return x
-        return _tridiagonal_matvec(*self._mass, x)
+        return _tridiagonal_matvec(*self.op.mass, x)
 
 
 def _power_start(n):
@@ -308,7 +289,7 @@ _COLD_SHARE = 1e-2
 def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, max_iter=5000,
                            start=None):
     """Largest singular value of W_l R W_r, matrix-free, where
-    R = (op - z M)^{-1} M is the resolvent that ShiftedSolver applies.
+    R = (A - z M)^{-1} M is the resolvent that ShiftedSolver applies.
 
     Power iteration on the Gram map G x = W_r R^* W_l^2 R W_r x.  It starts from
     _power_start, or, given ``start`` (a guess at the top right singular
@@ -365,39 +346,38 @@ def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, max_iter=5000,
 
 def weighted_operator_norm_dense(op, z, w_left, w_right):
     """Dense SVD cross-check path for moderate problem sizes: the norm of
-    W_l (op - z M)^{-1} M W_r."""
+    W_l (A - z M)^{-1} M W_r."""
     if op.n > _DENSE_SVD_MAX_N:
         raise ConfigError(
             f"dense SVD path limited to N <= {_DENSE_SVD_MAX_N}, got {op.n}"
         )
     w_left = np.asarray(w_left, dtype=float)
     w_right = np.asarray(w_right, dtype=float)
-    inv = np.linalg.inv(op.dense(shift=complex(z)))
-    if op.mass is not None:
-        inv = inv @ op.dense_mass()
+    inv = np.linalg.inv(op.dense(shift=complex(z))) @ _dense(op.n, *op.mass)
     return float(np.linalg.norm(w_left[:, None] * inv * w_right[None, :], ord=2))
 
 
 def hermitian_eig(op, select_range=None):
-    """Eigendecomposition of a Hermitian DiscreteOperator.
+    """Eigendecomposition of a Hermitian DiscreteOperator with M = I (a
+    pencil's M^{-1} A is not the Hermitian A, and is refused).
 
-    Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
-    With ``select_range=(lo, hi)`` only the eigenpairs in (lo, hi] are
-    returned; the tridiagonal path computes only those, the dense path
-    computes all and filters.
+    Returns (eigenvalues ascending, orthonormal eigenvectors as columns), by
+    eigh_tridiagonal for a real operator and by dense eigh for one with
+    nonzero imaginary entries (the generator A_k).  With
+    ``select_range=(lo, hi)`` only the eigenpairs in (lo, hi] are returned;
+    the tridiagonal path computes only those, the dense path computes all
+    and filters.
     """
+    if op.mass != _IDENTITY_MASS:
+        raise ConfigError("hermitian_eig needs M = I, not a pencil's M^{-1} A")
     if not op.is_hermitian():
         raise ConfigError("operator is not Hermitian")
-    if op.bandwidth == 1 and all(
-        np.max(np.abs(np.imag(v))) == 0.0 for v in op.diagonals.values()
-    ):
-        d = np.real(op.diagonals[0]).astype(float)
-        e = np.real(op.diagonals[1]).astype(float)
-        if select_range is not None:
-            return sla.eigh_tridiagonal(
-                d, e, select="v", select_range=select_range
-            )
-        return sla.eigh_tridiagonal(d, e)
+    if not any(np.any(np.imag(d)) for d in (op.lower, op.main, op.upper)):
+        d = np.real(op.main).astype(float)
+        e = np.real(op.upper).astype(float)
+        select = "a" if select_range is None else "v"
+        return sla.eigh_tridiagonal(d, e, select=select,
+                                    select_range=select_range)
     evals, evecs = np.linalg.eigh(op.dense())
     if select_range is not None:
         lo, hi = select_range

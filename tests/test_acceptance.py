@@ -261,8 +261,7 @@ def test_criterion_09_positive_commutator():
         for lam in (1e2, 1e3):
             grid = default_positivity_grid(lam)
             assert grid.N == 1200
-            rep = mourre_positivity_check(lam, 1.0, lambda l: l ** -0.5,
-                                          grid, 48)
+            rep = mourre_positivity_check(lam, 1.0, grid, 48)
             assert rep.min_eig_ratio is not None
             assert rep.min_eig_ratio >= -0.1
             reports[lam] = rep

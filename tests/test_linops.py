@@ -31,9 +31,6 @@ def test_grid_spacing_and_points():
     g = RadialGrid(r0=0.0, r_max=1.0, N=9)
     assert g.h == pytest.approx(0.1)
     assert g.points() == pytest.approx(np.linspace(0.1, 0.9, 9))
-    g2 = g.refined()
-    assert g2.N == 2 * g.N + 1
-    assert g2.h == pytest.approx(g.h / 2.0)
 
 
 def test_d2_stencil_rows():
@@ -62,6 +59,30 @@ def test_discretize_constant_potential_diagonal():
     op = discretize(mode_operator_spec(cfg, 0), g)
     assert op.diagonals[0] == pytest.approx(
         np.full(g.N, 2.0 / g.h**2 + 0.25))
+
+
+def test_dirichlet_discretize_is_the_order_two_stencil_plus_potential():
+    # -delta^2/h^2 + diag(V) with M = I, for a potential that varies.
+    cfg = _circle_config()
+    g = RadialGrid(r0=0.25, r_max=10.25, N=99)
+    spec = mode_operator_spec(cfg, 2)
+    op = discretize(spec, g)
+    assert op.mass == (0.0, 1.0, 0.0) and op.outgoing_energy is None
+    expected = d2_operator(g).dense() + np.diag(spec.potential(g.points()))
+    assert np.array_equal(op.dense(), expected)
+    assert np.array_equal(op.dense(shift=2.0 - 1j),
+                          expected - (2.0 - 1j) * np.eye(g.N))
+
+
+def test_scaled_shifted_refuses_a_pencil():
+    cfg = _circle_config()
+    g = RadialGrid(r0=0.25, r_max=30.0, N=400)
+    op = discretize(mode_operator_spec(cfg, 1), g, outgoing=4.0)
+    with pytest.raises(ConfigError):
+        op.scaled_shifted(scale=2.0)
+    bare = discretize(mode_operator_spec(cfg, 1), g)
+    scaled = bare.scaled_shifted(scale=2.0, shift=-1.0)
+    assert np.array_equal(scaled.dense(), 2.0 * bare.dense() - np.eye(g.N))
 
 
 def test_discretize_r0_mismatch_rejected():
@@ -117,8 +138,8 @@ def test_outgoing_closure_is_one_diagonal_entry():
     bare = discretize(spec, g)
     closed = discretize(spec, g, outgoing=4.0)
     assert closed.outgoing_energy == 4.0 and bare.outgoing_energy is None
-    # The Dirichlet box keeps the order-2 stencil and no mass.
-    assert bare.mass is None
+    # The Dirichlet box keeps the order-2 stencil, with M = I.
+    assert bare.mass == (0.0, 1.0, 0.0)
     assert bare.diagonals[1] == pytest.approx(np.full(g.N - 1, -1.0 / g.h**2))
     # The unclosed Numerov pencil: A = -delta^2/h^2 + M diag(V).
     v = spec.potential(g.points())
@@ -286,12 +307,12 @@ def test_shifted_solver_singular_pivot_raises():
         ShiftedSolver(op, 2.0)
 
 
-def test_shifted_solver_rejects_bandwidth_two():
+def test_operator_rejects_offset_two():
     g = RadialGrid(r0=0.0, r_max=1.0, N=9)
-    op = DiscreteOperator(g, {**d2_operator(g).diagonals,
-                              2: np.ones(7), -2: np.ones(7)})
-    with pytest.raises(ConfigError):
-        ShiftedSolver(op, 1j)
+    for extra in ({2: np.ones(7)}, {-2: np.ones(7)},
+                  {2: np.ones(7), -2: np.ones(7)}):
+        with pytest.raises(ConfigError):
+            DiscreteOperator(g, {**d2_operator(g).diagonals, **extra})
 
 
 def _greens_solution(grid, z, rhs):
@@ -468,8 +489,8 @@ def test_hermitian_eig_residuals_and_orthonormality():
 
 
 def test_hermitian_eig_rejects_cap():
-    # A complex absorbing potential and the outgoing closure both make the
-    # operator non-Hermitian.
+    # A complex absorbing potential makes the operator non-Hermitian, and the
+    # outgoing closure is a pencil with M != I.
     cfg = _circle_config()
     g = RadialGrid(r0=0.25, r_max=30.0, N=100)
     bare = discretize(mode_operator_spec(cfg, 0), g)

@@ -9,8 +9,7 @@ import pytest
 from hyplab import mourre
 from hyplab.conjugate import ConjugateParams, a_k_eval, generator_matrix
 from hyplab.errors import ConfigError, NumericalFailure, RegimeError
-from hyplab.linops import (DiscreteOperator, RadialGrid, discretize,
-                           hermitian_eig)
+from hyplab.linops import RadialGrid, discretize, hermitian_eig
 from hyplab.model import ModelConfig, mode_operator_spec
 from hyplab.mourre import (SpectralCutoff, commutator_matrix,
                            default_positivity_grid, double_commutator_matrix,
@@ -265,24 +264,31 @@ def test_hs_matches_spectral_calculus_mode_operator():
     assert np.linalg.norm(out - ref, 2) <= 1e-6
 
 
-def test_hs_matches_spectral_calculus_order_four_stencil():
-    # D_r^2 + V on the five-point stencil, with the odd-image closure at both
-    # walls: a pentadiagonal Hermitian operator (bandwidth 2), which takes the
-    # dense branch of hermitian_eig
+def test_hs_matches_spectral_calculus_complex_generator():
+    # The generator A_k is complex Hermitian, so it takes the dense branch
+    # of hermitian_eig
     f = WIDE_BUMP
     g = RadialGrid(r0=0.25, r_max=12.0, N=120)
-    n, c = g.N, 1.0 / (12.0 * g.h**2)
-    diag = np.full(n, 30.0 * c) + mode_operator_spec(CONFIG, 1).potential(
-        g.points())
-    diag[[0, -1]] -= c
-    op = DiscreteOperator(g, {0: diag, 1: np.full(n - 1, -16.0 * c),
-                              -1: np.full(n - 1, -16.0 * c),
-                              2: np.full(n - 2, c), -2: np.full(n - 2, c)})
-    assert op.bandwidth == 2
+    op = generator_matrix(PARAMS, 2.0, g)
+    assert np.max(np.abs(np.imag(op.diagonals[1]))) > 0.0
     evals, _ = hermitian_eig(op)
     op = op.scaled_shifted(scale=2.5 / float(np.max(np.abs(evals))))
     out = hs_calculus(f, op, u_range=f.support)
     assert np.linalg.norm(out - spectral_calculus(f, op), 2) <= 1e-6
+
+
+def test_calculus_refuses_a_pencil():
+    # Below threshold the outgoing closure is real, so Numerov's stiffness A
+    # of the constant-potential mode is symmetric; but the pencil stands for
+    # M^{-1} A, whose spectrum A's is not.
+    g = RadialGrid(r0=0.25, r_max=30.0, N=400)
+    op = discretize(mode_operator_spec(CONFIG, 0), g, outgoing=0.1)
+    assert op.is_hermitian()
+    for call in (lambda: hermitian_eig(op),
+                 lambda: hs_calculus(WIDE_BUMP, op, u_range=WIDE_BUMP.support),
+                 lambda: spectral_calculus(WIDE_BUMP, op)):
+        with pytest.raises(ConfigError):
+            call()
 
 
 _POLY_BUMP_DERIVS = [
@@ -474,8 +480,7 @@ def test_positivity_scale_ordering_enforced():
     # S <= r0 + 1 violates the cutoff-scale ordering
     g = _grid(N=600)
     with pytest.raises(ConfigError):
-        mourre_positivity_check(0.8, 1.0, lambda l: l**-0.5, g, 4,
-                                config=CONFIG)
+        mourre_positivity_check(0.8, 1.0, g, 4, config=CONFIG)
 
 
 def test_hs_certifies_the_result_at_the_spectrum():
