@@ -19,15 +19,20 @@ the real axis.
 The kernels provided here are shifted tridiagonal solves with a residual
 certificate (LAPACK's tridiagonal LU), matrix-free weighted operator norms by
 power iteration on the Gram map, Hermitian eigendecompositions, and Schur
-kernel bounds.  The vector norms and inner products of the solves and of the
-power iteration are numpy ufunc reductions, not BLAS level-1 calls: on long
-vectors OpenBLAS runs those on its own threads, which oversubscribe the cores
-when the solves already run in a process pool.
+kernel bounds.  The vector norms and real inner products of the solves and of
+the power iteration work on the float64 view of the complex vectors (real and
+imaginary parts interleaved): one elementwise ufunc and one np.add.reduce,
+whose pairwise summation keeps the rounding near one ulp, where np.einsum's
+running sum costs about the same and errs up to ten times more on long
+vectors.  None is a BLAS level-1 call (np.dot, np.vdot, np.linalg.norm of a
+real vector): on long vectors OpenBLAS runs those on its own threads, which
+oversubscribe the cores when the solves already run in a process pool.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -211,16 +216,38 @@ def discretize(spec, grid, outgoing=None):
     return DiscreteOperator(grid, diags, outgoing_energy=outgoing, mass=mass)
 
 
+def _floats(x):
+    """A complex128 vector's float64 view, real and imaginary parts
+    interleaved; a float64 vector itself."""
+    return np.ascontiguousarray(x).view(np.float64)
+
+
+def _dot(x, y):
+    """Re <x, y> of two complex128 (or two float64) vectors, by a pairwise
+    ufunc reduction over their float views."""
+    return float(np.add.reduce(_floats(x) * _floats(y)))
+
+
 def _norm(x):
-    """Euclidean norm of a vector, by a ufunc reduction."""
-    return math.sqrt(np.add.reduce(x.real * x.real + x.imag * x.imag))
+    """Euclidean norm of a complex128 or float64 vector, by a pairwise ufunc
+    reduction over its float view."""
+    return math.sqrt(np.add.reduce(np.square(_floats(x))))
 
 
 def _tridiagonal_matvec(lower, diag, upper, x):
     y = diag * x
-    y[:-1] += upper * x[1:]
-    y[1:] += lower * x[:-1]
+    t = upper * x[1:]
+    y[:-1] += t
+    np.multiply(lower, x[:-1], out=t)
+    y[1:] += t
     return y
+
+
+def _residual(diagonals, x, rhs):
+    """rhs - T x for the tridiagonal T with these diagonals, formed in place
+    of T x."""
+    y = _tridiagonal_matvec(*diagonals, x)
+    return np.subtract(rhs, y, out=y)
 
 
 class ShiftedSolver:
@@ -232,7 +259,8 @@ class ShiftedSolver:
     the factors, and with trans="C" solves the adjoint system), with a
     residual certificate per tridiagonal solve and one step of iterative
     refinement when the first solve misses it.  The residuals are formed
-    from the three diagonals of A - z M.
+    from the three diagonals of A - z M.  With M = I (a Dirichlet box) no
+    mass is applied.
     """
 
     def __init__(self, op, z):
@@ -246,18 +274,21 @@ class ShiftedSolver:
             )
         self._diagonals = (lower, diag, upper)
         self._diagonals_h = (upper.conj(), diag.conj(), lower.conj())
+        self._mass = None if op.mass == _IDENTITY_MASS else op.mass
 
     def _solve(self, rhs, trans, diagonals):
-        rhs = np.asarray(rhs, dtype=complex)
-        if not np.any(rhs):
+        rhs = np.ascontiguousarray(rhs, dtype=complex)
+        # A right-hand side whose squared norm underflows counts as zero.
+        rhs_norm = _norm(rhs)
+        if rhs_norm == 0.0:
             return np.zeros_like(rhs)
-        tol = _SOLVE_RESID_TOL * max(_norm(rhs), 1e-300)
+        tol = _SOLVE_RESID_TOL * max(rhs_norm, 1e-300)
         x = zgttrs(*self._lu, rhs, trans=trans)[0]
-        resid = rhs - _tridiagonal_matvec(*diagonals, x)
+        resid = _residual(diagonals, x, rhs)
         resid_norm = _norm(resid)
         if resid_norm > tol:
             x += zgttrs(*self._lu, resid, trans=trans, overwrite_b=1)[0]
-            resid_norm = _norm(rhs - _tridiagonal_matvec(*diagonals, x))
+            resid_norm = _norm(_residual(diagonals, x, rhs))
         if resid_norm > tol:
             raise NumericalFailure(
                 f"solve residual {resid_norm:.3e} exceeds tolerance",
@@ -267,19 +298,26 @@ class ShiftedSolver:
 
     def solve(self, rhs):
         """(A - z M)^{-1} M rhs."""
-        rhs = _tridiagonal_matvec(*self.op.mass, np.asarray(rhs))
+        if self._mass is not None:
+            rhs = _tridiagonal_matvec(*self._mass, np.asarray(rhs))
         return self._solve(rhs, "N", self._diagonals)
 
     def solve_adjoint(self, rhs):
         """M (A - z M)^{-H} rhs, the adjoint of solve (M is real symmetric)."""
         x = self._solve(rhs, "C", self._diagonals_h)
-        return _tridiagonal_matvec(*self.op.mass, x)
+        if self._mass is None:
+            return x
+        return _tridiagonal_matvec(*self._mass, x)
 
 
+@functools.lru_cache(maxsize=32)
 def _power_start(n):
-    """Deterministic generic start vector for power iterations."""
+    """Deterministic generic unit start vector for power iterations, built
+    once per size and read-only."""
     v = np.cos(0.7 * np.arange(n)) + 1.3 + 0.1j * np.sin(1.3 * np.arange(n) + 0.4)
-    return v / _norm(v)
+    v /= _norm(v)
+    v.flags.writeable = False
+    return v
 
 
 # share of the generic start mixed into a warm start
@@ -310,7 +348,9 @@ def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, max_iter=5000,
     if not np.any(w_left) or not np.any(w_right):
         return 0.0, None, 0
     s = ShiftedSolver(op, z)
-    w_left_sq = w_left**2
+    # Complex weights: the products with complex vectors cast real ones anyway.
+    w_left_sq = (w_left**2).astype(complex)
+    w_right = w_right.astype(complex)
 
     def gram(x):
         y = s.solve(w_right * x)
@@ -329,9 +369,10 @@ def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, max_iter=5000,
         history.append(theta_new)
         if theta_new == 0.0:
             return 0.0, None, step
-        rayleigh = float(np.add.reduce(v.real * u.real + v.imag * u.imag))
+        rayleigh = _dot(v, u)
         resid = _norm(u - rayleigh * v)
-        v = u / theta_new
+        # u * (1/theta) is bit for bit numpy's u / theta, done faster.
+        v = u * (1.0 / theta_new)
         if (
             abs(theta_new - theta) <= 0.1 * tol * theta_new
             and resid <= math.sqrt(tol) * abs(rayleigh)

@@ -301,6 +301,34 @@ def test_shifted_solve_adjoint_matches_dense():
     assert np.vdot(other, x) == pytest.approx(np.vdot(y, rhs), rel=1e-10)
 
 
+def test_dirichlet_box_solves_apply_no_mass(monkeypatch):
+    # With M = I the resolvent is (A - z)^{-1}: solve and solve_adjoint skip
+    # the mass apply, a tridiagonal matvec with constant diagonals.
+    cfg = _circle_config()
+    g = RadialGrid(r0=0.25, r_max=30.0, N=1200)
+    op = discretize(mode_operator_spec(cfg, 2), g)
+    z = 100.0 + 1j
+    mat = op.dense(z)
+    rng = np.random.default_rng(5)
+    rhs = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
+    other = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
+    mass_applies = []
+    matvec = linops._tridiagonal_matvec
+
+    def counted(lower, diag, upper, x):
+        if np.ndim(diag) == 0:
+            mass_applies.append(diag)
+        return matvec(lower, diag, upper, x)
+
+    monkeypatch.setattr(linops, "_tridiagonal_matvec", counted)
+    solver = ShiftedSolver(op, z)
+    x, y = solver.solve(rhs), solver.solve_adjoint(other)
+    assert mass_applies == []
+    for sol, ref in ((x, np.linalg.solve(mat, rhs)),
+                     (y, np.linalg.solve(mat.conj().T, other))):
+        assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 def test_shifted_solver_singular_pivot_raises():
     op = _diag_operator([1.0, 2.0, 3.0])
     with pytest.raises(NumericalFailure):
@@ -446,6 +474,66 @@ def test_weighted_norm_warm_start():
     # share of the generic start mixed in.
     lost, _, _ = weighted_operator_norm(op, z, w, w, start=vh[1].conj())
     assert lost == pytest.approx(sigma[0], rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [1, 172, 10556])
+def test_norm_and_dot_match_numpy(n):
+    # 10,556 points (refine = 4 at lambda = 10^4) is past the length at which
+    # OpenBLAS threads its level-1 calls; the helpers make none.
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    near = x + 1e-3 * y
+    for a, b in ((x, y), (x.real, y.real)):
+        assert linops._norm(a) == pytest.approx(np.linalg.norm(a), rel=1e-15)
+        scale = np.linalg.norm(a) * np.linalg.norm(b)
+        assert abs(linops._dot(a, b) - np.vdot(a, b).real) <= 1e-15 * scale
+    # Nearly parallel, as in the Rayleigh quotient <v, G v>.
+    assert linops._dot(x, near) == pytest.approx(np.vdot(x, near).real,
+                                                 rel=1e-15)
+    for zero in (np.zeros(n, dtype=complex), np.zeros(n)):
+        assert linops._norm(zero) == 0.0
+        assert linops._dot(zero, zero) == 0.0
+
+
+def test_gram_steps_make_two_zgttrs_calls_and_one_start_per_size(
+        monkeypatch):
+    # Over a sweep's chains of cold and warm-started cells on Numerov's
+    # pencil, each Gram step is one solve and one adjoint solve of one
+    # zgttrs call each, and the start vector is built once per grid size,
+    # not once per cell.
+    from hyplab.laplab import SweepConfig, lambda_sweep
+
+    linops._power_start.cache_clear()
+    calls = _counting_zgttrs(monkeypatch)
+    result = lambda_sweep(SweepConfig(lambdas=(1e2, 1e3), K_max=3))
+    steps = sum(row["iterations"] for row in result.rows)
+    assert steps > len(result.rows)
+    assert calls == ["N", "C"] * steps
+    info = linops._power_start.cache_info()
+    assert info.misses == 2
+    assert info.hits == len(result.rows) - 2 == 6
+
+
+def test_power_start_cache_is_read_only_and_left_unchanged():
+    cfg = _circle_config()
+    g = RadialGrid(r0=0.25, r_max=30.0, N=400)
+    op = make_mode_operator(cfg, 0, g)
+    w = (1.0 + g.points()**2) ** -0.5
+    z = 4.0
+    linops._power_start.cache_clear()
+    cold = weighted_operator_norm(op, z, w, w)
+    start = linops._power_start(op.n)
+    kept = start.copy()
+    with pytest.raises(ValueError):
+        start[0] = 0.0
+    again = weighted_operator_norm(op, z, w, w)
+    assert linops._power_start.cache_info().misses == 1
+    assert again[0] == cold[0] and again[2] == cold[2]
+    assert np.array_equal(again[1], cold[1])
+    weighted_operator_norm(op, z, w, w, start=cold[1])
+    assert linops._power_start(op.n) is start
+    assert np.array_equal(start, kept)
 
 
 def test_outgoing_closure_passivity_resolvent_bound():
