@@ -259,8 +259,7 @@ class ShiftedSolver:
     the factors, and with trans="C" solves the adjoint system), with a
     residual certificate per tridiagonal solve and one step of iterative
     refinement when the first solve misses it.  The residuals are formed
-    from the three diagonals of A - z M.  With M = I (a Dirichlet box) no
-    mass is applied.
+    from the three diagonals of A - z M.
     """
 
     def __init__(self, op, z):
@@ -274,13 +273,12 @@ class ShiftedSolver:
             )
         self._diagonals = (lower, diag, upper)
         self._diagonals_h = (upper.conj(), diag.conj(), lower.conj())
-        self._mass = None if op.mass == _IDENTITY_MASS else op.mass
 
     def _solve(self, rhs, trans, diagonals):
         rhs = np.ascontiguousarray(rhs, dtype=complex)
-        # A right-hand side whose squared norm underflows counts as zero.
+        # The norm is needed anyway; np.any only runs when it underflows.
         rhs_norm = _norm(rhs)
-        if rhs_norm == 0.0:
+        if rhs_norm == 0.0 and not np.any(rhs):
             return np.zeros_like(rhs)
         tol = _SOLVE_RESID_TOL * max(rhs_norm, 1e-300)
         x = zgttrs(*self._lu, rhs, trans=trans)[0]
@@ -298,16 +296,13 @@ class ShiftedSolver:
 
     def solve(self, rhs):
         """(A - z M)^{-1} M rhs."""
-        if self._mass is not None:
-            rhs = _tridiagonal_matvec(*self._mass, np.asarray(rhs))
+        rhs = _tridiagonal_matvec(*self.op.mass, np.asarray(rhs))
         return self._solve(rhs, "N", self._diagonals)
 
     def solve_adjoint(self, rhs):
         """M (A - z M)^{-H} rhs, the adjoint of solve (M is real symmetric)."""
         x = self._solve(rhs, "C", self._diagonals_h)
-        if self._mass is None:
-            return x
-        return _tridiagonal_matvec(*self._mass, x)
+        return _tridiagonal_matvec(*self.op.mass, x)
 
 
 @functools.lru_cache(maxsize=32)

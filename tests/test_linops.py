@@ -1,5 +1,7 @@
 """Discretization, shifted solves, norms, eigendecomposition, Schur bounds."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import zgttrs
@@ -301,9 +303,8 @@ def test_shifted_solve_adjoint_matches_dense():
     assert np.vdot(other, x) == pytest.approx(np.vdot(y, rhs), rel=1e-10)
 
 
-def test_dirichlet_box_solves_apply_no_mass(monkeypatch):
-    # With M = I the resolvent is (A - z)^{-1}: solve and solve_adjoint skip
-    # the mass apply, a tridiagonal matvec with constant diagonals.
+def test_dirichlet_box_solves_match_dense():
+    # With M = I the resolvent is (A - z)^{-1} and its adjoint (A - z)^{-H}.
     cfg = _circle_config()
     g = RadialGrid(r0=0.25, r_max=30.0, N=1200)
     op = discretize(mode_operator_spec(cfg, 2), g)
@@ -312,21 +313,23 @@ def test_dirichlet_box_solves_apply_no_mass(monkeypatch):
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
     other = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
-    mass_applies = []
-    matvec = linops._tridiagonal_matvec
-
-    def counted(lower, diag, upper, x):
-        if np.ndim(diag) == 0:
-            mass_applies.append(diag)
-        return matvec(lower, diag, upper, x)
-
-    monkeypatch.setattr(linops, "_tridiagonal_matvec", counted)
     solver = ShiftedSolver(op, z)
     x, y = solver.solve(rhs), solver.solve_adjoint(other)
-    assert mass_applies == []
     for sol, ref in ((x, np.linalg.solve(mat, rhs)),
                      (y, np.linalg.solve(mat.conj().T, other))):
         assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_shifted_solve_of_a_tiny_rhs_is_not_zero():
+    # Entries of 1e-170 square to below the smallest double, so the norm of
+    # the right-hand side underflows to 0; the solve must still run.
+    op = _diag_operator([1.0, 2.0, 3.0])
+    solver = ShiftedSolver(op, 0.5j)
+    rhs = 1e-170 * (1.0 + np.arange(op.n) * (1.0 - 1j))
+    assert linops._norm(rhs) == 0.0
+    x = solver.solve(rhs)
+    assert np.all(x != 0.0)
+    assert np.allclose(x, rhs / (op.main - 0.5j), rtol=1e-12, atol=0.0)
 
 
 def test_shifted_solver_singular_pivot_raises():
@@ -476,21 +479,50 @@ def test_weighted_norm_warm_start():
     assert lost == pytest.approx(sigma[0], rel=1e-6)
 
 
+def _exact_dot(a, b):
+    """Re <a, b> of two float64 vectors, correctly rounded: each product is
+    split exactly into p + e (Dekker's two-product), and math.fsum sums all
+    the parts exactly before one rounding."""
+    split = 134217729.0  # 2**27 + 1
+
+    def halves(v):
+        c = split * v
+        hi = c - (c - v)
+        return hi, v - hi
+
+    p = a * b
+    a_hi, a_lo = halves(a)
+    b_hi, b_lo = halves(b)
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return math.fsum(np.concatenate([p, e]))
+
+
 @pytest.mark.parametrize("n", [1, 172, 10556])
-def test_norm_and_dot_match_numpy(n):
+def test_norm_and_dot_match_an_exact_sum(n):
     # 10,556 points (refine = 4 at lambda = 10^4) is past the length at which
-    # OpenBLAS threads its level-1 calls; the helpers make none.
+    # OpenBLAS threads its level-1 calls; the helpers make none.  The oracle
+    # is exact, since numpy's own BLAS-backed norm and vdot round about as
+    # much as the helpers do; they serve only as a looser sanity check.
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     near = x + 1e-3 * y
+
+    def floats(v):
+        return np.ascontiguousarray(v).view(np.float64)
+
     for a, b in ((x, y), (x.real, y.real)):
-        assert linops._norm(a) == pytest.approx(np.linalg.norm(a), rel=1e-15)
-        scale = np.linalg.norm(a) * np.linalg.norm(b)
-        assert abs(linops._dot(a, b) - np.vdot(a, b).real) <= 1e-15 * scale
+        norm_a = math.sqrt(_exact_dot(floats(a), floats(a)))
+        norm_b = math.sqrt(_exact_dot(floats(b), floats(b)))
+        assert linops._norm(a) == pytest.approx(norm_a, rel=1e-15)
+        assert linops._norm(a) == pytest.approx(np.linalg.norm(a), rel=1e-13)
+        dot = _exact_dot(floats(a), floats(b))
+        assert abs(linops._dot(a, b) - dot) <= 1e-15 * norm_a * norm_b
+        assert abs(linops._dot(a, b) - np.vdot(a, b).real) <= (
+            1e-13 * norm_a * norm_b)
     # Nearly parallel, as in the Rayleigh quotient <v, G v>.
-    assert linops._dot(x, near) == pytest.approx(np.vdot(x, near).real,
-                                                 rel=1e-15)
+    assert linops._dot(x, near) == pytest.approx(
+        _exact_dot(floats(x), floats(near)), rel=1e-15)
     for zero in (np.zeros(n, dtype=complex), np.zeros(n)):
         assert linops._norm(zero) == 0.0
         assert linops._dot(zero, zero) == 0.0
