@@ -32,7 +32,7 @@ import numpy as np
 from hyplab.errors import ConfigError, NumericalFailure, RegimeError
 from hyplab.linops import RadialGrid, d2_operator
 from hyplab.mourre import SpectralCutoff
-from hyplab.weights import profile_eval
+from hyplab.weights import gram_below, profile_eval
 
 
 # ----------------------------------------------------------------------------
@@ -631,15 +631,25 @@ def easytrick_check(seed=0, n=400, J=(0.5, 1.5), eps_min=None, n_lam=25,
     spacing = float(np.median(np.diff(evals[(evals > a) & (evals < b)])))
     if eps_min is None:
         eps_min = 3.0 * spacing
+    # Only the sup is needed, so a (lam, eps) whose ||KGK||^2 is proven below
+    # floor = sup^2 (1 - 1e-9) cannot raise it and is not diagonalized: first
+    # by ||KGK|| <= ||K||^2 max|g| (evecs is orthogonal), which needs no KGK,
+    # then by gram_below.  The sup is the one of the exhaustive loop.
+    k2 = float(np.max(np.abs(kdiag))) ** 2
     sup = 0.0
     for lam in np.linspace(a, b, n_lam):
         for eps in np.geomspace(eps_min, 1.0, n_eps):
             g = 1.0 / (evals - lam - 1j * eps)
-            # Kv is real: two real products, since numpy multiplies a complex
-            # by a real matrix without BLAS
+            floor = sup * sup * (1.0 - 1e-9)
+            if (k2 * float(np.max(np.abs(g)))) ** 2 < floor:
+                continue
+            # Kv is real: two real products take half the flops of the one
+            # complex product numpy would form after casting Kv to complex
             KGK = (Kv.T * g.real) @ Kv + 1j * ((Kv.T * g.imag) @ Kv)
             # ||KGK|| as the square root of the top Gram eigenvalue
             gram = KGK.conj().T @ KGK
+            if gram_below(gram, floor):
+                continue
             sup = max(sup, math.sqrt(np.linalg.eigvalsh(gram)[-1]))
     rhs = math.sqrt((b - a) / math.pi) * float(np.max(np.abs(fvals))) * math.sqrt(sup)
     # spectral-identity convergence on a fixed probe vector

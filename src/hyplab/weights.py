@@ -293,6 +293,28 @@ def temperate_check(sample_count, C, M, seed=0, box=50.0):
 # ----------------------------------------------------------------------------
 
 
+def gram_below(gram, floor):
+    """True only if lambda_max(gram) < floor is proven for the Hermitian
+    positive semidefinite Gram matrix gram, without diagonalizing it.
+
+    Two certificates, cheapest first: the Gershgorin bound (every absolute
+    row sum below floor), then a Cholesky factorization of floor I - gram,
+    which exists exactly when floor I - gram is positive definite.  Both are
+    exact up to rounding of order size * eps * floor, so a caller that wants
+    a strict bound passes a floor lowered by a relative margin far above
+    that (1e-9 here).  False means no certificate, not that the bound fails.
+    """
+    if np.abs(gram).sum(axis=1).max() < floor:
+        return True
+    shifted = -gram
+    shifted.flat[::len(gram) + 1] += floor
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _reflection_halves(n_theta):
     """The unitary DFT on the two halves of C^{n_theta} that the reflection
     J: j -> -j (mod n_theta) leaves invariant, as real orthogonal matrices.
@@ -348,11 +370,16 @@ def quantize_and_factor_check(s, sigma, levels=3,
         ||B_i|| = kappa(r_i) kappa~(r_i) ||D_{w_s} K D_a R||,
         K = M D_{kappa_t} M^T,  R = M D_{kappa~_t},
 
-    with every diagonal taken at the representative indices.  Each norm is
-    the square root of the top eigenvalue of the Gram matrix.  Returns the
-    list of norms (one per level).  The composition is expected to stay
-    bounded for s >= 0 and to grow along the ladder when the weight sign is
-    wrong (s < 0 composes to ~ w^{2|s|}).
+    with every diagonal taken at the representative indices.  The ladder
+    needs only the largest of these norms, so each block is first certified
+    against the running maximum best: when :func:`gram_below` proves that
+    the top eigenvalue of its Gram matrix lies below best^2 (1 - 1e-9), the
+    block cannot raise the maximum and is not diagonalized.  The other
+    blocks give their norm as the square root of the top eigenvalue of the
+    Gram matrix, so every value is the one that diagonalizing each block
+    gives, to the bit.  Returns the list of norms (one per level).  The
+    composition is expected to stay bounded for s >= 0 and to grow along the
+    ladder when the weight sign is wrong (s < 0 composes to ~ w^{2|s|}).
     """
     if levels < 3:
         raise ConfigError("resolution ladder needs at least 3 levels")
@@ -382,6 +409,8 @@ def quantize_and_factor_check(s, sigma, levels=3,
             for c, a_i, w_i in zip(scale, a, w_s):
                 X = (c * w_i)[:, None] * (K @ (a_i[:, None] * R))
                 gram = X.conj().T @ X
+                if gram_below(gram, best * best * (1.0 - 1e-9)):
+                    continue
                 best = max(best, math.sqrt(np.linalg.eigvalsh(gram)[-1]))
         norms.append(best)
     return norms

@@ -25,6 +25,9 @@ from hyplab.abstract import (
     virial_approximation_decay,
 )
 from hyplab.errors import ConfigError, RegimeError
+from hyplab.linops import RadialGrid, d2_operator
+from hyplab.mourre import SpectralCutoff
+from hyplab.weights import profile_eval
 
 
 def _instance(seed=0):
@@ -270,6 +273,43 @@ def test_interval_trick_bound():
     assert out["lhs"] <= out["rhs"]
     assert out["identity_rate"] == pytest.approx(0.9, abs=0.05)
     assert out["eps_min"] > 0
+
+
+def _interval_trick_rhs_exhaustive(n, J=(0.5, 1.5), n_lam=25, n_eps=8):
+    """easytrick_check's rhs with the top Gram eigenvalue of every (lam, eps)
+    taken, in the same arithmetic as the library."""
+    grid = RadialGrid(0.0, math.pi, n)
+    x = grid.points()
+    evals, evecs = np.linalg.eigh(d2_operator(grid).dense().real)
+    evals = evals / evals[n // 2]
+    a, b = J
+    fvals = SpectralCutoff(lam=0.5 * (a + b), delta=(b - a) / 8.0).values(evals)
+    kdiag = profile_eval("q", 4.0 * x / math.pi) * profile_eval(
+        "q", 4.0 * (math.pi - x) / math.pi)
+    Kv = evecs.T * kdiag[None, :]
+    spacing = float(np.median(np.diff(evals[(evals > a) & (evals < b)])))
+    sup = 0.0
+    for lam in np.linspace(a, b, n_lam):
+        for eps in np.geomspace(3.0 * spacing, 1.0, n_eps):
+            g = 1.0 / (evals - lam - 1j * eps)
+            KGK = (Kv.T * g.real) @ Kv + 1j * ((Kv.T * g.imag) @ Kv)
+            gram = KGK.conj().T @ KGK
+            sup = max(sup, math.sqrt(np.linalg.eigvalsh(gram)[-1]))
+    return (math.sqrt((b - a) / math.pi) * float(np.max(np.abs(fvals)))
+            * math.sqrt(sup))
+
+
+def test_interval_trick_sup_equals_the_exhaustive_sup(monkeypatch):
+    # a (lam, eps) certified below the running sup cannot change it, so rhs
+    # must equal the exhaustive one to the bit, with most of the 200 Gram
+    # matrices never diagonalized
+    expected = _interval_trick_rhs_exhaustive(120)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda g: calls.append(len(g)) or eigvalsh(g))
+    assert easytrick_check(n=120)["rhs"] == expected
+    assert 1 <= len(calls) <= 20
 
 
 def test_window_constant_value_and_stability():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from hyplab.errors import ConfigError
 from hyplab import weights
-from hyplab.weights import (chi_sqrt_eval, mode_weight_vector, nu_from_mu,
-                            polynomial_weight_vector, profile_eval,
+from hyplab.weights import (chi_sqrt_eval, gram_below, mode_weight_vector,
+                            nu_from_mu, polynomial_weight_vector, profile_eval,
                             quantize_and_factor_check, symbol_weight,
                             temperate_check, unboundedness_demo, xi_sqrt_eval)
 
@@ -414,6 +414,89 @@ def test_quantize_ladder_frozen_values(s, sigma, frozen):
     # Gram-eigenvalue norm must reproduce them.
     assert quantize_and_factor_check(s, sigma) == pytest.approx(frozen,
                                                                 rel=1e-12)
+
+
+def _ladder_diagonalizing_every_block(s, sigma, levels=3, n_r0=48,
+                                      n_theta0=32, r_max0=12.0):
+    """The ladder with no block certified away: the top Gram eigenvalue of
+    every block, in the same order and arithmetic as the library."""
+    norms = []
+    for lev in range(levels):
+        n_r, n_theta = n_r0 * 2**lev, n_theta0 * 2**lev
+        r_max = r_max0 * 1.5**lev
+        r = np.linspace(0.0, r_max, n_r)
+        theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
+        kappa_r = weights._plateau_cutoff(r, 1.0, r_max - 1.0)
+        kappa_t = weights._plateau_cutoff(theta, 0.5, 2 * np.pi - 0.5)
+        kt_r = weights._plateau_cutoff(r, 0.5, r_max - 0.5)
+        kt_t = weights._plateau_cutoff(theta, 0.25, 2 * np.pi - 0.25)
+        live = np.nonzero(kappa_r)[0]
+        scale = kappa_r[live] * kt_r[live]
+        best = 0.0
+        for idx, M in weights._reflection_halves(n_theta):
+            a = symbol_weight(r[live, None], idx[None, :], -s, sigma)
+            w_s = symbol_weight(r[live, None], idx[None, :], abs(s))
+            K = (M * kappa_t[idx]) @ M.T
+            R = M * kt_t[idx]
+            for c, a_i, w_i in zip(scale, a, w_s):
+                X = (c * w_i)[:, None] * (K @ (a_i[:, None] * R))
+                gram = X.conj().T @ X
+                best = max(best, math.sqrt(np.linalg.eigvalsh(gram)[-1]))
+        norms.append(best)
+    return norms
+
+
+@pytest.mark.parametrize("s, sigma, n_theta0", [
+    (1.0, 0.0, 32), (1.0, 2.0, 32), (-1.0, 0.0, 32), (0.5, 10.0, 32),
+    (1.0, 2.0, 15), (-1.0, 0.0, 15),
+])
+def test_quantize_ladder_equals_diagonalizing_every_block(s, sigma, n_theta0):
+    # a block certified below the running max cannot change it, so the
+    # ladder must equal the exhaustive one to the bit
+    assert quantize_and_factor_check(s, sigma, n_theta0=n_theta0) == \
+        _ladder_diagonalizing_every_block(s, sigma, n_theta0=n_theta0)
+
+
+def test_quantize_ladder_diagonalizes_few_blocks(monkeypatch):
+    # 2 halves x (40 + 84 + 176) live radii = 600 blocks per ladder
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda g: calls.append(len(g)) or eigvalsh(g))
+    quantize_and_factor_check(1.0, 0.0)
+    assert 3 <= len(calls) <= 60
+
+
+def _hermitian_with_top(top, m=65, seed=0):
+    # U diag(lam) U^H with lam in [0, 0.9] below an isolated top eigenvalue
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((m, m))
+                        + 1j * rng.standard_normal((m, m)))
+    lam = np.append(0.9 * rng.random(m - 1), top)
+    return (U * lam) @ U.conj().T
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gram_below_rejects_a_top_eigenvalue_just_above_the_floor(seed):
+    floor = 2.0
+    dense = floor * _hermitian_with_top(1.0 + 1e-12, seed=seed)
+    assert not gram_below(dense, floor)
+    diagonal = np.diag(np.append(np.linspace(0.0, 0.9, 64), 1.0 + 1e-12))
+    assert not gram_below(floor * diagonal, floor)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gram_below_certifies_a_top_eigenvalue_just_below_the_floor(seed):
+    floor = 2.0
+    # the Gershgorin row sums of the dense matrix exceed the floor, so only
+    # the Cholesky certificate can pass it
+    dense = floor * _hermitian_with_top(1.0 - 1e-6, seed=seed)
+    assert np.abs(dense).sum(axis=1).max() > floor
+    assert gram_below(dense, floor)
+    diagonal = np.diag(np.append(np.linspace(0.0, 0.9, 64), 1.0 - 1e-6))
+    assert gram_below(floor * diagonal, floor)
+    assert gram_below(np.zeros((65, 65), dtype=complex), floor)
+    assert not gram_below(np.zeros((65, 65)), 0.0)
 
 
 def test_quantize_bounded_ladder():
