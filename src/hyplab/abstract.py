@@ -8,15 +8,16 @@ regularized resolvent
 where K plays the role of the closed commutator i[H,A] and is positive on
 the spectral window of f.  Everything here is dense linear algebra on small
 Hermitian matrices: the algebraic identities of the regularized resolvent,
-the a-priori bounds, the explicit constants C0, C_{1/2}, C1, the scalar
-weight inequality, the case iteration of the bound recurrence, and the
-numerical differential inequality itself.
+the explicit constants C0, C_{1/2}, C1 and the numerical differential
+inequality itself, checked per seeded instance by ``hyplab testbed``, which
+also runs the two scalar checks at its weight exponent s: the weight
+inequality in eps and the case iteration of the bound recurrence.
 
 A structural fact of finite dimensions: in the eigenbasis of H the matrix
 i[H,A] has zero diagonal, so its compression to any spectral window is
 traceless and a strictly positive window minimum is impossible for the raw
-commutator.  Instances therefore install positivity through an explicitly
-recorded rank-one-per-window-vector shift: K = i[H,A] + shift * P_window.
+commutator.  Instances therefore install positivity through an explicit
+rank-one-per-window-vector shift: K = i[H,A] + shift * P_window.
 All resolvent estimates consume the commutator only through K and B*B, so
 the proofs apply verbatim to the shifted operator; the identities that are
 specific to the true commutator are checked against i[H,A] itself.
@@ -30,9 +31,8 @@ import math
 import numpy as np
 
 from hyplab.errors import ConfigError, NumericalFailure, RegimeError
-from hyplab.linops import RadialGrid, d2_operator
 from hyplab.mourre import SpectralCutoff
-from hyplab.weights import gram_below, profile_eval
+from hyplab.weights import profile_eval
 
 
 # ----------------------------------------------------------------------------
@@ -77,14 +77,9 @@ class TestbedInstance:
     cutoff: SpectralCutoff
     evals: np.ndarray
     evecs: np.ndarray
-    window: np.ndarray          # indices of eigenvalues with f > 0
-    shift: float                # recorded positivity correction on the window
     alpha: float                # window minimum of K, positive by construction
-    alpha_raw: float            # window minimum of the raw commutator (<= 0)
     K: np.ndarray               # effective commutator i[H,A] + shift * P_win
-    M: np.ndarray               # f(H) K f(H)
-    B: np.ndarray               # Hermitian PSD square root of M
-    neg_correction: float       # norm of the discarded negative part of M
+    B: np.ndarray               # Hermitian PSD square root of f(H) K f(H)
     rejects: int                # seeds discarded before this instance
 
     @classmethod
@@ -143,22 +138,14 @@ class TestbedInstance:
                 continue
             B = (mv * np.sqrt(np.maximum(me, 0.0))) @ mv.conj().T
             return cls(seed=seed, n=dim, H=H, A=A, lam=lam, delta=delta,
-                       cutoff=cutoff, evals=evals, evecs=evecs, window=window,
-                       shift=shift, alpha=alpha, alpha_raw=alpha_raw, K=K,
-                       M=M, B=B, neg_correction=neg, rejects=rejects)
+                       cutoff=cutoff, evals=evals, evecs=evecs, alpha=alpha,
+                       K=K, B=B, rejects=rejects)
 
     # -- spectral helpers ---------------------------------------------------
 
     def f_of_H(self):
         fvals = self.cutoff.values(self.evals)
         return (self.evecs * fvals) @ self.evecs.T
-
-    def one_minus_f(self):
-        return np.eye(self.n) - self.f_of_H()
-
-    def weight_of_A(self, w):
-        ae, av = np.linalg.eigh(self.A)
-        return (av * w(ae)) @ av.conj().T
 
     def constants_input(self):
         """Measured constants of the instance, feeding constants_eval."""
@@ -259,84 +246,6 @@ def commutator_identity_residuals(instance, z, Z):
     return float(d1 / max(n1, 1e-300)), float(d2 / max(n2, 1e-300))
 
 
-def virial_approximation_decay(instance, Lambdas):
-    """Norm of [H, i Lam A (A + i Lam)^{-1}] - [H,A] along the Lam ladder,
-    with the fitted decay exponent (expected about -1); the regularized
-    generator i Lam A (A + i Lam)^{-1} tends to A in norm."""
-    n = instance.n
-    HA = instance.H @ instance.A - instance.A @ instance.H
-    norms = []
-    for Lam in Lambdas:
-        ALam = 1j * Lam * instance.A @ np.linalg.inv(
-            instance.A + 1j * Lam * np.eye(n)
-        )
-        comm = instance.H @ ALam - ALam @ instance.H
-        norms.append(float(np.linalg.norm(comm - HA, 2)))
-    logs = np.log(np.array(norms))
-    ll = np.log(np.array([float(L) for L in Lambdas]))
-    slope = float(np.polyfit(ll, logs, 1)[0])
-    return norms, slope
-
-
-# ----------------------------------------------------------------------------
-# A-priori bounds (regularized resolvent between spectral pieces)
-# ----------------------------------------------------------------------------
-
-
-def _check_regime(instance, z, eps):
-    z = complex(z)
-    if eps * z.imag <= 0:
-        raise RegimeError("regime needs eps * Im z > 0")
-    if abs(z.real - instance.lam) > instance.delta:
-        raise RegimeError("regime needs |Re z - lam| <= delta")
-    if instance.delta > instance.alpha:
-        raise RegimeError("regime needs delta <= alpha")
-    if abs(eps) > instance.delta / instance.alpha:
-        raise RegimeError("regime needs |eps| <= delta / alpha")
-
-
-def apriori_bounds_check(instance, z, eps, w=None):
-    """The three a-priori inequalities on the regularized resolvent, for
-    k = 0, 1 and a bounded weight w of A with sup |w| <= 1:
-
-    ||(H+i)^k (1-f)(H) G||      <= (1+|lam|+2 delta)^k delta^{-1} (1+S)
-    ||(H+i)^k f(H) G w(A)||     <= (1+|lam|+3 delta)^k alpha^{-1/2}
-                                   |eps|^{-1/2} ||w(A) G w(A)||^{1/2}
-    ||w(A) G w(A)||             <= alpha^{-1} |eps|^{-1} (2 + S)
-    """
-    _check_regime(instance, z, eps)
-    if w is None:
-        w = lambda a: 1.0 / np.sqrt(1.0 + a**2)
-    wA = instance.weight_of_A(w)
-    if np.linalg.norm(wA, 2) > 1.0 + 1e-12:
-        raise ConfigError("weight must satisfy sup |w| <= 1")
-    ci = instance.constants_input()
-    G = resolvent_g(instance, z, eps)
-    fH = instance.f_of_H()
-    omf = instance.one_minus_f()
-    Hi = instance.H + 1j * np.eye(instance.n)
-    wGw = float(np.linalg.norm(wA @ G @ wA, 2))
-    report = {"holds": True, "margins": []}
-    for k in (0, 1):
-        Hk = np.linalg.matrix_power(Hi, k)
-        lhs1 = float(np.linalg.norm(Hk @ omf @ G, 2))
-        rhs1 = ((1.0 + abs(instance.lam) + 2.0 * instance.delta) ** k
-                / instance.delta * (1.0 + ci.S))
-        lhs2 = float(np.linalg.norm(Hk @ fH @ G @ wA, 2))
-        rhs2 = ((1.0 + abs(instance.lam) + 3.0 * instance.delta) ** k
-                * instance.alpha ** -0.5 * abs(eps) ** -0.5 * wGw ** 0.5)
-        for name, lhs, rhs in ((f"flat_k{k}", lhs1, rhs1),
-                               (f"window_k{k}", lhs2, rhs2)):
-            report["margins"].append({"name": name, "lhs": lhs, "rhs": rhs})
-            if lhs > rhs * (1.0 + 1e-10):
-                report["holds"] = False
-    rhs3 = (2.0 + ci.S) / (instance.alpha * abs(eps))
-    report["margins"].append({"name": "weighted", "lhs": wGw, "rhs": rhs3})
-    if wGw > rhs3 * (1.0 + 1e-10):
-        report["holds"] = False
-    return report
-
-
 # ----------------------------------------------------------------------------
 # Explicit constants
 # ----------------------------------------------------------------------------
@@ -375,54 +284,6 @@ def constants_eval(ci):
              * (1.0 + ci.delta / ci.alpha * ci.Delta_f * ci.N_comm * b3))
     C1 = (ci.C_HA + 2.0 * ci.Delta_f * ci.N_comm ** 2 * b3) * b3 / ci.alpha
     return C0, Chalf, C1
-
-
-def uniform_scaling_check(inputs, comm_window_norms=None):
-    """The uniform-constant conditions across a family of instances:
-
-    C0 <= C eps^{-1} delta^{-1},  C1/2 <= C eps^{-1/2} delta^{-1/2},
-    C1 <= C eps^{-1},             ||K f(H)|| <= C alpha,
-
-    with eps = delta / alpha.  Returns the smallest admissible C per
-    condition and overall."""
-    rows = []
-    for idx, ci in enumerate(inputs):
-        C0, Chalf, C1 = constants_eval(ci)
-        eps = ci.delta / ci.alpha
-        if eps > 1.0:
-            raise ConfigError("scaling check needs eps = delta/alpha <= 1")
-        row = {
-            "C0_ratio": C0 * eps * ci.delta,
-            "Chalf_ratio": Chalf * math.sqrt(eps * ci.delta),
-            "C1_ratio": C1 * eps,
-        }
-        if comm_window_norms is not None:
-            row["comm_ratio"] = comm_window_norms[idx] / ci.alpha
-        rows.append(row)
-    summary = {key: max(r[key] for r in rows) for key in rows[0]}
-    summary["C"] = max(summary.values())
-    return rows, summary
-
-
-def high_energy_ladder(lambdas, s0=1.0, C_delta=10.0, N_comm=2.0, S=4.0,
-                       Delta_f=1.0, C_HA=1.0):
-    """Constants along the high-energy scaling alpha = lam^{1/2},
-    delta = lam^{1/2} (log lam)^{-2 s0} / C_delta, with the generator scaled
-    by lam^{-1/2} so the commutator ingredients stay order one.  Returns the
-    per-lambda uniform-C ratios; the scaling conditions pass when their max
-    is finite and stable across the ladder."""
-    inputs = []
-    for lam in lambdas:
-        alpha = math.sqrt(lam)
-        delta = math.sqrt(lam) * math.log(lam) ** (-2.0 * s0) / C_delta
-        # under A -> lam^{-1/2} A the window estimate is in units of alpha;
-        # lam here only enters the (1 + |lam| + k delta) brackets through
-        # the scaled energy, which stays at the window center of order one
-        inputs.append(ConstantsInput(lam=1.0, delta=delta / alpha,
-                                     alpha=1.0, N_comm=N_comm, S=S,
-                                     Delta_f=Delta_f * alpha / delta,
-                                     C_HA=C_HA))
-    return uniform_scaling_check(inputs)
 
 
 # ----------------------------------------------------------------------------
@@ -487,6 +348,14 @@ class BoundProfile:
             raise ConfigError("profile exponent must lie in [0, 1]")
 
 
+def recurrence_step_bound(s):
+    """The most steps recurrence_iterate may take at s in (1/2, 1]:
+    ceil(log2(1/(2s-1))) + 1, and 1 at s = 1."""
+    if not 0.5 < s <= 1.0:
+        raise ConfigError("recurrence needs s in (1/2, 1]")
+    return math.ceil(math.log2(1.0 / (2.0 * s - 1.0))) + 1 if s < 1.0 else 1
+
+
 def recurrence_iterate(s, initial):
     """Case iteration of the bound recurrence: while s - 1/2 < sigma/2 the
     power exponent maps to sigma/2 + 1/2 - s; the iteration ends in the flat
@@ -494,10 +363,9 @@ def recurrence_iterate(s, initial):
     borderline power term is a log absorbed into the flat-plus-log shape.
 
     Returns (case trace, final profile, step count); the step count never
-    exceeds ceil(log2(1/(2s-1))) + 1.
+    exceeds recurrence_step_bound(s).
     """
-    if not 0.5 < s <= 1.0:
-        raise ConfigError("recurrence needs s in (1/2, 1]")
+    bound = recurrence_step_bound(s)
     sigma = initial.sigma
     trace = []
     steps = 0
@@ -510,20 +378,13 @@ def recurrence_iterate(s, initial):
             trace.append(("power", sigma))
             continue
         if gap <= tol:
-            if s == 1.0:
-                # the borderline term is exactly the log already present
-                trace.append(("flat", 0.0))
-                final = BoundProfile(c_flat=1.0, c_log=1.0, c_pow=0.0,
-                                     sigma=0.0)
-            else:
-                trace.append(("log", sigma))
-                final = BoundProfile(c_flat=1.0, c_log=1.0, c_pow=0.0,
-                                     sigma=0.0)
+            # at s = 1 the borderline term is exactly the log already present
+            trace.append(("flat", 0.0) if s == 1.0 else ("log", sigma))
+            final = BoundProfile(c_flat=1.0, c_log=1.0, c_pow=0.0, sigma=0.0)
             break
         trace.append(("flat", sigma))
         final = BoundProfile(c_flat=1.0, c_log=0.0, c_pow=0.0, sigma=0.0)
         break
-    bound = math.ceil(math.log2(1.0 / (2.0 * s - 1.0))) + 1 if s < 1.0 else 1
     if steps > bound:
         raise NumericalFailure(
             f"recurrence took {steps} steps, exceeding the bound {bound}"
@@ -534,6 +395,18 @@ def recurrence_iterate(s, initial):
 # ----------------------------------------------------------------------------
 # Differential inequality
 # ----------------------------------------------------------------------------
+
+
+def _check_regime(instance, z, eps):
+    z = complex(z)
+    if eps * z.imag <= 0:
+        raise RegimeError("regime needs eps * Im z > 0")
+    if abs(z.real - instance.lam) > instance.delta:
+        raise RegimeError("regime needs |Re z - lam| <= delta")
+    if instance.delta > instance.alpha:
+        raise RegimeError("regime needs delta <= alpha")
+    if abs(eps) > instance.delta / instance.alpha:
+        raise RegimeError("regime needs |eps| <= delta / alpha")
 
 
 def diffineq_check(instance, s, z, eps_schedule, slack=0.2):
@@ -590,85 +463,3 @@ def diffineq_check(instance, s, z, eps_schedule, slack=0.2):
     if not report["endpoint"]["ok"]:
         report["holds"] = False
     return report
-
-
-# ----------------------------------------------------------------------------
-# Window estimate from resolvent bounds (interval trick)
-# ----------------------------------------------------------------------------
-
-
-def easytrick_check(seed=0, n=400, J=(0.5, 1.5), eps_min=None, n_lam=25,
-                    n_eps=8):
-    """Interval trick on a dense-spectrum model: for the discretized second
-    difference L on [0, pi] and a compactly supported diagonal K,
-
-    ||f(L) K|| <= pi^{-1/2} |J|^{1/2} sup|f|
-                  sup_{lam in J, eps} ||K (L - lam - i eps)^{-1} K||^{1/2}
-
-    over eps in (eps_min, 1).  Also measures the convergence rate in eps of
-    the spectral-identity representation of ||f(L) K phi||^2; the rate is
-    O(eps) when supp f stays away from the endpoints of J.
-    """
-    rng = np.random.default_rng(seed)
-    grid = RadialGrid(0.0, math.pi, n)
-    x = grid.points()
-    evals, evecs = np.linalg.eigh(d2_operator(grid).dense().real)
-    # rescale so that J sits inside a dense part of the spectrum
-    scale = evals[n // 2]
-    evals = evals / scale
-    a, b = J
-    lam_c = 0.5 * (a + b)
-    # support of f is 3 delta_f on each side; keep it strictly inside J so
-    # the boundary-tail contribution to the spectral identity stays O(eps)
-    delta_f = (b - a) / 8.0
-    cutoff = SpectralCutoff(lam=lam_c, delta=delta_f)
-    fvals = cutoff.values(evals)
-    kdiag = profile_eval("q", 4.0 * x / math.pi) * profile_eval(
-        "q", 4.0 * (math.pi - x) / math.pi
-    )
-    Kv = evecs.T * kdiag[None, :]        # rows: K in eigenbasis columns
-    lhs = float(np.linalg.norm((fvals[:, None] * (evecs.T @ np.diag(kdiag))), 2))
-    spacing = float(np.median(np.diff(evals[(evals > a) & (evals < b)])))
-    if eps_min is None:
-        eps_min = 3.0 * spacing
-    # Only the sup is needed, so a (lam, eps) whose ||KGK||^2 is proven below
-    # floor = sup^2 (1 - 1e-9) cannot raise it and is not diagonalized: first
-    # by ||KGK|| <= ||K||^2 max|g| (evecs is orthogonal), which needs no KGK,
-    # then by gram_below.  The sup is the one of the exhaustive loop.
-    k2 = float(np.max(np.abs(kdiag))) ** 2
-    sup = 0.0
-    for lam in np.linspace(a, b, n_lam):
-        for eps in np.geomspace(eps_min, 1.0, n_eps):
-            g = 1.0 / (evals - lam - 1j * eps)
-            floor = sup * sup * (1.0 - 1e-9)
-            if (k2 * float(np.max(np.abs(g)))) ** 2 < floor:
-                continue
-            # Kv is real: two real products take half the flops of the one
-            # complex product numpy would form after casting Kv to complex
-            KGK = (Kv.T * g.real) @ Kv + 1j * ((Kv.T * g.imag) @ Kv)
-            # ||KGK|| as the square root of the top Gram eigenvalue
-            gram = KGK.conj().T @ KGK
-            if gram_below(gram, floor):
-                continue
-            sup = max(sup, math.sqrt(np.linalg.eigvalsh(gram)[-1]))
-    rhs = math.sqrt((b - a) / math.pi) * float(np.max(np.abs(fvals))) * math.sqrt(sup)
-    # spectral-identity convergence on a fixed probe vector
-    phi = rng.standard_normal(n)
-    Kphi_e = evecs.T @ (kdiag * phi)
-    exact = float(np.sum((fvals * Kphi_e) ** 2))
-    E_grid = np.linspace(a, b, 4001)
-    fE = cutoff.values(E_grid) ** 2
-    errors = []
-    # stay well above the discrete level spacing, where the finite-matrix
-    # limit eps -> 0 stops converging
-    eps_list = [16.0 * spacing, 8.0 * spacing, 4.0 * spacing]
-    for eps in eps_list:
-        # (2 i pi)^{-1} ((G_- - G_+) K phi, K phi) = pi^{-1} Im (G_+ K phi, K phi)
-        imag_part = eps / ((evals[None, :] - E_grid[:, None]) ** 2 + eps**2)
-        dens = (imag_part * (np.abs(Kphi_e) ** 2)[None, :]).sum(axis=1) / math.pi
-        approx = float(np.trapezoid(fE * dens, E_grid))
-        errors.append(abs(approx - exact) / max(exact, 1e-300))
-    rate = float(np.polyfit(np.log(eps_list), np.log(errors), 1)[0])
-    return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs * (1.0 + 1e-10),
-            "identity_errors": errors, "identity_rate": rate,
-            "eps_min": eps_min}

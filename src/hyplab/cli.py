@@ -354,7 +354,8 @@ def _run_testbed(ctx):
     # workers inherit the module instead of each importing it (and SciPy)
     # anew; workers forked earlier, by a sweep in this process, import it
     # once each.
-    import hyplab.abstract  # noqa: F401
+    from hyplab.abstract import (BoundProfile, recurrence_iterate,
+                                 recurrence_step_bound, scalar_weight_check)
     from hyplab.pool import parallel_map
 
     cfg = ctx.config
@@ -362,6 +363,11 @@ def _run_testbed(ctx):
     args = [(s, cfg["dim"], cfg["window_count"], cfg["alpha_factor"],
              cfg["s"], cfg["slack"]) for s in sorted(seeds)]
     with ctx.stage("testbed"):
+        # the scalar checks of acceptance criterion 2, once, at the run's s;
+        # an s outside (1/2, 1] raises ConfigError
+        scalar = scalar_weight_check(cfg["s"])
+        trace, _final, steps = recurrence_iterate(
+            cfg["s"], BoundProfile(1.0, 1.0, 1.0, 1.0))
         reports = parallel_map(_testbed_seed_report, args, ctx.workers)
     write_csv(ctx.path("testbed.csv"),
               ["seed", "rejects", "max_residual", "violations"],
@@ -374,9 +380,13 @@ def _run_testbed(ctx):
         "rejects": sum(r["rejects"] for r in reports),
         "max_residuals": max(r["max_residual"] for r in reports),
         "violations": sum(r["violations"] for r in reports),
+        "scalar_weight": scalar,
+        "recurrence": {"cases": [case for case, _sigma in trace],
+                       "steps": steps,
+                       "step_bound": recurrence_step_bound(cfg["s"])},
     }
     _atomic_json(ctx.path("summary.json"), summary)
-    return summary, summary["violations"] == 0
+    return summary, summary["violations"] == 0 and scalar["violations"] == 0
 
 
 def _run_weights(ctx):
@@ -470,6 +480,14 @@ def _run_report(ctx):
             lines.append("violations = %s over %s seeds (rejects %s)"
                          % (summary.get("violations"), summary.get("seeds"),
                             summary.get("rejects")))
+            if "scalar_weight" in summary:
+                scalar, rec = summary["scalar_weight"], summary["recurrence"]
+                lines.append(
+                    "scalar weight: %s violations over %s samples (worst "
+                    "margin %.3g); recurrence: %s in %s steps (bound %s)"
+                    % (scalar["violations"], scalar["samples"],
+                       scalar["worst_margin"], " -> ".join(rec["cases"]),
+                       rec["steps"], rec["step_bound"]))
         elif exp == "flow":
             flow_csv = os.path.join(out, name, "flow.csv")
             if os.path.exists(flow_csv):

@@ -31,19 +31,16 @@ A_MAX_DERIVATIVE = 5
 
 @dataclasses.dataclass(frozen=True)
 class ConjugateParams:
-    """Cutoff scales (R, S), optionally derived from an energy lambda."""
+    """Cutoff scales (R, S); from_lambda derives them from an energy."""
 
     R: float
     S: float
-    derived_from_lambda: float | None = None
 
     @staticmethod
     def from_lambda(lam):
         if lam <= 0:
             raise ConfigError("lambda must be positive")
-        return ConjugateParams(
-            R=math.log(5.0 * lam), S=math.log(4.0 * lam), derived_from_lambda=lam
-        )
+        return ConjugateParams(R=math.log(5.0 * lam), S=math.log(4.0 * lam))
 
     def validate(self, r0):
         if not (self.R > self.S > r0 + 1.0):

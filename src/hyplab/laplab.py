@@ -23,16 +23,11 @@ import math
 
 import numpy as np
 
-from hyplab.conjugate import ConjugateParams, a_k_eval
 from hyplab.errors import ConfigError, NumericalFailure
-from hyplab.linops import RadialGrid, ShiftedSolver, weighted_operator_norm
+from hyplab.linops import RadialGrid, weighted_operator_norm
 from hyplab.model import ModelConfig, mode_operator_spec
 from hyplab.pool import parallel_map
-from hyplab.weights import (
-    mode_weight_vector,
-    polynomial_weight_vector,
-    profile_eval,
-)
+from hyplab.weights import mode_weight_vector, polynomial_weight_vector
 
 
 # ----------------------------------------------------------------------------
@@ -289,46 +284,3 @@ def fit_scaling(result):
     ])
     C_prime = float(np.max(N / envelope))
     return ScalingFit(*fit, C_prime=C_prime, bound_pass=math.isfinite(C_prime))
-
-
-# ----------------------------------------------------------------------------
-# Auxiliary estimates
-# ----------------------------------------------------------------------------
-
-
-def conjugate_weight_sup(lam, K_max=48, n_r=4000, r_span=4.0):
-    """Grid sup over modes and r >= R of 1 + a_k(r) / w(r - log nu_k),
-    normalized by log lam.  The sup stays O(log lam) because a_k grows like
-    r + 2S only past log nu_k, exactly where the weight has started to grow
-    linearly as well."""
-    params = ConjugateParams.from_lambda(lam)
-    from hyplab.model import build_spectrum
-
-    spectrum = build_spectrum({"kind": "circle", "radius": 1.0}, K_max)
-    sup = 0.0
-    for k in range(len(spectrum)):
-        nu = spectrum.nu(k)
-        r_hi = math.log(nu) + params.S * r_span + params.R
-        r = np.linspace(params.R, max(r_hi, params.R + 1.0), n_r)
-        a = a_k_eval(params, nu, r)
-        w = profile_eval("w", r - math.log(nu))
-        sup = max(sup, float(np.max(1.0 + a / w)))
-    return sup, sup / math.log(lam)
-
-
-def resolvent_expansion_check(op, z, Z, probe=None):
-    """Relative residual of the iterated second-resolvent identity
-
-    (H-z)^{-1} = (H-Z)^{-1} + (z-Z)(H-Z)^{-2}
-                 + (z-Z)^2 (H-Z)^{-1}(H-z)^{-1}(H-Z)^{-1}
-
-    on a probe vector."""
-    if probe is None:
-        n = op.n
-        probe = np.cos(0.3 * np.arange(n)) + 0.2j * np.sin(np.arange(n) * 0.7)
-    sz = ShiftedSolver(op, z)
-    sZ = ShiftedSolver(op, Z)
-    lhs = sz.solve(probe)
-    rZ = sZ.solve(probe)
-    rhs = rZ + (z - Z) * sZ.solve(rZ) + (z - Z) ** 2 * sZ.solve(sz.solve(rZ))
-    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))

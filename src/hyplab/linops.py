@@ -18,15 +18,15 @@ the real axis.
 
 The kernels provided here are shifted tridiagonal solves with a residual
 certificate (LAPACK's tridiagonal LU), matrix-free weighted operator norms by
-power iteration on the Gram map, Hermitian eigendecompositions, and Schur
-kernel bounds.  The vector norms and real inner products of the solves and of
-the power iteration work on the float64 view of the complex vectors (real and
-imaginary parts interleaved): one elementwise ufunc and one np.add.reduce,
-whose pairwise summation keeps the rounding near one ulp, where np.einsum's
-running sum costs about the same and errs up to ten times more on long
-vectors.  None is a BLAS level-1 call (np.dot, np.vdot, np.linalg.norm of a
-real vector): on long vectors OpenBLAS runs those on its own threads, which
-oversubscribe the cores when the solves already run in a process pool.
+power iteration on the Gram map, and Hermitian eigendecompositions.  The
+vector norms and real inner products of the solves and of the power iteration
+work on the float64 view of the complex vectors (real and imaginary parts
+interleaved): one elementwise ufunc and one np.add.reduce, whose pairwise
+summation keeps the rounding near one ulp, where np.einsum's running sum costs
+about the same and errs up to ten times more on long vectors.  None is a BLAS
+level-1 call (np.dot, np.vdot, np.linalg.norm of a real vector): on long
+vectors OpenBLAS runs those on its own threads, which oversubscribe the cores
+when the solves already run in a process pool.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 from hyplab.errors import ConfigError, NumericalFailure
 
 _SOLVE_RESID_TOL = 1e-10
-_DENSE_SVD_MAX_N = 1500
 _TAIL_TOL = 1e-9
 
 
@@ -72,16 +71,6 @@ class RadialGrid:
 # identity, and Numerov's M = tridiag(1, 10, 1)/12.  Both are real symmetric.
 _IDENTITY_MASS = (0.0, 1.0, 0.0)
 _NUMEROV_MASS = (1.0 / 12.0, 10.0 / 12.0, 1.0 / 12.0)
-
-
-def _dense(n, lower, diag, upper):
-    """Dense complex n x n matrix with these diagonals, arrays or scalars."""
-    out = np.zeros((n, n), dtype=complex)
-    i = np.arange(n)
-    out[i, i] = diag
-    out[i[1:], i[:-1]] = lower
-    out[i[:-1], i[1:]] = upper
-    return out
 
 
 class DiscreteOperator:
@@ -134,8 +123,14 @@ class DiscreteOperator:
                     and np.max(np.abs(np.imag(self.main))) <= 0.5 * bound)
 
     def dense(self, shift=0.0):
-        """Dense A - shift M."""
-        return _dense(self.n, *self.pencil(shift))
+        """Dense complex A - shift M."""
+        lower, diag, upper = self.pencil(shift)
+        out = np.zeros((self.n, self.n), dtype=complex)
+        i = np.arange(self.n)
+        out[i, i] = diag
+        out[i[1:], i[:-1]] = lower
+        out[i[:-1], i[1:]] = upper
+        return out
 
     def matvec(self, x):
         """A x, complex."""
@@ -149,16 +144,6 @@ class DiscreteOperator:
         return DiscreteOperator(self.grid, {-1: scale * self.lower,
                                             0: scale * self.main + shift,
                                             1: scale * self.upper})
-
-
-def d2_operator(grid):
-    """The discrete -d^2/dr^2 with Dirichlet walls (order-2 stencil)."""
-    n, h = grid.N, grid.h
-    return DiscreteOperator(grid, {
-        0: np.full(n, 2.0 / h**2),
-        1: np.full(n - 1, -1.0 / h**2),
-        -1: np.full(n - 1, -1.0 / h**2),
-    })
 
 
 def outgoing_root(lam, shift, h):
@@ -380,19 +365,6 @@ def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, max_iter=5000,
     )
 
 
-def weighted_operator_norm_dense(op, z, w_left, w_right):
-    """Dense SVD cross-check path for moderate problem sizes: the norm of
-    W_l (A - z M)^{-1} M W_r."""
-    if op.n > _DENSE_SVD_MAX_N:
-        raise ConfigError(
-            f"dense SVD path limited to N <= {_DENSE_SVD_MAX_N}, got {op.n}"
-        )
-    w_left = np.asarray(w_left, dtype=float)
-    w_right = np.asarray(w_right, dtype=float)
-    inv = np.linalg.inv(op.dense(shift=complex(z))) @ _dense(op.n, *op.mass)
-    return float(np.linalg.norm(w_left[:, None] * inv * w_right[None, :], ord=2))
-
-
 def hermitian_eig(op, select_range=None):
     """Eigendecomposition of a Hermitian DiscreteOperator with M = I (a
     pencil's M^{-1} A is not the Hermitian A, and is refused).
@@ -420,25 +392,3 @@ def hermitian_eig(op, select_range=None):
         keep = (evals > lo) & (evals <= hi)
         return evals[keep], evecs[:, keep]
     return evals, evecs
-
-
-def schur_bound(kernel, measure):
-    """Schur bound max(sup row integral, sup column integral) of |kernel|.
-
-    Guaranteed to dominate the operator norm of the integral operator with
-    this kernel under the given grid measure.
-    """
-    kernel = np.abs(np.asarray(kernel))
-    measure = np.asarray(measure, dtype=float)
-    row_sums = kernel @ measure
-    col_sums = measure @ kernel
-    return float(max(row_sums.max(), col_sums.max()))
-
-
-def dirichlet_laplacian_eigenvalues(grid):
-    """Closed-form eigenvalues (4/h^2) sin^2(j h pi / (2(r_max-r0))) ... of the
-    order-2 Dirichlet stencil for -d^2/dr^2; used as a frozen oracle."""
-    h = grid.h
-    L = grid.r_max - grid.r0
-    j = np.arange(1, grid.N + 1)
-    return (4.0 / h**2) * np.sin(j * np.pi * h / (2.0 * L)) ** 2

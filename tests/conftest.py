@@ -49,3 +49,16 @@ class WideBump:
 
 
 WIDE_BUMP = WideBump()
+
+
+def schur_bound(kernel, measure):
+    """Schur bound max(sup row integral, sup column integral) of |kernel|.
+
+    Guaranteed to dominate the operator norm of the integral operator with
+    this kernel under the given grid measure.
+    """
+    kernel = np.abs(np.asarray(kernel))
+    measure = np.asarray(measure, dtype=float)
+    row_sums = kernel @ measure
+    col_sums = measure @ kernel
+    return float(max(row_sums.max(), col_sums.max()))

@@ -10,24 +10,18 @@ from hyplab.abstract import (
     ConstantsInput,
     TestbedInstance as _TestbedInstance,
     algebre_identity_check,
-    apriori_bounds_check,
     commutator_identity_residuals,
     constants_eval,
     delta_f_constant,
     diffineq_check,
-    easytrick_check,
     eps_weight,
     eps_weight_derivative,
-    high_energy_ladder,
     recurrence_iterate,
+    recurrence_step_bound,
     resolvent_g,
     scalar_weight_check,
-    virial_approximation_decay,
 )
 from hyplab.errors import ConfigError, RegimeError
-from hyplab.linops import RadialGrid, d2_operator
-from hyplab.mourre import SpectralCutoff
-from hyplab.weights import profile_eval
 
 
 def _instance(seed=0):
@@ -100,24 +94,8 @@ def test_commutator_resolvent_identities():
     assert r2 <= 1e-10
 
 
-def test_virial_approximation_decays_like_inverse_scale():
-    inst = _instance(0)
-    norms, slope = virial_approximation_decay(inst, [2.0, 4.0, 8.0, 16.0])
-    assert all(b < a for a, b in zip(norms, norms[1:]))
-    assert slope == pytest.approx(-1.0, abs=0.2)
-
-
-def test_apriori_bounds_hold_with_margin():
-    for seed in (0, 1, 2):
-        inst = _instance(seed)
-        out = apriori_bounds_check(inst, _probe_z(inst), 0.05)
-        assert out["holds"]
-        for m in out["margins"]:
-            assert m["lhs"] <= m["rhs"]
-
-
 # ---------------------------------------------------------------------------
-# Constants and the high-energy ladder
+# Constants
 # ---------------------------------------------------------------------------
 
 
@@ -134,18 +112,6 @@ def test_constants_shrink_as_window_widens():
             lam=100.0, delta=delta, alpha=10.0, N_comm=2.0, S=4.0,
             Delta_f=1.0, C_HA=1.0))[0]
     assert c0(0.5) > c0(1.0) > c0(2.0)
-
-
-def test_high_energy_ladder_ratios_are_stable():
-    rows, summary = high_energy_ladder([1e2, 1e3, 1e4])
-    assert len(rows) == 3
-    for key in ("C0_ratio", "Chalf_ratio", "C1_ratio"):
-        vals = [row[key] for row in rows]
-        assert max(vals) / min(vals) <= 1.02
-        assert all(math.isfinite(v) and v > 0 for v in vals)
-    assert summary["C"] == pytest.approx(
-        max(summary["C0_ratio"], summary["Chalf_ratio"],
-            summary["C1_ratio"]))
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +171,12 @@ def test_recurrence_step_bound():
     for s in (0.55, 0.6, 0.75, 1.0):
         _trace, _final, steps = recurrence_iterate(s, start)
         assert steps <= math.ceil(math.log2(1.0 / (2.0 * s - 1.0))) + 1
+        assert steps <= recurrence_step_bound(s)
+    assert [recurrence_step_bound(s) for s in (0.55, 0.6, 0.75, 1.0)] == [
+        5, 4, 2, 1]
+    for s in (0.5, 1.2):
+        with pytest.raises(ConfigError):
+            recurrence_step_bound(s)
 
 
 def test_profile_exponent_validation():
@@ -235,13 +207,14 @@ def test_differential_inequality_holds_on_sample_seeds():
 
 def test_differential_inequality_norms_match_per_eps_reference():
     # F(eps) = ||<A>_eps^{-s} G_z(eps) <A>_eps^{-s}|| built one offset at a
-    # time from resolvent_g and weight_of_A
+    # time from resolvent_g and the weight of A by its eigendecomposition
     inst = _instance(1)
     z = _probe_z(inst)
     schedule = _schedule(inst)
+    ae, av = np.linalg.eigh(inst.A)
     ref = []
     for eps in schedule:
-        wA = inst.weight_of_A(lambda a: eps_weight(a, eps, 0.75))
+        wA = (av * eps_weight(ae, eps, 0.75)) @ av.conj().T
         G = resolvent_g(inst, z, eps)
         ref.append(float(np.linalg.norm(wA @ G @ wA, 2)))
     out = diffineq_check(inst, 0.75, z, schedule)
@@ -263,53 +236,8 @@ def test_differential_inequality_schedule_validation():
 
 
 # ---------------------------------------------------------------------------
-# Interval-trick bound and the window constant
+# The window constant
 # ---------------------------------------------------------------------------
-
-
-def test_interval_trick_bound():
-    out = easytrick_check()
-    assert out["ok"]
-    assert out["lhs"] <= out["rhs"]
-    assert out["identity_rate"] == pytest.approx(0.9, abs=0.05)
-    assert out["eps_min"] > 0
-
-
-def _interval_trick_rhs_exhaustive(n, J=(0.5, 1.5), n_lam=25, n_eps=8):
-    """easytrick_check's rhs with the top Gram eigenvalue of every (lam, eps)
-    taken, in the same arithmetic as the library."""
-    grid = RadialGrid(0.0, math.pi, n)
-    x = grid.points()
-    evals, evecs = np.linalg.eigh(d2_operator(grid).dense().real)
-    evals = evals / evals[n // 2]
-    a, b = J
-    fvals = SpectralCutoff(lam=0.5 * (a + b), delta=(b - a) / 8.0).values(evals)
-    kdiag = profile_eval("q", 4.0 * x / math.pi) * profile_eval(
-        "q", 4.0 * (math.pi - x) / math.pi)
-    Kv = evecs.T * kdiag[None, :]
-    spacing = float(np.median(np.diff(evals[(evals > a) & (evals < b)])))
-    sup = 0.0
-    for lam in np.linspace(a, b, n_lam):
-        for eps in np.geomspace(3.0 * spacing, 1.0, n_eps):
-            g = 1.0 / (evals - lam - 1j * eps)
-            KGK = (Kv.T * g.real) @ Kv + 1j * ((Kv.T * g.imag) @ Kv)
-            gram = KGK.conj().T @ KGK
-            sup = max(sup, math.sqrt(np.linalg.eigvalsh(gram)[-1]))
-    return (math.sqrt((b - a) / math.pi) * float(np.max(np.abs(fvals)))
-            * math.sqrt(sup))
-
-
-def test_interval_trick_sup_equals_the_exhaustive_sup(monkeypatch):
-    # a (lam, eps) certified below the running sup cannot change it, so rhs
-    # must equal the exhaustive one to the bit, with most of the 200 Gram
-    # matrices never diagonalized
-    expected = _interval_trick_rhs_exhaustive(120)
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda g: calls.append(len(g)) or eigvalsh(g))
-    assert easytrick_check(n=120)["rhs"] == expected
-    assert 1 <= len(calls) <= 20
 
 
 def test_window_constant_value_and_stability():

@@ -347,6 +347,60 @@ def test_sweep_fit_reports_its_uncertainties(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Testbed
+# ---------------------------------------------------------------------------
+
+
+def test_testbed_check_reports_criterion_two(tmp_path):
+    out = tmp_path / "testbed"
+    rc = run(["testbed", "--out", str(out), "--check", "--seed", "5",
+              "--set", "n_seeds=3", "--set", "dim=12"])
+    assert rc == 0
+    summary = json.loads(_read(out / "summary.json"))
+    assert summary["violations"] == 0 and summary["seeds"] == 3
+    assert summary["scalar_weight"]["violations"] == 0
+    assert summary["scalar_weight"]["samples"] == 4 * 100 * 101
+    assert summary["scalar_weight"]["worst_margin"] < 0
+    # s = 0.75 from sigma = 1: one power step to sigma = 1/4, then flat
+    assert summary["recurrence"] == {"cases": ["power", "flat"], "steps": 2,
+                                     "step_bound": 2}
+    lines = _read(out / "testbed.csv").strip().splitlines()
+    assert lines[0] == "seed,rejects,max_residual,violations"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [5, 6, 7]
+    assert run(["report", "--out", str(tmp_path)]) == 0
+    assert ("scalar weight: 0 violations over 40400 samples"
+            in _read(tmp_path / "report.md"))
+
+
+def test_testbed_check_fails_on_a_scalar_weight_violation(tmp_path,
+                                                          monkeypatch):
+    from hyplab import abstract
+
+    def one_violation(s):
+        return {"violations": 1, "worst_margin": 1e-3, "samples": 1}
+
+    monkeypatch.setattr(abstract, "scalar_weight_check", one_violation)
+    out = tmp_path / "testbed"
+    rc = run(["testbed", "--out", str(out), "--check",
+              "--set", "n_seeds=2", "--set", "dim=12"])
+    assert rc == 3
+    assert _manifest(out)["status"] == "check-failed"
+    summary = json.loads(_read(out / "summary.json"))
+    assert summary["violations"] == 0
+    assert summary["scalar_weight"]["violations"] == 1
+
+
+def test_testbed_exponent_outside_the_range_exits_one(tmp_path):
+    out = tmp_path / "testbed"
+    rc = run(["testbed", "--out", str(out), "--set", "s=1.2",
+              "--set", "n_seeds=2"])
+    assert rc == 1
+    manifest = _manifest(out)
+    assert manifest["status"] == "invalid"
+    assert "(1/2, 1]" in manifest["diagnostic"]
+
+
+# ---------------------------------------------------------------------------
 # Report
 # ---------------------------------------------------------------------------
 

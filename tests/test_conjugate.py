@@ -17,9 +17,11 @@ from hyplab.conjugate import (A_MAX_DERIVATIVE, ConjugateParams, a_k_derivs,
                               theta_bump, theta_bump_prime,
                               theta_schur_constant,
                               transported_mollifier_matrix, unitary_apply)
-from hyplab.errors import ConfigError, NumericalFailure
-from hyplab.linops import RadialGrid, schur_bound
+from hyplab.errors import ConfigError, FlowExitsGrid, NumericalFailure
+from hyplab.linops import RadialGrid
 from hyplab.model import build_spectrum
+
+from conftest import schur_bound
 
 
 PARAMS_100 = ConjugateParams.from_lambda(100.0)
@@ -429,6 +431,28 @@ def test_unitary_group_law():
     two = unitary_apply(_bump_field, t,
                         unitary_apply(_bump_field, s, phi, r), r)
     assert np.linalg.norm(one - two) <= 1e-6 * np.linalg.norm(phi)
+
+
+def _unit_field(r):
+    """The constant field a = 1, which moves every point by t."""
+    return np.ones_like(r), np.zeros_like(r)
+
+
+def test_unitary_raises_when_phi_has_mass_beyond_the_grid():
+    # gamma_t(r) = r + t: for t = 0.5 the points r > 3.5 pull phi from
+    # beyond r[-1] = 4, where a bump centered at 4 is not negligible.
+    r = np.linspace(0.0, 4.0, 401)
+    phi = np.exp(-((r - 4.0) ** 2) * 4.0)
+    with pytest.raises(FlowExitsGrid):
+        unitary_apply(_unit_field, 0.5, phi, r)
+
+
+def test_unitary_transports_phi_that_vanishes_where_the_flow_exits():
+    r = np.linspace(0.0, 4.0, 401)
+    phi = np.where(r < 3.0, np.sin(np.pi * r / 3.0) ** 2, 0.0)
+    out = unitary_apply(_unit_field, 0.5, phi, r)
+    assert out == pytest.approx(np.interp(r + 0.5, r, phi, right=0.0),
+                                abs=1e-12)
 
 
 # ----------------------------------------------------------------------------

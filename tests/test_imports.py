@@ -119,3 +119,61 @@ def test_no_module_imports_scipy_integrate():
                       for node in ast.walk(tree)
                       if _imports_scipy_integrate(node)]
     assert offenders == []
+
+
+# Public names of hyplab that no module of the package and no benchmark
+# script uses, only the tests: each still waits for a caller, a move into
+# tests/ or its deletion.
+_PENDING_WITHOUT_CALLER = {
+    "conjugate.g_rs_eval",
+    "conjugate.generator_matrix",
+    "conjugate.j_eps_matrix",
+    "conjugate.t0_for_mollifier",
+    "conjugate.theta_schur_constant",
+    "conjugate.transported_mollifier_matrix",
+    "conjugate.unitary_apply",
+    "laplab.mode_norm",
+    "mourre.double_commutator_matrix",
+    "mourre.semiclassical_bound_check",
+    "mourre.spectral_calculus",
+}
+
+
+def _mentions(node):
+    """The names a node uses: a Name, the attribute of an Attribute, or the
+    last part of each name an import statement binds."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+    return set()
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a name's own definition does not count as its caller
+    root = os.path.dirname(_SRC)
+    paths = sorted(glob.glob(os.path.join(_SRC, "hyplab", "*.py"))
+                   + glob.glob(os.path.join(root, "benchmark", "*.py")))
+    users = {}  # name -> ids of the nodes that use it
+    defined = []
+    trees = []  # kept alive, so that no node id is reused
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        trees.append(tree)
+        for node in ast.walk(tree):
+            for name in _mentions(node):
+                users.setdefault(name, set()).add(id(node))
+        if path.startswith(_SRC):
+            defined += [(os.path.basename(path)[:-3], node)
+                        for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and not node.name.startswith("_")]
+    assert len(defined) >= 50
+    without_caller = {
+        f"{module}.{definition.name}" for module, definition in defined
+        if users.get(definition.name, set())
+        <= {id(node) for node in ast.walk(definition)}}
+    assert without_caller == _PENDING_WITHOUT_CALLER

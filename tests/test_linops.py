@@ -10,18 +10,59 @@ from scipy.special import erf
 from hyplab import linops
 from hyplab.errors import ConfigError, NumericalFailure
 from hyplab.linops import (DiscreteOperator, RadialGrid, ShiftedSolver,
-                           d2_operator, dirichlet_laplacian_eigenvalues,
                            discretize, hermitian_eig, outgoing_root,
-                           schur_bound, weighted_operator_norm,
-                           weighted_operator_norm_dense)
+                           weighted_operator_norm)
 from hyplab.model import ModelConfig, mode_operator_spec
 
-from conftest import make_mode_operator
+from conftest import make_mode_operator, schur_bound
 
 
 def _circle_config():
     return ModelConfig(n=2, r0=0.25,
                        cross_section={"kind": "circle", "radius": 1.0})
+
+
+# ----------------------------------------------------------------------------
+# Oracles
+# ----------------------------------------------------------------------------
+
+
+def d2_operator(grid):
+    """The discrete -d^2/dr^2 with Dirichlet walls (order-2 stencil), written
+    out as its three diagonals."""
+    n, h = grid.N, grid.h
+    return DiscreteOperator(grid, {
+        0: np.full(n, 2.0 / h**2),
+        1: np.full(n - 1, -1.0 / h**2),
+        -1: np.full(n - 1, -1.0 / h**2),
+    })
+
+
+def dirichlet_laplacian_eigenvalues(grid):
+    """Closed-form eigenvalues (4/h^2) sin^2(j h pi / (2(r_max-r0))) of the
+    order-2 Dirichlet stencil for -d^2/dr^2."""
+    h = grid.h
+    L = grid.r_max - grid.r0
+    j = np.arange(1, grid.N + 1)
+    return (4.0 / h**2) * np.sin(j * np.pi * h / (2.0 * L)) ** 2
+
+
+_DENSE_SVD_MAX_N = 1500
+
+
+def weighted_operator_norm_dense(op, z, w_left, w_right):
+    """Dense SVD of W_l (A - z M)^{-1} M W_r, for moderate problem sizes."""
+    if op.n > _DENSE_SVD_MAX_N:
+        raise ConfigError(
+            f"dense SVD path limited to N <= {_DENSE_SVD_MAX_N}, got {op.n}"
+        )
+    w_left = np.asarray(w_left, dtype=float)
+    w_right = np.asarray(w_right, dtype=float)
+    lower, diag, upper = op.mass
+    n = op.n
+    mass = lower * np.eye(n, k=-1) + diag * np.eye(n) + upper * np.eye(n, k=1)
+    inv = np.linalg.inv(op.dense(shift=complex(z))) @ mass
+    return float(np.linalg.norm(w_left[:, None] * inv * w_right[None, :], ord=2))
 
 
 # ----------------------------------------------------------------------------
@@ -622,7 +663,7 @@ def test_hermitian_eig_rejects_cap():
 
 
 # ----------------------------------------------------------------------------
-# Schur bounds
+# Schur bounds (the oracle of tests/test_conjugate.py)
 # ----------------------------------------------------------------------------
 
 
