@@ -68,7 +68,6 @@ def delta_f_constant(n_grid=2**16, box=256.0):
 class TestbedInstance:
     """One seeded (H, A) pair with an installed window-positive commutator."""
 
-    seed: int
     n: int
     H: np.ndarray
     A: np.ndarray
@@ -137,7 +136,7 @@ class TestbedInstance:
                     raise NumericalFailure("instance generation kept rejecting")
                 continue
             B = (mv * np.sqrt(np.maximum(me, 0.0))) @ mv.conj().T
-            return cls(seed=seed, n=dim, H=H, A=A, lam=lam, delta=delta,
+            return cls(n=dim, H=H, A=A, lam=lam, delta=delta,
                        cutoff=cutoff, evals=evals, evecs=evecs, alpha=alpha,
                        K=K, B=B, rejects=rejects)
 

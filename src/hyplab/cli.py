@@ -226,7 +226,8 @@ def _run_spectrum(ctx):
 
 
 def _run_flow(ctx):
-    from hyplab.conjugate import ConjugateParams, a_k_field, flow_integrate
+    from hyplab.conjugate import (ConjugateParams, a_k_field, flow_integrate,
+                                  unitary_apply)
 
     cfg = ctx.config
     lam = float(cfg["lambda"])
@@ -248,10 +249,21 @@ def _run_flow(ctx):
         rows.extend((t, ri, gi, di) for ri, gi, di
                     in zip(r, flows[t].gamma, flows[t].dgamma))
     write_csv(ctx.path("flow.csv"), ["t", "r", "gamma", "dgamma"], rows)
+    # U_t keeps the norm of a phi that is negligible outside I_t, the part
+    # of [r0, r_max] inside [gamma_t(r0), gamma_t(r_max)]: a Gaussian
+    # centred in I_t, a tenth of I_t wide, is e^-25 at its ends.
+    defects = []
+    for t in times:
+        gamma = flows[t].gamma
+        lo, hi = max(gamma[0], r[0]), min(gamma[-1], r[-1])
+        phi = np.exp(-((r - 0.5 * (lo + hi)) / (0.1 * (hi - lo))) ** 2)
+        norm = np.linalg.norm(unitary_apply(flows[t], phi, r))
+        defects.append(abs(norm / np.linalg.norm(phi) - 1.0))
     summary = {"schema": _SCHEMA, "experiment": "flow", "lambda": lam,
                "t_values": list(cfg["t_values"]),
                "n_steps": [flows[t].n_steps for t in times],
-               "n_evals": [flows[t].n_evals for t in times]}
+               "n_evals": [flows[t].n_evals for t in times],
+               "unitarity_defect": defects}
     _atomic_json(ctx.path("summary.json"), summary)
     return summary, True
 
@@ -492,6 +504,12 @@ def _run_report(ctx):
             flow_csv = os.path.join(out, name, "flow.csv")
             if os.path.exists(flow_csv):
                 lines.append(f"flow trajectories: {name}/flow.csv")
+            if "unitarity_defect" in summary:
+                lines.append("unitarity defect | ||U_t phi|| / ||phi|| - 1 | "
+                             "per t: " + ", ".join(
+                                 "%s: %.3g" % pair for pair in zip(
+                                     summary["t_values"],
+                                     summary["unitarity_defect"])))
         lines.append("")
     for absent in ("spectrum", "flow", "mourre", "sweep", "testbed",
                    "weights"):

@@ -1,4 +1,4 @@
-"""Escape-function conjugate operator: a_k, its flow, and the generator.
+"""Escape-function conjugate operator: a_k, its flow, and the unitary group.
 
 The conjugate operator for mode k is built from the radial vector field
 
@@ -9,10 +9,8 @@ with chi_R(r) = chi(r/R) and xi_S(x) = xi(x/S).  The associated objects are
 * the flow gamma_t solving d/dt gamma = a(gamma), with its spatial
   derivative d_r gamma_t(r) = a(gamma_t(r)) / a(r) in closed form;
 * the induced unitary group U_t phi = (d_r gamma_t)^{1/2} phi(gamma_t);
-* the Hermitian generator A_k = a_k D_r - i a_k'/2, discretized in the
-  symmetric form (a D + D a)/2;
-* the spectral-multiplier decomposition g(r, mu) with r g = a_k;
-* the mollified commutator kernel used to identify the generator.
+* the Hermitian generator A_k = a_k D_r - i a_k'/2, whose commutators
+  with H_k hyplab.mourre assembles from the derivatives of a_k.
 """
 
 from __future__ import annotations
@@ -23,8 +21,7 @@ import math
 import numpy as np
 
 from hyplab.errors import ConfigError, FlowExitsGrid, NumericalFailure
-from hyplab.linops import DiscreteOperator
-from hyplab.weights import cutoff_derivs, profile_eval
+from hyplab.weights import cutoff_derivs
 
 A_MAX_DERIVATIVE = 5
 
@@ -98,7 +95,7 @@ class AkField:
         return tuple(a_k_derivs(self.params, self.nu_k, x, 1))
 
     def value(self, x):
-        return a_k_derivs(self.params, self.nu_k, x, 0)[0]
+        return a_k_eval(self.params, self.nu_k, x)
 
 
 def a_k_field(params, nu_k):
@@ -325,27 +322,33 @@ def flow_integrate(field, t, r, start=None):
     return FlowResult(t, gamma, dgamma, n_steps, n_evals)
 
 
-def unitary_apply(field, t, phi, r):
+def unitary_apply(flow, phi, r):
     """Transported function U_t phi = (d_r gamma_t)^{1/2} phi(gamma_t).
 
-    phi is sampled at the points r; values of phi at gamma_t(r) are obtained
-    by piecewise-linear interpolation, whose O(h^2) error scale matches the
-    discretization order used everywhere else.  Raises FlowExitsGrid when a
-    non-negligible part of phi would be transported from beyond the grid.
+    flow is the flow_integrate result on the increasing points r, where phi
+    is sampled; values of phi at gamma_t(r) are obtained by piecewise-linear
+    interpolation, whose O(h^2) error scale matches the discretization
+    order used everywhere else.  The flow maps the grid onto
+    [gamma_t(r[0]), gamma_t(r[-1])], so U_t keeps the norm only of a phi
+    that is negligible outside that interval and at each end of the grid
+    that the flow pulls values from beyond.  Raises FlowExitsGrid
+    otherwise: when a non-negligible part of phi would be carried past
+    either end of the grid or transported from beyond it.
     """
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi)
-    flow = flow_integrate(field, t, r)
     gamma = flow.gamma
-    out_of_range = (gamma < r[0]) | (gamma > r[-1])
-    if np.any(out_of_range):
-        # Transport only exits the grid where phi has no mass to move.
-        probe = np.clip(gamma[out_of_range], r[0], r[-1])
-        vals = np.interp(probe, r, np.abs(phi))
-        if np.any(vals > 1e-8 * max(float(np.max(np.abs(phi))), 1e-300)):
-            raise FlowExitsGrid(
-                f"flow at t={t} needs phi values outside [{r[0]}, {r[-1]}]"
-            )
+    # the points the flow carries past the ends of the grid, and each end
+    # that it pulls values from beyond
+    outside = (r < gamma[0]) | (r > gamma[-1])
+    outside[0] |= gamma[0] < r[0]
+    outside[-1] |= gamma[-1] > r[-1]
+    if np.any(np.abs(phi[outside])
+              > 1e-8 * max(float(np.max(np.abs(phi))), 1e-300)):
+        raise FlowExitsGrid(
+            f"flow at t={flow.t} moves phi across the ends of "
+            f"[{r[0]}, {r[-1]}]"
+        )
     re = np.interp(gamma, r, np.real(phi), left=0.0, right=0.0)
     if np.iscomplexobj(phi):
         im = np.interp(gamma, r, np.imag(phi), left=0.0, right=0.0)
@@ -353,105 +356,3 @@ def unitary_apply(field, t, phi, r):
     else:
         vals = re
     return np.sqrt(flow.dgamma) * vals
-
-
-def generator_matrix(params, nu_k, grid, a_values=None):
-    """Hermitian discretization of A_k = a_k D_r - i a_k'/2.
-
-    Uses the symmetric form (a D + D a)/2 with the centered first difference
-    D = -i d_r, which is Hermitian on the grid by construction.  Passing
-    ``a_values`` overrides the field (synthetic tests).
-    """
-    r = grid.points()
-    h = grid.h
-    a = np.asarray(a_values, dtype=float) if a_values is not None \
-        else a_k_eval(params, nu_k, r)
-    upper = -1j * (a[:-1] + a[1:]) / (4.0 * h)
-    lower = 1j * (a[:-1] + a[1:]) / (4.0 * h)
-    diags = {0: np.zeros(grid.N, dtype=complex), 1: upper, -1: lower}
-    return DiscreteOperator(grid, diags)
-
-
-def g_rs_eval(params, r, mu):
-    """Spectral multiplier g(r, mu) with r g(r, mu_k) = a_k(r), and the
-    zeroth-order companion g~ = g + r d_r g (= a_k')."""
-    if np.any(np.asarray(mu) < 0):
-        raise ConfigError("mu must be nonnegative")
-    nu = math.sqrt(1.0 + mu)
-    r_arr = np.asarray(r, dtype=float)
-    lognu = 0.5 * math.log1p(mu)
-    chi_r = profile_eval("chi", r_arr / params.R)
-    xi_r = profile_eval("xi", (r_arr - lognu) / params.S)
-    safe_r = np.where(r_arr == 0.0, 1.0, r_arr)  # chi kills r <= R anyway
-    g = chi_r * (1.0 + (2.0 * params.S - lognu) / safe_r) * xi_r
-    gtilde = a_k_eval(params, nu, r, j=1)
-    return g, gtilde
-
-
-# ----------------------------------------------------------------------------
-# Mollified commutator kernel (generator identification)
-# ----------------------------------------------------------------------------
-
-
-# integral of q(2(x+1)) q(2(1-x)) over [-1, 1]: the plateau [-1/2, 1/2]
-# gives 1 and the two ramps int_0^1 q / 2 each, where int_0^1 q = 1/2
-# because q(y) + q(1-y) = 1.
-_THETA_NORM = 1.5
-
-
-def theta_bump(x):
-    """Fixed smooth even bump supported in [-1, 1] with unit integral."""
-    x = np.asarray(x, dtype=float)
-    raw = profile_eval("q", 2.0 * (x + 1.0)) * profile_eval("q", 2.0 * (1.0 - x))
-    return raw / _THETA_NORM
-
-
-def theta_bump_prime(x):
-    x = np.asarray(x, dtype=float)
-    raw = 2.0 * profile_eval("q", 2.0 * (x + 1.0), 1) * profile_eval(
-        "q", 2.0 * (1.0 - x)
-    ) - 2.0 * profile_eval("q", 2.0 * (x + 1.0)) * profile_eval(
-        "q", 2.0 * (1.0 - x), 1
-    )
-    return raw / _THETA_NORM
-
-
-def theta_schur_constant():
-    """integral of |x theta'(x)| + |theta(x)|, the Schur bound scale for J.
-
-    It is exactly 2: theta >= 0 and, q being nondecreasing, x theta'(x) <= 0,
-    so by parts int |x theta'| = -int x theta' = int theta = 1.
-    """
-    return 2.0
-
-
-def j_eps_matrix(field, eps, r, h):
-    """Grid kernel of the first-order commutator term:
-
-        j(r, r') = (a'(r) + a'(r'))/2 theta_eps(r-r') + (a(r)-a(r')) theta_eps'(r-r')
-
-    with theta_eps(x) = theta(x/eps)/eps, returned as a dense matrix including
-    the grid measure h.
-    """
-    rr = r[:, None] - r[None, :]
-    av, apv = field(r)
-    kern = 0.5 * (apv[:, None] + apv[None, :]) * theta_bump(rr / eps) / eps
-    kern += (av[:, None] - av[None, :]) * theta_bump_prime(rr / eps) / eps**2
-    return kern * h
-
-
-def transported_mollifier_matrix(field, t, eps, r, h):
-    """Matrix of U_t^* J_eps^0 U_t where J_eps^0 has kernel theta_eps(r-r'),
-    i.e. kernel (d_r gamma(r) d_r gamma(r'))^{1/2} theta_eps(gamma(r)-gamma(r'))."""
-    flow = flow_integrate(field, t, r)
-    g, dg = flow.gamma, flow.dgamma
-    kern = np.sqrt(dg[:, None] * dg[None, :]) * theta_bump(
-        (g[:, None] - g[None, :]) / eps
-    ) / eps
-    return kern * h
-
-
-def t0_for_mollifier(a_prime_sup, bound=0.5):
-    """Largest t with e^{||a'|| t} - 1 <= bound, the validity window for the
-    first-order expansion of the transported mollifier."""
-    return math.log1p(bound) / max(a_prime_sup, 1e-300)

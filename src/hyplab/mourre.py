@@ -103,9 +103,9 @@ def commutator_matrix(params, nu_k, grid):
 
 @dataclasses.dataclass
 class CommutatorMatrices:
-    """Both commutators plus the expanded-ordering coefficient tables."""
+    """The second commutator plus the expanded-ordering coefficient
+    tables."""
 
-    first: DiscreteOperator
     second: DiscreteOperator
     b_k: np.ndarray
     c_k: np.ndarray
@@ -139,7 +139,6 @@ def double_commutator_matrix(params, nu_k, grid):
         - 0.5 * (a[0] * a[4] - a[2] ** 2)
     )
     return CommutatorMatrices(
-        first=_first_commutator(grid, mu, a, am),
         second=second,
         b_k=b_k,
         c_k=c_k,
@@ -443,15 +442,6 @@ def hs_calculus(f_derivs, op, tol=1e-6, u_range=None):
     if len(_HS_CACHE) > _HS_CACHE_CAP:
         _HS_CACHE.pop(next(iter(_HS_CACHE)))
     return ((evecs * q) @ np.conj(evecs.T)).astype(complex, copy=False)
-
-
-def spectral_calculus(f_derivs, op):
-    """Reference spectral calculus via full eigendecomposition."""
-    evals, evecs = hermitian_eig(op) if hasattr(op, "diagonals") else np.linalg.eigh(
-        np.asarray(op)
-    )
-    fv = f_derivs(evals, 0)
-    return (evecs * fv) @ np.conj(evecs.T)
 
 
 # ----------------------------------------------------------------------------

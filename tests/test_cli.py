@@ -210,6 +210,33 @@ def test_flow_chains_times_but_writes_them_in_config_order(tmp_path):
     assert all(n > 0 for n in summary["n_steps"][:3])
 
 
+def test_flow_unitarity_defect_falls_at_second_order(tmp_path):
+    # |‖U_t phi‖/‖phi‖ - 1| comes from the linear interpolation of phi at
+    # gamma_t(r), so it falls like h^2, at the order criterion 4 requires.
+    cfg = load_config("flow", None, [])
+    defects, hs = [], []
+    for n in (2000, 4000, 8000):
+        out = tmp_path / f"flow{n}"
+        assert run(["flow", "--out", str(out),
+                    "--set", f"n_points={n}"]) == 0
+        defects.append(json.loads(_read(out / "summary.json"))
+                       ["unitarity_defect"])
+        hs.append((cfg["r_max"] - cfg["r0"]) / (n - 1))
+    orders = np.polyfit(np.log(hs), np.log(defects), 1)[0]
+    assert orders.shape == (len(cfg["t_values"]),)
+    assert np.all(orders >= 1.7)
+
+
+def test_flow_keeps_phi_on_the_grid_at_negative_times(tmp_path):
+    # a negative t pulls gamma_t(r_max) below r_max: phi must sit inside
+    # [gamma_t(r0), gamma_t(r_max)], or unitary_apply raises FlowExitsGrid
+    out = tmp_path / "flow"
+    assert run(["flow", "--out", str(out),
+                "--set", "t_values=[-1,-0.25,0.25,1]"]) == 0
+    defects = json.loads(_read(out / "summary.json"))["unitarity_defect"]
+    assert len(defects) == 4 and max(defects) <= 1e-5
+
+
 def test_failed_stage_is_recorded_in_the_manifest(tmp_path):
     out = tmp_path / "mourre"
     rc = run(["mourre", "--out", str(out), "--set", "K_max=4"])
@@ -424,7 +451,10 @@ def test_report_links_flow_trajectories(tmp_path):
     assert run(["spectrum", "--out", str(tmp_path / "spec"),
                 "--set", "K_max=3"]) == 0
     assert run(["report", "--out", str(tmp_path)]) == 0
-    assert "flow trajectories: flow/flow.csv" in _read(tmp_path / "report.md")
+    report = _read(tmp_path / "report.md")
+    assert "flow trajectories: flow/flow.csv" in report
+    assert "unitarity defect | ||U_t phi|| / ||phi|| - 1 | per t: 0.25: " \
+        in report
 
 
 def test_report_on_empty_directory_exits_one(tmp_path):

@@ -1,27 +1,23 @@
-"""Conjugate-operator construction: a_k, flow, unitary group, generator,
-mollifier commutator."""
+"""Conjugate-operator construction: a_k, flow, unitary group, generator."""
 
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import quad, quad_vec, solve_ivp
+from scipy.integrate import quad_vec, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 
 from hyplab import conjugate
 from hyplab.cli import load_config
 from hyplab.conjugate import (A_MAX_DERIVATIVE, ConjugateParams, a_k_derivs,
-                              a_k_eval, a_k_field, flow_integrate, g_rs_eval,
-                              generator_matrix, j_eps_matrix, t0_for_mollifier,
-                              theta_bump, theta_bump_prime,
-                              theta_schur_constant,
-                              transported_mollifier_matrix, unitary_apply)
+                              a_k_eval, a_k_field, flow_integrate,
+                              unitary_apply)
 from hyplab.errors import ConfigError, FlowExitsGrid, NumericalFailure
 from hyplab.linops import RadialGrid
 from hyplab.model import build_spectrum
 
-from conftest import schur_bound
+from conftest import generator_matrix
 
 
 PARAMS_100 = ConjugateParams.from_lambda(100.0)
@@ -395,7 +391,7 @@ def _bump_field(r):
 def test_unitary_t_zero_identity():
     r = np.linspace(0.0, 4.0, 2001)
     phi = np.exp(-((r - 2.0) ** 2) * 4.0)
-    out = unitary_apply(_bump_field, 0.0, phi, r)
+    out = unitary_apply(flow_integrate(_bump_field, 0.0, r), phi, r)
     assert out == pytest.approx(phi, abs=1e-10)
 
 
@@ -404,7 +400,7 @@ def test_unitary_identity_left_of_support():
     r = np.linspace(0.25, 12.0, 4001)
     phi = np.exp(-((r - 3.0) ** 2) * 2.0)  # supported left of R ~ 6.2
     phi = np.where(r < PARAMS_100.R - 1.0, phi, 0.0)
-    out = unitary_apply(field, 0.3, phi, r)
+    out = unitary_apply(flow_integrate(field, 0.3, r), phi, r)
     assert out == pytest.approx(phi, abs=1e-9)
 
 
@@ -415,7 +411,7 @@ def test_unitary_norm_preservation_order_two():
         r = np.linspace(0.0, 4.0, n + 1)
         h = r[1] - r[0]
         phi = np.exp(-((r - 2.0) ** 2) * 4.0)
-        out = unitary_apply(_bump_field, 0.1, phi, r)
+        out = unitary_apply(flow_integrate(_bump_field, 0.1, r), phi, r)
         defects.append(abs(np.linalg.norm(out) * math.sqrt(h)
                            - np.linalg.norm(phi) * math.sqrt(h)))
         hs.append(h)
@@ -427,9 +423,10 @@ def test_unitary_group_law():
     r = np.linspace(0.0, 4.0, 4001)  # h = 1e-3
     phi = np.exp(-((r - 2.0) ** 2) * 4.0)
     t = s = 0.05
-    one = unitary_apply(_bump_field, t + s, phi, r)
-    two = unitary_apply(_bump_field, t,
-                        unitary_apply(_bump_field, s, phi, r), r)
+    one = unitary_apply(flow_integrate(_bump_field, t + s, r), phi, r)
+    two = unitary_apply(flow_integrate(_bump_field, t, r),
+                        unitary_apply(flow_integrate(_bump_field, s, r), phi,
+                                      r), r)
     assert np.linalg.norm(one - two) <= 1e-6 * np.linalg.norm(phi)
 
 
@@ -444,13 +441,37 @@ def test_unitary_raises_when_phi_has_mass_beyond_the_grid():
     r = np.linspace(0.0, 4.0, 401)
     phi = np.exp(-((r - 4.0) ** 2) * 4.0)
     with pytest.raises(FlowExitsGrid):
-        unitary_apply(_unit_field, 0.5, phi, r)
+        unitary_apply(flow_integrate(_unit_field, 0.5, r), phi, r)
+
+
+def test_unitary_raises_when_the_flow_carries_phi_past_the_grid():
+    # gamma_t(r) = r + t: for t = 0.5 the values of phi on [0, 0.5) land
+    # on no point of the grid, and a bump centered at 0.2 has mass there.
+    r = np.linspace(0.0, 4.0, 401)
+    phi = np.exp(-((r - 0.2) ** 2) * 4.0)
+    with pytest.raises(FlowExitsGrid, match="t=0.5 moves phi"):
+        unitary_apply(flow_integrate(_unit_field, 0.5, r), phi, r)
+
+
+@pytest.mark.parametrize("t, center, width", [(-0.25, 20.0, 2.0),
+                                              (-1.0, 15.0, 1.0)])
+def test_unitary_raises_when_the_default_flow_drops_phi(t, center, width):
+    # On the default `hyplab flow` grid a negative t pulls gamma_t(r_max)
+    # below r_max; the part of phi above it lands on no point of the grid:
+    # 12.6 % of the norm of the first phi, all of the second.
+    _, field, r = _default_flow_grid()
+    phi = np.exp(-((r - center) / width) ** 2)
+    with pytest.raises(FlowExitsGrid):
+        unitary_apply(flow_integrate(field, t, r), phi, r)
 
 
 def test_unitary_transports_phi_that_vanishes_where_the_flow_exits():
+    # phi vanishes on [0, 0.5], which the flow carries below r[0], and at
+    # r[-1], beyond which it pulls the values for r > 3.5.
     r = np.linspace(0.0, 4.0, 401)
-    phi = np.where(r < 3.0, np.sin(np.pi * r / 3.0) ** 2, 0.0)
-    out = unitary_apply(_unit_field, 0.5, phi, r)
+    phi = np.where((r > 0.5) & (r < 3.0),
+                   np.sin(np.pi * (r - 0.5) / 2.5) ** 2, 0.0)
+    out = unitary_apply(flow_integrate(_unit_field, 0.5, r), phi, r)
     assert out == pytest.approx(np.interp(r + 0.5, r, phi, right=0.0),
                                 abs=1e-12)
 
@@ -494,7 +515,7 @@ def test_generator_consistency_with_unitary_group():
     phi = np.exp(-((r - 14.0) ** 2) * 2.0)
     errs = []
     for t in (2e-3, 1e-3):
-        ut = unitary_apply(field, t, phi, r)
+        ut = unitary_apply(flow_integrate(field, t, r), phi, r)
         approx = (ut - phi) / (1j * t)
         errs.append(np.max(np.abs(approx - A.matvec(phi.astype(complex)))))
     assert errs[1] <= 0.75 * errs[0] + 1e-6
@@ -518,113 +539,3 @@ def test_cutoff_commutation_order_two():
         hs.append(g.h)
     rate = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert rate >= 1.7
-
-
-# ----------------------------------------------------------------------------
-# Spectral decomposition g_{R,S}
-# ----------------------------------------------------------------------------
-
-
-def test_g_rs_zero_left_of_R():
-    g, gt = g_rs_eval(PARAMS_100, 4.0, 3.0)
-    assert g == 0.0 and gt == 0.0
-
-
-def test_g_rs_defining_identity():
-    rng = np.random.default_rng(1)
-    rs = rng.uniform(0.3, 25.0, 1000)
-    mus = rng.uniform(0.0, 50.0, 1000)
-    for r, mu in zip(rs, mus):
-        g, _ = g_rs_eval(PARAMS_100, r, mu)
-        nu = math.sqrt(1.0 + mu)
-        assert r * g == pytest.approx(a_k_eval(PARAMS_100, nu, r),
-                                      abs=1e-12 * max(1.0, abs(r * g)))
-
-
-def test_g_rs_plateau_closed_form():
-    mu = 3.0
-    r = 16.0
-    g, _ = g_rs_eval(PARAMS_100, r, mu)
-    assert g == pytest.approx(
-        1.0 + (2.0 * PARAMS_100.S - 0.5 * math.log(1.0 + mu)) / r, rel=1e-12)
-
-
-def test_g_tilde_bounded_over_lambda_ladder():
-    # r d/dr g_{R,S} stays bounded along the ladder (order-zero symbol claim)
-    sups = []
-    for lam in (1e2, 1e3, 1e4):
-        p = ConjugateParams.from_lambda(lam)
-        r = np.linspace(0.3, 6.0 * p.R, 8001)
-        d = 1e-5
-        for mu in (0.0, 10.0):
-            gp = np.array([(g_rs_eval(p, ri + d, mu)[0]
-                            - g_rs_eval(p, ri - d, mu)[0]) / (2 * d)
-                           for ri in r[:: 40]])
-            sups.append(np.max(np.abs(r[::40] * gp)))
-    assert max(sups) <= 10.0
-
-
-# ----------------------------------------------------------------------------
-# Mollifier commutator
-# ----------------------------------------------------------------------------
-
-
-def test_theta_bump_normalization():
-    x = np.linspace(-1.5, 1.5, 3001)
-    vals = theta_bump(x)
-    assert np.all(vals >= 0.0)
-    assert np.trapezoid(vals, x) == pytest.approx(1.0, rel=1e-6)
-    d = 1e-6
-    fd = (theta_bump(x) - theta_bump(x - 2 * d)) / (2 * d)
-    assert np.max(np.abs(fd - theta_bump_prime(x - d))) <= 1e-3
-
-
-def test_t0_rule_matches_flow():
-    field = a_k_field(PARAMS_100, 1.0)
-    rr = np.linspace(0.25, 40.0, 30001)
-    ap_sup = float(np.max(np.abs(field(rr)[1])))
-    t0 = t0_for_mollifier(ap_sup)
-    r = np.linspace(0.25, 30.0, 301)
-    res = flow_integrate(field, t0, r)
-    assert np.max(np.abs(res.dgamma - 1.0)) <= 0.5 + 1e-6
-
-
-def test_mollifier_commutator_quadratic_in_t():
-    g = RadialGrid(r0=5.0, r_max=16.0, N=1100)
-    r = g.points()
-    field = a_k_field(PARAMS_100, 1.0)
-    eps = 0.25
-    K0 = transported_mollifier_matrix(field, 0.0, eps, r, g.h)
-    J = j_eps_matrix(field, eps, r, g.h)
-    resids, ts = [], (0.04, 0.02, 0.01)
-    for t in ts:
-        Kt = transported_mollifier_matrix(field, t, eps, r, g.h)
-        resids.append(np.linalg.norm(Kt - K0 - t * J, 2))
-    rate = np.polyfit(np.log(ts), np.log(resids), 1)[0]
-    assert rate >= 1.7
-
-
-def test_j_eps_schur_bound():
-    g = RadialGrid(r0=5.0, r_max=16.0, N=1100)
-    r = g.points()
-    field = a_k_field(PARAMS_100, 1.0)
-    rr = np.linspace(0.25, 40.0, 30001)
-    ap_sup = float(np.max(np.abs(field(rr)[1])))
-    for eps in (0.5, 0.25):
-        J = j_eps_matrix(field, eps, r, g.h)
-        norm = np.linalg.norm(J, 2)
-        assert norm <= ap_sup * theta_schur_constant() * (1.0 + 1e-6)
-        assert schur_bound(J / g.h, np.full(r.size, g.h)) >= norm - 1e-9
-
-
-def test_mollifier_constants_match_quadrature():
-    # int theta_raw = 3/2 and int |x theta'| + |theta| = 2 in closed form
-    from hyplab.weights import profile_eval
-    raw, _ = quad(lambda x: profile_eval("q", 2.0 * (x + 1.0))
-                  * profile_eval("q", 2.0 * (1.0 - x)), -1.0, 1.0)
-    assert abs(raw - conjugate._THETA_NORM) <= 1e-14
-    schur, _ = quad(lambda x: abs(x * theta_bump_prime(x)) + abs(theta_bump(x)),
-                    -1.0, 1.0, limit=200)
-    assert abs(schur - theta_schur_constant()) <= 1e-14
-    unit, _ = quad(theta_bump, -1.0, 1.0)
-    assert abs(unit - 1.0) <= 1e-14

@@ -62,7 +62,8 @@ def test_library_imports_leave_scipy_integrate_unloaded():
     assert "scipy.integrate" not in out["before"]
 
 
-@pytest.mark.parametrize("experiment", ["spectrum", "weights", "report"])
+@pytest.mark.parametrize("experiment",
+                         ["spectrum", "flow", "weights", "report"])
 def test_light_subcommands_load_no_scipy_linalg(tmp_path, experiment):
     if experiment == "report":
         assert run(["spectrum", "--out", str(tmp_path / "spec")]) == 0
@@ -125,17 +126,9 @@ def test_no_module_imports_scipy_integrate():
 # script uses, only the tests: each still waits for a caller, a move into
 # tests/ or its deletion.
 _PENDING_WITHOUT_CALLER = {
-    "conjugate.g_rs_eval",
-    "conjugate.generator_matrix",
-    "conjugate.j_eps_matrix",
-    "conjugate.t0_for_mollifier",
-    "conjugate.theta_schur_constant",
-    "conjugate.transported_mollifier_matrix",
-    "conjugate.unitary_apply",
     "laplab.mode_norm",
     "mourre.double_commutator_matrix",
     "mourre.semiclassical_bound_check",
-    "mourre.spectral_calculus",
 }
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hyplab import mourre
-from hyplab.conjugate import ConjugateParams, a_k_eval, generator_matrix
+from hyplab.conjugate import ConjugateParams, a_k_eval
 from hyplab.errors import ConfigError, NumericalFailure, RegimeError
 from hyplab.linops import RadialGrid, discretize, hermitian_eig
 from hyplab.model import ModelConfig, mode_operator_spec
@@ -15,10 +15,10 @@ from hyplab.mourre import (SpectralCutoff, commutator_matrix,
                            default_positivity_grid, double_commutator_matrix,
                            hs_calculus, mourre_positivity_check,
                            semiclassical_bound_check, semiclassical_gap,
-                           spectral_calculus, xi_build, xi_profile_constant)
+                           xi_build, xi_profile_constant)
 from hyplab.weights import chi_sqrt_eval, profile_eval
 
-from conftest import WIDE_BUMP, WideBump
+from conftest import WIDE_BUMP, WideBump, generator_matrix, spectral_calculus
 
 
 PARAMS = ConjugateParams.from_lambda(100.0)
