@@ -326,25 +326,8 @@ def scalar_weight_check(s, n_eps=100, n_E=100, eps_range=(1e-6, 1.0),
 
 
 # ----------------------------------------------------------------------------
-# Bound-profile recurrence
+# Bound recurrence
 # ----------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class BoundProfile:
-    """Shape of a bound c_flat delta^{-1} + c_log delta^{-1} log(eps_nu/eps)
-    + c_pow alpha^{-1} eps^{-sigma}."""
-
-    c_flat: float
-    c_log: float
-    c_pow: float
-    sigma: float
-
-    def __post_init__(self):
-        if min(self.c_flat, self.c_log, self.c_pow) < 0:
-            raise ConfigError("profile coefficients must be nonnegative")
-        if not 0.0 <= self.sigma <= 1.0:
-            raise ConfigError("profile exponent must lie in [0, 1]")
 
 
 def recurrence_step_bound(s):
@@ -355,17 +338,18 @@ def recurrence_step_bound(s):
     return math.ceil(math.log2(1.0 / (2.0 * s - 1.0))) + 1 if s < 1.0 else 1
 
 
-def recurrence_iterate(s, initial):
-    """Case iteration of the bound recurrence: while s - 1/2 < sigma/2 the
-    power exponent maps to sigma/2 + 1/2 - s; the iteration ends in the flat
-    case (s - 1/2 > sigma/2) or the borderline log case.  At s = 1 the
-    borderline power term is a log absorbed into the flat-plus-log shape.
+def recurrence_iterate(s):
+    """Case iteration of the bound recurrence from the power exponent
+    sigma = 1: while s - 1/2 < sigma/2 the power exponent maps to
+    sigma/2 + 1/2 - s; the iteration ends in the flat case
+    (s - 1/2 > sigma/2) or the borderline log case.  At s = 1 the borderline
+    power term is a log absorbed into the flat-plus-log shape.
 
-    Returns (case trace, final profile, step count); the step count never
-    exceeds recurrence_step_bound(s).
+    Returns (case trace, step count); the step count never exceeds
+    recurrence_step_bound(s).
     """
     bound = recurrence_step_bound(s)
-    sigma = initial.sigma
+    sigma = 1.0
     trace = []
     steps = 0
     tol = 1e-12
@@ -379,16 +363,14 @@ def recurrence_iterate(s, initial):
         if gap <= tol:
             # at s = 1 the borderline term is exactly the log already present
             trace.append(("flat", 0.0) if s == 1.0 else ("log", sigma))
-            final = BoundProfile(c_flat=1.0, c_log=1.0, c_pow=0.0, sigma=0.0)
-            break
-        trace.append(("flat", sigma))
-        final = BoundProfile(c_flat=1.0, c_log=0.0, c_pow=0.0, sigma=0.0)
+        else:
+            trace.append(("flat", sigma))
         break
     if steps > bound:
         raise NumericalFailure(
             f"recurrence took {steps} steps, exceeding the bound {bound}"
         )
-    return trace, final, steps
+    return trace, steps
 
 
 # ----------------------------------------------------------------------------

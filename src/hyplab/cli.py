@@ -289,10 +289,13 @@ def _run_mourre(ctx):
     payload["experiment"] = "mourre"
     _atomic_json(ctx.path("summary.json"), payload)
     rows = [(m.k, m.mu, m.window_size, m.excluded,
-             m.min_eig if m.min_eig is not None else math.nan)
+             m.min_eig if m.min_eig is not None else math.nan,
+             m.double_commutator if m.double_commutator is not None
+             else math.nan)
             for m in report.per_mode]
     write_csv(ctx.path("per_mode.csv"),
-              ["k", "mu", "window_size", "excluded", "min_eig"], rows)
+              ["k", "mu", "window_size", "excluded", "min_eig",
+               "double_commutator"], rows)
     return payload, report.passed
 
 
@@ -366,8 +369,8 @@ def _run_testbed(ctx):
     # workers inherit the module instead of each importing it (and SciPy)
     # anew; workers forked earlier, by a sweep in this process, import it
     # once each.
-    from hyplab.abstract import (BoundProfile, recurrence_iterate,
-                                 recurrence_step_bound, scalar_weight_check)
+    from hyplab.abstract import (recurrence_iterate, recurrence_step_bound,
+                                 scalar_weight_check)
     from hyplab.pool import parallel_map
 
     cfg = ctx.config
@@ -378,8 +381,7 @@ def _run_testbed(ctx):
         # the scalar checks of acceptance criterion 2, once, at the run's s;
         # an s outside (1/2, 1] raises ConfigError
         scalar = scalar_weight_check(cfg["s"])
-        trace, _final, steps = recurrence_iterate(
-            cfg["s"], BoundProfile(1.0, 1.0, 1.0, 1.0))
+        trace, steps = recurrence_iterate(cfg["s"])
         reports = parallel_map(_testbed_seed_report, args, ctx.workers)
     write_csv(ctx.path("testbed.csv"),
               ["seed", "rejects", "max_residual", "violations"],
@@ -483,6 +485,9 @@ def _run_report(ctx):
             lines.append("min_eig_ratio = %s over %s contributing modes"
                          % (summary.get("min_eig_ratio"),
                             summary.get("contributing_modes")))
+            lines.append("double commutator ||f(H) [[H,A],A] f(H)|| / lambda "
+                         "= %s (max over modes)"
+                         % summary.get("double_commutator_ratio"))
             deficits = summary.get("deficits", {})
             rows = sorted(deficits.items())
             write_csv(os.path.join(out, f"plot_deficits_{name}.dat"),

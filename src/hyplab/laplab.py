@@ -137,15 +137,6 @@ def _cell(cfg, model, spectrum, lam, k, grid, r, start):
                                start=start)
 
 
-def mode_norm(cfg, lam, k, grid, start=None):
-    """||W (H_k - lam - i0)^{-1} W|| for mode k of the sweep config on the
-    given grid, its power iteration started from ``start`` (see
-    weighted_operator_norm); returns (norm, diagnostics)."""
-    model = cfg.model()
-    spectrum = model.spectrum(cfg.K_max)
-    return _cell(cfg, model, spectrum, lam, k, grid, grid.points(), start)
-
-
 def _energy_task(args):
     """Norms of every mode at one energy, as one chain; top-level for
     pickling.

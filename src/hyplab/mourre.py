@@ -14,10 +14,13 @@ order.  The second commutator is assembled in the analogous divergence form
     b_k     = 2 (a a'' - 2 a'^2),
     d_k^div = 2 a mu e^{-2r} (a' - 2a) + a' a''' + a''^2 - a a''''/2,
 
-whose expansion reproduces the first-order coefficient exactly (the
-coefficient tables b_k, c_k, d_k of the expanded ordering are attached for
-reference).  On derivative plateaus both forms reduce to the familiar
-closed expressions (b_k = -4, c_k = 0).
+whose expansion reproduces the first-order coefficient exactly.  On
+derivative plateaus (a' = 1, higher derivatives 0) b_k = -4 is constant, so
+the first-order term vanishes, and d_k^div = 2 a mu e^{-2r} (1 - 2a).
+
+The positivity check applies both commutators to the states of its spectral
+window: the first for the Mourre estimate, the second for the size of
+f(H) [[H, A], A] f(H) / lam, which the C^2(A) regularity of H keeps bounded.
 """
 
 from __future__ import annotations
@@ -28,15 +31,9 @@ import math
 import numpy as np
 
 from hyplab.conjugate import ConjugateParams, a_k_derivs
-from hyplab.errors import ConfigError, NumericalFailure, RegimeError
-from hyplab.linops import (
-    DiscreteOperator,
-    RadialGrid,
-    discretize,
-    hermitian_eig,
-    weighted_operator_norm,
-)
-from hyplab.model import ModelConfig, RadialOperatorSpec, mode_operator_spec
+from hyplab.errors import ConfigError, NumericalFailure
+from hyplab.linops import DiscreteOperator, RadialGrid, discretize, hermitian_eig
+from hyplab.model import ModelConfig, mode_operator_spec
 from hyplab.weights import chi_sqrt_eval, profile_eval, xi_sqrt_eval
 
 
@@ -75,17 +72,14 @@ def _flux_form(grid, coeff_mid):
     return diag, off
 
 
-def _midpoints(grid):
-    return grid.r0 + grid.h * (np.arange(grid.N + 1) + 0.5)
-
-
-def _first_commutator(grid, mu, a, am):
-    """i[H_k, A_k] from the a_k tables a (grid, orders 0..3) and am
-    (midpoints, orders 0..1)."""
-    r = grid.points()
-    diag, off = _flux_form(grid, 2.0 * am[1])
-    diag = diag + 2.0 * a[0] * mu * np.exp(-2.0 * r) - 0.5 * a[3]
-    return DiscreteOperator(grid, {0: diag, 1: off, -1: off})
+def _a_k_tables(params, nu_k, grid, top):
+    """a_k and its derivatives to order top on the grid, and to order top - 2
+    at the midpoints r_{i+1/2}, i = 0..N."""
+    if grid.h > params.S / 50.0:
+        raise ConfigError("grid too coarse to resolve a_k (need h <= S/50)")
+    mid = grid.r0 + grid.h * (np.arange(grid.N + 1) + 0.5)
+    return (a_k_derivs(params, nu_k, grid.points(), top),
+            a_k_derivs(params, nu_k, mid, top - 2))
 
 
 def commutator_matrix(params, nu_k, grid):
@@ -94,134 +88,37 @@ def commutator_matrix(params, nu_k, grid):
     The mode enters through nu_k (mu_k = nu_k^2 - 1); the constant spectral
     shift commutes with A_k and drops out.
     """
-    if grid.h > params.S / 50.0:
-        raise ConfigError("grid too coarse to resolve a_k (need h <= S/50)")
-    a = a_k_derivs(params, nu_k, grid.points(), 3)
-    am = a_k_derivs(params, nu_k, _midpoints(grid), 1)
-    return _first_commutator(grid, nu_k**2 - 1.0, a, am)
-
-
-@dataclasses.dataclass
-class CommutatorMatrices:
-    """The second commutator plus the expanded-ordering coefficient
-    tables."""
-
-    second: DiscreteOperator
-    b_k: np.ndarray
-    c_k: np.ndarray
-    d_k: np.ndarray
+    a, am = _a_k_tables(params, nu_k, grid, 3)
+    mu = nu_k**2 - 1.0
+    diag, off = _flux_form(grid, 2.0 * am[1])
+    diag = diag + 2.0 * a[0] * mu * np.exp(-2.0 * grid.points()) - 0.5 * a[3]
+    return DiscreteOperator(grid, {0: diag, 1: off, -1: off})
 
 
 def double_commutator_matrix(params, nu_k, grid):
-    """Hermitian matrix of [[H_k, A_k], A_k] in divergence form, with the
-    expanded coefficient tables attached (CommutatorMatrices)."""
-    if grid.h > params.S / 50.0:
-        raise ConfigError("grid too coarse to resolve a_k (need h <= S/50)")
+    """Hermitian matrix of [[H_k, A_k], A_k] in divergence form."""
+    a, am = _a_k_tables(params, nu_k, grid, 4)
     mu = nu_k**2 - 1.0
-    r = grid.points()
-    a = a_k_derivs(params, nu_k, r, 4)
-    am = a_k_derivs(params, nu_k, _midpoints(grid), 2)
-    b_mid = 2.0 * (am[0] * am[2] - 2.0 * am[1] ** 2)
-    diag, off = _flux_form(grid, b_mid)
-    d_div = (
-        2.0 * a[0] * mu * np.exp(-2.0 * r) * (a[1] - 2.0 * a[0])
+    diag, off = _flux_form(grid, 2.0 * (am[0] * am[2] - 2.0 * am[1] ** 2))
+    diag = diag + (
+        2.0 * a[0] * mu * np.exp(-2.0 * grid.points()) * (a[1] - 2.0 * a[0])
         + a[1] * a[3]
         + a[2] ** 2
         - 0.5 * a[0] * a[4]
     )
-    diag = diag + d_div
-    second = DiscreteOperator(grid, {0: diag, 1: off, -1: off})
-    b_k = 2.0 * (a[0] * a[2] - 2.0 * a[1] ** 2)
-    c_k = 1j * (5.0 * a[1] * a[2] - a[0] * a[3])
-    d_k = (
-        2.0 * a[0] * mu * np.exp(-2.0 * r) * (a[1] - 2.0 * a[0])
-        + a[1] * a[3]
-        - 0.5 * (a[0] * a[4] - a[2] ** 2)
-    )
-    return CommutatorMatrices(
-        second=second,
-        b_k=b_k,
-        c_k=c_k,
-        d_k=d_k,
-    )
+    return DiscreteOperator(grid, {0: diag, 1: off, -1: off})
 
 
 def xi_build(params, nu_k, grid):
-    """Diagonal localization operators (Xi, Xi~, Xi', Xi'').
+    """Diagonal localization operators (Xi, Xi~).
 
     Xi = chi_R^{1/2}(r) (1 - xi_S^{1/2})(r - log nu_k) selects the region
     where the mode potential dominates the energy; Xi~ = chi_R^{1/2} - Xi.
     """
     r = grid.points()
-    R, S = params.R, params.S
-    x = r / R
-    y = (r - math.log(nu_k)) / S
-    cs = [chi_sqrt_eval(x, j) / R**j for j in range(3)]
-    xs = [xi_sqrt_eval(y, j) / S**j for j in range(3)]
-    xi_op = cs[0] * (1.0 - xs[0])
-    xi_tilde = cs[0] - xi_op
-    xi_p = cs[1] * (1.0 - xs[0]) - cs[0] * xs[1]
-    xi_pp = cs[2] * (1.0 - xs[0]) - 2.0 * cs[1] * xs[1] - cs[0] * xs[2]
-    return xi_op, xi_tilde, xi_p, xi_pp
-
-
-def xi_profile_constant():
-    """sup|d/dx chi^{1/2}| + sup|d/dx xi^{1/2}| of the canonical profiles;
-    S times the grid sup of |Xi'| never exceeds this (R > S)."""
-    x = np.linspace(0.0, 3.0, 20001)
-    c1 = float(np.max(np.abs(chi_sqrt_eval(x, 1))))
-    y = np.linspace(-1.5, 0.5, 20001)
-    c2 = float(np.max(np.abs(xi_sqrt_eval(y, 1))))
-    return c1 + c2
-
-
-def semiclassical_gap(lam, z, tau, params):
-    """The positivity margin e^S - e^{-2R} - lam - Re z / tau."""
-    return (
-        math.exp(params.S) - math.exp(-2.0 * params.R) - lam - z.real / tau
-    )
-
-
-def semiclassical_bound_check(lam, z, nu_list, grid, tau=None, params=None,
-                              shift=0.25, tol=1e-6):
-    """Check the localized resolvent bound for tau (H0_k - lam).
-
-    lhs = sup over the supplied modes of || Xi_k (tau(H0_k - lam) - z)^{-1} ||;
-    rhs = |Im z|^{-1} gap^{-1/2} (C_profile/S + |Im z|^{1/2}/tau^{1/2}).
-
-    Returns (lhs, rhs, pass).  Raises RegimeError when the gap is not
-    positive (the bound is vacuous there).
-    """
-    z = complex(z)
-    if z.imag == 0.0:
-        raise RegimeError("Im z must be nonzero")
-    if params is None:
-        params = ConjugateParams.from_lambda(lam)
-    if tau is None:
-        tau = 1.0 / lam
-    if tau <= 0:
-        raise RegimeError("tau must be positive")
-    gap = semiclassical_gap(lam, z, tau, params)
-    if gap <= 0.0:
-        raise RegimeError(f"gap {gap:.3e} not positive; bound not evaluable")
-    c_profile = xi_profile_constant()
-    lhs = 0.0
-    for k, nu in enumerate(nu_list):
-        xi_op, _, _, _ = xi_build(params, nu, grid)
-        if not np.any(xi_op > 0.0):
-            continue
-        spec = RadialOperatorSpec(k=k, mu_k=nu**2 - 1.0, shift=shift,
-                                  r0=grid.r0)
-        op = discretize(spec, grid).scaled_shifted(scale=tau, shift=-tau * lam)
-        val, _, _ = weighted_operator_norm(op, z, xi_op, np.ones(grid.N),
-                                           tol=tol)
-        lhs = max(lhs, val)
-    rhs = (
-        (1.0 / abs(z.imag))
-        / math.sqrt(gap)
-        * (c_profile / params.S + math.sqrt(abs(z.imag) / tau))
-    )
-    return lhs, rhs, lhs <= rhs
+    chi = chi_sqrt_eval(r / params.R)
+    xi_op = chi * (1.0 - xi_sqrt_eval((r - math.log(nu_k)) / params.S))
+    return xi_op, chi - xi_op
 
 
 # ----------------------------------------------------------------------------
@@ -456,6 +353,8 @@ class ModePositivity:
     window_size: int
     excluded: int
     min_eig: float | None
+    # ||f U*[[H, A], A]U f||_2 / lam over the window states U
+    double_commutator: float | None
 
 
 @dataclasses.dataclass
@@ -474,6 +373,7 @@ class PositivityReport:
             "C": self.C,
             "delta_lambda": self.delta_lambda,
             "min_eig_ratio": self.min_eig_ratio,
+            "double_commutator_ratio": self.double_commutator_ratio,
             "contributing_modes": self.contributing_modes,
             "per_mode": [dataclasses.asdict(m) for m in self.per_mode],
             "deficits": self.deficits,
@@ -481,6 +381,12 @@ class PositivityReport:
             # grid counterpart; flagged for report readers
             "compact_core_modeled": False,
         }
+
+    @property
+    def double_commutator_ratio(self):
+        """The largest per-mode double_commutator (None without one)."""
+        return max((m.double_commutator for m in self.per_mode
+                    if m.double_commutator is not None), default=None)
 
     @property
     def passed(self):
@@ -519,8 +425,10 @@ def mourre_positivity_check(lam, s0, grid, K_max, config=None, C=10.0,
 
     Per mode k: windowed eigenpairs of the Hermitian truncation H_k, the
     weighted commutator form f(H) i[H,A] f(H) - lam f(H)^2 restricted to the
-    spectral window, and its minimum eigenvalue.  Returns a PositivityReport
-    with min_k min-eig / lam and the deficit terms of the continuum estimate.
+    spectral window, and its minimum eigenvalue; and the norm of
+    f(H) [[H,A],A] f(H) on the same window, over lam.  Returns a
+    PositivityReport with min_k min-eig / lam, the largest of those norms and
+    the deficit terms of the continuum estimate.
     The resolvent-weight scale is the non-trapping lam^{-1/2}.
     """
     if config is None:
@@ -545,6 +453,13 @@ def mourre_positivity_check(lam, s0, grid, K_max, config=None, C=10.0,
         if C >= 10.0 * 2**8:
             return report
         C *= 2.0
+
+
+def _window_form(op, U):
+    """U* op U for the window states, the columns of U."""
+    return np.conj(U.T) @ np.column_stack(
+        [op.matvec(U[:, i]) for i in range(U.shape[1])]
+    )
 
 
 def _positivity_pass(lam, delta, params, grid, spectrum, config, C, r_abs):
@@ -576,21 +491,23 @@ def _positivity_pass(lam, delta, params, grid, spectrum, config, C, r_abs):
             kidx = np.array([], dtype=int)
         if kidx.size == 0:
             per_mode.append(
-                ModePositivity(k, spectrum.mu(k), 0, excluded, None)
+                ModePositivity(k, spectrum.mu(k), 0, excluded, None, None)
             )
             continue
         contributing += 1
         U = evecs[:, kidx]
         f_w = fvals[kidx]
-        comm = commutator_matrix(params, spectrum.nu(k), grid)
-        comm_win = np.conj(U.T) @ np.column_stack(
-            [comm.matvec(U[:, i]) for i in range(U.shape[1])]
-        )
+        nu = spectrum.nu(k)
+        comm_win = _window_form(commutator_matrix(params, nu, grid), U)
         comm_win = 0.5 * (comm_win + np.conj(comm_win.T))
         M = (f_w[:, None] * comm_win * f_w[None, :]) - lam * np.diag(f_w**2)
         m_k = float(np.min(np.linalg.eigvalsh(np.real(M))))
+        D = double_commutator_matrix(params, nu, grid)
+        second = float(np.linalg.norm(
+            f_w[:, None] * _window_form(D, U) * f_w[None, :], 2)) / lam
         per_mode.append(
-            ModePositivity(k, spectrum.mu(k), int(kidx.size), excluded, m_k)
+            ModePositivity(k, spectrum.mu(k), int(kidx.size), excluded, m_k,
+                           second)
         )
         if min_ratio is None or m_k / lam < min_ratio:
             min_ratio = m_k / lam
@@ -602,7 +519,7 @@ def _positivity_pass(lam, delta, params, grid, spectrum, config, C, r_abs):
         deficit_chi = max(
             deficit_chi, float(np.linalg.norm(fU * (chi_r - 1.0)[None, :], 2))
         )
-        _, xi_tilde, _, _ = xi_build(params, spectrum.nu(k), grid)
+        _, xi_tilde = xi_build(params, nu, grid)
         deficit_xi = max(
             deficit_xi,
             float(np.linalg.norm(fU * (1.0 - xi_tilde**2)[None, :], 2)),

@@ -1,12 +1,18 @@
 """Shared fixtures and common builders."""
 
+import math
+
 import numpy as np
 import pytest
 
 from hyplab import weights
-from hyplab.conjugate import a_k_eval
-from hyplab.linops import DiscreteOperator, discretize, hermitian_eig
-from hyplab.model import ModelConfig, mode_operator_spec
+from hyplab.conjugate import ConjugateParams, a_k_eval
+from hyplab.errors import RegimeError
+from hyplab.laplab import limiting_absorption
+from hyplab.linops import (DiscreteOperator, discretize, hermitian_eig,
+                           weighted_operator_norm)
+from hyplab.model import ModelConfig, RadialOperatorSpec, mode_operator_spec
+from hyplab.mourre import xi_build
 
 # One verdict line per acceptance criterion, echoed after the run so the
 # lines survive output capture (tests/test_acceptance.py appends to this).
@@ -90,3 +96,81 @@ def spectral_calculus(f_derivs, op):
     )
     fv = f_derivs(evals, 0)
     return (evecs * fv) @ np.conj(evecs.T)
+
+
+def mode_norm(cfg, lam, k, grid, start=None):
+    """||W (H_k - lam - i0)^{-1} W|| for mode k of the sweep config ``cfg``
+    on the given grid, its power iteration started from ``start``: the cell
+    that hyplab.laplab.lambda_sweep computes, built from the public pieces.
+    Returns (norm, diagnostics) of limiting_absorption."""
+    model = cfg.model()
+    spectrum = model.spectrum(cfg.K_max)
+    op = discretize(mode_operator_spec(model, k, spectrum=spectrum), grid,
+                    outgoing=lam)
+    r = grid.points()
+    if cfg.weight_kind == "mode":
+        w = weights.mode_weight_vector(r, spectrum.nu(k), cfg.s)
+    else:
+        w = weights.polynomial_weight_vector(r, cfg.s)
+    return limiting_absorption(op, lam, w, w, norm_tol=cfg.norm_tol,
+                               start=start)
+
+
+def xi_profile_constant():
+    """sup|d/dx chi^{1/2}| + sup|d/dx xi^{1/2}| of the canonical profiles;
+    S times the grid sup of |Xi'| never exceeds this (R > S)."""
+    x = np.linspace(0.0, 3.0, 20001)
+    c1 = float(np.max(np.abs(weights.chi_sqrt_eval(x, 1))))
+    y = np.linspace(-1.5, 0.5, 20001)
+    c2 = float(np.max(np.abs(weights.xi_sqrt_eval(y, 1))))
+    return c1 + c2
+
+
+def semiclassical_gap(lam, z, tau, params):
+    """The positivity margin e^S - e^{-2R} - lam - Re z / tau."""
+    return (
+        math.exp(params.S) - math.exp(-2.0 * params.R) - lam - z.real / tau
+    )
+
+
+def semiclassical_bound_check(lam, z, nu_list, grid, tau=None, params=None,
+                              shift=0.25, tol=1e-6):
+    """Check the localized resolvent bound for tau (H0_k - lam).
+
+    lhs = sup over the supplied modes of || Xi_k (tau(H0_k - lam) - z)^{-1} ||
+    on the Dirichlet box of the grid;
+    rhs = |Im z|^{-1} gap^{-1/2} (C_profile/S + |Im z|^{1/2}/tau^{1/2}).
+
+    Returns (lhs, rhs, pass).  Raises RegimeError when the gap is not
+    positive (the bound is vacuous there).
+    """
+    z = complex(z)
+    if z.imag == 0.0:
+        raise RegimeError("Im z must be nonzero")
+    if params is None:
+        params = ConjugateParams.from_lambda(lam)
+    if tau is None:
+        tau = 1.0 / lam
+    if tau <= 0:
+        raise RegimeError("tau must be positive")
+    gap = semiclassical_gap(lam, z, tau, params)
+    if gap <= 0.0:
+        raise RegimeError(f"gap {gap:.3e} not positive; bound not evaluable")
+    c_profile = xi_profile_constant()
+    lhs = 0.0
+    for k, nu in enumerate(nu_list):
+        xi_op, _ = xi_build(params, nu, grid)
+        if not np.any(xi_op > 0.0):
+            continue
+        spec = RadialOperatorSpec(k=k, mu_k=nu**2 - 1.0, shift=shift,
+                                  r0=grid.r0)
+        op = discretize(spec, grid).scaled_shifted(scale=tau, shift=-tau * lam)
+        val, _, _ = weighted_operator_norm(op, z, xi_op, np.ones(grid.N),
+                                           tol=tol)
+        lhs = max(lhs, val)
+    rhs = (
+        (1.0 / abs(z.imag))
+        / math.sqrt(gap)
+        * (c_profile / params.S + math.sqrt(abs(z.imag) / tau))
+    )
+    return lhs, rhs, lhs <= rhs

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hyplab.abstract import (
-    BoundProfile,
     ConstantsInput,
     TestbedInstance as _TestbedInstance,
     algebre_identity_check,
@@ -144,32 +143,28 @@ def test_scalar_weight_rejects_exponent_outside_range():
 
 
 # ---------------------------------------------------------------------------
-# Bound-profile recurrence
+# Bound recurrence
 # ---------------------------------------------------------------------------
 
 
 def test_recurrence_hand_traces():
-    start = BoundProfile(c_flat=1.0, c_log=1.0, c_pow=1.0, sigma=1.0)
-    trace, final, steps = recurrence_iterate(0.75, start)
+    trace, steps = recurrence_iterate(0.75)
     assert [c for c, _ in trace] == ["power", "flat"]
     assert trace[0][1] == pytest.approx(0.25)
     assert steps == 2
-    assert final.c_pow == 0.0
 
-    trace, final, steps = recurrence_iterate(1.0, start)
+    trace, steps = recurrence_iterate(1.0)
     assert trace == [("flat", 0.0)]
     assert steps == 1
-    assert final.c_log == 1.0
 
-    trace, _final, steps = recurrence_iterate(0.6, start)
+    trace, steps = recurrence_iterate(0.6)
     assert [c for c, _ in trace] == ["power", "power", "flat"]
     assert steps == 3
 
 
 def test_recurrence_step_bound():
-    start = BoundProfile(c_flat=1.0, c_log=1.0, c_pow=1.0, sigma=1.0)
     for s in (0.55, 0.6, 0.75, 1.0):
-        _trace, _final, steps = recurrence_iterate(s, start)
+        _trace, steps = recurrence_iterate(s)
         assert steps <= math.ceil(math.log2(1.0 / (2.0 * s - 1.0))) + 1
         assert steps <= recurrence_step_bound(s)
     assert [recurrence_step_bound(s) for s in (0.55, 0.6, 0.75, 1.0)] == [
@@ -177,13 +172,6 @@ def test_recurrence_step_bound():
     for s in (0.5, 1.2):
         with pytest.raises(ConfigError):
             recurrence_step_bound(s)
-
-
-def test_profile_exponent_validation():
-    with pytest.raises(ConfigError):
-        BoundProfile(1.0, 1.0, 1.0, 1.5)
-    with pytest.raises(ConfigError):
-        BoundProfile(1.0, 1.0, 1.0, -0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import WIDE_BUMP, generator_matrix, spectral_calculus
+from conftest import (WIDE_BUMP, generator_matrix, mode_norm,
+                      semiclassical_bound_check, spectral_calculus)
 
 from hyplab.abstract import (
-    BoundProfile,
     TestbedInstance as _TestbedInstance,
     algebre_identity_check,
     commutator_identity_residuals,
@@ -32,8 +32,7 @@ from hyplab.conjugate import (
     flow_integrate,
     unitary_apply,
 )
-from hyplab.laplab import (SweepConfig, fit_scaling, lambda_sweep, mode_norm,
-                           sweep_grid)
+from hyplab.laplab import SweepConfig, fit_scaling, lambda_sweep, sweep_grid
 from hyplab.linops import RadialGrid, discretize, hermitian_eig
 from hyplab.model import ModelConfig, build_spectrum, mode_operator_spec
 from hyplab.mourre import (
@@ -42,7 +41,6 @@ from hyplab.mourre import (
     double_commutator_matrix,
     hs_calculus,
     mourre_positivity_check,
-    semiclassical_bound_check,
 )
 from hyplab.weights import (
     profile_eval,
@@ -106,9 +104,8 @@ def test_criterion_02_scalar_weight_and_recurrence():
             out = scalar_weight_check(s, n_eps=50, n_E=50)
             assert out["samples"] >= 1e4
             assert out["violations"] == 0
-        start = BoundProfile(c_flat=1.0, c_log=1.0, c_pow=1.0, sigma=1.0)
         for s in exponents:
-            _trace, _final, steps = recurrence_iterate(s, start)
+            _trace, steps = recurrence_iterate(s)
             assert steps <= math.ceil(math.log2(1.0 / (2.0 * s - 1.0))) + 1
 
 
@@ -196,9 +193,10 @@ def test_criterion_05_commutators():
             4.0 / h2 + 2.0 * a0 * mu * np.exp(-2.0 * r[idx]), abs=1e-10)
         assert C.diagonals[1][idx] == pytest.approx(
             np.full(idx.size, -2.0 / h2), rel=1e-12)
-        cm = double_commutator_matrix(PARAMS_100, nu, g)
-        assert cm.b_k[idx] == pytest.approx(np.full(idx.size, -4.0),
-                                            abs=1e-10)
+        # off-diagonal -b/h^2 of D b D: b = -4 on the plateau
+        D = double_commutator_matrix(PARAMS_100, nu, g)
+        assert D.diagonals[1][idx] * h2 == pytest.approx(
+            np.full(idx.size, 4.0), abs=1e-10)
 
 
 def test_criterion_06_generator_derivative_bounds():

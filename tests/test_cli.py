@@ -275,9 +275,19 @@ def test_mourre_check_reports_positivity(tmp_path):
     assert summary["min_eig_ratio"] >= -0.1
     assert summary["contributing_modes"] >= 1
     lines = _read(out / "per_mode.csv").strip().splitlines()
-    assert lines[0] == "k,mu,window_size,excluded,min_eig"
+    assert lines[0] == "k,mu,window_size,excluded,min_eig,double_commutator"
     # Modes k = 0 .. K_max inclusive, one row each.
     assert len(lines) == 18
+    # the double commutator: one finite value per contributing mode, their
+    # max in the summary and in the report
+    second = [float(line.split(",")[-1]) for line in lines[1:]]
+    finite = [v for v in second if math.isfinite(v)]
+    assert len(finite) == summary["contributing_modes"]
+    assert summary["double_commutator_ratio"] == max(finite) > 0.0
+    assert run(["report", "--out", str(tmp_path)]) == 0
+    assert ("double commutator ||f(H) [[H,A],A] f(H)|| / lambda = %r "
+            "(max over modes)" % summary["double_commutator_ratio"]
+            in _read(tmp_path / "report.md"))
 
 
 def test_mourre_check_verdict_is_the_calibration_policy(tmp_path,

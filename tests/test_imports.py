@@ -122,16 +122,6 @@ def test_no_module_imports_scipy_integrate():
     assert offenders == []
 
 
-# Public names of hyplab that no module of the package and no benchmark
-# script uses, only the tests: each still waits for a caller, a move into
-# tests/ or its deletion.
-_PENDING_WITHOUT_CALLER = {
-    "laplab.mode_norm",
-    "mourre.double_commutator_matrix",
-    "mourre.semiclassical_bound_check",
-}
-
-
 def _mentions(node):
     """The names a node uses: a Name, the attribute of an Attribute, or the
     last part of each name an import statement binds."""
@@ -169,4 +159,4 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         f"{module}.{definition.name}" for module, definition in defined
         if users.get(definition.name, set())
         <= {id(node) for node in ast.walk(definition)}}
-    assert without_caller == _PENDING_WITHOUT_CALLER
+    assert without_caller == set()

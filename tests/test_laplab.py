@@ -15,13 +15,14 @@ from hyplab.laplab import (
     lambda_sweep,
     limiting_absorption,
     log_fit,
-    mode_norm,
     sweep_grid,
 )
 from hyplab.linops import RadialGrid, ShiftedSolver, discretize
 from hyplab.model import ModelConfig, mode_operator_spec
 from hyplab.pool import effective_workers
 from hyplab.weights import polynomial_weight_vector
+
+from conftest import mode_norm
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ from hyplab.linops import RadialGrid, discretize, hermitian_eig
 from hyplab.model import ModelConfig, mode_operator_spec
 from hyplab.mourre import (SpectralCutoff, commutator_matrix,
                            default_positivity_grid, double_commutator_matrix,
-                           hs_calculus, mourre_positivity_check,
-                           semiclassical_bound_check, semiclassical_gap,
-                           xi_build, xi_profile_constant)
+                           hs_calculus, mourre_positivity_check, xi_build)
 from hyplab.weights import chi_sqrt_eval, profile_eval
 
-from conftest import WIDE_BUMP, WideBump, generator_matrix, spectral_calculus
+from conftest import (WIDE_BUMP, WideBump, generator_matrix,
+                      semiclassical_bound_check, semiclassical_gap,
+                      spectral_calculus, xi_profile_constant)
 
 
 PARAMS = ConjugateParams.from_lambda(100.0)
@@ -64,7 +64,7 @@ def test_commutator_hermitian():
     C = commutator_matrix(PARAMS, 2.0, g).dense()
     scale = np.max(np.abs(C))
     assert np.max(np.abs(C - C.conj().T)) <= 1e-12 * scale
-    D = double_commutator_matrix(PARAMS, 2.0, g).second.dense()
+    D = double_commutator_matrix(PARAMS, 2.0, g).dense()
     scale = np.max(np.abs(D))
     assert np.max(np.abs(D - D.conj().T)) <= 1e-12 * scale
 
@@ -119,18 +119,27 @@ def test_commutator_matches_matrix_commutator_order_two():
 
 
 def test_double_commutator_plateau_coefficients():
-    nu = 2.0
-    mu = nu**2 - 1.0
+    # D b D + d on the plateau, with b = -4: off-diagonal -b/h^2 = 4/h^2,
+    # diagonal 2b/h^2 + d = -8/h^2 + d.  At nu = 2 the diagonal's rounding
+    # hides d (|d| <= 4e-8 against 8/h^2 = 5.7e4); at nu = 1e6, |d| reaches
+    # 2.4e3, so there a wrong d fails the diagonal check.
     g = _grid(N=2000, r_max=24.0)
     r = g.points()
-    cm = double_commutator_matrix(PARAMS, nu, g)
+    h2 = g.h**2
     plateau = (r >= 2.0 * PARAMS.R + 0.5) & (r <= g.r_max - 1.0)
     idx = np.flatnonzero(plateau)[5:-5]
-    a0 = a_k_eval(PARAMS, nu, r[idx])
-    assert cm.b_k[idx] == pytest.approx(np.full(idx.size, -4.0), abs=1e-10)
-    assert np.max(np.abs(cm.c_k[idx])) <= 1e-10
-    expected_d = 2.0 * a0 * mu * np.exp(-2.0 * r[idx]) * (1.0 - 2.0 * a0)
-    assert cm.d_k[idx] == pytest.approx(expected_d, rel=1e-10)
+    for nu in (2.0, 1e6):
+        mu = nu**2 - 1.0
+        D = double_commutator_matrix(PARAMS, nu, g)
+        a0 = a_k_eval(PARAMS, nu, r[idx])
+        off = D.diagonals[1]
+        assert off[idx] * h2 == pytest.approx(np.full(idx.size, 4.0),
+                                              abs=1e-10)
+        # constant b: the first-order term of the expanded form vanishes
+        assert np.max(np.abs(np.diff(off[idx]))) * h2 <= 1e-10
+        expected_d = 2.0 * a0 * mu * np.exp(-2.0 * r[idx]) * (1.0 - 2.0 * a0)
+        assert D.diagonals[0][idx] == pytest.approx(-8.0 / h2 + expected_d,
+                                                    rel=1e-10)
 
 
 def test_double_commutator_matches_nested_commutator():
@@ -141,11 +150,11 @@ def test_double_commutator_matches_nested_commutator():
         r = g.points()
         A = generator_matrix(PARAMS, nu, g)
         C1 = commutator_matrix(PARAMS, nu, g)
-        cm = double_commutator_matrix(PARAMS, nu, g)
+        D = double_commutator_matrix(PARAMS, nu, g)
         phi = np.exp(-((r - 2.2 * PARAMS.R) ** 2)).astype(complex)
         # [[H,A],A] = -i (C1 A - A C1) with C1 = i[H,A]
         direct = -1j * (C1.matvec(A.matvec(phi)) - A.matvec(C1.matvec(phi)))
-        errs.append(np.max(np.abs(direct - cm.second.matvec(phi))))
+        errs.append(np.max(np.abs(direct - D.matvec(phi))))
         hs.append(g.h)
     rate = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert rate >= 1.7
@@ -159,7 +168,7 @@ def test_double_commutator_matches_nested_commutator():
 def test_xi_partition_identity():
     g = _grid()
     r = g.points()
-    xi_op, xi_tilde, _, _ = xi_build(PARAMS, 2.0, g)
+    xi_op, xi_tilde = xi_build(PARAMS, 2.0, g)
     assert xi_op + xi_tilde == pytest.approx(chi_sqrt_eval(r / PARAMS.R),
                                              abs=1e-14)
     assert np.max(np.abs(xi_op[r <= PARAMS.R])) == 0.0
@@ -169,7 +178,7 @@ def test_xi_plateau_region():
     g = _grid(N=2000, r_max=26.0)
     r = g.points()
     nu = 1.0
-    xi_op, xi_tilde, _, _ = xi_build(PARAMS, nu, g)
+    xi_op, xi_tilde = xi_build(PARAMS, nu, g)
     plateau = (r >= 2.0 * PARAMS.R) & (r - math.log(nu) >= -PARAMS.S / 2.0)
     assert np.max(np.abs(xi_op[plateau])) == 0.0
     assert xi_tilde[plateau] == pytest.approx(np.ones(plateau.sum()), abs=0.0)
@@ -481,6 +490,47 @@ def test_positivity_scale_ordering_enforced():
     g = _grid(N=600)
     with pytest.raises(ConfigError):
         mourre_positivity_check(0.8, 1.0, g, 4, config=CONFIG)
+
+
+@pytest.mark.parametrize("n_points, K_max, C, calibrate",
+                         [(1200, 48, 10.0, True), (600, 16, 0.5, False)],
+                         ids=["defaults", "wide-window"])
+def test_double_commutator_norm_matches_dense_window(n_points, K_max, C,
+                                                     calibrate):
+    # Each contributing mode's ||f U*[[H,A],A]U f||_2 / lam, recomputed from
+    # the dense eigendecomposition of H_k, the same window rules and the
+    # dense second commutator.  At the defaults each window holds one state
+    # with f = 1; the wide window holds up to two, with f < 1.
+    lam = 100.0
+    grid = default_positivity_grid(lam, n_points=n_points)
+    rep = mourre_positivity_check(lam, 1.0, grid, K_max, config=CONFIG, C=C,
+                                  auto_calibrate=calibrate)
+    spectrum = CONFIG.spectrum(K_max)
+    cutoff = SpectralCutoff(lam=lam, delta=rep.delta_lambda)
+    r = grid.points()
+    band = r >= grid.r_max - mourre._CAP_FRACTION * (grid.r_max - grid.r0)
+    values = []
+    for m in rep.per_mode:
+        if m.window_size == 0:
+            assert m.double_commutator is None
+            continue
+        H = discretize(mode_operator_spec(CONFIG, m.k, spectrum=spectrum),
+                       grid).dense()
+        evals, evecs = np.linalg.eigh(H)
+        f = cutoff.values(evals)
+        window = ((f >= mourre._WINDOW_FLOOR)
+                  & (np.sum(np.abs(evecs[band]) ** 2, axis=0)
+                     <= mourre._EXCLUSION_MASS))
+        U, f_w = evecs[:, window], f[window]
+        assert U.shape[1] == m.window_size
+        D = double_commutator_matrix(PARAMS, spectrum.nu(m.k), grid).dense()
+        form = f_w[:, None] * (U.conj().T @ D @ U) * f_w[None, :]
+        expected = np.linalg.norm(form, 2) / lam
+        assert m.double_commutator == pytest.approx(expected, rel=1e-8)
+        values.append(expected)
+    assert len(values) == rep.contributing_modes >= 1
+    assert rep.double_commutator_ratio == max(
+        m.double_commutator for m in rep.per_mode if m.window_size)
 
 
 def test_hs_certifies_the_result_at_the_spectrum():
