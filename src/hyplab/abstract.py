@@ -64,6 +64,10 @@ def delta_f_constant(n_grid=2**16, box=256.0):
 # ----------------------------------------------------------------------------
 
 
+# seeds generate may discard before it gives up
+_MAX_REJECTS = 64
+
+
 @dataclasses.dataclass
 class TestbedInstance:
     """One seeded (H, A) pair with an installed window-positive commutator."""
@@ -82,15 +86,21 @@ class TestbedInstance:
     rejects: int                # seeds discarded before this instance
 
     @classmethod
-    def generate(cls, seed, dim=20, window_count=5, alpha_factor=2.0,
-                 max_rejects=64):
+    def generate(cls, seed, dim=20, window_count=5, alpha_factor=2.0):
         """Random real-symmetric H and A with a spectral window of about
-        window_count eigenvalues; the effective commutator is shifted on the
-        window so that its minimum there equals alpha_factor * delta.
+        window_count eigenvalues, 2 <= window_count <= dim (ConfigError
+        otherwise); the effective commutator is shifted on the window so
+        that its minimum there equals alpha_factor * delta.
 
-        Seeds whose window is too small or whose installed positive part is
-        not numerically exact are rejected (count reported on the instance).
+        Seeds whose window collapses to one energy or whose installed
+        positive part is not numerically exact are rejected (count reported
+        on the instance), at most _MAX_REJECTS of them.  The window holds
+        every selected eigenvalue: each lies within 1.5 delta of lam, where
+        f = 1.
         """
+        if not 2 <= window_count <= dim:
+            raise ConfigError(
+                f"window_count {window_count} outside [2, dim = {dim}]")
         rng = np.random.default_rng(seed)
         rejects = 0
         while True:
@@ -106,15 +116,12 @@ class TestbedInstance:
             delta = float(np.max(np.abs(evals[sel] - lam))) / 1.5
             if delta <= 1e-8:
                 rejects += 1
-                if rejects > max_rejects:
+                if rejects > _MAX_REJECTS:
                     raise NumericalFailure("instance generation kept rejecting")
                 continue
             cutoff = SpectralCutoff(lam=lam, delta=delta)
             fvals = cutoff.values(evals)
             window = np.nonzero(fvals > 0.0)[0]
-            if window.size < 2:
-                rejects += 1
-                continue
             # commutator in the H eigenbasis: i[H,A]_{ij} = i (E_i - E_j) A_{ij}
             Ae = evecs.T @ A @ evecs
             Ke = 1j * (evals[:, None] - evals[None, :]) * Ae
@@ -132,7 +139,7 @@ class TestbedInstance:
             neg = float(np.linalg.norm(np.minimum(me, 0.0)))
             if neg > 1e-10 * max(float(np.max(np.abs(me))), 1e-300):
                 rejects += 1
-                if rejects > max_rejects:
+                if rejects > _MAX_REJECTS:
                     raise NumericalFailure("instance generation kept rejecting")
                 continue
             B = (mv * np.sqrt(np.maximum(me, 0.0))) @ mv.conj().T
@@ -179,14 +186,18 @@ def resolvent_g(instance, z, eps):
     return np.linalg.inv(instance.H - z * np.eye(n) - 1j * eps * BB)
 
 
-def algebre_identity_check(instance, z, eps, eps0, n_quadratic=10, seed=0):
+# random (B', C) pairs of the quadratic estimate in algebre_identity_check
+_N_QUADRATIC = 10
+
+
+def algebre_identity_check(instance, z, eps, eps0, seed=0):
     """Residuals of the regularized-resolvent algebra.
 
     Checks the difference identity G(eps) - G(eps0) = i (eps - eps0)
     G(eps) B*B G(eps0), the adjoint relation G_z(eps)* = G_zbar(-eps), the
     bound ||G_z(eps)|| <= |Im z|^{-1}, and the quadratic estimate
-    ||B' G C|| <= |eps|^{-1/2} ||C G C||^{1/2} for contractions B' of B and
-    random Hermitian C.
+    ||B' G C|| <= |eps|^{-1/2} ||C G C||^{1/2} for _N_QUADRATIC contractions
+    B' of B and random Hermitian C.
     """
     G = resolvent_g(instance, z, eps)
     G0 = resolvent_g(instance, z, eps0)
@@ -204,15 +215,15 @@ def algebre_identity_check(instance, z, eps, eps0, n_quadratic=10, seed=0):
     quad_margin = math.inf
     if complex(z).imag * eps > 0:
         rng = np.random.default_rng(seed)
-        draws = rng.standard_normal((n_quadratic, 2, instance.n, instance.n))
+        draws = rng.standard_normal((_N_QUADRATIC, 2, instance.n, instance.n))
         Q, Yc = draws[:, 0], draws[:, 1]
         q_norms = np.linalg.svd(Q, compute_uv=False)[:, 0]
         Bp = (Q / np.maximum(q_norms, 1e-300)[:, None, None]) @ instance.B
         C = (Yc + Yc.transpose(0, 2, 1)) / 2.0
         norms = np.linalg.svd(np.concatenate([Bp @ G @ C, C @ G @ C]),
                               compute_uv=False)[:, 0]
-        lhs = norms[:n_quadratic]
-        rhs = abs(eps) ** -0.5 * norms[n_quadratic:] ** 0.5
+        lhs = norms[:_N_QUADRATIC]
+        rhs = abs(eps) ** -0.5 * norms[_N_QUADRATIC:] ** 0.5
         quad_margin = float(np.min(rhs - lhs, initial=math.inf))
         quad_violations = int(np.count_nonzero(lhs > rhs * (1.0 + 1e-10)))
     return {
@@ -303,14 +314,14 @@ def eps_weight_derivative(E, eps, s):
     return (1.0 - s) * eps_weight(E, eps, s) * abs(eps) * E**2 / (1.0 + (eps * E) ** 2)
 
 
-def scalar_weight_check(s, n_eps=100, n_E=100, eps_range=(1e-6, 1.0),
-                        E_range=(1e-6, 1e6)):
+def scalar_weight_check(s, n_eps=100, n_E=100):
     """Zero-violation scan of |d/d eps <E>_eps^{-s}| <= (1-s) |eps|^{s-1}
-    over log-spaced (eps, E) in both signs, plus the E = 0 line."""
+    over log-spaced eps in [1e-6, 1] and E in [1e-6, 1e6], in both signs,
+    plus the E = 0 line."""
     if not 0.5 < s <= 1.0:
         raise ConfigError("weight exponent must lie in (1/2, 1]")
-    eps_grid = np.geomspace(*eps_range, n_eps)
-    E_grid = np.concatenate([[0.0], np.geomspace(*E_range, n_E)])
+    eps_grid = np.geomspace(1e-6, 1.0, n_eps)
+    E_grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, n_E)])
     violations = 0
     worst = -math.inf
     for sign_e in (1.0, -1.0):

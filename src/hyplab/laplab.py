@@ -59,17 +59,16 @@ def limiting_absorption(op, lam, w_left, w_right, norm_tol=1e-6, start=None):
 # ----------------------------------------------------------------------------
 
 
-def sweep_grid(lam, r0=0.25, n_points=None, refine=1.0):
+def sweep_grid(lam, r0=0.25, refine=1.0):
     """Grid for the sweep at energy lam: box 2R + 5 with resolution tied to
-    the local wavelength, h <= 1 / sqrt(lam).  There Numerov's pencil reads
-    N within about 1 % of its converged value, where the order-2 stencil
-    read about 3 % high at half the step."""
+    the local wavelength, h <= min(0.1, 1 / sqrt(lam)), and refine times as
+    many points.  At that step Numerov's pencil reads N within about 1 % of
+    its converged value, where the order-2 stencil read about 3 % high at
+    half the step."""
     r_max = 2.0 * math.log(5.0 * lam) + 5.0
-    if n_points is None:
-        h = min(0.1, 1.0 / math.sqrt(lam))
-        n_points = int(math.ceil((r_max - r0) / h))
-    n_points = int(round(n_points * refine))
-    return RadialGrid(r0=r0, r_max=r_max, N=n_points)
+    h = min(0.1, 1.0 / math.sqrt(lam))
+    n_points = int(math.ceil((r_max - r0) / h))
+    return RadialGrid(r0=r0, r_max=r_max, N=int(round(n_points * refine)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,7 +84,6 @@ class SweepConfig:
     s0: float = 1.0
     K_max: int = 24
     r0: float = 0.25
-    n_points: int | None = None
     weight_kind: str = "mode"
     norm_tol: float = 1e-6
     cross_section: dict | None = None
@@ -150,7 +148,7 @@ def _energy_task(args):
     (cfg, lam, refine) = args
     model = cfg.model()
     spectrum = model.spectrum(cfg.K_max)
-    grid = sweep_grid(lam, r0=cfg.r0, n_points=cfg.n_points, refine=refine)
+    grid = sweep_grid(lam, r0=cfg.r0, refine=refine)
     r = grid.points()
     cells = []
     start = None
@@ -215,7 +213,7 @@ def lambda_sweep(config, workers=1, refine=1.0):
 
 
 # ----------------------------------------------------------------------------
-# Scaling fit and bound satisfaction
+# Scaling fit and the bound's constant
 # ----------------------------------------------------------------------------
 
 
@@ -229,10 +227,6 @@ class ScalingFit:
     q_err: float
     cond: float
     C_prime: float
-    bound_pass: bool
-
-    def to_dict(self):
-        return dataclasses.asdict(self)
 
 
 def log_fit(lams, norms):
@@ -258,7 +252,8 @@ def log_fit(lams, norms):
 def fit_scaling(result):
     """log_fit of the sweep's N(lam), plus the smallest constant C' with
     N(lam) <= C' (log lam)^{2 s0 + 2 s} rho(lam) across the sweep, at the
-    non-trapping scale rho(lam) = lam^{-1/2}."""
+    non-trapping scale rho(lam) = lam^{-1/2}.  C' is a number to report, not
+    a check: it exists for every positive finite N."""
     lams = result.lambdas()
     if len(lams) < 4:
         raise ConfigError("scaling fit needs at least 4 energies")
@@ -274,4 +269,4 @@ def fit_scaling(result):
         for l in lams
     ])
     C_prime = float(np.max(N / envelope))
-    return ScalingFit(*fit, C_prime=C_prime, bound_pass=math.isfinite(C_prime))
+    return ScalingFit(*fit, C_prime=C_prime)

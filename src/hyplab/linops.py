@@ -18,10 +18,11 @@ the real axis.
 
 The kernels provided here are shifted tridiagonal solves with a residual
 certificate (LAPACK's tridiagonal LU), matrix-free weighted operator norms by
-power iteration on the Gram map, and Hermitian eigendecompositions.  The
-vector norms and real inner products of the solves and of the power iteration
-work on the float64 view of the complex vectors (real and imaginary parts
-interleaved): one elementwise ufunc and one np.add.reduce, whose pairwise
+power iteration on the Gram map, and eigendecompositions of real symmetric
+operators.  The vector norms and real inner products of the solves and of the
+power iteration work on the float64 view of the complex vectors (real and
+imaginary parts interleaved): one elementwise ufunc and one np.add.reduce,
+whose pairwise
 summation keeps the rounding near one ulp, where np.einsum's running sum costs
 about the same and errs up to ten times more on long vectors.  None is a BLAS
 level-1 call (np.dot, np.vdot, np.linalg.norm of a real vector): on long
@@ -76,9 +77,8 @@ _NUMEROV_MASS = (1.0 / 12.0, 10.0 / 12.0, 1.0 / 12.0)
 class DiscreteOperator:
     """Tridiagonal pencil (A, M) on radial grid vectors, standing for M^{-1} A.
 
-    A is given as a dict of diagonals {offset: values} with offsets in
-    {-1, 0, 1}; an absent off-diagonal is zero, and ``diagonals`` returns
-    all three.  M is a constant (lower, main, upper) triple: the identity
+    A is given as a dict of its three diagonals {offset: values}, offsets
+    -1, 0 and 1.  M is a constant (lower, main, upper) triple: the identity
     by default, Numerov's mass for the outgoing closure.  matvec applies A.
     ``outgoing_energy`` is the energy of the outgoing closure at r_max, or
     None for a box closed by a Dirichlet wall.  Immutable by convention (no
@@ -87,14 +87,13 @@ class DiscreteOperator:
 
     def __init__(self, grid, diagonals, outgoing_energy=None,
                  mass=_IDENTITY_MASS):
-        if not set(diagonals) <= {-1, 0, 1}:
-            raise ConfigError(f"offset outside -1..1 in {sorted(diagonals)}")
+        if set(diagonals) != {-1, 0, 1}:
+            raise ConfigError(f"offsets {sorted(diagonals)} are not -1, 0, 1")
         n = grid.N
-        absent = np.zeros(n - 1) if len(diagonals) < 3 else None
         self.grid = grid
-        self.lower = np.asarray(diagonals.get(-1, absent))
+        self.lower = np.asarray(diagonals[-1])
         self.main = np.asarray(diagonals[0])
-        self.upper = np.asarray(diagonals.get(1, absent))
+        self.upper = np.asarray(diagonals[1])
         self.outgoing_energy = outgoing_energy
         self.mass = mass
         if (len(self.main) != n
@@ -115,9 +114,10 @@ class DiscreteOperator:
         return (self.lower - z * m_lower, self.main - z * m_diag,
                 self.upper - z * m_upper)
 
-    def is_hermitian(self, tol=1e-12):
-        """Whether A (for a pencil A alone, not M^{-1} A) is Hermitian."""
-        bound = tol * max(np.max(np.abs(d))
+    def is_hermitian(self):
+        """Whether A (for a pencil A alone, not M^{-1} A) is Hermitian, to
+        1e-12 of its largest entry."""
+        bound = 1e-12 * max(np.max(np.abs(d))
                           for d in (self.lower, self.main, self.upper))
         return bool(np.max(np.abs(self.upper - np.conj(self.lower))) <= bound
                     and np.max(np.abs(np.imag(self.main))) <= 0.5 * bound)
@@ -304,8 +304,11 @@ def _power_start(n):
 _COLD_SHARE = 1e-2
 
 
-def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, max_iter=5000,
-                           start=None):
+# Gram steps after which the power iteration gives up
+_MAX_POWER_STEPS = 5000
+
+
+def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, start=None):
     """Largest singular value of W_l R W_r, matrix-free, where
     R = (A - z M)^{-1} M is the resolvent that ShiftedSolver applies.
 
@@ -343,7 +346,7 @@ def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, max_iter=5000,
         v /= _norm(v)
     theta = 0.0
     history = []
-    for step in range(1, max_iter + 1):
+    for step in range(1, _MAX_POWER_STEPS + 1):
         u = gram(v)
         theta_new = _norm(u)
         history.append(theta_new)
@@ -360,35 +363,27 @@ def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, max_iter=5000,
             return math.sqrt(theta_new), v, step
         theta = theta_new
     raise NumericalFailure(
-        f"power iteration did not converge in {max_iter} iterations",
+        f"power iteration did not converge in {_MAX_POWER_STEPS} iterations",
         history=history[-50:],
     )
 
 
 def hermitian_eig(op, select_range=None):
-    """Eigendecomposition of a Hermitian DiscreteOperator with M = I (a
-    pencil's M^{-1} A is not the Hermitian A, and is refused).
+    """Eigendecomposition of a real symmetric DiscreteOperator with M = I (a
+    pencil's M^{-1} A is not the Hermitian A, and an operator with nonzero
+    imaginary entries is not real; both are refused).
 
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns), by
-    eigh_tridiagonal for a real operator and by dense eigh for one with
-    nonzero imaginary entries (the generator A_k).  With
-    ``select_range=(lo, hi)`` only the eigenpairs in (lo, hi] are returned;
-    the tridiagonal path computes only those, the dense path computes all
-    and filters.
+    eigh_tridiagonal.  With ``select_range=(lo, hi)`` only the eigenpairs in
+    (lo, hi] are computed and returned.
     """
     if op.mass != _IDENTITY_MASS:
         raise ConfigError("hermitian_eig needs M = I, not a pencil's M^{-1} A")
     if not op.is_hermitian():
         raise ConfigError("operator is not Hermitian")
-    if not any(np.any(np.imag(d)) for d in (op.lower, op.main, op.upper)):
-        d = np.real(op.main).astype(float)
-        e = np.real(op.upper).astype(float)
-        select = "a" if select_range is None else "v"
-        return sla.eigh_tridiagonal(d, e, select=select,
-                                    select_range=select_range)
-    evals, evecs = np.linalg.eigh(op.dense())
-    if select_range is not None:
-        lo, hi = select_range
-        keep = (evals > lo) & (evals <= hi)
-        return evals[keep], evecs[:, keep]
-    return evals, evecs
+    if any(np.any(np.imag(d)) for d in (op.lower, op.main, op.upper)):
+        raise ConfigError("hermitian_eig takes real operators only")
+    d = np.real(op.main).astype(float)
+    e = np.real(op.upper).astype(float)
+    select = "a" if select_range is None else "v"
+    return sla.eigh_tridiagonal(d, e, select=select, select_range=select_range)

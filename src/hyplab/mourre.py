@@ -21,6 +21,8 @@ the first-order term vanishes, and d_k^div = 2 a mu e^{-2r} (1 - 2a).
 The positivity check applies both commutators to the states of its spectral
 window: the first for the Mourre estimate, the second for the size of
 f(H) [[H, A], A] f(H) / lam, which the C^2(A) regularity of H keeps bounded.
+It makes one pass, on the window that the configured C fixes in advance, and
+reports that pass's verdict.
 """
 
 from __future__ import annotations
@@ -158,8 +160,13 @@ def _gauss_panels(edges, order=8):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _hs_node_set(u_lo, u_hi, v_max, depth, gl_u=12, gl_v=6, n_u_base=16,
-                 n_v_pan=8):
+# Gauss-Legendre orders in u and in v, and the v panels of the outermost band
+_GL_U = 12
+_GL_V = 6
+_N_V_PAN = 8
+
+
+def _hs_node_set(u_lo, u_hi, v_max, depth, n_u_base=16):
     """Scale-adapted quadrature nodes on the strip around supp f.
 
     v runs over geometric bands v_max 2^{-j-1}..v_max 2^{-j}, j = 0..depth-1,
@@ -174,14 +181,14 @@ def _hs_node_set(u_lo, u_hi, v_max, depth, gl_u=12, gl_v=6, n_u_base=16,
         hi, lo = v_max * 0.5**j, v_max * 0.5 ** (j + 1)
         # the cutoff's v-derivative lives only in the outermost band
         # (v > v_max/2); that band gets v-refinement and the full u base
-        v_edges = np.linspace(lo, hi, (n_v_pan if j == 0 else 1) + 1)
-        v_nodes, v_w = _gauss_panels(v_edges, order=gl_v)
+        v_edges = np.linspace(lo, hi, (_N_V_PAN if j == 0 else 1) + 1)
+        v_nodes, v_w = _gauss_panels(v_edges, order=_GL_V)
         for v, wv in zip(v_nodes, v_w):
             # panels must resolve both the resolvent scale v and the
             # profile's high derivatives (uniform n_u_base floor)
             n_pan = max(n_u_base, math.ceil(width / (2.0 * v)))
             u_edges = np.linspace(u_lo, u_hi, n_pan + 1)
-            u_nodes, u_w = _gauss_panels(u_edges, order=gl_u)
+            u_nodes, u_w = _gauss_panels(u_edges, order=_GL_U)
             groups.append((v, wv, u_nodes, u_w))
     return groups
 
@@ -232,12 +239,15 @@ def _resolvent_quadrature(z, c, E):
     return acc / math.pi
 
 
-# (f_derivs, u_lo, u_hi, tol) -> (rung, z, c); the key holds the function
+# (f_derivs, u_lo, u_hi) -> (rung, z, c); the key holds the function
 # itself, so an entry can never be reached by another function.  Kept in
 # least-recently-used order: a hit moves its entry to the end, and the front
 # entry goes once there are more than _HS_CACHE_CAP.
 _HS_CACHE = {}
 _HS_CACHE_CAP = 32
+
+# operator-norm tolerance of hs_calculus at the spectrum
+_HS_TOL = 1e-6
 
 _HS_LADDER = [(4, 16), (5, 24), (5, 32), (5, 48), (5, 64), (5, 80), (5, 96),
               (6, 128), (6, 192), (7, 256), (7, 384), (8, 512)]
@@ -259,7 +269,7 @@ def _hs_start_rung(f_derivs, u_lo, u_hi):
     return rung
 
 
-def _hs_rung(f_derivs, u_lo, u_hi, rung, tol):
+def _hs_rung(f_derivs, u_lo, u_hi, rung):
     """(rung, z, c): the nodes and coefficients of one ladder rung, without
     the nodes whose term stays negligible at every energy."""
     depth, base = _HS_LADDER[rung]
@@ -267,11 +277,11 @@ def _hs_rung(f_derivs, u_lo, u_hi, rung, tol):
     groups = _hs_node_set(u_lo, u_hi, v_max, depth, n_u_base=base)
     z, c = _hs_nodes(f_derivs, groups, v_max)
     # the threshold counts the mirrored lower-half nodes too: 2 len(z) terms
-    keep = np.abs(c) / z.imag > tol * 1e-4 / (2 * len(z))
+    keep = np.abs(c) / z.imag > _HS_TOL * 1e-4 / (2 * len(z))
     return rung, z[keep], c[keep]
 
 
-def hs_calculus(f_derivs, op, tol=1e-6, u_range=None):
+def hs_calculus(f_derivs, op, u_range=None):
     """f(op) by Helffer-Sjostrand quadrature against the resolvent.
 
     Parameters
@@ -293,7 +303,7 @@ def hs_calculus(f_derivs, op, tol=1e-6, u_range=None):
     conjugate coefficients, so only the upper half is built and Q(E) =
     pi^{-1} Re sum_{Im z > 0} c_z / (E - z).  For a Hermitian operator
     max_i |Q(E_i) - f(E_i)| over the spectrum is exactly the operator-norm
-    error, and every result passes that check at tol.
+    error, and every result passes that check at _HS_TOL = 1e-6.
     The node ladder is climbed against the spectrum itself: from the cached
     rung of this function (or a rung guessed from its seventh derivative)
     up to the first rung that passes, which then becomes the cached one.
@@ -319,21 +329,21 @@ def hs_calculus(f_derivs, op, tol=1e-6, u_range=None):
     f_vals = f_derivs(evals, 0)
     if np.any(np.imag(f_vals)):
         raise ConfigError("hs_calculus requires a real-valued f")
-    key = (f_derivs, u_lo, u_hi, tol)
+    key = (f_derivs, u_lo, u_hi)
     entry = _HS_CACHE.get(key) or _hs_rung(
-        f_derivs, u_lo, u_hi, _hs_start_rung(f_derivs, u_lo, u_hi), tol)
+        f_derivs, u_lo, u_hi, _hs_start_rung(f_derivs, u_lo, u_hi))
     while True:
         rung, z, c = entry
         q = _resolvent_quadrature(z, c, evals)
         err = float(np.max(np.abs(q - f_vals)))
-        if err <= tol:
+        if err <= _HS_TOL:
             break
         if rung + 1 == len(_HS_LADDER):
             raise NumericalFailure(
                 f"Helffer-Sjostrand quadrature misses f at the spectrum by "
-                f"{err:.3e} on its finest nodes (tolerance {tol:.1e})"
+                f"{err:.3e} on its finest nodes (tolerance {_HS_TOL:.1e})"
             )
-        entry = _hs_rung(f_derivs, u_lo, u_hi, rung + 1, tol)
+        entry = _hs_rung(f_derivs, u_lo, u_hi, rung + 1)
     _HS_CACHE.pop(key, None)
     _HS_CACHE[key] = entry
     if len(_HS_CACHE) > _HS_CACHE_CAP:
@@ -390,8 +400,7 @@ class PositivityReport:
 
     @property
     def passed(self):
-        """The acceptance policy of the check and of its auto-calibration:
-        min-eig / lam >= -_RATIO_TOL."""
+        """The acceptance policy of the check: min-eig / lam >= -_RATIO_TOL."""
         ratio = self.min_eig_ratio
         return ratio is not None and ratio >= -_RATIO_TOL
 
@@ -419,17 +428,24 @@ _CAP_FRACTION = 0.1
 _EXCLUSION_MASS = 0.2
 
 
-def mourre_positivity_check(lam, s0, grid, K_max, config=None, C=10.0,
-                            auto_calibrate=True):
-    """Verify the localized positive-commutator estimate at energy lam.
+def _window_form(op, U):
+    """U* op U for the window states, the columns of U."""
+    return np.conj(U.T) @ np.column_stack(
+        [op.matvec(U[:, i]) for i in range(U.shape[1])]
+    )
+
+
+def mourre_positivity_check(lam, s0, grid, K_max, config=None, C=10.0):
+    """Verify the localized positive-commutator estimate at energy lam, in
+    one pass on the window of width delta = (log lam)^{-2 s0} lam^{1/2} / C.
 
     Per mode k: windowed eigenpairs of the Hermitian truncation H_k, the
     weighted commutator form f(H) i[H,A] f(H) - lam f(H)^2 restricted to the
     spectral window, and its minimum eigenvalue; and the norm of
     f(H) [[H,A],A] f(H) on the same window, over lam.  Returns a
     PositivityReport with min_k min-eig / lam, the largest of those norms and
-    the deficit terms of the continuum estimate.
-    The resolvent-weight scale is the non-trapping lam^{-1/2}.
+    the deficit terms of the continuum estimate; its ``passed`` is the
+    verdict.  The resolvent-weight scale is the non-trapping lam^{-1/2}.
     """
     if config is None:
         config = ModelConfig(n=2, r0=grid.r0, cross_section={"kind": "circle"})
@@ -442,27 +458,7 @@ def mourre_positivity_check(lam, s0, grid, K_max, config=None, C=10.0,
     if math.log(spectrum.nu(len(spectrum) - 1)) > r_abs - 2.0:
         raise ConfigError("K_max too large for the grid (log nu exceeds r_abs - 2)")
     rho = lam ** -0.5
-
-    while True:
-        delta = (math.log(lam)) ** (-2.0 * s0) / (rho * C)
-        report = _positivity_pass(
-            lam, delta, params, grid, spectrum, config, C, r_abs,
-        )
-        if not auto_calibrate or report.passed:
-            return report
-        if C >= 10.0 * 2**8:
-            return report
-        C *= 2.0
-
-
-def _window_form(op, U):
-    """U* op U for the window states, the columns of U."""
-    return np.conj(U.T) @ np.column_stack(
-        [op.matvec(U[:, i]) for i in range(U.shape[1])]
-    )
-
-
-def _positivity_pass(lam, delta, params, grid, spectrum, config, C, r_abs):
+    delta = (math.log(lam)) ** (-2.0 * s0) / (rho * C)
     cutoff = SpectralCutoff(lam=lam, delta=delta)
     r = grid.points()
     lo, hi = lam - cutoff.support_halfwidth, lam + cutoff.support_halfwidth

@@ -223,15 +223,12 @@ def mode_weight_vector(r, nu_k, s):
     Parameters
     ----------
     r : array_like
-        Radial grid points (a :class:`~hyplab.linops.RadialGrid` is also
-        accepted and its points are used).
+        Radial grid points.
     nu_k : float
         Mode frequency scale, nu_k >= 1.
     s : float
         Weight exponent; negative s yields the unbounded inverse weight.
     """
-    if hasattr(r, "points"):
-        r = r.points()
     r = np.asarray(r, dtype=float)
     if nu_k < 1.0:
         raise ConfigError(f"nu_k = {nu_k} < 1")
@@ -240,8 +237,6 @@ def mode_weight_vector(r, nu_k, s):
 
 def polynomial_weight_vector(r, s):
     """Diagonal of the polynomial weight <r>^{-s}."""
-    if hasattr(r, "points"):
-        r = r.points()
     r = np.asarray(r, dtype=float)
     return (1.0 + r**2) ** (-s / 2.0)
 
@@ -345,8 +340,12 @@ def _plateau_cutoff(x, lo, hi):
     return profile_eval("q", x - lo) * profile_eval("q", hi - x)
 
 
-def quantize_and_factor_check(s, sigma, levels=3,
-                              n_r0=48, n_theta0=32, r_max0=12.0):
+# radial points and box of the ladder's first level; both grow with the level
+_QUANTIZE_N_R0 = 48
+_QUANTIZE_R_MAX0 = 12.0
+
+
+def quantize_and_factor_check(s, sigma, levels=3, n_theta0=32):
     """Boundedness ladder for the weighted quantization factorization.
 
     For the circle cross-section, quantizes a = w^{-s+i sigma}(r - log<eta>)
@@ -385,9 +384,9 @@ def quantize_and_factor_check(s, sigma, levels=3,
         raise ConfigError("resolution ladder needs at least 3 levels")
     norms = []
     for lev in range(levels):
-        n_r = n_r0 * 2**lev
+        n_r = _QUANTIZE_N_R0 * 2**lev
         n_theta = n_theta0 * 2**lev
-        r_max = r_max0 * 1.5**lev
+        r_max = _QUANTIZE_R_MAX0 * 1.5**lev
         r = np.linspace(0.0, r_max, n_r)
         theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
         kappa_r = _plateau_cutoff(r, 1.0, r_max - 1.0)
@@ -416,8 +415,9 @@ def quantize_and_factor_check(s, sigma, levels=3,
     return norms
 
 
-def unboundedness_demo(s, nu_ladder, r_max=None, n=2001):
-    """Ratios ||W_{-s} <r>^s phi_j|| for unit bumps at r = log nu_j.
+def unboundedness_demo(s, nu_ladder):
+    """Ratios ||W_{-s} <r>^s phi_j|| for unit bumps at r = log nu_j, on 2001
+    points of [0, max_j log nu_j + 3].
 
     Demonstrates that the composition of the inverse mode weight with the
     polynomial weight grows like <log nu>^s along a geometric nu ladder.
@@ -425,12 +425,7 @@ def unboundedness_demo(s, nu_ladder, r_max=None, n=2001):
     if s < 0:
         raise ConfigError("s must be nonnegative")
     nu_ladder = [float(v) for v in nu_ladder]
-    top = max(math.log(v) for v in nu_ladder) + 3.0
-    if r_max is None:
-        r_max = top
-    elif r_max < top:
-        raise ConfigError("bump support exceeds grid")
-    r = np.linspace(0.0, r_max, n)
+    r = np.linspace(0.0, max(math.log(v) for v in nu_ladder) + 3.0, 2001)
     h = r[1] - r[0]
     out = []
     for nu in nu_ladder:

@@ -51,6 +51,18 @@ def test_generation_varies_with_seed():
     assert not np.array_equal(_instance(0).H, _instance(1).H)
 
 
+@pytest.mark.parametrize("window_count", [0, 1, 21])
+def test_generation_refuses_a_window_outside_two_to_dim(window_count):
+    with pytest.raises(ConfigError):
+        _TestbedInstance.generate(0, window_count=window_count)
+
+
+def test_generation_window_holds_every_selected_eigenvalue():
+    # window_count = dim selects the whole spectrum, and f = 1 on all of it
+    inst = _TestbedInstance.generate(0, dim=6, window_count=6)
+    assert np.all(inst.cutoff.values(inst.evals) == 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Regularized resolvents
 # ---------------------------------------------------------------------------

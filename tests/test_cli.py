@@ -124,6 +124,13 @@ def test_invalid_config_exits_one(tmp_path):
     for key in ("eps_start_factor", "eps_ratio", "eps_floor_scale",
                 "cap_exponent", "cap_fraction", "rel_tol"):
         assert run(["sweep", "--out", out, "--set", f"{key}=1"]) == 1
+    # So are the C-doubling switch and the point counts: the mourre check
+    # takes one pass on the library's grid, and the sweep ties its step to
+    # lambda.
+    for argv in (["mourre", "--set", "auto_calibrate=false"],
+                 ["mourre", "--set", "n_points=1200"],
+                 ["sweep", "--set", "n_points=100"]):
+        assert run(argv + ["--out", out]) == 1
 
 
 def test_non_object_config_file_exits_one(tmp_path):
@@ -292,8 +299,8 @@ def test_mourre_check_reports_positivity(tmp_path):
 
 def test_mourre_check_verdict_is_the_calibration_policy(tmp_path,
                                                        monkeypatch):
-    # --check accepts exactly the reports that auto-calibration accepts:
-    # min-eig / lam >= -mourre._RATIO_TOL, whatever that constant is.
+    # --check accepts exactly the reports that PositivityReport.passed
+    # accepts: min-eig / lam >= -mourre._RATIO_TOL, whatever that constant is.
     from hyplab import mourre
 
     ratio = {}
@@ -425,6 +432,21 @@ def test_testbed_check_fails_on_a_scalar_weight_violation(tmp_path,
     summary = json.loads(_read(out / "summary.json"))
     assert summary["violations"] == 0
     assert summary["scalar_weight"]["violations"] == 1
+
+
+@pytest.mark.parametrize("override", ["n_seeds=0", "window_count=0",
+                                      "window_count=1", "window_count=13"])
+def test_testbed_degenerate_config_exits_one(tmp_path, override):
+    # No seed to report, or a spectral window of fewer than two of the dim
+    # eigenvalues (or more than there are): refused as a config error, with
+    # an invalid manifest, at any worker count.
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        rc = run(["testbed", "--out", str(out), "--workers", workers,
+                  "--set", "n_seeds=2", "--set", "dim=12",
+                  "--set", override])
+        assert rc == 1
+        assert _manifest(out)["status"] == "invalid"
 
 
 def test_testbed_exponent_outside_the_range_exits_one(tmp_path):

@@ -160,3 +160,85 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if users.get(definition.name, set())
         <= {id(node) for node in ast.walk(definition)}}
     assert without_caller == set()
+
+
+def _is_dataclass(node):
+    return any(_mentions(d.func if isinstance(d, ast.Call) else d)
+               == {"dataclass"} for d in node.decorator_list)
+
+
+def _parameters_with_defaults(tree):
+    """Every parameter with a default, as (callee, name, position, keyword,
+    definition): the callee is the function's bare name, or its class's for
+    __init__ and for a dataclass field; position is the parameter's index
+    among the arguments that a call passes by position (None for a
+    keyword-only one), and keyword tells whether a call may name it."""
+    classes = {}  # id of a method -> its class
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        classes.update((id(n), node) for n in node.body
+                       if isinstance(n, ast.FunctionDef))
+        if _is_dataclass(node):
+            fields = [n for n in node.body if isinstance(n, ast.AnnAssign)
+                      and "ClassVar" not in ast.unparse(n.annotation)]
+            found += [(node.name, f.target.id, i, True, f)
+                      for i, f in enumerate(fields) if f.value is not None]
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        cls = classes.get(id(node))
+        callee = (cls.name if cls is not None and node.name == "__init__"
+                  else node.name)
+        args = node.args
+        positional = args.posonlyargs + args.args
+        bound = cls is not None and not any(
+            _mentions(d) == {"staticmethod"} for d in node.decorator_list)
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            found.append((callee, arg.arg, i - bound,
+                          i >= len(args.posonlyargs), node))
+        found += [(callee, arg.arg, None, True, node)
+                  for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                  if default is not None]
+    return found
+
+
+def test_every_parameter_with_a_default_has_a_caller_that_sets_it():
+    # a call sets a parameter when it passes it by keyword or by position,
+    # or passes *args or **kwargs; calls inside the parameter's own
+    # definition do not count
+    root = os.path.dirname(_SRC)
+    paths = sorted(glob.glob(os.path.join(_SRC, "hyplab", "*.py"))
+                   + glob.glob(os.path.join(root, "benchmark", "*.py"))
+                   + glob.glob(os.path.join(root, "tests", "*.py")))
+    calls = {}  # callee -> [(node id, positional count, keywords, starred)]
+    parameters = []
+    trees = []  # kept alive, so that no node id is reused
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        trees.append(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _mentions(node.func):
+                (name,) = _mentions(node.func)
+                keywords = {k.arg for k in node.keywords}
+                starred = None in keywords or any(
+                    isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append(
+                    (id(node), len(node.args), keywords, starred))
+        if path.startswith(_SRC):
+            module = os.path.basename(path)[:-3]
+            parameters += [(module, *p)
+                           for p in _parameters_with_defaults(tree)]
+    assert len(parameters) >= 50
+    never_set = set()
+    for module, callee, name, position, keyword, definition in parameters:
+        own = {id(node) for node in ast.walk(definition)}
+        if not any(call not in own and (
+                starred or (position is not None and count > position)
+                or (keyword and name in keywords))
+                   for call, count, keywords, starred in calls.get(callee, ())):
+            never_set.add(f"{module}.{callee}({name})")
+    assert never_set == set()

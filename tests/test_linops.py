@@ -237,7 +237,8 @@ def _diag_operator(values, pad_to=8, pad_from=100.0):
     while len(vals) < pad_to:
         vals.append(pad_from + len(vals))
     g = RadialGrid(r0=0.0, r_max=float(len(vals) + 1), N=len(vals))
-    return DiscreteOperator(g, {0: np.asarray(vals)})
+    zero = np.zeros(len(vals) - 1)
+    return DiscreteOperator(g, {-1: zero, 0: np.asarray(vals), 1: zero})
 
 
 def test_shifted_solve_scalar_diagonal():

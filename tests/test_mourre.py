@@ -274,16 +274,16 @@ def test_hs_matches_spectral_calculus_mode_operator():
 
 
 def test_hs_matches_spectral_calculus_complex_generator():
-    # The generator A_k is complex Hermitian, so it takes the dense branch
-    # of hermitian_eig
+    # The generator A_k is complex Hermitian; hermitian_eig takes real
+    # operators only, so its dense matrix goes to hs_calculus's ndarray path
     f = WIDE_BUMP
     g = RadialGrid(r0=0.25, r_max=12.0, N=120)
     op = generator_matrix(PARAMS, 2.0, g)
     assert np.max(np.abs(np.imag(op.diagonals[1]))) > 0.0
-    evals, _ = hermitian_eig(op)
-    op = op.scaled_shifted(scale=2.5 / float(np.max(np.abs(evals))))
-    out = hs_calculus(f, op, u_range=f.support)
-    assert np.linalg.norm(out - spectral_calculus(f, op), 2) <= 1e-6
+    H = op.dense()
+    H = H * (2.5 / float(np.max(np.abs(np.linalg.eigvalsh(H)))))
+    out = hs_calculus(f, H, u_range=f.support)
+    assert np.linalg.norm(out - spectral_calculus(f, H), 2) <= 1e-6
 
 
 def test_calculus_refuses_a_pencil():
@@ -355,7 +355,7 @@ def test_hs_repeat_calls_reuse_one_cache_entry(monkeypatch):
         raw = rng.standard_normal((30, 30))
         matrices.append((raw + raw.T) / math.sqrt(2 * 30))
     hs_calculus(f, matrices[0], u_range=f.support)
-    key = (f, -3.0, 3.0, 1e-6)
+    key = (f, -3.0, 3.0)
     _, z, c = mourre._HS_CACHE[key]
     for H in matrices:
         out = hs_calculus(f, H, u_range=f.support)
@@ -383,7 +383,7 @@ def test_hs_cache_keeps_the_recently_used_function(monkeypatch):
     for f in (a, b, a, c):
         hs_calculus(f, H, u_range=f.support)
     assert builds == [a, b, c]
-    assert (b, -3.0, 3.0, 1e-6) not in mourre._HS_CACHE
+    assert (b, -3.0, 3.0) not in mourre._HS_CACHE
     out = hs_calculus(a, H, u_range=a.support)
     assert builds == [a, b, c]
     assert np.linalg.norm(out - spectral_calculus(a, H), 2) <= 1e-6
@@ -407,7 +407,7 @@ def test_hs_half_plane_sum_matches_both_half_planes():
     f = WideBump()
     tol = 1e-6
     hs_calculus(f, np.diag([-2.0, 0.0, 2.0]), u_range=f.support)
-    rung, z, c = mourre._HS_CACHE[(f, -3.0, 3.0, tol)]
+    rung, z, c = mourre._HS_CACHE[(f, -3.0, 3.0)]
     assert np.all(z.imag > 0.0)
     depth, base = mourre._HS_LADDER[rung]
     v_max = 1.5
@@ -447,7 +447,7 @@ def test_hs_cached_nodes_match_per_group_evaluation():
     f = WideBump()
     tol = 1e-6
     hs_calculus(f, np.diag([-2.0, -0.5, 0.0, 1.0, 2.5]), u_range=f.support)
-    rung, z, c = mourre._HS_CACHE[(f, -3.0, 3.0, tol)]
+    rung, z, c = mourre._HS_CACHE[(f, -3.0, 3.0)]
     depth, base = mourre._HS_LADDER[rung]
     v_max = 1.5
     groups = mourre._hs_node_set(-3.0, 3.0, v_max, depth, n_u_base=base)
@@ -492,19 +492,17 @@ def test_positivity_scale_ordering_enforced():
         mourre_positivity_check(0.8, 1.0, g, 4, config=CONFIG)
 
 
-@pytest.mark.parametrize("n_points, K_max, C, calibrate",
-                         [(1200, 48, 10.0, True), (600, 16, 0.5, False)],
+@pytest.mark.parametrize("n_points, K_max, C",
+                         [(1200, 48, 10.0), (600, 16, 0.5)],
                          ids=["defaults", "wide-window"])
-def test_double_commutator_norm_matches_dense_window(n_points, K_max, C,
-                                                     calibrate):
+def test_double_commutator_norm_matches_dense_window(n_points, K_max, C):
     # Each contributing mode's ||f U*[[H,A],A]U f||_2 / lam, recomputed from
     # the dense eigendecomposition of H_k, the same window rules and the
     # dense second commutator.  At the defaults each window holds one state
     # with f = 1; the wide window holds up to two, with f < 1.
     lam = 100.0
     grid = default_positivity_grid(lam, n_points=n_points)
-    rep = mourre_positivity_check(lam, 1.0, grid, K_max, config=CONFIG, C=C,
-                                  auto_calibrate=calibrate)
+    rep = mourre_positivity_check(lam, 1.0, grid, K_max, config=CONFIG, C=C)
     spectrum = CONFIG.spectrum(K_max)
     cutoff = SpectralCutoff(lam=lam, delta=rep.delta_lambda)
     r = grid.points()
@@ -541,7 +539,7 @@ def test_hs_certifies_the_result_at_the_spectrum():
     bump = _PolyBump(1.0)
     good = hs_calculus(bump, H, u_range=bump.support)
     assert np.linalg.norm(good - spectral_calculus(bump, H), 2) <= 1e-6
-    key = (bump, -3.0, 3.0, 1e-6)
+    key = (bump, -3.0, 3.0)
     rung, z, c = mourre._HS_CACHE[key]
     mourre._HS_CACHE[key] = (rung, z, c * (1.0 + 1e-3))
     out = hs_calculus(bump, H, u_range=bump.support)
