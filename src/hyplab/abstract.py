@@ -31,32 +31,12 @@ import math
 import numpy as np
 
 from hyplab.errors import ConfigError, NumericalFailure, RegimeError
-from hyplab.mourre import SpectralCutoff
-from hyplab.weights import profile_eval
+from hyplab.weights import SpectralCutoff
 
 
-# ----------------------------------------------------------------------------
-# The smoothing constant of the canonical bump
-# ----------------------------------------------------------------------------
-
-_DELTA_F_CACHE = {}
-
-
-def delta_f_constant(n_grid=2**16, box=256.0):
-    """(2 pi)^{-1} integral |t fhat(t)| dt for the unit-scale canonical bump,
-    by FFT on a long periodic box.  For the cutoff f((E - lam)/delta) the
-    constant is this value divided by delta."""
-    key = (n_grid, box)
-    if key not in _DELTA_F_CACHE:
-        x = -box / 2.0 + box * np.arange(n_grid) / n_grid
-        fx = profile_eval("f", x)
-        # continuous transform via FFT, up to the phase e^{-i t x_0} that
-        # |fhat| does not see: fhat(t_k) = h sum f(x_j) e^{-i (x_j - x_0) t_k}
-        t = 2.0 * np.pi * np.fft.fftfreq(n_grid, d=box / n_grid)
-        fhat = (box / n_grid) * np.fft.fft(fx)
-        dt = 2.0 * np.pi / box
-        _DELTA_F_CACHE[key] = float(np.sum(np.abs(t * fhat)) * dt / (2.0 * np.pi))
-    return _DELTA_F_CACHE[key]
+# (2 pi)^{-1} integral |t fhat(t)| dt for the unit-scale canonical bump f;
+# for the cutoff f((E - lam)/delta) the constant is this value over delta
+_DELTA_F = 3.05677354852152
 
 
 # ----------------------------------------------------------------------------
@@ -88,9 +68,9 @@ class TestbedInstance:
     @classmethod
     def generate(cls, seed, dim=20, window_count=5, alpha_factor=2.0):
         """Random real-symmetric H and A with a spectral window of about
-        window_count eigenvalues, 2 <= window_count <= dim (ConfigError
-        otherwise); the effective commutator is shifted on the window so
-        that its minimum there equals alpha_factor * delta.
+        window_count eigenvalues, 2 <= window_count <= dim; the effective
+        commutator is shifted on the window so that its minimum there equals
+        alpha_factor * delta, alpha_factor > 0 (ConfigError otherwise).
 
         Seeds whose window collapses to one energy or whose installed
         positive part is not numerically exact are rejected (count reported
@@ -101,6 +81,8 @@ class TestbedInstance:
         if not 2 <= window_count <= dim:
             raise ConfigError(
                 f"window_count {window_count} outside [2, dim = {dim}]")
+        if not alpha_factor > 0:
+            raise ConfigError(f"alpha_factor {alpha_factor} is not positive")
         rng = np.random.default_rng(seed)
         rejects = 0
         while True:
@@ -163,7 +145,7 @@ class TestbedInstance:
         return ConstantsInput(
             lam=self.lam, delta=self.delta, alpha=self.alpha,
             N_comm=N, S=S,
-            Delta_f=delta_f_constant() / self.delta,
+            Delta_f=_DELTA_F / self.delta,
             C_HA=C_HA,
         )
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import dataclasses
 import hashlib
 import json
 import math

@@ -113,11 +113,6 @@ class FlowResult:
     n_steps: int
     n_evals: int
 
-    def gronwall_ok(self, a_prime_sup):
-        """Check ||d_r gamma||_inf <= e^{||a'||_inf |t|}."""
-        bound = math.exp(a_prime_sup * abs(self.t))
-        return float(np.max(self.dgamma)) <= bound * (1.0 + 1e-10)
-
 
 # ----------------------------------------------------------------------------
 # Dormand-Prince 8(5,3) stepper (Hairer-Norsett-Wanner, Solving ODEs I,

@@ -122,16 +122,6 @@ class DiscreteOperator:
         return bool(np.max(np.abs(self.upper - np.conj(self.lower))) <= bound
                     and np.max(np.abs(np.imag(self.main))) <= 0.5 * bound)
 
-    def dense(self, shift=0.0):
-        """Dense complex A - shift M."""
-        lower, diag, upper = self.pencil(shift)
-        out = np.zeros((self.n, self.n), dtype=complex)
-        i = np.arange(self.n)
-        out[i, i] = diag
-        out[i[1:], i[:-1]] = lower
-        out[i[:-1], i[1:]] = upper
-        return out
-
     def matvec(self, x):
         """A x, complex."""
         return _tridiagonal_matvec(self.lower, self.main, self.upper,

@@ -20,14 +20,13 @@ import math
 import numpy as np
 
 from hyplab.errors import ConfigError
-from hyplab.weights import nu_from_mu
 
 
 @dataclasses.dataclass(frozen=True)
 class ModeSpectrum:
     """Distinct cross-section eigenvalues with multiplicities.
 
-    entries[i] = (mu_k, multiplicity, nu_k) with nu_k = (1+mu_k)^{1/2}.
+    entries[i] = (mu_k, multiplicity).
     """
 
     entries: tuple
@@ -40,9 +39,6 @@ class ModeSpectrum:
             raise ConfigError("eigenvalues must be strictly ascending")
         if any(e[1] < 1 for e in self.entries):
             raise ConfigError("multiplicities must be >= 1")
-        for mu, _, nu in self.entries:
-            if abs(nu - math.sqrt(1.0 + mu)) > 1e-12 * (1.0 + nu):
-                raise ConfigError("nu_k must equal (1+mu_k)^{1/2}")
 
     def __len__(self):
         return len(self.entries)
@@ -51,7 +47,8 @@ class ModeSpectrum:
         return self.entries[k][0]
 
     def nu(self, k):
-        return self.entries[k][2]
+        """The frequency scale nu_k = (1 + mu_k)^{1/2} of mode k."""
+        return math.sqrt(1.0 + self.entries[k][0])
 
     def multiplicity(self, k):
         return self.entries[k][1]
@@ -113,10 +110,8 @@ def build_spectrum(cross_section, K_max):
         raw = [(m, 1) for m in sorted(mus)][: K_max + 1]
     else:
         raise ConfigError(f"unknown cross-section kind {kind!r}")
-    entries = tuple(
-        (float(mu), int(mult), float(nu_from_mu(mu))) for mu, mult in raw
-    )
-    return ModeSpectrum(entries=entries)
+    return ModeSpectrum(entries=tuple((float(mu), int(mult))
+                                      for mu, mult in raw))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -150,10 +145,6 @@ class RadialOperatorSpec:
     mu_k: float
     shift: float
     r0: float
-
-    @property
-    def nu_k(self):
-        return float(nu_from_mu(self.mu_k))
 
     def potential(self, r):
         """Diagonal potential mu_k e^{-2r} + shift."""

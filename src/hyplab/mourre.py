@@ -1,5 +1,5 @@
-"""Commutator assembly, localization operators, functional calculus, and the
-high-energy positive-commutator verification.
+"""Commutator assembly, functional calculus, and the high-energy
+positive-commutator verification.
 
 The first commutator with the mode generator A_k has the exact divergence
 form
@@ -36,30 +36,7 @@ from hyplab.conjugate import ConjugateParams, a_k_derivs
 from hyplab.errors import ConfigError, NumericalFailure
 from hyplab.linops import DiscreteOperator, RadialGrid, discretize, hermitian_eig
 from hyplab.model import ModelConfig, mode_operator_spec
-from hyplab.weights import chi_sqrt_eval, profile_eval, xi_sqrt_eval
-
-
-@dataclasses.dataclass(frozen=True)
-class SpectralCutoff:
-    """Scaled spectral bump f_lam(E) = f((E - lam)/delta).
-
-    f is the canonical profile: 1 on [-2, 2], supported in [-3, 3].
-    """
-
-    lam: float
-    delta: float
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
-
-    def values(self, E, j=0):
-        scaled = (np.asarray(E, dtype=float) - self.lam) / self.delta
-        return profile_eval("f", scaled, j, extended=True) / self.delta**j
-
-    @property
-    def support_halfwidth(self):
-        return 3.0 * self.delta
+from hyplab.weights import SpectralCutoff, profile_eval
 
 
 def _flux_form(grid, coeff_mid):
@@ -109,18 +86,6 @@ def double_commutator_matrix(params, nu_k, grid):
         - 0.5 * a[0] * a[4]
     )
     return DiscreteOperator(grid, {0: diag, 1: off, -1: off})
-
-
-def xi_build(params, nu_k, grid):
-    """Diagonal localization operators (Xi, Xi~).
-
-    Xi = chi_R^{1/2}(r) (1 - xi_S^{1/2})(r - log nu_k) selects the region
-    where the mode potential dominates the energy; Xi~ = chi_R^{1/2} - Xi.
-    """
-    r = grid.points()
-    chi = chi_sqrt_eval(r / params.R)
-    xi_op = chi * (1.0 - xi_sqrt_eval((r - math.log(nu_k)) / params.S))
-    return xi_op, chi - xi_op
 
 
 # ----------------------------------------------------------------------------
@@ -446,7 +411,10 @@ def mourre_positivity_check(lam, s0, grid, K_max, config=None, C=10.0):
     PositivityReport with min_k min-eig / lam, the largest of those norms and
     the deficit terms of the continuum estimate; its ``passed`` is the
     verdict.  The resolvent-weight scale is the non-trapping lam^{-1/2}.
+    ConfigError unless C > 0.
     """
+    if not C > 0:
+        raise ConfigError(f"C = {C} must be positive")
     if config is None:
         config = ModelConfig(n=2, r0=grid.r0, cross_section={"kind": "circle"})
     params = ConjugateParams.from_lambda(lam)
@@ -467,7 +435,6 @@ def mourre_positivity_check(lam, s0, grid, K_max, config=None, C=10.0):
     cap_region = r >= r_abs
     deficit_r = 0.0
     deficit_chi = 0.0
-    deficit_xi = 0.0
     contributing = 0
     chi_r = profile_eval("chi", r / params.R)
     inv_bracket_r = 1.0 / np.sqrt(1.0 + r**2)
@@ -515,11 +482,6 @@ def mourre_positivity_check(lam, s0, grid, K_max, config=None, C=10.0):
         deficit_chi = max(
             deficit_chi, float(np.linalg.norm(fU * (chi_r - 1.0)[None, :], 2))
         )
-        _, xi_tilde = xi_build(params, nu, grid)
-        deficit_xi = max(
-            deficit_xi,
-            float(np.linalg.norm(fU * (1.0 - xi_tilde**2)[None, :], 2)),
-        )
     if contributing == 0:
         raise NumericalFailure(
             "no mode produced a nonempty spectral window; delta too small "
@@ -528,7 +490,6 @@ def mourre_positivity_check(lam, s0, grid, K_max, config=None, C=10.0):
     deficits = {
         "f_inv_bracket_r": deficit_r,
         "f_chi_minus_one": deficit_chi,
-        "f_one_minus_xi_tilde_sq": deficit_xi,
         "inv_S": 1.0 / params.S,
         "inv_lambda": 1.0 / lam,
     }

@@ -19,7 +19,8 @@ polynomial P_k in sigma, the derivatives of g are explicit, and Faa di Bruno's
 formula combines the two.  The other profiles follow from q by the product
 and chain rules.
 
-On top of the profiles this module provides the mode-shifted weight vectors
+On top of the profiles this module provides the scaled spectral cutoff
+f((E - lam)/delta), the mode-shifted weight vectors
 w^{-s}(r - log nu_k), the symbol weights w^s(r - log<eta>), the temperate
 weight inequality sampler, an exact boundedness check for the weighted
 quantization factorization, and the demonstration that the mode-shifted
@@ -28,6 +29,7 @@ weight is strictly weaker than the polynomial one.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -202,19 +204,27 @@ def profile_eval(which, x, j=0, extended=False):
     return np.asarray(out)[()]
 
 
-def chi_sqrt_eval(x, j=0):
-    """chi^{1/2}(x) = q(x-1) and derivatives (smooth by construction)."""
-    return profile_eval("q", np.asarray(x, dtype=float) - 1.0, j)
+@dataclasses.dataclass(frozen=True)
+class SpectralCutoff:
+    """Scaled spectral bump f_lam(E) = f((E - lam)/delta).
 
+    f is the canonical profile: 1 on [-2, 2], supported in [-3, 3].
+    """
 
-def xi_sqrt_eval(x, j=0):
-    """xi^{1/2}(x) = q(2(x+1)) and derivatives (chain rule in the factor 2)."""
-    return profile_eval("q", 2.0 * (np.asarray(x, dtype=float) + 1.0), j) * (2.0 ** j)
+    lam: float
+    delta: float
 
+    def __post_init__(self):
+        if self.delta <= 0:
+            raise ConfigError("delta must be positive")
 
-def nu_from_mu(mu):
-    """nu = (1 + mu)^{1/2}, the frequency scale attached to a mode."""
-    return np.sqrt(1.0 + np.asarray(mu, dtype=float))
+    def values(self, E, j=0):
+        scaled = (np.asarray(E, dtype=float) - self.lam) / self.delta
+        return profile_eval("f", scaled, j, extended=True) / self.delta**j
+
+    @property
+    def support_halfwidth(self):
+        return 3.0 * self.delta
 
 
 def mode_weight_vector(r, nu_k, s):
@@ -425,6 +435,8 @@ def unboundedness_demo(s, nu_ladder):
     if s < 0:
         raise ConfigError("s must be nonnegative")
     nu_ladder = [float(v) for v in nu_ladder]
+    if not nu_ladder:
+        raise ConfigError("nu_ladder is empty")
     r = np.linspace(0.0, max(math.log(v) for v in nu_ladder) + 3.0, 2001)
     h = r[1] - r[0]
     out = []

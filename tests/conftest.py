@@ -12,7 +12,6 @@ from hyplab.laplab import limiting_absorption
 from hyplab.linops import (DiscreteOperator, discretize, hermitian_eig,
                            weighted_operator_norm)
 from hyplab.model import ModelConfig, RadialOperatorSpec, mode_operator_spec
-from hyplab.mourre import xi_build
 
 # One verdict line per acceptance criterion, echoed after the run so the
 # lines survive output capture (tests/test_acceptance.py appends to this).
@@ -30,6 +29,23 @@ def pytest_terminal_summary(terminalreporter):
 def circle_config():
     return ModelConfig(n=2, r0=0.25,
                        cross_section={"kind": "circle", "radius": 1.0})
+
+
+def dense_matrix(op, shift=0.0):
+    """Dense complex A - shift M of the pencil (A, M) of a DiscreteOperator."""
+    lower, diag, upper = op.pencil(shift)
+    out = np.zeros((op.n, op.n), dtype=complex)
+    i = np.arange(op.n)
+    out[i, i] = diag
+    out[i[1:], i[:-1]] = lower
+    out[i[:-1], i[1:]] = upper
+    return out
+
+
+def gronwall_ok(flow, a_prime_sup):
+    """Whether ||d_r gamma_t||_inf <= e^{||a'||_inf |t|} for a FlowResult."""
+    bound = math.exp(a_prime_sup * abs(flow.t))
+    return float(np.max(flow.dgamma)) <= bound * (1.0 + 1e-10)
 
 
 def make_mode_operator(config, k, grid, lam=4.0):
@@ -116,13 +132,36 @@ def mode_norm(cfg, lam, k, grid, start=None):
                                start=start)
 
 
+def chi_sqrt_eval(x, j=0):
+    """chi^{1/2}(x) = q(x-1) and derivatives (smooth by construction)."""
+    return weights.profile_eval("q", np.asarray(x, dtype=float) - 1.0, j)
+
+
+def xi_sqrt_eval(x, j=0):
+    """xi^{1/2}(x) = q(2(x+1)) and derivatives (chain rule in the factor 2)."""
+    return weights.profile_eval(
+        "q", 2.0 * (np.asarray(x, dtype=float) + 1.0), j) * (2.0 ** j)
+
+
+def xi_build(params, nu_k, grid):
+    """Diagonal localization operators (Xi, Xi~) of the semiclassical bound.
+
+    Xi = chi_R^{1/2}(r) (1 - xi_S^{1/2})(r - log nu_k) selects the region
+    where the mode potential dominates the energy; Xi~ = chi_R^{1/2} - Xi.
+    """
+    r = grid.points()
+    chi = chi_sqrt_eval(r / params.R)
+    xi_op = chi * (1.0 - xi_sqrt_eval((r - math.log(nu_k)) / params.S))
+    return xi_op, chi - xi_op
+
+
 def xi_profile_constant():
     """sup|d/dx chi^{1/2}| + sup|d/dx xi^{1/2}| of the canonical profiles;
     S times the grid sup of |Xi'| never exceeds this (R > S)."""
     x = np.linspace(0.0, 3.0, 20001)
-    c1 = float(np.max(np.abs(weights.chi_sqrt_eval(x, 1))))
+    c1 = float(np.max(np.abs(chi_sqrt_eval(x, 1))))
     y = np.linspace(-1.5, 0.5, 20001)
-    c2 = float(np.max(np.abs(weights.xi_sqrt_eval(y, 1))))
+    c2 = float(np.max(np.abs(xi_sqrt_eval(y, 1))))
     return c1 + c2
 
 

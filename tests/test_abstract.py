@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from hyplab import abstract
 from hyplab.abstract import (
     ConstantsInput,
     TestbedInstance as _TestbedInstance,
     algebre_identity_check,
     commutator_identity_residuals,
     constants_eval,
-    delta_f_constant,
     diffineq_check,
     eps_weight,
     eps_weight_derivative,
@@ -21,6 +21,7 @@ from hyplab.abstract import (
     scalar_weight_check,
 )
 from hyplab.errors import ConfigError, RegimeError
+from hyplab.weights import profile_eval
 
 
 def _instance(seed=0):
@@ -55,6 +56,12 @@ def test_generation_varies_with_seed():
 def test_generation_refuses_a_window_outside_two_to_dim(window_count):
     with pytest.raises(ConfigError):
         _TestbedInstance.generate(0, window_count=window_count)
+
+
+@pytest.mark.parametrize("alpha_factor", [0.0, -1.0])
+def test_generation_refuses_a_nonpositive_alpha_factor(alpha_factor):
+    with pytest.raises(ConfigError):
+        _TestbedInstance.generate(0, alpha_factor=alpha_factor)
 
 
 def test_generation_window_holds_every_selected_eigenvalue():
@@ -240,8 +247,25 @@ def test_differential_inequality_schedule_validation():
 # ---------------------------------------------------------------------------
 
 
+def _delta_f_fft(n_grid, box):
+    """(2 pi)^{-1} integral |t fhat(t)| dt for the unit-scale canonical bump,
+    by FFT on a periodic box of n_grid points and length box."""
+    x = -box / 2.0 + box * np.arange(n_grid) / n_grid
+    fx = profile_eval("f", x)
+    # continuous transform via FFT, up to the phase e^{-i t x_0} that
+    # |fhat| does not see: fhat(t_k) = h sum f(x_j) e^{-i (x_j - x_0) t_k}
+    t = 2.0 * np.pi * np.fft.fftfreq(n_grid, d=box / n_grid)
+    fhat = (box / n_grid) * np.fft.fft(fx)
+    dt = 2.0 * np.pi / box
+    return float(np.sum(np.abs(t * fhat)) * dt / (2.0 * np.pi))
+
+
 def test_window_constant_value_and_stability():
-    coarse = delta_f_constant(n_grid=2**15, box=128.0)
-    fine = delta_f_constant()
-    assert fine == pytest.approx(3.0568, abs=2e-3)
-    assert coarse == pytest.approx(fine, rel=1e-3)
+    # The constant is the FFT value on 2^16 points of a box of length 256,
+    # bit for bit; half the points on half the box agree to 1e-3.  An
+    # instance scales it by its window width.
+    assert abstract._DELTA_F == _delta_f_fft(2**16, 256.0)
+    assert _delta_f_fft(2**15, 128.0) == pytest.approx(abstract._DELTA_F,
+                                                       rel=1e-3)
+    inst = _instance()
+    assert inst.constants_input().Delta_f == abstract._DELTA_F / inst.delta

@@ -153,6 +153,16 @@ def test_numerical_failure_exits_two(tmp_path):
     assert "flow integration failed" in manifest["diagnostic"]
 
 
+def test_weights_empty_nu_ladder_exits_one(tmp_path):
+    out = tmp_path / "weights"
+    rc = run(["weights", "--out", str(out), "--set", "nu_ladder=[]",
+              "--set", "temperate_samples=1000"])
+    assert rc == 1
+    manifest = _manifest(out)
+    assert manifest["status"] == "invalid"
+    assert "nu_ladder is empty" in manifest["diagnostic"]
+
+
 def test_failed_check_exits_three(tmp_path):
     # A decreasing cutoff ladder reverses the growth the check requires.
     out = tmp_path / "weights"
@@ -318,6 +328,16 @@ def test_mourre_check_verdict_is_the_calibration_policy(tmp_path,
         assert run(["mourre", "--out", str(tmp_path / str(i)), "--check"]) == rc
 
 
+@pytest.mark.parametrize("C", ["0", "-1"])
+def test_mourre_nonpositive_C_exits_one(tmp_path, C):
+    # The window width is (log lam)^{-2 s0} lam^{1/2} / C: C must be positive.
+    out = tmp_path / "mourre"
+    assert run(["mourre", "--out", str(out), "--set", f"C={C}"]) == 1
+    manifest = _manifest(out)
+    assert manifest["status"] == "invalid"
+    assert "must be positive" in manifest["diagnostic"]
+
+
 def test_mourre_manifest_times_the_positivity_check(tmp_path):
     out = tmp_path / "mourre"
     rc = run(["mourre", "--out", str(out)])
@@ -435,11 +455,13 @@ def test_testbed_check_fails_on_a_scalar_weight_violation(tmp_path,
 
 
 @pytest.mark.parametrize("override", ["n_seeds=0", "window_count=0",
-                                      "window_count=1", "window_count=13"])
+                                      "window_count=1", "window_count=13",
+                                      "alpha_factor=0", "alpha_factor=-1"])
 def test_testbed_degenerate_config_exits_one(tmp_path, override):
-    # No seed to report, or a spectral window of fewer than two of the dim
-    # eigenvalues (or more than there are): refused as a config error, with
-    # an invalid manifest, at any worker count.
+    # No seed to report, a spectral window of fewer than two of the dim
+    # eigenvalues (or more than there are), or a window minimum of the
+    # commutator that is not positive: refused as a config error, with an
+    # invalid manifest, at any worker count.
     for workers in ("1", "2"):
         out = tmp_path / workers
         rc = run(["testbed", "--out", str(out), "--workers", workers,

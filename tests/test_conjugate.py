@@ -17,7 +17,7 @@ from hyplab.errors import ConfigError, FlowExitsGrid, NumericalFailure
 from hyplab.linops import RadialGrid
 from hyplab.model import build_spectrum
 
-from conftest import generator_matrix
+from conftest import dense_matrix, generator_matrix, gronwall_ok
 
 
 PARAMS_100 = ConjugateParams.from_lambda(100.0)
@@ -150,7 +150,7 @@ def test_flow_gronwall_bound():
     r = np.linspace(0.25, 20.0, 101)
     for t in (0.05, 0.2, 0.5):
         res = flow_integrate(field, t, r)
-        assert res.gronwall_ok(ap_sup)
+        assert gronwall_ok(res, ap_sup)
         assert np.all(res.dgamma > 0.0)
         assert np.max(res.dgamma) <= math.exp(ap_sup * t) * (1.0 + 1e-8)
 
@@ -485,13 +485,13 @@ def test_generator_zero_field():
     g = RadialGrid(r0=0.25, r_max=5.0, N=100)
     A = generator_matrix(PARAMS_100, 1.0, g,
                          a_values=np.zeros(g.N))
-    assert np.max(np.abs(A.dense())) == 0.0
+    assert np.max(np.abs(dense_matrix(A))) == 0.0
 
 
 def test_generator_hermitian():
     g = RadialGrid(r0=0.25, r_max=20.0, N=800)
     A = generator_matrix(PARAMS_100, 2.0, g)
-    dense = A.dense()
+    dense = dense_matrix(A)
     assert np.max(np.abs(dense - dense.conj().T)) <= 1e-12 * np.max(
         np.abs(dense))
 
@@ -499,7 +499,7 @@ def test_generator_hermitian():
 def test_generator_constant_field_is_centered_derivative():
     g = RadialGrid(r0=0.25, r_max=5.0, N=100)
     A = generator_matrix(PARAMS_100, 1.0, g, a_values=np.ones(g.N))
-    dense = A.dense()
+    dense = dense_matrix(A)
     expected = -1j / (2.0 * g.h)
     assert dense[5, 6] == pytest.approx(expected)
     assert dense[6, 5] == pytest.approx(-expected)

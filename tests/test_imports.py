@@ -63,7 +63,7 @@ def test_library_imports_leave_scipy_integrate_unloaded():
 
 
 @pytest.mark.parametrize("experiment",
-                         ["spectrum", "flow", "weights", "report"])
+                         ["spectrum", "flow", "weights", "report", "testbed"])
 def test_light_subcommands_load_no_scipy_linalg(tmp_path, experiment):
     if experiment == "report":
         assert run(["spectrum", "--out", str(tmp_path / "spec")]) == 0
@@ -134,13 +134,31 @@ def _mentions(node):
     return set()
 
 
+def _attribute_reads(node):
+    """The attribute names a node reads: the attribute of a loaded
+    Attribute, or the string that a getattr or hasattr call names."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return {node.attr}
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr")
+            and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)):
+        return {node.args[1].value}
+    return set()
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
-    # a name's own definition does not count as its caller
+    # Every public function and class of a module, and every public method
+    # and property of those classes; a name's own definition does not count
+    # as its caller.  A method or property needs its name read as an
+    # attribute or named in a getattr or hasattr string.
     root = os.path.dirname(_SRC)
     paths = sorted(glob.glob(os.path.join(_SRC, "hyplab", "*.py"))
                    + glob.glob(os.path.join(root, "benchmark", "*.py")))
     users = {}  # name -> ids of the nodes that use it
+    readers = {}  # attribute name -> ids of the nodes that read it
     defined = []
+    methods = []
     trees = []  # kept alive, so that no node id is reused
     for path in paths:
         with open(path, encoding="utf-8") as fh:
@@ -149,16 +167,27 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         for node in ast.walk(tree):
             for name in _mentions(node):
                 users.setdefault(name, set()).add(id(node))
+            for name in _attribute_reads(node):
+                readers.setdefault(name, set()).add(id(node))
         if path.startswith(_SRC):
-            defined += [(os.path.basename(path)[:-3], node)
-                        for node in tree.body
+            module = os.path.basename(path)[:-3]
+            defined += [(module, node) for node in tree.body
                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                         and not node.name.startswith("_")]
-    assert len(defined) >= 50
+            methods += [(f"{module}.{cls.name}", node)
+                        for cls in tree.body if isinstance(cls, ast.ClassDef)
+                        for node in cls.body
+                        if isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("_")]
+    assert len(defined) >= 50 and len(methods) >= 20
     without_caller = {
         f"{module}.{definition.name}" for module, definition in defined
         if users.get(definition.name, set())
         <= {id(node) for node in ast.walk(definition)}}
+    without_caller |= {
+        f"{owner}.{method.name}" for owner, method in methods
+        if readers.get(method.name, set())
+        <= {id(node) for node in ast.walk(method)}}
     assert without_caller == set()
 
 

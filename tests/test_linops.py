@@ -14,7 +14,7 @@ from hyplab.linops import (DiscreteOperator, RadialGrid, ShiftedSolver,
                            weighted_operator_norm)
 from hyplab.model import ModelConfig, mode_operator_spec
 
-from conftest import make_mode_operator, schur_bound
+from conftest import dense_matrix, make_mode_operator, schur_bound
 
 
 def _circle_config():
@@ -61,7 +61,7 @@ def weighted_operator_norm_dense(op, z, w_left, w_right):
     lower, diag, upper = op.mass
     n = op.n
     mass = lower * np.eye(n, k=-1) + diag * np.eye(n) + upper * np.eye(n, k=1)
-    inv = np.linalg.inv(op.dense(shift=complex(z))) @ mass
+    inv = np.linalg.inv(dense_matrix(op, shift=complex(z))) @ mass
     return float(np.linalg.norm(w_left[:, None] * inv * w_right[None, :], ord=2))
 
 
@@ -79,7 +79,7 @@ def test_grid_spacing_and_points():
 def test_d2_stencil_rows():
     g = RadialGrid(r0=0.0, r_max=1.0, N=9)
     op = d2_operator(g)
-    dense = op.dense()
+    dense = dense_matrix(op)
     h2 = g.h**2
     assert dense[4, 3] == pytest.approx(-1.0 / h2)
     assert dense[4, 4] == pytest.approx(2.0 / h2)
@@ -111,9 +111,10 @@ def test_dirichlet_discretize_is_the_order_two_stencil_plus_potential():
     spec = mode_operator_spec(cfg, 2)
     op = discretize(spec, g)
     assert op.mass == (0.0, 1.0, 0.0) and op.outgoing_energy is None
-    expected = d2_operator(g).dense() + np.diag(spec.potential(g.points()))
-    assert np.array_equal(op.dense(), expected)
-    assert np.array_equal(op.dense(shift=2.0 - 1j),
+    expected = (dense_matrix(d2_operator(g))
+                + np.diag(spec.potential(g.points())))
+    assert np.array_equal(dense_matrix(op), expected)
+    assert np.array_equal(dense_matrix(op, shift=2.0 - 1j),
                           expected - (2.0 - 1j) * np.eye(g.N))
 
 
@@ -125,7 +126,8 @@ def test_scaled_shifted_refuses_a_pencil():
         op.scaled_shifted(scale=2.0)
     bare = discretize(mode_operator_spec(cfg, 1), g)
     scaled = bare.scaled_shifted(scale=2.0, shift=-1.0)
-    assert np.array_equal(scaled.dense(), 2.0 * bare.dense() - np.eye(g.N))
+    assert np.array_equal(dense_matrix(scaled),
+                          2.0 * dense_matrix(bare) - np.eye(g.N))
 
 
 def test_discretize_r0_mismatch_rejected():
@@ -171,7 +173,7 @@ def _numerov_pencil(op, z):
     M = tridiag(1, 10, 1)/12 written out."""
     n = op.n
     mass = (10.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) / 12.0
-    return op.dense() - z * mass, mass
+    return dense_matrix(op) - z * mass, mass
 
 
 def test_outgoing_closure_is_one_diagonal_entry():
@@ -202,7 +204,7 @@ def test_outgoing_closure_is_one_diagonal_entry():
         rel=1e-12)
     # dense() applies the mass: A - z M.
     pencil, _ = _numerov_pencil(closed, 4.0)
-    assert np.array_equal(closed.dense(shift=4.0), pencil)
+    assert np.array_equal(dense_matrix(closed, shift=4.0), pencil)
 
 
 def test_outgoing_closure_rejects_unmet_assumptions():
@@ -351,7 +353,7 @@ def test_dirichlet_box_solves_match_dense():
     g = RadialGrid(r0=0.25, r_max=30.0, N=1200)
     op = discretize(mode_operator_spec(cfg, 2), g)
     z = 100.0 + 1j
-    mat = op.dense(z)
+    mat = dense_matrix(op, z)
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
     other = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
@@ -641,7 +643,7 @@ def test_hermitian_eig_residuals_and_orthonormality():
     g = RadialGrid(r0=0.25, r_max=30.0, N=300)
     op = discretize(mode_operator_spec(cfg, 2), g)
     evals, evecs = hermitian_eig(op)
-    dense = op.dense().real
+    dense = dense_matrix(op).real
     scale = np.linalg.norm(dense, 2)
     for j in (0, 100, 299):
         res = np.linalg.norm(dense @ evecs[:, j] - evals[j] * evecs[:, j])
@@ -699,12 +701,12 @@ def test_schur_bound_dominates_svd():
 def test_elliptic_bound_uniform_over_modes():
     cfg = _circle_config()
     g = RadialGrid(r0=0.25, r_max=20.0, N=250)
-    d2 = d2_operator(g).dense()
+    d2 = dense_matrix(d2_operator(g))
 
     def sup_over(K):
         vals = []
         for k in range(K + 1):
-            H = discretize(mode_operator_spec(cfg, k), g).dense()
+            H = dense_matrix(discretize(mode_operator_spec(cfg, k), g))
             R = np.linalg.inv(H + 1j * np.eye(g.N))
             vals.append(np.linalg.norm(d2 @ R, 2))
         return max(vals)

@@ -11,14 +11,15 @@ from hyplab.conjugate import ConjugateParams, a_k_eval
 from hyplab.errors import ConfigError, NumericalFailure, RegimeError
 from hyplab.linops import RadialGrid, discretize, hermitian_eig
 from hyplab.model import ModelConfig, mode_operator_spec
-from hyplab.mourre import (SpectralCutoff, commutator_matrix,
-                           default_positivity_grid, double_commutator_matrix,
-                           hs_calculus, mourre_positivity_check, xi_build)
-from hyplab.weights import chi_sqrt_eval, profile_eval
+from hyplab.mourre import (commutator_matrix, default_positivity_grid,
+                           double_commutator_matrix, hs_calculus,
+                           mourre_positivity_check)
+from hyplab.weights import SpectralCutoff, profile_eval
 
-from conftest import (WIDE_BUMP, WideBump, generator_matrix,
-                      semiclassical_bound_check, semiclassical_gap,
-                      spectral_calculus, xi_profile_constant)
+from conftest import (WIDE_BUMP, WideBump, chi_sqrt_eval, dense_matrix,
+                      generator_matrix, semiclassical_bound_check,
+                      semiclassical_gap, spectral_calculus, xi_build,
+                      xi_profile_constant)
 
 
 PARAMS = ConjugateParams.from_lambda(100.0)
@@ -61,10 +62,10 @@ def test_cutoff_derivative_scaling():
 
 def test_commutator_hermitian():
     g = _grid()
-    C = commutator_matrix(PARAMS, 2.0, g).dense()
+    C = dense_matrix(commutator_matrix(PARAMS, 2.0, g))
     scale = np.max(np.abs(C))
     assert np.max(np.abs(C - C.conj().T)) <= 1e-12 * scale
-    D = double_commutator_matrix(PARAMS, 2.0, g).dense()
+    D = dense_matrix(double_commutator_matrix(PARAMS, 2.0, g))
     scale = np.max(np.abs(D))
     assert np.max(np.abs(D - D.conj().T)) <= 1e-12 * scale
 
@@ -280,7 +281,7 @@ def test_hs_matches_spectral_calculus_complex_generator():
     g = RadialGrid(r0=0.25, r_max=12.0, N=120)
     op = generator_matrix(PARAMS, 2.0, g)
     assert np.max(np.abs(np.imag(op.diagonals[1]))) > 0.0
-    H = op.dense()
+    H = dense_matrix(op)
     H = H * (2.5 / float(np.max(np.abs(np.linalg.eigvalsh(H)))))
     out = hs_calculus(f, H, u_range=f.support)
     assert np.linalg.norm(out - spectral_calculus(f, H), 2) <= 1e-6
@@ -512,8 +513,8 @@ def test_double_commutator_norm_matches_dense_window(n_points, K_max, C):
         if m.window_size == 0:
             assert m.double_commutator is None
             continue
-        H = discretize(mode_operator_spec(CONFIG, m.k, spectrum=spectrum),
-                       grid).dense()
+        H = dense_matrix(discretize(
+            mode_operator_spec(CONFIG, m.k, spectrum=spectrum), grid))
         evals, evecs = np.linalg.eigh(H)
         f = cutoff.values(evals)
         window = ((f >= mourre._WINDOW_FLOOR)
@@ -521,7 +522,8 @@ def test_double_commutator_norm_matches_dense_window(n_points, K_max, C):
                      <= mourre._EXCLUSION_MASS))
         U, f_w = evecs[:, window], f[window]
         assert U.shape[1] == m.window_size
-        D = double_commutator_matrix(PARAMS, spectrum.nu(m.k), grid).dense()
+        D = dense_matrix(
+            double_commutator_matrix(PARAMS, spectrum.nu(m.k), grid))
         form = f_w[:, None] * (U.conj().T @ D @ U) * f_w[None, :]
         expected = np.linalg.norm(form, 2) / lam
         assert m.double_commutator == pytest.approx(expected, rel=1e-8)

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from hyplab.errors import ConfigError
 from hyplab import weights
-from hyplab.weights import (chi_sqrt_eval, gram_below, mode_weight_vector,
-                            nu_from_mu, polynomial_weight_vector, profile_eval,
+from hyplab.weights import (gram_below, mode_weight_vector,
+                            polynomial_weight_vector, profile_eval,
                             quantize_and_factor_check, symbol_weight,
-                            temperate_check, unboundedness_demo, xi_sqrt_eval)
+                            temperate_check, unboundedness_demo)
+
+from conftest import chi_sqrt_eval, xi_sqrt_eval
 
 
 # ----------------------------------------------------------------------------
@@ -170,11 +172,6 @@ def test_mode_weight_inverse_pair():
 def test_mode_weight_rejects_nu_below_one():
     with pytest.raises(ConfigError):
         mode_weight_vector(np.array([1.0]), 0.5, 1.0)
-
-
-def test_nu_from_mu():
-    assert nu_from_mu(0.0) == 1.0
-    assert nu_from_mu(3.0) == 2.0
 
 
 def test_polynomial_weight():
