@@ -229,8 +229,10 @@ def _run_flow(ctx):
 
     cfg = ctx.config
     lam = float(cfg["lambda"])
+    if cfg["k"] < 0:
+        raise ConfigError(f"mode index k = {cfg['k']} must be >= 0")
     params = ConjugateParams.from_lambda(lam)
-    spectrum = build_spectrum(cfg["cross_section"], max(cfg["k"], 0))
+    spectrum = build_spectrum(cfg["cross_section"], cfg["k"])
     nu = spectrum.nu(cfg["k"])
     field = a_k_field(params, nu)
     r = np.linspace(cfg["r0"], cfg["r_max"], cfg["n_points"])
@@ -268,28 +270,27 @@ def _run_flow(ctx):
 
 def _run_mourre(ctx):
     from hyplab.model import ModelConfig
-    from hyplab.mourre import default_positivity_grid, mourre_positivity_check
+    from hyplab.mourre import mourre_positivity_check
 
     cfg = ctx.config
     lam = float(cfg["lambda"])
-    grid = default_positivity_grid(lam, r0=cfg["r0"])
     model = ModelConfig(n=cfg["n"], r0=cfg["r0"],
                         cross_section=cfg["cross_section"])
     with ctx.stage("mourre_positivity_check"):
-        report = mourre_positivity_check(lam, cfg["s0"], grid, cfg["K_max"],
+        report = mourre_positivity_check(lam, cfg["s0"], cfg["K_max"],
                                          config=model, C=cfg["C"])
     payload = dict(report.to_dict())
     payload["schema"] = _SCHEMA
     payload["experiment"] = "mourre"
     _atomic_json(ctx.path("summary.json"), payload)
-    rows = [(m.k, m.mu, m.window_size, m.excluded,
+    rows = [(m.k, m.mu, m.window_size,
              m.min_eig if m.min_eig is not None else math.nan,
              m.double_commutator if m.double_commutator is not None
              else math.nan)
             for m in report.per_mode]
     write_csv(ctx.path("per_mode.csv"),
-              ["k", "mu", "window_size", "excluded", "min_eig",
-               "double_commutator"], rows)
+              ["k", "mu", "window_size", "min_eig", "double_commutator"],
+              rows)
     return payload, report.passed
 
 

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from hyplab.errors import ConfigError, NumericalFailure
-from hyplab.linops import RadialGrid, weighted_operator_norm
+from hyplab.linops import resolved_grid, weighted_operator_norm
 from hyplab.model import ModelConfig, mode_operator_spec
 from hyplab.pool import parallel_map
 from hyplab.weights import mode_weight_vector, polynomial_weight_vector
@@ -60,15 +60,12 @@ def limiting_absorption(op, lam, w_left, w_right, norm_tol=1e-6, start=None):
 
 
 def sweep_grid(lam, r0=0.25, refine=1.0):
-    """Grid for the sweep at energy lam: box 2R + 5 with resolution tied to
-    the local wavelength, h <= min(0.1, 1 / sqrt(lam)), and refine times as
-    many points.  At that step Numerov's pencil reads N within about 1 % of
-    its converged value, where the order-2 stencil read about 3 % high at
-    half the step."""
+    """Grid for the sweep at energy lam: the box 2R + 5 on linops'
+    resolved_grid.  At the rule's step Numerov's pencil reads N within about
+    1 % of its converged value, where the order-2 stencil read about 3 % high
+    at half the step."""
     r_max = 2.0 * math.log(5.0 * lam) + 5.0
-    h = min(0.1, 1.0 / math.sqrt(lam))
-    n_points = int(math.ceil((r_max - r0) / h))
-    return RadialGrid(r0=r0, r_max=r_max, N=int(round(n_points * refine)))
+    return resolved_grid(lam, r_max, r0=r0, refine=refine)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -68,6 +68,17 @@ class RadialGrid:
         return self.r0 + self.h * np.arange(1, self.N + 1)
 
 
+def resolved_grid(lam, r_max, r0=0.25, refine=1.0):
+    """The grid of every energy-dependent computation: (r0, r_max) at a step
+    tied to the local wavelength, h = min(0.1, lam^{-1/2}), with refine times
+    as many points.  ConfigError unless lam is positive and finite."""
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ConfigError(f"energy {lam} must be positive and finite")
+    h = min(0.1, 1.0 / math.sqrt(lam))
+    n_points = int(math.ceil((r_max - r0) / h))
+    return RadialGrid(r0=r0, r_max=r_max, N=int(round(n_points * refine)))
+
+
 # The mass M of a pencil, as constant (lower, main, upper) diagonals: the
 # identity, and Numerov's M = tridiag(1, 10, 1)/12.  Both are real symmetric.
 _IDENTITY_MASS = (0.0, 1.0, 0.0)

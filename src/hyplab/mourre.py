@@ -34,7 +34,8 @@ import numpy as np
 
 from hyplab.conjugate import ConjugateParams, a_k_derivs
 from hyplab.errors import ConfigError, NumericalFailure
-from hyplab.linops import DiscreteOperator, RadialGrid, discretize, hermitian_eig
+from hyplab.linops import (DiscreteOperator, RadialGrid, discretize,
+                           hermitian_eig, resolved_grid)
 from hyplab.model import ModelConfig, mode_operator_spec
 from hyplab.weights import SpectralCutoff, profile_eval
 
@@ -326,7 +327,6 @@ class ModePositivity:
     k: int
     mu: float
     window_size: int
-    excluded: int
     min_eig: float | None
     # ||f U*[[H, A], A]U f||_2 / lam over the window states U
     double_commutator: float | None
@@ -336,6 +336,7 @@ class ModePositivity:
 class PositivityReport:
     lam: float
     C: float
+    grid: RadialGrid
     delta_lambda: float
     min_eig_ratio: float | None
     per_mode: list
@@ -346,6 +347,9 @@ class PositivityReport:
         return {
             "lambda": self.lam,
             "C": self.C,
+            "n_points": self.grid.N,
+            "r_max": self.grid.r_max,
+            "h": self.grid.h,
             "delta_lambda": self.delta_lambda,
             "min_eig_ratio": self.min_eig_ratio,
             "double_commutator_ratio": self.double_commutator_ratio,
@@ -370,27 +374,14 @@ class PositivityReport:
         return ratio is not None and ratio >= -_RATIO_TOL
 
 
-def default_positivity_grid(lam, n_points=1200, r0=0.25):
-    """Grid sized for the positivity check at energy lam: the box grows a bit
-    faster than the cutoff scale R so the transition region loses relative
-    weight along the lambda ladder."""
-    R = math.log(5.0 * lam)
-    r_max = max(2.0 * R + 5.0, 0.5 * R**2)
-    return RadialGrid(r0=r0, r_max=r_max, N=n_points)
-
-
 # PositivityReport.passed accepts min-eig / lam >= -_RATIO_TOL
 _RATIO_TOL = 0.1
 # window eigenpairs with f_lam(E) below this floor do not contribute
 _WINDOW_FLOOR = 1e-3
-# The band next to the Dirichlet wall at r_max is the last _CAP_FRACTION of
-# the box; window states with more than _EXCLUSION_MASS of their mass in it
-# are flagged as boundary reflections.  _CAP_FRACTION must stay below
-# _EXCLUSION_MASS: a fully delocalized standing wave carries roughly
-# _CAP_FRACTION of its mass in the band, and must not be misclassified as a
-# reflection artifact.
-_CAP_FRACTION = 0.1
-_EXCLUSION_MASS = 0.2
+# The check's grid has _REFINE times the points of linops.resolved_grid,
+# h sqrt(lam) <= 1/4: the order-2 Dirichlet stencil of the box needs a finer
+# step than Numerov's pencil of the sweep.
+_REFINE = 4.0
 
 
 def _window_form(op, U):
@@ -400,31 +391,40 @@ def _window_form(op, U):
     )
 
 
-def mourre_positivity_check(lam, s0, grid, K_max, config=None, C=10.0):
+def mourre_positivity_check(lam, s0, K_max, config=None, C=10.0):
     """Verify the localized positive-commutator estimate at energy lam, in
     one pass on the window of width delta = (log lam)^{-2 s0} lam^{1/2} / C.
 
-    Per mode k: windowed eigenpairs of the Hermitian truncation H_k, the
-    weighted commutator form f(H) i[H,A] f(H) - lam f(H)^2 restricted to the
-    spectral window, and its minimum eigenvalue; and the norm of
-    f(H) [[H,A],A] f(H) on the same window, over lam.  Returns a
-    PositivityReport with min_k min-eig / lam, the largest of those norms and
-    the deficit terms of the continuum estimate; its ``passed`` is the
-    verdict.  The resolvent-weight scale is the non-trapping lam^{-1/2}.
+    The grid is linops.resolved_grid with _REFINE times its points, on the
+    box max(2R + 5, R^2/2) from config.r0: the box grows a bit faster than
+    the cutoff scale R, so the transition region loses relative weight along
+    the lambda ladder.  Per mode k: windowed eigenpairs of the Hermitian
+    truncation H_k, the weighted commutator form f(H) i[H,A] f(H) - lam f(H)^2
+    restricted to the spectral window, and its minimum eigenvalue; and the
+    norm of f(H) [[H,A],A] f(H) on the same window, over lam.  Returns a
+    PositivityReport with the grid, min_k min-eig / lam, the largest of those
+    norms and the deficit terms of the continuum estimate; its ``passed`` is
+    the verdict.  The resolvent-weight scale is the non-trapping lam^{-1/2}.
     ConfigError unless C > 0.
     """
     if not C > 0:
         raise ConfigError(f"C = {C} must be positive")
     if config is None:
-        config = ModelConfig(n=2, r0=grid.r0, cross_section={"kind": "circle"})
+        config = ModelConfig(n=2, r0=0.25, cross_section={"kind": "circle"})
     params = ConjugateParams.from_lambda(lam)
     params.validate(config.r0)
-    if grid.r_max < 2.0 * params.R + 5.0:
-        raise ConfigError("grid must extend to at least 2R + 5")
+    R = params.R
+    grid = resolved_grid(lam, max(2.0 * R + 5.0, 0.5 * R**2), r0=config.r0,
+                         refine=_REFINE)
     spectrum = config.spectrum(K_max)
-    r_abs = grid.r_max - _CAP_FRACTION * (grid.r_max - grid.r0)
-    if math.log(spectrum.nu(len(spectrum) - 1)) > r_abs - 2.0:
-        raise ConfigError("K_max too large for the grid (log nu exceeds r_abs - 2)")
+    # a_k switches on with xi_S(r - log nu_k), which is 1 from
+    # r = log nu_k - S/2 on.  K_max comes from the config: refuse a top mode
+    # whose log nu_K lies within 2 of the last tenth of the box, where its
+    # generator would still be taking shape against the wall at r_max.
+    if math.log(spectrum.nu(len(spectrum) - 1)) > (
+            grid.r_max - 0.1 * (grid.r_max - grid.r0) - 2.0):
+        raise ConfigError("K_max too large for the grid (log nu_K exceeds "
+                          "r_max - (r_max - r0)/10 - 2)")
     rho = lam ** -0.5
     delta = (math.log(lam)) ** (-2.0 * s0) / (rho * C)
     cutoff = SpectralCutoff(lam=lam, delta=delta)
@@ -432,11 +432,10 @@ def mourre_positivity_check(lam, s0, grid, K_max, config=None, C=10.0):
     lo, hi = lam - cutoff.support_halfwidth, lam + cutoff.support_halfwidth
     per_mode = []
     min_ratio = None
-    cap_region = r >= r_abs
     deficit_r = 0.0
     deficit_chi = 0.0
     contributing = 0
-    chi_r = profile_eval("chi", r / params.R)
+    chi_r = profile_eval("chi", r / R)
     inv_bracket_r = 1.0 / np.sqrt(1.0 + r**2)
     for k in range(len(spectrum)):
         spec_k = mode_operator_spec(config, k, spectrum=spectrum)
@@ -444,22 +443,12 @@ def mourre_positivity_check(lam, s0, grid, K_max, config=None, C=10.0):
         evals, evecs = hermitian_eig(op, select_range=(lo, hi))
         fvals = cutoff.values(evals)
         keep = fvals >= _WINDOW_FLOOR
-        excluded = 0
-        if keep.any():
-            mass = np.sum(np.abs(evecs[cap_region][:, keep]) ** 2, axis=0)
-            reflect = mass > _EXCLUSION_MASS
-            excluded = int(np.count_nonzero(reflect))
-            kidx = np.nonzero(keep)[0][~reflect]
-        else:
-            kidx = np.array([], dtype=int)
-        if kidx.size == 0:
-            per_mode.append(
-                ModePositivity(k, spectrum.mu(k), 0, excluded, None, None)
-            )
+        if not keep.any():
+            per_mode.append(ModePositivity(k, spectrum.mu(k), 0, None, None))
             continue
         contributing += 1
-        U = evecs[:, kidx]
-        f_w = fvals[kidx]
+        U = evecs[:, keep]
+        f_w = fvals[keep]
         nu = spectrum.nu(k)
         comm_win = _window_form(commutator_matrix(params, nu, grid), U)
         comm_win = 0.5 * (comm_win + np.conj(comm_win.T))
@@ -469,8 +458,7 @@ def mourre_positivity_check(lam, s0, grid, K_max, config=None, C=10.0):
         second = float(np.linalg.norm(
             f_w[:, None] * _window_form(D, U) * f_w[None, :], 2)) / lam
         per_mode.append(
-            ModePositivity(k, spectrum.mu(k), int(kidx.size), excluded, m_k,
-                           second)
+            ModePositivity(k, spectrum.mu(k), int(keep.sum()), m_k, second)
         )
         if min_ratio is None or m_k / lam < min_ratio:
             min_ratio = m_k / lam
@@ -484,8 +472,8 @@ def mourre_positivity_check(lam, s0, grid, K_max, config=None, C=10.0):
         )
     if contributing == 0:
         raise NumericalFailure(
-            "no mode produced a nonempty spectral window; delta too small "
-            "for the grid resolution"
+            "no mode produced a nonempty spectral window; delta is below "
+            "the level spacing of every mode's box"
         )
     deficits = {
         "f_inv_bracket_r": deficit_r,
@@ -496,6 +484,7 @@ def mourre_positivity_check(lam, s0, grid, K_max, config=None, C=10.0):
     return PositivityReport(
         lam=lam,
         C=C,
+        grid=grid,
         delta_lambda=delta,
         min_eig_ratio=min_ratio,
         per_mode=per_mode,

@@ -33,11 +33,10 @@ from hyplab.conjugate import (
     unitary_apply,
 )
 from hyplab.laplab import SweepConfig, fit_scaling, lambda_sweep, sweep_grid
-from hyplab.linops import RadialGrid, discretize, hermitian_eig
+from hyplab.linops import RadialGrid, discretize, hermitian_eig, resolved_grid
 from hyplab.model import ModelConfig, build_spectrum, mode_operator_spec
 from hyplab.mourre import (
     commutator_matrix,
-    default_positivity_grid,
     double_commutator_matrix,
     hs_calculus,
     mourre_positivity_check,
@@ -256,9 +255,10 @@ def test_criterion_09_positive_commutator():
     with criterion(9, "positive commutator estimate", 600.0):
         reports = {}
         for lam in (1e2, 1e3):
-            grid = default_positivity_grid(lam)
-            assert grid.N == 1200
-            rep = mourre_positivity_check(lam, 1.0, grid, 48)
+            rep = mourre_positivity_check(lam, 1.0, 48)
+            R = math.log(5.0 * lam)
+            assert rep.grid == resolved_grid(
+                lam, max(2.0 * R + 5.0, 0.5 * R**2), r0=0.25, refine=4.0)
             assert rep.min_eig_ratio is not None
             assert rep.min_eig_ratio >= -0.1
             reports[lam] = rep

@@ -125,7 +125,7 @@ def test_invalid_config_exits_one(tmp_path):
                 "cap_exponent", "cap_fraction", "rel_tol"):
         assert run(["sweep", "--out", out, "--set", f"{key}=1"]) == 1
     # So are the C-doubling switch and the point counts: the mourre check
-    # takes one pass on the library's grid, and the sweep ties its step to
+    # takes one pass on a grid of its own, and the sweep ties its step to
     # lambda.
     for argv in (["mourre", "--set", "auto_calibrate=false"],
                  ["mourre", "--set", "n_points=1200"],
@@ -254,6 +254,16 @@ def test_flow_keeps_phi_on_the_grid_at_negative_times(tmp_path):
     assert len(defects) == 4 and max(defects) <= 1e-5
 
 
+def test_flow_negative_mode_index_exits_one(tmp_path):
+    # k = -1 would index the spectrum from its end and write mode 0's flow
+    out = tmp_path / "flow"
+    assert run(["flow", "--out", str(out), "--set", "k=-1",
+                "--set", "n_points=50"]) == 1
+    manifest = _manifest(out)
+    assert manifest["status"] == "invalid"
+    assert not (out / "flow.csv").exists()
+
+
 def test_failed_stage_is_recorded_in_the_manifest(tmp_path):
     out = tmp_path / "mourre"
     rc = run(["mourre", "--out", str(out), "--set", "K_max=4"])
@@ -292,7 +302,7 @@ def test_mourre_check_reports_positivity(tmp_path):
     assert summary["min_eig_ratio"] >= -0.1
     assert summary["contributing_modes"] >= 1
     lines = _read(out / "per_mode.csv").strip().splitlines()
-    assert lines[0] == "k,mu,window_size,excluded,min_eig,double_commutator"
+    assert lines[0] == "k,mu,window_size,min_eig,double_commutator"
     # Modes k = 0 .. K_max inclusive, one row each.
     assert len(lines) == 18
     # the double commutator: one finite value per contributing mode, their
@@ -312,13 +322,15 @@ def test_mourre_check_verdict_is_the_calibration_policy(tmp_path,
     # --check accepts exactly the reports that PositivityReport.passed
     # accepts: min-eig / lam >= -mourre._RATIO_TOL, whatever that constant is.
     from hyplab import mourre
+    from hyplab.linops import resolved_grid
 
     ratio = {}
 
     def fake_check(lam, *args, **kwargs):
         return mourre.PositivityReport(
-            lam=lam, C=10.0, delta_lambda=1.0, min_eig_ratio=ratio["value"],
-            per_mode=[], deficits={}, contributing_modes=1)
+            lam=lam, C=10.0, grid=resolved_grid(lam, 20.0), delta_lambda=1.0,
+            min_eig_ratio=ratio["value"], per_mode=[], deficits={},
+            contributing_modes=1)
 
     monkeypatch.setattr(mourre, "mourre_positivity_check", fake_check)
     monkeypatch.setattr(mourre, "_RATIO_TOL", 0.3)
@@ -336,6 +348,32 @@ def test_mourre_nonpositive_C_exits_one(tmp_path, C):
     manifest = _manifest(out)
     assert manifest["status"] == "invalid"
     assert "must be positive" in manifest["diagnostic"]
+
+
+@pytest.mark.parametrize("lam", ["0", "-5"])
+def test_mourre_nonpositive_lambda_exits_one(tmp_path, lam):
+    out = tmp_path / "mourre"
+    assert run(["mourre", "--out", str(out), "--set", f"lambda={lam}"]) == 1
+    manifest = _manifest(out)
+    assert manifest["status"] == "invalid"
+    assert "lambda must be positive" in manifest["diagnostic"]
+
+
+def test_mourre_check_passes_at_the_sweep_energies(tmp_path):
+    # The check builds its grid from the sweep's rule at every energy, four
+    # times as fine: h sqrt(lambda) <= 1/4.
+    from hyplab.cli import _DEFAULTS
+
+    for lam in _DEFAULTS["sweep"]["lambdas"]:
+        out = tmp_path / _fmt(lam)
+        assert run(["mourre", "--out", str(out), "--check",
+                    "--set", f"lambda={lam!r}"]) == 0
+        summary = json.loads(_read(out / "summary.json"))
+        assert summary["h"] * math.sqrt(lam) <= 0.25
+        print(f"mourre lambda = {lam:.6g}: n_points {summary['n_points']}, "
+              f"min_eig_ratio {summary['min_eig_ratio']:.4f}, "
+              f"double_commutator_ratio "
+              f"{summary['double_commutator_ratio']:.2f}")
 
 
 def test_mourre_manifest_times_the_positivity_check(tmp_path):

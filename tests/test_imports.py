@@ -271,3 +271,27 @@ def test_every_parameter_with_a_default_has_a_caller_that_sets_it():
                    for call, count, keywords, starred in calls.get(callee, ())):
             never_set.add(f"{module}.{callee}({name})")
     assert never_set == set()
+
+
+def test_every_grid_comes_from_the_resolution_rule():
+    # RadialGrid is called in one place in the package: inside
+    # linops.resolved_grid, the rule that ties the step to the energy
+    paths = sorted(glob.glob(os.path.join(_SRC, "hyplab", "*.py")))
+    assert len(paths) >= 10
+    inside_rule = []
+    outside = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        rule = {id(node) for definition in tree.body
+                if isinstance(definition, ast.FunctionDef)
+                and definition.name == "resolved_grid"
+                and os.path.basename(path) == "linops.py"
+                for node in ast.walk(definition)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and _mentions(node.func) == {"RadialGrid"}):
+                site = f"{os.path.relpath(path, _SRC)}:{node.lineno}"
+                (inside_rule if id(node) in rule else outside).append(site)
+    assert len(inside_rule) == 1
+    assert outside == []

@@ -11,7 +11,7 @@ from hyplab import linops
 from hyplab.errors import ConfigError, NumericalFailure
 from hyplab.linops import (DiscreteOperator, RadialGrid, ShiftedSolver,
                            discretize, hermitian_eig, outgoing_root,
-                           weighted_operator_norm)
+                           resolved_grid, weighted_operator_norm)
 from hyplab.model import ModelConfig, mode_operator_spec
 
 from conftest import dense_matrix, make_mode_operator, schur_bound
@@ -74,6 +74,24 @@ def test_grid_spacing_and_points():
     g = RadialGrid(r0=0.0, r_max=1.0, N=9)
     assert g.h == pytest.approx(0.1)
     assert g.points() == pytest.approx(np.linspace(0.1, 0.9, 9))
+
+
+def test_resolved_grid_ties_its_step_to_the_wavelength():
+    # h = min(0.1, lam^{-1/2}) up to the ceiling on the point count, and
+    # refine times as many points
+    for lam in (10.0, 100.0, 1e4):
+        g = resolved_grid(lam, 30.0)
+        step = min(0.1, 1.0 / math.sqrt(lam))
+        assert (g.r0, g.r_max) == (0.25, 30.0)
+        assert g.N == math.ceil(29.75 / step)
+        assert 0.99 * step <= g.h <= step
+    assert resolved_grid(100.0, 30.0, r0=0.5, refine=4.0).N == 4 * 295
+
+
+@pytest.mark.parametrize("lam", [0.0, -5.0, math.nan, math.inf])
+def test_resolved_grid_refuses_an_unphysical_energy(lam):
+    with pytest.raises(ConfigError):
+        resolved_grid(lam, 30.0)
 
 
 def test_d2_stencil_rows():

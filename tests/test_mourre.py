@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from hyplab import mourre
-from hyplab.conjugate import ConjugateParams, a_k_eval
+from hyplab.conjugate import ConjugateParams, a_k_derivs, a_k_eval
 from hyplab.errors import ConfigError, NumericalFailure, RegimeError
 from hyplab.linops import RadialGrid, discretize, hermitian_eig
 from hyplab.model import ModelConfig, mode_operator_spec
-from hyplab.mourre import (commutator_matrix, default_positivity_grid,
-                           double_commutator_matrix, hs_calculus,
-                           mourre_positivity_check)
+from hyplab.mourre import (commutator_matrix, double_commutator_matrix,
+                           hs_calculus, mourre_positivity_check)
 from hyplab.weights import SpectralCutoff, profile_eval
 
 from conftest import (WIDE_BUMP, WideBump, chi_sqrt_eval, dense_matrix,
@@ -29,6 +28,12 @@ CONFIG = ModelConfig(n=2, r0=0.25,
 
 def _grid(N=1200, r_max=20.0):
     return RadialGrid(r0=0.25, r_max=r_max, N=N)
+
+
+# 400 points on the positivity check's box at lambda = 100
+_BOX_400 = RadialGrid(r0=0.25,
+                      r_max=max(2.0 * PARAMS.R + 5.0, 0.5 * PARAMS.R**2),
+                      N=400)
 
 
 # ----------------------------------------------------------------------------
@@ -191,7 +196,7 @@ def test_xi_plateau_region():
 
 
 def test_semiclassical_bound_frozen_value_and_formula():
-    g = default_positivity_grid(100.0, n_points=400)
+    g = _BOX_400
     lhs, rhs, ok = semiclassical_bound_check(100.0, 1j, [1.0, 10.0], g)
     assert ok and lhs <= rhs
     gap = 400.0 - math.exp(-2.0 * PARAMS.R) - 100.0
@@ -217,7 +222,7 @@ def test_semiclassical_gap_arithmetic():
 
 
 def test_semiclassical_regime_errors():
-    g = default_positivity_grid(100.0, n_points=400)
+    g = _BOX_400
     with pytest.raises(RegimeError):
         semiclassical_bound_check(100.0, 2.0 + 0.0j, [1.0], g)
     # tau so small that Re z / tau destroys the gap
@@ -488,26 +493,23 @@ def test_hs_nodes_evaluate_each_order_once_per_u_set(depth, base):
 
 def test_positivity_scale_ordering_enforced():
     # S <= r0 + 1 violates the cutoff-scale ordering
-    g = _grid(N=600)
     with pytest.raises(ConfigError):
-        mourre_positivity_check(0.8, 1.0, g, 4, config=CONFIG)
+        mourre_positivity_check(0.8, 1.0, 4, config=CONFIG)
 
 
-@pytest.mark.parametrize("n_points, K_max, C",
-                         [(1200, 48, 10.0), (600, 16, 0.5)],
+@pytest.mark.parametrize("K_max, C", [(48, 10.0), (16, 0.5)],
                          ids=["defaults", "wide-window"])
-def test_double_commutator_norm_matches_dense_window(n_points, K_max, C):
+def test_double_commutator_norm_matches_dense_window(K_max, C):
     # Each contributing mode's ||f U*[[H,A],A]U f||_2 / lam, recomputed from
-    # the dense eigendecomposition of H_k, the same window rules and the
-    # dense second commutator.  At the defaults each window holds one state
-    # with f = 1; the wide window holds up to two, with f < 1.
+    # the dense eigendecomposition of H_k on the report's grid, the same
+    # window floor and the dense second commutator.  At the defaults each
+    # window holds one state with f = 1; the wide window holds up to two,
+    # with f < 1.
     lam = 100.0
-    grid = default_positivity_grid(lam, n_points=n_points)
-    rep = mourre_positivity_check(lam, 1.0, grid, K_max, config=CONFIG, C=C)
+    rep = mourre_positivity_check(lam, 1.0, K_max, config=CONFIG, C=C)
+    grid = rep.grid
     spectrum = CONFIG.spectrum(K_max)
     cutoff = SpectralCutoff(lam=lam, delta=rep.delta_lambda)
-    r = grid.points()
-    band = r >= grid.r_max - mourre._CAP_FRACTION * (grid.r_max - grid.r0)
     values = []
     for m in rep.per_mode:
         if m.window_size == 0:
@@ -517,9 +519,7 @@ def test_double_commutator_norm_matches_dense_window(n_points, K_max, C):
             mode_operator_spec(CONFIG, m.k, spectrum=spectrum), grid))
         evals, evecs = np.linalg.eigh(H)
         f = cutoff.values(evals)
-        window = ((f >= mourre._WINDOW_FLOOR)
-                  & (np.sum(np.abs(evecs[band]) ** 2, axis=0)
-                     <= mourre._EXCLUSION_MASS))
+        window = f >= mourre._WINDOW_FLOOR
         U, f_w = evecs[:, window], f[window]
         assert U.shape[1] == m.window_size
         D = dense_matrix(
@@ -531,6 +531,60 @@ def test_double_commutator_norm_matches_dense_window(n_points, K_max, C):
     assert len(values) == rep.contributing_modes >= 1
     assert rep.double_commutator_ratio == max(
         m.double_commutator for m in rep.per_mode if m.window_size)
+
+
+# Largest relative gap measured between each commutator's form on a window
+# state and the integral of its symbol, first and second, on the check's
+# grid: 5.9e-6 and 1.4e-4 at lambda = 1e2 (764 points), where |psi|^2 is not
+# yet flat across the cutoff transitions, 1.0e-13 and 4.7e-11 at 1e3 (4,560
+# points), and 3.6e-15 for both at 1e4 (23,316 points).  The tolerances are
+# ten times the gaps at 1e2, and 1e-9 where the gap is rounding.
+@pytest.mark.parametrize("lam, rtol_first, rtol_second",
+                         [(1e2, 6e-5, 1.5e-3), (1e3, 1e-9, 1e-9),
+                          (1e4, 1e-9, 1e-9)], ids=["1e2", "1e3", "1e4"])
+def test_commutators_match_their_symbols_on_window_states(lam, rtol_first,
+                                                          rtol_second):
+    # For an eigenstate psi of H_k at energy E, <psi, D c D psi> is close to
+    # the integral of |psi|^2 c (E - (n-1)^2/4 - V)_+, V = mu_k e^{-2r}, so
+    # each form is close to the integral of |psi|^2 times the symbol
+    #   s1 = 2a'(E - (n-1)^2/4 - V)_+ + 2aV - a'''/2,
+    #   s2 = 2(a a'' - 2a'^2)(E - (n-1)^2/4 - V)_+ + 2aV(a' - 2a)
+    #        + a'a''' + a''^2 - a a''''/2,
+    # built here from a_k_derivs alone, not from the flux form.
+    K_max = 48
+    rep = mourre_positivity_check(lam, 1.0, K_max, config=CONFIG)
+    grid, r = rep.grid, rep.grid.points()
+    params = ConjugateParams.from_lambda(lam)
+    spectrum = CONFIG.spectrum(K_max)
+    cutoff = SpectralCutoff(lam=lam, delta=rep.delta_lambda)
+    window = (lam - cutoff.support_halfwidth, lam + cutoff.support_halfwidth)
+    states = 0
+    for m in rep.per_mode:
+        if m.window_size == 0:
+            continue
+        op = discretize(mode_operator_spec(CONFIG, m.k, spectrum=spectrum),
+                        grid)
+        evals, evecs = hermitian_eig(op, select_range=window)
+        keep = cutoff.values(evals) >= mourre._WINDOW_FLOOR
+        assert np.count_nonzero(keep) == m.window_size
+        nu = spectrum.nu(m.k)
+        a = a_k_derivs(params, nu, r, 4)
+        V = (nu**2 - 1.0) * np.exp(-2.0 * r)
+        first = commutator_matrix(params, nu, grid)
+        second = double_commutator_matrix(params, nu, grid)
+        for E, psi in zip(evals[keep], evecs[:, keep].T):
+            kinetic = np.maximum(E - CONFIG.shift - V, 0.0)
+            s1 = 2.0 * a[1] * kinetic + 2.0 * a[0] * V - 0.5 * a[3]
+            s2 = (2.0 * (a[0] * a[2] - 2.0 * a[1] ** 2) * kinetic
+                  + 2.0 * a[0] * V * (a[1] - 2.0 * a[0])
+                  + a[1] * a[3] + a[2] ** 2 - 0.5 * a[0] * a[4])
+            density = np.abs(psi) ** 2
+            assert np.vdot(psi, first.matvec(psi)).real == pytest.approx(
+                density @ s1, rel=rtol_first)
+            assert np.vdot(psi, second.matvec(psi)).real == pytest.approx(
+                density @ s2, rel=rtol_second)
+            states += 1
+    assert states >= rep.contributing_modes >= 3
 
 
 def test_hs_certifies_the_result_at_the_spectrum():
