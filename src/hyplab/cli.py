@@ -95,7 +95,24 @@ def load_config(experiment, path, overrides):
         raise ConfigError(
             f"unknown config keys for {experiment}: {sorted(unknown)}"
         )
+    _check_numbers(config, _DEFAULTS[experiment], "")
     return config
+
+
+def _check_numbers(config, defaults, prefix):
+    """ConfigError unless each value whose default is an int is an int, and
+    each whose default is a float an int or a float, in nested sections
+    too; a bool is neither."""
+    for key, value in config.items():
+        default = defaults.get(key)
+        if isinstance(default, dict) and isinstance(value, dict):
+            _check_numbers(value, default, f"{prefix}{key}.")
+        elif type(default) in (int, float) and (
+                isinstance(value, bool)
+                or not isinstance(value, (int, type(default)))):
+            kind = "an integer" if type(default) is int else "a number"
+            raise ConfigError(
+                f"{prefix}{key} = {json.dumps(value)} is not {kind}")
 
 
 def config_hash(config):
@@ -149,7 +166,10 @@ def _atomic_json(path, payload):
 
 
 class RunContext:
-    def __init__(self, experiment, config, out_dir, workers, seed):
+    """One run's config, output directory and manifest; workers and seed
+    are None where the subcommand takes no such flag."""
+
+    def __init__(self, experiment, config, out_dir, workers=None, seed=None):
         self.experiment = experiment
         self.config = config
         self.out_dir = out_dir
@@ -178,15 +198,13 @@ class RunContext:
             self.tasks.append({"name": name, "status": status,
                                "wall_time": time.time() - t0})
 
-    def finish(self, status="ok", diagnostic=None):
+    def finish(self, status, diagnostic=None):
         manifest = {
             "schema": _SCHEMA,
             "tool_version": hyplab.__version__,
             "experiment": self.experiment,
             "config_hash": config_hash(self.config),
             "resolved_config": self.config,
-            "workers": self.workers,
-            "seed": self.seed,
             "status": status,
             "diagnostic": diagnostic,
             "tasks": self.tasks,
@@ -203,6 +221,10 @@ class RunContext:
                                or k.startswith("OPENBLAS")},
             },
         }
+        # workers and seed where the run takes them
+        manifest.update((name, value) for name, value
+                        in (("workers", self.workers), ("seed", self.seed))
+                        if value is not None)
         _atomic_json(os.path.join(self.out_dir, "manifest.json"), manifest)
 
 
@@ -224,8 +246,7 @@ def _run_spectrum(ctx):
 
 
 def _run_flow(ctx):
-    from hyplab.conjugate import (ConjugateParams, a_k_field, flow_integrate,
-                                  unitary_apply)
+    from hyplab.conjugate import ConjugateParams, flow_integrate, unitary_apply
 
     cfg = ctx.config
     lam = float(cfg["lambda"])
@@ -234,7 +255,6 @@ def _run_flow(ctx):
     params = ConjugateParams.from_lambda(lam)
     spectrum = build_spectrum(cfg["cross_section"], cfg["k"])
     nu = spectrum.nu(cfg["k"])
-    field = a_k_field(params, nu)
     r = np.linspace(cfg["r0"], cfg["r_max"], cfg["n_points"])
     times = [float(t) for t in cfg["t_values"]]
     # One chained pass per sign in order of increasing |t|: each time
@@ -243,7 +263,7 @@ def _run_flow(ctx):
     for t in sorted(set(times), key=lambda t: (t < 0.0, abs(t))):
         start = last if last is not None and last.t * t > 0.0 else None
         with ctx.stage(f"flow_integrate t={_fmt(t)}"):
-            last = flows[t] = flow_integrate(field, t, r, start=start)
+            last = flows[t] = flow_integrate(params, nu, t, r, start=start)
     rows = []
     for t in times:
         rows.extend((t, ri, gi, di) for ri, gi, di
@@ -523,14 +543,17 @@ def _run_report(ctx):
             "sections": sorted(seen)}, True
 
 
+# Each subcommand's runner and the flags it takes besides --config, --set,
+# --check and --out.  Each such flag sets the RunContext field of its name,
+# which the runner reads.
 _RUNNERS = {
-    "spectrum": _run_spectrum,
-    "flow": _run_flow,
-    "mourre": _run_mourre,
-    "sweep": _run_sweep,
-    "testbed": _run_testbed,
-    "weights": _run_weights,
-    "report": _run_report,
+    "spectrum": (_run_spectrum, ()),
+    "flow": (_run_flow, ()),
+    "mourre": (_run_mourre, ()),
+    "sweep": (_run_sweep, ("workers",)),
+    "testbed": (_run_testbed, ("workers", "seed")),
+    "weights": (_run_weights, ("seed",)),
+    "report": (_run_report, ()),
 }
 
 
@@ -546,13 +569,17 @@ def build_parser():
                     "on asymptotically hyperbolic model operators.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in _RUNNERS:
+    for name, (_runner, flags) in _RUNNERS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--set", dest="overrides", action="append",
                        metavar="KEY=VALUE", help="override a config entry")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
+        if "workers" in flags:
+            p.add_argument("--workers", type=effective_workers, default=1,
+                           help="worker processes, at most the usable CPUs")
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=0,
+                           help="first random seed")
         p.add_argument("--check", action="store_true",
                        help="exit 3 when the acceptance condition fails")
         p.add_argument("--out", default="runs", help="output directory")
@@ -567,10 +594,11 @@ def run(argv=None):
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
+    runner, flags = _RUNNERS[experiment]
     ctx = RunContext(experiment, config, args.out,
-                     effective_workers(args.workers), args.seed)
+                     **{flag: getattr(args, flag) for flag in flags})
     try:
-        summary, ok = _RUNNERS[experiment](ctx)
+        summary, ok = runner(ctx)
     except ConfigError as exc:
         ctx.finish(status="invalid", diagnostic=str(exc))
         print(f"invalid config: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ with chi_R(r) = chi(r/R) and xi_S(x) = xi(x/S).  The associated objects are
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -76,31 +77,6 @@ def a_k_derivs(params, nu_k, r, top):
         p.append(pj)
     derivs = [u * p[0]] + [u * p[j] + j * p[j - 1] for j in orders[1:]]
     return [d[0] for d in derivs] if scal else derivs
-
-
-def a_k_eval(params, nu_k, r, j=0):
-    """j-th derivative of a_k at r (0 <= j <= 5); see a_k_derivs."""
-    return a_k_derivs(params, nu_k, r, j)[j]
-
-
-@dataclasses.dataclass(frozen=True)
-class AkField:
-    """The field that drives the flow: x -> (a_k(x), a_k'(x)), and a_k(x)
-    alone through ``value``, for the stepper, which needs no a_k'."""
-
-    params: ConjugateParams
-    nu_k: float
-
-    def __call__(self, x):
-        return tuple(a_k_derivs(self.params, self.nu_k, x, 1))
-
-    def value(self, x):
-        return a_k_eval(self.params, self.nu_k, x)
-
-
-def a_k_field(params, nu_k):
-    """The field pair x -> (a_k(x), a_k'(x)) that drives the flow."""
-    return AkField(params, nu_k)
 
 
 @dataclasses.dataclass
@@ -270,25 +246,14 @@ def _dop853(fun, t0, y0, t1):
     return y, f, n_steps, n_evals
 
 
-def flow_integrate(field, t, r, start=None):
-    """Integrate the flow gamma_t of the field a from the points r.
+def flow_integrate(params, nu_k, t, r, start=None):
+    """Integrate the flow gamma_t of a_k (of params and nu_k, as for
+    a_k_derivs) for a time t of either sign from the points r, typically the
+    radial grid.  Given start, an earlier result on the same r, the solve
+    runs from (start.t, start.gamma) to t, by the group law
+    gamma_t = gamma_{t - s} o gamma_s.
 
-    Parameters
-    ----------
-    field : callable
-        The vector field and its derivative, x -> (a(x), a'(x)), vectorized.
-        It is called once at r; the stepper evaluates a alone, through
-        ``field.value`` where the field has one (a_k_field), else as
-        field(y)[0].
-    t : float
-        Flow time (either sign).
-    r : array_like
-        Starting points (typically the radial grid).
-    start : FlowResult, optional
-        An earlier result on the same r.  The solve then runs from
-        (start.t, start.gamma) to t, by the group law
-        gamma_t = gamma_{t - s} o gamma_s.
-
+    a_k and a_k' are evaluated once, at r; the stepper evaluates a_k alone.
     Only the positions are integrated.  The flow is one-dimensional and
     autonomous, so differentiating int_r^{gamma_t(r)} dx / a = t in r gives
     d_r gamma_t(r) = a(gamma_t(r)) / a(r).  Points where a(r) = 0 are fixed
@@ -296,20 +261,27 @@ def flow_integrate(field, t, r, start=None):
     go to Dormand-Prince 8(5,3) (_dop853), whose last stage supplies
     a(gamma_t).
     """
+    return _flow(functools.partial(a_k_derivs, params, nu_k), t, r, start)
+
+
+def _flow(derivs, t, r, start):
+    """flow_integrate for the field whose derivatives derivs(x, top) =
+    [a(x), ..., a^{(top)}(x)] gives: called once with top = 1 at r, then
+    with top = 0 by the stepper."""
     r = np.asarray(r, dtype=float)
     if start is None:
         start = FlowResult(0.0, r, np.ones(r.size), 0, 0)
     gamma = start.gamma.copy()
     if t == start.t:
         return FlowResult(t, gamma, start.dgamma.copy(), 0, 0)
-    a, a_prime = field(r)
+    a, a_prime = derivs(r, 1)
     moving = a != 0.0
     dgamma = np.exp(a_prime * t)
     n_steps, n_evals = 0, 1
     if np.any(moving):
-        value = getattr(field, "value", lambda y: field(y)[0])
         gamma[moving], a_t, n_steps, n_solver_evals = _dop853(
-            value, float(start.t), gamma[moving], float(t))
+            lambda y: derivs(y, 0)[0], float(start.t), gamma[moving],
+            float(t))
         dgamma[moving] = a_t / a[moving]
         n_evals += n_solver_evals
     if np.any(dgamma <= 0.0):

@@ -119,7 +119,7 @@ class DiscreteOperator:
     def diagonals(self):
         return {-1: self.lower, 0: self.main, 1: self.upper}
 
-    def pencil(self, z=0.0):
+    def pencil(self, z):
         """(lower, main, upper) diagonals of A - z M."""
         m_lower, m_diag, m_upper = self.mass
         return (self.lower - z * m_lower, self.main - z * m_diag,

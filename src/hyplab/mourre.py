@@ -115,7 +115,7 @@ def _dbar_values(derivs, v, v_max):
     return res + 1j * cutp * series
 
 
-def _gauss_panels(edges, order=8):
+def _gauss_panels(edges, order):
     """Gauss-Legendre nodes/weights on a sequence of panels."""
     x0, w0 = np.polynomial.legendre.leggauss(order)
     nodes, weights = [], []
@@ -132,7 +132,7 @@ _GL_V = 6
 _N_V_PAN = 8
 
 
-def _hs_node_set(u_lo, u_hi, v_max, depth, n_u_base=16):
+def _hs_node_set(u_lo, u_hi, v_max, depth, n_u_base):
     """Scale-adapted quadrature nodes on the strip around supp f.
 
     v runs over geometric bands v_max 2^{-j-1}..v_max 2^{-j}, j = 0..depth-1,
@@ -247,7 +247,7 @@ def _hs_rung(f_derivs, u_lo, u_hi, rung):
     return rung, z[keep], c[keep]
 
 
-def hs_calculus(f_derivs, op, u_range=None):
+def hs_calculus(f_derivs, op, u_range):
     """f(op) by Helffer-Sjostrand quadrature against the resolvent.
 
     Parameters
@@ -259,8 +259,7 @@ def hs_calculus(f_derivs, op, u_range=None):
         function.
     op : DiscreteOperator or Hermitian ndarray
     u_range : (lo, hi)
-        Interval containing supp f (taken from ``f_derivs.support`` if
-        absent).
+        Interval containing supp f.
 
     The nodes are applied in the eigenbasis, where the resolvent is
     diagonal: (op - z)^{-1} = V (E - z)^{-1} V*, so the quadrature gives
@@ -275,8 +274,6 @@ def hs_calculus(f_derivs, op, u_range=None):
     up to the first rung that passes, which then becomes the cached one.
     NumericalFailure if no rung passes.
     """
-    if u_range is None:
-        u_range = f_derivs.support  # type: ignore[attr-defined]
     u_lo, u_hi = float(u_range[0]), float(u_range[1])
 
     if hasattr(op, "diagonals"):
@@ -288,10 +285,6 @@ def hs_calculus(f_derivs, op, u_range=None):
         ):
             raise ConfigError("hs_calculus requires a Hermitian operator")
         evals, evecs = np.linalg.eigh(dense)
-    n = len(evals)
-    if not np.any(np.abs(f_derivs(np.linspace(u_lo, u_hi, 257), 0)) > 0.0):
-        return np.zeros((n, n), dtype=complex)
-
     f_vals = f_derivs(evals, 0)
     if np.any(np.imag(f_vals)):
         raise ConfigError("hs_calculus requires a real-valued f")

@@ -57,11 +57,12 @@ os.register_at_fork(after_in_child=_pools.clear)
 
 def parallel_map(fn, tasks, workers):
     """[fn(t) for t in tasks], over the process pool of
-    effective_workers(workers) processes; in this process when that count is
-    1.  A pool whose worker died (BrokenProcessPool) is dropped and the error
-    re-raised; the next call starts a new pool."""
+    effective_workers(workers) processes; in this process when that count
+    is 1 or there is at most one task.  A pool whose worker died
+    (BrokenProcessPool) is dropped and the error re-raised; the next call
+    starts a new pool."""
     workers = effective_workers(workers)
-    if workers == 1:
+    if min(workers, len(tasks)) <= 1:
         return [fn(t) for t in tasks]
     pool = _pools.get(workers)
     if pool is None:

@@ -265,7 +265,7 @@ def symbol_weight(r, eta, s, sigma=0.0):
 _TEMPERATE_CHUNK = 8192
 
 
-def temperate_check(sample_count, C, M, seed=0, box=50.0):
+def temperate_check(sample_count, C, M, seed, box=50.0):
     """Sample the temperate-weight inequality for w(r - log<eta>).
 
     Draws (r, r1, eta, eta1) uniformly from [-box, box] and collects every

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hyplab import weights
-from hyplab.conjugate import ConjugateParams, a_k_eval
+from hyplab import conjugate
+from hyplab.conjugate import ConjugateParams, a_k_derivs
 from hyplab.errors import RegimeError
 from hyplab.laplab import limiting_absorption
 from hyplab.linops import (DiscreteOperator, discretize, hermitian_eig,
@@ -87,6 +88,12 @@ def schur_bound(kernel, measure):
     return float(max(row_sums.max(), col_sums.max()))
 
 
+def synthetic_flow(field, t, r, start=None):
+    """The flow of a synthetic field x -> (a(x), a'(x)), by the integrator
+    behind conjugate.flow_integrate."""
+    return conjugate._flow(lambda x, top: field(x)[:top + 1], t, r, start)
+
+
 def generator_matrix(params, nu_k, grid, a_values=None):
     """Hermitian discretization of A_k = a_k D_r - i a_k'/2.
 
@@ -98,7 +105,7 @@ def generator_matrix(params, nu_k, grid, a_values=None):
     r = grid.points()
     h = grid.h
     a = np.asarray(a_values, dtype=float) if a_values is not None \
-        else a_k_eval(params, nu_k, r)
+        else a_k_derivs(params, nu_k, r, 0)[0]
     upper = -1j * (a[:-1] + a[1:]) / (4.0 * h)
     lower = 1j * (a[:-1] + a[1:]) / (4.0 * h)
     diags = {0: np.zeros(grid.N, dtype=complex), 1: upper, -1: lower}

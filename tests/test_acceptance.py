@@ -14,7 +14,8 @@ import pytest
 
 import conftest
 from conftest import (WIDE_BUMP, generator_matrix, gronwall_ok, mode_norm,
-                      semiclassical_bound_check, spectral_calculus)
+                      semiclassical_bound_check, spectral_calculus,
+                      synthetic_flow)
 
 from hyplab.abstract import (
     TestbedInstance as _TestbedInstance,
@@ -27,8 +28,7 @@ from hyplab.abstract import (
 from hyplab.cli import run as cli_run
 from hyplab.conjugate import (
     ConjugateParams,
-    a_k_eval,
-    a_k_field,
+    a_k_derivs,
     flow_integrate,
     unitary_apply,
 )
@@ -129,9 +129,8 @@ def test_criterion_04_flow_and_group():
     with criterion(4, "flow and unitary group", 30.0):
         # Exact linear-region trajectory.
         c = 2.0 * PARAMS_100.S
-        field = a_k_field(PARAMS_100, 1.0)
         r = np.array([15.0, 15.5])
-        res = flow_integrate(field, 0.1, r)
+        res = flow_integrate(PARAMS_100, 1.0, 0.1, r)
         assert res.gamma == pytest.approx((r + c) * math.exp(0.1) - c,
                                           abs=1e-8)
         # Unitarity defect decays at second order under refinement.
@@ -140,7 +139,7 @@ def test_criterion_04_flow_and_group():
             rr = np.linspace(0.0, 4.0, n + 1)
             h = rr[1] - rr[0]
             phi = np.exp(-((rr - 2.0) ** 2) * 4.0)
-            out = unitary_apply(flow_integrate(_bump_field, 0.1, rr), phi,
+            out = unitary_apply(synthetic_flow(_bump_field, 0.1, rr), phi,
                                 rr)
             defects.append(abs(np.linalg.norm(out) - np.linalg.norm(phi))
                            * math.sqrt(h))
@@ -150,15 +149,17 @@ def test_criterion_04_flow_and_group():
         # Group law at h = 1e-3.
         rr = np.linspace(0.0, 4.0, 4001)
         phi = np.exp(-((rr - 2.0) ** 2) * 4.0)
-        half = flow_integrate(_bump_field, 0.05, rr)
-        one = unitary_apply(flow_integrate(_bump_field, 0.1, rr), phi, rr)
+        half = synthetic_flow(_bump_field, 0.05, rr)
+        one = unitary_apply(synthetic_flow(_bump_field, 0.1, rr), phi, rr)
         two = unitary_apply(half, unitary_apply(half, phi, rr), rr)
         assert np.linalg.norm(one - two) <= 1e-6 * np.linalg.norm(phi)
         # Gronwall bound on the flow derivative.
         grid = np.linspace(0.25, 40.0, 30001)
-        ap_sup = float(np.max(np.abs(field(grid)[1])))
+        a_prime = a_k_derivs(PARAMS_100, 1.0, grid, 1)[1]
+        ap_sup = float(np.max(np.abs(a_prime)))
         for t in (0.05, 0.2, 0.5):
-            res = flow_integrate(field, t, np.linspace(0.25, 20.0, 101))
+            res = flow_integrate(PARAMS_100, 1.0, t,
+                                 np.linspace(0.25, 20.0, 101))
             assert gronwall_ok(res, ap_sup)
 
 
@@ -185,7 +186,7 @@ def test_criterion_05_commutators():
         r = g.points()
         plateau = (r >= 2.0 * PARAMS_100.R + 0.5) & (r <= g.r_max - 1.0)
         idx = np.flatnonzero(plateau)[5:-5]
-        a0 = a_k_eval(PARAMS_100, nu, r[idx])
+        a0 = a_k_derivs(PARAMS_100, nu, r[idx], 0)[0]
         C = commutator_matrix(PARAMS_100, nu, g)
         h2 = g.h**2
         assert C.diagonals[0][idx] == pytest.approx(
@@ -206,7 +207,7 @@ def test_criterion_06_generator_derivative_bounds():
             r = np.linspace(0.25, 4.0 * p.R, 20001)
             for nu in (1.0, 2.0, 5.0, 25.0):
                 for j in range(1, 5):
-                    sup = float(np.max(np.abs(a_k_eval(p, nu, r, j))))
+                    sup = float(np.max(np.abs(a_k_derivs(p, nu, r, j)[j])))
                     fits[j].append(sup / p.S ** (1 - j))
         for j in range(1, 5):
             per_lam = np.array(fits[j]).reshape(3, 4).max(axis=1)

@@ -78,15 +78,19 @@ def test_manifest_records_config_and_outputs(tmp_path, monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
     monkeypatch.setenv("OPENBLAS_VERBOSE", "0")
     out = tmp_path / "spec"
-    rc = run(["spectrum", "--out", str(out), "--set", "K_max=3",
-              "--seed", "7"])
+    rc = run(["spectrum", "--out", str(out), "--set", "K_max=3"])
     assert rc == 0
     manifest = _manifest(out)
     assert manifest["schema"] == 1
     assert manifest["status"] == "ok"
     assert manifest["experiment"] == "spectrum"
-    assert manifest["workers"] == 1
-    assert manifest["seed"] == 7
+    # workers and seed are recorded where the subcommand takes them
+    assert "workers" not in manifest and "seed" not in manifest
+    assert run(["testbed", "--out", str(tmp_path / "testbed"), "--seed", "7",
+                "--set", "n_seeds=1", "--set", "dim=12"]) == 0
+    testbed = _manifest(tmp_path / "testbed")
+    assert testbed["workers"] == 1
+    assert testbed["seed"] == 7
     assert set(manifest["outputs"]) == {"spectrum.csv", "summary.json"}
     resolved = load_config("spectrum", None, ["K_max=3"])
     assert manifest["config_hash"] == config_hash(resolved)
@@ -138,6 +142,43 @@ def test_non_object_config_file_exits_one(tmp_path):
     cfg.write_text("[1, 2, 3]", encoding="utf-8")
     assert run(["spectrum", "--out", str(tmp_path / "o"),
                 "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("experiment, override", [
+    ("spectrum", "K_max=1.5"), ("mourre", "K_max=1.5"), ("flow", "k=1.5"),
+    ("flow", "n_points=200.5"), ("testbed", "n_seeds=1.5"),
+    ("testbed", "dim=12.5"), ("testbed", "window_count=3.5"),
+    ("weights", "temperate_samples=1.5"), ("spectrum", "K_max=true"),
+    ("flow", "lambda=true")])
+def test_a_number_of_the_wrong_kind_exits_one(tmp_path, capsys, experiment,
+                                              override):
+    # An integer key takes an integer, and a float key an integer or a
+    # float; neither takes a bool.  The config is refused before the run.
+    out = tmp_path / "run"
+    assert run([experiment, "--out", str(out), "--set", override]) == 1
+    assert "invalid config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_float_key_takes_an_integer():
+    config = load_config("mourre", None, ["lambda=100", "C=10",
+                                          "cross_section.radius=2"])
+    assert (config["lambda"], config["C"]) == (100, 10)
+    assert config["cross_section"]["radius"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["mourre", "--workers", "2"], ["spectrum", "--seed", "7"],
+    ["flow", "--workers", "2"], ["sweep", "--seed", "1"],
+    ["weights", "--workers", "2"], ["report", "--seed", "1"]])
+def test_a_flag_the_run_does_not_read_is_a_usage_error(tmp_path, capsys,
+                                                       argv):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -200,7 +241,7 @@ def test_flow_manifest_times_each_t_value(tmp_path):
 
 
 def test_flow_chains_times_but_writes_them_in_config_order(tmp_path):
-    from hyplab.conjugate import ConjugateParams, a_k_field, flow_integrate
+    from hyplab.conjugate import ConjugateParams, flow_integrate
 
     out = tmp_path / "flow"
     times = [1.0, -0.5, 0.25, 0.0]
@@ -210,10 +251,10 @@ def test_flow_chains_times_but_writes_them_in_config_order(tmp_path):
     cfg = load_config("flow", None, [])
     table = np.loadtxt(out / "flow.csv", delimiter=",", skiprows=1)
     blocks = table.reshape(len(times), cfg["n_points"], 4)
-    field = a_k_field(ConjugateParams.from_lambda(cfg["lambda"]), 1.0)
+    params = ConjugateParams.from_lambda(cfg["lambda"])
     r = np.linspace(cfg["r0"], cfg["r_max"], cfg["n_points"])
     for t, block in zip(times, blocks):
-        direct = flow_integrate(field, t, r)
+        direct = flow_integrate(params, 1.0, t, r)
         assert np.all(block[:, 0] == t)
         assert np.array_equal(block[:, 1], r)
         assert block[:, 2] == pytest.approx(direct.gamma, rel=1e-9)

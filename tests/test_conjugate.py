@@ -11,16 +11,21 @@ from scipy.integrate._ivp import dop853_coefficients
 from hyplab import conjugate
 from hyplab.cli import load_config
 from hyplab.conjugate import (A_MAX_DERIVATIVE, ConjugateParams, a_k_derivs,
-                              a_k_eval, a_k_field, flow_integrate,
-                              unitary_apply)
+                              flow_integrate, unitary_apply)
 from hyplab.errors import ConfigError, FlowExitsGrid, NumericalFailure
 from hyplab.linops import RadialGrid
 from hyplab.model import build_spectrum
 
-from conftest import dense_matrix, generator_matrix, gronwall_ok
+from conftest import (dense_matrix, generator_matrix, gronwall_ok,
+                      synthetic_flow)
 
 
 PARAMS_100 = ConjugateParams.from_lambda(100.0)
+
+
+def _a_k_pair(params, nu):
+    """x -> (a_k(x), a_k'(x)), for the SciPy oracles."""
+    return lambda x: a_k_derivs(params, nu, x, 1)
 
 
 def test_params_from_lambda():
@@ -40,33 +45,32 @@ def test_params_from_lambda():
 
 def test_a_k_left_plateau_zero():
     p = ConjugateParams(R=math.log(500.0), S=math.log(400.0))
-    assert a_k_eval(p, 1.0, 5.0) == 0.0
+    assert a_k_derivs(p, 1.0, 5.0, 0)[0] == 0.0
 
 
 def test_a_k_full_plateau_value():
     # r = 15 >= 2R and r - log nu0 >= -S/2: both cutoffs equal 1
-    val = a_k_eval(PARAMS_100, 1.0, 15.0)
-    assert val == pytest.approx(15.0 + 2.0 * PARAMS_100.S, rel=1e-12)
-    assert a_k_eval(PARAMS_100, 1.0, 15.0, 1) == pytest.approx(1.0, abs=1e-12)
+    a = a_k_derivs(PARAMS_100, 1.0, 15.0, 4)
+    assert a[0] == pytest.approx(15.0 + 2.0 * PARAMS_100.S, rel=1e-12)
+    assert a[1] == pytest.approx(1.0, abs=1e-12)
     for j in (2, 3, 4):
-        assert a_k_eval(PARAMS_100, 1.0, 15.0, j) == pytest.approx(0.0,
-                                                                   abs=1e-12)
+        assert a[j] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_a_k_derivative_order_limit():
     # order 5 is supported (for products a * a^{(j+1)}), order 6 is not
-    a_k_eval(PARAMS_100, 1.0, 15.0, 5)
+    a_k_derivs(PARAMS_100, 1.0, 15.0, 5)
     with pytest.raises(ConfigError):
-        a_k_eval(PARAMS_100, 1.0, 15.0, 6)
+        a_k_derivs(PARAMS_100, 1.0, 15.0, 6)
 
 
 def test_a_k_derivative_finite_difference_oracle():
     r = np.linspace(8.0, 14.0, 31)
     d = 1e-6
     for j in range(4):
-        fd = (a_k_eval(PARAMS_100, 2.0, r + d, j)
-              - a_k_eval(PARAMS_100, 2.0, r - d, j)) / (2 * d)
-        exact = a_k_eval(PARAMS_100, 2.0, r, j + 1)
+        fd = (a_k_derivs(PARAMS_100, 2.0, r + d, j)[j]
+              - a_k_derivs(PARAMS_100, 2.0, r - d, j)[j]) / (2 * d)
+        exact = a_k_derivs(PARAMS_100, 2.0, r, j + 1)[j + 1]
         scale = max(1.0, np.max(np.abs(exact)))
         assert np.max(np.abs(fd - exact)) <= 1e-4 * scale
 
@@ -100,7 +104,7 @@ def test_a_k_derivs_match_high_precision_oracle(nu):
         ref = np.array([_a_k_oracle(PARAMS_100, nu, x, j) for x in r])
         # measured: at most 9.2e-15 of the largest sampled value
         assert np.max(np.abs(got[j] - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.array_equal(a_k_eval(PARAMS_100, nu, r, j), got[j])
+        assert np.array_equal(a_k_derivs(PARAMS_100, nu, r, j)[j], got[j])
 
 
 def test_a_k_derivative_bounds_scale_with_S():
@@ -111,7 +115,7 @@ def test_a_k_derivative_bounds_scale_with_S():
         p = ConjugateParams.from_lambda(lam)
         r = np.linspace(0.25, 4.0 * p.R, 20001)
         for k_nu in (1.0, 2.0, 5.0, 25.0):
-            a = {j: a_k_eval(p, k_nu, r, j) for j in range(5)}
+            a = a_k_derivs(p, k_nu, r, 4)
             for j in range(1, 5):
                 fits[j].append(np.max(np.abs(a[j])) / p.S ** (1 - j))
     for j in range(1, 5):
@@ -126,7 +130,7 @@ def test_a_k_derivative_bounds_scale_with_S():
 
 def test_flow_zero_field_identity():
     r = np.linspace(0.0, 5.0, 11)
-    res = flow_integrate(lambda x: (np.zeros_like(x), np.zeros_like(x)), 0.7,
+    res = synthetic_flow(lambda x: (np.zeros_like(x), np.zeros_like(x)), 0.7,
                          r)
     assert res.gamma == pytest.approx(r, abs=1e-12)
     assert res.dgamma == pytest.approx(np.ones_like(r), abs=1e-12)
@@ -135,30 +139,27 @@ def test_flow_zero_field_identity():
 def test_flow_linear_region_exact():
     # on the plateau a(r) = r + c with c = 2S, so gamma = (r+c)e^t - c
     c = 2.0 * PARAMS_100.S
-    field = a_k_field(PARAMS_100, 1.0)
     r = np.array([15.0, 15.5])
-    res = flow_integrate(field, 0.1, r)
+    res = flow_integrate(PARAMS_100, 1.0, 0.1, r)
     expected = (r + c) * math.exp(0.1) - c
     assert res.gamma == pytest.approx(expected, abs=1e-8)
     assert res.dgamma == pytest.approx(np.full(2, math.exp(0.1)), rel=1e-8)
 
 
 def test_flow_gronwall_bound():
-    field = a_k_field(PARAMS_100, 2.0)
     rr = np.linspace(0.25, 40.0, 30001)
-    ap_sup = float(np.max(np.abs(field(rr)[1])))
+    ap_sup = float(np.max(np.abs(a_k_derivs(PARAMS_100, 2.0, rr, 1)[1])))
     r = np.linspace(0.25, 20.0, 101)
     for t in (0.05, 0.2, 0.5):
-        res = flow_integrate(field, t, r)
+        res = flow_integrate(PARAMS_100, 2.0, t, r)
         assert gronwall_ok(res, ap_sup)
         assert np.all(res.dgamma > 0.0)
         assert np.max(res.dgamma) <= math.exp(ap_sup * t) * (1.0 + 1e-8)
 
 
 def test_flow_identity_where_field_vanishes():
-    field = a_k_field(PARAMS_100, 1.0)
     r = np.linspace(0.25, 5.0, 41)  # entirely left of R
-    res = flow_integrate(field, 0.4, r)
+    res = flow_integrate(PARAMS_100, 1.0, 0.4, r)
     assert res.gamma == pytest.approx(r, abs=1e-12)
 
 
@@ -173,20 +174,20 @@ def test_flow_matches_quadrature_oracle_on_default_grid():
     cfg = load_config("flow", None, [])
     params = ConjugateParams.from_lambda(cfg["lambda"])
     nu = build_spectrum(cfg["cross_section"], cfg["k"]).nu(cfg["k"])
-    field = a_k_field(params, nu)
     r = np.linspace(cfg["r0"], cfg["r_max"], cfg["n_points"])
-    a_r = a_k_eval(params, nu, r)
+    a_r = a_k_derivs(params, nu, r, 0)[0]
     sel = (r > params.R) & (r < 2.0 * params.R) & (a_r > 1e-3)
     assert sel.sum() >= 100
     for t in cfg["t_values"]:
-        res = flow_integrate(field, float(t), r)
+        res = flow_integrate(params, nu, float(t), r)
         start, span = r[sel], res.gamma[sel] - r[sel]
         elapsed, _ = quad_vec(
-            lambda u: span / a_k_eval(params, nu, start + u * span), 0.0, 1.0,
-            epsabs=1e-13, epsrel=1e-13, norm="max", limit=2000)
+            lambda u: span / a_k_derivs(params, nu, start + u * span, 0)[0],
+            0.0, 1.0, epsabs=1e-13, epsrel=1e-13, norm="max", limit=2000)
         # measured: at most 2.3e-12
         assert np.max(np.abs(elapsed - t)) <= 1e-9
-        _, joint = _joint_solve_ivp_oracle(field, float(t), r)
+        _, joint = _joint_solve_ivp_oracle(_a_k_pair(params, nu), float(t),
+                                           r)
         # measured: at most 2.5e-10
         assert res.dgamma[sel] == pytest.approx(joint[sel], rel=1e-8)
 
@@ -196,7 +197,7 @@ def _default_flow_grid():
     params = ConjugateParams.from_lambda(cfg["lambda"])
     nu = build_spectrum(cfg["cross_section"], cfg["k"]).nu(cfg["k"])
     r = np.linspace(cfg["r0"], cfg["r_max"], cfg["n_points"])
-    return params, a_k_field(params, nu), r
+    return params, nu, r
 
 
 def test_flow_is_as_accurate_as_the_joint_solve():
@@ -205,12 +206,12 @@ def test_flow_is_as_accurate_as_the_joint_solve():
     # the worst relative error over gamma and d_r gamma stays below the
     # 2.25e-10 that the joint solve at the flow's own tolerances reaches
     # (in d_r gamma at t = 1).  Measured: 1.45e-10 (gamma at t = 1).
-    _, field, r = _default_flow_grid()
+    params, nu, r = _default_flow_grid()
     worst = 0.0
     for t in (0.25, 0.5, 1.0, -0.25, -1.0):
-        res = flow_integrate(field, t, r)
-        gamma, dgamma = _joint_solve_ivp_oracle(field, t, r, rtol=1e-13,
-                                                atol=1e-15)
+        res = flow_integrate(params, nu, t, r)
+        gamma, dgamma = _joint_solve_ivp_oracle(_a_k_pair(params, nu), t, r,
+                                                rtol=1e-13, atol=1e-15)
         worst = max(worst, np.max(np.abs(res.gamma / gamma - 1.0)),
                     np.max(np.abs(res.dgamma / dgamma - 1.0)))
     assert worst <= 2e-10
@@ -220,32 +221,29 @@ def test_flow_is_as_accurate_as_the_joint_solve():
 def test_flow_chained_matches_unchained(t1, t2):
     # gamma_{t2} = gamma_{t2 - t1} o gamma_{t1}: continuing from the result
     # at t1 must land where one solve from t = 0 lands.
-    _, field, r = _default_flow_grid()
-    chained = flow_integrate(field, t2, r, start=flow_integrate(field, t1, r))
-    direct = flow_integrate(field, t2, r)
+    params, nu, r = _default_flow_grid()
+    chained = flow_integrate(params, nu, t2, r,
+                             start=flow_integrate(params, nu, t1, r))
+    direct = flow_integrate(params, nu, t2, r)
     assert chained.t == t2
     assert chained.gamma == pytest.approx(direct.gamma, rel=1e-9)
     assert chained.dgamma == pytest.approx(direct.dgamma, rel=1e-9)
 
 
-def test_flow_steps_on_a_k_alone():
-    # The stepper evaluates a_k through AkField.value, never the (a, a')
-    # pair, and lands exactly where the pair's first component takes it.
-    _, field, r = _default_flow_grid()
+def test_flow_steps_on_a_k_alone(monkeypatch):
+    # The stepper evaluates a_k alone, never the (a, a') pair, and lands
+    # exactly where the pair's first component takes it.
+    params, nu, r = _default_flow_grid()
     calls = {"pair": 0, "value": 0}
 
-    class Counted:
-        def __call__(self, x):
-            calls["pair"] += 1
-            return field(x)
+    def counted(params, nu_k, x, top):
+        calls["pair" if top == 1 else "value"] += 1
+        return a_k_derivs(params, nu_k, x, top)
 
-        def value(self, x):
-            calls["value"] += 1
-            return field.value(x)
-
-    res = flow_integrate(Counted(), 1.0, r)
+    monkeypatch.setattr(conjugate, "a_k_derivs", counted)
+    res = flow_integrate(params, nu, 1.0, r)
     assert calls == {"pair": 1, "value": res.n_evals - 1}
-    generic = flow_integrate(lambda x: field(x), 1.0, r)
+    generic = synthetic_flow(_a_k_pair(params, nu), 1.0, r)
     assert np.array_equal(res.gamma, generic.gamma)
     assert np.array_equal(res.dgamma, generic.dgamma)
     assert (res.n_steps, res.n_evals) == (generic.n_steps, generic.n_evals)
@@ -254,12 +252,12 @@ def test_flow_steps_on_a_k_alone():
 def test_flow_holds_the_zeros_of_a_k_exactly():
     # a_k vanishes identically on r <= R, so those points never move and
     # their d_r gamma stays exactly one, whether or not the solve is chained.
-    params, field, r = _default_flow_grid()
+    params, nu, r = _default_flow_grid()
     left = r <= params.R
     assert left.sum() >= 100
-    first = flow_integrate(field, 0.5, r)
-    for res in (first, flow_integrate(field, -0.5, r),
-                flow_integrate(field, 1.0, r, start=first)):
+    first = flow_integrate(params, nu, 0.5, r)
+    for res in (first, flow_integrate(params, nu, -0.5, r),
+                flow_integrate(params, nu, 1.0, r, start=first)):
         assert np.array_equal(res.gamma[left], r[left])
         assert np.all(res.dgamma[left] == 1.0)
 
@@ -271,7 +269,7 @@ def test_flow_at_a_simple_zero_grows_like_exp_of_the_slope():
     c, x0, t = 0.7, 1.5, 0.8
     field = lambda x: (c * np.sin(x - x0), c * np.cos(x - x0))
     r = np.linspace(x0 - 1.0, x0 + 1.0, 21)
-    res = flow_integrate(field, t, r)
+    res = synthetic_flow(field, t, r)
     at = np.flatnonzero(r == x0)
     assert at.size == 1
     assert res.gamma[at] == x0
@@ -342,12 +340,14 @@ def test_flow_stepper_matches_solve_ivp_dop853(case, t):
     # tolerances ("slow", 1e-18) and below 1e-15 of them ("still", 1e-30)
     # it takes the initial-step rule's two small-derivative branches.
     if case == "default":
-        _, field, r = _default_flow_grid()
+        params, nu, r = _default_flow_grid()
+        field = _a_k_pair(params, nu)
+        res = flow_integrate(params, nu, t, r)
     else:
         scale = {"sine": 1.0, "slow": 1e-18, "still": 1e-30}[case]
         field = lambda x: tuple(scale * v for v in _sine_field(x))
         r = np.linspace(0.5, 2.5, 21)
-    res = flow_integrate(field, t, r)
+        res = synthetic_flow(field, t, r)
     moving, sol = _solve_ivp_oracle(field, t, r)
     assert res.n_steps == sol.t.size - 1
     assert res.n_evals == sol.nfev + 1
@@ -370,7 +370,7 @@ def test_flow_that_blows_up_raises():
     # it stops at the same time as solve_ivp, just short of t = 1/2
     with pytest.raises(NumericalFailure,
                        match="minimum .* at t = %.17g$" % sol.t[-1]):
-        flow_integrate(field, 1.0, r)
+        synthetic_flow(field, 1.0, r)
 
 
 # ----------------------------------------------------------------------------
@@ -391,16 +391,15 @@ def _bump_field(r):
 def test_unitary_t_zero_identity():
     r = np.linspace(0.0, 4.0, 2001)
     phi = np.exp(-((r - 2.0) ** 2) * 4.0)
-    out = unitary_apply(flow_integrate(_bump_field, 0.0, r), phi, r)
+    out = unitary_apply(synthetic_flow(_bump_field, 0.0, r), phi, r)
     assert out == pytest.approx(phi, abs=1e-10)
 
 
 def test_unitary_identity_left_of_support():
-    field = a_k_field(PARAMS_100, 1.0)
     r = np.linspace(0.25, 12.0, 4001)
     phi = np.exp(-((r - 3.0) ** 2) * 2.0)  # supported left of R ~ 6.2
     phi = np.where(r < PARAMS_100.R - 1.0, phi, 0.0)
-    out = unitary_apply(flow_integrate(field, 0.3, r), phi, r)
+    out = unitary_apply(flow_integrate(PARAMS_100, 1.0, 0.3, r), phi, r)
     assert out == pytest.approx(phi, abs=1e-9)
 
 
@@ -411,7 +410,7 @@ def test_unitary_norm_preservation_order_two():
         r = np.linspace(0.0, 4.0, n + 1)
         h = r[1] - r[0]
         phi = np.exp(-((r - 2.0) ** 2) * 4.0)
-        out = unitary_apply(flow_integrate(_bump_field, 0.1, r), phi, r)
+        out = unitary_apply(synthetic_flow(_bump_field, 0.1, r), phi, r)
         defects.append(abs(np.linalg.norm(out) * math.sqrt(h)
                            - np.linalg.norm(phi) * math.sqrt(h)))
         hs.append(h)
@@ -423,9 +422,9 @@ def test_unitary_group_law():
     r = np.linspace(0.0, 4.0, 4001)  # h = 1e-3
     phi = np.exp(-((r - 2.0) ** 2) * 4.0)
     t = s = 0.05
-    one = unitary_apply(flow_integrate(_bump_field, t + s, r), phi, r)
-    two = unitary_apply(flow_integrate(_bump_field, t, r),
-                        unitary_apply(flow_integrate(_bump_field, s, r), phi,
+    one = unitary_apply(synthetic_flow(_bump_field, t + s, r), phi, r)
+    two = unitary_apply(synthetic_flow(_bump_field, t, r),
+                        unitary_apply(synthetic_flow(_bump_field, s, r), phi,
                                       r), r)
     assert np.linalg.norm(one - two) <= 1e-6 * np.linalg.norm(phi)
 
@@ -441,7 +440,7 @@ def test_unitary_raises_when_phi_has_mass_beyond_the_grid():
     r = np.linspace(0.0, 4.0, 401)
     phi = np.exp(-((r - 4.0) ** 2) * 4.0)
     with pytest.raises(FlowExitsGrid):
-        unitary_apply(flow_integrate(_unit_field, 0.5, r), phi, r)
+        unitary_apply(synthetic_flow(_unit_field, 0.5, r), phi, r)
 
 
 def test_unitary_raises_when_the_flow_carries_phi_past_the_grid():
@@ -450,7 +449,7 @@ def test_unitary_raises_when_the_flow_carries_phi_past_the_grid():
     r = np.linspace(0.0, 4.0, 401)
     phi = np.exp(-((r - 0.2) ** 2) * 4.0)
     with pytest.raises(FlowExitsGrid, match="t=0.5 moves phi"):
-        unitary_apply(flow_integrate(_unit_field, 0.5, r), phi, r)
+        unitary_apply(synthetic_flow(_unit_field, 0.5, r), phi, r)
 
 
 @pytest.mark.parametrize("t, center, width", [(-0.25, 20.0, 2.0),
@@ -459,10 +458,10 @@ def test_unitary_raises_when_the_default_flow_drops_phi(t, center, width):
     # On the default `hyplab flow` grid a negative t pulls gamma_t(r_max)
     # below r_max; the part of phi above it lands on no point of the grid:
     # 12.6 % of the norm of the first phi, all of the second.
-    _, field, r = _default_flow_grid()
+    params, nu, r = _default_flow_grid()
     phi = np.exp(-((r - center) / width) ** 2)
     with pytest.raises(FlowExitsGrid):
-        unitary_apply(flow_integrate(field, t, r), phi, r)
+        unitary_apply(flow_integrate(params, nu, t, r), phi, r)
 
 
 def test_unitary_transports_phi_that_vanishes_where_the_flow_exits():
@@ -471,7 +470,7 @@ def test_unitary_transports_phi_that_vanishes_where_the_flow_exits():
     r = np.linspace(0.0, 4.0, 401)
     phi = np.where((r > 0.5) & (r < 3.0),
                    np.sin(np.pi * (r - 0.5) / 2.5) ** 2, 0.0)
-    out = unitary_apply(flow_integrate(_unit_field, 0.5, r), phi, r)
+    out = unitary_apply(synthetic_flow(_unit_field, 0.5, r), phi, r)
     assert out == pytest.approx(np.interp(r + 0.5, r, phi, right=0.0),
                                 abs=1e-12)
 
@@ -510,12 +509,11 @@ def test_generator_consistency_with_unitary_group():
     # (U_t phi - phi)/(it) -> A phi as t -> 0, up to O(t) + O(h^2)
     g = RadialGrid(r0=0.25, r_max=18.0, N=6000)
     r = g.points()
-    field = a_k_field(PARAMS_100, 1.0)
     A = generator_matrix(PARAMS_100, 1.0, g)
     phi = np.exp(-((r - 14.0) ** 2) * 2.0)
     errs = []
     for t in (2e-3, 1e-3):
-        ut = unitary_apply(flow_integrate(field, t, r), phi, r)
+        ut = unitary_apply(flow_integrate(PARAMS_100, 1.0, t, r), phi, r)
         approx = (ut - phi) / (1j * t)
         errs.append(np.max(np.abs(approx - A.matvec(phi.astype(complex)))))
     assert errs[1] <= 0.75 * errs[0] + 1e-6
@@ -529,7 +527,7 @@ def test_cutoff_commutation_order_two():
         g = RadialGrid(r0=0.25, r_max=18.0, N=N)
         r = g.points()
         A = generator_matrix(PARAMS_100, 1.0, g)
-        a_vals = a_k_eval(PARAMS_100, 1.0, r)
+        a_vals = a_k_derivs(PARAMS_100, 1.0, r, 0)[0]
         zeta = np.exp(-((r - 14.0) ** 2) * 0.5)
         zeta_p = -1.0 * (r - 14.0) * zeta
         phi = np.exp(-((r - 13.0) ** 2) * 0.8).astype(complex)

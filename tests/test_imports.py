@@ -9,15 +9,20 @@ once stays in sys.modules for the rest of the test session.
 """
 
 import ast
+import contextlib
 import glob
+import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
 import hyplab
+from hyplab import cli
 from hyplab.cli import run
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(hyplab.__file__)))
@@ -234,17 +239,20 @@ def _parameters_with_defaults(tree):
     return found
 
 
-def test_every_parameter_with_a_default_has_a_caller_that_sets_it():
-    # a call sets a parameter when it passes it by keyword or by position,
-    # or passes *args or **kwargs; calls inside the parameter's own
-    # definition do not count
+def _calls_and_parameters():
+    """The calls in the package, the benchmark and the tests, and the
+    parameters with a default of the package's functions.  calls maps a
+    callee's bare name to (node id, positional count, keywords, starred) per
+    call, where starred tells whether the call passes *args or **kwargs;
+    parameters holds (module, *p) for each p of _parameters_with_defaults.
+    The parsed trees come last, kept alive so that no node id is reused."""
     root = os.path.dirname(_SRC)
     paths = sorted(glob.glob(os.path.join(_SRC, "hyplab", "*.py"))
                    + glob.glob(os.path.join(root, "benchmark", "*.py"))
                    + glob.glob(os.path.join(root, "tests", "*.py")))
-    calls = {}  # callee -> [(node id, positional count, keywords, starred)]
+    calls = {}
     parameters = []
-    trees = []  # kept alive, so that no node id is reused
+    trees = []
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=path)
@@ -261,16 +269,70 @@ def test_every_parameter_with_a_default_has_a_caller_that_sets_it():
             module = os.path.basename(path)[:-3]
             parameters += [(module, *p)
                            for p in _parameters_with_defaults(tree)]
-    assert len(parameters) >= 50
-    never_set = set()
+    assert len(parameters) >= 40
+    return calls, parameters, trees
+
+
+def _parameters_where(calls, parameters, relies):
+    """module.callee(name) of every parameter none of whose calls outside
+    its own definition satisfies relies(sets, starred), where sets tells
+    whether the call passes the parameter by position or by keyword."""
+    found = set()
     for module, callee, name, position, keyword, definition in parameters:
         own = {id(node) for node in ast.walk(definition)}
-        if not any(call not in own and (
-                starred or (position is not None and count > position)
-                or (keyword and name in keywords))
+        if not any(call not in own and relies(
+                (position is not None and count > position)
+                or (keyword and name in keywords), starred)
                    for call, count, keywords, starred in calls.get(callee, ())):
-            never_set.add(f"{module}.{callee}({name})")
-    assert never_set == set()
+            found.add(f"{module}.{callee}({name})")
+    return found
+
+
+def test_every_parameter_with_a_default_has_a_caller_that_sets_it():
+    # a call sets a parameter when it passes it by keyword or by position,
+    # or passes *args or **kwargs; calls inside the parameter's own
+    # definition do not count
+    calls, parameters, _trees = _calls_and_parameters()
+    assert _parameters_where(
+        calls, parameters, lambda sets, starred: sets or starred) == set()
+
+
+def test_every_parameter_default_is_relied_on_by_a_call():
+    # the converse: a call relies on a default when it passes the parameter
+    # neither by keyword nor by position, or passes *args or **kwargs; a
+    # default that every call overrides is a required parameter
+    calls, parameters, _trees = _calls_and_parameters()
+    assert _parameters_where(
+        calls, parameters, lambda sets, starred: not sets or starred) == set()
+
+
+def test_each_subcommand_takes_the_run_flags_its_runner_reads():
+    # The RunContext fields with a default are set from the command-line
+    # flags of their names.  A subcommand takes such a flag exactly when
+    # its runner reads the field from its context.
+    fields = {name for name, parameter
+              in inspect.signature(cli.RunContext).parameters.items()
+              if parameter.default is not inspect.Parameter.empty}
+    assert fields == {"workers", "seed"}
+    parser = cli.build_parser()
+    taken = set()
+    for name, (runner, _flags) in cli._RUNNERS.items():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(runner)))
+        reads = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "ctx"}
+        takes = set()
+        for field in fields:
+            try:
+                with contextlib.redirect_stderr(io.StringIO()):
+                    parser.parse_args([name, f"--{field}", "1"])
+            except SystemExit:
+                continue
+            takes.add(field)
+        assert takes == reads & fields, name
+        taken |= takes
+    assert taken == fields
 
 
 def test_every_grid_comes_from_the_resolution_rule():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hyplab import mourre
-from hyplab.conjugate import ConjugateParams, a_k_derivs, a_k_eval
+from hyplab.conjugate import ConjugateParams, a_k_derivs
 from hyplab.errors import ConfigError, NumericalFailure, RegimeError
 from hyplab.linops import RadialGrid, discretize, hermitian_eig
 from hyplab.model import ModelConfig, mode_operator_spec
@@ -92,7 +92,7 @@ def test_commutator_plateau_closed_form():
                & (r <= g.r_max - 1.0))
     idx = np.flatnonzero(plateau)[5:-5]
     h2 = g.h**2
-    a0 = a_k_eval(PARAMS, nu, r[idx])
+    a0 = a_k_derivs(PARAMS, nu, r[idx], 0)[0]
     assert C.diagonals[0][idx] == pytest.approx(
         4.0 / h2 + 2.0 * a0 * mu * np.exp(-2.0 * r[idx]), abs=1e-10 / h2 * h2)
     assert C.diagonals[1][idx] == pytest.approx(np.full(idx.size, -2.0 / h2),
@@ -137,7 +137,7 @@ def test_double_commutator_plateau_coefficients():
     for nu in (2.0, 1e6):
         mu = nu**2 - 1.0
         D = double_commutator_matrix(PARAMS, nu, g)
-        a0 = a_k_eval(PARAMS, nu, r[idx])
+        a0 = a_k_derivs(PARAMS, nu, r[idx], 0)[0]
         off = D.diagonals[1]
         assert off[idx] * h2 == pytest.approx(np.full(idx.size, 4.0),
                                               abs=1e-10)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from hyplab import pool
 from hyplab.pool import effective_workers, parallel_map
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -94,3 +95,10 @@ def test_a_broken_pool_is_replaced():
     new = _workers()
     assert len(new) == 2 and pids <= new
     assert not new & old
+
+
+def test_a_single_task_runs_in_this_process(monkeypatch):
+    # one task starts no pool, whatever the worker count
+    monkeypatch.setattr(pool, "_pools", {})
+    assert parallel_map(_pid, [0], 2) == [os.getpid()]
+    assert pool._pools == {}
