@@ -62,6 +62,7 @@ class TestbedInstance:
     evecs: np.ndarray
     alpha: float                # window minimum of K, positive by construction
     K: np.ndarray               # effective commutator i[H,A] + shift * P_win
+    fH: np.ndarray              # f(H)
     B: np.ndarray               # Hermitian PSD square root of f(H) K f(H)
     rejects: int                # seeds discarded before this instance
 
@@ -84,8 +85,7 @@ class TestbedInstance:
         if not alpha_factor > 0:
             raise ConfigError(f"alpha_factor {alpha_factor} is not positive")
         rng = np.random.default_rng(seed)
-        rejects = 0
-        while True:
+        for rejects in range(_MAX_REJECTS + 1):
             X = rng.standard_normal((dim, dim))
             H = (X + X.T) / math.sqrt(8.0 * dim)
             Y = rng.standard_normal((dim, dim))
@@ -97,9 +97,6 @@ class TestbedInstance:
             lam = float(np.mean(evals[sel]))
             delta = float(np.max(np.abs(evals[sel] - lam))) / 1.5
             if delta <= 1e-8:
-                rejects += 1
-                if rejects > _MAX_REJECTS:
-                    raise NumericalFailure("instance generation kept rejecting")
                 continue
             cutoff = SpectralCutoff(lam=lam, delta=delta)
             fvals = cutoff.values(evals)
@@ -120,33 +117,24 @@ class TestbedInstance:
             me, mv = np.linalg.eigh(M)
             neg = float(np.linalg.norm(np.minimum(me, 0.0)))
             if neg > 1e-10 * max(float(np.max(np.abs(me))), 1e-300):
-                rejects += 1
-                if rejects > _MAX_REJECTS:
-                    raise NumericalFailure("instance generation kept rejecting")
                 continue
             B = (mv * np.sqrt(np.maximum(me, 0.0))) @ mv.conj().T
             return cls(n=dim, H=H, A=A, lam=lam, delta=delta,
                        cutoff=cutoff, evals=evals, evecs=evecs, alpha=alpha,
-                       K=K, B=B, rejects=rejects)
-
-    # -- spectral helpers ---------------------------------------------------
-
-    def f_of_H(self):
-        fvals = self.cutoff.values(self.evals)
-        return (self.evecs * fvals) @ self.evecs.T
+                       K=K, fH=fH, B=B, rejects=rejects)
+        raise NumericalFailure("instance generation kept rejecting")
 
     def constants_input(self):
         """Measured constants of the instance, feeding constants_eval."""
-        Hi = np.linalg.inv(self.H + 1j * np.eye(self.n))
-        N = float(np.linalg.norm(self.K @ Hi, 2))
+        Hi = resolvent_g(self, -1j, 0.0)
         KA = self.K @ self.A - self.A @ self.K
-        C_HA = float(np.linalg.norm(KA @ Hi, 2))
-        S = (1.0 + float(np.linalg.norm(self.K @ self.f_of_H(), 2)) / self.alpha) ** 2
+        N, C_HA, KfH = _spectral_norms(
+            np.stack([self.K @ Hi, KA @ Hi, self.K @ self.fH]))
         return ConstantsInput(
             lam=self.lam, delta=self.delta, alpha=self.alpha,
-            N_comm=N, S=S,
+            N_comm=float(N), S=(1.0 + float(KfH) / self.alpha) ** 2,
             Delta_f=_DELTA_F / self.delta,
-            C_HA=C_HA,
+            C_HA=float(C_HA),
         )
 
 
@@ -155,17 +143,25 @@ class TestbedInstance:
 # ----------------------------------------------------------------------------
 
 
+def _spectral_norms(stack):
+    """The spectral norm of each matrix of a stack: its largest singular
+    value."""
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
 def resolvent_g(instance, z, eps):
     """G_z(eps) = (H - z - i eps B*B)^{-1}; exists when Im z * eps >= 0 and
-    (Im z, eps) != (0, 0)."""
+    (Im z, eps) != (0, 0).  For an array of eps, the stack of G_z(eps) over
+    its entries."""
     z = complex(z)
-    if z.imag * eps < 0:
+    eps = np.asarray(eps, dtype=float)
+    if np.any(z.imag * eps < 0):
         raise RegimeError("resolvent_g needs Im z * eps >= 0")
-    if z.imag == 0 and eps == 0:
+    if z.imag == 0 and np.any(eps == 0):
         raise RegimeError("resolvent_g needs Im z != 0 or eps != 0")
-    n = instance.n
     BB = instance.B @ instance.B
-    return np.linalg.inv(instance.H - z * np.eye(n) - 1j * eps * BB)
+    return np.linalg.inv(instance.H - z * np.eye(instance.n)
+                         - 1j * eps[..., None, None] * BB)
 
 
 # random C of the quadratic estimate in algebre_identity_check
@@ -188,9 +184,8 @@ def algebre_identity_check(instance, z, eps, eps0, seed):
     BB = instance.B @ instance.B
     diff = G - G0 - 1j * (eps - eps0) * (G @ BB @ G0)
     G_adj = resolvent_g(instance, np.conj(z), -eps)
-    # spectral norms of a stack: the largest singular value of each matrix
-    norm_G, norm_G0, norm_diff, norm_adj = np.linalg.svd(
-        np.stack([G, G0, diff, G.conj().T - G_adj]), compute_uv=False)[:, 0]
+    norm_G, norm_G0, norm_diff, norm_adj = _spectral_norms(
+        np.stack([G, G0, diff, G.conj().T - G_adj]))
     scale = max(norm_G, norm_G0)
     res_diff = float(norm_diff / scale)
     res_adj = float(norm_adj / scale)
@@ -199,11 +194,10 @@ def algebre_identity_check(instance, z, eps, eps0, seed):
     quad_margin = math.inf
     if complex(z).imag * eps > 0:
         rng = np.random.default_rng(seed)
-        # C comes from the second draw of each pair; the first is unused
-        draws = rng.standard_normal((_N_QUADRATIC, 2, instance.n, instance.n))
-        C = (draws[:, 1] + draws[:, 1].transpose(0, 2, 1)) / 2.0
-        norms = np.linalg.svd(np.concatenate([instance.B @ G @ C, C @ G @ C]),
-                              compute_uv=False)[:, 0]
+        draws = rng.standard_normal((_N_QUADRATIC, instance.n, instance.n))
+        C = (draws + draws.transpose(0, 2, 1)) / 2.0
+        norms = _spectral_norms(
+            np.concatenate([instance.B @ G @ C, C @ G @ C]))
         lhs = norms[:_N_QUADRATIC]
         rhs = abs(eps) ** -0.5 * norms[_N_QUADRATIC:] ** 0.5
         quad_margin = float(np.min(rhs - lhs, initial=math.inf))
@@ -224,17 +218,15 @@ def commutator_identity_residuals(instance, z, Z):
     [(H-z)^{-1}, (A-Z)^{-1}]
         = (A-Z)^{-1} (H-z)^{-1} [H,A] (H-z)^{-1} (A-Z)^{-1}
     """
-    n = instance.n
-    Rz = np.linalg.inv(instance.H - z * np.eye(n))
+    Rz = resolvent_g(instance, z, 0.0)
     HA = instance.H @ instance.A - instance.A @ instance.H
     lhs1 = Rz @ instance.A - instance.A @ Rz
     rhs1 = -Rz @ HA @ Rz
-    RZ = np.linalg.inv(instance.A - Z * np.eye(n))
+    RZ = np.linalg.inv(instance.A - Z * np.eye(instance.n))
     lhs2 = Rz @ RZ - RZ @ Rz
     rhs2 = RZ @ Rz @ HA @ Rz @ RZ
-    d1, n1, d2, n2 = np.linalg.svd(
-        np.stack([lhs1 - rhs1, rhs1, lhs2 - rhs2, rhs2]),
-        compute_uv=False)[:, 0]
+    d1, n1, d2, n2 = _spectral_norms(
+        np.stack([lhs1 - rhs1, rhs1, lhs2 - rhs2, rhs2]))
     return float(d1 / max(n1, 1e-300)), float(d2 / max(n2, 1e-300))
 
 
@@ -410,11 +402,8 @@ def diffineq_check(instance, s, z, eps_schedule, slack=0.2):
     eps = np.array(eps_schedule)
     ae, av = np.linalg.eigh(instance.A)
     wA = (av * eps_weight(ae, eps[:, None], s)[:, None, :]) @ av.conj().T
-    n = instance.n
-    BB = instance.B @ instance.B
-    G = np.linalg.inv(instance.H - complex(z) * np.eye(n)
-                      - 1j * eps[:, None, None] * BB)
-    norms = np.linalg.svd(wA @ G @ wA, compute_uv=False)[:, 0].tolist()
+    G = resolvent_g(instance, z, eps)
+    norms = _spectral_norms(wA @ G @ wA).tolist()
     report = {"holds": True, "points": [], "constants": (C0, Chalf, C1)}
     for i in range(1, len(eps_schedule) - 1):
         e = eps_schedule[i]

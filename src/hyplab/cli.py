@@ -1,10 +1,11 @@
 """Config-driven experiment runner.
 
 Single entry point with subcommands (spectrum, flow, mourre, sweep, testbed,
-weights, report); JSON configs with dotted --set overrides, CSV tables at
-full precision, JSON summaries with a schema version, and an atomically
-written run manifest.  Exit codes: 0 success, 1 invalid config, 2 numerical
-failure, 3 acceptance-check failure under --check.
+weights, report); JSON configs with dotted --set overrides (report, which
+collates earlier runs, has no config), CSV tables at full precision, JSON
+summaries with a schema version, and an atomically written run manifest.
+Exit codes: 0 success, 1 invalid config, 2 numerical failure, 3
+acceptance-check failure under --check.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ _DEFAULTS = {
     "weights": {"s": 1.0, "sigma_values": [0.0, 2.0],
                 "temperate_samples": 100000, "temperate_C": 4.0,
                 "temperate_M": 1.0, "nu_ladder": [2.0, 4.0, 8.0, 16.0, 32.0]},
-    "report": {},
 }
 
 
@@ -543,9 +543,9 @@ def _run_report(ctx):
             "sections": sorted(seen)}, True
 
 
-# Each subcommand's runner and the flags it takes besides --config, --set,
-# --check and --out.  Each such flag sets the RunContext field of its name,
-# which the runner reads.
+# Each subcommand's runner and the flags it takes besides --check, --out and,
+# for a subcommand with a config in _DEFAULTS, --config and --set.  Each such
+# flag sets the RunContext field of its name, which the runner reads.
 _RUNNERS = {
     "spectrum": (_run_spectrum, ()),
     "flow": (_run_flow, ()),
@@ -571,9 +571,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name, (_runner, flags) in _RUNNERS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--set", dest="overrides", action="append",
-                       metavar="KEY=VALUE", help="override a config entry")
+        if name in _DEFAULTS:
+            p.add_argument("--config", default=None, help="JSON config file")
+            p.add_argument("--set", dest="overrides", action="append",
+                           metavar="KEY=VALUE",
+                           help="override a config entry")
         if "workers" in flags:
             p.add_argument("--workers", type=effective_workers, default=1,
                            help="worker processes, at most the usable CPUs")
@@ -589,11 +591,13 @@ def build_parser():
 def run(argv=None):
     args = build_parser().parse_args(argv)
     experiment = args.experiment
-    try:
-        config = load_config(experiment, args.config, args.overrides)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 1
+    config = {}
+    if experiment in _DEFAULTS:
+        try:
+            config = load_config(experiment, args.config, args.overrides)
+        except (ConfigError, OSError, json.JSONDecodeError) as exc:
+            print(f"invalid config: {exc}", file=sys.stderr)
+            return 1
     runner, flags = _RUNNERS[experiment]
     ctx = RunContext(experiment, config, args.out,
                      **{flag: getattr(args, flag) for flag in flags})

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from hyplab.errors import ConfigError, FlowExitsGrid, NumericalFailure
-from hyplab.weights import cutoff_derivs
+from hyplab.weights import cutoff_jet, jet_product
 
 A_MAX_DERIVATIVE = 5
 
@@ -48,8 +48,8 @@ class ConjugateParams:
 
 
 def a_k_derivs(params, nu_k, r, top):
-    """[a_k, a_k', ..., a_k^{(top)}] at r, by the Leibniz rule over the
-    factors of a_k, with one profile evaluation per cutoff factor.
+    """[a_k, a_k', ..., a_k^{(top)}] at r, from the Taylor jets of the
+    cutoff factors, one profile evaluation each.
 
     Derivatives are supported to order 5, one beyond the bound table, so that
     products a_k * a_k^{(j+1)} can be formed for j up to 4.
@@ -62,20 +62,15 @@ def a_k_derivs(params, nu_k, r, top):
     R, S = params.R, params.S
     lognu = math.log(nu_k)
     u = r + 2.0 * S - lognu
-    orders = range(top + 1)
-    chi_d = [c / R**m for m, c in enumerate(cutoff_derivs("chi", r / R, orders))]
-    xi_d = [c / S**m
-            for m, c in enumerate(cutoff_derivs("xi", (r - lognu) / S, orders))]
+    chi = [c / R**m for m, c in enumerate(cutoff_jet("chi", r / R, top))]
+    xi = [c / S**m
+          for m, c in enumerate(cutoff_jet("xi", (r - lognu) / S, top))]
 
-    # p = chi * xi by the Leibniz rule; u' = 1 and u'' = 0 give
-    # a^{(j)} = u p^{(j)} + j p^{(j-1)}.
-    p = []
-    for j in orders:
-        pj = chi_d[0] * xi_d[j]
-        for i in range(1, j + 1):
-            pj = pj + math.comb(j, i) * chi_d[i] * xi_d[j - i]
-        p.append(pj)
-    derivs = [u * p[0]] + [u * p[j] + j * p[j - 1] for j in orders[1:]]
+    # p = chi_R xi_S; u' = 1 and u'' = 0 give the jet u p_j + p_{j-1} of
+    # a = u p, and a^{(j)} = j! (u p_j + p_{j-1}).
+    p = jet_product(chi, xi)
+    derivs = [u * p[0]] + [math.factorial(j) * (u * p[j] + p[j - 1])
+                           for j in range(1, top + 1)]
     return [d[0] for d in derivs] if scal else derivs
 
 

@@ -36,7 +36,7 @@ from hyplab.conjugate import ConjugateParams, a_k_derivs
 from hyplab.errors import ConfigError, NumericalFailure
 from hyplab.linops import (DiscreteOperator, RadialGrid, discretize,
                            hermitian_eig, resolved_grid)
-from hyplab.model import ModelConfig, mode_operator_spec
+from hyplab.model import mode_operator_spec
 from hyplab.weights import SpectralCutoff, profile_eval
 
 
@@ -384,7 +384,7 @@ def _window_form(op, U):
     )
 
 
-def mourre_positivity_check(lam, s0, K_max, config=None, C=10.0):
+def mourre_positivity_check(lam, s0, K_max, config, C=10.0):
     """Verify the localized positive-commutator estimate at energy lam, in
     one pass on the window of width delta = (log lam)^{-2 s0} lam^{1/2} / C.
 
@@ -402,8 +402,6 @@ def mourre_positivity_check(lam, s0, K_max, config=None, C=10.0):
     """
     if not C > 0:
         raise ConfigError(f"C = {C} must be positive")
-    if config is None:
-        config = ModelConfig(n=2, r0=0.25, cross_section={"kind": "circle"})
     params = ConjugateParams.from_lambda(lam)
     params.validate(config.r0)
     R = params.R

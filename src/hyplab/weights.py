@@ -14,10 +14,11 @@ and 1 above.  From q we derive
 * the spectral bump    f(E) = q(3-|E|)  (1 on [-2,2], 0 outside [-3,3]).
 
 chi and xi are squares so that their square roots are themselves smooth.
-Derivatives up to order 7 are evaluated in closed form: sigma^{(k)} is a
-polynomial P_k in sigma, the derivatives of g are explicit, and Faa di Bruno's
-formula combines the two.  The other profiles follow from q by the product
-and chain rules.
+Derivatives up to order 7 are carried as Taylor jets, the lists of
+coefficients f^{(j)}(x)/j!: the jet of q comes from one series recurrence on
+sigma' = sigma(1 - sigma) (step_jet), and the other profiles follow from it
+by one rule for the jet of a product (jet_product) and by scaling
+coefficient j by the j-th power of an affine argument's slope.
 
 On top of the profiles this module provides the scaled spectral cutoff
 f((E - lam)/delta), the mode-shifted weight vectors
@@ -33,7 +34,6 @@ import dataclasses
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from hyplab.errors import ConfigError
 
@@ -44,121 +44,78 @@ MAX_DERIVATIVE = 7
 _PROFILE_NAMES = ("q", "w", "chi", "xi", "f")
 
 
-def _sigma_polys(n):
-    """Coefficients (ascending powers of s) of P_0..P_n, where
-    sigma^{(k)}(t) = P_k(sigma(t)): P_0(s) = s and, from sigma' = sigma(1 -
-    sigma), P_{k+1}(s) = P_k'(s) s(1 - s)."""
-    polys = [np.array([0.0, 1.0])]
-    for _ in range(n):
-        polys.append(npoly.polymul(npoly.polyder(polys[-1]), [0.0, 1.0, -1.0]))
-    return polys
-
-
-def _faa_di_bruno_terms(n):
-    """Faa di Bruno's formula for (sigma o g)^{(n)} as a list of (k, c, parts).
-
-    There is one entry per partition of n into k parts, and
-    (sigma o g)^{(n)} = sum c P_k(sigma) prod_{i in parts} g^{(i)}/i!, with
-    c = n! / prod_i m_i! over the multiplicities m_i of the parts.
-    """
-    terms = []
-
-    def walk(rest, largest, parts):
-        if rest == 0:
-            c = math.factorial(n)
-            for i in set(parts):
-                c //= math.factorial(parts.count(i))
-            terms.append((len(parts), float(c), tuple(parts)))
-            return
-        for i in range(min(rest, largest), 0, -1):
-            walk(rest - i, i, parts + [i])
-
-    walk(n, n, [])
-    return terms
-
-
-_SIGMA_POLYS = _sigma_polys(MAX_DERIVATIVE)
-_FDB_TERMS = [_faa_di_bruno_terms(n) for n in range(MAX_DERIVATIVE + 1)]
-
 # Within this distance of a plateau, q and every derivative to order 7 are
 # below 1e-260 (sigma < e^{-699}); they are set to their exact plateau values
-# there.  The closed forms are therefore never evaluated where 1/x could
-# overflow, so 0 * inf and inf - inf cannot arise, nor where exp would take
-# its slow subnormal path.
+# there.  The series is therefore never formed where 1/x could overflow, so
+# 0 * inf and inf - inf cannot arise, nor where exp would take its slow
+# subnormal path.
 _PLATEAU_GAP = 1.0 / 700.0
 
 
-def _step_derivs(x, orders):
-    """[q^{(j)}(x) for j in orders], for x anywhere on the real line.
+def jet_product(f, g):
+    """The jet of a product: coefficient k is sum_{i <= k} f_i g_{k-i}."""
+    return [sum((f[i] * g[k - i] for i in range(1, k + 1)), f[0] * g[k])
+            for k in range(len(f))]
 
-    The closed forms are evaluated at y = min(x, 1-x) <= 1/2 only, where
-    sigma(g(y)) <= 1/2, and reflected by q(x) = 1 - q(1-x), that is
-    q^{(j)}(x) = (-1)^{j+1} q^{(j)}(1-x) for j >= 1.  Near x = 1 the direct
-    evaluation would lose every digit at orders 6 and 7.  On the plateaus,
-    and within _PLATEAU_GAP of them, the values are the exact plateau ones.
+
+def step_jet(x, top):
+    """The jet [q(x), q'(x), ..., q^{(top)}(x)/top!] of the step, for x
+    anywhere on the real line.
+
+    The series is formed at y = min(x, 1-x) <= 1/2 only, where
+    s = sigma(g(y)) <= 1/2, and reflected by q(x) = 1 - q(1-x): coefficient
+    k >= 1 changes sign at even k.  Near x = 1 the direct series would lose
+    every digit at orders 6 and 7.  From s' = s(1 - s) g', with p the series
+    of s - s^2 and g_i = g^{(i)}(y)/i! = a^{i+1} + (-b)^{i+1}, a = 1/(1-y),
+    b = 1/y,
+
+        k s_k = sum_{i<k} (k - i) p_i g_{k-i}.
+
+    On the plateaus, and within _PLATEAU_GAP of them, the coefficients are
+    the exact plateau ones.
     """
     x = np.asarray(x, dtype=float)
     y = np.minimum(x, 1.0 - x)
     flip = x > 0.5
-    out = [np.array(flip, dtype=float) if j == 0 else np.zeros(x.shape)
-           for j in orders]
+    jet = [np.array(flip, dtype=float)]
+    jet += [np.zeros(x.shape) for _ in range(top)]
     live = y > _PLATEAU_GAP
     if not live.any():
-        return out
+        return jet
     y, flip = y[live], flip[live]
     a = 1.0 / (1.0 - y)
     b = 1.0 / y
     e = np.exp(a - b)
-    s = e / (1.0 + e)  # sigma(g(y))
-    top = max(orders)
-    if top >= 1:
-        p = s * (1.0 - s)  # P_1(s)
-        g1 = a * a + b * b  # g'(y)
-    if top >= 3:
-        # h[i] = g^{(i)}(y)/i! = a^{i+1} + (-b)^{i+1}
-        apow, bpow = [a * a], [b * b]
-        for _ in range(top - 1):
-            apow.append(apow[-1] * a)
-            bpow.append(bpow[-1] * -b)
-        h = [None] + [u + v for u, v in zip(apow, bpow)]
-        sig = [s, p] + [npoly.polyval(s, _SIGMA_POLYS[k])
-                        for k in range(2, top + 1)]
-    # Orders 1 and 2 are written out: most calls stop there (the flow ODE,
-    # the cutoffs), many of them on a handful of points.
-    for j, dest in zip(orders, out):
-        if j == 0:
-            v = np.where(flip, 1.0 - s, s)
-        elif j == 1:
-            v = p * g1
-        elif j == 2:
-            v = p * ((1.0 - 2.0 * s) * g1 * g1 + 2.0 * (a * a * a - b * b * b))
-        else:
-            v = 0.0
-            for k, c, parts in _FDB_TERMS[j]:
-                term = c * sig[k]
-                for i in parts:
-                    term = term * h[i]
-                v = v + term
-        dest[live] = np.where(flip, -v, v) if j and j % 2 == 0 else v
-    return out
+    s = [e / (1.0 + e)]
+    jet[0][live] = np.where(flip, 1.0 - s[0], s[0])
+    if top:
+        # dg[i] = i g_i, coefficient i - 1 of the series of g'
+        nb = -b
+        dg, ap, bp = [None], a, nb
+        for i in range(1, top + 1):
+            ap, bp = ap * a, bp * nb
+            dg.append(i * (ap + bp))
+        p, c = [s[0] * (1.0 - s[0])], 1.0 - 2.0 * s[0]
+        for k in range(1, top + 1):
+            s.append(sum((p[i] * dg[k - i] for i in range(1, k)),
+                         p[0] * dg[k]) / k)
+            if k < top:
+                # p_k = s_k (1 - 2 s_0) - sum_{0<i<k} s_i s_{k-i}
+                pk = s[k] * c
+                for i in range(1, k):
+                    pk = pk - s[i] * s[k - i]
+                p.append(pk)
+            jet[k][live] = np.where(flip, -s[k], s[k]) if k % 2 == 0 else s[k]
+    return jet
 
 
-def cutoff_derivs(which, x, orders):
-    """[c^{(j)}(x) for j in orders] for the cutoff c = ``"chi"`` or ``"xi"``,
-    from one evaluation of the step q and its derivatives to max(orders).
-
-    chi = q(x-1)^2 and xi = q(2(x+1))^2, by the Leibniz rule on q * q.
-    """
+def cutoff_jet(which, x, top):
+    """The jet of the cutoff c = ``"chi"`` or ``"xi"`` at x to order top:
+    chi = q(x-1)^2 and xi = q(2(x+1))^2, the square of one step jet, whose
+    coefficient k scales by scale^k."""
     shift, scale = (1.0, 1.0) if which == "chi" else (-1.0, 2.0)
-    g = _step_derivs(scale * (np.asarray(x, dtype=float) - shift),
-                     range(max(orders) + 1))
-    out = []
-    for j in orders:
-        c = g[0] * g[j]
-        for i in range(1, j + 1):
-            c = c + math.comb(j, i) * g[i] * g[j - i]
-        out.append(c * scale**j)
-    return out
+    q = step_jet(scale * (np.asarray(x, dtype=float) - shift), top)
+    return [c * scale**k for k, c in enumerate(jet_product(q, q))]
 
 
 def profile_eval(which, x, j=0, extended=False):
@@ -181,26 +138,26 @@ def profile_eval(which, x, j=0, extended=False):
         raise ConfigError(f"derivative order {j} outside [0, {limit}]")
     x = np.asarray(x, dtype=float)
     if which == "q":
-        (out,) = _step_derivs(x, (j,))
+        out = step_jet(x, j)[j]
     elif which == "w":
-        # w^{(j)} = q^{(j)}(x)(x-1) + j q^{(j-1)}(x) (+1 at j = 0); x - 1 is
-        # clipped to [-1, 0], where it only meets plateau values of q, so the
-        # plateaus come out exact and finite.
+        # w = 1 + q(x)(x-1), so w_j = q_j (x-1) + q_{j-1} (+1 at j = 0);
+        # x - 1 is clipped to [-1, 0], where it only meets plateau values
+        # of q, so the plateaus come out exact and finite.
         t = np.clip(x, 0.0, 1.0) - 1.0
+        q = step_jet(x, j)
         if j == 0:
-            (qx,) = _step_derivs(x, (0,))
-            out = np.where(x >= 1.0, x, 1.0 + qx * t)
+            out = np.where(x >= 1.0, x, 1.0 + q[0] * t)
         else:
-            qj, qprev = _step_derivs(x, (j, j - 1))
-            out = qj * t + j * qprev
+            out = q[j] * t + q[j - 1]
     elif which in ("chi", "xi"):
-        (out,) = cutoff_derivs(which, x, (j,))
+        out = cutoff_jet(which, x, j)[j]
     else:
         # f(E) = q(3-|E|): plateau 1 on [-2,2], support [-3,3].  Smooth
         # because the |E| kink sits inside the plateau of q.
-        (out,) = _step_derivs(3.0 - np.abs(x), (j,))
+        out = step_jet(3.0 - np.abs(x), j)[j]
         if j % 2 == 1:
             out = out * np.where(x >= 0, -1.0, 1.0)
+    out = math.factorial(j) * out
     return np.asarray(out)[()]
 
 

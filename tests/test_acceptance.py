@@ -254,9 +254,10 @@ def test_criterion_08_functional_calculus():
 
 def test_criterion_09_positive_commutator():
     with criterion(9, "positive commutator estimate", 600.0):
+        config = ModelConfig(n=2, r0=0.25, cross_section={"kind": "circle"})
         reports = {}
         for lam in (1e2, 1e3):
-            rep = mourre_positivity_check(lam, 1.0, 48)
+            rep = mourre_positivity_check(lam, 1.0, 48, config)
             R = math.log(5.0 * lam)
             assert rep.grid == resolved_grid(
                 lam, max(2.0 * R + 5.0, 0.5 * R**2), r0=0.25, refine=4.0)

@@ -170,7 +170,8 @@ def test_a_float_key_takes_an_integer():
 @pytest.mark.parametrize("argv", [
     ["mourre", "--workers", "2"], ["spectrum", "--seed", "7"],
     ["flow", "--workers", "2"], ["sweep", "--seed", "1"],
-    ["weights", "--workers", "2"], ["report", "--seed", "1"]])
+    ["weights", "--workers", "2"], ["report", "--seed", "1"],
+    ["report", "--set", "title=x"], ["report", "--config", "report.json"]])
 def test_a_flag_the_run_does_not_read_is_a_usage_error(tmp_path, capsys,
                                                        argv):
     out = tmp_path / "run"

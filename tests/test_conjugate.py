@@ -102,7 +102,8 @@ def test_a_k_derivs_match_high_precision_oracle(nu):
     got = a_k_derivs(PARAMS_100, nu, r, A_MAX_DERIVATIVE)
     for j in range(A_MAX_DERIVATIVE + 1):
         ref = np.array([_a_k_oracle(PARAMS_100, nu, x, j) for x in r])
-        # measured: at most 9.2e-15 of the largest sampled value
+        # measured: at most 1.7e-14 of the largest sampled value (order 4,
+        # nu = 2)
         assert np.max(np.abs(got[j] - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.array_equal(a_k_derivs(PARAMS_100, nu, r, j)[j], got[j])
 

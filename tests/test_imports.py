@@ -127,6 +127,38 @@ def test_no_module_imports_scipy_integrate():
     assert offenders == []
 
 
+def _series_offenders(node):
+    """math.comb, or an import of numpy.polynomial, at node."""
+    if isinstance(node, ast.Attribute):
+        return ast.unparse(node) == "math.comb"
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module] + [f"{node.module}.{alias.name}"
+                                 for alias in node.names]
+        if node.module == "math":
+            names += [alias.name for alias in node.names]
+    else:
+        return False
+    return any(name in ("comb", "numpy.polynomial")
+               or name.startswith("numpy.polynomial.") for name in names)
+
+
+def test_derivatives_take_no_binomial_or_polynomial_route():
+    # profile and generator derivatives are Taylor jets: no module of the
+    # package calls math.comb or imports numpy.polynomial
+    paths = sorted(glob.glob(os.path.join(_SRC, "hyplab", "**", "*.py"),
+                             recursive=True))
+    assert len(paths) >= 10
+    offenders = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        offenders += [f"{os.path.relpath(path, _SRC)}:{node.lineno}"
+                      for node in ast.walk(tree) if _series_offenders(node)]
+    assert offenders == []
+
+
 def _mentions(node):
     """The names a node uses: a Name, the attribute of an Attribute, or the
     last part of each name an import statement binds."""
