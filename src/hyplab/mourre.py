@@ -23,12 +23,25 @@ window: the first for the Mourre estimate, the second for the size of
 f(H) [[H, A], A] f(H) / lam, which the C^2(A) regularity of H keeps bounded.
 It makes one pass, on the window that the configured C fixes in advance, and
 reports that pass's verdict.
+
+The Helffer-Sjostrand calculus applies f(H) = V diag(Q(E)) V* with
+Q(E) = pi^{-1} Re sum_z c_z / (E - z) over the certified nodes z = u + iv,
+which come in v-groups: the nodes of one height v on the u range mid +- h.
+A group's kernel 1/(E - u - iv) is analytic in u on the Bernstein ellipse of
+parameter rho = e^{asinh beta}, beta = v/h, so its sum is a Chebyshev series
+in the moments mu_m = sum_u c_u T_m((u - mid)/h).  At every real E the tail
+past M terms is at most 2 sum|c| rho^{-(M+1)} / ((1 - 1/rho) sqrt(2 beta) h),
+and the group's length M is the smallest whose tail is below its rounding
+scale 2^{-53} sum|c| / v.  A group goes far when M is below its kept node
+count: the wide bands, summed through moments formed once per rung.  The
+others, the near groups, keep the direct sum.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 
 import numpy as np
 
@@ -205,7 +218,137 @@ def _resolvent_quadrature(z, c, E):
     return acc / math.pi
 
 
-# (f_derivs, u_lo, u_hi) -> (rung, z, c); the key holds the function
+def _chebyshev_length(beta):
+    """Chebyshev length M of a v-group at beta = v/h: the smallest M whose
+    tail bound (module docstring) is below 2^{-53} sum|c| / v."""
+    alpha = math.asinh(beta)
+    digits = 53.0 * math.log(2.0) + math.log(
+        math.sqrt(2.0 * beta) / -math.expm1(-alpha))
+    return math.ceil(digits / alpha) - 1
+
+
+# moments per block of the far sum
+_FAR_POW = 16
+
+
+class _FarTable(typing.NamedTuple):
+    """The far v-groups of a rung on the u range mid +- h, in buckets of
+    similar length.  A bucket is (beta, coef): beta = v/h per group, and
+    coef[g, k, b] the coefficient of w^m, m = _FAR_POW b + k, which is
+    2 mu_m / h (mu_0 / h at m = 0)."""
+
+    mid: float
+    h: float
+    buckets: list
+
+
+def _split_far(groups, c, keep, u_lo, u_hi):
+    """(near, far) of a rung's groups, from the pruning mask keep and the
+    kept coefficients c: near lists the slices of the kept nodes that hold
+    the near groups, far is the _FarTable of the groups whose M is below
+    their kept node count.  The moments come from the three-term recurrence,
+    one matrix-vector product per m for all far groups.  These share the
+    base u panels: a group with finer ones has 12 ceil(h/v) nodes, fewer
+    than its M of about 37 h/v."""
+    mid, h = 0.5 * (u_lo + u_hi), 0.5 * (u_hi - u_lo)
+    ends = np.cumsum([len(u_nodes) for _, _, u_nodes, _ in groups])
+    kept = np.concatenate([[0], np.cumsum(keep)])
+    near, far = [], []
+    for (v, _, u_nodes, _), end in zip(groups, ends):
+        start = end - len(u_nodes)
+        lo, hi = int(kept[start]), int(kept[end])
+        length = _chebyshev_length(v / h)
+        if length < hi - lo:
+            far.append((length, v, start, end, u_nodes))
+        elif near and near[-1].stop == lo:
+            near[-1] = slice(near[-1].start, hi)
+        elif hi > lo:
+            near.append(slice(lo, hi))
+    if not far:
+        return near, _FarTable(mid, h, [])
+    # longest first, so the groups still summing at m lead the rows
+    far.sort(key=lambda group: -group[0])
+    x = (far[0][4] - mid) / h
+    rows = np.zeros((len(far), len(x)), dtype=complex)
+    for row, (_, _, start, end, _) in zip(rows, far):
+        row[keep[start:end]] = c[kept[start]:kept[end]]
+    mu = np.zeros((len(far), far[0][0] + 1), dtype=complex)
+    mu[:, 0] = rows.sum(axis=1)
+    t_prev, t = np.ones_like(x), x
+    active = len(far)
+    for m in range(1, far[0][0] + 1):
+        while far[active - 1][0] < m:
+            active -= 1
+        mu[:active, m] = rows[:active] @ t
+        t_prev, t = t, 2.0 * x * t - t_prev
+    buckets = {}
+    for (length, v, *_), row in zip(far, mu):
+        size = max(_FAR_POW, 1 << length.bit_length())
+        buckets.setdefault(size, []).append((v, row[:length + 1]))
+    tables = []
+    for members in buckets.values():
+        # a bucket's first group is its longest
+        n_blocks = -(-len(members[0][1]) // _FAR_POW)
+        coef = np.zeros((len(members), n_blocks * _FAR_POW), dtype=complex)
+        for i, (_, row) in enumerate(members):
+            coef[i, :len(row)] = (2.0 / h) * row
+        coef[:, 0] *= 0.5
+        coef = coef.reshape(len(members), n_blocks, _FAR_POW)
+        tables.append((np.array([v for v, _ in members]) / h,
+                       np.ascontiguousarray(coef.transpose(0, 2, 1))))
+    return near, _FarTable(mid, h, tables)
+
+
+def _far_quadrature(far, E):
+    """pi^{-1} Re of the far groups' sum at the real energies E.
+
+    With a = (E - iv - mid)/h, s = sqrt(a - 1) sqrt(a + 1) (principal
+    roots) and w = 1/(a + s), a group's sum is sum_u c_u / (E - z_u) =
+    (1/(h s)) [mu_0 + 2 sum_{m>=1} mu_m w^m]: one batched matmul of the
+    powers w^0..w^15 against the moment blocks, then Horner in w^16."""
+    t = (E - far.mid) / far.h
+    acc = np.zeros(len(t))
+    for beta, coef in far.buckets:
+        # no temporary outgrows the direct sum's chunk arrays
+        step = max(1, _HS_CHUNK // (2 * max(_FAR_POW, coef.shape[2])))
+        for g0 in range(0, len(beta), step):
+            a = t - 1j * beta[g0:g0 + step, None]
+            s = np.sqrt(a - 1.0) * np.sqrt(a + 1.0)
+            w = 1.0 / (a + s)
+            powers = np.empty(a.shape + (_FAR_POW,), dtype=complex)
+            powers[..., 0] = 1.0
+            powers[..., 1:] = w[..., None]
+            np.cumprod(powers, axis=-1, out=powers)
+            blocks = powers @ coef[g0:g0 + step]
+            w_step = powers[..., -1] * w
+            p = blocks[..., -1].copy()
+            for b in range(blocks.shape[-1] - 2, -1, -1):
+                p *= w_step
+                p += blocks[..., b]
+            acc += (p / s).real.sum(axis=0)
+    return acc / math.pi
+
+
+class _HSRung(typing.NamedTuple):
+    """A rung's kept nodes z and coefficients c, the near groups' slices of
+    them, and the far groups' _FarTable."""
+
+    rung: int
+    z: np.ndarray
+    c: np.ndarray
+    near: list
+    far: _FarTable
+
+
+def _rung_quadrature(entry, E):
+    """Q(E) of a rung: near groups summed directly, far ones by moments."""
+    q = _far_quadrature(entry.far, E)
+    for part in entry.near:
+        q += _resolvent_quadrature(entry.z[part], entry.c[part], E)
+    return q
+
+
+# (f_derivs, u_lo, u_hi) -> _HSRung; the key holds the function
 # itself, so an entry can never be reached by another function.  Kept in
 # least-recently-used order: a hit moves its entry to the end, and the front
 # entry goes once there are more than _HS_CACHE_CAP.
@@ -236,15 +379,17 @@ def _hs_start_rung(f_derivs, u_lo, u_hi):
 
 
 def _hs_rung(f_derivs, u_lo, u_hi, rung):
-    """(rung, z, c): the nodes and coefficients of one ladder rung, without
-    the nodes whose term stays negligible at every energy."""
+    """The _HSRung of one ladder rung, without the nodes whose term stays
+    negligible at every energy."""
     depth, base = _HS_LADDER[rung]
     v_max = 0.25 * (u_hi - u_lo)
     groups = _hs_node_set(u_lo, u_hi, v_max, depth, n_u_base=base)
     z, c = _hs_nodes(f_derivs, groups, v_max)
     # the threshold counts the mirrored lower-half nodes too: 2 len(z) terms
     keep = np.abs(c) / z.imag > _HS_TOL * 1e-4 / (2 * len(z))
-    return rung, z[keep], c[keep]
+    z, c = z[keep], c[keep]
+    near, far = _split_far(groups, c, keep, u_lo, u_hi)
+    return _HSRung(rung, z, c, near, far)
 
 
 def hs_calculus(f_derivs, op, u_range):
@@ -273,6 +418,11 @@ def hs_calculus(f_derivs, op, u_range):
     rung of this function (or a rung guessed from its seventh derivative)
     up to the first rung that passes, which then becomes the cached one.
     NumericalFailure if no rung passes.
+
+    Q(E) is summed by v-groups (module docstring).  A group at height v
+    has the Chebyshev length M whose tail bound is below 2^{-53} sum|c| / v;
+    it goes far, summed through its moments, when M is below its kept node
+    count, and stays near, summed directly, otherwise.
     """
     u_lo, u_hi = float(u_range[0]), float(u_range[1])
 
@@ -292,17 +442,16 @@ def hs_calculus(f_derivs, op, u_range):
     entry = _HS_CACHE.get(key) or _hs_rung(
         f_derivs, u_lo, u_hi, _hs_start_rung(f_derivs, u_lo, u_hi))
     while True:
-        rung, z, c = entry
-        q = _resolvent_quadrature(z, c, evals)
+        q = _rung_quadrature(entry, evals)
         err = float(np.max(np.abs(q - f_vals)))
         if err <= _HS_TOL:
             break
-        if rung + 1 == len(_HS_LADDER):
+        if entry.rung + 1 == len(_HS_LADDER):
             raise NumericalFailure(
                 f"Helffer-Sjostrand quadrature misses f at the spectrum by "
                 f"{err:.3e} on its finest nodes (tolerance {_HS_TOL:.1e})"
             )
-        entry = _hs_rung(f_derivs, u_lo, u_hi, rung + 1)
+        entry = _hs_rung(f_derivs, u_lo, u_hi, entry.rung + 1)
     _HS_CACHE.pop(key, None)
     _HS_CACHE[key] = entry
     if len(_HS_CACHE) > _HS_CACHE_CAP:

@@ -251,8 +251,14 @@ def test_hs_zero_function():
             return np.zeros_like(np.asarray(E, dtype=float))
 
     op = np.diag([5.0, 6.0, 7.0])
-    out = hs_calculus(Zero(), op, u_range=(-1.0, 1.0))
+    f = Zero()
+    out = hs_calculus(f, op, u_range=(-1.0, 1.0))
     assert np.max(np.abs(out)) <= 1e-12
+    # every node is pruned, so no group is near or far, and the first rung
+    # passes
+    entry = mourre._HS_CACHE[(f, -1.0, 1.0)]
+    assert entry.rung == mourre._hs_start_rung(f, -1.0, 1.0) == 0
+    assert len(entry.z) == 0 and not entry.near and not entry.far.buckets
 
 
 def test_hs_matches_spectral_calculus_random_hermitian():
@@ -362,12 +368,13 @@ def test_hs_repeat_calls_reuse_one_cache_entry(monkeypatch):
         matrices.append((raw + raw.T) / math.sqrt(2 * 30))
     hs_calculus(f, matrices[0], u_range=f.support)
     key = (f, -3.0, 3.0)
-    _, z, c = mourre._HS_CACHE[key]
+    entry = mourre._HS_CACHE[key]
     for H in matrices:
         out = hs_calculus(f, H, u_range=f.support)
         assert np.linalg.norm(out - spectral_calculus(f, H), 2) <= 1e-6
-        _, z_now, c_now = mourre._HS_CACHE[key]
-        assert z_now is z and c_now is c
+        now = mourre._HS_CACHE[key]
+        assert now.z is entry.z and now.c is entry.c
+        assert now.near is entry.near and now.far is entry.far
     assert len(builds) == 1
 
 
@@ -413,7 +420,7 @@ def test_hs_half_plane_sum_matches_both_half_planes():
     f = WideBump()
     tol = 1e-6
     hs_calculus(f, np.diag([-2.0, 0.0, 2.0]), u_range=f.support)
-    rung, z, c = mourre._HS_CACHE[(f, -3.0, 3.0)]
+    rung, z, c = mourre._HS_CACHE[(f, -3.0, 3.0)][:3]
     assert np.all(z.imag > 0.0)
     depth, base = mourre._HS_LADDER[rung]
     v_max = 1.5
@@ -432,6 +439,55 @@ def test_hs_half_plane_sum_matches_both_half_planes():
     ]) / (2.0 * math.pi)
     q = mourre._resolvent_quadrature(z, c, E)
     assert np.max(np.abs(full - q)) <= 1e-13 * np.max(np.abs(q))
+
+
+def _far_split_energies(u_lo, u_hi):
+    return np.concatenate([np.linspace(-10.0, 10.0, 401),
+                           [u_lo, u_hi, 0.5 * (u_lo + u_hi)]])
+
+
+@pytest.mark.parametrize("f", [WideBump(), _PolyBump(1.0)],
+                         ids=["WideBump", "PolyBump"])
+def test_hs_near_and_far_groups_match_the_direct_sum(f):
+    # The near groups' direct sum plus the far groups' Chebyshev sum must
+    # reproduce the direct sum over every cached node, at energies inside,
+    # at the ends of and far beyond the u range.
+    hs_calculus(f, np.diag([-2.0, -0.5, 0.0, 1.0, 2.5]), u_range=f.support)
+    entry = mourre._HS_CACHE[(f, -3.0, 3.0)]
+    assert entry.far.buckets
+    E = _far_split_energies(*f.support)
+    q = mourre._resolvent_quadrature(entry.z, entry.c, E)
+    split = mourre._rung_quadrature(entry, E)
+    assert np.max(np.abs(split - q)) <= 1e-13 * np.max(np.abs(q))
+
+
+def test_hs_far_groups_are_those_shorter_than_their_kept_nodes():
+    # At WideBump's rung 5 both parts are present, each far group's
+    # Chebyshev length M is below its kept node count, each near group's is
+    # not, and the near slices hold exactly the near groups' kept nodes.
+    f = WideBump()
+    entry = mourre._hs_rung(f, -3.0, 3.0, 5)
+    h = 3.0
+    far_v = np.concatenate([beta for beta, _ in entry.far.buckets]) * h
+    near_z = np.concatenate([entry.z[part] for part in entry.near])
+    near_v = set(near_z.imag)
+    depth, base = mourre._HS_LADDER[5]
+    far, near = 0, 0
+    for v, _, _, _ in mourre._hs_node_set(-3.0, 3.0, 1.5, depth, n_u_base=base):
+        kept = int(np.count_nonzero(entry.z.imag == v))
+        length = mourre._chebyshev_length(v / h)
+        is_far = bool(np.any(np.isclose(far_v, v, rtol=1e-15, atol=0.0)))
+        assert is_far == (length < kept)
+        assert (v in near_v) == (kept > 0 and not is_far)
+        far += is_far
+        near += kept > 0 and not is_far
+    assert far == len(far_v) >= 1 and near >= 1
+    assert len(near_z) == np.count_nonzero(np.isin(entry.z.imag,
+                                                   list(near_v)))
+    for beta, coef in entry.far.buckets:
+        lengths = [mourre._chebyshev_length(b) for b in beta]
+        assert coef.shape[1] == mourre._FAR_POW
+        assert (coef.shape[2] - 1) * mourre._FAR_POW <= max(lengths)
 
 
 def _per_group_dbar(f, u, v, v_max):
@@ -453,7 +509,7 @@ def test_hs_cached_nodes_match_per_group_evaluation():
     f = WideBump()
     tol = 1e-6
     hs_calculus(f, np.diag([-2.0, -0.5, 0.0, 1.0, 2.5]), u_range=f.support)
-    rung, z, c = mourre._HS_CACHE[(f, -3.0, 3.0)]
+    rung, z, c = mourre._HS_CACHE[(f, -3.0, 3.0)][:3]
     depth, base = mourre._HS_LADDER[rung]
     v_max = 1.5
     groups = mourre._hs_node_set(-3.0, 3.0, v_max, depth, n_u_base=base)
@@ -595,12 +651,17 @@ def test_hs_certifies_the_result_at_the_spectrum():
     bump = _PolyBump(1.0)
     good = hs_calculus(bump, H, u_range=bump.support)
     assert np.linalg.norm(good - spectral_calculus(bump, H), 2) <= 1e-6
+    # What is evaluated is c on the near groups and the far groups'
+    # moments, so both carry the error.
     key = (bump, -3.0, 3.0)
-    rung, z, c = mourre._HS_CACHE[key]
-    mourre._HS_CACHE[key] = (rung, z, c * (1.0 + 1e-3))
+    entry = mourre._HS_CACHE[key]
+    assert entry.far.buckets
+    far = entry.far._replace(buckets=[
+        (beta, coef * (1.0 + 1e-3)) for beta, coef in entry.far.buckets])
+    mourre._HS_CACHE[key] = entry._replace(c=entry.c * (1.0 + 1e-3), far=far)
     out = hs_calculus(bump, H, u_range=bump.support)
     assert np.linalg.norm(out - spectral_calculus(bump, H), 2) <= 1e-6
-    assert mourre._HS_CACHE[key][0] > rung
+    assert mourre._HS_CACHE[key].rung > entry.rung
 
 
 def test_hs_ladder_that_cannot_meet_tol_raises(monkeypatch):
