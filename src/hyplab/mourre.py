@@ -35,6 +35,20 @@ and the group's length M is the smallest whose tail is below its rounding
 scale 2^{-53} sum|c| / v.  A group goes far when M is below its kept node
 count: the wide bands, summed through moments formed once per rung.  The
 others, the near groups, keep the direct sum.
+
+Near plus far is one fixed real function of E, analytic in the strip
+|Im E| < v_min below the smallest kept node height, so each rung also keeps
+a table of it on [u_lo, u_hi): P = ceil((u_hi - u_lo) / v_min) equal panels
+of half-width p <= v_min / 2.  On a panel's Bernstein ellipse of parameter
+rho = 1 + sqrt 2 the semi-minor axis is p, so every node z and its mirror
+conj z lie at least v_z / 2 away and |Q| <= B = (2/pi) sum|c|/v there.
+Interpolation at the M + 1 second-kind Chebyshev points then errs by at most
+4 B rho^{-M} / (rho - 1) (Trefethen, Approximation Theory and Approximation
+Practice, ch. 8), and M = 43 is the smallest degree that puts this below
+the rounding scale 2^{-53} sum|c|/v.  A panel is built the first time an
+energy falls in it, from the near and far sums at its own points, one panel
+per evaluation, so its coefficients have the same bits whichever call built
+it.  Energies outside [u_lo, u_hi) keep the near and far sums.
 """
 
 from __future__ import annotations
@@ -172,9 +186,10 @@ def _hs_node_set(u_lo, u_hi, v_max, depth, n_u_base):
     return groups
 
 
-# nodes per chunk of a quadrature sum: the chunk's two real (node x energy)
-# arrays take 8 KiB per energy
+# nodes per chunk and energies per block of a quadrature sum: the chunk's two
+# real (node x energy) arrays take 512 KiB each, whatever the energy count
 _HS_CHUNK = 512
+_HS_E_BLOCK = 128
 
 
 def _hs_nodes(f_derivs, groups, v_max):
@@ -205,16 +220,18 @@ def _resolvent_quadrature(z, c, E):
     is pi^{-1} times the real part of the upper half's sum.
     """
     acc = np.zeros(len(E))
-    for start in range(0, len(z), _HS_CHUNK):
-        zc, cc = z[start:start + _HS_CHUNK], c[start:start + _HS_CHUNK]
-        # with z = u + iv and d = u - E:
-        # Re c/(E - z) = -(Re c d + Im c v) / (d^2 + v^2), in real arithmetic
-        d = np.subtract.outer(zc.real, E)
-        w = d * d
-        w += (zc.imag**2)[:, None]
-        np.reciprocal(w, out=w)
-        d *= w
-        acc -= cc.real @ d + (cc.imag * zc.imag) @ w
+    for e0 in range(0, len(E), _HS_E_BLOCK):
+        block = slice(e0, e0 + _HS_E_BLOCK)
+        for start in range(0, len(z), _HS_CHUNK):
+            zc, cc = z[start:start + _HS_CHUNK], c[start:start + _HS_CHUNK]
+            # with z = u + iv and d = u - E: Re c/(E - z) =
+            # -(Re c d + Im c v) / (d^2 + v^2), in real arithmetic
+            d = np.subtract.outer(zc.real, E[block])
+            w = d * d
+            w += (zc.imag**2)[:, None]
+            np.reciprocal(w, out=w)
+            d *= w
+            acc[block] -= cc.real @ d + (cc.imag * zc.imag) @ w
     return acc / math.pi
 
 
@@ -306,38 +323,81 @@ def _far_quadrature(far, E):
     roots) and w = 1/(a + s), a group's sum is sum_u c_u / (E - z_u) =
     (1/(h s)) [mu_0 + 2 sum_{m>=1} mu_m w^m]: one batched matmul of the
     powers w^0..w^15 against the moment blocks, then Horner in w^16."""
-    t = (E - far.mid) / far.h
-    acc = np.zeros(len(t))
-    for beta, coef in far.buckets:
-        # no temporary outgrows the direct sum's chunk arrays
-        step = max(1, _HS_CHUNK // (2 * max(_FAR_POW, coef.shape[2])))
-        for g0 in range(0, len(beta), step):
-            a = t - 1j * beta[g0:g0 + step, None]
-            s = np.sqrt(a - 1.0) * np.sqrt(a + 1.0)
-            w = 1.0 / (a + s)
-            powers = np.empty(a.shape + (_FAR_POW,), dtype=complex)
-            powers[..., 0] = 1.0
-            powers[..., 1:] = w[..., None]
-            np.cumprod(powers, axis=-1, out=powers)
-            blocks = powers @ coef[g0:g0 + step]
-            w_step = powers[..., -1] * w
-            p = blocks[..., -1].copy()
-            for b in range(blocks.shape[-1] - 2, -1, -1):
-                p *= w_step
-                p += blocks[..., b]
-            acc += (p / s).real.sum(axis=0)
+    acc = np.zeros(len(E))
+    for e0 in range(0, len(E), _HS_E_BLOCK):
+        block = slice(e0, e0 + _HS_E_BLOCK)
+        t = (E[block] - far.mid) / far.h
+        for beta, coef in far.buckets:
+            # no temporary outgrows the direct sum's chunk arrays
+            step = max(1, _HS_CHUNK // (2 * max(_FAR_POW, coef.shape[2])))
+            for g0 in range(0, len(beta), step):
+                a = t - 1j * beta[g0:g0 + step, None]
+                s = np.sqrt(a - 1.0) * np.sqrt(a + 1.0)
+                w = 1.0 / (a + s)
+                powers = np.empty(a.shape + (_FAR_POW,), dtype=complex)
+                powers[..., 0] = 1.0
+                powers[..., 1:] = w[..., None]
+                np.cumprod(powers, axis=-1, out=powers)
+                blocks = powers @ coef[g0:g0 + step]
+                w_step = powers[..., -1] * w
+                p = blocks[..., -1].copy()
+                for b in range(blocks.shape[-1] - 2, -1, -1):
+                    p *= w_step
+                    p += blocks[..., b]
+                acc[block] += (p / s).real.sum(axis=0)
     return acc / math.pi
+
+
+def _panel_length():
+    """Degree M of a panel's interpolant: the smallest M whose bound
+    4 B rho^{-M} / (rho - 1), B = (2/pi) sum|c|/v, is below the rounding
+    scale 2^{-53} sum|c|/v (module docstring)."""
+    rho = _PANEL_RHO
+    digits = 53.0 * math.log(2.0) + math.log(8.0 / (math.pi * (rho - 1.0)))
+    return math.ceil(digits / math.log(rho))
+
+
+def _panel_basis(M):
+    """The second-kind Chebyshev points x_k = cos(pi k / M), k = 0..M, and
+    the inverse of the matrix T_m(x_k), which by the discrete orthogonality
+    of the cosines is 2/M T_m(x_k) with the end rows and columns halved.
+    T_m(x_k) = cos(pi (mk mod 2M) / M) is read from one table of cosines, so
+    no angle is rounded beyond 2 pi (a rounded pi mk / M leaves coefficients
+    of 2e-15 where Q is flat)."""
+    cosines = np.cos(np.pi * np.arange(2 * M) / M)
+    k = np.arange(M + 1)
+    inverse = (2.0 / M) * cosines[np.outer(k, k) % (2 * M)]
+    inverse[:, [0, -1]] *= 0.5
+    inverse[[0, -1]] *= 0.5
+    return cosines[:M + 1], inverse
+
+
+_PANEL_RHO = 1.0 + math.sqrt(2.0)
+_PANEL_M = _panel_length()
+_PANEL_X, _PANEL_COEF = _panel_basis(_PANEL_M)
+
+
+class _Panels(typing.NamedTuple):
+    """Q(E) of a rung on [lo, hi), cut into len(built) equal panels: coef[i]
+    holds panel i's Chebyshev coefficients once built[i] is set."""
+
+    lo: float
+    hi: float
+    coef: np.ndarray
+    built: np.ndarray
 
 
 class _HSRung(typing.NamedTuple):
     """A rung's kept nodes z and coefficients c, the near groups' slices of
-    them, and the far groups' _FarTable."""
+    them, the far groups' _FarTable, and its _Panels (None without a kept
+    node)."""
 
     rung: int
     z: np.ndarray
     c: np.ndarray
     near: list
     far: _FarTable
+    panels: _Panels | None
 
 
 def _rung_quadrature(entry, E):
@@ -345,6 +405,32 @@ def _rung_quadrature(entry, E):
     q = _far_quadrature(entry.far, E)
     for part in entry.near:
         q += _resolvent_quadrature(entry.z[part], entry.c[part], E)
+    return q
+
+
+def _tabulated_quadrature(entry, E):
+    """Q(E) of a rung from its panels on [lo, hi), each built from
+    _rung_quadrature at its own M + 1 points the first time an energy falls
+    in it; outside [lo, hi), and without panels, the direct sums."""
+    panels = entry.panels
+    if panels is None:
+        return _rung_quadrature(entry, E)
+    inside = (E >= panels.lo) & (E < panels.hi)
+    q = np.empty(len(E))
+    if not inside.all():
+        q[~inside] = _rung_quadrature(entry, E[~inside])
+    n_pan = len(panels.built)
+    width = (panels.hi - panels.lo) / n_pan
+    t = (E[inside] - panels.lo) / width
+    index = np.minimum(t.astype(int), n_pan - 1)
+    # one panel per evaluation, so a panel's bits do not depend on the call
+    # that built it
+    for i in np.unique(index[~panels.built[index]]):
+        points = panels.lo + width * (i + 0.5 + 0.5 * _PANEL_X)
+        panels.coef[i] = _PANEL_COEF @ _rung_quadrature(entry, points)
+        panels.built[i] = True
+    q[inside] = np.polynomial.chebyshev.chebval(
+        2.0 * (t - index) - 1.0, panels.coef[index].T, tensor=False)
     return q
 
 
@@ -389,7 +475,13 @@ def _hs_rung(f_derivs, u_lo, u_hi, rung):
     keep = np.abs(c) / z.imag > _HS_TOL * 1e-4 / (2 * len(z))
     z, c = z[keep], c[keep]
     near, far = _split_far(groups, c, keep, u_lo, u_hi)
-    return _HSRung(rung, z, c, near, far)
+    panels = None
+    if len(z):
+        # half-width at most v_min / 2
+        n_pan = math.ceil((u_hi - u_lo) / float(np.min(z.imag)))
+        panels = _Panels(u_lo, u_hi, np.zeros((n_pan, _PANEL_M + 1)),
+                         np.zeros(n_pan, dtype=bool))
+    return _HSRung(rung, z, c, near, far, panels)
 
 
 def hs_calculus(f_derivs, op, u_range):
@@ -422,7 +514,13 @@ def hs_calculus(f_derivs, op, u_range):
     Q(E) is summed by v-groups (module docstring).  A group at height v
     has the Chebyshev length M whose tail bound is below 2^{-53} sum|c| / v;
     it goes far, summed through its moments, when M is below its kept node
-    count, and stays near, summed directly, otherwise.
+    count, and stays near, summed directly, otherwise.  On [u_lo, u_hi) Q is
+    read from the rung's table instead: ceil((u_hi - u_lo) / v_min) equal
+    panels, each a Chebyshev interpolant of degree 43 at second-kind points
+    (the module docstring derives both from rho = 1 + sqrt 2 and the rounding
+    scale), built from the near and far sums the first time an eigenvalue
+    falls in it.  The check at the spectrum runs on these tabulated values,
+    and a rung that fails it is dropped with its panels.
     """
     u_lo, u_hi = float(u_range[0]), float(u_range[1])
 
@@ -442,7 +540,7 @@ def hs_calculus(f_derivs, op, u_range):
     entry = _HS_CACHE.get(key) or _hs_rung(
         f_derivs, u_lo, u_hi, _hs_start_rung(f_derivs, u_lo, u_hi))
     while True:
-        q = _rung_quadrature(entry, evals)
+        q = _tabulated_quadrature(entry, evals)
         err = float(np.max(np.abs(q - f_vals)))
         if err <= _HS_TOL:
             break

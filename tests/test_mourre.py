@@ -2,6 +2,7 @@
 functional calculus."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,11 +255,12 @@ def test_hs_zero_function():
     f = Zero()
     out = hs_calculus(f, op, u_range=(-1.0, 1.0))
     assert np.max(np.abs(out)) <= 1e-12
-    # every node is pruned, so no group is near or far, and the first rung
-    # passes
+    # every node is pruned, so no group is near or far, there is no panel,
+    # and the first rung passes
     entry = mourre._HS_CACHE[(f, -1.0, 1.0)]
     assert entry.rung == mourre._hs_start_rung(f, -1.0, 1.0) == 0
     assert len(entry.z) == 0 and not entry.near and not entry.far.buckets
+    assert entry.panels is None
 
 
 def test_hs_matches_spectral_calculus_random_hermitian():
@@ -375,6 +377,7 @@ def test_hs_repeat_calls_reuse_one_cache_entry(monkeypatch):
         now = mourre._HS_CACHE[key]
         assert now.z is entry.z and now.c is entry.c
         assert now.near is entry.near and now.far is entry.far
+        assert now.panels is entry.panels
     assert len(builds) == 1
 
 
@@ -461,12 +464,18 @@ def test_hs_near_and_far_groups_match_the_direct_sum(f):
     assert np.max(np.abs(split - q)) <= 1e-13 * np.max(np.abs(q))
 
 
-def test_hs_far_groups_are_those_shorter_than_their_kept_nodes():
+@pytest.fixture(scope="module")
+def wide_rung_5():
+    """WideBump's rung 5, the benchmark bump's certified rung, as built:
+    57,950 kept nodes and no panel yet."""
+    return mourre._hs_rung(WideBump(), -3.0, 3.0, 5)
+
+
+def test_hs_far_groups_are_those_shorter_than_their_kept_nodes(wide_rung_5):
     # At WideBump's rung 5 both parts are present, each far group's
     # Chebyshev length M is below its kept node count, each near group's is
     # not, and the near slices hold exactly the near groups' kept nodes.
-    f = WideBump()
-    entry = mourre._hs_rung(f, -3.0, 3.0, 5)
+    entry = wide_rung_5
     h = 3.0
     far_v = np.concatenate([beta for beta, _ in entry.far.buckets]) * h
     near_z = np.concatenate([entry.z[part] for part in entry.near])
@@ -488,6 +497,134 @@ def test_hs_far_groups_are_those_shorter_than_their_kept_nodes():
         lengths = [mourre._chebyshev_length(b) for b in beta]
         assert coef.shape[1] == mourre._FAR_POW
         assert (coef.shape[2] - 1) * mourre._FAR_POW <= max(lengths)
+
+
+def test_hs_quadrature_temporaries_stay_flat_in_the_energy_count(
+        wide_rung_5):
+    # At 12,000 energies the near and far sums each allocate at most 2 MiB
+    # at a time, and agree with the same sums taken 100 energies at a time
+    # (a single block of _HS_E_BLOCK = 128), on every tenth such slice.  The
+    # near sum runs over the first four 512-node chunks of the near groups:
+    # it holds one chunk's arrays at a time.
+    entry = wide_rung_5
+    E = np.linspace(-3.5, 3.5, 12000)
+    near = slice(entry.near[0].start, entry.near[0].start + 4 * 512)
+    assert near.stop <= entry.near[0].stop
+    sums = [
+        lambda E: mourre._resolvent_quadrature(entry.z[near], entry.c[near],
+                                               E),
+        lambda E: mourre._far_quadrature(entry.far, E),
+    ]
+    for quadrature in sums:
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            q = quadrature(E)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+        for i in range(0, len(E), 1000):
+            sliced = quadrature(E[i:i + 100])
+            assert np.max(np.abs(q[i:i + 100] - sliced)) <= 1e-14 * np.max(
+                np.abs(q))
+
+
+def test_hs_panel_rule():
+    # M is the smallest degree whose interpolation bound 4 B rho^-M /
+    # (rho - 1) at rho = 1 + sqrt 2, B = (2/pi) sum|c|/v, is below
+    # 2^-53 sum|c|/v; the coefficient matrix inverts T_m(x_k).
+    rho = 1.0 + math.sqrt(2.0)
+
+    def bound(M):
+        return 4.0 * (2.0 / math.pi) * rho**-M / (rho - 1.0)
+
+    M = mourre._PANEL_M
+    assert bound(M) <= 2.0**-53 < bound(M - 1)
+    k = np.arange(M + 1)
+    assert np.allclose(mourre._PANEL_X, np.cos(np.pi * k / M), rtol=0.0,
+                       atol=1e-16)
+    T = np.polynomial.chebyshev.chebvander(mourre._PANEL_X, M)
+    assert np.max(np.abs(mourre._PANEL_COEF @ T - np.eye(M + 1))) <= 1e-14
+
+
+@pytest.mark.parametrize("which", ["WideBump", "PolyBump"])
+def test_hs_table_matches_the_direct_sums(which, wide_rung_5):
+    # On [u_lo, u_hi) the panels reproduce near + far: on a fine grid, at
+    # every panel edge and at u_lo.  Outside it, u_hi included, the table
+    # returns the direct sums themselves.  Each panel's half-width is at
+    # most v_min / 2, the smallest kept node height.
+    if which == "WideBump":
+        entry = wide_rung_5
+    else:
+        f = _PolyBump(1.0)
+        hs_calculus(f, np.diag([-2.0, -0.5, 0.0, 1.0, 2.5]),
+                    u_range=f.support)
+        entry = mourre._HS_CACHE[(f, -3.0, 3.0)]
+    panels = entry.panels
+    n_pan = len(panels.built)
+    width = (panels.hi - panels.lo) / n_pan
+    assert (panels.lo, panels.hi) == (-3.0, 3.0)
+    assert n_pan == math.ceil(6.0 / np.min(entry.z.imag))
+    assert width <= np.min(entry.z.imag)
+    E = np.concatenate([np.linspace(-3.0, 3.0, 4001),
+                        panels.lo + width * np.arange(n_pan + 1),
+                        [-3.0, 3.0, -3.5, -10.0, 3.0 + 1e-12, 10.0]])
+    q = mourre._tabulated_quadrature(entry, E)
+    assert panels.built.all()
+    direct = mourre._rung_quadrature(entry, E)
+    inside = (E >= -3.0) & (E < 3.0)
+    assert np.max(np.abs(q - direct)) <= 1e-13 * np.max(np.abs(direct))
+    assert np.array_equal(q[~inside],
+                          mourre._rung_quadrature(entry, E[~inside]))
+
+
+def test_hs_output_does_not_depend_on_who_built_the_panels():
+    # f(H1) from panels that H1's own call built, again after calls on
+    # other operators built more panels, and for an equal function whose
+    # panels other operators built first: the same bits.
+    H1 = np.diag([-2.6, -1.3, -0.2, 0.45, 1.7, 2.95])
+    rng = np.random.default_rng(5)
+    raw = rng.standard_normal((30, 30))
+    others = [(raw + raw.T) / math.sqrt(60),
+              np.diag([-2.6 + 0.01, 0.45 - 0.02, 2.95 - 0.01])]
+    f, g = _PolyBump(1.0), _PolyBump(1.0)
+    first = hs_calculus(f, H1, u_range=f.support)
+    built = mourre._HS_CACHE[(f, -3.0, 3.0)].panels.built.copy()
+    for H in others:
+        hs_calculus(f, H, u_range=f.support)
+        hs_calculus(g, H, u_range=g.support)
+    assert mourre._HS_CACHE[(f, -3.0, 3.0)].panels.built.sum() > built.sum()
+    again = hs_calculus(f, H1, u_range=f.support)
+    other_order = hs_calculus(g, H1, u_range=g.support)
+    assert (mourre._HS_CACHE[(f, -3.0, 3.0)].rung
+            == mourre._HS_CACHE[(g, -3.0, 3.0)].rung)
+    assert np.array_equal(again, first)
+    assert np.array_equal(other_order, first)
+
+
+def test_hs_repeat_call_on_the_same_spectrum_builds_no_panel(monkeypatch):
+    # Every eigenvalue lies in [u_lo, u_hi), so after the first call the
+    # panels answer alone: no direct sum runs and no panel is built.
+    f = _PolyBump(1.0)
+    rng = np.random.default_rng(8)
+    raw = rng.standard_normal((30, 30))
+    H = (raw + raw.T) / math.sqrt(60)
+    first = hs_calculus(f, H, u_range=f.support)
+    entry = mourre._HS_CACHE[(f, -3.0, 3.0)]
+    built = entry.panels.built.copy()
+    sums = []
+    rung_quadrature = mourre._rung_quadrature
+
+    def counted(entry, E):
+        sums.append(len(E))
+        return rung_quadrature(entry, E)
+
+    monkeypatch.setattr(mourre, "_rung_quadrature", counted)
+    again = hs_calculus(f, H, u_range=f.support)
+    assert sums == []
+    assert np.array_equal(entry.panels.built, built)
+    assert np.array_equal(again, first)
 
 
 def _per_group_dbar(f, u, v, v_max):
@@ -651,14 +788,19 @@ def test_hs_certifies_the_result_at_the_spectrum():
     bump = _PolyBump(1.0)
     good = hs_calculus(bump, H, u_range=bump.support)
     assert np.linalg.norm(good - spectral_calculus(bump, H), 2) <= 1e-6
-    # What is evaluated is c on the near groups and the far groups'
-    # moments, so both carry the error.
+    # What is evaluated is the built panels' coefficients, and a new panel
+    # is built from c on the near groups and the far groups' moments, so all
+    # three carry the error.
     key = (bump, -3.0, 3.0)
     entry = mourre._HS_CACHE[key]
-    assert entry.far.buckets
+    assert entry.far.buckets and entry.panels.built.any()
     far = entry.far._replace(buckets=[
         (beta, coef * (1.0 + 1e-3)) for beta, coef in entry.far.buckets])
-    mourre._HS_CACHE[key] = entry._replace(c=entry.c * (1.0 + 1e-3), far=far)
+    panels = entry.panels._replace(coef=np.where(
+        entry.panels.built[:, None], entry.panels.coef * (1.0 + 1e-3),
+        entry.panels.coef))
+    mourre._HS_CACHE[key] = entry._replace(c=entry.c * (1.0 + 1e-3), far=far,
+                                           panels=panels)
     out = hs_calculus(bump, H, u_range=bump.support)
     assert np.linalg.norm(out - spectral_calculus(bump, H), 2) <= 1e-6
     assert mourre._HS_CACHE[key].rung > entry.rung
