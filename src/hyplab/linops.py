@@ -93,7 +93,10 @@ class DiscreteOperator:
     by default, Numerov's mass for the outgoing closure.  matvec applies A.
     ``outgoing_energy`` is the energy of the outgoing closure at r_max, or
     None for a box closed by a Dirichlet wall.  Immutable by convention (no
-    mutating API).
+    mutating API), but the diagonals are plain arrays that a caller can
+    change in place; ``hermitian_eig`` keeps its full eigendecomposition on
+    the instance and reuses it only while the diagonals it was computed from
+    are unchanged.
     """
 
     def __init__(self, grid, diagonals, outgoing_energy=None,
@@ -107,6 +110,7 @@ class DiscreteOperator:
         self.upper = np.asarray(diagonals[1])
         self.outgoing_energy = outgoing_energy
         self.mass = mass
+        self._eig = None  # hermitian_eig's (d, e, evals, evecs)
         if (len(self.main) != n
                 or {len(self.lower), len(self.upper)} != {n - 1}):
             raise ConfigError("diagonal has wrong length")
@@ -377,6 +381,15 @@ def hermitian_eig(op, select_range=None):
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns), by
     eigh_tridiagonal.  With ``select_range=(lo, hi)`` only the eigenpairs in
     (lo, hi] are computed and returned.
+
+    The full decomposition is kept on ``op``, with copies of the real
+    diagonals d and e it was computed from.  Every call runs the checks
+    above and forms d and e; a later full call returns the kept pair only
+    if both equal the kept copies (np.array_equal), and recomputes
+    otherwise, so an operator changed in place is never served a stale
+    pair.  The kept arrays are read-only, as are the arrays returned from
+    them, so no caller can alter the kept pair.  Windowed calls are never
+    kept and return writable arrays.
     """
     if op.mass != _IDENTITY_MASS:
         raise ConfigError("hermitian_eig needs M = I, not a pencil's M^{-1} A")
@@ -386,5 +399,15 @@ def hermitian_eig(op, select_range=None):
         raise ConfigError("hermitian_eig takes real operators only")
     d = np.real(op.main).astype(float)
     e = np.real(op.upper).astype(float)
-    select = "a" if select_range is None else "v"
-    return sla.eigh_tridiagonal(d, e, select=select, select_range=select_range)
+    if select_range is not None:
+        return sla.eigh_tridiagonal(d, e, select="v",
+                                    select_range=select_range)
+    kept = op._eig
+    if (kept is not None and np.array_equal(d, kept[0])
+            and np.array_equal(e, kept[1])):
+        return kept[2], kept[3]
+    evals, evecs = sla.eigh_tridiagonal(d, e)
+    evals.flags.writeable = False
+    evecs.flags.writeable = False
+    op._eig = (d, e, evals, evecs)
+    return evals, evecs

@@ -499,7 +499,11 @@ def hs_calculus(f_derivs, op, u_range):
         Interval containing supp f.
 
     The nodes are applied in the eigenbasis, where the resolvent is
-    diagonal: (op - z)^{-1} = V (E - z)^{-1} V*, so the quadrature gives
+    diagonal: (op - z)^{-1} = V (E - z)^{-1} V*.  For a DiscreteOperator the
+    eigenbasis is linops.hermitian_eig's, which keeps it on the operator and
+    reuses it, read-only, while the operator's diagonals are unchanged; a
+    dense op is decomposed on every call.  Either way the check at the
+    spectrum below runs on every call.  The quadrature gives
     V diag(Q(E)) V* with Q(E) = (2 pi)^{-1} sum_z c_z / (E - z).  The nodes
     of the lower half-plane are the conjugates of the upper ones, with
     conjugate coefficients, so only the upper half is built and Q(E) =

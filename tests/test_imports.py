@@ -389,3 +389,27 @@ def test_every_grid_comes_from_the_resolution_rule():
                 (inside_rule if id(node) in rule else outside).append(site)
     assert len(inside_rule) == 1
     assert outside == []
+
+
+def test_every_tridiagonal_eigensolve_goes_through_hermitian_eig():
+    # eigh_tridiagonal is named in one place in the package, its call inside
+    # linops.hermitian_eig, so every eigensolve of a DiscreteOperator passes
+    # the decomposition that hermitian_eig keeps on the operator
+    paths = sorted(glob.glob(os.path.join(_SRC, "hyplab", "*.py")))
+    assert len(paths) >= 10
+    inside = []
+    outside = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        solver = {id(node) for definition in tree.body
+                  if isinstance(definition, ast.FunctionDef)
+                  and definition.name == "hermitian_eig"
+                  and os.path.basename(path) == "linops.py"
+                  for node in ast.walk(definition)}
+        for node in ast.walk(tree):
+            if "eigh_tridiagonal" in _mentions(node):
+                site = f"{os.path.relpath(path, _SRC)}:{node.lineno}"
+                (inside if id(node) in solver else outside).append(site)
+    assert len(inside) == 2  # the windowed call and the full one
+    assert outside == []

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.linalg.lapack import zgttrs
 from scipy.special import erf
 
@@ -681,6 +682,95 @@ def test_hermitian_eig_rejects_cap():
                make_mode_operator(cfg, 0, g)):
         with pytest.raises(ConfigError):
             hermitian_eig(op)
+
+
+def _counted_eigensolves(monkeypatch):
+    """Route linops' eigh_tridiagonal through a counter; returns the list of
+    the select argument of each call."""
+    calls = []
+
+    class CountingLinalg:
+        @staticmethod
+        def eigh_tridiagonal(d, e, **kwargs):
+            calls.append(kwargs.get("select", "a"))
+            return sla.eigh_tridiagonal(d, e, **kwargs)
+
+    monkeypatch.setattr(linops, "sla", CountingLinalg)
+    return calls
+
+
+def _mode_operator_120():
+    g = RadialGrid(r0=0.25, r_max=12.0, N=120)
+    return discretize(mode_operator_spec(_circle_config(), 1), g)
+
+
+def test_hermitian_eig_keeps_the_decomposition_on_the_operator(monkeypatch):
+    calls = _counted_eigensolves(monkeypatch)
+    op = _mode_operator_120()
+    evals, evecs = hermitian_eig(op)
+    again = hermitian_eig(op)
+    assert again[0] is evals and again[1] is evecs
+    assert calls == ["a"]
+    # an equal operator is a new instance: it computes its own, same bits
+    fresh = hermitian_eig(_mode_operator_120())
+    assert calls == ["a", "a"]
+    assert np.array_equal(fresh[0], evals) and np.array_equal(fresh[1], evecs)
+
+
+def test_hermitian_eig_results_are_read_only():
+    op = _mode_operator_120()
+    for _ in range(2):  # the computing call and the one served from memory
+        evals, evecs = hermitian_eig(op)
+        assert not evals.flags.writeable and not evecs.flags.writeable
+        with pytest.raises(ValueError):
+            evals[0] = 0.0
+        with pytest.raises(ValueError):
+            evecs[:, 0] *= -1.0
+
+
+def test_hermitian_eig_follows_an_operator_changed_in_place(monkeypatch):
+    calls = _counted_eigensolves(monkeypatch)
+    op = _mode_operator_120()
+    hermitian_eig(op)
+    j = 57
+    # the main diagonal, then both off-diagonals, changed in place
+    for change in (lambda o: o.main.__setitem__(j, o.main[j] + 1.0),
+                   lambda o: (o.upper.__setitem__(j, o.upper[j] + 0.5),
+                              o.lower.__setitem__(j, o.lower[j] + 0.5))):
+        change(op)
+        n_calls = len(calls)
+        evals, evecs = hermitian_eig(op)
+        assert len(calls) == n_calls + 1
+        equal = DiscreteOperator(op.grid, {k: np.array(v, copy=True)
+                                           for k, v in op.diagonals.items()})
+        ref_evals, ref_evecs = hermitian_eig(equal)
+        assert np.array_equal(evals, ref_evals)
+        assert np.array_equal(evecs, ref_evecs)
+    # the checks run on every call, also when a decomposition is kept
+    op.upper[j] += 1.0
+    with pytest.raises(ConfigError):
+        hermitian_eig(op)
+
+
+def test_hermitian_eig_keeps_no_windowed_decomposition(monkeypatch):
+    calls = _counted_eigensolves(monkeypatch)
+    op = _mode_operator_120()
+    full = hermitian_eig(op)
+    mid = 0.5 * (full[0][:-1] + full[0][1:])
+    window = (float(mid[10]), float(mid[20]))
+    for _ in range(2):
+        evals, evecs = hermitian_eig(op, select_range=window)
+        assert evals.flags.writeable and evecs.flags.writeable
+        assert np.allclose(evals, full[0][11:21], rtol=0, atol=1e-12)
+    assert calls == ["a", "v", "v"]
+    # the windowed calls left the full decomposition in place
+    assert hermitian_eig(op)[1] is full[1]
+    assert calls == ["a", "v", "v"]
+    # and a window asked first is not served as the full decomposition
+    other = _mode_operator_120()
+    hermitian_eig(other, select_range=window)
+    assert len(hermitian_eig(other)[0]) == other.n
+    assert calls == ["a", "v", "v", "v", "a"]
 
 
 # ----------------------------------------------------------------------------

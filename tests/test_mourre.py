@@ -287,6 +287,37 @@ def test_hs_matches_spectral_calculus_mode_operator():
     assert np.linalg.norm(out - ref, 2) <= 1e-6
 
 
+def _calculus_mode_operator():
+    """Mode 1 on 120 points, scaled so its spectrum fills [0, 2.5]."""
+    g = RadialGrid(r0=0.25, r_max=12.0, N=120)
+    op = discretize(mode_operator_spec(CONFIG, 1), g)
+    evals, _ = hermitian_eig(op)
+    return op.scaled_shifted(scale=2.5 / float(np.max(np.abs(evals))))
+
+
+def test_hs_repeat_calls_on_one_operator_give_the_same_bits():
+    # the repeat call reuses the eigendecomposition kept on the operator;
+    # an equal, new operator computes its own
+    f = WIDE_BUMP
+    op = _calculus_mode_operator()
+    first = hs_calculus(f, op, u_range=f.support)
+    assert np.array_equal(hs_calculus(f, op, u_range=f.support), first)
+    assert np.array_equal(
+        hs_calculus(f, _calculus_mode_operator(), u_range=f.support), first)
+
+
+def test_hs_follows_an_operator_changed_in_place():
+    f = WIDE_BUMP
+    op = _calculus_mode_operator()
+    before = hs_calculus(f, op, u_range=f.support)
+    op.main[30:70] -= 0.5
+    after = hs_calculus(f, op, u_range=f.support)
+    # the reference goes through numpy's dense eigh, not the operator
+    assert np.linalg.norm(after - spectral_calculus(f, dense_matrix(op)),
+                          2) <= 1e-6
+    assert np.linalg.norm(after - before, 2) > 0.1
+
+
 def test_hs_matches_spectral_calculus_complex_generator():
     # The generator A_k is complex Hermitian; hermitian_eig takes real
     # operators only, so its dense matrix goes to hs_calculus's ndarray path
