@@ -734,10 +734,9 @@ def test_hermitian_eig_follows_an_operator_changed_in_place(monkeypatch):
     hermitian_eig(op)
     j = 57
     # the main diagonal, then both off-diagonals, changed in place
-    for change in (lambda o: o.main.__setitem__(j, o.main[j] + 1.0),
-                   lambda o: (o.upper.__setitem__(j, o.upper[j] + 0.5),
-                              o.lower.__setitem__(j, o.lower[j] + 0.5))):
-        change(op)
+    for names, step in ((("main",), 1.0), (("upper", "lower"), 0.5)):
+        for name in names:
+            getattr(op, name)[j] += step
         n_calls = len(calls)
         evals, evecs = hermitian_eig(op)
         assert len(calls) == n_calls + 1
