@@ -95,8 +95,8 @@ class DiscreteOperator:
     None for a box closed by a Dirichlet wall.  Immutable by convention (no
     mutating API), but the diagonals are plain arrays that a caller can
     change in place; ``hermitian_eig`` keeps its full eigendecomposition on
-    the instance and reuses it only while the diagonals it was computed from
-    are unchanged.
+    the instance, with copies of the mass and of the three diagonals it was
+    computed from, and reuses it only while all four still equal them.
     """
 
     def __init__(self, grid, diagonals, outgoing_energy=None,
@@ -110,7 +110,8 @@ class DiscreteOperator:
         self.upper = np.asarray(diagonals[1])
         self.outgoing_energy = outgoing_energy
         self.mass = mass
-        self._eig = None  # hermitian_eig's (d, e, evals, evecs)
+        # hermitian_eig's (mass, lower, main, upper, evals, evecs)
+        self._eig = None
         if (len(self.main) != n
                 or {len(self.lower), len(self.upper)} != {n - 1}):
             raise ConfigError("diagonal has wrong length")
@@ -375,24 +376,35 @@ def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, start=None):
 
 def hermitian_eig(op, select_range=None):
     """Eigendecomposition of a real symmetric DiscreteOperator with M = I (a
-    pencil's M^{-1} A is not the Hermitian A, and an operator with nonzero
-    imaginary entries is not real; both are refused).
+    pencil's M^{-1} A is not the Hermitian A, an operator with nonzero
+    imaginary entries is not real, and one with a non-finite entry has no
+    decomposition; all three are refused with ConfigError).
 
-    Returns (eigenvalues ascending, orthonormal eigenvectors as columns), by
-    eigh_tridiagonal.  With ``select_range=(lo, hi)`` only the eigenpairs in
-    (lo, hi] are computed and returned.
+    Returns (eigenvalues ascending, orthonormal eigenvectors as columns),
+    both real float64, by eigh_tridiagonal on the real diagonals.  With
+    ``select_range=(lo, hi)`` only the eigenpairs in (lo, hi] are computed
+    and returned.
 
-    The full decomposition is kept on ``op``, with copies of the real
-    diagonals d and e it was computed from.  Every call runs the checks
-    above and forms d and e; a later full call returns the kept pair only
-    if both equal the kept copies (np.array_equal), and recomputes
-    otherwise, so an operator changed in place is never served a stale
-    pair.  The kept arrays are read-only, as are the arrays returned from
-    them, so no caller can alter the kept pair.  Windowed calls are never
-    kept and return writable arrays.
+    The full decomposition is kept on ``op``, with copies of the mass and of
+    the three diagonals it was computed from.  A later full call whose mass
+    and lower, main and upper diagonals all equal those copies
+    (np.array_equal, so a NaN never does) returns the kept pair at once: the
+    checks above read only those values, and they passed on them.  Any
+    difference runs the checks and a new eigensolve, so an operator changed
+    in place is never served a stale pair.  The kept arrays are read-only,
+    as are the arrays returned from them, so no caller can alter the kept
+    pair.  Windowed calls are never kept and return writable arrays.
     """
+    kept = op._eig
+    if (select_range is None and kept is not None and op.mass == kept[0]
+            and np.array_equal(op.lower, kept[1])
+            and np.array_equal(op.main, kept[2])
+            and np.array_equal(op.upper, kept[3])):
+        return kept[4], kept[5]
     if op.mass != _IDENTITY_MASS:
         raise ConfigError("hermitian_eig needs M = I, not a pencil's M^{-1} A")
+    if not all(np.all(np.isfinite(d)) for d in (op.lower, op.main, op.upper)):
+        raise ConfigError("operator has non-finite entries")
     if not op.is_hermitian():
         raise ConfigError("operator is not Hermitian")
     if any(np.any(np.imag(d)) for d in (op.lower, op.main, op.upper)):
@@ -402,12 +414,9 @@ def hermitian_eig(op, select_range=None):
     if select_range is not None:
         return sla.eigh_tridiagonal(d, e, select="v",
                                     select_range=select_range)
-    kept = op._eig
-    if (kept is not None and np.array_equal(d, kept[0])
-            and np.array_equal(e, kept[1])):
-        return kept[2], kept[3]
     evals, evecs = sla.eigh_tridiagonal(d, e)
     evals.flags.writeable = False
     evecs.flags.writeable = False
-    op._eig = (d, e, evals, evecs)
+    op._eig = (op.mass, op.lower.copy(), op.main.copy(), op.upper.copy(),
+               evals, evecs)
     return evals, evecs

@@ -38,17 +38,21 @@ others, the near groups, keep the direct sum.
 
 Near plus far is one fixed real function of E, analytic in the strip
 |Im E| < v_min below the smallest kept node height, so each rung also keeps
-a table of it on [u_lo, u_hi): P = ceil((u_hi - u_lo) / v_min) equal panels
-of half-width p <= v_min / 2.  On a panel's Bernstein ellipse of parameter
-rho = 1 + sqrt 2 the semi-minor axis is p, so every node z and its mirror
-conj z lie at least v_z / 2 away and |Q| <= B = (2/pi) sum|c|/v there.
-Interpolation at the M + 1 second-kind Chebyshev points then errs by at most
-4 B rho^{-M} / (rho - 1) (Trefethen, Approximation Theory and Approximation
-Practice, ch. 8), and M = 43 is the smallest degree that puts this below
-the rounding scale 2^{-53} sum|c|/v.  A panel is built the first time an
-energy falls in it, from the near and far sums at its own points, one panel
-per evaluation, so its coefficients have the same bits whichever call built
-it.  Energies outside [u_lo, u_hi) keep the near and far sums.
+a table of it on [u_lo, u_hi): P = ceil(8 (u_hi - u_lo) / v_min) equal
+panels of half-width p <= v_min / 16.  On a panel's Bernstein ellipse of
+parameter rho = 8 + sqrt 65 the semi-minor axis is 8 p <= v_min / 2, so every
+node z and its mirror conj z lie at least v_z / 2 away and
+|Q| <= B = (2/pi) sum|c|/v there.  Interpolation at the M + 1 second-kind
+Chebyshev points then errs by at most 4 B rho^{-M} / (rho - 1) (Trefethen,
+Approximation Theory and Approximation Practice, ch. 8), and M = 13 is the
+smallest degree that puts this below the rounding scale 2^{-53} sum|c|/v.
+A panel is built the first time an energy falls in it, from the near and
+far sums at its own points, one panel per evaluation, so its coefficients
+have the same bits whichever call built it.  Energies outside
+[u_lo, u_hi) keep the near and far sums.  When every energy of a call lies
+in [u_lo, u_hi) on a built panel, the table is read without masks: one
+Chebyshev sum of degree 13 per energy, elementwise, with the same bits as
+in any other call.
 """
 
 from __future__ import annotations
@@ -190,6 +194,8 @@ def _hs_node_set(u_lo, u_hi, v_max, depth, n_u_base):
 # real (node x energy) arrays take 512 KiB each, whatever the energy count
 _HS_CHUNK = 512
 _HS_E_BLOCK = 128
+# Q(E) panels per smallest kept node height v_min: half-width p <= v_min / 16
+_PANEL_SPLIT = 8
 
 
 def _hs_nodes(f_derivs, groups, v_max):
@@ -372,7 +378,8 @@ def _panel_basis(M):
     return cosines[:M + 1], inverse
 
 
-_PANEL_RHO = 1.0 + math.sqrt(2.0)
+# the Bernstein ellipse whose semi-minor axis, _PANEL_SPLIT p, is v_min / 2
+_PANEL_RHO = _PANEL_SPLIT + math.sqrt(_PANEL_SPLIT**2 + 1.0)
 _PANEL_M = _panel_length()
 _PANEL_X, _PANEL_COEF = _panel_basis(_PANEL_M)
 
@@ -408,21 +415,36 @@ def _rung_quadrature(entry, E):
     return q
 
 
+def _panel_coordinates(panels, E):
+    """(x, index) of energies E in [lo, hi): the panel each falls in and
+    its local coordinate x in [-1, 1], elementwise, so an energy gets the
+    same bits in any call."""
+    n_pan = len(panels.built)
+    t = (E - panels.lo) / ((panels.hi - panels.lo) / n_pan)
+    index = np.minimum(t.astype(int), n_pan - 1)
+    return 2.0 * (t - index) - 1.0, index
+
+
 def _tabulated_quadrature(entry, E):
     """Q(E) of a rung from its panels on [lo, hi), each built from
     _rung_quadrature at its own M + 1 points the first time an energy falls
-    in it; outside [lo, hi), and without panels, the direct sums."""
+    in it; outside [lo, hi), and without panels, the direct sums.  When
+    every energy lies in [lo, hi) on a built panel (a NaN never does), the
+    panels are read without masks."""
     panels = entry.panels
     if panels is None:
         return _rung_quadrature(entry, E)
+    if len(E) and panels.lo <= E.min() and E.max() < panels.hi:
+        x, index = _panel_coordinates(panels, E)
+        if panels.built[index].all():
+            return np.polynomial.chebyshev.chebval(
+                x, panels.coef[index].T, tensor=False)
     inside = (E >= panels.lo) & (E < panels.hi)
     q = np.empty(len(E))
     if not inside.all():
         q[~inside] = _rung_quadrature(entry, E[~inside])
-    n_pan = len(panels.built)
-    width = (panels.hi - panels.lo) / n_pan
-    t = (E[inside] - panels.lo) / width
-    index = np.minimum(t.astype(int), n_pan - 1)
+    x, index = _panel_coordinates(panels, E[inside])
+    width = (panels.hi - panels.lo) / len(panels.built)
     # one panel per evaluation, so a panel's bits do not depend on the call
     # that built it
     for i in np.unique(index[~panels.built[index]]):
@@ -430,7 +452,7 @@ def _tabulated_quadrature(entry, E):
         panels.coef[i] = _PANEL_COEF @ _rung_quadrature(entry, points)
         panels.built[i] = True
     q[inside] = np.polynomial.chebyshev.chebval(
-        2.0 * (t - index) - 1.0, panels.coef[index].T, tensor=False)
+        x, panels.coef[index].T, tensor=False)
     return q
 
 
@@ -477,8 +499,9 @@ def _hs_rung(f_derivs, u_lo, u_hi, rung):
     near, far = _split_far(groups, c, keep, u_lo, u_hi)
     panels = None
     if len(z):
-        # half-width at most v_min / 2
-        n_pan = math.ceil((u_hi - u_lo) / float(np.min(z.imag)))
+        # half-width at most v_min / (2 _PANEL_SPLIT)
+        v_min = float(np.min(z.imag))
+        n_pan = math.ceil(_PANEL_SPLIT * (u_hi - u_lo) / v_min)
         panels = _Panels(u_lo, u_hi, np.zeros((n_pan, _PANEL_M + 1)),
                          np.zeros(n_pan, dtype=bool))
     return _HSRung(rung, z, c, near, far, panels)
@@ -495,15 +518,21 @@ def hs_calculus(f_derivs, op, u_range):
         spectrum).  It must be hashable: the certified nodes are cached per
         function.
     op : DiscreteOperator or Hermitian ndarray
+        ConfigError, before any eigensolve, for an ndarray that is empty,
+        not square or not Hermitian, and for a non-finite entry.
     u_range : (lo, hi)
-        Interval containing supp f.
+        Interval containing supp f; ConfigError unless lo < hi.
+
+    Returns f(op) in the eigenvectors' dtype: float64 for a real symmetric
+    operator, banded or dense, and complex for a complex Hermitian matrix.
 
     The nodes are applied in the eigenbasis, where the resolvent is
     diagonal: (op - z)^{-1} = V (E - z)^{-1} V*.  For a DiscreteOperator the
     eigenbasis is linops.hermitian_eig's, which keeps it on the operator and
-    reuses it, read-only, while the operator's diagonals are unchanged; a
-    dense op is decomposed on every call.  Either way the check at the
-    spectrum below runs on every call.  The quadrature gives
+    returns it, read-only and without re-running its checks, while the
+    operator's mass and three diagonals equal the copies it keeps; a dense
+    op is decomposed on every call.  Either way the check at the spectrum
+    below runs on every call.  The quadrature gives
     V diag(Q(E)) V* with Q(E) = (2 pi)^{-1} sum_z c_z / (E - z).  The nodes
     of the lower half-plane are the conjugates of the upper ones, with
     conjugate coefficients, so only the upper half is built and Q(E) =
@@ -519,22 +548,33 @@ def hs_calculus(f_derivs, op, u_range):
     has the Chebyshev length M whose tail bound is below 2^{-53} sum|c| / v;
     it goes far, summed through its moments, when M is below its kept node
     count, and stays near, summed directly, otherwise.  On [u_lo, u_hi) Q is
-    read from the rung's table instead: ceil((u_hi - u_lo) / v_min) equal
-    panels, each a Chebyshev interpolant of degree 43 at second-kind points
-    (the module docstring derives both from rho = 1 + sqrt 2 and the rounding
-    scale), built from the near and far sums the first time an eigenvalue
-    falls in it.  The check at the spectrum runs on these tabulated values,
-    and a rung that fails it is dropped with its panels.
+    read from the rung's table instead: ceil(8 (u_hi - u_lo) / v_min) equal
+    panels, each a Chebyshev interpolant of degree 13 at second-kind points
+    (the module docstring derives both from rho = 8 + sqrt 65 and the
+    rounding scale), built from the near and far sums the first time an
+    eigenvalue falls in it.  A warm call, with every eigenvalue in
+    [u_lo, u_hi) on a built panel, reads the table without masks, so it does
+    four things: the eigensolve (none for a kept decomposition), one
+    Chebyshev sum per eigenvalue, the check at the spectrum and
+    V diag(Q) V*.  The check runs on these tabulated values, and a rung that
+    fails it is dropped with its panels.
     """
     u_lo, u_hi = float(u_range[0]), float(u_range[1])
-
+    if not u_lo < u_hi:
+        raise ConfigError(f"u_range ({u_lo}, {u_hi}) needs lo < hi")
     if hasattr(op, "diagonals"):
         evals, evecs = hermitian_eig(op)
     else:
         dense = np.asarray(op)
-        if np.max(np.abs(dense - np.conj(dense.T))) > 1e-10 * max(
-            np.max(np.abs(dense)), 1e-300
-        ):
+        if dense.ndim != 2 or dense.shape[0] != dense.shape[1] or (
+                not dense.size):
+            raise ConfigError("hs_calculus needs a nonempty square matrix, "
+                              f"not shape {dense.shape}")
+        scale = float(np.max(np.abs(dense)))
+        if not math.isfinite(scale):
+            raise ConfigError("hs_calculus requires finite entries")
+        if np.max(np.abs(dense - dense.conj().T)) > 1e-10 * max(scale,
+                                                                 1e-300):
             raise ConfigError("hs_calculus requires a Hermitian operator")
         evals, evecs = np.linalg.eigh(dense)
     f_vals = f_derivs(evals, 0)
@@ -558,7 +598,8 @@ def hs_calculus(f_derivs, op, u_range):
     _HS_CACHE[key] = entry
     if len(_HS_CACHE) > _HS_CACHE_CAP:
         _HS_CACHE.pop(next(iter(_HS_CACHE)))
-    return ((evecs * q) @ np.conj(evecs.T)).astype(complex, copy=False)
+    # conj() of real eigenvectors is the array itself, so no copy is made
+    return (evecs * q) @ evecs.conj().T
 
 
 # ----------------------------------------------------------------------------

@@ -745,10 +745,64 @@ def test_hermitian_eig_follows_an_operator_changed_in_place(monkeypatch):
         ref_evals, ref_evecs = hermitian_eig(equal)
         assert np.array_equal(evals, ref_evals)
         assert np.array_equal(evecs, ref_evecs)
-    # the checks run on every call, also when a decomposition is kept
+    # a diagonal that differs from the kept copy sends the call through the
+    # checks, which refuse the now non-symmetric operator
     op.upper[j] += 1.0
     with pytest.raises(ConfigError):
         hermitian_eig(op)
+
+
+def _counted_checks(monkeypatch):
+    """Count DiscreteOperator.is_hermitian calls; returns the count list."""
+    checks = []
+    is_hermitian = DiscreteOperator.is_hermitian
+
+    def counted(self):
+        checks.append(1)
+        return is_hermitian(self)
+
+    monkeypatch.setattr(DiscreteOperator, "is_hermitian", counted)
+    return checks
+
+
+def test_hermitian_eig_repeat_call_runs_no_check(monkeypatch):
+    checks = _counted_checks(monkeypatch)
+    calls = _counted_eigensolves(monkeypatch)
+    op = _mode_operator_120()
+    first = hermitian_eig(op)
+    assert len(checks) == 1 and calls == ["a"]
+    for _ in range(3):
+        again = hermitian_eig(op)
+        assert again[0] is first[0] and again[1] is first[1]
+    assert len(checks) == 1 and calls == ["a"]
+
+
+@pytest.mark.parametrize("changed", ["lower", "main", "upper", "mass"])
+def test_hermitian_eig_rechecks_a_changed_diagonal_or_mass(changed,
+                                                           monkeypatch):
+    # A change to any one of the three diagonals in place, or to the mass,
+    # runs the checks again: a lone off-diagonal change or a pencil's mass
+    # is refused, and a changed main diagonal is solved again.
+    checks = _counted_checks(monkeypatch)
+    calls = _counted_eigensolves(monkeypatch)
+    op = _mode_operator_120()
+    hermitian_eig(op)
+    if changed == "mass":
+        op.mass = linops._NUMEROV_MASS
+    else:
+        getattr(op, changed)[57] += 0.5
+    if changed == "main":
+        evals, _ = hermitian_eig(op)
+        assert len(checks) == 2 and calls == ["a", "a"]
+        equal = DiscreteOperator(op.grid, {k: np.array(v, copy=True)
+                                           for k, v in op.diagonals.items()})
+        assert np.array_equal(evals, hermitian_eig(equal)[0])
+    else:
+        with pytest.raises(ConfigError):
+            hermitian_eig(op)
+        # the mass check comes before is_hermitian
+        assert len(checks) == (1 if changed == "mass" else 2)
+        assert calls == ["a"]
 
 
 def test_hermitian_eig_keeps_no_windowed_decomposition(monkeypatch):

@@ -6,8 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from hyplab import mourre
+from hyplab import linops, mourre
 from hyplab.conjugate import ConjugateParams, a_k_derivs
 from hyplab.errors import ConfigError, NumericalFailure, RegimeError
 from hyplab.linops import RadialGrid, discretize, hermitian_eig
@@ -446,6 +447,77 @@ def test_hs_refuses_a_complex_function():
         hs_calculus(f, np.diag([-1.0, 0.0, 1.0]), u_range=f.support)
 
 
+def _counted_eigensolves(monkeypatch):
+    """Count the dense and the tridiagonal eigensolves of hs_calculus."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def dense(*args, **kwargs):
+        calls.append("dense")
+        return eigh(*args, **kwargs)
+
+    class CountingLinalg:
+        @staticmethod
+        def eigh_tridiagonal(*args, **kwargs):
+            calls.append("tridiagonal")
+            return sla.eigh_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", dense)
+    monkeypatch.setattr(linops, "sla", CountingLinalg)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 4), (5,), (2, 2, 2)])
+def test_hs_refuses_an_empty_or_non_square_matrix(shape, monkeypatch):
+    calls = _counted_eigensolves(monkeypatch)
+    with pytest.raises(ConfigError, match="square"):
+        hs_calculus(WIDE_BUMP, np.zeros(shape), u_range=WIDE_BUMP.support)
+    assert calls == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_hs_refuses_non_finite_entries(value, monkeypatch):
+    # before any eigensolve, for a dense matrix and for an operator
+    H = np.diag([-1.0, 0.0, 1.0])
+    H[1, 1] = value
+    op = _calculus_mode_operator()
+    op.main[7] = value
+    calls = _counted_eigensolves(monkeypatch)
+    sums = []
+    monkeypatch.setattr(mourre, "_rung_quadrature",
+                        lambda entry, E: sums.append(E))
+    for matrix in (H, op):
+        with pytest.raises(ConfigError, match="finite"):
+            hs_calculus(WIDE_BUMP, matrix, u_range=WIDE_BUMP.support)
+    assert calls == [] and sums == []
+
+
+@pytest.mark.parametrize("u_range", [(3.0, -3.0), (1.0, 1.0),
+                                     (np.nan, 3.0)])
+def test_hs_refuses_an_empty_u_range(u_range, monkeypatch):
+    calls = _counted_eigensolves(monkeypatch)
+    with pytest.raises(ConfigError, match="lo < hi"):
+        hs_calculus(WIDE_BUMP, np.diag([-1.0, 0.0, 1.0]), u_range=u_range)
+    assert calls == []
+
+
+def test_hs_result_has_the_eigenvectors_dtype():
+    # a real symmetric operator, banded or dense, gives a real f(H); a
+    # complex Hermitian matrix gives a complex one
+    f = WIDE_BUMP
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((30, 30))
+    for op in (_calculus_mode_operator(), (raw + raw.T) / math.sqrt(60)):
+        out = hs_calculus(f, op, u_range=f.support)
+        assert out.dtype == np.float64
+        assert np.linalg.norm(out - spectral_calculus(f, op), 2) <= 1e-6
+    grid = RadialGrid(r0=0.25, r_max=12.0, N=120)
+    H = dense_matrix(generator_matrix(PARAMS, 2.0, grid))
+    H = H * (2.5 / float(np.max(np.abs(np.linalg.eigvalsh(H)))))
+    out = hs_calculus(f, H, u_range=f.support)
+    assert out.dtype == np.complex128 and np.any(np.imag(out))
+
+
 def test_hs_half_plane_sum_matches_both_half_planes():
     # The cached nodes are the upper half of the both-sign set kept by the
     # threshold tol 1e-4 / (both-sign node count).  The lower half, built
@@ -562,15 +634,20 @@ def test_hs_quadrature_temporaries_stay_flat_in_the_energy_count(
 
 
 def test_hs_panel_rule():
-    # M is the smallest degree whose interpolation bound 4 B rho^-M /
-    # (rho - 1) at rho = 1 + sqrt 2, B = (2/pi) sum|c|/v, is below
-    # 2^-53 sum|c|/v; the coefficient matrix inverts T_m(x_k).
-    rho = 1.0 + math.sqrt(2.0)
+    # A panel's half-width p is at most v_min / 16, so the Bernstein ellipse
+    # rho = 8 + sqrt 65, whose semi-minor axis (rho - 1/rho) p / 2 is 8 p,
+    # keeps every node at least v/2 away.  M is the smallest degree whose
+    # interpolation bound 4 B rho^-M / (rho - 1), B = (2/pi) sum|c|/v, is
+    # below 2^-53 sum|c|/v; the coefficient matrix inverts T_m(x_k).
+    rho = 8.0 + math.sqrt(65.0)
+    assert mourre._PANEL_RHO == rho
+    assert math.isclose(rho - 1.0 / rho, 16.0, rel_tol=1e-15)
 
     def bound(M):
         return 4.0 * (2.0 / math.pi) * rho**-M / (rho - 1.0)
 
     M = mourre._PANEL_M
+    assert M == 13
     assert bound(M) <= 2.0**-53 < bound(M - 1)
     k = np.arange(M + 1)
     assert np.allclose(mourre._PANEL_X, np.cos(np.pi * k / M), rtol=0.0,
@@ -584,7 +661,7 @@ def test_hs_table_matches_the_direct_sums(which, wide_rung_5):
     # On [u_lo, u_hi) the panels reproduce near + far: on a fine grid, at
     # every panel edge and at u_lo.  Outside it, u_hi included, the table
     # returns the direct sums themselves.  Each panel's half-width is at
-    # most v_min / 2, the smallest kept node height.
+    # most v_min / 16, v_min the smallest kept node height.
     if which == "WideBump":
         entry = wide_rung_5
     else:
@@ -596,8 +673,8 @@ def test_hs_table_matches_the_direct_sums(which, wide_rung_5):
     n_pan = len(panels.built)
     width = (panels.hi - panels.lo) / n_pan
     assert (panels.lo, panels.hi) == (-3.0, 3.0)
-    assert n_pan == math.ceil(6.0 / np.min(entry.z.imag))
-    assert width <= np.min(entry.z.imag)
+    assert n_pan == math.ceil(8 * 6.0 / np.min(entry.z.imag))
+    assert width <= np.min(entry.z.imag) / 8
     E = np.concatenate([np.linspace(-3.0, 3.0, 4001),
                         panels.lo + width * np.arange(n_pan + 1),
                         [-3.0, 3.0, -3.5, -10.0, 3.0 + 1e-12, 10.0]])
@@ -656,6 +733,39 @@ def test_hs_repeat_call_on_the_same_spectrum_builds_no_panel(monkeypatch):
     assert sums == []
     assert np.array_equal(entry.panels.built, built)
     assert np.array_equal(again, first)
+
+
+def test_hs_table_fast_path_matches_a_mixed_call(monkeypatch):
+    # Energies all in [u_lo, u_hi) on built panels are read without masks
+    # or np.unique; their values must have the same bits as when the same
+    # energies come with others outside [u_lo, u_hi), or with a NaN, which
+    # take the general path.
+    f = _PolyBump(1.0)
+    hs_calculus(f, np.diag([-2.0, 0.0, 2.0]), u_range=f.support)
+    entry = mourre._HS_CACHE[(f, -3.0, 3.0)]
+    rng = np.random.default_rng(12)
+    E = np.concatenate([rng.uniform(-3.0, 3.0, 200), [-3.0, np.nextafter(
+        3.0, 0.0)]])
+    mourre._tabulated_quadrature(entry, E)  # builds the panels
+    uniques = []
+    unique = np.unique
+
+    def counted(*args, **kwargs):
+        uniques.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    fast = mourre._tabulated_quadrature(entry, E)
+    assert uniques == []
+    for extra in ([-3.5, 3.0, 10.0], [np.nan]):
+        with np.errstate(invalid="ignore"):  # the direct sums at the NaN
+            mixed = mourre._tabulated_quadrature(
+                entry, np.concatenate([extra[:1], E, extra[1:]]))
+        assert len(uniques) == 1
+        uniques.clear()
+        assert np.array_equal(mixed[1:len(E) + 1], fast)
+    assert np.isnan(mixed[0])
+    assert np.max(np.abs(fast - mourre._rung_quadrature(entry, E))) <= 1e-13
 
 
 def _per_group_dbar(f, u, v, v_max):
