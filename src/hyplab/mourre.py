@@ -521,7 +521,8 @@ def hs_calculus(f_derivs, op, u_range):
         ConfigError, before any eigensolve, for an ndarray that is empty,
         not square or not Hermitian, and for a non-finite entry.
     u_range : (lo, hi)
-        Interval containing supp f; ConfigError unless lo < hi.
+        Interval containing supp f; ConfigError unless lo < hi, both
+        finite.
 
     Returns f(op) in the eigenvectors' dtype: float64 for a real symmetric
     operator, banded or dense, and complex for a complex Hermitian matrix.
@@ -560,8 +561,8 @@ def hs_calculus(f_derivs, op, u_range):
     fails it is dropped with its panels.
     """
     u_lo, u_hi = float(u_range[0]), float(u_range[1])
-    if not u_lo < u_hi:
-        raise ConfigError(f"u_range ({u_lo}, {u_hi}) needs lo < hi")
+    if not (math.isfinite(u_lo) and math.isfinite(u_hi) and u_lo < u_hi):
+        raise ConfigError(f"u_range ({u_lo}, {u_hi}) needs finite lo < hi")
     if hasattr(op, "diagonals"):
         evals, evecs = hermitian_eig(op)
     else:

@@ -493,10 +493,10 @@ def test_hs_refuses_non_finite_entries(value, monkeypatch):
 
 
 @pytest.mark.parametrize("u_range", [(3.0, -3.0), (1.0, 1.0),
-                                     (np.nan, 3.0)])
-def test_hs_refuses_an_empty_u_range(u_range, monkeypatch):
+                                     (np.nan, 3.0), (-np.inf, 3.0)])
+def test_hs_refuses_an_empty_or_unbounded_u_range(u_range, monkeypatch):
     calls = _counted_eigensolves(monkeypatch)
-    with pytest.raises(ConfigError, match="lo < hi"):
+    with pytest.raises(ConfigError, match="finite lo < hi"):
         hs_calculus(WIDE_BUMP, np.diag([-1.0, 0.0, 1.0]), u_range=u_range)
     assert calls == []
 
