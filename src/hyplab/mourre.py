@@ -38,21 +38,18 @@ others, the near groups, keep the direct sum.
 
 Near plus far is one fixed real function of E, analytic in the strip
 |Im E| < v_min below the smallest kept node height, so each rung also keeps
-a table of it on [u_lo, u_hi): P = ceil(8 (u_hi - u_lo) / v_min) equal
-panels of half-width p <= v_min / 16.  On a panel's Bernstein ellipse of
-parameter rho = 8 + sqrt 65 the semi-minor axis is 8 p <= v_min / 2, so every
+a table of it on [u_lo, u_hi): P = ceil(4 (u_hi - u_lo) / v_min) equal
+panels of half-width p <= v_min / 8.  On a panel's Bernstein ellipse of
+parameter rho = 4 + sqrt 17 the semi-minor axis is 4 p <= v_min / 2, so every
 node z and its mirror conj z lie at least v_z / 2 away and
 |Q| <= B = (2/pi) sum|c|/v there.  Interpolation at the M + 1 second-kind
 Chebyshev points then errs by at most 4 B rho^{-M} / (rho - 1) (Trefethen,
-Approximation Theory and Approximation Practice, ch. 8), and M = 13 is the
+Approximation Theory and Approximation Practice, ch. 8), and M = 18 is the
 smallest degree that puts this below the rounding scale 2^{-53} sum|c|/v.
 A panel is built the first time an energy falls in it, from the near and
 far sums at its own points, one panel per evaluation, so its coefficients
 have the same bits whichever call built it.  Energies outside
-[u_lo, u_hi) keep the near and far sums.  When every energy of a call lies
-in [u_lo, u_hi) on a built panel, the table is read without masks: one
-Chebyshev sum of degree 13 per energy, elementwise, with the same bits as
-in any other call.
+[u_lo, u_hi) keep the near and far sums.
 """
 
 from __future__ import annotations
@@ -194,8 +191,10 @@ def _hs_node_set(u_lo, u_hi, v_max, depth, n_u_base):
 # real (node x energy) arrays take 512 KiB each, whatever the energy count
 _HS_CHUNK = 512
 _HS_E_BLOCK = 128
-# Q(E) panels per smallest kept node height v_min: half-width p <= v_min / 16
-_PANEL_SPLIT = 8
+# Q(E) panels per smallest kept node height v_min: half-width p <= v_min / 8.
+# A larger split lowers the degree M but builds more panels, each paid once
+# per rung; ROADMAP's dead ends hold the measured trade-off.
+_PANEL_SPLIT = 4
 
 
 def _hs_nodes(f_derivs, groups, v_max):
@@ -415,36 +414,21 @@ def _rung_quadrature(entry, E):
     return q
 
 
-def _panel_coordinates(panels, E):
-    """(x, index) of energies E in [lo, hi): the panel each falls in and
-    its local coordinate x in [-1, 1], elementwise, so an energy gets the
-    same bits in any call."""
-    n_pan = len(panels.built)
-    t = (E - panels.lo) / ((panels.hi - panels.lo) / n_pan)
-    index = np.minimum(t.astype(int), n_pan - 1)
-    return 2.0 * (t - index) - 1.0, index
-
-
 def _tabulated_quadrature(entry, E):
     """Q(E) of a rung from its panels on [lo, hi), each built from
     _rung_quadrature at its own M + 1 points the first time an energy falls
-    in it; outside [lo, hi), and without panels, the direct sums.  When
-    every energy lies in [lo, hi) on a built panel (a NaN never does), the
-    panels are read without masks."""
+    in it; outside [lo, hi), and without panels, the direct sums."""
     panels = entry.panels
     if panels is None:
         return _rung_quadrature(entry, E)
-    if len(E) and panels.lo <= E.min() and E.max() < panels.hi:
-        x, index = _panel_coordinates(panels, E)
-        if panels.built[index].all():
-            return np.polynomial.chebyshev.chebval(
-                x, panels.coef[index].T, tensor=False)
     inside = (E >= panels.lo) & (E < panels.hi)
     q = np.empty(len(E))
     if not inside.all():
         q[~inside] = _rung_quadrature(entry, E[~inside])
-    x, index = _panel_coordinates(panels, E[inside])
-    width = (panels.hi - panels.lo) / len(panels.built)
+    n_pan = len(panels.built)
+    width = (panels.hi - panels.lo) / n_pan
+    t = (E[inside] - panels.lo) / width
+    index = np.minimum(t.astype(int), n_pan - 1)
     # one panel per evaluation, so a panel's bits do not depend on the call
     # that built it
     for i in np.unique(index[~panels.built[index]]):
@@ -452,7 +436,7 @@ def _tabulated_quadrature(entry, E):
         panels.coef[i] = _PANEL_COEF @ _rung_quadrature(entry, points)
         panels.built[i] = True
     q[inside] = np.polynomial.chebyshev.chebval(
-        x, panels.coef[index].T, tensor=False)
+        2.0 * (t - index) - 1.0, panels.coef[index].T, tensor=False)
     return q
 
 
@@ -549,16 +533,12 @@ def hs_calculus(f_derivs, op, u_range):
     has the Chebyshev length M whose tail bound is below 2^{-53} sum|c| / v;
     it goes far, summed through its moments, when M is below its kept node
     count, and stays near, summed directly, otherwise.  On [u_lo, u_hi) Q is
-    read from the rung's table instead: ceil(8 (u_hi - u_lo) / v_min) equal
-    panels, each a Chebyshev interpolant of degree 13 at second-kind points
-    (the module docstring derives both from rho = 8 + sqrt 65 and the
+    read from the rung's table instead: ceil(4 (u_hi - u_lo) / v_min) equal
+    panels, each a Chebyshev interpolant of degree 18 at second-kind points
+    (the module docstring derives both from rho = 4 + sqrt 17 and the
     rounding scale), built from the near and far sums the first time an
-    eigenvalue falls in it.  A warm call, with every eigenvalue in
-    [u_lo, u_hi) on a built panel, reads the table without masks, so it does
-    four things: the eigensolve (none for a kept decomposition), one
-    Chebyshev sum per eigenvalue, the check at the spectrum and
-    V diag(Q) V*.  The check runs on these tabulated values, and a rung that
-    fails it is dropped with its panels.
+    eigenvalue falls in it.  The check at the spectrum runs on these
+    tabulated values, and a rung that fails it is dropped with its panels.
     """
     u_lo, u_hi = float(u_range[0]), float(u_range[1])
     if not (math.isfinite(u_lo) and math.isfinite(u_hi) and u_lo < u_hi):

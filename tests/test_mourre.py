@@ -634,20 +634,20 @@ def test_hs_quadrature_temporaries_stay_flat_in_the_energy_count(
 
 
 def test_hs_panel_rule():
-    # A panel's half-width p is at most v_min / 16, so the Bernstein ellipse
-    # rho = 8 + sqrt 65, whose semi-minor axis (rho - 1/rho) p / 2 is 8 p,
+    # A panel's half-width p is at most v_min / 8, so the Bernstein ellipse
+    # rho = 4 + sqrt 17, whose semi-minor axis (rho - 1/rho) p / 2 is 4 p,
     # keeps every node at least v/2 away.  M is the smallest degree whose
     # interpolation bound 4 B rho^-M / (rho - 1), B = (2/pi) sum|c|/v, is
     # below 2^-53 sum|c|/v; the coefficient matrix inverts T_m(x_k).
-    rho = 8.0 + math.sqrt(65.0)
+    rho = 4.0 + math.sqrt(17.0)
     assert mourre._PANEL_RHO == rho
-    assert math.isclose(rho - 1.0 / rho, 16.0, rel_tol=1e-15)
+    assert math.isclose(rho - 1.0 / rho, 8.0, rel_tol=1e-15)
 
     def bound(M):
         return 4.0 * (2.0 / math.pi) * rho**-M / (rho - 1.0)
 
     M = mourre._PANEL_M
-    assert M == 13
+    assert M == 18
     assert bound(M) <= 2.0**-53 < bound(M - 1)
     k = np.arange(M + 1)
     assert np.allclose(mourre._PANEL_X, np.cos(np.pi * k / M), rtol=0.0,
@@ -661,7 +661,7 @@ def test_hs_table_matches_the_direct_sums(which, wide_rung_5):
     # On [u_lo, u_hi) the panels reproduce near + far: on a fine grid, at
     # every panel edge and at u_lo.  Outside it, u_hi included, the table
     # returns the direct sums themselves.  Each panel's half-width is at
-    # most v_min / 16, v_min the smallest kept node height.
+    # most v_min / 8, v_min the smallest kept node height.
     if which == "WideBump":
         entry = wide_rung_5
     else:
@@ -673,8 +673,8 @@ def test_hs_table_matches_the_direct_sums(which, wide_rung_5):
     n_pan = len(panels.built)
     width = (panels.hi - panels.lo) / n_pan
     assert (panels.lo, panels.hi) == (-3.0, 3.0)
-    assert n_pan == math.ceil(8 * 6.0 / np.min(entry.z.imag))
-    assert width <= np.min(entry.z.imag) / 8
+    assert n_pan == math.ceil(4 * 6.0 / np.min(entry.z.imag))
+    assert width <= np.min(entry.z.imag) / 4
     E = np.concatenate([np.linspace(-3.0, 3.0, 4001),
                         panels.lo + width * np.arange(n_pan + 1),
                         [-3.0, 3.0, -3.5, -10.0, 3.0 + 1e-12, 10.0]])
@@ -733,39 +733,6 @@ def test_hs_repeat_call_on_the_same_spectrum_builds_no_panel(monkeypatch):
     assert sums == []
     assert np.array_equal(entry.panels.built, built)
     assert np.array_equal(again, first)
-
-
-def test_hs_table_fast_path_matches_a_mixed_call(monkeypatch):
-    # Energies all in [u_lo, u_hi) on built panels are read without masks
-    # or np.unique; their values must have the same bits as when the same
-    # energies come with others outside [u_lo, u_hi), or with a NaN, which
-    # take the general path.
-    f = _PolyBump(1.0)
-    hs_calculus(f, np.diag([-2.0, 0.0, 2.0]), u_range=f.support)
-    entry = mourre._HS_CACHE[(f, -3.0, 3.0)]
-    rng = np.random.default_rng(12)
-    E = np.concatenate([rng.uniform(-3.0, 3.0, 200), [-3.0, np.nextafter(
-        3.0, 0.0)]])
-    mourre._tabulated_quadrature(entry, E)  # builds the panels
-    uniques = []
-    unique = np.unique
-
-    def counted(*args, **kwargs):
-        uniques.append(1)
-        return unique(*args, **kwargs)
-
-    monkeypatch.setattr(np, "unique", counted)
-    fast = mourre._tabulated_quadrature(entry, E)
-    assert uniques == []
-    for extra in ([-3.5, 3.0, 10.0], [np.nan]):
-        with np.errstate(invalid="ignore"):  # the direct sums at the NaN
-            mixed = mourre._tabulated_quadrature(
-                entry, np.concatenate([extra[:1], E, extra[1:]]))
-        assert len(uniques) == 1
-        uniques.clear()
-        assert np.array_equal(mixed[1:len(E) + 1], fast)
-    assert np.isnan(mixed[0])
-    assert np.max(np.abs(fast - mourre._rung_quadrature(entry, E))) <= 1e-13
 
 
 def _per_group_dbar(f, u, v, v_max):
