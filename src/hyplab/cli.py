@@ -315,7 +315,7 @@ def _run_mourre(ctx):
 
 
 def _run_sweep(ctx):
-    from hyplab.laplab import SweepConfig, fit_scaling, lambda_sweep
+    from hyplab.laplab import SC_TOL, SweepConfig, fit_scaling, lambda_sweep
 
     cfg = ctx.config
     sweep_cfg = SweepConfig(
@@ -326,21 +326,25 @@ def _run_sweep(ctx):
     )
     with ctx.stage("lambda_sweep"):
         result = lambda_sweep(sweep_cfg, workers=ctx.workers)
-    rows = [(r["lambda"], r["k"], r["mu"], r["norm"], r["iterations"])
-            for r in result.rows]
-    write_csv(ctx.path("sweep.csv"),
-              ["lambda", "k", "mu", "norm", "iterations"], rows)
+    columns = ["lambda", "k", "mu", "norm", "iterations", "N_sc", "glancing"]
+    write_csv(ctx.path("sweep.csv"), columns,
+              [tuple(r[c] for c in columns) for r in result.rows])
     write_csv(ctx.path("N_of_lambda.csv"), ["lambda", "N"],
               sorted(result.N_of_lambda.items()))
     diag = result.diagnostics
+    # the largest |norm / N_sc - 1| of a cell where the formula is trusted
+    # (a mode with no allowed region in the box has N_sc = 0 and no ratio)
+    deviation = max((abs(r["norm"] / r["N_sc"] - 1.0) for r in result.rows
+                     if not r["glancing"] and r["N_sc"] > 0.0), default=0.0)
     summary = {"schema": _SCHEMA, "experiment": "sweep",
                "N_of_lambda": {(_fmt(l)): v
                                for l, v in sorted(result.N_of_lambda.items())},
                "argmax_k": {_fmt(l): k
                             for l, k in sorted(diag["argmax_k"].items())},
                "sup_at_K_max": diag["sup_at_K_max"],
+               "sc_deviation": deviation,
                "failures": diag["failures"]}
-    ok = not diag["failures"]
+    ok = not diag["failures"] and deviation <= SC_TOL
     if len(result.lambdas()) >= 4 and max(result.lambdas()) >= 100.0 * min(
             result.lambdas()):
         fit = fit_scaling(result)
@@ -489,8 +493,10 @@ def _run_report(ctx):
             lines.append("maximizing mode k per lambda: " + ", ".join(
                 f"{float(l):.6g}: {k}" for l, k in sorted(
                     summary["argmax_k"].items(), key=lambda e: float(e[0]))))
-            lines.append("sup at the last mode K_max (truncated sup): "
-                         f"{summary['sup_at_K_max']}")
+            at_limit = "limit" in summary["argmax_k"].values()
+            lines.append("sup at the limit cell (k -> infinity): "
+                         f"{at_limit}; sup at the last mode K_max "
+                         f"(truncated sup): {summary['sup_at_K_max']}")
             plot_rows = sorted(
                 (float(k), v) for k, v in summary["N_of_lambda"].items())
             write_csv(os.path.join(out, "plot_N_of_lambda.dat"),

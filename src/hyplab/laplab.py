@@ -5,8 +5,8 @@ This module measures the weighted resolvent norms
     N_k(lam) = || W (H_k - lam - i0)^{-1} W ||
 
 of the boundary values of the resolvent on the real axis, takes the sup over
-cross-section modes, and fits the decay of N(lam) = sup_k N_k(lam) in the
-energy lam against the model
+the whole family of cross-section modes, and fits the decay of
+N(lam) = sup_k N_k(lam) in the energy lam against the model
 
     log N(lam) = p log lam + q log log lam + log C.
 
@@ -14,6 +14,12 @@ Each mode operator is closed at the end of the box by the discrete outgoing
 wave at energy lam (see linops.discretize), so R(lam + i0) is a single solve
 at real lam: no imaginary offset is taken to zero and no absorbing layer
 stands in for the outgoing condition.
+
+The sup is not taken cell by cell over k <= K_max.  The semiclassical
+formula N_k^sc (semiclassical_norm) names the modes that need a cell: those
+near its maximum and the glancing ones, where it is not trusted.  For the
+mode-shifted weight the modes past K_max are covered by the limit cell
+(limit_mode_norm), the operator that mode k tends to as k -> infinity.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 
 from hyplab.errors import ConfigError, NumericalFailure
 from hyplab.linops import resolved_grid, weighted_operator_norm
-from hyplab.model import ModelConfig, mode_operator_spec
+from hyplab.model import ModelConfig, RadialOperatorSpec, mode_operator_spec
 from hyplab.pool import parallel_map
 from hyplab.weights import mode_weight_vector, polynomial_weight_vector
 
@@ -95,6 +101,9 @@ class SweepConfig:
             raise ConfigError("lambda list is empty")
         if any(l <= 1.0 for l in self.lambdas):
             raise ConfigError("sweep energies must exceed 1")
+        if not 0.0 < self.norm_tol < 1.0:
+            raise ConfigError(
+                f"norm_tol {self.norm_tol} must lie in (0, 1)")
 
     def model(self):
         cs = self.cross_section or {"kind": "circle", "radius": 1.0}
@@ -115,6 +124,145 @@ class SweepResult:
         return sorted(self.N_of_lambda)
 
 
+# ----------------------------------------------------------------------------
+# The semiclassical formula and the cells it names
+# ----------------------------------------------------------------------------
+
+
+# Gauss-Legendre rule of the formula's panels on [0, 1], and the panels per
+# stretch of the weight between its kinks: the formula agrees with adaptive
+# quadrature to 4e-10 relative for every mode from lam = 1e2 to 1e6
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+_SC_PANELS = 4
+
+# A mode is glancing, and its formula not trusted, where
+# |r_t - r0| kappa^{2/3} < _GLANCING: there the cells of the default sweep
+# read up to 17.5 % below the formula.
+_GLANCING = 2.0
+
+# Trusted modes whose formula lies within this share of the largest trusted
+# one get a cell: at the default energies the ratio cell / formula of the
+# trusted modes spreads by at most 0.83 % at one energy, for both weights.
+_NEAR_MAX = 1e-2
+
+# Largest |norm / N_sc - 1| of a trusted cell, the limit cell included, under
+# hyplab sweep --check, the step tolerance of the sweep's cells: at the
+# default energies every trusted mode k <= 24 reads 0.2 % to 1.45 % above its
+# formula at refine 1, for both weights, and the named cells at most 1.12 %.
+SC_TOL = 1.5e-2
+
+# The k of the limit cell, the mode family's k -> infinity
+LIMIT = "limit"
+
+
+def semiclassical_norm(lam, mus, shift, r0, r_max, s, log_nu):
+    """The Liouville-Green norm of each mode (Olver, Asymptotics and
+    Special Functions, ch. 6):
+
+        N_k^sc = (2/pi) int_a^{r_max} W_k(r)^2 / p_k(r) dr,
+
+    p_k = (kappa^2 - mu_k e^{-2r})^{1/2}, kappa^2 = lam - shift, over the
+    allowed part of the box, a = max(r0, r_t), r_t = (1/2) log(mu_k /
+    kappa^2) the turning point.  In the variable F = int W^2/p the weighted
+    outgoing kernel is the free Dirichlet kernel, a Volterra operator of
+    norm 2/pi times its length.  W_k is the mode weight w^{-s}(r - log_nu[k])
+    or, for log_nu None, the polynomial weight <r>^{-s}.
+
+    The substitution r = r_t + t^2 (r = r0 + t^2 for mu_k = 0) removes the
+    1/p singularity; the t-range is cut at the mode weight's kinks
+    r = log_nu[k] and log_nu[k] + 1, and each piece is summed on
+    _SC_PANELS Gauss-Legendre panels.  All modes are one array operation.
+    Returns an array with one norm per entry of mus, 0 for a mode whose
+    turning point lies past r_max.
+    """
+    mus = np.asarray(mus, dtype=float)
+    kappa = math.sqrt(lam - shift)
+    with np.errstate(divide="ignore"):
+        r_t = 0.5 * np.log(mus / kappa**2)
+    out = np.zeros(len(mus))
+    live = r_t < r_max
+    r_t = r_t[live]
+    anchor = np.where(mus[live] > 0.0, r_t, r0)
+    a = np.maximum(r_t, r0)
+    kinks = ([] if log_nu is None else
+             [np.asarray(log_nu, dtype=float)[live] + c for c in (0.0, 1.0)])
+    edges = np.stack([a, *(np.clip(b, a, r_max) for b in kinks),
+                      np.full_like(a, r_max)], axis=1)
+    t_edges = np.sqrt(edges - anchor[:, None])
+    # (mode, piece, panel, node): each piece cut in _SC_PANELS equal panels
+    width = (np.diff(t_edges) / _SC_PANELS)[:, :, None, None]
+    lo = t_edges[:, :-1, None, None] + width * np.arange(_SC_PANELS)[:, None]
+    t = (lo + width * _GL_NODES).reshape(len(a), -1)
+    dt = np.broadcast_to(width * _GL_WEIGHTS, lo.shape[:3] + (_GL_NODES.size,)
+                         ).reshape(len(a), -1)
+    r = anchor[:, None] + t * t
+    # p = kappa (1 - e^{-2 (r - r_t)})^{1/2}, which is kappa for mu = 0
+    p = kappa * np.sqrt(-np.expm1(-2.0 * (r - r_t[:, None])))
+    if log_nu is None:
+        w = polynomial_weight_vector(r, s)
+    else:
+        w = mode_weight_vector(r - kinks[0][:, None], 1.0, s)
+    out[live] = (2.0 / math.pi) * np.sum(w * w * 2.0 * t / p * dt, axis=1)
+    return out
+
+
+def _glancing(lam, mus, shift, r0):
+    """Whether each mode's turning point lies within 2 kappa^{-2/3} of the
+    wall r0, where the formula is not trusted (a mode with mu = 0 has
+    none)."""
+    kappa = math.sqrt(lam - shift)
+    with np.errstate(divide="ignore"):
+        r_t = 0.5 * np.log(np.asarray(mus, dtype=float) / kappa**2)
+    return np.abs(r_t - r0) * kappa ** (2.0 / 3.0) < _GLANCING
+
+
+def _named_modes(n_sc, glancing):
+    """The modes that get a cell: every glancing mode, and every trusted
+    mode whose formula lies within _NEAR_MAX of the largest trusted one."""
+    top = np.max(n_sc[~glancing], initial=0.0)
+    return np.flatnonzero(
+        glancing | (n_sc >= (1.0 - _NEAR_MAX) * top)).tolist()
+
+
+def _limit_wall(lam):
+    """The wall x0 = -(1/2) log lam - 6 of the limit cell, where its
+    potential e^{-2 x0} is e^{12} lam."""
+    return -0.5 * math.log(lam) - 6.0
+
+
+def limit_mode_norm(cfg, lam, refine):
+    """The limit cell: ||w^{-s} (H_inf - lam - i0)^{-1} w^{-s}|| for
+    H_inf = D_x^2 + e^{-2x} + (n-1)^2/4 on (x0, r_max), x0 = -(1/2) log lam
+    - 6, with the weight w^{-s}(x).
+
+    Mode k in the variable x = r - log nu_k has the potential
+    mu_k/nu_k^2 e^{-2x}, its wall at r0 - log nu_k and its weight
+    w^{-s}(x), so as mu_k -> infinity its norm tends to this cell's, up to
+    the box end r_max - log nu_k < r_max.  The cell takes the sweep's r_max
+    and the step rule of linops.resolved_grid at refine times its points,
+    and goes through limiting_absorption from a cold start.  Returns
+    (norm, diagnostics) of limiting_absorption.
+    """
+    from hyplab.linops import discretize
+
+    r_max = sweep_grid(lam).r_max
+    x0 = _limit_wall(lam)
+    grid = resolved_grid(lam, r_max, r0=x0, refine=refine)
+    spec = RadialOperatorSpec(k=0, mu_k=1.0, shift=cfg.model().shift, r0=x0)
+    op = discretize(spec, grid, outgoing=lam)
+    w = mode_weight_vector(grid.points(), 1.0, cfg.s)
+    return limiting_absorption(op, lam, w, w, norm_tol=cfg.norm_tol)
+
+
+def _has_limit(cfg):
+    """Whether the sweep adds the limit cell: for the mode weight on a
+    circle or a torus, whose spectra grow without bound.  The polynomial
+    weight's limit tends to 0, and a custom list is finite."""
+    return (cfg.weight_kind == "mode"
+            and cfg.model().cross_section.get("kind") in ("circle", "torus"))
+
+
 def _weight_vector(kind, r, nu_k, s):
     if kind == "mode":
         return mode_weight_vector(r, nu_k, s)
@@ -132,72 +280,102 @@ def _cell(cfg, model, spectrum, lam, k, grid, r, start):
                                start=start)
 
 
-def _energy_task(args):
-    """Norms of every mode at one energy, as one chain; top-level for
-    pickling.
+def _measured(row, cell):
+    """(row with the norm and Gram steps of cell(), the cell's last vector),
+    or, when cell() raises NumericalFailure, (row with norm None and the
+    message under "error", None)."""
+    try:
+        norm, diag = cell()
+    except NumericalFailure as exc:
+        return {**row, "norm": None, "error": str(exc)}, None
+    row = {**row, "norm": norm, "iterations": diag["iterations"]}
+    return row, diag["vector"]
 
-    Model, spectrum and grid are built once.  Mode k's power iteration
-    starts from mode k-1's vector: the top singular vectors of neighbouring
-    modes differ little.  Mode 0, and a mode after a NumericalFailure,
-    start cold.  Returns [(lam, k, norm, Gram steps)], with (lam, k, None,
-    message) for a failed cell.
+
+def _energy_task(args):
+    """The cells of one energy; top-level for pickling.
+
+    The formula is evaluated for every mode k <= K_max at once, and cells
+    run only at the modes it names (_named_modes), in increasing k: each
+    power iteration starts from the previous named cell's vector (the first,
+    and one after a NumericalFailure, start cold).  The limit cell follows
+    where the sweep has one (_has_limit).  Returns one row dict per cell,
+    with the formula's N_sc and the glancing flag; a failed cell has norm
+    None and its message under "error".
     """
     (cfg, lam, refine) = args
     model = cfg.model()
     spectrum = model.spectrum(cfg.K_max)
     grid = sweep_grid(lam, r0=cfg.r0, refine=refine)
+    mus = np.array([spectrum.mu(k) for k in range(len(spectrum))])
+    log_nu = 0.5 * np.log1p(mus) if cfg.weight_kind == "mode" else None
+    n_sc = semiclassical_norm(lam, mus, model.shift, cfg.r0, grid.r_max,
+                              cfg.s, log_nu=log_nu)
+    glancing = _glancing(lam, mus, model.shift, cfg.r0)
     r = grid.points()
     cells = []
     start = None
-    for k in range(len(spectrum)):
-        try:
-            norm, diag = _cell(cfg, model, spectrum, lam, k, grid, r, start)
-        except NumericalFailure as exc:
-            cells.append((lam, k, None, str(exc)))
-            start = None
-            continue
-        cells.append((lam, k, norm, diag["iterations"]))
-        start = diag["vector"]
+    for k in _named_modes(n_sc, glancing):
+        row, start = _measured(
+            {"lambda": lam, "k": k, "mu": spectrum.mu(k),
+             "N_sc": float(n_sc[k]), "glancing": bool(glancing[k])},
+            lambda: _cell(cfg, model, spectrum, lam, k, grid, r, start))
+        cells.append(row)
+    if _has_limit(cfg):
+        (n_inf,) = semiclassical_norm(lam, [1.0], model.shift,
+                                      _limit_wall(lam), grid.r_max, cfg.s,
+                                      log_nu=[0.0])
+        row, _ = _measured(
+            {"lambda": lam, "k": LIMIT, "mu": math.inf,
+             "N_sc": float(n_inf), "glancing": False},
+            lambda: limit_mode_norm(cfg, lam, refine))
+        cells.append(row)
     return cells
 
 
 def lambda_sweep(config, workers=1, refine=1.0):
-    """Sup over cross-section modes of the boundary-value norm, per energy.
-    The sup runs over distinct mode eigenvalues; multiplicity is metadata
-    (block-diagonal norms do not see it).
+    """N(lam) = sup_k ||W (H_k - lam - i0)^{-1} W|| over the whole mode
+    family, per energy, from the cells the semiclassical formula names.
 
-    Each energy is one task (_energy_task): its modes run in order, each
-    power iteration started from the previous mode's vector.  The tasks go
-    through parallel_map largest grid, i.e. highest energy, first, and their
-    cells are sorted back to (lambda, k) order.  A chain depends on the
-    config alone, and the reductions are pure, so any worker count yields
-    identical results.  Each row carries the cell's Gram steps as
-    "iterations".
+    Each energy is one task (_energy_task).  It evaluates the formula
+    N_k^sc for every mode k <= K_max, runs cells at the glancing modes and
+    at the trusted modes near the formula's maximum, chained by warm starts,
+    and, for the mode weight on a circle or a torus, the limit cell that
+    stands for every mode past K_max (limit_mode_norm).  N(lam) is the
+    largest of these norms, and diagnostics["argmax_k"] names the mode or
+    LIMIT that reaches it.  The sup runs over distinct mode eigenvalues;
+    multiplicity is metadata (block-diagonal norms do not see it).  Without
+    a limit cell, as for the polynomial weight, K_max bounds the sup, and
+    diagnostics["sup_at_K_max"] tells whether it sits at the last mode.
+
+    The tasks go through parallel_map largest grid, i.e. highest energy,
+    first, and their rows come back in (lambda, k) order, the limit last.
+    A task depends on the config alone, and the reductions are pure, so
+    any worker count yields identical results.  Each row carries the
+    cell's Gram steps as "iterations", its formula value "N_sc" and its
+    "glancing" flag.
     """
-    model = config.model()
-    spectrum = model.spectrum(config.K_max)
-    tasks = [(config, float(lam), refine)
-             for lam in sorted(config.lambdas, reverse=True)]
-    chains = parallel_map(_energy_task, tasks, workers)
-    outcomes = sorted((cell for chain in chains for cell in chain),
-                      key=lambda cell: cell[:2])
-
+    spectrum = config.model().spectrum(config.K_max)
+    lams = sorted({float(lam) for lam in config.lambdas}, reverse=True)
+    per_energy = parallel_map(_energy_task, [(config, lam, refine)
+                                             for lam in lams], workers)
     rows = []
     mode_norms = {}
     failures = []
-    for lam, k, norm, steps in outcomes:
-        if norm is None:
-            failures.append({"lambda": lam, "k": k, "error": steps})
-            continue
-        rows.append({"lambda": lam, "k": k, "mu": spectrum.mu(k),
-                     "norm": norm, "iterations": steps})
-        mode_norms[(lam, k)] = norm
     N_of_lambda = {}
     argmax_k = {}
-    for (lam, k), norm in mode_norms.items():
-        if norm > N_of_lambda.get(lam, -math.inf):
-            N_of_lambda[lam] = norm
-            argmax_k[lam] = k
+    for lam, cells in sorted(zip(lams, per_energy),
+                             key=lambda pair: pair[0]):
+        for cell in cells:
+            if cell["norm"] is None:
+                failures.append({"lambda": lam, "k": cell["k"],
+                                 "error": cell["error"]})
+                continue
+            rows.append(cell)
+            mode_norms[(lam, cell["k"])] = cell["norm"]
+            if cell["norm"] > N_of_lambda.get(lam, -math.inf):
+                N_of_lambda[lam] = cell["norm"]
+                argmax_k[lam] = cell["k"]
     last = len(spectrum) - 1
     diagnostics = {
         "failures": failures,

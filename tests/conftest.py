@@ -9,9 +9,9 @@ from hyplab import weights
 from hyplab import conjugate
 from hyplab.conjugate import ConjugateParams, a_k_derivs
 from hyplab.errors import RegimeError
-from hyplab.laplab import limiting_absorption
+from hyplab.laplab import limiting_absorption, sweep_grid
 from hyplab.linops import (DiscreteOperator, discretize, hermitian_eig,
-                           weighted_operator_norm)
+                           resolved_grid, weighted_operator_norm)
 from hyplab.model import ModelConfig, RadialOperatorSpec, mode_operator_spec
 
 # One verdict line per acceptance criterion, echoed after the run so the
@@ -137,6 +137,43 @@ def mode_norm(cfg, lam, k, grid, start=None):
         w = weights.polynomial_weight_vector(r, cfg.s)
     return limiting_absorption(op, lam, w, w, norm_tol=cfg.norm_tol,
                                start=start)
+
+
+def mode_chain(cfg, lam, refine=1.0):
+    """{k: norm} of every mode k <= K_max at lam, on the sweep's grid at
+    refine: one chain, each power iteration started from the previous
+    mode's vector (mode 0 cold), as hyplab's sweep ran before the
+    semiclassical formula named its cells.  The oracle that no mode is
+    missed."""
+    grid = sweep_grid(lam, r0=cfg.r0, refine=refine)
+    norms = {}
+    start = None
+    for k in range(len(cfg.model().spectrum(cfg.K_max))):
+        norms[k], diag = mode_norm(cfg, lam, k, grid, start=start)
+        start = diag["vector"]
+    return norms
+
+
+def limit_norm(cfg, lam, grid):
+    """The limit cell of the sweep config ``cfg`` on a grid of one's own:
+    D_x^2 + e^{-2x} + (n-1)^2/4 with the Dirichlet wall at grid.r0, the
+    outgoing closure at grid.r_max and the weight w^{-s}(x), built from the
+    public pieces.  Returns (norm, diagnostics) of limiting_absorption."""
+    spec = RadialOperatorSpec(k=0, mu_k=1.0, shift=cfg.model().shift,
+                              r0=grid.r0)
+    op = discretize(spec, grid, outgoing=lam)
+    w = weights.mode_weight_vector(grid.points(), 1.0, cfg.s)
+    return limiting_absorption(op, lam, w, w, norm_tol=cfg.norm_tol)
+
+
+def limit_grid(lam, refine=1.0, r_max=None):
+    """The limit cell's grid: from x0 = -(1/2) log lam - 6 to the sweep's
+    r_max (or the given one) at the sweep's step rule, refine times as many
+    points."""
+    if r_max is None:
+        r_max = sweep_grid(lam).r_max
+    return resolved_grid(lam, r_max, r0=-0.5 * math.log(lam) - 6.0,
+                         refine=refine)
 
 
 def chi_sqrt_eval(x, j=0):

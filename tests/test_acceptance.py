@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import (WIDE_BUMP, generator_matrix, gronwall_ok, mode_norm,
-                      semiclassical_bound_check, spectral_calculus,
-                      synthetic_flow)
+from conftest import (WIDE_BUMP, generator_matrix, gronwall_ok, limit_grid,
+                      limit_norm, mode_norm, semiclassical_bound_check,
+                      spectral_calculus, synthetic_flow)
 
 from hyplab.abstract import (
     TestbedInstance as _TestbedInstance,
@@ -32,7 +32,8 @@ from hyplab.conjugate import (
     flow_integrate,
     unitary_apply,
 )
-from hyplab.laplab import SweepConfig, fit_scaling, lambda_sweep, sweep_grid
+from hyplab.laplab import (LIMIT, SweepConfig, fit_scaling, lambda_sweep,
+                           sweep_grid)
 from hyplab.linops import RadialGrid, discretize, hermitian_eig, resolved_grid
 from hyplab.model import ModelConfig, build_spectrum, mode_operator_spec
 from hyplab.mourre import (
@@ -286,12 +287,13 @@ def test_criterion_10_scaling_sweep():
             assert abs(refined.N_of_lambda[lam] / N - 1.0) <= 0.03
             assert abs(refined.N_of_lambda[lam] / N - 1.0) <= 0.015
         # Doubling r_max at the same step moves the norm of each energy's
-        # maximizing mode by at most 3 %.
+        # maximizing mode, or of its limit cell, by at most 3 %.
         for lam, k in base.diagnostics["argmax_k"].items():
-            g = sweep_grid(lam)
+            g = limit_grid(lam) if k == LIMIT else sweep_grid(lam)
             n_long = int(round((2.0 * g.r_max - g.r0) / g.h)) - 1
             longer = RadialGrid(r0=g.r0, r_max=2.0 * g.r_max, N=n_long)
-            norm, _ = mode_norm(_SWEEP, lam, k, longer)
+            norm, _ = (limit_norm(_SWEEP, lam, longer) if k == LIMIT
+                       else mode_norm(_SWEEP, lam, k, longer))
             assert abs(norm / base.mode_norms[(lam, k)] - 1.0) <= 0.03
 
 

@@ -454,27 +454,70 @@ def test_sweep_reports_the_maximizing_mode(tmp_path):
     # The pool never gets more workers than the process has cores.
     assert _manifest(out)["workers"] == cores
     lines = _read(out / "sweep.csv").strip().splitlines()
-    assert lines[0] == "lambda,k,mu,norm,iterations"
-    cells = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
-    assert [(lam, k) for lam, k, _, _, _ in cells] == [
-        (50.0, 0.0), (50.0, 1.0), (100.0, 0.0), (100.0, 1.0)]
+    assert lines[0] == "lambda,k,mu,norm,iterations,N_sc,glancing"
+    rows = [line.split(",") for line in lines[1:]]
+    assert all(glancing in ("true", "false") for *_, glancing in rows)
+    cells = [tuple(float(v) for v in row[:-1]) for row in rows]
+    # The formula names mode 1 of the custom list at both energies: mode
+    # 0's formula lies more than 1 % below it, and neither is glancing (a
+    # custom list is finite: no limit row).
+    assert [(lam, k) for lam, k, *_ in cells] == [(50.0, 1.0), (100.0, 1.0)]
     # Gram steps are whole numbers, at least one per cell.
-    assert all(n >= 1 and n == int(n) for *_, n in cells)
+    assert all(n >= 1 and n == int(n) for *_, n, _ in cells)
     summary = json.loads(_read(out / "summary.json"))
     assert "cap_sensitivity" not in summary
     for key, N in summary["N_of_lambda"].items():
         lam = float(key)
-        norms = {int(k): n for l, k, _, n, _ in cells if l == lam}
+        norms = {int(k): n for l, k, _, n, _, _ in cells if l == lam}
         k_max = summary["argmax_k"][key]
         assert norms[k_max] == N == max(norms.values())
     assert summary["sup_at_K_max"] == any(
         k == 1 for k in summary["argmax_k"].values())
+    # the largest |norm / N_sc - 1| of a cell where the formula is trusted
+    assert summary["sc_deviation"] == max(
+        abs(n / sc - 1.0) for (*_, n, _, sc), (*_, glancing)
+        in zip(cells, rows) if glancing == "false")
     assert run(["report", "--out", str(tmp_path)]) == 0
     report = _read(tmp_path / "report.md")
     assert "maximizing mode k per lambda: 50: " in report
     assert ", 100: " in report
-    assert ("sup at the last mode K_max (truncated sup): "
+    assert ("sup at the limit cell (k -> infinity): False; sup at the last "
+            "mode K_max (truncated sup): "
             f"{summary['sup_at_K_max']}") in report
+
+
+def test_sweep_marks_its_limit_rows(tmp_path):
+    # On a circle the mode weight's sweep ends each energy with the limit
+    # cell, k -> infinity, and the report says the sup sits there.
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--out", str(out), "--set", "lambdas=[50.0,100.0]",
+                "--set", "K_max=2"]) == 0
+    lines = _read(out / "sweep.csv").strip().splitlines()
+    limits = [line.split(",") for line in lines[1:]
+              if line.split(",")[1] == "limit"]
+    assert [(lam, mu, glancing) for lam, _, mu, *_, glancing in limits] == [
+        ("50", "inf", "false"), ("100", "inf", "false")]
+    summary = json.loads(_read(out / "summary.json"))
+    assert summary["argmax_k"] == {"50": "limit", "100": "limit"}
+    for lam, _, _, norm, *_ in limits:
+        assert float(norm) == summary["N_of_lambda"][lam]
+    assert not summary["sup_at_K_max"]
+    assert run(["report", "--out", str(tmp_path)]) == 0
+    report = _read(tmp_path / "report.md")
+    assert "maximizing mode k per lambda: 50: limit, 100: limit" in report
+    assert ("sup at the limit cell (k -> infinity): True; sup at the last "
+            "mode K_max (truncated sup): False") in report
+
+
+def test_sweep_refuses_a_norm_tol_outside_the_unit_interval(tmp_path):
+    # norm_tol = 0 ran 5,000 Gram steps per cell, recorded every cell as a
+    # failure, and without --check exited 0 with an empty N_of_lambda.
+    for tol in ("0", "-1"):
+        out = tmp_path / f"tol{tol}"
+        assert run(["sweep", "--out", str(out), "--set", f"norm_tol={tol}",
+                    "--set", "K_max=0", "--set", "lambdas=[50.0,100.0]"]) == 1
+        assert _manifest(out)["status"] == "invalid"
+        assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_fit_reports_its_uncertainties(tmp_path):

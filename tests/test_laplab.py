@@ -9,20 +9,23 @@ import pytest
 
 from hyplab.errors import ConfigError
 from hyplab.laplab import (
+    LIMIT,
     SweepConfig,
     SweepResult,
     fit_scaling,
     lambda_sweep,
+    limit_mode_norm,
     limiting_absorption,
     log_fit,
+    semiclassical_norm,
     sweep_grid,
 )
 from hyplab.linops import RadialGrid, ShiftedSolver, discretize
 from hyplab.model import ModelConfig, mode_operator_spec
 from hyplab.pool import effective_workers
-from hyplab.weights import polynomial_weight_vector
+from hyplab.weights import mode_weight_vector, polynomial_weight_vector
 
-from conftest import mode_norm
+from conftest import limit_grid, limit_norm, mode_chain, mode_norm
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +131,11 @@ def test_sweep_config_validation():
         SweepConfig(lambdas=(0.5,))
     with pytest.raises(ConfigError):
         SweepConfig(lambdas=(100.0,), weight_kind="gaussian")
+    # A tolerance of 0 or below never converges: every cell would run
+    # _MAX_POWER_STEPS Gram steps and fail.  One of 1 or more stops at once.
+    for tol in (0.0, -1.0, 1.0):
+        with pytest.raises(ConfigError):
+            SweepConfig(lambdas=(100.0,), norm_tol=tol)
 
 
 def test_sweep_grid_resolves_local_wavelength():
@@ -148,6 +156,7 @@ def test_effective_workers_clamps_to_affinity():
 
 
 def test_single_mode_sweep_sup_equals_mode_norm():
+    # A custom spectrum is finite: no limit cell.
     cfg = SweepConfig(lambdas=(50.0,), s=1.0, K_max=1,
                       cross_section={"kind": "custom", "mu": [1.0]})
     res = lambda_sweep(cfg)
@@ -156,9 +165,13 @@ def test_single_mode_sweep_sup_equals_mode_norm():
     assert res.lambdas() == [50.0]
     assert not res.diagnostics["failures"]
     _, diag = mode_norm(cfg, 50.0, 0, sweep_grid(50.0))
+    (n_sc,) = semiclassical_norm(50.0, [1.0], 0.25, 0.25,
+                                 sweep_grid(50.0).r_max, 1.0,
+                                 log_nu=[0.5 * math.log(2.0)])
     assert res.rows == [{"lambda": 50.0, "k": 0, "mu": 1.0,
                          "norm": res.mode_norms[(50.0, 0)],
-                         "iterations": diag["iterations"]}]
+                         "iterations": diag["iterations"],
+                         "N_sc": n_sc, "glancing": False}]
     # The only mode is the last one, so the sup sits at K_max.
     assert res.diagnostics["argmax_k"] == {50.0: 0}
     assert res.diagnostics["sup_at_K_max"]
@@ -168,16 +181,20 @@ def test_sweep_sup_over_modes():
     cfg = SweepConfig(lambdas=(50.0,), s=1.0, K_max=3,
                       cross_section={"kind": "custom", "mu": [0.0, 1.0, 4.0]})
     res = lambda_sweep(cfg)
-    per_mode = [res.mode_norms[(50.0, k)] for k in range(3)]
-    assert res.N_of_lambda[50.0] == pytest.approx(max(per_mode))
+    named = sorted(k for _, k in res.mode_norms)
+    assert named and set(named) <= {0, 1, 2}
+    assert res.N_of_lambda[50.0] == max(res.mode_norms.values())
     k_max = res.diagnostics["argmax_k"][50.0]
-    assert per_mode[k_max] == max(per_mode)
+    assert res.mode_norms[(50.0, k_max)] == res.N_of_lambda[50.0]
     assert res.diagnostics["sup_at_K_max"] == (k_max == 2)
+    # No mode of the chain over every k exceeds the sup.
+    chain = mode_chain(cfg, 50.0)
+    assert max(chain.values()) <= res.N_of_lambda[50.0] * (1.0 + 1e-8)
     # Each cell is the same computation as mode_norm on the sweep's grid,
-    # started from the previous mode's vector (mode 0 cold).
+    # started from the previous named cell's vector (the first cold).
     steps = {(row["lambda"], row["k"]): row["iterations"] for row in res.rows}
     start = None
-    for k in range(3):
+    for k in named:
         norm, diag = mode_norm(cfg, 50.0, k, sweep_grid(50.0), start=start)
         assert norm == res.mode_norms[(50.0, k)]
         assert diag["iterations"] == steps[(50.0, k)]
@@ -187,21 +204,42 @@ def test_sweep_sup_over_modes():
 _DEFAULT_SWEEP = SweepConfig(lambdas=(1e2, 10**2.5, 1e3, 10**3.5, 1e4), s=1.0)
 
 
+def _cold(cfg, lam, k):
+    """A sweep cell at lam from a cold start: mode k, or the limit cell."""
+    if k == LIMIT:
+        return limit_norm(cfg, lam, limit_grid(lam))[0]
+    return mode_norm(cfg, lam, k, sweep_grid(lam))[0]
+
+
 def test_warm_started_cells_match_cold_and_tight_starts():
     res = lambda_sweep(_DEFAULT_SWEEP)
     tight = lambda_sweep(dataclasses.replace(_DEFAULT_SWEEP, norm_tol=1e-13))
+    assert set(tight.mode_norms) == set(res.mode_norms)
     worst = 0.0
     for (lam, k), norm in res.mode_norms.items():
-        cold, _ = mode_norm(_DEFAULT_SWEEP, lam, k, sweep_grid(lam))
-        assert abs(norm / cold - 1.0) <= 1e-8
+        assert abs(norm / _cold(_DEFAULT_SWEEP, lam, k) - 1.0) <= 1e-8
         worst = max(worst, abs(norm / tight.mode_norms[(lam, k)] - 1.0))
     # The cold-started sweep's worst cell was 7.3e-10 from tol = 1e-13.
     assert worst <= 7.3e-10
 
 
+def test_limit_mode_norm_is_the_limit_cell():
+    # The cell on the sweep's r_max from x0 = -(1/2) log lam - 6, at the
+    # sweep's step, built here from the public pieces.
+    for lam in (1e2, 1e4):
+        norm, diag = limit_mode_norm(_DEFAULT_SWEEP, lam, 1.0)
+        grid = limit_grid(lam)
+        assert grid.r_max == sweep_grid(lam).r_max
+        assert grid.h == pytest.approx(sweep_grid(lam).h, rel=1e-2)
+        assert diag["eps"] == [] and diag["iterations"] >= 1
+        assert norm == limit_norm(_DEFAULT_SWEEP, lam, grid)[0]
+
+
 def test_default_sweep_gram_steps(monkeypatch):
-    # Timing-free guard on the warm starts: the cold-started sweep took 751
-    # Gram steps, each one solve and one adjoint solve.
+    # Timing-free guard on the cells the formula names and on their warm
+    # starts: 35 cells and 192 Gram steps, each one solve and one adjoint
+    # solve.  The chain over every k <= K_max ran 125 cells and 632 steps,
+    # under a bound of 650.
     solves = []
     solve = ShiftedSolver.solve
 
@@ -213,7 +251,8 @@ def test_default_sweep_gram_steps(monkeypatch):
     res = lambda_sweep(_DEFAULT_SWEEP)
     steps = sum(row["iterations"] for row in res.rows)
     assert steps == len(solves)
-    assert steps <= 650
+    assert len(res.rows) <= 35
+    assert steps <= 200
 
 
 def test_refined_sweep_is_worker_count_invariant():
@@ -231,12 +270,161 @@ def test_refined_sweep_is_worker_count_invariant():
 def test_default_cells_are_within_one_and_a_half_percent_of_refine_four(kind):
     # Numerov's pencil at h = 1/sqrt(lam): the worst cell read 1.11e-2 from
     # its refine=4 value; the order-2 stencil at half the step read 3.08e-2.
+    # Every mode k <= K_max, by the chain, and the sweep's own cells, the
+    # limit cells included.
     cfg = SweepConfig(lambdas=(1e2, 1e4), s=1.0, weight_kind=kind)
     base = lambda_sweep(cfg, workers=2)
     fine = lambda_sweep(cfg, workers=2, refine=4.0)
-    assert len(base.mode_norms) == 2 * (cfg.K_max + 1)
+    assert set(base.mode_norms) == set(fine.mode_norms)
+    assert ((1e4, LIMIT) in base.mode_norms) == (kind == "mode")
     for cell, norm in base.mode_norms.items():
         assert abs(norm / fine.mode_norms[cell] - 1.0) <= 1.5e-2
+    for lam in cfg.lambdas:
+        chain, fine_chain = mode_chain(cfg, lam), mode_chain(cfg, lam, 4.0)
+        assert len(chain) == cfg.K_max + 1
+        for k, norm in chain.items():
+            assert abs(norm / fine_chain[k] - 1.0) <= 1.5e-2
+
+
+# ---------------------------------------------------------------------------
+# The semiclassical formula and the modes it names
+# ---------------------------------------------------------------------------
+
+
+def _formula(cfg, lam):
+    """N_k^sc of every mode k <= K_max at lam on the sweep's box, and
+    whether each mode is glancing, |r_t - r0| kappa^{2/3} < 2."""
+    spectrum = cfg.model().spectrum(cfg.K_max)
+    mus = np.array([spectrum.mu(k) for k in range(len(spectrum))])
+    log_nu = 0.5 * np.log1p(mus) if cfg.weight_kind == "mode" else None
+    kappa = math.sqrt(lam - 0.25)
+    with np.errstate(divide="ignore"):
+        r_t = 0.5 * np.log(mus / kappa**2)
+    glancing = np.abs(r_t - cfg.r0) * kappa ** (2.0 / 3.0) < 2.0
+    n_sc = semiclassical_norm(lam, mus, 0.25, cfg.r0, sweep_grid(lam).r_max,
+                              cfg.s, log_nu=log_nu)
+    return n_sc, glancing
+
+
+def _richardson(norm_at):
+    """The step-converged (16 N_4 - N_2) / 15 from the norms at refine 2
+    and 4."""
+    return (16.0 * norm_at(4.0) - norm_at(2.0)) / 15.0
+
+
+def test_formula_matches_adaptive_quadrature():
+    # scipy's quad on the same integral, in t = (r - r_t)^{1/2} from a
+    # turning point inside the box and in r otherwise, split at the weight's
+    # kinks; the panels agree to 1e-10 from lam = 1e2 to 1e6.
+    from scipy.integrate import quad
+
+    for lam in (1e2, 1e4, 1e6):
+        r_max = sweep_grid(lam).r_max
+        kappa2 = lam - 0.25
+        mus = np.array([0.0, 1.0, 37.0, 0.7 * kappa2, 3.0 * kappa2,
+                        2.2 * lam, 1e3 * lam, 1e6 * lam])
+        for log_nu in (None, 0.5 * np.log1p(mus)):
+            got = semiclassical_norm(lam, mus, 0.25, 0.25, r_max, 1.0,
+                                     log_nu=log_nu)
+            for i, mu in enumerate(mus):
+                shift = None if log_nu is None else log_nu[i]
+
+                def weight(r):
+                    if shift is None:
+                        return float(polynomial_weight_vector(r, 1.0))
+                    return float(mode_weight_vector(np.array([r - shift]),
+                                                    1.0, 1.0)[0])
+
+                r_t = 0.5 * math.log(mu / kappa2) if mu > 0 else -math.inf
+                kinks = [] if shift is None else [shift, shift + 1.0]
+                if r_t >= r_max:
+                    assert got[i] == 0.0
+                    continue
+                if r_t >= 0.25:
+                    value, _ = quad(
+                        lambda t: weight(r_t + t * t) ** 2 * 2.0 * t
+                        / math.sqrt(-kappa2 * math.expm1(-2.0 * t * t)),
+                        0.0, math.sqrt(r_max - r_t), limit=400,
+                        points=[math.sqrt(b - r_t) for b in kinks
+                                if r_t < b < r_max] or None)
+                else:
+                    value, _ = quad(
+                        lambda r: weight(r) ** 2
+                        / math.sqrt(kappa2 - mu * math.exp(-2.0 * r)),
+                        0.25, r_max, limit=400,
+                        points=[b for b in kinks if 0.25 < b < r_max] or None)
+                assert got[i] == pytest.approx(2.0 / math.pi * value,
+                                               rel=1e-9)
+
+
+# Largest |cell / N_sc - 1| of a trusted mode k <= 24 against its
+# step-converged cell: measured 3.5e-3 (k = 0) and 3.0e-5 for the mode
+# weight at 1e2 and 1e4, 6.3e-3 (k = 8, next to the glancing band) and 8e-6
+# for the polynomial weight.
+@pytest.mark.parametrize("kind, lam, tol", [
+    ("mode", 1e2, 4e-3), ("mode", 1e4, 5e-5),
+    ("polynomial", 1e2, 7e-3), ("polynomial", 1e4, 1e-5)])
+def test_formula_matches_step_converged_cells(kind, lam, tol):
+    cfg = SweepConfig(lambdas=(lam,), s=1.0, weight_kind=kind)
+    n_sc, glancing = _formula(cfg, lam)
+    assert np.count_nonzero(~glancing) >= 14
+    for k in np.flatnonzero(~glancing):
+        converged = _richardson(lambda refine: mode_norm(
+            cfg, lam, k, sweep_grid(lam, refine=refine))[0])
+        assert abs(converged / n_sc[k] - 1.0) <= tol
+
+
+# The limit cell against its formula: measured 2.4e-4 at 1e2 and 1.0e-6 at
+# 1e4.
+@pytest.mark.parametrize("lam, tol", [(1e2, 3e-4), (1e4, 3e-6)])
+def test_formula_matches_step_converged_limit_cell(lam, tol):
+    cfg = SweepConfig(lambdas=(lam,), s=1.0)
+    x0 = limit_grid(lam).r0
+    (n_sc,) = semiclassical_norm(lam, [1.0], 0.25, x0, sweep_grid(lam).r_max,
+                                 1.0, log_nu=[0.0])
+    converged = _richardson(
+        lambda refine: limit_norm(cfg, lam, limit_grid(lam, refine))[0])
+    assert abs(converged / n_sc - 1.0) <= tol
+
+
+@pytest.mark.parametrize("kind", ["mode", "polynomial"])
+def test_no_mode_is_missed(kind):
+    # The chain over every k <= K_max is the oracle.  For the polynomial
+    # weight the sweep reports the chain's sup; for the mode weight no mode
+    # exceeds the sweep's N, which takes in the limit cell.  At 1e2 the
+    # polynomial weight's sup is the glancing k = 15, where the formula
+    # reads 7 % high, and the formula's own argmax, k = 13, reads 1.5 %
+    # below it.
+    res = lambda_sweep(_DEFAULT_SWEEP if kind == "mode" else
+                       dataclasses.replace(_DEFAULT_SWEEP, weight_kind=kind))
+    assert not res.diagnostics["failures"]
+    for lam in _DEFAULT_SWEEP.lambdas:
+        chain = mode_chain(res.config, lam)
+        N = res.N_of_lambda[lam]
+        if kind == "polynomial":
+            assert abs(N / max(chain.values()) - 1.0) <= 1e-8
+        else:
+            assert max(chain.values()) <= N
+            assert res.diagnostics["argmax_k"][lam] == LIMIT
+
+
+def test_sweep_sup_does_not_depend_on_the_cross_section():
+    # At 1e4 the sup over the whole mode family sits at mu ~ 2.2 lam, far
+    # past K_max = 24 for every cross-section here: the limit cell carries
+    # it.  The chain over k <= K_max read 0.0341 on the unit circle, and
+    # the torus 0.0309 even at K_max = 300.
+    runs = [SweepConfig(lambdas=(1e4,), s=1.0, cross_section=cs, n=n)
+            for cs, n in (({"kind": "circle", "radius": 0.5}, 2),
+                          ({"kind": "circle", "radius": 3.0}, 2),
+                          ({"kind": "torus", "radii": [1.0, 1.7]}, 3))]
+    norms = []
+    for cfg in runs:
+        res = lambda_sweep(cfg)
+        assert not res.diagnostics["sup_at_K_max"]
+        assert res.diagnostics["argmax_k"] == {1e4: LIMIT}
+        norms.append(res.N_of_lambda[1e4])
+    assert max(norms) / min(norms) - 1.0 <= 1.5e-2
+    assert min(norms) >= 0.049
 
 
 # ---------------------------------------------------------------------------

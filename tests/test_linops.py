@@ -596,12 +596,14 @@ def test_gram_steps_make_two_zgttrs_calls_and_one_start_per_size(
     # Over a sweep's chains of cold and warm-started cells on Numerov's
     # pencil, each Gram step is one solve and one adjoint solve of one
     # zgttrs call each, and the start vector is built once per grid size,
-    # not once per cell.
+    # not once per cell.  With the polynomial weight the formula names all
+    # four modes at both energies, and there is no limit cell.
     from hyplab.laplab import SweepConfig, lambda_sweep
 
     linops._power_start.cache_clear()
     calls = _counting_zgttrs(monkeypatch)
-    result = lambda_sweep(SweepConfig(lambdas=(1e2, 1e3), K_max=3))
+    result = lambda_sweep(SweepConfig(lambdas=(1e2, 1e3), K_max=3,
+                                      weight_kind="polynomial"))
     steps = sum(row["iterations"] for row in result.rows)
     assert steps > len(result.rows)
     assert calls == ["N", "C"] * steps
