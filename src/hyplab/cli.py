@@ -333,9 +333,8 @@ def _run_sweep(ctx):
               sorted(result.N_of_lambda.items()))
     diag = result.diagnostics
     # the largest |norm / N_sc - 1| of a cell where the formula is trusted
-    # (a mode with no allowed region in the box has N_sc = 0 and no ratio)
     deviation = max((abs(r["norm"] / r["N_sc"] - 1.0) for r in result.rows
-                     if not r["glancing"] and r["N_sc"] > 0.0), default=0.0)
+                     if not r["glancing"]), default=0.0)
     summary = {"schema": _SCHEMA, "experiment": "sweep",
                "N_of_lambda": {(_fmt(l)): v
                                for l, v in sorted(result.N_of_lambda.items())},

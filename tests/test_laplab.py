@@ -238,7 +238,7 @@ def test_limit_mode_norm_is_the_limit_cell():
 def test_default_sweep_gram_steps(monkeypatch):
     # Timing-free guard on the cells the formula names and on their warm
     # starts: 35 cells and 192 Gram steps, each one solve and one adjoint
-    # solve.  The chain over every k <= K_max ran 125 cells and 632 steps,
+    # solve.  The chain over every k <= K_max ran 125 cells and 610 steps,
     # under a bound of 650.
     solves = []
     solve = ShiftedSolver.solve
@@ -411,8 +411,8 @@ def test_no_mode_is_missed(kind):
 def test_sweep_sup_does_not_depend_on_the_cross_section():
     # At 1e4 the sup over the whole mode family sits at mu ~ 2.2 lam, far
     # past K_max = 24 for every cross-section here: the limit cell carries
-    # it.  The chain over k <= K_max read 0.0341 on the unit circle, and
-    # the torus 0.0309 even at K_max = 300.
+    # it.  The chain over k <= K_max read 0.0388, 0.0271 and 0.0225 here,
+    # each with its sup at K_max, and the torus 0.0309 even at K_max = 300.
     runs = [SweepConfig(lambdas=(1e4,), s=1.0, cross_section=cs, n=n)
             for cs, n in (({"kind": "circle", "radius": 0.5}, 2),
                           ({"kind": "circle", "radius": 3.0}, 2),
