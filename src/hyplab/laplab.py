@@ -280,12 +280,12 @@ def _cell(cfg, model, spectrum, lam, k, grid, r, start):
                                start=start)
 
 
-def _measured(row, cell):
-    """(row with the norm and Gram steps of cell(), the cell's last vector),
-    or, when cell() raises NumericalFailure, (row with norm None and the
-    message under "error", None)."""
+def _measured(row, cell, *args):
+    """(row with the norm and Gram steps of cell(*args), the cell's last
+    vector), or, when it raises NumericalFailure, (row with norm None and
+    the message under "error", None)."""
     try:
-        norm, diag = cell()
+        norm, diag = cell(*args)
     except NumericalFailure as exc:
         return {**row, "norm": None, "error": str(exc)}, None
     row = {**row, "norm": norm, "iterations": diag["iterations"]}
@@ -319,7 +319,7 @@ def _energy_task(args):
         row, start = _measured(
             {"lambda": lam, "k": k, "mu": spectrum.mu(k),
              "N_sc": float(n_sc[k]), "glancing": bool(glancing[k])},
-            lambda: _cell(cfg, model, spectrum, lam, k, grid, r, start))
+            _cell, cfg, model, spectrum, lam, k, grid, r, start)
         cells.append(row)
     if _has_limit(cfg):
         (n_inf,) = semiclassical_norm(lam, [1.0], model.shift,
@@ -328,7 +328,7 @@ def _energy_task(args):
         row, _ = _measured(
             {"lambda": lam, "k": LIMIT, "mu": math.inf,
              "N_sc": float(n_inf), "glancing": False},
-            lambda: limit_mode_norm(cfg, lam, refine))
+            limit_mode_norm, cfg, lam, refine)
         cells.append(row)
     return cells
 
