@@ -166,14 +166,11 @@ def limit_norm(cfg, lam, grid):
     return limiting_absorption(op, lam, w, w, norm_tol=cfg.norm_tol)
 
 
-def limit_grid(lam, refine=1.0, r_max=None):
+def limit_grid(lam, refine=1.0):
     """The limit cell's grid: from x0 = -(1/2) log lam - 6 to the sweep's
-    r_max (or the given one) at the sweep's step rule, refine times as many
-    points."""
-    if r_max is None:
-        r_max = sweep_grid(lam).r_max
-    return resolved_grid(lam, r_max, r0=-0.5 * math.log(lam) - 6.0,
-                         refine=refine)
+    r_max at the sweep's step rule, refine times as many points."""
+    return resolved_grid(lam, sweep_grid(lam).r_max,
+                         r0=-0.5 * math.log(lam) - 6.0, refine=refine)
 
 
 def chi_sqrt_eval(x, j=0):
