@@ -41,8 +41,9 @@ from hyplab.weights import mode_weight_vector, polynomial_weight_vector
 # ----------------------------------------------------------------------------
 
 
-def limiting_absorption(op, lam, w_left, w_right, norm_tol=1e-6, start=None):
-    """Weighted norm ||W_l (op - lam - i0)^{-1} W_r|| from one factorization.
+def limiting_absorption(op, lam, w, norm_tol=1e-6, start=None):
+    """Weighted norm ||W (op - lam - i0)^{-1} W|| from one factorization,
+    with the weight vector w on both sides.
 
     ``op`` must carry the outgoing closure at lam (linops.discretize with
     outgoing=lam); the boundary value R(lam + i0) is then the inverse of
@@ -55,8 +56,8 @@ def limiting_absorption(op, lam, w_left, w_right, norm_tol=1e-6, start=None):
         raise ConfigError(
             "limiting absorption needs the outgoing closure at the energy"
         )
-    norm, vector, steps = weighted_operator_norm(op, lam, w_left, w_right,
-                                                 tol=norm_tol, start=start)
+    norm, vector, steps = weighted_operator_norm(op, lam, w, w, tol=norm_tol,
+                                                 start=start)
     return norm, {"eps": [], "iterations": steps, "vector": vector}
 
 
@@ -112,11 +113,10 @@ class SweepConfig:
 
 @dataclasses.dataclass
 class SweepResult:
-    """Rows, per-mode norms, and per-lambda suprema."""
+    """Rows, one per measured cell, and per-lambda suprema."""
 
     config: SweepConfig
     rows: list
-    mode_norms: dict
     N_of_lambda: dict
     diagnostics: dict
 
@@ -175,6 +175,10 @@ def semiclassical_norm(lam, mus, shift, r0, r_max, s, log_nu):
     _SC_PANELS Gauss-Legendre panels.  All modes are one array operation.
     Returns an array with one norm per entry of mus, 0 for a mode whose
     turning point lies past r_max.
+
+    p_k and r_t are the closed forms of the exact end V = mu_k e^{-2r} +
+    shift, not read from model.RadialOperatorSpec.potential: an end with
+    another potential needs its own turning point and p_k here.
     """
     mus = np.asarray(mus, dtype=float)
     kappa = math.sqrt(lam - shift)
@@ -252,7 +256,7 @@ def limit_mode_norm(cfg, lam, refine):
     spec = RadialOperatorSpec(k=0, mu_k=1.0, shift=cfg.model().shift, r0=x0)
     op = discretize(spec, grid, outgoing=lam)
     w = mode_weight_vector(grid.points(), 1.0, cfg.s)
-    return limiting_absorption(op, lam, w, w, norm_tol=cfg.norm_tol)
+    return limiting_absorption(op, lam, w, norm_tol=cfg.norm_tol)
 
 
 def _has_limit(cfg):
@@ -276,8 +280,7 @@ def _cell(cfg, model, spectrum, lam, k, grid, r, start):
     spec_k = mode_operator_spec(model, k, spectrum=spectrum)
     op = discretize(spec_k, grid, outgoing=lam)
     w = _weight_vector(cfg.weight_kind, r, spectrum.nu(k), cfg.s)
-    return limiting_absorption(op, lam, w, w, norm_tol=cfg.norm_tol,
-                               start=start)
+    return limiting_absorption(op, lam, w, norm_tol=cfg.norm_tol, start=start)
 
 
 def _measured(row, cell, *args):
@@ -360,7 +363,6 @@ def lambda_sweep(config, workers=1, refine=1.0):
     per_energy = parallel_map(_energy_task, [(config, lam, refine)
                                              for lam in lams], workers)
     rows = []
-    mode_norms = {}
     failures = []
     N_of_lambda = {}
     argmax_k = {}
@@ -372,7 +374,6 @@ def lambda_sweep(config, workers=1, refine=1.0):
                                  "error": cell["error"]})
                 continue
             rows.append(cell)
-            mode_norms[(lam, cell["k"])] = cell["norm"]
             if cell["norm"] > N_of_lambda.get(lam, -math.inf):
                 N_of_lambda[lam] = cell["norm"]
                 argmax_k[lam] = cell["k"]
@@ -383,8 +384,8 @@ def lambda_sweep(config, workers=1, refine=1.0):
         "sup_at_K_max": any(k == last for k in argmax_k.values()),
         "refine": refine,
     }
-    return SweepResult(config=config, rows=rows, mode_norms=mode_norms,
-                       N_of_lambda=N_of_lambda, diagnostics=diagnostics)
+    return SweepResult(config=config, rows=rows, N_of_lambda=N_of_lambda,
+                       diagnostics=diagnostics)
 
 
 # ----------------------------------------------------------------------------

@@ -10,6 +10,10 @@ radial operators
 indexed by the cross-section eigenvalues mu_k, with a Dirichlet wall at r0.
 Only cross-sections with exactly known spectra are supported (circle, flat
 torus, custom list).
+
+RadialOperatorSpec.potential is the one place the potential is written: it
+returns V = mu_k e^{-2r} + (n-1)^2/4 and its r-derivatives, from which
+linops assembles H_k and mourre the commutators with the generator A_k.
 """
 
 from __future__ import annotations
@@ -146,10 +150,13 @@ class RadialOperatorSpec:
     shift: float
     r0: float
 
-    def potential(self, r):
-        """Diagonal potential mu_k e^{-2r} + shift."""
+    def potential(self, r, j=0):
+        """The j-th r-derivative of the potential V = mu_k e^{-2r} + shift:
+        V itself for j = 0, (-2)^j mu_k e^{-2r} for j >= 1."""
         r = np.asarray(r, dtype=float)
-        return self.mu_k * np.exp(-2.0 * r) + self.shift
+        if j == 0:
+            return self.mu_k * np.exp(-2.0 * r) + self.shift
+        return (-2.0) ** j * self.mu_k * np.exp(-2.0 * r)
 
 
 def mode_operator_spec(config, k, spectrum=None):

@@ -1,22 +1,25 @@
 """Commutator assembly, functional calculus, and the high-energy
 positive-commutator verification.
 
-The first commutator with the mode generator A_k has the exact divergence
-form
+For H_k = D_r^2 + V, with the mode's potential V and its derivatives from
+model.RadialOperatorSpec.potential, the first commutator with the mode
+generator A_k has the exact divergence form
 
-    i[H_k, A_k] = 2 D_r a_k' D_r + 2 a_k mu_k e^{-2r} - a_k'''/2,
+    i[H_k, A_k] = 2 D_r a_k' D_r - a_k V' - a_k'''/2,
 
 which is Hermitian by construction and agrees with the expanded form
-2 a' D^2 + 2 a mu e^{-2r} - 2 a'' d_r - a'''/2 at the O(h^2) discretization
-order.  The second commutator is assembled in the analogous divergence form
+2 a' D^2 - a V' - 2 a'' d_r - a'''/2 at the O(h^2) discretization order.
+The second commutator is assembled in the analogous divergence form
 
     [[H_k, A_k], A_k] = D_r b_k D_r + d_k^div,
     b_k     = 2 (a a'' - 2 a'^2),
-    d_k^div = 2 a mu e^{-2r} (a' - 2a) + a' a''' + a''^2 - a a''''/2,
+    d_k^div = -a a' V' - a^2 V'' + a' a''' + a''^2 - a a''''/2,
 
 whose expansion reproduces the first-order coefficient exactly.  On
 derivative plateaus (a' = 1, higher derivatives 0) b_k = -4 is constant, so
-the first-order term vanishes, and d_k^div = 2 a mu e^{-2r} (1 - 2a).
+the first-order term vanishes, and d_k^div = -a V' - a^2 V''.  On the exact
+end, V' = -2 mu_k e^{-2r} and V'' = 4 mu_k e^{-2r}.  mode_commutators builds
+both operators from one table of a_k and its derivatives.
 
 The positivity check applies both commutators to the states of its spectral
 window: the first for the Mourre estimate, the second for the size of
@@ -80,41 +83,27 @@ def _flux_form(grid, coeff_mid):
     return diag, off
 
 
-def _a_k_tables(params, nu_k, grid, top):
-    """a_k and its derivatives to order top on the grid, and to order top - 2
-    at the midpoints r_{i+1/2}, i = 0..N."""
+def mode_commutators(params, spec, nu_k, grid):
+    """i[H_k, A_k] and [[H_k, A_k], A_k] in divergence form, a pair of
+    Hermitian DiscreteOperators: V' and V'' from spec, a_k from nu_k, to
+    order 4 at the grid points and to order 2 at the midpoints r_{i+1/2}.
+    The shift commutes with A_k and drops out.  ConfigError unless h <= S/50.
+    """
     if grid.h > params.S / 50.0:
         raise ConfigError("grid too coarse to resolve a_k (need h <= S/50)")
+    r = grid.points()
     mid = grid.r0 + grid.h * (np.arange(grid.N + 1) + 0.5)
-    return (a_k_derivs(params, nu_k, grid.points(), top),
-            a_k_derivs(params, nu_k, mid, top - 2))
-
-
-def commutator_matrix(params, nu_k, grid):
-    """Hermitian matrix of i[H_k, A_k] in divergence form.
-
-    The mode enters through nu_k (mu_k = nu_k^2 - 1); the constant spectral
-    shift commutes with A_k and drops out.
-    """
-    a, am = _a_k_tables(params, nu_k, grid, 3)
-    mu = nu_k**2 - 1.0
+    a = a_k_derivs(params, nu_k, r, 4)
+    am = a_k_derivs(params, nu_k, mid, 2)
+    dV, ddV = spec.potential(r, 1), spec.potential(r, 2)
     diag, off = _flux_form(grid, 2.0 * am[1])
-    diag = diag + 2.0 * a[0] * mu * np.exp(-2.0 * grid.points()) - 0.5 * a[3]
-    return DiscreteOperator(grid, {0: diag, 1: off, -1: off})
-
-
-def double_commutator_matrix(params, nu_k, grid):
-    """Hermitian matrix of [[H_k, A_k], A_k] in divergence form."""
-    a, am = _a_k_tables(params, nu_k, grid, 4)
-    mu = nu_k**2 - 1.0
+    first = DiscreteOperator(grid, {0: diag - a[0] * dV - 0.5 * a[3],
+                                    1: off, -1: off})
     diag, off = _flux_form(grid, 2.0 * (am[0] * am[2] - 2.0 * am[1] ** 2))
-    diag = diag + (
-        2.0 * a[0] * mu * np.exp(-2.0 * grid.points()) * (a[1] - 2.0 * a[0])
-        + a[1] * a[3]
-        + a[2] ** 2
-        - 0.5 * a[0] * a[4]
-    )
-    return DiscreteOperator(grid, {0: diag, 1: off, -1: off})
+    diag = diag + (-a[0] * a[1] * dV - a[0] ** 2 * ddV + a[1] * a[3]
+                   + a[2] ** 2 - 0.5 * a[0] * a[4])
+    second = DiscreteOperator(grid, {0: diag, 1: off, -1: off})
+    return first, second
 
 
 # ----------------------------------------------------------------------------
@@ -713,16 +702,15 @@ def mourre_positivity_check(lam, s0, K_max, config, C=10.0):
         contributing += 1
         U = evecs[:, keep]
         f_w = fvals[keep]
-        nu = spectrum.nu(k)
-        comm_win = _window_form(commutator_matrix(params, nu, grid), U)
+        first, second = mode_commutators(params, spec_k, spectrum.nu(k), grid)
+        comm_win = _window_form(first, U)
         comm_win = 0.5 * (comm_win + np.conj(comm_win.T))
         M = (f_w[:, None] * comm_win * f_w[None, :]) - lam * np.diag(f_w**2)
         m_k = float(np.min(np.linalg.eigvalsh(np.real(M))))
-        D = double_commutator_matrix(params, nu, grid)
-        second = float(np.linalg.norm(
-            f_w[:, None] * _window_form(D, U) * f_w[None, :], 2)) / lam
+        d_norm = float(np.linalg.norm(
+            f_w[:, None] * _window_form(second, U) * f_w[None, :], 2)) / lam
         per_mode.append(
-            ModePositivity(k, spectrum.mu(k), int(keep.sum()), m_k, second)
+            ModePositivity(k, spectrum.mu(k), int(keep.sum()), m_k, d_norm)
         )
         if min_ratio is None or m_k / lam < min_ratio:
             min_ratio = m_k / lam

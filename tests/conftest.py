@@ -112,6 +112,12 @@ def generator_matrix(params, nu_k, grid, a_values=None):
     return DiscreteOperator(grid, diags)
 
 
+def spec_of_nu(nu_k):
+    """The spec of the mode with frequency scale nu_k: mu_k = nu_k^2 - 1,
+    the wall r0 = 0.25 and the shift 1/4 of n = 2."""
+    return RadialOperatorSpec(k=0, mu_k=nu_k**2 - 1.0, shift=0.25, r0=0.25)
+
+
 def spectral_calculus(f_derivs, op):
     """Reference spectral calculus via full eigendecomposition."""
     evals, evecs = hermitian_eig(op) if hasattr(op, "diagonals") else np.linalg.eigh(
@@ -135,8 +141,12 @@ def mode_norm(cfg, lam, k, grid, start=None):
         w = weights.mode_weight_vector(r, spectrum.nu(k), cfg.s)
     else:
         w = weights.polynomial_weight_vector(r, cfg.s)
-    return limiting_absorption(op, lam, w, w, norm_tol=cfg.norm_tol,
-                               start=start)
+    return limiting_absorption(op, lam, w, norm_tol=cfg.norm_tol, start=start)
+
+
+def cell_norms(result):
+    """{(lambda, k): norm} of the rows of a sweep result."""
+    return {(row["lambda"], row["k"]): row["norm"] for row in result.rows}
 
 
 def mode_chain(cfg, lam, refine=1.0):
@@ -163,7 +173,7 @@ def limit_norm(cfg, lam, grid):
                               r0=grid.r0)
     op = discretize(spec, grid, outgoing=lam)
     w = weights.mode_weight_vector(grid.points(), 1.0, cfg.s)
-    return limiting_absorption(op, lam, w, w, norm_tol=cfg.norm_tol)
+    return limiting_absorption(op, lam, w, norm_tol=cfg.norm_tol)
 
 
 def limit_grid(lam, refine=1.0):

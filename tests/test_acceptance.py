@@ -15,7 +15,7 @@ import pytest
 import conftest
 from conftest import (WIDE_BUMP, generator_matrix, gronwall_ok, limit_grid,
                       limit_norm, mode_norm, semiclassical_bound_check,
-                      spectral_calculus, synthetic_flow)
+                      spec_of_nu, spectral_calculus, synthetic_flow)
 
 from hyplab.abstract import (
     TestbedInstance as _TestbedInstance,
@@ -37,9 +37,8 @@ from hyplab.laplab import (LIMIT, SweepConfig, fit_scaling, lambda_sweep,
 from hyplab.linops import RadialGrid, discretize, hermitian_eig, resolved_grid
 from hyplab.model import ModelConfig, build_spectrum, mode_operator_spec
 from hyplab.mourre import (
-    commutator_matrix,
-    double_commutator_matrix,
     hs_calculus,
+    mode_commutators,
     mourre_positivity_check,
 )
 from hyplab.weights import (
@@ -173,9 +172,10 @@ def test_criterion_05_commutators():
         for N in (1500, 3000, 6000):
             g = RadialGrid(r0=0.25, r_max=24.0, N=N)
             r = g.points()
-            H = discretize(mode_operator_spec(CIRCLE, 2), g)
+            spec = mode_operator_spec(CIRCLE, 2)
+            H = discretize(spec, g)
             A = generator_matrix(PARAMS_100, nu, g)
-            C = commutator_matrix(PARAMS_100, nu, g)
+            C, _ = mode_commutators(PARAMS_100, spec, nu, g)
             phi = np.exp(-((r - 2.2 * PARAMS_100.R) ** 2)).astype(complex)
             direct = 1j * (H.matvec(A.matvec(phi)) - A.matvec(H.matvec(phi)))
             errs.append(np.max(np.abs(direct - C.matvec(phi))))
@@ -188,14 +188,13 @@ def test_criterion_05_commutators():
         plateau = (r >= 2.0 * PARAMS_100.R + 0.5) & (r <= g.r_max - 1.0)
         idx = np.flatnonzero(plateau)[5:-5]
         a0 = a_k_derivs(PARAMS_100, nu, r[idx], 0)[0]
-        C = commutator_matrix(PARAMS_100, nu, g)
+        C, D = mode_commutators(PARAMS_100, spec_of_nu(nu), nu, g)
         h2 = g.h**2
         assert C.diagonals[0][idx] == pytest.approx(
             4.0 / h2 + 2.0 * a0 * mu * np.exp(-2.0 * r[idx]), abs=1e-10)
         assert C.diagonals[1][idx] == pytest.approx(
             np.full(idx.size, -2.0 / h2), rel=1e-12)
         # off-diagonal -b/h^2 of D b D: b = -4 on the plateau
-        D = double_commutator_matrix(PARAMS_100, nu, g)
         assert D.diagonals[1][idx] * h2 == pytest.approx(
             np.full(idx.size, 4.0), abs=1e-10)
 
@@ -294,7 +293,7 @@ def test_criterion_10_scaling_sweep():
             longer = RadialGrid(r0=g.r0, r_max=2.0 * g.r_max, N=n_long)
             norm, _ = (limit_norm(_SWEEP, lam, longer) if k == LIMIT
                        else mode_norm(_SWEEP, lam, k, longer))
-            assert abs(norm / base.mode_norms[(lam, k)] - 1.0) <= 0.03
+            assert abs(norm / base.N_of_lambda[lam] - 1.0) <= 0.03
 
 
 def test_criterion_11_weight_facts():

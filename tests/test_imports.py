@@ -413,3 +413,18 @@ def test_every_tridiagonal_eigensolve_goes_through_hermitian_eig():
                 (inside if id(node) in solver else outside).append(site)
     assert len(inside) == 2  # the windowed call and the full one
     assert outside == []
+
+
+def test_the_potential_is_written_only_in_the_model():
+    # mu_k e^{-2r} and its derivatives come from RadialOperatorSpec.potential:
+    # neither the operator assembly (linops) nor the commutators (mourre)
+    # call np.exp, so a new end changes hyplab.model alone
+    offenders = []
+    for name in ("linops", "mourre"):
+        path = os.path.join(_SRC, "hyplab", f"{name}.py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        offenders += [f"{name}.py:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      and ast.unparse(node.func) in ("np.exp", "numpy.exp")]
+    assert offenders == []

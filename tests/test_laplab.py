@@ -25,7 +25,8 @@ from hyplab.model import ModelConfig, mode_operator_spec
 from hyplab.pool import effective_workers
 from hyplab.weights import mode_weight_vector, polynomial_weight_vector
 
-from conftest import limit_grid, limit_norm, mode_chain, mode_norm
+from conftest import (cell_norms, limit_grid, limit_norm, mode_chain,
+                      mode_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +64,7 @@ def test_limiting_absorption_box_insensitive():
         norms = []
         for g, o in ((grid, op), (longer, op_long)):
             w = polynomial_weight_vector(g.points(), s)
-            norm, diag = limiting_absorption(o, 4.0, w, w)
+            norm, diag = limiting_absorption(o, 4.0, w)
             assert diag["eps"] == []
             norms.append(norm)
         assert norms[0] > 0
@@ -77,9 +78,9 @@ def test_limiting_absorption_requires_absorber():
     bare = discretize(mode_operator_spec(_FREE, 0), grid)
     w = np.ones(grid.N)
     with pytest.raises(ConfigError):
-        limiting_absorption(bare, 4.0, w, w)
+        limiting_absorption(bare, 4.0, w)
     with pytest.raises(ConfigError):
-        limiting_absorption(op, 5.0, w, w)
+        limiting_absorption(op, 5.0, w)
 
 
 def test_below_threshold_resolvent_is_spectrally_bounded():
@@ -89,7 +90,7 @@ def test_below_threshold_resolvent_is_spectrally_bounded():
     grid, op = _free_mode_setup(lam=0.1)
     assert op.is_hermitian()
     ones = np.ones(grid.N)
-    norm, _ = limiting_absorption(op, 0.1, ones, ones)
+    norm, _ = limiting_absorption(op, 0.1, ones)
     assert norm <= 1.0 / 0.15 * 1.01
 
 
@@ -160,8 +161,9 @@ def test_single_mode_sweep_sup_equals_mode_norm():
     cfg = SweepConfig(lambdas=(50.0,), s=1.0, K_max=1,
                       cross_section={"kind": "custom", "mu": [1.0]})
     res = lambda_sweep(cfg)
-    assert set(res.mode_norms) == {(50.0, 0)}
-    assert res.N_of_lambda[50.0] == res.mode_norms[(50.0, 0)]
+    norms = cell_norms(res)
+    assert set(norms) == {(50.0, 0)}
+    assert res.N_of_lambda[50.0] == norms[(50.0, 0)]
     assert res.lambdas() == [50.0]
     assert not res.diagnostics["failures"]
     _, diag = mode_norm(cfg, 50.0, 0, sweep_grid(50.0))
@@ -169,7 +171,7 @@ def test_single_mode_sweep_sup_equals_mode_norm():
                                  sweep_grid(50.0).r_max, 1.0,
                                  log_nu=[0.5 * math.log(2.0)])
     assert res.rows == [{"lambda": 50.0, "k": 0, "mu": 1.0,
-                         "norm": res.mode_norms[(50.0, 0)],
+                         "norm": norms[(50.0, 0)],
                          "iterations": diag["iterations"],
                          "N_sc": n_sc, "glancing": False}]
     # The only mode is the last one, so the sup sits at K_max.
@@ -181,11 +183,12 @@ def test_sweep_sup_over_modes():
     cfg = SweepConfig(lambdas=(50.0,), s=1.0, K_max=3,
                       cross_section={"kind": "custom", "mu": [0.0, 1.0, 4.0]})
     res = lambda_sweep(cfg)
-    named = sorted(k for _, k in res.mode_norms)
+    norms = cell_norms(res)
+    named = sorted(k for _, k in norms)
     assert named and set(named) <= {0, 1, 2}
-    assert res.N_of_lambda[50.0] == max(res.mode_norms.values())
+    assert res.N_of_lambda[50.0] == max(norms.values())
     k_max = res.diagnostics["argmax_k"][50.0]
-    assert res.mode_norms[(50.0, k_max)] == res.N_of_lambda[50.0]
+    assert norms[(50.0, k_max)] == res.N_of_lambda[50.0]
     assert res.diagnostics["sup_at_K_max"] == (k_max == 2)
     # No mode of the chain over every k exceeds the sup.
     chain = mode_chain(cfg, 50.0)
@@ -196,7 +199,7 @@ def test_sweep_sup_over_modes():
     start = None
     for k in named:
         norm, diag = mode_norm(cfg, 50.0, k, sweep_grid(50.0), start=start)
-        assert norm == res.mode_norms[(50.0, k)]
+        assert norm == norms[(50.0, k)]
         assert diag["iterations"] == steps[(50.0, k)]
         start = diag["vector"]
 
@@ -213,12 +216,14 @@ def _cold(cfg, lam, k):
 
 def test_warm_started_cells_match_cold_and_tight_starts():
     res = lambda_sweep(_DEFAULT_SWEEP)
-    tight = lambda_sweep(dataclasses.replace(_DEFAULT_SWEEP, norm_tol=1e-13))
-    assert set(tight.mode_norms) == set(res.mode_norms)
+    tight = cell_norms(lambda_sweep(
+        dataclasses.replace(_DEFAULT_SWEEP, norm_tol=1e-13)))
+    norms = cell_norms(res)
+    assert set(tight) == set(norms)
     worst = 0.0
-    for (lam, k), norm in res.mode_norms.items():
+    for (lam, k), norm in norms.items():
         assert abs(norm / _cold(_DEFAULT_SWEEP, lam, k) - 1.0) <= 1e-8
-        worst = max(worst, abs(norm / tight.mode_norms[(lam, k)] - 1.0))
+        worst = max(worst, abs(norm / tight[(lam, k)] - 1.0))
     # The cold-started sweep's worst cell was 7.3e-10 from tol = 1e-13.
     assert worst <= 7.3e-10
 
@@ -263,7 +268,7 @@ def test_refined_sweep_is_worker_count_invariant():
     pooled = lambda_sweep(cfg, workers=2, refine=4.0)
     assert max(sweep_grid(l, refine=4.0).N for l in cfg.lambdas) > 10**4
     assert pooled.N_of_lambda == serial.N_of_lambda
-    assert pooled.mode_norms == serial.mode_norms
+    assert pooled.rows == serial.rows
 
 
 @pytest.mark.parametrize("kind", ["mode", "polynomial"])
@@ -273,12 +278,12 @@ def test_default_cells_are_within_one_and_a_half_percent_of_refine_four(kind):
     # Every mode k <= K_max, by the chain, and the sweep's own cells, the
     # limit cells included.
     cfg = SweepConfig(lambdas=(1e2, 1e4), s=1.0, weight_kind=kind)
-    base = lambda_sweep(cfg, workers=2)
-    fine = lambda_sweep(cfg, workers=2, refine=4.0)
-    assert set(base.mode_norms) == set(fine.mode_norms)
-    assert ((1e4, LIMIT) in base.mode_norms) == (kind == "mode")
-    for cell, norm in base.mode_norms.items():
-        assert abs(norm / fine.mode_norms[cell] - 1.0) <= 1.5e-2
+    base = cell_norms(lambda_sweep(cfg, workers=2))
+    fine = cell_norms(lambda_sweep(cfg, workers=2, refine=4.0))
+    assert set(base) == set(fine)
+    assert ((1e4, LIMIT) in base) == (kind == "mode")
+    for cell, norm in base.items():
+        assert abs(norm / fine[cell] - 1.0) <= 1.5e-2
     for lam in cfg.lambdas:
         chain, fine_chain = mode_chain(cfg, lam), mode_chain(cfg, lam, 4.0)
         assert len(chain) == cfg.K_max + 1
@@ -481,7 +486,7 @@ def test_fit_uncertainties_match_the_textbook_formula():
 
 def _synthetic_result(lams, norms, s=1.0, s0=1.0):
     cfg = SweepConfig(lambdas=tuple(lams), s=s, s0=s0)
-    return SweepResult(config=cfg, rows=[], mode_norms={},
+    return SweepResult(config=cfg, rows=[],
                        N_of_lambda=dict(zip(lams, norms)), diagnostics={})
 
 

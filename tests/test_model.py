@@ -59,6 +59,20 @@ def test_mode_operator_potential_values():
     spec2 = mode_operator_spec(cfg3, 2)
     assert spec2.potential(np.array([1.0]))[0] == pytest.approx(
         4.0 * np.exp(-2.0) + 1.0)
+    # j = 0 is mu e^{-2r} + shift to the bit; j = 1 and 2 are the closed
+    # forms -2 mu e^{-2r} and 4 mu e^{-2r}, and the centred differences of
+    # j = 0 (truncation 1.3e-6 relative at step 1e-3)
+    r = np.linspace(0.25, 4.0, 301)
+    decay = spec2.mu_k * np.exp(-2.0 * r)
+    assert np.array_equal(spec2.potential(r), decay + spec2.shift)
+    assert spec2.potential(r, 1) == pytest.approx(-2.0 * decay, rel=1e-15)
+    assert spec2.potential(r, 2) == pytest.approx(4.0 * decay, rel=1e-15)
+    step = 1e-3
+    ahead, behind = spec2.potential(r + step), spec2.potential(r - step)
+    assert spec2.potential(r, 1) == pytest.approx(
+        (ahead - behind) / (2.0 * step), rel=1e-5)
+    assert spec2.potential(r, 2) == pytest.approx(
+        (ahead - 2.0 * spec2.potential(r) + behind) / step**2, rel=1e-5)
 
 
 def test_mode_potential_monotone_decreasing():

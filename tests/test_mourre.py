@@ -13,14 +13,14 @@ from hyplab.conjugate import ConjugateParams, a_k_derivs
 from hyplab.errors import ConfigError, NumericalFailure, RegimeError
 from hyplab.linops import RadialGrid, discretize, hermitian_eig
 from hyplab.model import ModelConfig, mode_operator_spec
-from hyplab.mourre import (commutator_matrix, double_commutator_matrix,
-                           hs_calculus, mourre_positivity_check)
+from hyplab.mourre import (hs_calculus, mode_commutators,
+                           mourre_positivity_check)
 from hyplab.weights import SpectralCutoff, profile_eval
 
 from conftest import (WIDE_BUMP, WideBump, chi_sqrt_eval, dense_matrix,
                       generator_matrix, semiclassical_bound_check,
-                      semiclassical_gap, spectral_calculus, xi_build,
-                      xi_profile_constant)
+                      semiclassical_gap, spec_of_nu, spectral_calculus,
+                      xi_build, xi_profile_constant)
 
 
 PARAMS = ConjugateParams.from_lambda(100.0)
@@ -69,18 +69,15 @@ def test_cutoff_derivative_scaling():
 
 def test_commutator_hermitian():
     g = _grid()
-    C = dense_matrix(commutator_matrix(PARAMS, 2.0, g))
-    scale = np.max(np.abs(C))
-    assert np.max(np.abs(C - C.conj().T)) <= 1e-12 * scale
-    D = dense_matrix(double_commutator_matrix(PARAMS, 2.0, g))
-    scale = np.max(np.abs(D))
-    assert np.max(np.abs(D - D.conj().T)) <= 1e-12 * scale
+    for op in mode_commutators(PARAMS, spec_of_nu(2.0), 2.0, g):
+        M = dense_matrix(op)
+        assert np.max(np.abs(M - M.conj().T)) <= 1e-12 * np.max(np.abs(M))
 
 
 def test_commutator_grid_too_coarse():
     g = RadialGrid(r0=0.25, r_max=20.0, N=20)
     with pytest.raises(ConfigError):
-        commutator_matrix(PARAMS, 1.0, g)
+        mode_commutators(PARAMS, spec_of_nu(1.0), 1.0, g)
 
 
 def test_commutator_plateau_closed_form():
@@ -88,7 +85,7 @@ def test_commutator_plateau_closed_form():
     mu = nu**2 - 1.0
     g = _grid(N=2000, r_max=24.0)
     r = g.points()
-    C = commutator_matrix(PARAMS, nu, g)
+    C, _ = mode_commutators(PARAMS, spec_of_nu(nu), nu, g)
     # plateau: both cutoffs equal 1, a' = 1, higher derivatives vanish
     plateau = ((r >= 2.0 * PARAMS.R + 0.5)
                & (r <= g.r_max - 1.0))
@@ -104,7 +101,7 @@ def test_commutator_plateau_closed_form():
 def test_commutator_zero_rows_left_of_R():
     g = _grid()
     r = g.points()
-    C = commutator_matrix(PARAMS, 1.0, g)
+    C, _ = mode_commutators(PARAMS, spec_of_nu(1.0), 1.0, g)
     left = r < PARAMS.R - 0.1
     assert np.max(np.abs(C.diagonals[0][left])) == 0.0
 
@@ -115,9 +112,10 @@ def test_commutator_matches_matrix_commutator_order_two():
     for N in (1500, 3000, 6000):
         g = RadialGrid(r0=0.25, r_max=24.0, N=N)
         r = g.points()
-        H = discretize(mode_operator_spec(CONFIG, 2), g)
+        spec = mode_operator_spec(CONFIG, 2)
+        H = discretize(spec, g)
         A = generator_matrix(PARAMS, nu, g)
-        C = commutator_matrix(PARAMS, nu, g)
+        C, _ = mode_commutators(PARAMS, spec, nu, g)
         phi = np.exp(-((r - 2.2 * PARAMS.R) ** 2)).astype(complex)
         direct = 1j * (H.matvec(A.matvec(phi)) - A.matvec(H.matvec(phi)))
         errs.append(np.max(np.abs(direct - C.matvec(phi))))
@@ -138,7 +136,7 @@ def test_double_commutator_plateau_coefficients():
     idx = np.flatnonzero(plateau)[5:-5]
     for nu in (2.0, 1e6):
         mu = nu**2 - 1.0
-        D = double_commutator_matrix(PARAMS, nu, g)
+        _, D = mode_commutators(PARAMS, spec_of_nu(nu), nu, g)
         a0 = a_k_derivs(PARAMS, nu, r[idx], 0)[0]
         off = D.diagonals[1]
         assert off[idx] * h2 == pytest.approx(np.full(idx.size, 4.0),
@@ -157,8 +155,7 @@ def test_double_commutator_matches_nested_commutator():
         g = RadialGrid(r0=0.25, r_max=24.0, N=N)
         r = g.points()
         A = generator_matrix(PARAMS, nu, g)
-        C1 = commutator_matrix(PARAMS, nu, g)
-        D = double_commutator_matrix(PARAMS, nu, g)
+        C1, D = mode_commutators(PARAMS, spec_of_nu(nu), nu, g)
         phi = np.exp(-((r - 2.2 * PARAMS.R) ** 2)).astype(complex)
         # [[H,A],A] = -i (C1 A - A C1) with C1 = i[H,A]
         direct = -1j * (C1.matvec(A.matvec(phi)) - A.matvec(C1.matvec(phi)))
@@ -816,15 +813,15 @@ def test_double_commutator_norm_matches_dense_window(K_max, C):
         if m.window_size == 0:
             assert m.double_commutator is None
             continue
-        H = dense_matrix(discretize(
-            mode_operator_spec(CONFIG, m.k, spectrum=spectrum), grid))
+        spec = mode_operator_spec(CONFIG, m.k, spectrum=spectrum)
+        H = dense_matrix(discretize(spec, grid))
         evals, evecs = np.linalg.eigh(H)
         f = cutoff.values(evals)
         window = f >= mourre._WINDOW_FLOOR
         U, f_w = evecs[:, window], f[window]
         assert U.shape[1] == m.window_size
-        D = dense_matrix(
-            double_commutator_matrix(PARAMS, spectrum.nu(m.k), grid))
+        _, D = mode_commutators(PARAMS, spec, spectrum.nu(m.k), grid)
+        D = dense_matrix(D)
         form = f_w[:, None] * (U.conj().T @ D @ U) * f_w[None, :]
         expected = np.linalg.norm(form, 2) / lam
         assert m.double_commutator == pytest.approx(expected, rel=1e-8)
@@ -863,16 +860,15 @@ def test_commutators_match_their_symbols_on_window_states(lam, rtol_first,
     for m in rep.per_mode:
         if m.window_size == 0:
             continue
-        op = discretize(mode_operator_spec(CONFIG, m.k, spectrum=spectrum),
-                        grid)
-        evals, evecs = hermitian_eig(op, select_range=window)
+        spec = mode_operator_spec(CONFIG, m.k, spectrum=spectrum)
+        evals, evecs = hermitian_eig(discretize(spec, grid),
+                                     select_range=window)
         keep = cutoff.values(evals) >= mourre._WINDOW_FLOOR
         assert np.count_nonzero(keep) == m.window_size
         nu = spectrum.nu(m.k)
         a = a_k_derivs(params, nu, r, 4)
         V = (nu**2 - 1.0) * np.exp(-2.0 * r)
-        first = commutator_matrix(params, nu, grid)
-        second = double_commutator_matrix(params, nu, grid)
+        first, second = mode_commutators(params, spec, nu, grid)
         for E, psi in zip(evals[keep], evecs[:, keep].T):
             kinetic = np.maximum(E - CONFIG.shift - V, 0.0)
             s1 = 2.0 * a[1] * kinetic + 2.0 * a[0] * V - 0.5 * a[3]
