@@ -242,7 +242,7 @@ def _run_spectrum(ctx):
     summary = {"schema": _SCHEMA, "experiment": "spectrum",
                "modes": len(rows)}
     _atomic_json(ctx.path("summary.json"), summary)
-    return summary, True
+    return True
 
 
 def _run_flow(ctx):
@@ -285,7 +285,7 @@ def _run_flow(ctx):
                "n_evals": [flows[t].n_evals for t in times],
                "unitarity_defect": defects}
     _atomic_json(ctx.path("summary.json"), summary)
-    return summary, True
+    return True
 
 
 def _run_mourre(ctx):
@@ -311,7 +311,7 @@ def _run_mourre(ctx):
     write_csv(ctx.path("per_mode.csv"),
               ["k", "mu", "window_size", "min_eig", "double_commutator"],
               rows)
-    return payload, report.passed
+    return report.passed
 
 
 def _run_sweep(ctx):
@@ -353,7 +353,7 @@ def _run_sweep(ctx):
         summary["bound_check"] = {"Cprime": fit.C_prime}
         ok = ok and -0.6 <= fit.p <= -0.4
     _atomic_json(ctx.path("summary.json"), summary)
-    return summary, ok
+    return ok
 
 
 def _testbed_seed_report(args):
@@ -418,7 +418,7 @@ def _run_testbed(ctx):
                        "step_bound": recurrence_step_bound(cfg["s"])},
     }
     _atomic_json(ctx.path("summary.json"), summary)
-    return summary, summary["violations"] == 0 and scalar["violations"] == 0
+    return summary["violations"] == 0 and scalar["violations"] == 0
 
 
 def _run_weights(ctx):
@@ -452,7 +452,7 @@ def _run_weights(ctx):
     ok = (len(violations) == 0
           and all(l["spread"] <= 2.0 for l in ladders.values())
           and all(b > a for a, b in zip(ratios, ratios[1:])))
-    return summary, ok
+    return ok
 
 
 def _run_report(ctx):
@@ -498,9 +498,9 @@ def _run_report(ctx):
                          f"(truncated sup): {summary['sup_at_K_max']}")
             plot_rows = sorted(
                 (float(k), v) for k, v in summary["N_of_lambda"].items())
-            write_csv(os.path.join(out, "plot_N_of_lambda.dat"),
+            write_csv(os.path.join(out, f"plot_N_of_lambda_{name}.dat"),
                       ["lambda", "N"], plot_rows)
-            ctx.outputs.append("plot_N_of_lambda.dat")
+            ctx.outputs.append(f"plot_N_of_lambda_{name}.dat")
         elif exp == "mourre":
             lines.append("min_eig_ratio = %s over %s contributing modes"
                          % (summary.get("min_eig_ratio"),
@@ -544,13 +544,13 @@ def _run_report(ctx):
     with open(os.path.join(out, "report.md"), "w", encoding="utf-8") as fh:
         fh.write(text)
     ctx.outputs.append("report.md")
-    return {"schema": _SCHEMA, "experiment": "report",
-            "sections": sorted(seen)}, True
+    return True
 
 
 # Each subcommand's runner and the flags it takes besides --check, --out and,
 # for a subcommand with a config in _DEFAULTS, --config and --set.  Each such
-# flag sets the RunContext field of its name, which the runner reads.
+# flag sets the RunContext field of its name, which the runner reads.  A
+# runner writes its outputs and returns the verdict that --check reads.
 _RUNNERS = {
     "spectrum": (_run_spectrum, ()),
     "flow": (_run_flow, ()),
@@ -607,7 +607,7 @@ def run(argv=None):
     ctx = RunContext(experiment, config, args.out,
                      **{flag: getattr(args, flag) for flag in flags})
     try:
-        summary, ok = runner(ctx)
+        ok = runner(ctx)
     except ConfigError as exc:
         ctx.finish(status="invalid", diagnostic=str(exc))
         print(f"invalid config: {exc}", file=sys.stderr)

@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Following common practice in numerical libraries, errors are split by the
-caller's ability to react: configuration mistakes are programming errors,
-numerical failures carry diagnostic payloads so a driver can retry with a
-different discretization.
+Errors are split by the caller's ability to react: ConfigError marks a
+configuration mistake, to be fixed before the run, and NumericalFailure a
+numerical procedure that failed on a valid configuration.  The messages are
+the whole report; no error carries a payload.
 """
 
 
@@ -24,17 +24,4 @@ class FlowExitsGrid(HyplabError):
 
 
 class NumericalFailure(HyplabError):
-    """An iterative numerical procedure failed to converge.
-
-    Parameters
-    ----------
-    message : str
-        Human-readable description.
-    history : list or None
-        Iteration history (e.g. Rayleigh quotient or residual values) for
-        post-mortem analysis.
-    """
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = list(history) if history is not None else None
+    """An iterative numerical procedure failed to converge."""

@@ -94,9 +94,8 @@ class DiscreteOperator:
     ``outgoing_energy`` is the energy of the outgoing closure at r_max, or
     None for a box closed by a Dirichlet wall.  Immutable by convention (no
     mutating API), but the diagonals are plain arrays that a caller can
-    change in place; ``hermitian_eig`` keeps its full eigendecomposition on
-    the instance, with copies of the mass and of the three diagonals it was
-    computed from, and reuses it only while all four still equal them.
+    change in place.  It holds no eigendecomposition: ``hermitian_eig``
+    solves on every call, and mourre.hs_calculus keeps the one it reuses.
     """
 
     def __init__(self, grid, diagonals, outgoing_energy=None,
@@ -110,8 +109,6 @@ class DiscreteOperator:
         self.upper = np.asarray(diagonals[1])
         self.outgoing_energy = outgoing_energy
         self.mass = mass
-        # hermitian_eig's (mass, lower, main, upper, evals, evecs)
-        self._eig = None
         if (len(self.main) != n
                 or {len(self.lower), len(self.upper)} != {n - 1}):
             raise ConfigError("diagonal has wrong length")
@@ -280,9 +277,7 @@ class ShiftedSolver:
             resid_norm = _norm(_residual(diagonals, x, rhs))
         if resid_norm > tol:
             raise NumericalFailure(
-                f"solve residual {resid_norm:.3e} exceeds tolerance",
-                history=[resid_norm],
-            )
+                f"solve residual {resid_norm:.3e} exceeds tolerance")
         return x
 
     def solve(self, rhs):
@@ -351,11 +346,9 @@ def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, start=None):
         v = start / _norm(start) + _COLD_SHARE * v
         v /= _norm(v)
     theta = 0.0
-    history = []
     for step in range(1, _MAX_POWER_STEPS + 1):
         u = gram(v)
         theta_new = _norm(u)
-        history.append(theta_new)
         if theta_new == 0.0:
             return 0.0, None, step
         rayleigh = _dot(v, u)
@@ -369,9 +362,7 @@ def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, start=None):
             return math.sqrt(theta_new), v, step
         theta = theta_new
     raise NumericalFailure(
-        f"power iteration did not converge in {_MAX_POWER_STEPS} iterations",
-        history=history[-50:],
-    )
+        f"power iteration did not converge in {_MAX_POWER_STEPS} iterations")
 
 
 def hermitian_eig(op, select_range=None):
@@ -385,22 +376,10 @@ def hermitian_eig(op, select_range=None):
     ``select_range=(lo, hi)`` only the eigenpairs in (lo, hi] are computed
     and returned.
 
-    The full decomposition is kept on ``op``, with copies of the mass and of
-    the three diagonals it was computed from.  A later full call whose mass
-    and lower, main and upper diagonals all equal those copies
-    (np.array_equal, so a NaN never does) returns the kept pair at once: the
-    checks above read only those values, and they passed on them.  Any
-    difference runs the checks and a new eigensolve, so an operator changed
-    in place is never served a stale pair.  The kept arrays are read-only,
-    as are the arrays returned from them, so no caller can alter the kept
-    pair.  Windowed calls are never kept and return writable arrays.
+    A pure function: every call runs the checks and a new eigensolve, and
+    returns fresh, writable arrays.  Nothing is kept, on ``op`` or here;
+    mourre.hs_calculus keeps the decomposition it reuses.
     """
-    kept = op._eig
-    if (select_range is None and kept is not None and op.mass == kept[0]
-            and np.array_equal(op.lower, kept[1])
-            and np.array_equal(op.main, kept[2])
-            and np.array_equal(op.upper, kept[3])):
-        return kept[4], kept[5]
     if op.mass != _IDENTITY_MASS:
         raise ConfigError("hermitian_eig needs M = I, not a pencil's M^{-1} A")
     if not all(np.all(np.isfinite(d)) for d in (op.lower, op.main, op.upper)):
@@ -414,9 +393,4 @@ def hermitian_eig(op, select_range=None):
     if select_range is not None:
         return sla.eigh_tridiagonal(d, e, select="v",
                                     select_range=select_range)
-    evals, evecs = sla.eigh_tridiagonal(d, e)
-    evals.flags.writeable = False
-    evecs.flags.writeable = False
-    op._eig = (op.mass, op.lower.copy(), op.main.copy(), op.upper.copy(),
-               evals, evecs)
-    return evals, evecs
+    return sla.eigh_tridiagonal(d, e)

@@ -74,7 +74,6 @@ def _torus_entries(radii, k_max):
         raise ConfigError("torus radii must be positive")
     bound_idx = 1
     while True:
-        counts: dict[float, int] = {}
         max_each = [int(math.ceil(bound_idx * p)) for p in radii]
         grids = np.meshgrid(
             *[np.arange(-m, m + 1) for m in max_each], indexing="ij"

@@ -436,6 +436,12 @@ def _tabulated_quadrature(entry, E):
 _HS_CACHE = {}
 _HS_CACHE_CAP = 32
 
+# The eigendecomposition of the last DiscreteOperator that hs_calculus was
+# given, as {key: (evals, evecs)}, one entry at most.  The key is the
+# operator's content: its mass and each diagonal's dtype and bytes, the only
+# values that hermitian_eig's checks and eigensolve read.
+_EIG_CACHE = {}
+
 # operator-norm tolerance of hs_calculus at the spectrum
 _HS_TOL = 1e-6
 
@@ -502,11 +508,12 @@ def hs_calculus(f_derivs, op, u_range):
 
     The nodes are applied in the eigenbasis, where the resolvent is
     diagonal: (op - z)^{-1} = V (E - z)^{-1} V*.  For a DiscreteOperator the
-    eigenbasis is linops.hermitian_eig's, which keeps it on the operator and
-    returns it, read-only and without re-running its checks, while the
-    operator's mass and three diagonals equal the copies it keeps; a dense
-    op is decomposed on every call.  Either way the check at the spectrum
-    below runs on every call.  The quadrature gives
+    eigenbasis is linops.hermitian_eig's; _EIG_CACHE keeps the last one,
+    keyed on content, so an operator equal to the last one skips
+    hermitian_eig and its checks, and one changed in place is checked and
+    solved again.  A dense op is decomposed on every call and never kept.
+    Either way the check at the spectrum below runs on every call.  The
+    quadrature gives
     V diag(Q(E)) V* with Q(E) = (2 pi)^{-1} sum_z c_z / (E - z).  The nodes
     of the lower half-plane are the conjugates of the upper ones, with
     conjugate coefficients, so only the upper half is built and Q(E) =
@@ -533,7 +540,12 @@ def hs_calculus(f_derivs, op, u_range):
     if not (math.isfinite(u_lo) and math.isfinite(u_hi) and u_lo < u_hi):
         raise ConfigError(f"u_range ({u_lo}, {u_hi}) needs finite lo < hi")
     if hasattr(op, "diagonals"):
-        evals, evecs = hermitian_eig(op)
+        eig_key = (op.mass, *((d.dtype.str, d.tobytes())
+                              for d in (op.lower, op.main, op.upper)))
+        if eig_key not in _EIG_CACHE:
+            _EIG_CACHE.clear()
+            _EIG_CACHE[eig_key] = hermitian_eig(op)
+        evals, evecs = _EIG_CACHE[eig_key]
     else:
         dense = np.asarray(op)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1] or (

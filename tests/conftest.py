@@ -118,6 +118,19 @@ def spec_of_nu(nu_k):
     return RadialOperatorSpec(k=0, mu_k=nu_k**2 - 1.0, shift=0.25, r0=0.25)
 
 
+def counted_checks(monkeypatch):
+    """Count DiscreteOperator.is_hermitian calls; returns the count list."""
+    checks = []
+    is_hermitian = DiscreteOperator.is_hermitian
+
+    def counted(self):
+        checks.append(1)
+        return is_hermitian(self)
+
+    monkeypatch.setattr(DiscreteOperator, "is_hermitian", counted)
+    return checks
+
+
 def spectral_calculus(f_derivs, op):
     """Reference spectral calculus via full eigendecomposition."""
     evals, evecs = hermitian_eig(op) if hasattr(op, "diagonals") else np.linalg.eigh(

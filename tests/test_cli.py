@@ -634,6 +634,26 @@ def test_report_links_flow_trajectories(tmp_path):
         in report
 
 
+def test_report_keeps_each_sweep_runs_plot(tmp_path):
+    # two sweep runs in one directory: each gets its own N(lambda) plot, so
+    # the second no longer overwrites the first
+    energies = {"a": "[50.0,100.0]", "b": "[60.0,120.0]"}
+    for name, lambdas in energies.items():
+        assert run(["sweep", "--out", str(tmp_path / name),
+                    "--set", f"lambdas={lambdas}", *_SWEEP_ARGS[2:]]) == 0
+    assert run(["report", "--out", str(tmp_path)]) == 0
+    for name in energies:
+        summary = json.loads(_read(tmp_path / name / "summary.json"))
+        lines = _read(tmp_path / f"plot_N_of_lambda_{name}.dat").split()
+        assert lines[0] == "lambda,N"
+        assert [[float(v) for v in line.split(",")] for line in lines[1:]] \
+            == sorted([float(lam), N]
+                      for lam, N in summary["N_of_lambda"].items())
+    assert not (tmp_path / "plot_N_of_lambda.dat").exists()
+    outputs = _manifest(tmp_path)["outputs"]
+    assert {"plot_N_of_lambda_a.dat", "plot_N_of_lambda_b.dat"} <= set(outputs)
+
+
 def test_report_on_empty_directory_exits_one(tmp_path):
     out = tmp_path / "empty"
     out.mkdir()

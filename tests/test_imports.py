@@ -393,8 +393,8 @@ def test_every_grid_comes_from_the_resolution_rule():
 
 def test_every_tridiagonal_eigensolve_goes_through_hermitian_eig():
     # eigh_tridiagonal is named in one place in the package, its call inside
-    # linops.hermitian_eig, so every eigensolve of a DiscreteOperator passes
-    # the decomposition that hermitian_eig keeps on the operator
+    # linops.hermitian_eig, so every eigensolve of a DiscreteOperator runs
+    # hermitian_eig's checks; mourre.hs_calculus keeps the one it reuses
     paths = sorted(glob.glob(os.path.join(_SRC, "hyplab", "*.py")))
     assert len(paths) >= 10
     inside = []
@@ -428,3 +428,45 @@ def test_the_potential_is_written_only_in_the_model():
                       if isinstance(node, ast.Call)
                       and ast.unparse(node.func) in ("np.exp", "numpy.exp")]
     assert offenders == []
+
+
+def _unread_locals(function):
+    """The names that a function binds and never reads, with the line of
+    their first binding.  A name counts as read anywhere in the function,
+    nested functions and comprehensions included; parameters and names
+    starting with _ are exempt."""
+    bound, read = {}, set()
+    for node in ast.walk(function):
+        names = []
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            else:
+                read.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.asname or alias.name.split(".")[0]
+                     for alias in node.names]
+        elif isinstance(node, ast.FunctionDef) and node is not function:
+            names = [node.name]
+        for name in names:
+            bound.setdefault(name, node.lineno)
+    return {name: line for name, line in bound.items()
+            if name not in read and not name.startswith("_")}
+
+
+def test_every_local_name_is_read():
+    # a local bound in a function of the package and never read there is
+    # dead code: a value computed for nothing, or a result dropped
+    paths = sorted(glob.glob(os.path.join(_SRC, "hyplab", "*.py")))
+    assert len(paths) >= 10
+    unread = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                unread += [f"{os.path.relpath(path, _SRC)}:{line} {name}"
+                           for name, line in _unread_locals(node).items()]
+    assert unread == []

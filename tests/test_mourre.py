@@ -17,8 +17,8 @@ from hyplab.mourre import (hs_calculus, mode_commutators,
                            mourre_positivity_check)
 from hyplab.weights import SpectralCutoff, profile_eval
 
-from conftest import (WIDE_BUMP, WideBump, chi_sqrt_eval, dense_matrix,
-                      generator_matrix, semiclassical_bound_check,
+from conftest import (WIDE_BUMP, WideBump, chi_sqrt_eval, counted_checks,
+                      dense_matrix, generator_matrix, semiclassical_bound_check,
                       semiclassical_gap, spec_of_nu, spectral_calculus,
                       xi_build, xi_profile_constant)
 
@@ -107,21 +107,23 @@ def test_commutator_zero_rows_left_of_R():
 
 
 def test_commutator_matches_matrix_commutator_order_two():
-    nu = 2.0
-    errs, hs = [], []
-    for N in (1500, 3000, 6000):
-        g = RadialGrid(r0=0.25, r_max=24.0, N=N)
-        r = g.points()
-        spec = mode_operator_spec(CONFIG, 2)
-        H = discretize(spec, g)
-        A = generator_matrix(PARAMS, nu, g)
-        C, _ = mode_commutators(PARAMS, spec, nu, g)
-        phi = np.exp(-((r - 2.2 * PARAMS.R) ** 2)).astype(complex)
-        direct = 1j * (H.matvec(A.matvec(phi)) - A.matvec(H.matvec(phi)))
-        errs.append(np.max(np.abs(direct - C.matvec(phi))))
-        hs.append(g.h)
-    rate = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-    assert rate >= 1.7
+    # mode 2, whose mu e^{-2r} is about 5e-12 at r = 2.2 R, and nu = 1e6,
+    # where it is about 1.3, so that a wrong V' shows
+    for spec, nu in ((mode_operator_spec(CONFIG, 2), 2.0),
+                     (spec_of_nu(1e6), 1e6)):
+        errs, hs = [], []
+        for N in (1500, 3000, 6000):
+            g = RadialGrid(r0=0.25, r_max=24.0, N=N)
+            r = g.points()
+            H = discretize(spec, g)
+            A = generator_matrix(PARAMS, nu, g)
+            C, _ = mode_commutators(PARAMS, spec, nu, g)
+            phi = np.exp(-((r - 2.2 * PARAMS.R) ** 2)).astype(complex)
+            direct = 1j * (H.matvec(A.matvec(phi)) - A.matvec(H.matvec(phi)))
+            errs.append(np.max(np.abs(direct - C.matvec(phi))))
+            hs.append(g.h)
+        rate = np.polyfit(np.log(hs), np.log(errs), 1)[0]
+        assert rate >= 1.7, nu
 
 
 def test_double_commutator_plateau_coefficients():
@@ -149,20 +151,23 @@ def test_double_commutator_plateau_coefficients():
 
 
 def test_double_commutator_matches_nested_commutator():
-    nu = 2.0
-    errs, hs = [], []
-    for N in (1500, 3000, 6000):
-        g = RadialGrid(r0=0.25, r_max=24.0, N=N)
-        r = g.points()
-        A = generator_matrix(PARAMS, nu, g)
-        C1, D = mode_commutators(PARAMS, spec_of_nu(nu), nu, g)
-        phi = np.exp(-((r - 2.2 * PARAMS.R) ** 2)).astype(complex)
-        # [[H,A],A] = -i (C1 A - A C1) with C1 = i[H,A]
-        direct = -1j * (C1.matvec(A.matvec(phi)) - A.matvec(C1.matvec(phi)))
-        errs.append(np.max(np.abs(direct - D.matvec(phi))))
-        hs.append(g.h)
-    rate = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-    assert rate >= 1.7
+    # nu = 2 and nu = 1e6, where mu e^{-2r} is about 1.3 at r = 2.2 R, so
+    # that a wrong V' or V'' in either commutator shows
+    for nu in (2.0, 1e6):
+        errs, hs = [], []
+        for N in (1500, 3000, 6000):
+            g = RadialGrid(r0=0.25, r_max=24.0, N=N)
+            r = g.points()
+            A = generator_matrix(PARAMS, nu, g)
+            C1, D = mode_commutators(PARAMS, spec_of_nu(nu), nu, g)
+            phi = np.exp(-((r - 2.2 * PARAMS.R) ** 2)).astype(complex)
+            # [[H,A],A] = -i (C1 A - A C1) with C1 = i[H,A]
+            direct = -1j * (C1.matvec(A.matvec(phi))
+                            - A.matvec(C1.matvec(phi)))
+            errs.append(np.max(np.abs(direct - D.matvec(phi))))
+            hs.append(g.h)
+        rate = np.polyfit(np.log(hs), np.log(errs), 1)[0]
+        assert rate >= 1.7, nu
 
 
 # ----------------------------------------------------------------------------
@@ -294,8 +299,8 @@ def _calculus_mode_operator():
 
 
 def test_hs_repeat_calls_on_one_operator_give_the_same_bits():
-    # the repeat call reuses the eigendecomposition kept on the operator;
-    # an equal, new operator computes its own
+    # the repeat call and an equal, new operator reuse the decomposition
+    # that the calculus keeps
     f = WIDE_BUMP
     op = _calculus_mode_operator()
     first = hs_calculus(f, op, u_range=f.support)
@@ -314,6 +319,83 @@ def test_hs_follows_an_operator_changed_in_place():
     assert np.linalg.norm(after - spectral_calculus(f, dense_matrix(op)),
                           2) <= 1e-6
     assert np.linalg.norm(after - before, 2) > 0.1
+
+
+def test_hs_repeat_call_runs_one_eigensolve_and_one_check(monkeypatch):
+    # repeat calls on one operator reuse the kept pair without its checks,
+    # and neither a dense call nor a windowed eigensolve displaces it
+    checks = counted_checks(monkeypatch)
+    calls = _counted_eigensolves(monkeypatch)
+    monkeypatch.setattr(mourre, "_EIG_CACHE", {})
+    f = WIDE_BUMP
+    op = _calculus_mode_operator()
+    checks.clear()
+    calls.clear()
+    first = hs_calculus(f, op, u_range=f.support)
+    assert len(checks) == 1 and calls == ["tridiagonal"]
+    for _ in range(3):
+        assert np.array_equal(hs_calculus(f, op, u_range=f.support), first)
+    hs_calculus(f, np.diag([-1.0, 0.0, 1.0]), u_range=f.support)
+    hermitian_eig(op, select_range=(0.5, 1.0))
+    assert np.array_equal(hs_calculus(f, op, u_range=f.support), first)
+    assert len(checks) == 2
+    assert calls == ["tridiagonal", "dense", "tridiagonal"]
+
+
+def test_hs_reuses_the_decomposition_of_an_equal_operator(monkeypatch):
+    # an equal, new operator has the same content key: no check and no
+    # eigensolve, and the same bits as the first operator's f(H)
+    checks = counted_checks(monkeypatch)
+    calls = _counted_eigensolves(monkeypatch)
+    monkeypatch.setattr(mourre, "_EIG_CACHE", {})
+    f = WIDE_BUMP
+    op, equal = _calculus_mode_operator(), _calculus_mode_operator()
+    checks.clear()
+    calls.clear()
+    first = hs_calculus(f, op, u_range=f.support)
+    assert np.array_equal(hs_calculus(f, equal, u_range=f.support), first)
+    assert len(checks) == 1 and calls == ["tridiagonal"]
+    # another operator takes the one slot, and the first is solved again
+    other = op.scaled_shifted(shift=0.25)
+    hs_calculus(f, other, u_range=f.support)
+    assert np.array_equal(hs_calculus(f, op, u_range=f.support), first)
+    assert len(checks) == 3 and calls == ["tridiagonal"] * 3
+
+
+@pytest.mark.parametrize("changed", ["lower", "main", "upper", "mass"])
+def test_hs_rechecks_a_changed_diagonal_or_mass(changed, monkeypatch):
+    # A change in place to any one of the three diagonals, or to the mass,
+    # misses the kept pair: a lone off-diagonal change or a pencil's mass is
+    # refused, and a changed main diagonal is checked and solved again,
+    # with the bits of a cold call on an equal operator.
+    checks = counted_checks(monkeypatch)
+    calls = _counted_eigensolves(monkeypatch)
+    monkeypatch.setattr(mourre, "_EIG_CACHE", {})
+    f = WIDE_BUMP
+    op = _calculus_mode_operator()
+    checks.clear()
+    calls.clear()
+    before = hs_calculus(f, op, u_range=f.support)
+    if changed == "mass":
+        op.mass = linops._NUMEROV_MASS
+    else:
+        getattr(op, changed)[57] += 0.5
+    if changed == "main":
+        after = hs_calculus(f, op, u_range=f.support)
+        assert len(checks) == 2 and calls == ["tridiagonal"] * 2
+        assert np.linalg.norm(after - before, 2) > 1e-3
+        equal = linops.DiscreteOperator(
+            op.grid, {k: np.array(v, copy=True)
+                      for k, v in op.diagonals.items()})
+        monkeypatch.setattr(mourre, "_EIG_CACHE", {})
+        assert np.array_equal(hs_calculus(f, equal, u_range=f.support),
+                              after)
+    else:
+        with pytest.raises(ConfigError):
+            hs_calculus(f, op, u_range=f.support)
+        # the mass check comes before is_hermitian
+        assert len(checks) == (1 if changed == "mass" else 2)
+        assert calls == ["tridiagonal"]
 
 
 def test_hs_matches_spectral_calculus_complex_generator():
