@@ -13,6 +13,12 @@ inequality itself, checked per seeded instance by ``hyplab testbed``, which
 also runs the two scalar checks at its weight exponent s: the weight
 inequality in eps and the case iteration of the bound recurrence.
 
+Every check broadcasts over stacked instances (TestbedInstance.stack): each
+array field then carries a leading seed axis and each scalar field becomes
+an array over the seeds, and the checks return arrays over the seeds where
+a single instance gives scalars.  A single instance is the stack with no
+seed axis, so both take the same route through numpy.
+
 A structural fact of finite dimensions: in the eigenbasis of H the matrix
 i[H,A] has zero diagonal, so its compression to any spectral window is
 traceless and a strictly positive window minimum is impossible for the raw
@@ -50,14 +56,14 @@ _MAX_REJECTS = 64
 
 @dataclasses.dataclass
 class TestbedInstance:
-    """One seeded (H, A) pair with an installed window-positive commutator."""
+    """One seeded (H, A) pair with an installed window-positive commutator,
+    or a stack of them (see stack)."""
 
     n: int
     H: np.ndarray
     A: np.ndarray
     lam: float
-    delta: float
-    cutoff: SpectralCutoff
+    delta: float               # f is the SpectralCutoff(lam, delta)
     evals: np.ndarray
     evecs: np.ndarray
     alpha: float                # window minimum of K, positive by construction
@@ -115,14 +121,25 @@ class TestbedInstance:
             M = fH @ K @ fH
             M = 0.5 * (M + M.conj().T)
             me, mv = np.linalg.eigh(M)
-            neg = float(np.linalg.norm(np.minimum(me, 0.0)))
+            negative = np.minimum(me, 0.0)
+            neg = math.sqrt(negative @ negative)
             if neg > 1e-10 * max(float(np.max(np.abs(me))), 1e-300):
                 continue
             B = (mv * np.sqrt(np.maximum(me, 0.0))) @ mv.conj().T
             return cls(n=dim, H=H, A=A, lam=lam, delta=delta,
-                       cutoff=cutoff, evals=evals, evecs=evecs, alpha=alpha,
+                       evals=evals, evecs=evecs, alpha=alpha,
                        K=K, fH=fH, B=B, rejects=rejects)
         raise NumericalFailure("instance generation kept rejecting")
+
+    @classmethod
+    def stack(cls, instances):
+        """The instances as one, each field stacked along a new leading seed
+        axis; they must share the dimension n, which stays an int."""
+        (n,) = {inst.n for inst in instances}
+        fields = {f.name: np.stack([getattr(inst, f.name)
+                                    for inst in instances])
+                  for f in dataclasses.fields(cls) if f.name != "n"}
+        return cls(n=n, **fields)
 
     def constants_input(self):
         """Measured constants of the instance, feeding constants_eval."""
@@ -132,9 +149,9 @@ class TestbedInstance:
             np.stack([self.K @ Hi, KA @ Hi, self.K @ self.fH]))
         return ConstantsInput(
             lam=self.lam, delta=self.delta, alpha=self.alpha,
-            N_comm=float(N), S=(1.0 + float(KfH) / self.alpha) ** 2,
+            N_comm=N, S=(1.0 + KfH / self.alpha) ** 2,
             Delta_f=_DELTA_F / self.delta,
-            C_HA=float(C_HA),
+            C_HA=C_HA,
         )
 
 
@@ -144,24 +161,33 @@ class TestbedInstance:
 
 
 def _spectral_norms(stack):
-    """The spectral norm of each matrix of a stack: its largest singular
-    value."""
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    """The spectral norm of each matrix of a stack: the square root of the
+    largest eigenvalue of its Gram matrix X* X, formed from a C-contiguous
+    copy of X*."""
+    gram = np.conjugate(np.swapaxes(stack, -1, -2), order="C") @ stack
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+
+
+def _per_matrix(x):
+    """An array over the instances (and offsets) as a factor of a stack of
+    their matrices."""
+    return np.asarray(x)[..., None, None]
 
 
 def resolvent_g(instance, z, eps):
     """G_z(eps) = (H - z - i eps B*B)^{-1}; exists when Im z * eps >= 0 and
-    (Im z, eps) != (0, 0).  For an array of eps, the stack of G_z(eps) over
-    its entries."""
-    z = complex(z)
+    (Im z, eps) != (0, 0).  z and eps broadcast against the instance's seed
+    axis; an eps with one more leading axis than the instance, an offset
+    schedule, gives the stack of G_z(eps) over its entries."""
+    z = np.asarray(z, dtype=complex)
     eps = np.asarray(eps, dtype=float)
     if np.any(z.imag * eps < 0):
         raise RegimeError("resolvent_g needs Im z * eps >= 0")
-    if z.imag == 0 and np.any(eps == 0):
+    if np.any((z.imag == 0) & (eps == 0)):
         raise RegimeError("resolvent_g needs Im z != 0 or eps != 0")
     BB = instance.B @ instance.B
-    return np.linalg.inv(instance.H - z * np.eye(instance.n)
-                         - 1j * eps[..., None, None] * BB)
+    return np.linalg.inv(instance.H - _per_matrix(z) * np.eye(instance.n)
+                         - 1j * _per_matrix(eps) * BB)
 
 
 # random C of the quadratic estimate in algebre_identity_check
@@ -175,39 +201,44 @@ def algebre_identity_check(instance, z, eps, eps0, seed):
     G(eps) B*B G(eps0), the adjoint relation G_z(eps)* = G_zbar(-eps), the
     bound ||G_z(eps)|| <= |Im z|^{-1}, and the quadratic estimate
     ||B G C|| <= |eps|^{-1/2} ||C G C||^{1/2} for _N_QUADRATIC random
-    Hermitian C drawn from seed.  On B itself the estimate is at least as
-    strict as on any contraction Q B, ||Q|| <= 1, since ||Q B G C|| <=
-    ||B G C||.
+    Hermitian C drawn from seed, one seed per instance of a stack.  On B
+    itself the estimate is at least as strict as on any contraction Q B,
+    ||Q|| <= 1, since ||Q B G C|| <= ||B G C||.  The estimate is checked
+    where Im z * eps > 0; elsewhere it reports no violation and an infinite
+    margin.
     """
+    z = np.asarray(z, dtype=complex)
+    eps = np.asarray(eps, dtype=float)
     G = resolvent_g(instance, z, eps)
     G0 = resolvent_g(instance, z, eps0)
     BB = instance.B @ instance.B
-    diff = G - G0 - 1j * (eps - eps0) * (G @ BB @ G0)
+    diff = G - G0 - 1j * _per_matrix(eps - eps0) * (G @ BB @ G0)
     G_adj = resolvent_g(instance, np.conj(z), -eps)
     norm_G, norm_G0, norm_diff, norm_adj = _spectral_norms(
-        np.stack([G, G0, diff, G.conj().T - G_adj]))
-    scale = max(norm_G, norm_G0)
-    res_diff = float(norm_diff / scale)
-    res_adj = float(norm_adj / scale)
-    norm_ok = norm_G <= (1.0 + 1e-12) / abs(complex(z).imag)
-    quad_violations = 0
-    quad_margin = math.inf
-    if complex(z).imag * eps > 0:
-        rng = np.random.default_rng(seed)
-        draws = rng.standard_normal((_N_QUADRATIC, instance.n, instance.n))
-        C = (draws + draws.transpose(0, 2, 1)) / 2.0
-        norms = _spectral_norms(
-            np.concatenate([instance.B @ G @ C, C @ G @ C]))
-        lhs = norms[:_N_QUADRATIC]
-        rhs = abs(eps) ** -0.5 * norms[_N_QUADRATIC:] ** 0.5
-        quad_margin = float(np.min(rhs - lhs, initial=math.inf))
-        quad_violations = int(np.count_nonzero(lhs > rhs * (1.0 + 1e-10)))
+        np.stack([G, G0, diff, np.swapaxes(G.conj(), -1, -2) - G_adj]))
+    scale = np.maximum(norm_G, norm_G0)
+    norm_ok = norm_G <= (1.0 + 1e-12) / abs(z.imag)
+    seeds = np.asarray(seed)
+    draws = np.array([
+        np.random.default_rng(s).standard_normal(
+            (_N_QUADRATIC, instance.n, instance.n)) for s in seeds.flat
+    ]).reshape(seeds.shape + (_N_QUADRATIC, instance.n, instance.n))
+    C = (draws + np.swapaxes(draws, -1, -2)) / 2.0
+    BG = (instance.B @ G)[..., None, :, :]
+    CG = C @ G[..., None, :, :]
+    lhs, CGC = _spectral_norms(np.stack([BG @ C, CG @ C]))
+    quadratic = z.imag * eps > 0
+    rhs = (np.where(quadratic, abs(eps), 1.0)[..., None] ** -0.5
+           * CGC ** 0.5)
+    checked = quadratic[..., None]
     return {
-        "residual_difference": res_diff,
-        "residual_adjoint": res_adj,
-        "norm_bound_ok": bool(norm_ok),
-        "quadratic_violations": quad_violations,
-        "quadratic_margin": quad_margin,
+        "residual_difference": norm_diff / scale,
+        "residual_adjoint": norm_adj / scale,
+        "norm_bound_ok": norm_ok,
+        "quadratic_violations": np.count_nonzero(
+            (lhs > rhs * (1.0 + 1e-10)) & checked, axis=-1),
+        "quadratic_margin": np.min(rhs - lhs, axis=-1, initial=math.inf,
+                                   where=checked),
     }
 
 
@@ -222,12 +253,12 @@ def commutator_identity_residuals(instance, z, Z):
     HA = instance.H @ instance.A - instance.A @ instance.H
     lhs1 = Rz @ instance.A - instance.A @ Rz
     rhs1 = -Rz @ HA @ Rz
-    RZ = np.linalg.inv(instance.A - Z * np.eye(instance.n))
+    RZ = np.linalg.inv(instance.A - _per_matrix(Z) * np.eye(instance.n))
     lhs2 = Rz @ RZ - RZ @ Rz
     rhs2 = RZ @ Rz @ HA @ Rz @ RZ
     d1, n1, d2, n2 = _spectral_norms(
         np.stack([lhs1 - rhs1, rhs1, lhs2 - rhs2, rhs2]))
-    return float(d1 / max(n1, 1e-300)), float(d2 / max(n2, 1e-300))
+    return d1 / np.maximum(n1, 1e-300), d2 / np.maximum(n2, 1e-300)
 
 
 # ----------------------------------------------------------------------------
@@ -237,7 +268,8 @@ def commutator_identity_residuals(instance, z, Z):
 
 @dataclasses.dataclass(frozen=True)
 class ConstantsInput:
-    """Measured ingredients of the explicit constants."""
+    """Measured ingredients of the explicit constants: floats, or arrays
+    over the seeds of a stacked instance."""
 
     lam: float
     delta: float
@@ -249,7 +281,7 @@ class ConstantsInput:
 
     def __post_init__(self):
         for name in ("delta", "alpha", "N_comm", "S", "Delta_f", "C_HA"):
-            if getattr(self, name) <= 0:
+            if np.any(getattr(self, name) <= 0):
                 raise ConfigError(f"constants input {name} must be positive")
 
 
@@ -364,14 +396,13 @@ def recurrence_iterate(s):
 
 
 def _check_regime(instance, z, eps):
-    z = complex(z)
-    if eps * z.imag <= 0:
+    if np.any(eps * z.imag <= 0):
         raise RegimeError("regime needs eps * Im z > 0")
-    if abs(z.real - instance.lam) > instance.delta:
+    if np.any(abs(z.real - instance.lam) > instance.delta):
         raise RegimeError("regime needs |Re z - lam| <= delta")
-    if instance.delta > instance.alpha:
+    if np.any(instance.delta > instance.alpha):
         raise RegimeError("regime needs delta <= alpha")
-    if abs(eps) > instance.delta / instance.alpha:
+    if np.any(abs(eps) > instance.delta / instance.alpha):
         raise RegimeError("regime needs |eps| <= delta / alpha")
 
 
@@ -384,45 +415,38 @@ def diffineq_check(instance, s, z, eps_schedule, slack=0.2):
 
     with F_z(eps) = <A>_eps^{-s} G_z(eps) <A>_eps^{-s}, by central
     differences along a fine geometric schedule, plus the endpoint bound
-    ||F(eps_nu)|| <= alpha^{-1} eps_nu^{-1} (2 + S).
+    ||F(eps_nu)|| <= alpha^{-1} eps_nu^{-1} (2 + S).  For a stack, each
+    entry of eps_schedule is an array over the seeds, and z may be one.
     """
-    eps_schedule = sorted(float(e) for e in eps_schedule)
-    if len(eps_schedule) < 3:
+    eps = np.sort(np.asarray(eps_schedule, dtype=float), axis=0)
+    if len(eps) < 3:
         raise ConfigError("differential check needs at least 3 offsets")
-    ratios = [b / a for a, b in zip(eps_schedule, eps_schedule[1:])]
-    if max(ratios) > 1.2:
+    if np.max(eps[1:] / eps[:-1]) > 1.2:
         raise ConfigError("schedule too coarse for stable differentiation "
                           "(step ratio > 1.2)")
-    for eps in eps_schedule:
-        _check_regime(instance, z, eps)
+    z = np.asarray(z, dtype=complex)
+    _check_regime(instance, z, eps)
     ci = instance.constants_input()
     C0, Chalf, C1 = constants_eval(ci)
     # F(eps) for the whole schedule at once: one eigendecomposition of A,
-    # then the weights, resolvents and norms on stacked (eps, n, n) arrays
-    eps = np.array(eps_schedule)
+    # then the weights, resolvents and norms on (eps, seed, n, n) stacks
     ae, av = np.linalg.eigh(instance.A)
-    wA = (av * eps_weight(ae, eps[:, None], s)[:, None, :]) @ av.conj().T
-    G = resolvent_g(instance, z, eps)
-    norms = _spectral_norms(wA @ G @ wA).tolist()
-    report = {"holds": True, "points": [], "constants": (C0, Chalf, C1)}
-    for i in range(1, len(eps_schedule) - 1):
-        e = eps_schedule[i]
-        dF = (norms[i + 1] - norms[i - 1]) / (eps_schedule[i + 1]
-                                              - eps_schedule[i - 1])
-        F = norms[i]
-        rhs = (C1 * F + Chalf * e ** -0.5 * F ** 0.5 + C0
-               + 2.0 * (2.0 - s) * e ** (s - 1.0)
-               * (2.0 * ci.alpha ** -0.5 * e ** -0.5 * F ** 0.5
-                  + (1.0 + ci.S) / ci.delta))
-        ok = abs(dF) <= rhs * (1.0 + slack)
-        report["points"].append({"eps": e, "F": F, "dF": dF, "rhs": rhs,
-                                 "ok": ok})
-        if not ok:
-            report["holds"] = False
-    eps_nu = eps_schedule[-1]
-    end_rhs = (2.0 + ci.S) / (ci.alpha * eps_nu)
-    report["endpoint"] = {"F": norms[-1], "rhs": end_rhs,
-                          "ok": norms[-1] <= end_rhs * (1.0 + 1e-10)}
-    if not report["endpoint"]["ok"]:
-        report["holds"] = False
-    return report
+    wA = ((av * eps_weight(ae, eps[..., None], s)[..., None, :])
+          @ np.swapaxes(av.conj(), -1, -2))
+    norms = _spectral_norms(wA @ resolvent_g(instance, z, eps) @ wA)
+    e, F = eps[1:-1], norms[1:-1]
+    dF = (norms[2:] - norms[:-2]) / (eps[2:] - eps[:-2])
+    rhs = (C1 * F + Chalf * e ** -0.5 * F ** 0.5 + C0
+           + 2.0 * (2.0 - s) * e ** (s - 1.0)
+           * (2.0 * ci.alpha ** -0.5 * e ** -0.5 * F ** 0.5
+              + (1.0 + ci.S) / ci.delta))
+    ok = abs(dF) <= rhs * (1.0 + slack)
+    end_rhs = (2.0 + ci.S) / (ci.alpha * eps[-1])
+    end_ok = norms[-1] <= end_rhs * (1.0 + 1e-10)
+    return {
+        "holds": np.all(ok, axis=0) & end_ok,
+        "points": [{"eps": e[i], "F": F[i], "dF": dF[i], "rhs": rhs[i],
+                    "ok": ok[i]} for i in range(len(e))],
+        "constants": (C0, Chalf, C1),
+        "endpoint": {"F": norms[-1], "rhs": end_rhs, "ok": end_ok},
+    }

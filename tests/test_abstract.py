@@ -1,6 +1,8 @@
 """Tests for the finite-dimensional commutator testbed."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from hyplab.abstract import (
     scalar_weight_check,
 )
 from hyplab.errors import ConfigError, RegimeError
-from hyplab.weights import profile_eval
+from hyplab.weights import SpectralCutoff, profile_eval
 
 
 def _instance(seed=0):
@@ -67,7 +69,27 @@ def test_generation_refuses_a_nonpositive_alpha_factor(alpha_factor):
 def test_generation_window_holds_every_selected_eigenvalue():
     # window_count = dim selects the whole spectrum, and f = 1 on all of it
     inst = _TestbedInstance.generate(0, dim=6, window_count=6)
-    assert np.all(inst.cutoff.values(inst.evals) == 1.0)
+    cutoff = SpectralCutoff(lam=inst.lam, delta=inst.delta)
+    assert np.all(cutoff.values(inst.evals) == 1.0)
+
+
+def test_stack_puts_a_seed_axis_on_every_field():
+    insts = [_instance(seed) for seed in (4, 5, 6)]
+    stacked = _TestbedInstance.stack(insts)
+    assert stacked.n == 20
+    assert stacked.H.shape == (3, 20, 20) and stacked.evals.shape == (3, 20)
+    assert stacked.lam.shape == stacked.rejects.shape == (3,)
+    for i, inst in enumerate(insts):
+        for field in ("H", "A", "lam", "delta", "evals", "evecs", "alpha",
+                      "K", "fH", "B", "rejects"):
+            assert np.array_equal(getattr(stacked, field)[i],
+                                  getattr(inst, field))
+
+
+def test_stack_refuses_instances_of_different_dimensions():
+    with pytest.raises(ValueError):
+        _TestbedInstance.stack([_instance(0),
+                                _TestbedInstance.generate(0, dim=12)])
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +124,24 @@ def test_resolvent_algebra_identities():
         assert res["norm_bound_ok"]
         assert res["quadratic_violations"] == 0
         assert res["quadratic_margin"] > 0
+
+
+def test_quadratic_estimate_is_checked_only_where_im_z_eps_is_positive():
+    # at eps = 0 the estimate says nothing: no violation, an infinite
+    # margin and no division by zero, also beside a checked seed of a stack
+    insts = [_instance(0), _instance(1)]
+    stacked = _TestbedInstance.stack(insts)
+    z = _probe_z(stacked)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = algebre_identity_check(stacked, z, np.array([0.0, 0.05]), 0.2,
+                                     seed=[0, 1])
+    assert rep["quadratic_violations"].tolist() == [0, 0]
+    assert rep["quadratic_margin"][0] == math.inf
+    one = algebre_identity_check(insts[1], _probe_z(insts[1]), 0.05, 0.2,
+                                 seed=1)
+    assert 0 < one["quadratic_margin"] < math.inf
+    assert rep["quadratic_margin"][1] == one["quadratic_margin"]
 
 
 def test_commutator_resolvent_identities():
@@ -269,3 +309,82 @@ def test_window_constant_value_and_stability():
                                                        rel=1e-3)
     inst = _instance()
     assert inst.constants_input().Delta_f == abstract._DELTA_F / inst.delta
+
+
+# ---------------------------------------------------------------------------
+# Spectral norms and stacked instances
+# ---------------------------------------------------------------------------
+
+
+def _two_norms(stack):
+    return np.array([np.linalg.norm(x, 2)
+                     for x in stack.reshape((-1,) + stack.shape[-2:])]
+                    ).reshape(stack.shape[:-2])
+
+
+def test_spectral_norms_match_the_two_norm():
+    rng = np.random.default_rng(11)
+    cases = [
+        rng.standard_normal((3, 4, 20, 20))
+        + 1j * rng.standard_normal((3, 4, 20, 20)),
+        rng.standard_normal((5, 7, 4)) + 1j * rng.standard_normal((5, 7, 4)),
+        # rank one, with a spread of singular values of zero below the top
+        np.outer(rng.standard_normal(20) + 1j, rng.standard_normal(20) - 2j),
+        # the size of an identity residual
+        1e-15 * (rng.standard_normal((6, 20, 20))
+                 + 1j * rng.standard_normal((6, 20, 20))),
+    ]
+    for stack in cases:
+        norms = abstract._spectral_norms(stack)
+        assert norms.shape == stack.shape[:-2]
+        np.testing.assert_allclose(norms, _two_norms(stack), rtol=1e-13,
+                                   atol=0)
+    zero = abstract._spectral_norms(np.zeros((2, 20, 20), dtype=complex))
+    assert zero.tolist() == [0.0, 0.0]
+
+
+def _assert_bitwise_equal(stacked, single, where):
+    assert np.array_equal(np.asarray(stacked)[where], np.asarray(single))
+
+
+def test_stacked_checks_equal_the_single_instance_calls():
+    # every check of hyplab testbed, on a stack of seeds 0-22 and on each
+    # instance alone, bit for bit
+    seeds = list(range(23))
+    insts = [_instance(seed) for seed in seeds]
+    stacked = _TestbedInstance.stack(insts)
+    z = _probe_z(stacked)
+    eps_nu = stacked.delta / stacked.alpha
+    rep = algebre_identity_check(stacked, z, 0.5 * eps_nu, 0.25 * eps_nu,
+                                 seed=seeds)
+    comm = commutator_identity_residuals(stacked, 0.3 + 0.5j, 0.2 + 0.1j)
+    ci = stacked.constants_input()
+    schedule = [0.9 * eps_nu * 1.1 ** (-i) for i in range(20)]
+    diff = diffineq_check(stacked, 0.75, z, schedule, slack=0.2)
+    for i, inst in enumerate(insts):
+        z_i = _probe_z(inst)
+        nu = inst.delta / inst.alpha
+        one = algebre_identity_check(inst, z_i, 0.5 * nu, 0.25 * nu,
+                                     seed=seeds[i])
+        for key, value in one.items():
+            _assert_bitwise_equal(rep[key], value, i)
+        for got, want in zip(comm, commutator_identity_residuals(
+                inst, 0.3 + 0.5j, 0.2 + 0.1j)):
+            _assert_bitwise_equal(got, want, i)
+        for field in dataclasses.fields(ci):
+            _assert_bitwise_equal(getattr(ci, field.name),
+                                  getattr(inst.constants_input(), field.name),
+                                  i)
+        out = diffineq_check(inst, 0.75, z_i,
+                             [0.9 * nu * 1.1 ** (-j) for j in range(20)],
+                             slack=0.2)
+        _assert_bitwise_equal(diff["holds"], out["holds"], i)
+        for got, want in zip(diff["constants"], out["constants"]):
+            _assert_bitwise_equal(got, want, i)
+        for key in ("F", "rhs", "ok"):
+            _assert_bitwise_equal(diff["endpoint"][key],
+                                  out["endpoint"][key], i)
+        assert len(diff["points"]) == len(out["points"]) == 18
+        for got, want in zip(diff["points"], out["points"]):
+            for key in ("eps", "F", "dF", "rhs", "ok"):
+                _assert_bitwise_equal(got[key], want[key], i)

@@ -577,6 +577,40 @@ def test_testbed_check_fails_on_a_scalar_weight_violation(tmp_path,
     assert summary["scalar_weight"]["violations"] == 1
 
 
+def test_testbed_outputs_do_not_depend_on_workers_or_batches(tmp_path,
+                                                             monkeypatch):
+    # 23 seeds fill two batches and part of a third
+    from hyplab import abstract, cli
+
+    outs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert run(["testbed", "--out", str(out), "--workers", workers,
+                    "--set", "n_seeds=23"]) == 0
+        outs[workers] = [(out / name).read_bytes()
+                         for name in ("testbed.csv", "summary.json")]
+    assert outs["1"] == outs["2"]
+    assert 23 > cli._TESTBED_BATCH and 23 % cli._TESTBED_BATCH
+    cfg = cli._DEFAULTS["testbed"]
+    config = tuple(cfg[key] for key in ("dim", "window_count",
+                                        "alpha_factor", "s", "slack"))
+    # each instance draws its quadratic-estimate matrices from its own seed
+    drawn = []
+    check = abstract.algebre_identity_check
+
+    def recording_check(instance, z, eps, eps0, seed):
+        drawn.append(np.asarray(seed).tolist())
+        return check(instance, z, eps, eps0, seed)
+
+    monkeypatch.setattr(abstract, "algebre_identity_check", recording_check)
+    one_batch = cli._testbed_batch_report((list(range(23)), *config))
+    assert drawn == [list(range(23))]
+    assert [row["seed"] for row in one_batch] == list(range(23))
+    assert one_batch == [row for seed in range(23)
+                         for row in cli._testbed_batch_report(([seed],
+                                                               *config))]
+
+
 @pytest.mark.parametrize("override", ["n_seeds=0", "window_count=0",
                                       "window_count=1", "window_count=13",
                                       "alpha_factor=0", "alpha_factor=-1"])

@@ -11,9 +11,11 @@ once stays in sys.modules for the rest of the test session.
 import ast
 import contextlib
 import glob
+import importlib.util
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -470,3 +472,54 @@ def test_every_local_name_is_read():
                 unread += [f"{os.path.relpath(path, _SRC)}:{line} {name}"
                            for name, line in _unread_locals(node).items()]
     assert unread == []
+
+
+def test_every_spectral_norm_of_the_testbed_is_a_gram_eigenvalue():
+    # hyplab.abstract takes no SVD and no matrix norm of its own:
+    # _spectral_norms is its one route to a spectral norm
+    path = os.path.join(_SRC, "hyplab", "abstract.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    offenders = [f"abstract.py:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and node.attr in ("svd", "norm")
+                 and ast.unparse(node.value) in ("np.linalg", "numpy.linalg")]
+    offenders += [f"abstract.py:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and node.module == "numpy.linalg"]
+    assert offenders == []
+
+
+def test_the_benchmark_spans_wrap_and_restore_their_functions(tmp_path):
+    # benchmark/spans.py names the functions it wraps; a renamed one fails
+    # here rather than in a traced benchmark run.  The testbed's checks are
+    # looked up on hyplab.abstract at call time, so the spans see them.
+    from hyplab import abstract
+
+    n_seeds = 12
+    root = os.path.dirname(_SRC)
+    spec = importlib.util.spec_from_file_location(
+        "spans", os.path.join(root, "benchmark", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    before = {name: getattr(abstract, name)
+              for name in ("algebre_identity_check",
+                           "commutator_identity_residuals", "diffineq_check")}
+    spans.instrument(tracer)
+    try:
+        originals = list(tracer._patches)
+        assert len(originals) >= 10
+        assert all(getattr(owner, attr) is not original
+                   for owner, attr, original in originals)
+        assert run(["testbed", "--out", str(tmp_path), "--workers", "1",
+                    "--set", f"n_seeds={n_seeds}"]) == 0
+    finally:
+        tracer.restore()
+    assert all(getattr(owner, attr) is original
+               for owner, attr, original in originals)
+    assert all(getattr(abstract, name) is fn for name, fn in before.items())
+    for name in before:
+        assert tracer.count(f"abstract.{name}") == math.ceil(
+            n_seeds / cli._TESTBED_BATCH)
+        assert tracer.total(f"abstract.{name}") > 0
