@@ -28,31 +28,38 @@ It makes one pass, on the window that the configured C fixes in advance, and
 reports that pass's verdict.
 
 The Helffer-Sjostrand calculus applies f(H) = V diag(Q(E)) V* with
-Q(E) = pi^{-1} Re sum_z c_z / (E - z) over the certified nodes z = u + iv,
-which come in v-groups: the nodes of one height v on the u range mid +- h.
-A group's kernel 1/(E - u - iv) is analytic in u on the Bernstein ellipse of
-parameter rho = e^{asinh beta}, beta = v/h, so its sum is a Chebyshev series
-in the moments mu_m = sum_u c_u T_m((u - mid)/h).  At every real E the tail
-past M terms is at most 2 sum|c| rho^{-(M+1)} / ((1 - 1/rho) sqrt(2 beta) h),
-and the group's length M is the smallest whose tail is below its rounding
-scale 2^{-53} sum|c| / v.  A group goes far when M is below its kept node
-count: the wide bands, summed through moments formed once per rung.  The
-others, the near groups, keep the direct sum.
+Q(E) = pi^{-1} Re sum_z c_z / (E - z) over the summed nodes z = u + iv.
+The certified nodes come in v-groups: the nodes of one height v on the u
+range mid +- h.  A group's kernel 1/(E - u - iv) is analytic in u on the
+Bernstein ellipse of parameter rho = e^{asinh beta}, beta = v/h, so its sum
+is a Chebyshev series in the moments mu_m = sum_u c_u T_m((u - mid)/h).  At
+every real E the tail past M terms is at most
+2 sum|c| rho^{-(M+1)} / ((1 - 1/rho) sqrt(2 beta) h), and the group's length
+M is the smallest whose tail is below its rounding scale 2^{-53} sum|c| / v.
+A group goes far when M is below its kept node count: the wide bands.  A far
+group is summed as the M + 1 second-kind Chebyshev points
+x_k = cos(pi k / M) at its height, with the weights
+(2/M) ''sum''_m mu_m T_m(x_k), the end terms of k and of m halved, whose
+moments are exactly mu_0..mu_M.  At these points T_m(x_k) = T_{m'}(x_k) for
+the m' <= M with m' = +-m mod 2M, so each moment past M is off by at most
+2 sum|c|, and the collapsed group errs by at most twice the tail, 2^{-52}
+sum|c| / v.  The near groups keep their kept nodes, so a rung has one node
+set and one sum.
 
-Near plus far is one fixed real function of E, analytic in the strip
-|Im E| < v_min below the smallest kept node height, so each rung also keeps
-a table of it on [u_lo, u_hi): P = ceil(4 (u_hi - u_lo) / v_min) equal
-panels of half-width p <= v_min / 8.  On a panel's Bernstein ellipse of
-parameter rho = 4 + sqrt 17 the semi-minor axis is 4 p <= v_min / 2, so every
-node z and its mirror conj z lie at least v_z / 2 away and
-|Q| <= B = (2/pi) sum|c|/v there.  Interpolation at the M + 1 second-kind
-Chebyshev points then errs by at most 4 B rho^{-M} / (rho - 1) (Trefethen,
-Approximation Theory and Approximation Practice, ch. 8), and M = 18 is the
-smallest degree that puts this below the rounding scale 2^{-53} sum|c|/v.
-A panel is built the first time an energy falls in it, from the near and
-far sums at its own points, one panel per evaluation, so its coefficients
-have the same bits whichever call built it.  Energies outside
-[u_lo, u_hi) keep the near and far sums.
+That sum is one fixed real function of E, analytic in the strip
+|Im E| < v_min below the smallest summed node height, the smallest kept one,
+so each rung also keeps a table of it on [u_lo, u_hi):
+P = ceil(4 (u_hi - u_lo) / v_min) equal panels of half-width p <= v_min / 8.
+On a panel's Bernstein ellipse of parameter rho = 4 + sqrt 17 the semi-minor
+axis is 4 p <= v_min / 2, so every node z and its mirror conj z lie at least
+v_z / 2 away and |Q| <= B = (2/pi) sum|c|/v there.  Interpolation at the
+M + 1 second-kind Chebyshev points then errs by at most 4 B rho^{-M} /
+(rho - 1) (Trefethen, Approximation Theory and Approximation Practice,
+ch. 8), and M = 18 is the smallest degree that puts this below the rounding
+scale 2^{-53} sum|c|/v.  A panel is built the first time an energy falls in
+it, from the sum at its own points, one panel per evaluation, so its
+coefficients have the same bits whichever call built it.  Energies outside
+[u_lo, u_hi) keep the sum.
 """
 
 from __future__ import annotations
@@ -132,20 +139,17 @@ def _dbar_values(derivs, v, v_max):
     return res + 1j * cutp * series
 
 
-def _gauss_panels(edges, order):
-    """Gauss-Legendre nodes/weights on a sequence of panels."""
-    x0, w0 = np.polynomial.legendre.leggauss(order)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * x0)
-        weights.append(half * w0)
-    return np.concatenate(nodes), np.concatenate(weights)
+def _gauss_panels(edges, rule):
+    """Nodes and weights of a Gauss-Legendre rule, (nodes, weights) on
+    [-1, 1], on each panel of a sequence, panel by panel."""
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    return ((mid[:, None] + half[:, None] * rule[0]).ravel(),
+            (half[:, None] * rule[1]).ravel())
 
 
-# Gauss-Legendre orders in u and in v, and the v panels of the outermost band
-_GL_U = 12
-_GL_V = 6
+# Gauss-Legendre rules in u and in v, and the v panels of the outermost band
+_GL_U = np.polynomial.legendre.leggauss(12)
+_GL_V = np.polynomial.legendre.leggauss(6)
 _N_V_PAN = 8
 
 
@@ -165,13 +169,13 @@ def _hs_node_set(u_lo, u_hi, v_max, depth, n_u_base):
         # the cutoff's v-derivative lives only in the outermost band
         # (v > v_max/2); that band gets v-refinement and the full u base
         v_edges = np.linspace(lo, hi, (_N_V_PAN if j == 0 else 1) + 1)
-        v_nodes, v_w = _gauss_panels(v_edges, order=_GL_V)
+        v_nodes, v_w = _gauss_panels(v_edges, _GL_V)
         for v, wv in zip(v_nodes, v_w):
             # panels must resolve both the resolvent scale v and the
             # profile's high derivatives (uniform n_u_base floor)
             n_pan = max(n_u_base, math.ceil(width / (2.0 * v)))
             u_edges = np.linspace(u_lo, u_hi, n_pan + 1)
-            u_nodes, u_w = _gauss_panels(u_edges, order=_GL_U)
+            u_nodes, u_w = _gauss_panels(u_edges, _GL_U)
             groups.append((v, wv, u_nodes, u_w))
     return groups
 
@@ -238,108 +242,81 @@ def _chebyshev_length(beta):
     return math.ceil(digits / alpha) - 1
 
 
-# moments per block of the far sum
-_FAR_POW = 16
+def _chebyshev_transform(values):
+    """The second-kind Chebyshev points x_k = cos(pi k / M), k = 0..M, and
+    the DCT-I (2/M) ''sum''_m values_m T_m(x_k), the end terms of k and of m
+    halved, M + 1 = len(values).  It inverts the matrix T_m(x_k), which is
+    symmetric in k and m, so it maps the moments mu_0..mu_M of a far group
+    to weights at x_k with those moments, and a panel's values at x_k to the
+    Chebyshev coefficients of their interpolant (module docstring).
+
+    With m = B l + j and B = floor(sqrt M) + 1, T_m(x_k) = cos(pi k m / M)
+    is cos(pi k B l / M) cos(pi k j / M) - sin(pi k B l / M) sin(pi k j / M),
+    so two real (M + 1) x B products and an (M + 1) x (M + 1) / B sum take
+    O(M^{3/2}) work where the whole matrix takes (M + 1)^2.  Each angle is
+    read from tables of cos and sin(pi i / M), i < 2M, at i = k m mod 2M: a
+    rounded pi k m / M would err by up to 2^{-53} pi M."""
+    M = len(values) - 1
+    B = math.isqrt(M) + 1
+    L = -(-(M + 1) // B)
+    parts = np.zeros((2, L * B))
+    parts[0, :M + 1], parts[1, :M + 1] = values.real, values.imag
+    parts[:, [0, M]] *= 0.5
+    # column p L + l holds the terms l B .. l B + B - 1 of part p
+    parts = parts.reshape(2 * L, B).T
+    angle = np.pi * np.arange(2 * M) / M
+    cos, sin = np.cos(angle), np.sin(angle)
+    k = np.arange(M + 1)[:, None]
+    inner = k * np.arange(B) % (2 * M)
+    outer = (k * (B * np.arange(L)) % (2 * M))[:, None, :]
+    sums = (cos[outer] * (cos[inner] @ parts).reshape(M + 1, 2, L)
+            - sin[outer] * (sin[inner] @ parts).reshape(M + 1, 2, L)).sum(2)
+    out = (2.0 / M) * (sums[:, 0] + 1j * sums[:, 1])
+    out[[0, M]] *= 0.5
+    return cos[:M + 1], out
 
 
-class _FarTable(typing.NamedTuple):
-    """The far v-groups of a rung on the u range mid +- h, in buckets of
-    similar length.  A bucket is (beta, coef): beta = v/h per group, and
-    coef[g, k, b] the coefficient of w^m, m = _FAR_POW b + k, which is
-    2 mu_m / h (mu_0 / h at m = 0)."""
-
-    mid: float
-    h: float
-    buckets: list
-
-
-def _split_far(groups, c, keep, u_lo, u_hi):
-    """(near, far) of a rung's groups, from the pruning mask keep and the
-    kept coefficients c: near lists the slices of the kept nodes that hold
-    the near groups, far is the _FarTable of the groups whose M is below
-    their kept node count.  The moments come from the three-term recurrence,
+def _collapse_far(groups, z, c, keep, u_lo, u_hi):
+    """The summed nodes and coefficients of a rung, from its kept nodes z and
+    coefficients c and the pruning mask keep.  A near group keeps its kept
+    nodes, which come first.  A far group, one whose Chebyshev length M is
+    below its kept node count, becomes the M + 1 points mid + h x_k + iv,
+    with the weights _chebyshev_transform gives from its moments mu_0..mu_M
+    (module docstring).  The moments come from the three-term recurrence,
     one matrix-vector product per m for all far groups.  These share the
     base u panels: a group with finer ones has 12 ceil(h/v) nodes, fewer
     than its M of about 37 h/v."""
     mid, h = 0.5 * (u_lo + u_hi), 0.5 * (u_hi - u_lo)
-    ends = np.cumsum([len(u_nodes) for _, _, u_nodes, _ in groups])
-    kept = np.concatenate([[0], np.cumsum(keep)])
-    near, far = [], []
-    for (v, _, u_nodes, _), end in zip(groups, ends):
-        start = end - len(u_nodes)
-        lo, hi = int(kept[start]), int(kept[end])
-        length = _chebyshev_length(v / h)
-        if length < hi - lo:
-            far.append((length, v, start, end, u_nodes))
-        elif near and near[-1].stop == lo:
-            near[-1] = slice(near[-1].start, hi)
-        elif hi > lo:
-            near.append(slice(lo, hi))
-    if not far:
-        return near, _FarTable(mid, h, [])
+    bounds = np.cumsum([0] + [len(u_nodes) for _, _, u_nodes, _ in groups])
+    kept = np.concatenate([[0], np.cumsum(keep)])[bounds]
+    lengths = [_chebyshev_length(v / h) for v, *_ in groups]
+    is_far = np.array(lengths) < np.diff(kept)
+    if not is_far.any():
+        return z, c
     # longest first, so the groups still summing at m lead the rows
-    far.sort(key=lambda group: -group[0])
-    x = (far[0][4] - mid) / h
+    far = sorted(np.flatnonzero(is_far), key=lambda g: -lengths[g])
+    x = (groups[far[0]][2] - mid) / h
     rows = np.zeros((len(far), len(x)), dtype=complex)
-    for row, (_, _, start, end, _) in zip(rows, far):
-        row[keep[start:end]] = c[kept[start]:kept[end]]
-    mu = np.zeros((len(far), far[0][0] + 1), dtype=complex)
+    for i, g in enumerate(far):
+        rows[i, keep[bounds[g]:bounds[g + 1]]] = c[kept[g]:kept[g + 1]]
+    mu = np.zeros((len(far), lengths[far[0]] + 1), dtype=complex)
     mu[:, 0] = rows.sum(axis=1)
     t_prev, t = np.ones_like(x), x
     active = len(far)
-    for m in range(1, far[0][0] + 1):
-        while far[active - 1][0] < m:
+    for m in range(1, mu.shape[1]):
+        while lengths[far[active - 1]] < m:
             active -= 1
         mu[:active, m] = rows[:active] @ t
         t_prev, t = t, 2.0 * x * t - t_prev
-    buckets = {}
-    for (length, v, *_), row in zip(far, mu):
-        size = max(_FAR_POW, 1 << length.bit_length())
-        buckets.setdefault(size, []).append((v, row[:length + 1]))
-    tables = []
-    for members in buckets.values():
-        # a bucket's first group is its longest
-        n_blocks = -(-len(members[0][1]) // _FAR_POW)
-        coef = np.zeros((len(members), n_blocks * _FAR_POW), dtype=complex)
-        for i, (_, row) in enumerate(members):
-            coef[i, :len(row)] = (2.0 / h) * row
-        coef[:, 0] *= 0.5
-        coef = coef.reshape(len(members), n_blocks, _FAR_POW)
-        tables.append((np.array([v for v, _ in members]) / h,
-                       np.ascontiguousarray(coef.transpose(0, 2, 1))))
-    return near, _FarTable(mid, h, tables)
-
-
-def _far_quadrature(far, E):
-    """pi^{-1} Re of the far groups' sum at the real energies E.
-
-    With a = (E - iv - mid)/h, s = sqrt(a - 1) sqrt(a + 1) (principal
-    roots) and w = 1/(a + s), a group's sum is sum_u c_u / (E - z_u) =
-    (1/(h s)) [mu_0 + 2 sum_{m>=1} mu_m w^m]: one batched matmul of the
-    powers w^0..w^15 against the moment blocks, then Horner in w^16."""
-    acc = np.zeros(len(E))
-    for e0 in range(0, len(E), _HS_E_BLOCK):
-        block = slice(e0, e0 + _HS_E_BLOCK)
-        t = (E[block] - far.mid) / far.h
-        for beta, coef in far.buckets:
-            # no temporary outgrows the direct sum's chunk arrays
-            step = max(1, _HS_CHUNK // (2 * max(_FAR_POW, coef.shape[2])))
-            for g0 in range(0, len(beta), step):
-                a = t - 1j * beta[g0:g0 + step, None]
-                s = np.sqrt(a - 1.0) * np.sqrt(a + 1.0)
-                w = 1.0 / (a + s)
-                powers = np.empty(a.shape + (_FAR_POW,), dtype=complex)
-                powers[..., 0] = 1.0
-                powers[..., 1:] = w[..., None]
-                np.cumprod(powers, axis=-1, out=powers)
-                blocks = powers @ coef[g0:g0 + step]
-                w_step = powers[..., -1] * w
-                p = blocks[..., -1].copy()
-                for b in range(blocks.shape[-1] - 2, -1, -1):
-                    p *= w_step
-                    p += blocks[..., b]
-                acc[block] += (p / s).real.sum(axis=0)
-    return acc / math.pi
+    # alive with the collapsed nodes, the rows would set a cold build's peak
+    del rows
+    near = np.repeat(~is_far, np.diff(kept))
+    z_parts, c_parts = [z[near]], [c[near]]
+    for g, row in zip(far, mu):
+        x_k, weights = _chebyshev_transform(row[:lengths[g] + 1])
+        z_parts.append(mid + h * x_k + 1j * groups[g][0])
+        c_parts.append(weights)
+    return np.concatenate(z_parts), np.concatenate(c_parts)
 
 
 def _panel_length():
@@ -351,25 +328,10 @@ def _panel_length():
     return math.ceil(digits / math.log(rho))
 
 
-def _panel_basis(M):
-    """The second-kind Chebyshev points x_k = cos(pi k / M), k = 0..M, and
-    the inverse of the matrix T_m(x_k), which by the discrete orthogonality
-    of the cosines is 2/M T_m(x_k) with the end rows and columns halved.
-    T_m(x_k) = cos(pi (mk mod 2M) / M) is read from one table of cosines, so
-    no angle is rounded beyond 2 pi (a rounded pi mk / M leaves coefficients
-    of 2e-15 where Q is flat)."""
-    cosines = np.cos(np.pi * np.arange(2 * M) / M)
-    k = np.arange(M + 1)
-    inverse = (2.0 / M) * cosines[np.outer(k, k) % (2 * M)]
-    inverse[:, [0, -1]] *= 0.5
-    inverse[[0, -1]] *= 0.5
-    return cosines[:M + 1], inverse
-
-
 # the Bernstein ellipse whose semi-minor axis, _PANEL_SPLIT p, is v_min / 2
 _PANEL_RHO = _PANEL_SPLIT + math.sqrt(_PANEL_SPLIT**2 + 1.0)
 _PANEL_M = _panel_length()
-_PANEL_X, _PANEL_COEF = _panel_basis(_PANEL_M)
+_PANEL_X = np.cos(np.pi * np.arange(_PANEL_M + 1) / _PANEL_M)
 
 
 class _Panels(typing.NamedTuple):
@@ -383,37 +345,26 @@ class _Panels(typing.NamedTuple):
 
 
 class _HSRung(typing.NamedTuple):
-    """A rung's kept nodes z and coefficients c, the near groups' slices of
-    them, the far groups' _FarTable, and its _Panels (None without a kept
-    node)."""
+    """A rung's summed nodes z and coefficients c, its far groups collapsed
+    (_collapse_far), and its _Panels (None without a node)."""
 
     rung: int
     z: np.ndarray
     c: np.ndarray
-    near: list
-    far: _FarTable
     panels: _Panels | None
 
 
-def _rung_quadrature(entry, E):
-    """Q(E) of a rung: near groups summed directly, far ones by moments."""
-    q = _far_quadrature(entry.far, E)
-    for part in entry.near:
-        q += _resolvent_quadrature(entry.z[part], entry.c[part], E)
-    return q
-
-
 def _tabulated_quadrature(entry, E):
-    """Q(E) of a rung from its panels on [lo, hi), each built from
-    _rung_quadrature at its own M + 1 points the first time an energy falls
-    in it; outside [lo, hi), and without panels, the direct sums."""
+    """Q(E) of a rung from its panels on [lo, hi), each built from the
+    quadrature sum at its own M + 1 points the first time an energy falls in
+    it; outside [lo, hi), and without panels, the quadrature sum."""
     panels = entry.panels
     if panels is None:
-        return _rung_quadrature(entry, E)
+        return _resolvent_quadrature(entry.z, entry.c, E)
     inside = (E >= panels.lo) & (E < panels.hi)
     q = np.empty(len(E))
     if not inside.all():
-        q[~inside] = _rung_quadrature(entry, E[~inside])
+        q[~inside] = _resolvent_quadrature(entry.z, entry.c, E[~inside])
     n_pan = len(panels.built)
     width = (panels.hi - panels.lo) / n_pan
     t = (E[inside] - panels.lo) / width
@@ -422,7 +373,8 @@ def _tabulated_quadrature(entry, E):
     # that built it
     for i in np.unique(index[~panels.built[index]]):
         points = panels.lo + width * (i + 0.5 + 0.5 * _PANEL_X)
-        panels.coef[i] = _PANEL_COEF @ _rung_quadrature(entry, points)
+        panels.coef[i] = _chebyshev_transform(
+            _resolvent_quadrature(entry.z, entry.c, points))[1].real
         panels.built[i] = True
     q[inside] = np.polynomial.chebyshev.chebval(
         2.0 * (t - index) - 1.0, panels.coef[index].T, tensor=False)
@@ -475,7 +427,7 @@ def _hs_rung(f_derivs, u_lo, u_hi, rung):
     # the threshold counts the mirrored lower-half nodes too: 2 len(z) terms
     keep = np.abs(c) / z.imag > _HS_TOL * 1e-4 / (2 * len(z))
     z, c = z[keep], c[keep]
-    near, far = _split_far(groups, c, keep, u_lo, u_hi)
+    z, c = _collapse_far(groups, z, c, keep, u_lo, u_hi)
     panels = None
     if len(z):
         # half-width at most v_min / (2 _PANEL_SPLIT)
@@ -483,7 +435,7 @@ def _hs_rung(f_derivs, u_lo, u_hi, rung):
         n_pan = math.ceil(_PANEL_SPLIT * (u_hi - u_lo) / v_min)
         panels = _Panels(u_lo, u_hi, np.zeros((n_pan, _PANEL_M + 1)),
                          np.zeros(n_pan, dtype=bool))
-    return _HSRung(rung, z, c, near, far, panels)
+    return _HSRung(rung, z, c, panels)
 
 
 def hs_calculus(f_derivs, op, u_range):
@@ -527,14 +479,16 @@ def hs_calculus(f_derivs, op, u_range):
 
     Q(E) is summed by v-groups (module docstring).  A group at height v
     has the Chebyshev length M whose tail bound is below 2^{-53} sum|c| / v;
-    it goes far, summed through its moments, when M is below its kept node
-    count, and stays near, summed directly, otherwise.  On [u_lo, u_hi) Q is
-    read from the rung's table instead: ceil(4 (u_hi - u_lo) / v_min) equal
-    panels, each a Chebyshev interpolant of degree 18 at second-kind points
-    (the module docstring derives both from rho = 4 + sqrt 17 and the
-    rounding scale), built from the near and far sums the first time an
-    eigenvalue falls in it.  The check at the spectrum runs on these
-    tabulated values, and a rung that fails it is dropped with its panels.
+    when M is below its kept node count the group is far and is summed as
+    M + 1 second-kind Chebyshev points at height v, weighted to keep its
+    moments up to M, which errs by at most twice that bound.  The other
+    groups keep their kept nodes.  On [u_lo, u_hi) Q is read from the rung's
+    table instead: ceil(4 (u_hi - u_lo) / v_min) equal panels, each a
+    Chebyshev interpolant of degree 18 at second-kind points (the module
+    docstring derives both from rho = 4 + sqrt 17 and the rounding scale),
+    built from the sum the first time an eigenvalue falls in it.  The check
+    at the spectrum runs on these tabulated values, and a rung that fails it
+    is dropped with its panels.
     """
     u_lo, u_hi = float(u_range[0]), float(u_range[1])
     if not (math.isfinite(u_lo) and math.isfinite(u_hi) and u_lo < u_hi):

@@ -49,12 +49,12 @@ print(json.dumps({"rc": rc, "before": before,
 """ % (_WATCHED,)
 
 
-def _fresh_interpreter(imports, argv=None):
+def _child_output(code, *args):
+    """The JSON last line that code prints in a fresh interpreter."""
     path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH"))
                            if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD,
-         json.dumps({"imports": imports, "run": argv})],
+        [sys.executable, "-c", code, *args],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True,
         text=True, timeout=120,
     )
@@ -62,11 +62,62 @@ def _fresh_interpreter(imports, argv=None):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _fresh_interpreter(imports, argv=None):
+    return _child_output(_CHILD, json.dumps({"imports": imports,
+                                             "run": argv}))
+
+
 def test_library_imports_leave_scipy_integrate_unloaded():
     out = _fresh_interpreter(["hyplab.cli", "hyplab.conjugate", "hyplab.laplab",
                               "hyplab.mourre", "hyplab.abstract",
                               "hyplab.weights", "hyplab.model"])
     assert "scipy.integrate" not in out["before"]
+
+
+# Wraps every function of numpy.fft before hyplab is imported, makes one cold
+# hs_calculus call with a bump of the calculus benchmark's shape on a 30x30
+# symmetric matrix, and prints the certified rung and the numpy.fft calls.
+_FFT_CHILD = """
+import json
+import numpy as np
+import numpy.fft
+calls = []
+
+def counted(name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+for name in numpy.fft.__all__:
+    setattr(numpy.fft, name, counted(name, getattr(numpy.fft, name)))
+from hyplab import mourre, weights
+
+class Bump:
+    support = (-3.0, 3.0)
+
+    def __call__(self, E, j=0):
+        E = np.asarray(E, dtype=float)
+        vals = weights.profile_eval("q", (3.0 - np.abs(E)) / 2.0, j,
+                                    extended=True)
+        return vals * np.where(E >= 0.0, -0.5, 0.5) ** j
+
+raw = np.random.default_rng(0).standard_normal((30, 30))
+bump = Bump()
+mourre.hs_calculus(bump, (raw + raw.T) / 60 ** 0.5, u_range=bump.support)
+print(json.dumps({"rung": mourre._HS_CACHE[(bump, -3.0, 3.0)].rung,
+                  "calls": calls}))
+"""
+
+
+def test_the_calculus_makes_no_numpy_fft_call():
+    # The far groups' DCT-I is _chebyshev_transform's, not numpy.fft's: a
+    # prototype that formed it with numpy.fft measured 0.69 MiB more
+    # ru_maxrss on the calculus benchmark.  scipy.linalg already imports
+    # numpy.fft when hyplab.mourre is imported, so the guard is on calls: a
+    # cold call that certifies the benchmark bump at rung 5, collapsing its
+    # 58 far groups, calls no numpy.fft function.
+    assert _child_output(_FFT_CHILD) == {"rung": 5, "calls": []}
 
 
 @pytest.mark.parametrize("experiment",

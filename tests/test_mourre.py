@@ -258,11 +258,11 @@ def test_hs_zero_function():
     f = Zero()
     out = hs_calculus(f, op, u_range=(-1.0, 1.0))
     assert np.max(np.abs(out)) <= 1e-12
-    # every node is pruned, so no group is near or far, there is no panel,
-    # and the first rung passes
+    # every node is pruned, so no group is summed, there is no panel, and
+    # the first rung passes
     entry = mourre._HS_CACHE[(f, -1.0, 1.0)]
     assert entry.rung == mourre._hs_start_rung(f, -1.0, 1.0) == 0
-    assert len(entry.z) == 0 and not entry.near and not entry.far.buckets
+    assert len(entry.z) == len(entry.c) == 0
     assert entry.panels is None
 
 
@@ -487,7 +487,6 @@ def test_hs_repeat_calls_reuse_one_cache_entry(monkeypatch):
         assert np.linalg.norm(out - spectral_calculus(f, H), 2) <= 1e-6
         now = mourre._HS_CACHE[key]
         assert now.z is entry.z and now.c is entry.c
-        assert now.near is entry.near and now.far is entry.far
         assert now.panels is entry.panels
     assert len(builds) == 1
 
@@ -563,8 +562,8 @@ def test_hs_refuses_non_finite_entries(value, monkeypatch):
     op.main[7] = value
     calls = _counted_eigensolves(monkeypatch)
     sums = []
-    monkeypatch.setattr(mourre, "_rung_quadrature",
-                        lambda entry, E: sums.append(E))
+    monkeypatch.setattr(mourre, "_resolvent_quadrature",
+                        lambda z, c, E: sums.append(E))
     for matrix in (H, op):
         with pytest.raises(ConfigError, match="finite"):
             hs_calculus(WIDE_BUMP, matrix, u_range=WIDE_BUMP.support)
@@ -598,18 +597,22 @@ def test_hs_result_has_the_eigenvectors_dtype():
 
 
 def test_hs_half_plane_sum_matches_both_half_planes():
-    # The cached nodes are the upper half of the both-sign set kept by the
-    # threshold tol 1e-4 / (both-sign node count).  The lower half, built
+    # The kept nodes of the certified rung, built and pruned here as
+    # _hs_rung prunes them, are the upper half of the both-sign set kept by
+    # the threshold tol 1e-4 / (both-sign node count).  The lower half, built
     # here from dbar F~ at -v, completes the sum (2 pi)^{-1} sum_z c/(E - z)
     # over both half-planes, which must equal the half-plane Q(E).
     f = WideBump()
     tol = 1e-6
     hs_calculus(f, np.diag([-2.0, 0.0, 2.0]), u_range=f.support)
-    rung, z, c = mourre._HS_CACHE[(f, -3.0, 3.0)][:3]
-    assert np.all(z.imag > 0.0)
+    rung = mourre._HS_CACHE[(f, -3.0, 3.0)].rung
     depth, base = mourre._HS_LADDER[rung]
     v_max = 1.5
     upper = mourre._hs_node_set(-3.0, 3.0, v_max, depth, n_u_base=base)
+    z, c = mourre._hs_nodes(f, upper, v_max)
+    keep = np.abs(c) / z.imag > tol * 1e-4 / (2 * len(z))
+    z, c = z[keep], c[keep]
+    assert np.all(z.imag > 0.0)
     lower = [(-v, wv, u, uw) for v, wv, u, uw in upper]
     z_all, c_all = mourre._hs_nodes(f, upper + lower, v_max)
     keep = np.abs(c_all) / np.abs(z_all.imag) > tol * 1e-4 / len(z_all)
@@ -626,90 +629,92 @@ def test_hs_half_plane_sum_matches_both_half_planes():
     assert np.max(np.abs(full - q)) <= 1e-13 * np.max(np.abs(q))
 
 
-def _far_split_energies(u_lo, u_hi):
-    return np.concatenate([np.linspace(-10.0, 10.0, 401),
-                           [u_lo, u_hi, 0.5 * (u_lo + u_hi)]])
+def _rung_nodes(f, rung):
+    """The groups of a rung on (-3, 3), its nodes and coefficients before
+    pruning and its pruning mask, as _hs_rung builds them before it
+    collapses the far groups."""
+    depth, base = mourre._HS_LADDER[rung]
+    groups = mourre._hs_node_set(-3.0, 3.0, 1.5, depth, n_u_base=base)
+    z, c = mourre._hs_nodes(f, groups, 1.5)
+    keep = np.abs(c) / z.imag > mourre._HS_TOL * 1e-4 / (2 * len(z))
+    return groups, z, c, keep
 
 
 @pytest.mark.parametrize("f", [WideBump(), _PolyBump(1.0)],
                          ids=["WideBump", "PolyBump"])
 def test_hs_near_and_far_groups_match_the_direct_sum(f):
-    # The near groups' direct sum plus the far groups' Chebyshev sum must
-    # reproduce the direct sum over every cached node, at energies inside,
-    # at the ends of and far beyond the u range.
+    # The summed nodes, the near groups' kept nodes and the far groups'
+    # Chebyshev points, must reproduce the direct sum over every kept node,
+    # at energies inside, at the ends of and far beyond the u range: at
+    # rungs 0, 3 and 5 and at the rung certified for f.
     hs_calculus(f, np.diag([-2.0, -0.5, 0.0, 1.0, 2.5]), u_range=f.support)
-    entry = mourre._HS_CACHE[(f, -3.0, 3.0)]
-    assert entry.far.buckets
-    E = _far_split_energies(*f.support)
-    q = mourre._resolvent_quadrature(entry.z, entry.c, E)
-    split = mourre._rung_quadrature(entry, E)
-    assert np.max(np.abs(split - q)) <= 1e-13 * np.max(np.abs(q))
+    certified = mourre._HS_CACHE[(f, -3.0, 3.0)].rung
+    E = np.concatenate([np.linspace(-10.0, 10.0, 401), [-3.0, 3.0, 0.0],
+                        np.linspace(-3.5, 3.5, 1401)])
+    for rung in sorted({0, 3, 5, certified}):
+        _, z, c, keep = _rung_nodes(f, rung)
+        entry = mourre._hs_rung(f, -3.0, 3.0, rung)
+        assert len(entry.z) < np.count_nonzero(keep)
+        q = mourre._resolvent_quadrature(z[keep], c[keep], E)
+        summed = mourre._resolvent_quadrature(entry.z, entry.c, E)
+        assert np.max(np.abs(summed - q)) <= 1e-13 * np.max(np.abs(q))
 
 
 @pytest.fixture(scope="module")
 def wide_rung_5():
     """WideBump's rung 5, the benchmark bump's certified rung, as built:
-    57,950 kept nodes and no panel yet."""
+    57,950 kept nodes summed as 16,338, and no panel yet."""
     return mourre._hs_rung(WideBump(), -3.0, 3.0, 5)
 
 
 def test_hs_far_groups_are_those_shorter_than_their_kept_nodes(wide_rung_5):
-    # At WideBump's rung 5 both parts are present, each far group's
-    # Chebyshev length M is below its kept node count, each near group's is
-    # not, and the near slices hold exactly the near groups' kept nodes.
+    # At WideBump's rung 5 a group whose Chebyshev length M is below its
+    # kept node count appears as exactly the M + 1 points 3 cos(pi k / M) at
+    # its own height v.  Every other group appears as its kept nodes and
+    # their coefficients, bit for bit.  That makes 7,444 near nodes and
+    # 8,894 collapsed ones from 58 far groups.
     entry = wide_rung_5
-    h = 3.0
-    far_v = np.concatenate([beta for beta, _ in entry.far.buckets]) * h
-    near_z = np.concatenate([entry.z[part] for part in entry.near])
-    near_v = set(near_z.imag)
-    depth, base = mourre._HS_LADDER[5]
-    far, near = 0, 0
-    for v, _, _, _ in mourre._hs_node_set(-3.0, 3.0, 1.5, depth, n_u_base=base):
-        kept = int(np.count_nonzero(entry.z.imag == v))
-        length = mourre._chebyshev_length(v / h)
-        is_far = bool(np.any(np.isclose(far_v, v, rtol=1e-15, atol=0.0)))
-        assert is_far == (length < kept)
-        assert (v in near_v) == (kept > 0 and not is_far)
-        far += is_far
-        near += kept > 0 and not is_far
-    assert far == len(far_v) >= 1 and near >= 1
-    assert len(near_z) == np.count_nonzero(np.isin(entry.z.imag,
-                                                   list(near_v)))
-    for beta, coef in entry.far.buckets:
-        lengths = [mourre._chebyshev_length(b) for b in beta]
-        assert coef.shape[1] == mourre._FAR_POW
-        assert (coef.shape[2] - 1) * mourre._FAR_POW <= max(lengths)
+    groups, z, c, keep = _rung_nodes(WideBump(), 5)
+    near, far, collapsed, start = 0, 0, 0, 0
+    for v, _, u_nodes, _ in groups:
+        end = start + len(u_nodes)
+        kept = keep[start:end]
+        at_v = entry.z.imag == v
+        length = mourre._chebyshev_length(v / 3.0)
+        if length < np.count_nonzero(kept):
+            x = 3.0 * np.cos(np.pi * np.arange(length + 1) / length)
+            assert np.array_equal(entry.z[at_v], x + 1j * v)
+            far += 1
+            collapsed += length + 1
+        else:
+            assert np.array_equal(entry.z[at_v], z[start:end][kept])
+            assert np.array_equal(entry.c[at_v], c[start:end][kept])
+            near += np.count_nonzero(kept)
+        start = end
+    assert (near, far, collapsed) == (7444, 58, 8894)
+    assert len(entry.z) == len(entry.c) == near + collapsed == 16338
 
 
 def test_hs_quadrature_temporaries_stay_flat_in_the_energy_count(
         wide_rung_5):
-    # At 12,000 energies the near and far sums each allocate at most 2 MiB
-    # at a time, and agree with the same sums taken 100 energies at a time
-    # (a single block of _HS_E_BLOCK = 128), on every tenth such slice.  The
-    # near sum runs over the first four 512-node chunks of the near groups:
-    # it holds one chunk's arrays at a time.
+    # At 12,000 energies the quadrature sum over all 16,338 summed nodes
+    # allocates at most 2 MiB at a time: it holds one 512-node chunk's
+    # arrays at a time.  It agrees with the same sum taken 100 energies at a
+    # time (a single block of _HS_E_BLOCK = 128), on every tenth such slice.
     entry = wide_rung_5
     E = np.linspace(-3.5, 3.5, 12000)
-    near = slice(entry.near[0].start, entry.near[0].start + 4 * 512)
-    assert near.stop <= entry.near[0].stop
-    sums = [
-        lambda E: mourre._resolvent_quadrature(entry.z[near], entry.c[near],
-                                               E),
-        lambda E: mourre._far_quadrature(entry.far, E),
-    ]
-    for quadrature in sums:
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            q = quadrature(E)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 2**20
-        for i in range(0, len(E), 1000):
-            sliced = quadrature(E[i:i + 100])
-            assert np.max(np.abs(q[i:i + 100] - sliced)) <= 1e-14 * np.max(
-                np.abs(q))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        q = mourre._resolvent_quadrature(entry.z, entry.c, E)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+    for i in range(0, len(E), 1000):
+        sliced = mourre._resolvent_quadrature(entry.z, entry.c, E[i:i + 100])
+        assert np.max(np.abs(q[i:i + 100] - sliced)) <= 1e-14 * np.max(
+            np.abs(q))
 
 
 def test_hs_panel_rule():
@@ -717,7 +722,7 @@ def test_hs_panel_rule():
     # rho = 4 + sqrt 17, whose semi-minor axis (rho - 1/rho) p / 2 is 4 p,
     # keeps every node at least v/2 away.  M is the smallest degree whose
     # interpolation bound 4 B rho^-M / (rho - 1), B = (2/pi) sum|c|/v, is
-    # below 2^-53 sum|c|/v; the coefficient matrix inverts T_m(x_k).
+    # below 2^-53 sum|c|/v; _chebyshev_transform inverts T_m(x_k).
     rho = 4.0 + math.sqrt(17.0)
     assert mourre._PANEL_RHO == rho
     assert math.isclose(rho - 1.0 / rho, 8.0, rel_tol=1e-15)
@@ -732,14 +737,32 @@ def test_hs_panel_rule():
     assert np.allclose(mourre._PANEL_X, np.cos(np.pi * k / M), rtol=0.0,
                        atol=1e-16)
     T = np.polynomial.chebyshev.chebvander(mourre._PANEL_X, M)
-    assert np.max(np.abs(mourre._PANEL_COEF @ T - np.eye(M + 1))) <= 1e-14
+    coef = np.array([mourre._chebyshev_transform(T[:, m])[1].real
+                     for m in range(M + 1)]).T
+    assert np.max(np.abs(coef - np.eye(M + 1))) <= 1e-14
+
+
+@pytest.mark.parametrize("M", [1, 80, 596])
+def test_chebyshev_transform_keeps_the_moments(M):
+    # Weights from complex moments mu_0..mu_M at the M + 1 second-kind
+    # points have exactly those moments, at the shortest and longest far
+    # groups of WideBump's rung 5 (test_hs_panel_rule covers the panel
+    # degree).  T_m(x_k) is read as cos(pi (mk mod 2M) / M), exact to
+    # rounding at every m.
+    rng = np.random.default_rng(M)
+    mu = rng.standard_normal(M + 1) + 1j * rng.standard_normal(M + 1)
+    x, weights = mourre._chebyshev_transform(mu)
+    k = np.arange(M + 1)
+    assert np.array_equal(x, np.cos(np.pi * k / M))
+    T = np.cos(np.pi * (np.outer(k, k) % (2 * M)) / M)
+    assert np.max(np.abs(weights @ T - mu)) <= 1e-14 * np.max(np.abs(mu))
 
 
 @pytest.mark.parametrize("which", ["WideBump", "PolyBump"])
 def test_hs_table_matches_the_direct_sums(which, wide_rung_5):
-    # On [u_lo, u_hi) the panels reproduce near + far: on a fine grid, at
-    # every panel edge and at u_lo.  Outside it, u_hi included, the table
-    # returns the direct sums themselves.  Each panel's half-width is at
+    # On [u_lo, u_hi) the panels reproduce the quadrature sum: on a fine
+    # grid, at every panel edge and at u_lo.  Outside it, u_hi included, the
+    # table returns the sum itself.  Each panel's half-width is at
     # most v_min / 8, v_min the smallest kept node height.
     if which == "WideBump":
         entry = wide_rung_5
@@ -759,11 +782,11 @@ def test_hs_table_matches_the_direct_sums(which, wide_rung_5):
                         [-3.0, 3.0, -3.5, -10.0, 3.0 + 1e-12, 10.0]])
     q = mourre._tabulated_quadrature(entry, E)
     assert panels.built.all()
-    direct = mourre._rung_quadrature(entry, E)
+    direct = mourre._resolvent_quadrature(entry.z, entry.c, E)
     inside = (E >= -3.0) & (E < 3.0)
     assert np.max(np.abs(q - direct)) <= 1e-13 * np.max(np.abs(direct))
-    assert np.array_equal(q[~inside],
-                          mourre._rung_quadrature(entry, E[~inside]))
+    assert np.array_equal(q[~inside], mourre._resolvent_quadrature(
+        entry.z, entry.c, E[~inside]))
 
 
 def test_hs_output_does_not_depend_on_who_built_the_panels():
@@ -792,7 +815,7 @@ def test_hs_output_does_not_depend_on_who_built_the_panels():
 
 def test_hs_repeat_call_on_the_same_spectrum_builds_no_panel(monkeypatch):
     # Every eigenvalue lies in [u_lo, u_hi), so after the first call the
-    # panels answer alone: no direct sum runs and no panel is built.
+    # panels answer alone: no quadrature sum runs and no panel is built.
     f = _PolyBump(1.0)
     rng = np.random.default_rng(8)
     raw = rng.standard_normal((30, 30))
@@ -801,13 +824,13 @@ def test_hs_repeat_call_on_the_same_spectrum_builds_no_panel(monkeypatch):
     entry = mourre._HS_CACHE[(f, -3.0, 3.0)]
     built = entry.panels.built.copy()
     sums = []
-    rung_quadrature = mourre._rung_quadrature
+    quadrature = mourre._resolvent_quadrature
 
-    def counted(entry, E):
+    def counted(z, c, E):
         sums.append(len(E))
-        return rung_quadrature(entry, E)
+        return quadrature(z, c, E)
 
-    monkeypatch.setattr(mourre, "_rung_quadrature", counted)
+    monkeypatch.setattr(mourre, "_resolvent_quadrature", counted)
     again = hs_calculus(f, H, u_range=f.support)
     assert sums == []
     assert np.array_equal(entry.panels.built, built)
@@ -829,20 +852,18 @@ def _per_group_dbar(f, u, v, v_max):
 
 def test_hs_cached_nodes_match_per_group_evaluation():
     # sharing f^{(j)} between the groups of one u set changes no bit of the
-    # cached (z, c)
+    # certified rung's (z, c), before and after pruning
     f = WideBump()
     tol = 1e-6
     hs_calculus(f, np.diag([-2.0, -0.5, 0.0, 1.0, 2.5]), u_range=f.support)
-    rung, z, c = mourre._HS_CACHE[(f, -3.0, 3.0)][:3]
-    depth, base = mourre._HS_LADDER[rung]
+    groups, z, c, keep = _rung_nodes(f, mourre._HS_CACHE[(f, -3.0, 3.0)].rung)
     v_max = 1.5
-    groups = mourre._hs_node_set(-3.0, 3.0, v_max, depth, n_u_base=base)
     z_ref = np.concatenate([u + 1j * v for v, _, u, _ in groups])
     c_ref = np.concatenate([_per_group_dbar(f, u, v, v_max) * uw * wv
                             for v, wv, u, uw in groups])
-    keep = np.abs(c_ref) / z_ref.imag > tol * 1e-4 / (2 * len(z_ref))
-    assert np.array_equal(z, z_ref[keep])
-    assert np.array_equal(c, c_ref[keep])
+    keep_ref = np.abs(c_ref) / z_ref.imag > tol * 1e-4 / (2 * len(z_ref))
+    assert np.array_equal(z, z_ref) and np.array_equal(c, c_ref)
+    assert np.array_equal(keep, keep_ref)
 
 
 @pytest.mark.parametrize("depth, base", [(4, 16), (5, 80)])
@@ -975,17 +996,15 @@ def test_hs_certifies_the_result_at_the_spectrum():
     good = hs_calculus(bump, H, u_range=bump.support)
     assert np.linalg.norm(good - spectral_calculus(bump, H), 2) <= 1e-6
     # What is evaluated is the built panels' coefficients, and a new panel
-    # is built from c on the near groups and the far groups' moments, so all
-    # three carry the error.
+    # is built from c, which holds the near groups' coefficients and the far
+    # groups' collapsed weights, so both carry the error.
     key = (bump, -3.0, 3.0)
     entry = mourre._HS_CACHE[key]
-    assert entry.far.buckets and entry.panels.built.any()
-    far = entry.far._replace(buckets=[
-        (beta, coef * (1.0 + 1e-3)) for beta, coef in entry.far.buckets])
+    assert entry.panels.built.any()
     panels = entry.panels._replace(coef=np.where(
         entry.panels.built[:, None], entry.panels.coef * (1.0 + 1e-3),
         entry.panels.coef))
-    mourre._HS_CACHE[key] = entry._replace(c=entry.c * (1.0 + 1e-3), far=far,
+    mourre._HS_CACHE[key] = entry._replace(c=entry.c * (1.0 + 1e-3),
                                            panels=panels)
     out = hs_calculus(bump, H, u_range=bump.support)
     assert np.linalg.norm(out - spectral_calculus(bump, H), 2) <= 1e-6
