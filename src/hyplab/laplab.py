@@ -18,8 +18,11 @@ stands in for the outgoing condition.
 The sup is not taken cell by cell over k <= K_max.  The semiclassical
 formula N_k^sc (semiclassical_norm) names the modes that need a cell: those
 near its maximum and the glancing ones, where it is not trusted.  For the
-mode-shifted weight the modes past K_max are covered by the limit cell
-(limit_mode_norm), the operator that mode k tends to as k -> infinity.
+mode-shifted weight the modes past K_max are covered by the limit cell, the
+operator that mode k tends to as k -> infinity.  Every cell, the limit cell
+included, is one entry (k, mu, nu, wall): the mode operator
+D_r^2 + mu e^{-2r} + (n-1)^2/4 on (wall, r_max) with the weight of
+frequency scale nu, measured by _cell.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from hyplab.errors import ConfigError, NumericalFailure
 from hyplab.linops import resolved_grid, weighted_operator_norm
-from hyplab.model import ModelConfig, RadialOperatorSpec, mode_operator_spec
+from hyplab.model import ModelConfig, RadialOperatorSpec
 from hyplab.pool import parallel_map
 from hyplab.weights import mode_weight_vector, polynomial_weight_vector
 
@@ -156,38 +159,45 @@ SC_TOL = 1.5e-2
 LIMIT = "limit"
 
 
-def semiclassical_norm(lam, mus, shift, r0, r_max, s, log_nu):
+def turning_point(lam, mus, shift):
+    """kappa = (lam - shift)^{1/2} and the turning point
+    r_t = (1/2) log(mu_k / kappa^2) of each mode, where mu_k e^{-2r} + shift
+    = lam (-inf for mu_k = 0).
+
+    These are the closed forms of the exact end V = mu_k e^{-2r} + shift,
+    not read from model.RadialOperatorSpec.potential: an end with another
+    potential needs its own turning point and p_k in semiclassical_norm.
+    """
+    kappa = math.sqrt(lam - shift)
+    with np.errstate(divide="ignore"):
+        return kappa, 0.5 * np.log(np.asarray(mus, dtype=float) / kappa**2)
+
+
+def semiclassical_norm(kappa, r_t, r0, r_max, s, log_nu):
     """The Liouville-Green norm of each mode (Olver, Asymptotics and
     Special Functions, ch. 6):
 
         N_k^sc = (2/pi) int_a^{r_max} W_k(r)^2 / p_k(r) dr,
 
-    p_k = (kappa^2 - mu_k e^{-2r})^{1/2}, kappa^2 = lam - shift, over the
-    allowed part of the box, a = max(r0, r_t), r_t = (1/2) log(mu_k /
-    kappa^2) the turning point.  In the variable F = int W^2/p the weighted
-    outgoing kernel is the free Dirichlet kernel, a Volterra operator of
-    norm 2/pi times its length.  W_k is the mode weight w^{-s}(r - log_nu[k])
-    or, for log_nu None, the polynomial weight <r>^{-s}.
+    p_k = (kappa^2 - mu_k e^{-2r})^{1/2} over the allowed part of the box,
+    a = max(r0, r_t), with kappa and the turning point r_t of turning_point.
+    In the variable F = int W^2/p the weighted outgoing kernel is the free
+    Dirichlet kernel, a Volterra operator of norm 2/pi times its length.
+    W_k is the mode weight w^{-s}(r - log_nu[k]) or, for log_nu None, the
+    polynomial weight <r>^{-s}.  The wall r0 is a number or one per mode.
 
     The substitution r = r_t + t^2 (r = r0 + t^2 for mu_k = 0) removes the
     1/p singularity; the t-range is cut at the mode weight's kinks
     r = log_nu[k] and log_nu[k] + 1, and each piece is summed on
     _SC_PANELS Gauss-Legendre panels.  All modes are one array operation.
-    Returns an array with one norm per entry of mus, 0 for a mode whose
+    Returns an array with one norm per entry of r_t, 0 for a mode whose
     turning point lies past r_max.
-
-    p_k and r_t are the closed forms of the exact end V = mu_k e^{-2r} +
-    shift, not read from model.RadialOperatorSpec.potential: an end with
-    another potential needs its own turning point and p_k here.
     """
-    mus = np.asarray(mus, dtype=float)
-    kappa = math.sqrt(lam - shift)
-    with np.errstate(divide="ignore"):
-        r_t = 0.5 * np.log(mus / kappa**2)
-    out = np.zeros(len(mus))
+    out = np.zeros(len(r_t))
     live = r_t < r_max
     r_t = r_t[live]
-    anchor = np.where(mus[live] > 0.0, r_t, r0)
+    r0 = np.broadcast_to(r0, live.shape)[live]
+    anchor = np.where(r_t > -np.inf, r_t, r0)
     a = np.maximum(r_t, r0)
     kinks = ([] if log_nu is None else
              [np.asarray(log_nu, dtype=float)[live] + c for c in (0.0, 1.0)])
@@ -211,13 +221,10 @@ def semiclassical_norm(lam, mus, shift, r0, r_max, s, log_nu):
     return out
 
 
-def _glancing(lam, mus, shift, r0):
-    """Whether each mode's turning point lies within 2 kappa^{-2/3} of the
+def _glancing(kappa, r_t, r0):
+    """Whether each mode's turning point lies within 2 kappa^{-2/3} of its
     wall r0, where the formula is not trusted (a mode with mu = 0 has
     none)."""
-    kappa = math.sqrt(lam - shift)
-    with np.errstate(divide="ignore"):
-        r_t = 0.5 * np.log(np.asarray(mus, dtype=float) / kappa**2)
     return np.abs(r_t - r0) * kappa ** (2.0 / 3.0) < _GLANCING
 
 
@@ -235,30 +242,6 @@ def _limit_wall(lam):
     return -0.5 * math.log(lam) - 6.0
 
 
-def limit_mode_norm(cfg, lam, refine):
-    """The limit cell: ||w^{-s} (H_inf - lam - i0)^{-1} w^{-s}|| for
-    H_inf = D_x^2 + e^{-2x} + (n-1)^2/4 on (x0, r_max), x0 = -(1/2) log lam
-    - 6, with the weight w^{-s}(x).
-
-    Mode k in the variable x = r - log nu_k has the potential
-    mu_k/nu_k^2 e^{-2x}, its wall at r0 - log nu_k and its weight
-    w^{-s}(x), so as mu_k -> infinity its norm tends to this cell's, up to
-    the box end r_max - log nu_k < r_max.  The cell takes the sweep's r_max
-    and the step rule of linops.resolved_grid at refine times its points,
-    and goes through limiting_absorption from a cold start.  Returns
-    (norm, diagnostics) of limiting_absorption.
-    """
-    from hyplab.linops import discretize
-
-    r_max = sweep_grid(lam).r_max
-    x0 = _limit_wall(lam)
-    grid = resolved_grid(lam, r_max, r0=x0, refine=refine)
-    spec = RadialOperatorSpec(k=0, mu_k=1.0, shift=cfg.model().shift, r0=x0)
-    op = discretize(spec, grid, outgoing=lam)
-    w = mode_weight_vector(grid.points(), 1.0, cfg.s)
-    return limiting_absorption(op, lam, w, norm_tol=cfg.norm_tol)
-
-
 def _has_limit(cfg):
     """Whether the sweep adds the limit cell: for the mode weight on a
     circle or a torus, whose spectra grow without bound.  The polynomial
@@ -267,28 +250,30 @@ def _has_limit(cfg):
             and cfg.model().cross_section.get("kind") in ("circle", "torus"))
 
 
-def _weight_vector(kind, r, nu_k, s):
-    if kind == "mode":
-        return mode_weight_vector(r, nu_k, s)
-    return polynomial_weight_vector(r, s)
-
-
-def _cell(cfg, model, spectrum, lam, k, grid, r, start):
-    """limiting_absorption for mode k at lam on the grid with points r."""
+def _cell(cfg, lam, mu, nu, wall, r_max, refine, start):
+    """limiting_absorption at lam for D_r^2 + mu e^{-2r} + (n-1)^2/4 on
+    (wall, r_max), closed by the outgoing wave, on linops.resolved_grid at
+    refine, with the weight of the config (the mode weight at frequency
+    scale nu) and the power iteration started from ``start``."""
     from hyplab.linops import discretize
 
-    spec_k = mode_operator_spec(model, k, spectrum=spectrum)
-    op = discretize(spec_k, grid, outgoing=lam)
-    w = _weight_vector(cfg.weight_kind, r, spectrum.nu(k), cfg.s)
-    return limiting_absorption(op, lam, w, norm_tol=cfg.norm_tol, start=start)
+    grid = resolved_grid(lam, r_max, r0=wall, refine=refine)
+    spec = RadialOperatorSpec(mu_k=mu, shift=cfg.model().shift, r0=wall)
+    r = grid.points()
+    if cfg.weight_kind == "mode":
+        w = mode_weight_vector(r, nu, cfg.s)
+    else:
+        w = polynomial_weight_vector(r, cfg.s)
+    return limiting_absorption(discretize(spec, grid, outgoing=lam), lam, w,
+                               norm_tol=cfg.norm_tol, start=start)
 
 
-def _measured(row, cell, *args):
-    """(row with the norm and Gram steps of cell(*args), the cell's last
+def _measured(row, *args):
+    """(row with the norm and Gram steps of _cell(*args), the cell's last
     vector), or, when it raises NumericalFailure, (row with norm None and
     the message under "error", None)."""
     try:
-        norm, diag = cell(*args)
+        norm, diag = _cell(*args)
     except NumericalFailure as exc:
         return {**row, "norm": None, "error": str(exc)}, None
     row = {**row, "norm": norm, "iterations": diag["iterations"]}
@@ -298,40 +283,48 @@ def _measured(row, cell, *args):
 def _energy_task(args):
     """The cells of one energy; top-level for pickling.
 
-    The formula is evaluated for every mode k <= K_max at once, and cells
-    run only at the modes it names (_named_modes), in increasing k: each
-    power iteration starts from the previous named cell's vector (the first,
-    and one after a NumericalFailure, start cold).  The limit cell follows
-    where the sweep has one (_has_limit).  Returns one row dict per cell,
-    with the formula's N_sc and the glancing flag; a failed cell has norm
-    None and its message under "error".
+    Each candidate cell is an entry (k, mu, nu, wall): mode k is
+    (mu_k, nu_k, r0), and the limit cell, where the sweep has one
+    (_has_limit), is (1, 1, x0): mode k in the variable x = r - log nu_k,
+    which has the potential mu_k/nu_k^2 e^{-2x}, its wall at r0 - log nu_k
+    and the weight w^{-s}(x), tends to it as mu_k -> infinity, up to the box
+    end r_max - log nu_k < r_max.  The formula and the glancing test are
+    evaluated for every entry at once.  Cells run at the modes the formula
+    names (_named_modes), in increasing k, and then at the limit, each
+    through _cell on the sweep's r_max.  A power iteration starts from the
+    last vector on its wall: the first cell on a wall, and one after a
+    NumericalFailure, start cold.  Returns one row dict per cell, with the
+    formula's N_sc and the glancing flag, and mu = inf for the limit; a
+    failed cell has norm None and its message under "error".
     """
     (cfg, lam, refine) = args
     model = cfg.model()
     spectrum = model.spectrum(cfg.K_max)
-    grid = sweep_grid(lam, r0=cfg.r0, refine=refine)
-    mus = np.array([spectrum.mu(k) for k in range(len(spectrum))])
-    log_nu = 0.5 * np.log1p(mus) if cfg.weight_kind == "mode" else None
-    n_sc = semiclassical_norm(lam, mus, model.shift, cfg.r0, grid.r_max,
-                              cfg.s, log_nu=log_nu)
-    glancing = _glancing(lam, mus, model.shift, cfg.r0)
-    r = grid.points()
-    cells = []
-    start = None
-    for k in _named_modes(n_sc, glancing):
-        row, start = _measured(
-            {"lambda": lam, "k": k, "mu": spectrum.mu(k),
-             "N_sc": float(n_sc[k]), "glancing": bool(glancing[k])},
-            _cell, cfg, model, spectrum, lam, k, grid, r, start)
-        cells.append(row)
+    modes = len(spectrum)
+    entries = [(k, spectrum.mu(k), spectrum.nu(k), cfg.r0)
+               for k in range(modes)]
     if _has_limit(cfg):
-        (n_inf,) = semiclassical_norm(lam, [1.0], model.shift,
-                                      _limit_wall(lam), grid.r_max, cfg.s,
-                                      log_nu=[0.0])
-        row, _ = _measured(
-            {"lambda": lam, "k": LIMIT, "mu": math.inf,
-             "N_sc": float(n_inf), "glancing": False},
-            limit_mode_norm, cfg, lam, refine)
+        entries.append((LIMIT, 1.0, 1.0, _limit_wall(lam)))
+    mus = np.array([mu for _, mu, _, _ in entries])
+    walls = np.array([wall for _, _, _, wall in entries])
+    log_nu = None
+    if cfg.weight_kind == "mode":
+        # the shifts of the weights: 0 for the limit, whose weight is w(x)
+        log_nu = 0.5 * np.log1p(mus)
+        log_nu[modes:] = 0.0
+    r_max = sweep_grid(lam).r_max
+    kappa, r_t = turning_point(lam, mus, model.shift)
+    n_sc = semiclassical_norm(kappa, r_t, walls, r_max, cfg.s, log_nu=log_nu)
+    glancing = _glancing(kappa, r_t, walls)
+    named = _named_modes(n_sc[:modes], glancing[:modes])
+    cells = []
+    starts = {}
+    for i in named + list(range(modes, len(entries))):
+        k, mu, nu, wall = entries[i]
+        row, starts[wall] = _measured(
+            {"lambda": lam, "k": k, "mu": math.inf if k == LIMIT else mu,
+             "N_sc": float(n_sc[i]), "glancing": bool(glancing[i])},
+            cfg, lam, mu, nu, wall, r_max, refine, starts.get(wall))
         cells.append(row)
     return cells
 
@@ -341,11 +334,11 @@ def lambda_sweep(config, workers=1, refine=1.0):
     family, per energy, from the cells the semiclassical formula names.
 
     Each energy is one task (_energy_task).  It evaluates the formula
-    N_k^sc for every mode k <= K_max, runs cells at the glancing modes and
-    at the trusted modes near the formula's maximum, chained by warm starts,
-    and, for the mode weight on a circle or a torus, the limit cell that
-    stands for every mode past K_max (limit_mode_norm).  N(lam) is the
-    largest of these norms, and diagnostics["argmax_k"] names the mode or
+    N_k^sc for every mode k <= K_max and, for the mode weight on a circle
+    or a torus, for the limit cell that stands for every mode past K_max.
+    It runs cells at the glancing modes and at the trusted modes near the
+    formula's maximum, chained by warm starts, and at the limit, all through
+    one cell function (_cell).  N(lam) is the largest of these norms, and diagnostics["argmax_k"] names the mode or
     LIMIT that reaches it.  The sup runs over distinct mode eigenvalues;
     multiplicity is metadata (block-diagonal norms do not see it).  Without
     a limit cell, as for the polynomial weight, K_max bounds the sup, and
@@ -382,7 +375,6 @@ def lambda_sweep(config, workers=1, refine=1.0):
         "failures": failures,
         "argmax_k": argmax_k,
         "sup_at_K_max": any(k == last for k in argmax_k.values()),
-        "refine": refine,
     }
     return SweepResult(config=config, rows=rows, N_of_lambda=N_of_lambda,
                        diagnostics=diagnostics)

@@ -144,7 +144,6 @@ class ModelConfig:
 class RadialOperatorSpec:
     """Pure data describing one radial mode operator."""
 
-    k: int
     mu_k: float
     shift: float
     r0: float
@@ -165,7 +164,6 @@ def mode_operator_spec(config, k, spectrum=None):
     if not (0 <= k < len(spectrum)):
         raise ConfigError(f"mode index {k} out of range")
     return RadialOperatorSpec(
-        k=k,
         mu_k=spectrum.mu(k),
         shift=config.shift,
         r0=config.r0,

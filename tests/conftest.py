@@ -115,7 +115,7 @@ def generator_matrix(params, nu_k, grid, a_values=None):
 def spec_of_nu(nu_k):
     """The spec of the mode with frequency scale nu_k: mu_k = nu_k^2 - 1,
     the wall r0 = 0.25 and the shift 1/4 of n = 2."""
-    return RadialOperatorSpec(k=0, mu_k=nu_k**2 - 1.0, shift=0.25, r0=0.25)
+    return RadialOperatorSpec(mu_k=nu_k**2 - 1.0, shift=0.25, r0=0.25)
 
 
 def counted_checks(monkeypatch):
@@ -182,8 +182,7 @@ def limit_norm(cfg, lam, grid):
     D_x^2 + e^{-2x} + (n-1)^2/4 with the Dirichlet wall at grid.r0, the
     outgoing closure at grid.r_max and the weight w^{-s}(x), built from the
     public pieces.  Returns (norm, diagnostics) of limiting_absorption."""
-    spec = RadialOperatorSpec(k=0, mu_k=1.0, shift=cfg.model().shift,
-                              r0=grid.r0)
+    spec = RadialOperatorSpec(mu_k=1.0, shift=cfg.model().shift, r0=grid.r0)
     op = discretize(spec, grid, outgoing=lam)
     w = weights.mode_weight_vector(grid.points(), 1.0, cfg.s)
     return limiting_absorption(op, lam, w, norm_tol=cfg.norm_tol)
@@ -261,12 +260,11 @@ def semiclassical_bound_check(lam, z, nu_list, grid, tau=None, params=None,
         raise RegimeError(f"gap {gap:.3e} not positive; bound not evaluable")
     c_profile = xi_profile_constant()
     lhs = 0.0
-    for k, nu in enumerate(nu_list):
+    for nu in nu_list:
         xi_op, _ = xi_build(params, nu, grid)
         if not np.any(xi_op > 0.0):
             continue
-        spec = RadialOperatorSpec(k=k, mu_k=nu**2 - 1.0, shift=shift,
-                                  r0=grid.r0)
+        spec = RadialOperatorSpec(mu_k=nu**2 - 1.0, shift=shift, r0=grid.r0)
         op = discretize(spec, grid).scaled_shifted(scale=tau, shift=-tau * lam)
         val, _, _ = weighted_operator_norm(op, z, xi_op, np.ones(grid.N),
                                            tol=tol)

@@ -483,6 +483,19 @@ def test_the_potential_is_written_only_in_the_model():
     assert offenders == []
 
 
+def test_the_sweep_builds_and_measures_every_cell_at_one_site():
+    # laplab calls discretize and limiting_absorption once each, in the one
+    # function that builds and measures every cell of the sweep, the limit
+    # cell included, so a change to how a cell is built reaches them all
+    path = os.path.join(_SRC, "hyplab", "laplab.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    callees = [name for node in ast.walk(tree) if isinstance(node, ast.Call)
+               for name in _mentions(node.func)]
+    assert callees.count("discretize") == 1
+    assert callees.count("limiting_absorption") == 1
+
+
 def _unread_locals(function):
     """The names that a function binds and never reads, with the line of
     their first binding.  A name counts as read anywhere in the function,

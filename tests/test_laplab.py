@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from hyplab import laplab
 from hyplab.errors import ConfigError
 from hyplab.laplab import (
     LIMIT,
@@ -14,11 +15,11 @@ from hyplab.laplab import (
     SweepResult,
     fit_scaling,
     lambda_sweep,
-    limit_mode_norm,
     limiting_absorption,
     log_fit,
     semiclassical_norm,
     sweep_grid,
+    turning_point,
 )
 from hyplab.linops import RadialGrid, ShiftedSolver, discretize
 from hyplab.model import ModelConfig, mode_operator_spec
@@ -167,7 +168,7 @@ def test_single_mode_sweep_sup_equals_mode_norm():
     assert res.lambdas() == [50.0]
     assert not res.diagnostics["failures"]
     _, diag = mode_norm(cfg, 50.0, 0, sweep_grid(50.0))
-    (n_sc,) = semiclassical_norm(50.0, [1.0], 0.25, 0.25,
+    (n_sc,) = semiclassical_norm(*turning_point(50.0, [1.0], 0.25), 0.25,
                                  sweep_grid(50.0).r_max, 1.0,
                                  log_nu=[0.5 * math.log(2.0)])
     assert res.rows == [{"lambda": 50.0, "k": 0, "mu": 1.0,
@@ -228,16 +229,38 @@ def test_warm_started_cells_match_cold_and_tight_starts():
     assert worst <= 7.3e-10
 
 
-def test_limit_mode_norm_is_the_limit_cell():
-    # The cell on the sweep's r_max from x0 = -(1/2) log lam - 6, at the
-    # sweep's step, built here from the public pieces.
-    for lam in (1e2, 1e4):
-        norm, diag = limit_mode_norm(_DEFAULT_SWEEP, lam, 1.0)
+def test_the_sweep_limit_rows_are_the_limit_cell(monkeypatch):
+    # The sweep's limit rows against the cell on the sweep's r_max from
+    # x0 = -(1/2) log lam - 6, at the sweep's step, built here from the
+    # public pieces: the same grid, norm and Gram steps, no eps ladder, and
+    # the formula of w^{-s}(x) on that box.
+    measured = {}
+    measure = laplab.limiting_absorption
+
+    def recorded(op, lam, w, **kwargs):
+        norm, diag = measure(op, lam, w, **kwargs)
+        measured[lam, op.grid.r0] = (op.grid, diag)
+        return norm, diag
+
+    monkeypatch.setattr(laplab, "limiting_absorption", recorded)
+    res = lambda_sweep(dataclasses.replace(_DEFAULT_SWEEP, lambdas=(1e2, 1e4)))
+    rows = {row["lambda"]: row for row in res.rows if row["k"] == LIMIT}
+    assert sorted(rows) == [1e2, 1e4]
+    for lam, row in rows.items():
         grid = limit_grid(lam)
         assert grid.r_max == sweep_grid(lam).r_max
         assert grid.h == pytest.approx(sweep_grid(lam).h, rel=1e-2)
-        assert diag["eps"] == [] and diag["iterations"] >= 1
-        assert norm == limit_norm(_DEFAULT_SWEEP, lam, grid)[0]
+        swept, swept_diag = measured[lam, grid.r0]
+        assert (swept.r_max, swept.N) == (grid.r_max, grid.N)
+        assert swept_diag["eps"] == [] and row["iterations"] >= 1
+        norm, diag = limit_norm(_DEFAULT_SWEEP, lam, grid)
+        assert diag["eps"] == []
+        assert row["norm"] == norm
+        assert row["iterations"] == diag["iterations"]
+        (n_sc,) = semiclassical_norm(*turning_point(lam, [1.0], 0.25),
+                                     grid.r0, grid.r_max, 1.0, log_nu=[0.0])
+        assert (row["mu"], row["N_sc"], row["glancing"]) == (
+            math.inf, n_sc, False)
 
 
 def test_default_sweep_gram_steps(monkeypatch):
@@ -306,7 +329,7 @@ def _formula(cfg, lam):
     with np.errstate(divide="ignore"):
         r_t = 0.5 * np.log(mus / kappa**2)
     glancing = np.abs(r_t - cfg.r0) * kappa ** (2.0 / 3.0) < 2.0
-    n_sc = semiclassical_norm(lam, mus, 0.25, cfg.r0, sweep_grid(lam).r_max,
+    n_sc = semiclassical_norm(kappa, r_t, cfg.r0, sweep_grid(lam).r_max,
                               cfg.s, log_nu=log_nu)
     return n_sc, glancing
 
@@ -329,8 +352,8 @@ def test_formula_matches_adaptive_quadrature():
         mus = np.array([0.0, 1.0, 37.0, 0.7 * kappa2, 3.0 * kappa2,
                         2.2 * lam, 1e3 * lam, 1e6 * lam])
         for log_nu in (None, 0.5 * np.log1p(mus)):
-            got = semiclassical_norm(lam, mus, 0.25, 0.25, r_max, 1.0,
-                                     log_nu=log_nu)
+            got = semiclassical_norm(*turning_point(lam, mus, 0.25), 0.25,
+                                     r_max, 1.0, log_nu=log_nu)
             for i, mu in enumerate(mus):
                 shift = None if log_nu is None else log_nu[i]
 
@@ -385,8 +408,8 @@ def test_formula_matches_step_converged_cells(kind, lam, tol):
 def test_formula_matches_step_converged_limit_cell(lam, tol):
     cfg = SweepConfig(lambdas=(lam,), s=1.0)
     x0 = limit_grid(lam).r0
-    (n_sc,) = semiclassical_norm(lam, [1.0], 0.25, x0, sweep_grid(lam).r_max,
-                                 1.0, log_nu=[0.0])
+    (n_sc,) = semiclassical_norm(*turning_point(lam, [1.0], 0.25), x0,
+                                 sweep_grid(lam).r_max, 1.0, log_nu=[0.0])
     converged = _richardson(
         lambda refine: limit_norm(cfg, lam, limit_grid(lam, refine))[0])
     assert abs(converged / n_sc - 1.0) <= tol
