@@ -2,10 +2,11 @@
 
 Single entry point with subcommands (spectrum, flow, mourre, sweep, testbed,
 weights, report); JSON configs with dotted --set overrides (report, which
-collates earlier runs, has no config), CSV tables at full precision, JSON
-summaries with a schema version, and an atomically written run manifest.
-Exit codes: 0 success, 1 invalid config, 2 numerical failure, 3
-acceptance-check failure under --check.
+collates earlier runs, has no config) and CSV tables at full precision.
+Each runner returns its summary, which run alone writes as summary.json with
+a schema version; the run manifest lists every file made by RunContext.path.
+Both JSON files are written atomically.  Exit codes: 0 success, 1 invalid
+config, 2 numerical failure, 3 acceptance-check failure under --check.
 """
 
 from __future__ import annotations
@@ -239,10 +240,7 @@ def _run_spectrum(ctx):
     rows = [(k, spectrum.mu(k), spectrum.multiplicity(k))
             for k in range(len(spectrum))]
     write_csv(ctx.path("spectrum.csv"), ["k", "mu", "multiplicity"], rows)
-    summary = {"schema": _SCHEMA, "experiment": "spectrum",
-               "modes": len(rows)}
-    _atomic_json(ctx.path("summary.json"), summary)
-    return True
+    return {"modes": len(rows)}, True
 
 
 def _run_flow(ctx):
@@ -279,13 +277,10 @@ def _run_flow(ctx):
         phi = np.exp(-((r - 0.5 * (lo + hi)) / (0.1 * (hi - lo))) ** 2)
         norm = np.linalg.norm(unitary_apply(flows[t], phi, r))
         defects.append(abs(norm / np.linalg.norm(phi) - 1.0))
-    summary = {"schema": _SCHEMA, "experiment": "flow", "lambda": lam,
-               "t_values": list(cfg["t_values"]),
-               "n_steps": [flows[t].n_steps for t in times],
-               "n_evals": [flows[t].n_evals for t in times],
-               "unitarity_defect": defects}
-    _atomic_json(ctx.path("summary.json"), summary)
-    return True
+    return {"lambda": lam, "t_values": list(cfg["t_values"]),
+            "n_steps": [flows[t].n_steps for t in times],
+            "n_evals": [flows[t].n_evals for t in times],
+            "unitarity_defect": defects}, True
 
 
 def _run_mourre(ctx):
@@ -299,10 +294,6 @@ def _run_mourre(ctx):
     with ctx.stage("mourre_positivity_check"):
         report = mourre_positivity_check(lam, cfg["s0"], cfg["K_max"],
                                          config=model, C=cfg["C"])
-    payload = dict(report.to_dict())
-    payload["schema"] = _SCHEMA
-    payload["experiment"] = "mourre"
-    _atomic_json(ctx.path("summary.json"), payload)
     rows = [(m.k, m.mu, m.window_size,
              m.min_eig if m.min_eig is not None else math.nan,
              m.double_commutator if m.double_commutator is not None
@@ -311,7 +302,7 @@ def _run_mourre(ctx):
     write_csv(ctx.path("per_mode.csv"),
               ["k", "mu", "window_size", "min_eig", "double_commutator"],
               rows)
-    return report.passed
+    return report.to_dict(), report.passed
 
 
 def _run_sweep(ctx):
@@ -335,8 +326,7 @@ def _run_sweep(ctx):
     # the largest |norm / N_sc - 1| of a cell where the formula is trusted
     deviation = max((abs(r["norm"] / r["N_sc"] - 1.0) for r in result.rows
                      if not r["glancing"]), default=0.0)
-    summary = {"schema": _SCHEMA, "experiment": "sweep",
-               "N_of_lambda": {(_fmt(l)): v
+    summary = {"N_of_lambda": {(_fmt(l)): v
                                for l, v in sorted(result.N_of_lambda.items())},
                "argmax_k": {_fmt(l): k
                             for l, k in sorted(diag["argmax_k"].items())},
@@ -352,8 +342,7 @@ def _run_sweep(ctx):
                           "q_err": fit.q_err, "cond": fit.cond}
         summary["bound_check"] = {"Cprime": fit.C_prime}
         ok = ok and -0.6 <= fit.p <= -0.4
-    _atomic_json(ctx.path("summary.json"), summary)
-    return ok
+    return summary, ok
 
 
 # seeds per testbed pool task, checked in one stacked pass.  On a 2-core
@@ -419,8 +408,6 @@ def _run_testbed(ctx):
               [(r["seed"], r["rejects"], r["max_residual"], r["violations"])
                for r in reports])
     summary = {
-        "schema": _SCHEMA,
-        "experiment": "testbed",
         "seeds": len(reports),
         "rejects": sum(r["rejects"] for r in reports),
         "max_residuals": max(r["max_residual"] for r in reports),
@@ -430,8 +417,7 @@ def _run_testbed(ctx):
                        "steps": steps,
                        "step_bound": recurrence_step_bound(cfg["s"])},
     }
-    _atomic_json(ctx.path("summary.json"), summary)
-    return summary["violations"] == 0 and scalar["violations"] == 0
+    return summary, summary["violations"] == 0 and scalar["violations"] == 0
 
 
 def _run_weights(ctx):
@@ -452,20 +438,14 @@ def _run_weights(ctx):
                                        "spread": max(vals) / min(vals)}
     with ctx.stage("unboundedness_demo"):
         ratios = unboundedness_demo(cfg["s"], cfg["nu_ladder"])
-    summary = {
-        "schema": _SCHEMA,
-        "experiment": "weights",
-        "temperate_violations": len(violations),
-        "quantization_ladders": ladders,
-        "unboundedness_ratios": ratios,
-    }
-    _atomic_json(ctx.path("summary.json"), summary)
-    rows = list(zip(cfg["nu_ladder"], ratios))
-    write_csv(ctx.path("unboundedness.csv"), ["nu", "ratio"], rows)
+    write_csv(ctx.path("unboundedness.csv"), ["nu", "ratio"],
+              list(zip(cfg["nu_ladder"], ratios)))
     ok = (len(violations) == 0
           and all(l["spread"] <= 2.0 for l in ladders.values())
           and all(b > a for a, b in zip(ratios, ratios[1:])))
-    return ok
+    return {"temperate_violations": len(violations),
+            "quantization_ladders": ladders,
+            "unboundedness_ratios": ratios}, ok
 
 
 def _run_report(ctx):
@@ -511,9 +491,8 @@ def _run_report(ctx):
                          f"(truncated sup): {summary['sup_at_K_max']}")
             plot_rows = sorted(
                 (float(k), v) for k, v in summary["N_of_lambda"].items())
-            write_csv(os.path.join(out, f"plot_N_of_lambda_{name}.dat"),
+            write_csv(ctx.path(f"plot_N_of_lambda_{name}.dat"),
                       ["lambda", "N"], plot_rows)
-            ctx.outputs.append(f"plot_N_of_lambda_{name}.dat")
         elif exp == "mourre":
             lines.append("min_eig_ratio = %s over %s contributing modes"
                          % (summary.get("min_eig_ratio"),
@@ -521,11 +500,9 @@ def _run_report(ctx):
             lines.append("double commutator ||f(H) [[H,A],A] f(H)|| / lambda "
                          "= %s (max over modes)"
                          % summary.get("double_commutator_ratio"))
-            deficits = summary.get("deficits", {})
-            rows = sorted(deficits.items())
-            write_csv(os.path.join(out, f"plot_deficits_{name}.dat"),
-                      ["term", "value"], rows)
-            ctx.outputs.append(f"plot_deficits_{name}.dat")
+            write_csv(ctx.path(f"plot_deficits_{name}.dat"),
+                      ["term", "value"],
+                      sorted(summary.get("deficits", {}).items()))
         elif exp == "testbed":
             lines.append("violations = %s over %s seeds (rejects %s)"
                          % (summary.get("violations"), summary.get("seeds"),
@@ -549,21 +526,19 @@ def _run_report(ctx):
                                      summary["t_values"],
                                      summary["unitarity_defect"])))
         lines.append("")
-    for absent in ("spectrum", "flow", "mourre", "sweep", "testbed",
-                   "weights"):
-        if absent not in seen:
-            lines.append(f"section absent: no {absent} run in this directory")
-    text = "\n".join(lines) + "\n"
-    with open(os.path.join(out, "report.md"), "w", encoding="utf-8") as fh:
-        fh.write(text)
-    ctx.outputs.append("report.md")
-    return True
+    lines += [f"section absent: no {absent} run in this directory"
+              for absent in _DEFAULTS if absent not in seen]
+    with open(ctx.path("report.md"), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return None, True
 
 
 # Each subcommand's runner and the flags it takes besides --check, --out and,
 # for a subcommand with a config in _DEFAULTS, --config and --set.  Each such
 # flag sets the RunContext field of its name, which the runner reads.  A
-# runner writes its outputs and returns the verdict that --check reads.
+# runner writes its tables through ctx.path and returns (summary, verdict):
+# run writes the summary as summary.json, and --check reads the verdict.
+# report, which collates other runs, has no summary and returns None.
 _RUNNERS = {
     "spectrum": (_run_spectrum, ()),
     "flow": (_run_flow, ()),
@@ -620,7 +595,7 @@ def run(argv=None):
     ctx = RunContext(experiment, config, args.out,
                      **{flag: getattr(args, flag) for flag in flags})
     try:
-        ok = runner(ctx)
+        summary, ok = runner(ctx)
     except ConfigError as exc:
         ctx.finish(status="invalid", diagnostic=str(exc))
         print(f"invalid config: {exc}", file=sys.stderr)
@@ -629,6 +604,9 @@ def run(argv=None):
         ctx.finish(status="numerical-failure", diagnostic=str(exc))
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    if summary is not None:
+        _atomic_json(ctx.path("summary.json"),
+                     {"schema": _SCHEMA, "experiment": experiment, **summary})
     if args.check and not ok:
         ctx.finish(status="check-failed")
         print("acceptance check failed", file=sys.stderr)
