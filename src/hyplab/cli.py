@@ -100,20 +100,30 @@ def load_config(experiment, path, overrides):
     return config
 
 
+_KINDS = {dict: "a section", list: "a list of numbers", int: "an integer",
+          float: "a number"}
+
+
+def _fits(value, default):
+    """Whether value has the shape of default: a dict for a dict, a list of
+    numbers for a list, an int for an int, an int or a float for a float."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0])
+                                               for v in value)
+    if type(default) in (int, float):  # a bool is of neither type
+        return type(value) in (int, type(default))
+    return not isinstance(default, dict) or isinstance(value, dict)
+
+
 def _check_numbers(config, defaults, prefix):
-    """ConfigError unless each value whose default is an int is an int, and
-    each whose default is a float an int or a float, in nested sections
-    too; a bool is neither."""
+    """ConfigError unless each value, in sections too, fits its default."""
     for key, value in config.items():
         default = defaults.get(key)
-        if isinstance(default, dict) and isinstance(value, dict):
+        if not _fits(value, default):
+            raise ConfigError(f"{prefix}{key} = {json.dumps(value)} is not "
+                              f"{_KINDS[type(default)]}")
+        if isinstance(default, dict):
             _check_numbers(value, default, f"{prefix}{key}.")
-        elif type(default) in (int, float) and (
-                isinstance(value, bool)
-                or not isinstance(value, (int, type(default)))):
-            kind = "an integer" if type(default) is int else "a number"
-            raise ConfigError(
-                f"{prefix}{key} = {json.dumps(value)} is not {kind}")
 
 
 def config_hash(config):

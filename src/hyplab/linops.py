@@ -314,14 +314,14 @@ def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, start=None):
     R = (A - z M)^{-1} M is the resolvent that ShiftedSolver applies.
 
     Power iteration on the Gram map G x = W_r R^* W_l^2 R W_r x.  It starts from
-    _power_start, or, given ``start`` (a guess at the top right singular
-    vector, such as the vector returned for a neighbouring operator), from
-    start plus a 1e-2 share of _power_start, so that a guess orthogonal to
-    the top direction still reaches it.  For a unit v the estimate
-    theta = ||G v|| lies between <v, G v> and sigma_1^2, so sqrt(theta) is a
-    lower bound on the norm.  Converged when successive estimates agree to
-    0.1 tol relative and the eigen-residual ||G v - <v, G v> v|| is at most
-    sqrt(tol) <v, G v>.
+    _power_start, or, given ``start`` (a guess of shape (op.n,) at the top
+    right singular vector, such as the vector returned for a neighbouring
+    operator; another shape is a ConfigError), from start plus a 1e-2 share of
+    _power_start, so that a guess orthogonal to the top direction still
+    reaches it.  For a unit v the estimate theta = ||G v|| lies between
+    <v, G v> and sigma_1^2, so sqrt(theta) is a lower bound on the norm.
+    Converged when successive estimates agree to 0.1 tol relative and the
+    eigen-residual ||G v - <v, G v> v|| is at most sqrt(tol) <v, G v>.
 
     Returns (norm, vector, steps): the unit vector G v / ||G v|| of the last
     step (None when the map is zero) and the number of Gram steps, each one
@@ -343,6 +343,8 @@ def weighted_operator_norm(op, z, w_left, w_right, tol=1e-6, start=None):
     v = _power_start(op.n)
     if start is not None:
         start = np.asarray(start, dtype=complex)
+        if start.shape != (op.n,):
+            raise ConfigError(f"start has shape {start.shape}, not ({op.n},)")
         v = start / _norm(start) + _COLD_SHARE * v
         v /= _norm(v)
     theta = 0.0

@@ -66,10 +66,20 @@ def _circle_entries(radius, k_max):
     return out
 
 
+def _numbers(cross_section, key):
+    """cross_section[key] as floats; ConfigError unless a list of numbers."""
+    values = cross_section.get(key)
+    if not isinstance(values, (list, tuple)) or any(
+            isinstance(v, bool) or not isinstance(v, (int, float))
+            for v in values):
+        raise ConfigError(f"cross-section {key} = {values!r} is not a list "
+                          "of numbers")
+    return [float(v) for v in values]
+
+
 def _torus_entries(radii, k_max):
     # Enumerate lattice eigenvalues sum (k_i / rho_i)^2 with a growing cutoff
     # until at least k_max+1 distinct values are certified complete.
-    radii = [float(p) for p in radii]
     if not radii or any(p <= 0 for p in radii):
         raise ConfigError("torus radii must be positive")
     bound_idx = 1
@@ -103,9 +113,9 @@ def build_spectrum(cross_section, K_max):
             raise ConfigError("circle radius must be positive")
         raw = _circle_entries(radius, K_max)
     elif kind == "torus":
-        raw = _torus_entries(cross_section["radii"], K_max)
+        raw = _torus_entries(_numbers(cross_section, "radii"), K_max)
     elif kind == "custom":
-        mus = [float(m) for m in cross_section.get("mu", [])]
+        mus = _numbers(cross_section, "mu")
         if not mus:
             raise ConfigError("custom spectrum list is empty")
         if any(m < 0 for m in mus):

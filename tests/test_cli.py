@@ -149,15 +149,36 @@ def test_non_object_config_file_exits_one(tmp_path):
     ("flow", "n_points=200.5"), ("testbed", "n_seeds=1.5"),
     ("testbed", "dim=12.5"), ("testbed", "window_count=3.5"),
     ("weights", "temperate_samples=1.5"), ("spectrum", "K_max=true"),
-    ("flow", "lambda=true")])
+    ("flow", "lambda=true"), ("sweep", 'lambdas=["a"]'), ("sweep", "lambdas=5"),
+    ("sweep", "lambdas=[100,true]"), ("flow", 't_values=["x"]'),
+    ("flow", "t_values=0.5"), ("weights", 'nu_ladder=["x"]'),
+    ("weights", "sigma_values=2"), ("mourre", "cross_section=3"),
+    ("sweep", "cross_section=null")])
 def test_a_number_of_the_wrong_kind_exits_one(tmp_path, capsys, experiment,
                                               override):
     # An integer key takes an integer, and a float key an integer or a
-    # float; neither takes a bool.  The config is refused before the run.
+    # float; neither takes a bool.  A list of numbers takes a list of such
+    # floats, and a section a dict.  The config is refused before the run.
     out = tmp_path / "run"
     assert run([experiment, "--out", str(out), "--set", override]) == 1
     assert "invalid config" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override", [
+    "cross_section.kind=torus", 'cross_section={"kind":"torus","radii":5}',
+    'cross_section={"kind":"torus","radii":["a",1]}',
+    'cross_section={"kind":"custom","mu":3}',
+    'cross_section={"kind":"custom","mu":[0,"x"]}',
+    'cross_section={"kind":"custom","mu":[0,true]}'])
+def test_a_malformed_cross_section_exits_one(tmp_path, capsys, override):
+    # a torus needs radii and a custom spectrum mu, each a list of numbers
+    out = tmp_path / "spec"
+    assert run(["spectrum", "--out", str(out), "--set", override]) == 1
+    assert "invalid config" in capsys.readouterr().err
+    manifest = _manifest(out)
+    assert manifest["status"] == "invalid"
+    assert "is not a list of numbers" in manifest["diagnostic"]
 
 
 def test_a_float_key_takes_an_integer():

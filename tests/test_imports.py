@@ -587,3 +587,28 @@ def test_the_benchmark_spans_wrap_and_restore_their_functions(tmp_path):
         assert tracer.count(f"abstract.{name}") == math.ceil(
             n_seeds / cli._TESTBED_BATCH)
         assert tracer.total(f"abstract.{name}") > 0
+
+
+def test_each_run_file_has_one_writer():
+    # In hyplab/cli.py, _atomic_json is called only by run, which writes
+    # every summary.json, and by RunContext.finish, which writes the
+    # manifest; and .outputs is touched only inside RunContext, so that
+    # RunContext.path is the one route into the manifest's outputs.
+    path = os.path.join(_SRC, "hyplab", "cli.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    scoped = []  # (the definition a node is in, node)
+    for top in tree.body:
+        members = ([(f"{top.name}.{getattr(n, 'name', None)}", n)
+                    for n in top.body]
+                   if isinstance(top, ast.ClassDef)
+                   else [(getattr(top, "name", None), top)])
+        scoped += [(scope, node) for scope, member in members
+                   for node in ast.walk(member)]
+    writers = {scope for scope, node in scoped if isinstance(node, ast.Call)
+               and _mentions(node.func) == {"_atomic_json"}}
+    assert writers == {"run", "RunContext.finish"}
+    touching = {scope for scope, node in scoped
+                if isinstance(node, ast.Attribute) and node.attr == "outputs"}
+    assert touching == {"RunContext.__init__", "RunContext.path",
+                        "RunContext.finish"}

@@ -1,6 +1,7 @@
 """Discretization, shifted solves, norms, eigendecomposition, Schur bounds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -541,6 +542,19 @@ def test_weighted_norm_warm_start():
     # share of the generic start mixed in.
     lost, _, _ = weighted_operator_norm(op, z, w, w, start=vh[1].conj())
     assert lost == pytest.approx(sigma[0], rel=1e-6)
+
+
+@pytest.mark.parametrize("shape", [(39,), (41,), (40, 1), ()])
+def test_weighted_norm_refuses_a_start_of_another_shape(shape):
+    # a start from another grid is a config mistake that names both sizes,
+    # not a broadcast error inside the power iteration
+    op = make_mode_operator(_circle_config(), 0,
+                            RadialGrid(r0=0.25, r_max=10.0, N=40))
+    w = np.ones(op.n)
+    with pytest.raises(ConfigError,
+                       match=rf"start has shape {re.escape(str(shape))}, "
+                             rf"not \({op.n},\)"):
+        weighted_operator_norm(op, 4.0, w, w, start=np.ones(shape))
 
 
 def _exact_dot(a, b):
