@@ -149,8 +149,9 @@ def test_non_object_config_file_exits_one(tmp_path):
     ("flow", "n_points=200.5"), ("testbed", "n_seeds=1.5"),
     ("testbed", "dim=12.5"), ("testbed", "window_count=3.5"),
     ("weights", "temperate_samples=1.5"), ("spectrum", "K_max=true"),
-    ("flow", "lambda=true"), ("sweep", 'lambdas=["a"]'), ("sweep", "lambdas=5"),
-    ("sweep", "lambdas=[100,true]"), ("flow", 't_values=["x"]'),
+    ("flow", "lambda=true"), ("sweep", 'lambdas=["a"]'),
+    ("sweep", "lambdas=5"), ("sweep", "lambdas=[100,true]"),
+    ("flow", 't_values=["x"]'),
     ("flow", "t_values=0.5"), ("weights", 'nu_ladder=["x"]'),
     ("weights", "sigma_values=2"), ("mourre", "cross_section=3"),
     ("sweep", "cross_section=null")])
